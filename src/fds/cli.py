@@ -3,14 +3,13 @@ emit CSV and SVG.
 
 Exit codes: 0 success or all checks pass, 1 verification failure, 2 usage
 or parse error, 3 I/O error.  Identical configurations produce identical
-output bytes regardless of worker count.
+output bytes.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -48,7 +47,6 @@ class RunConfig:
     m_range: tuple[int, int] | None = None
     tol: float = 0.05
     neighbors: bool = False
-    workers: int = 1
     epsilons: list[Fraction] = field(default_factory=list)
     params: dict = field(default_factory=dict)
 
@@ -114,7 +112,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--m-range", default=None, metavar="LO:HI")
     common.add_argument("--tol", type=float, default=None)
     common.add_argument("--neighbors", choices=("on", "off"), default=None)
-    common.add_argument("--workers", type=int, default=None)
     common.add_argument("--config", default=None)
 
     con = sub.add_parser("construct", parents=[common], help="generate a set file")
@@ -161,7 +158,6 @@ _CONFIG_KEYS = {
     "m-range",
     "tol",
     "neighbors",
-    "workers",
     "epsilons",
 }
 
@@ -198,7 +194,6 @@ def _run_config(args, depth: int) -> RunConfig:
         m_range=_effective_range(args, depth, grid),
         tol=float(args.tol) if args.tol is not None else 0.05,
         neighbors=(args.neighbors or "off") == "on",
-        workers=int(args.workers) if args.workers is not None else 1,
         epsilons=[_parse_fraction(tok) for tok in str(eps_spec).split(",")]
         if eps_spec
         else [],
@@ -287,26 +282,6 @@ def cmd_construct(args) -> int:
     return 0
 
 
-def _chunk(seq, n):
-    k = max(1, len(seq) // n + (1 if len(seq) % n else 0))
-    return [seq[i : i + k] for i in range(0, len(seq), k)]
-
-
-def _grid_estimate(kind, rep, grid, m_range, neighbors, workers):
-    fn = spectra.estimate_spectrum if kind == "spectrum" else spectra.estimate_upper
-    if workers <= 1 or len(grid) <= 1:
-        return fn(rep, grid, m_range, neighbors)
-    chunks = _chunk(grid, workers)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(lambda g: fn(rep, g, m_range, neighbors), chunks))
-    est = parts[0]
-    for p in parts[1:]:
-        est.thetas.extend(p.thetas)
-        est.values.extend(p.values)
-        est.witnesses.extend(p.witnesses)
-    return est
-
-
 def cmd_estimate(args) -> int:
     rep = _load_input(args)
     if not args.output:
@@ -314,9 +289,8 @@ def cmd_estimate(args) -> int:
     cfg = _run_config(args, _depth_of(rep))
     mode = args.mode
     if mode in ("spectrum", "upper"):
-        est = _grid_estimate(
-            mode, rep, cfg.theta_grid, cfg.m_range, cfg.neighbors, cfg.workers
-        )
+        fn = spectra.estimate_spectrum if mode == "spectrum" else spectra.estimate_upper
+        est = fn(rep, cfg.theta_grid, cfg.m_range, cfg.neighbors)
         summary = (
             f"{mode}: {len(est.values)} grid points, "
             f"min={min(est.values)!r} max={max(est.values)!r}"

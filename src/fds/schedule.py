@@ -20,7 +20,7 @@ import numpy as np
 
 from .dyadic import DyadicTree, embed, merge
 from .errors import BudgetError
-from .windows import suffix_slope_max
+from .windows import SuffixHull, suffix_slope_max
 
 __all__ = [
     "BranchingSchedule",
@@ -57,7 +57,7 @@ class SpectrumPoint:
 class BranchingSchedule:
     """Run-length encoded child counts c_j in {1, 2} for levels 1..depth."""
 
-    __slots__ = ("runs", "depth", "_ends", "_sends", "_snp")
+    __slots__ = ("runs", "depth", "_ends", "_sends", "_snp", "_hull")
 
     def __init__(self, runs: Iterable[tuple[int, int]]):
         norm: list[tuple[int, int]] = []
@@ -86,6 +86,7 @@ class BranchingSchedule:
         self._ends = ends
         self._sends = sends
         self._snp: np.ndarray | None = None
+        self._hull: SuffixHull | None = None
 
     def prefix(self, m: int) -> int:
         """Number of branching levels among 1..m (the log2 of the level count)."""
@@ -109,6 +110,12 @@ class BranchingSchedule:
                 pos += cnt
             self._snp = np.cumsum(incs, dtype=np.int64)
         return self._snp
+
+    def suffix_hull(self) -> SuffixHull:
+        """Suffix-hull tree over prefix_array(), cached."""
+        if self._hull is None:
+            self._hull = SuffixHull(self.prefix_array())
+        return self._hull
 
     def child_count(self, j: int) -> int:
         """c_j for 1 <= j <= depth."""
@@ -215,7 +222,7 @@ class CompositeSet:
     branching), mirroring DyadicTree.merge.
     """
 
-    __slots__ = ("components", "include_origin", "_ext", "_origin_logs")
+    __slots__ = ("components", "include_origin", "_ext", "_hulls", "_origin_logs")
 
     def __init__(
         self,
@@ -231,6 +238,7 @@ class CompositeSet:
         self.components = comps
         self.include_origin = bool(include_origin)
         self._ext: dict[int, np.ndarray] = {}
+        self._hulls: dict[int, SuffixHull] = {}
         self._origin_logs: dict[int, np.ndarray] = {}
 
     @property
@@ -256,6 +264,13 @@ class CompositeSet:
                 arr = S[: span + 1]
             self._ext[i] = arr
         return arr
+
+    def component_hull(self, i: int) -> SuffixHull:
+        """Suffix-hull tree over extended_prefix(i), cached."""
+        hull = self._hulls.get(i)
+        if hull is None:
+            hull = self._hulls[i] = SuffixHull(self.extended_prefix(i))
+        return hull
 
     def __eq__(self, other) -> bool:
         return (
@@ -393,12 +408,11 @@ def composite_upper(cs: CompositeSet, theta, m_range: tuple[int, int]) -> Spectr
         a = max(lo, e)
         if a > hi:
             continue
-        Sx = [int(v) for v in cs.extended_prefix(i)]
-        queries = [(m - e, scale.fine(m) - e) for m in range(a, hi + 1)]
-        for (lm, _), (n, d, j) in zip(queries, suffix_slope_max(Sx, queries)):
-            cand = (n / d, -(lm + e), -(j + e), -i)
-            if best is None or cand > best:
-                best = cand
+        marr = np.arange(a, hi + 1, dtype=np.int64)
+        v, lm, j = cs.component_hull(i).fan_max(marr - e, scale.fine_array(marr) - e)
+        cand = (v, -(lm + e), -(j + e), -i)
+        if best is None or cand > best:
+            best = cand
     top = min(hi, _origin_coarse_limit(cs))
     if cs.components:
         spans_all = np.arange(D + 1, dtype=np.float64)

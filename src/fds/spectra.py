@@ -33,7 +33,7 @@ from .schedule import (
     composite_upper,
     origin_log_counts,
 )
-from .windows import RationalScale, RootScale, runlen_table, suffix_slope_max
+from .windows import RationalScale, RootScale, runlen_table
 
 __all__ = [
     "SpectrumEstimate",
@@ -91,10 +91,15 @@ class VerificationReport:
     witnesses: list[str] = field(default_factory=list)
 
 
-def _depth(rep) -> int:
-    if isinstance(rep, (DyadicTree, BranchingSchedule, CompositeSet)):
-        return rep.depth
-    raise TypeError(f"unsupported set representation {type(rep).__name__}")
+def _depth(rep, neighbors: bool = False) -> int:
+    """Depth of a supported set; neighbor mode exists for trees only."""
+    if not isinstance(rep, (DyadicTree, BranchingSchedule, CompositeSet)):
+        raise TypeError(f"unsupported set representation {type(rep).__name__}")
+    if neighbors and not isinstance(rep, DyadicTree):
+        raise ValueError(
+            f"neighbor mode applies to trees only, not to {type(rep).__name__}"
+        )
+    return rep.depth
 
 
 def _norm_range(depth: int, m_range: tuple[int, int] | None) -> tuple[int, int]:
@@ -242,21 +247,10 @@ def _sched_spectrum(s, scale, lo, hi) -> tuple[float, int, int, int]:
     return float(alpha[k]), int(marr[k]), int(mp[k]), 0
 
 
-def _sched_upper_multi(s, scales, lo, hi_effs) -> list[tuple[float, int, int, int]]:
-    S = [int(v) for v in s.prefix_array()]
-    queries: list[tuple[int, int]] = []
-    owner: list[int] = []
-    for si, (scale, hi_eff) in enumerate(zip(scales, hi_effs)):
-        for m in range(lo, hi_eff + 1):
-            queries.append((m, scale.fine(m)))
-            owner.append(si)
-    results = suffix_slope_max(S, queries)
-    best: list = [None] * len(scales)
-    for si, (m, _), (n, d, j) in zip(owner, queries, results):
-        cand = (n / d, -m, -j)
-        if best[si] is None or cand > best[si]:
-            best[si] = cand
-    return [(b[0], -b[1], -b[2], 0) for b in best]
+def _sched_upper(s, scale, lo, hi) -> tuple[float, int, int, int]:
+    marr = np.arange(lo, hi + 1, dtype=np.int64)
+    v, m, mp = s.suffix_hull().fan_max(marr, scale.fine_array(marr))
+    return v, m, mp, 0
 
 
 # ----------------------------------------------------------------------
@@ -269,6 +263,15 @@ def _spectrum_at(rep, scale, lo, hi_eff, neighbors) -> tuple[float, int, int, in
     if isinstance(rep, BranchingSchedule):
         return _sched_spectrum(rep, scale, lo, hi_eff)
     pt = composite_spectrum(rep, scale, (lo, hi_eff))
+    return float(pt.value), pt.m, pt.m_prime, _composite_node(rep, pt)
+
+
+def _upper_at(rep, scale, lo, hi_eff, neighbors) -> tuple[float, int, int, int]:
+    if isinstance(rep, DyadicTree):
+        return _tree_upper(rep, scale, lo, hi_eff, neighbors)
+    if isinstance(rep, BranchingSchedule):
+        return _sched_upper(rep, scale, lo, hi_eff)
+    pt = composite_upper(rep, scale, (lo, hi_eff))
     return float(pt.value), pt.m, pt.m_prime, _composite_node(rep, pt)
 
 
@@ -286,7 +289,7 @@ def estimate_spectrum(
     neighbors: bool = False,
 ) -> SpectrumEstimate:
     """Window exponent at the exact ratio rule m' = ceil(m / theta), per theta."""
-    depth = _depth(rep)
+    depth = _depth(rep, neighbors)
     lo, hi = _norm_range(depth, m_range)
     grid = _grid(theta_grid)
     values: list[float] = []
@@ -307,26 +310,17 @@ def estimate_upper(
     neighbors: bool = False,
 ) -> SpectrumEstimate:
     """Window exponent maximized over every fine level m' >= ceil(m / theta)."""
-    depth = _depth(rep)
+    depth = _depth(rep, neighbors)
     lo, hi = _norm_range(depth, m_range)
     grid = _grid(theta_grid)
-    scales = [RationalScale(th) for th in grid]
-    hi_effs = [_clamp(depth, sc, lo, hi)[1] for sc in scales]
     values: list[float] = []
     wits: list[tuple[int, int, int]] = []
-    if isinstance(rep, BranchingSchedule):
-        for v, m, mp, node in _sched_upper_multi(rep, scales, lo, hi_effs):
-            values.append(v)
-            wits.append((m, mp, node))
-    else:
-        for sc, hi_eff in zip(scales, hi_effs):
-            if isinstance(rep, DyadicTree):
-                v, m, mp, node = _tree_upper(rep, sc, lo, hi_eff, neighbors)
-            else:
-                pt = composite_upper(rep, sc, (lo, hi_eff))
-                v, m, mp, node = float(pt.value), pt.m, pt.m_prime, _composite_node(rep, pt)
-            values.append(v)
-            wits.append((m, mp, node))
+    for th in grid:
+        scale = RationalScale(th)
+        a, b = _clamp(depth, scale, lo, hi)
+        v, m, mp, node = _upper_at(rep, scale, a, b, neighbors)
+        values.append(v)
+        wits.append((m, mp, node))
     return SpectrumEstimate(UPPER, grid, values, (lo, hi), wits)
 
 
@@ -458,7 +452,7 @@ def verify_main_theorem(
     the optimized upper path and one by direct enumeration, so the
     deviation must be exactly zero.
     """
-    depth = _depth(rep)
+    depth = _depth(rep, neighbors)
     lo, hi = _norm_range(depth, m_range)
     grid = _grid(theta_grid)
     upper = estimate_upper(rep, grid, (lo, hi), neighbors)
@@ -513,7 +507,7 @@ def verify_chain(
     box <= spectrum + tol, spectrum <= upper (exact), upper <= quasi-Assouad
     headline + tol, and upper non-decreasing along the grid (exact).
     """
-    depth = _depth(rep)
+    depth = _depth(rep, neighbors)
     lo, hi = _norm_range(depth, m_range)
     grid = _grid(theta_grid)
     spec = estimate_spectrum(rep, grid, (lo, hi), neighbors)
@@ -560,7 +554,7 @@ def verify_nthroot(
     neighbors: bool = False,
 ) -> VerificationReport:
     """spectrum(theta) <= spectrum(theta ** (1/n)) + tol for each n."""
-    depth = _depth(rep)
+    depth = _depth(rep, neighbors)
     lo, hi = _norm_range(depth, m_range)
     grid = _grid(theta_grid)
     spec = estimate_spectrum(rep, grid, (lo, hi), neighbors)

@@ -5,13 +5,28 @@ maximize exponents of the form (S[m'] - S[m]) / (m' - m) or
 log2(count(m, m')) / (m' - m) over large window fans.  This module holds:
 
 * exact integer fine-level rules for rational theta and for theta**(1/n),
-* an offline suffix-hull sweep answering batches of "best m' >= lo from
-  coarse level m" slope queries exactly,
+* a suffix-hull tree that answers whole batches of "best m' >= lo from
+  coarse level m" slope queries exactly, with numpy,
 * run-length tables that give, for one tree level m', the largest number
   of indices sharing a single level-m ancestor, for every m at once.
 
+The suffix-hull tree rests on one observation.  S is linear between
+consecutive levels, so for a fixed m the chord slope to (j, S[j]) moves
+monotonically toward the local slope along every linear piece: it falls
+along a flat run and never falls along a branching run.  The smallest
+maximizing j >= lo is therefore lo itself or a concave corner at or beyond
+lo (a level where the slope drops, i.e. the end of a branching run, or
+depth).  Folding only the corners right to left into an upper hull gives
+each corner its hull successor; the chain of successors from a corner is
+the upper hull of every corner to its right, and the chord slope from a
+point left of the chain rises strictly and then never rises again.  A
+binary-lifting table over the successors finds that peak for a whole
+batch of queries in O(log corners) numpy steps.  `suffix_slope_max`, the
+offline sweep over every level, is kept as the reference path.
+
 All scale arithmetic is integer-exact; floating point only enters when a
-finished exponent is reported.
+finished exponent is reported.  Hull products (S[j] - S[m]) * (x - m)
+stay inside int64 because depth and the span of S are both below 2**31.
 """
 
 from __future__ import annotations
@@ -22,14 +37,21 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import BudgetError
+
 __all__ = [
     "ceil_div",
     "iroot",
     "RationalScale",
     "RootScale",
     "suffix_slope_max",
+    "SuffixHull",
     "runlen_table",
 ]
+
+
+# SuffixHull keeps (S[j] - S[m]) * (x - m) inside int64
+MAX_HULL_SPAN = 1 << 31
 
 
 def ceil_div(a: int, b: int) -> int:
@@ -120,7 +142,24 @@ class RootScale:
         return z
 
     def fine_array(self, marr: np.ndarray) -> np.ndarray:
-        return np.array([self.fine(int(m)) for m in marr], dtype=np.int64)
+        # float seed, then exact integer steps toward the smallest z with
+        # z**n * p >= m**n * q; z stays between the seed and that answer,
+        # so the products stay below 2**62 when both ends do
+        n, p, q = self.n, self.p, self.q
+        marr = np.asarray(marr, dtype=np.int64)
+        if not marr.size:
+            return marr.copy()
+        z = np.ceil(marr * (q / p) ** (1.0 / n)).astype(np.int64)
+        top = max(int(z.max()), self.fine(int(marr.max())))
+        if top**n * q >= (1 << 62):
+            return np.array([self.fine(int(m)) for m in marr], dtype=np.int64)
+        x = marr**n * q
+        while True:
+            inc = z**n * p < x
+            dec = (z > 0) & ((z - 1) ** n * p >= x)
+            if not (inc.any() or dec.any()):
+                return z
+            z += inc.astype(np.int64) - dec
 
     def max_coarse(self, depth: int) -> int:
         # largest m with m**n * q <= depth**n * p
@@ -152,10 +191,15 @@ def suffix_slope_max(
     queries, the exact maximizing fraction as (numerator, denominator, j*);
     value ties resolve to the smallest j.
 
-    Queries are processed offline by descending lo while the points
-    (j, S[j]) are folded right-to-left into an upper convex hull; the best
+    Queries are processed offline by descending lo while every point
+    (j, S[j]) is folded right-to-left into an upper convex hull; the best
     slope from (m, S[m]) to the admissible suffix is then found by binary
-    search along the hull.  Everything is exact integer arithmetic.
+    search along the hull.  Everything is exact Python-integer arithmetic,
+    with no depth limit.
+
+    This is the reference path: `analytic_upper` and the tests use it, and
+    the estimators use `SuffixHull`, which folds only the concave corners,
+    is built once per prefix array and answers each batch with numpy.
     """
     depth = len(S) - 1
     order = sorted(range(len(queries)), key=lambda i: queries[i][1], reverse=True)
@@ -196,6 +240,91 @@ def suffix_slope_max(
         i = n - 1 - lo_k
         out[qi] = (hy[i] - sm, hx[i] - m, hx[i])
     return out
+
+
+class SuffixHull:
+    """Upper hulls of every suffix of one prefix-count array S.
+
+    Built once; each `query` answers a batch of suffix_slope_max queries
+    with the same results (the smallest maximizing j on ties), in numpy.
+    The concave corners x[k] of S (levels where the slope drops, plus
+    depth) are folded right to left with suffix_slope_max's stack and
+    collinear-pop rule; up[t][k] is the corner 2**t hull successors after
+    corner k (the last corner is its own successor), for as many t as the
+    longest successor chain needs.
+    """
+
+    __slots__ = ("S", "x", "y", "up")
+
+    def __init__(self, S: Sequence[int]):
+        S = np.asarray(S, dtype=np.int64)
+        depth = len(S) - 1
+        if depth < 1:
+            raise ValueError("a suffix hull needs at least two levels")
+        if depth >= MAX_HULL_SPAN or int(S.max()) - int(S.min()) >= MAX_HULL_SPAN:
+            raise BudgetError(
+                f"suffix hull over {depth} levels exceeds the int64 product "
+                f"budget (depth and the span of S must stay below 2**31)"
+            )
+        inc = np.diff(S)
+        x = np.append(np.flatnonzero(inc[:-1] > inc[1:]) + 1, depth)
+        y = S[x]
+        xs = x.tolist()
+        ys = y.tolist()
+        nxt = list(range(len(xs)))
+        chain = [0] * len(xs)  # hull vertices after corner k
+        stack: list[int] = []
+        for k in range(len(xs) - 1, -1, -1):
+            xk, yk = xs[k], ys[k]
+            while len(stack) > 1:
+                a, b = stack[-1], stack[-2]
+                if (xs[b] - xk) * (ys[a] - yk) - (ys[b] - yk) * (xs[a] - xk) > 0:
+                    break
+                stack.pop()
+            if stack:
+                nxt[k] = stack[-1]
+                chain[k] = len(stack)
+            stack.append(k)
+        up = [np.array(nxt, dtype=np.int32)]
+        while (1 << len(up)) <= max(chain):
+            up.append(up[-1][up[-1]])
+        self.S = S
+        self.x = x
+        self.y = y
+        self.up = up
+
+    def query(self, m, lo) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(numerator, denominator, j*) arrays maximizing (S[j] - S[m]) / (j - m)
+        over j in [lo, depth], elementwise for arrays m < lo <= depth."""
+        S, x, y, up = self.S, self.x, self.y, self.up
+        m = np.asarray(m, dtype=np.int64)
+        lo = np.asarray(lo, dtype=np.int64)
+        if m.size and not ((0 <= m) & (m < lo) & (lo < len(S))).all():
+            raise ValueError(f"bad query: need 0 <= m < lo <= {len(S) - 1}")
+        sm = S[m]
+
+        def better(k):
+            # the hull successor of corner k gives a strictly larger slope
+            w = up[0][k]
+            return (y[w] - sm) * (x[k] - m) > (y[k] - sm) * (x[w] - m)
+
+        # the slope rises strictly along the chain up to its peak and never
+        # after, so lift to the last corner whose successor still improves
+        k = np.searchsorted(x, lo)
+        for step in reversed(up):
+            w = step[k]
+            k = np.where(better(w), w, k)
+        k = np.where(better(k), up[0][k], k)
+        j = np.where((S[lo] - sm) * (x[k] - m) >= (y[k] - sm) * (lo - m), lo, x[k])
+        return S[j] - sm, j - m, j
+
+    def fan_max(self, m, lo) -> tuple[float, int, int]:
+        """(value, m, j*) of the best query in the batch; ties go to the
+        first query, so to the smallest m when m is ascending."""
+        num, den, j = self.query(m, lo)
+        alpha = num / den
+        k = int(np.argmax(alpha))
+        return float(alpha[k]), int(np.asarray(m)[k]), int(j[k])
 
 
 def runlen_table(xs: Sequence[int]) -> np.ndarray:

@@ -3,20 +3,25 @@
 The oracles recompute counts and window maxima by direct enumeration,
 avoiding the library's range-count tables, hull sweeps and numpy paths,
 so estimator tests compare two genuinely different routes.
+`reference_upper` is the exception: it replays the upper-spectrum
+maximization per theta on the reference sweep `suffix_slope_max`, so the
+estimators' suffix-hull trees are checked against the sweep they replace.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from fractions import Fraction
 from math import log2
 
+import numpy as np
 import pytest
 
 from fds.dyadic import DyadicTree
-from fds.schedule import BranchingSchedule
+from fds.schedule import BranchingSchedule, CompositeSet, origin_log_counts
 from fds.constructions import TwoPhaseParams, two_phase_schedule
-from fds.windows import ceil_div
+from fds.windows import RationalScale, ceil_div, suffix_slope_max
 
 
 # ----------------------------------------------------------------------
@@ -85,6 +90,39 @@ def oracle_schedule_upper(s: BranchingSchedule, theta: Fraction, lo: int, hi: in
             if v > best:
                 best = v
     return best
+
+
+def reference_upper(rep, theta: Fraction, lo: int, hi: int) -> tuple[float, int, int]:
+    """(value, m, m') of the upper spectrum at one theta over the clamped
+    coarse range [lo, hi], for a schedule or a composite: one
+    suffix_slope_max sweep per schedule or component, ties to the smallest
+    m, then the smallest m', then the lowest component, the origin node
+    last."""
+    scale = RationalScale(theta)
+    pieces = [(0, rep.prefix_array())] if isinstance(rep, BranchingSchedule) else [
+        (e, rep.extended_prefix(i)) for i, (e, _) in enumerate(rep.components)
+    ]
+    best = None  # (value, -m, -m', -part)
+    for i, (e, S) in enumerate(pieces):
+        if max(lo, e) > hi:
+            continue
+        queries = [(m - e, scale.fine(m) - e) for m in range(max(lo, e), hi + 1)]
+        for (lm, _), (n, d, j) in zip(queries, suffix_slope_max(S.tolist(), queries)):
+            cand = (n / d, -(lm + e), -(j + e), -i)
+            if best is None or cand > best:
+                best = cand
+    if isinstance(rep, CompositeSet) and rep.components:
+        # the node holding the origin, as in composite_upper
+        levels = np.arange(rep.depth + 1, dtype=np.float64)
+        for m in range(lo, min(hi, rep.shifts[-1] - 1) + 1):
+            logs = origin_log_counts(rep, bisect_left(rep.shifts, m + 1))
+            f = scale.fine(m)
+            alpha = logs[f:] / (levels[f:] - m)
+            k = int(np.argmax(alpha))
+            cand = (float(alpha[k]), -m, -(f + k), 1)
+            if best is None or cand > best:
+                best = cand
+    return best[0], -best[1], -best[2]
 
 
 def random_schedule(rng: random.Random, max_depth: int = 18) -> BranchingSchedule:

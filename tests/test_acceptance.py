@@ -285,8 +285,8 @@ def test_c8_quasi_assouad_corollaries(two_phase_sets, geo_tree):
 
 
 def test_c9_determinism_and_round_trip(tmp_path, capsys, two_phase_sets):
-    """Byte-identical outputs across repeats and worker counts; file round
-    trips preserve every estimate exactly."""
+    """Byte-identical outputs across repeats; file round trips preserve
+    every estimate exactly."""
     csvs = []
     svgs = []
     for run in range(2):
@@ -301,7 +301,7 @@ def test_c9_determinism_and_round_trip(tmp_path, capsys, two_phase_sets):
         out = workdir / "spec.csv"
         assert cli_main([
             "estimate", "-i", str(sched_path), "--theta-grid", "0.1:0.9:0.1",
-            "--m-range", "16:256", "--workers", str(1 + run), "-o", str(out),
+            "--m-range", "16:256", "-o", str(out),
         ]) == 0
         csvs.append(out.read_bytes())
         svg = workdir / "spec.svg"

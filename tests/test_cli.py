@@ -218,21 +218,67 @@ def test_config_samples_key(tmp_path, capsys):
     assert [e for e, _ in cs.components] == [2, 4]
 
 
-def test_estimate_workers_deterministic(tmp_path, capsys):
+def test_workers_flag_rejected(tmp_path, capsys):
     sched = tmp_path / "s.fds"
     run(["construct", "two-phase", "--s", "0.4", "--t", "0.8", "--m0", "4",
          "--blocks", "2", "-o", str(sched)], capsys)
-    outs = []
-    for workers in ("1", "3"):
-        csv = tmp_path / f"w{workers}.csv"
-        code, _, _ = run(
-            ["estimate", "-i", str(sched), "--theta-grid", "0.1:0.9:0.1",
-             "--m-range", "16:256", "--workers", workers, "-o", str(csv)],
+    code, _, _ = run(
+        ["estimate", "-i", str(sched), "--theta-grid", "0.1:0.9:0.1",
+         "--m-range", "16:256", "--workers", "3", "-o", str(tmp_path / "w.csv")],
+        capsys,
+    )
+    assert code == 2
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("workers = 3\n")
+    code, _, err = run(
+        ["estimate", "-i", str(sched), "--config", str(cfg), "-o", str(tmp_path / "w.csv")],
+        capsys,
+    )
+    assert code == 2 and "unknown config keys" in err
+
+
+def _schedule_and_union(tmp_path, capsys):
+    sched = tmp_path / "s.fds"
+    union = tmp_path / "cu.fds"
+    assert run(["construct", "two-phase", "--s", "0.4", "--t", "0.8", "--m0", "4",
+                "--blocks", "2", "-o", str(sched)], capsys)[0] == 0
+    assert run(["construct", "concave-union", "--target", "0.4,0.4,-0.2", "--components",
+                "2", "--m0", "4", "--blocks", "2", "-o", str(union)], capsys)[0] == 0
+    return sched, union
+
+
+@pytest.mark.parametrize("command", [
+    ["estimate", "--mode", "spectrum"],
+    ["estimate", "--mode", "upper"],
+    ["estimate", "--mode", "qa"],
+    ["verify", "--check", "main-theorem"],
+])
+def test_neighbors_flag_rejected_off_trees(tmp_path, capsys, command):
+    for path in _schedule_and_union(tmp_path, capsys):
+        argv = [*command, "-i", str(path), "--theta-grid", "0.5:0.7:0.1",
+                "--m-range", "64:72", "-o", str(tmp_path / "nb.csv")]
+        assert run(argv + ["--neighbors", "off"], capsys)[0] == 0
+        code, _, err = run(argv + ["--neighbors", "on"], capsys)
+        assert code == 2 and "neighbor mode" in err
+
+
+def test_neighbors_config_key_rejected_off_trees(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("neighbors = on\ntheta-grid = 0.5:0.7:0.1\nm-range = 64:256\n")
+    for path in _schedule_and_union(tmp_path, capsys):
+        code, _, err = run(
+            ["estimate", "-i", str(path), "--config", str(cfg), "-o", str(tmp_path / "nb.csv")],
             capsys,
         )
-        assert code == 0
-        outs.append(csv.read_bytes())
-    assert outs[0] == outs[1]
+        assert code == 2 and "neighbor mode" in err
+    tree = tmp_path / "full.fds"
+    run(["construct", "full", "--depth", "10", "-o", str(tree)], capsys)
+    code, _, _ = run(
+        ["estimate", "-i", str(tree), "--config", str(cfg), "--m-range", "2:6",
+         "-o", str(tmp_path / "nb.csv")],
+        capsys,
+    )
+    assert code == 0
 
 
 def test_estimate_qa_mode(tmp_path, capsys):

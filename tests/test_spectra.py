@@ -27,7 +27,7 @@ from fds.spectra import (
     verify_nthroot,
 )
 
-from conftest import oracle_tree_spectrum, oracle_tree_upper
+from conftest import oracle_tree_spectrum, oracle_tree_upper, reference_upper
 
 F = Fraction
 GRID = [F(k, 10) for k in range(1, 10)]
@@ -255,3 +255,44 @@ def test_report_text_pass_line():
     text = report_to_text(r)
     assert text.startswith("CHECK bound PASS worst=")
     assert "tol=" in text
+
+
+def _assert_upper_matches_reference(rep, grid, lo, hi):
+    est = estimate_upper(rep, grid, (lo, hi))
+    for th, v, (m, mp, _) in zip(est.thetas, est.values, est.witnesses):
+        top = min(hi, rep.depth * th.numerator // th.denominator)
+        assert (v, m, mp) == reference_upper(rep, th, lo, top), th
+
+
+def test_upper_matches_reference_sweep_two_phase(twophase_48):
+    """The README two-phase set on its README grid and range."""
+    _assert_upper_matches_reference(twophase_48, [F(k, 20) for k in range(1, 20)], 1024, 65536)
+
+
+def test_upper_matches_reference_sweep_union():
+    """The 8-component README union; lo below the deepest shift brings the
+    node holding the origin into the fan."""
+    cs = concave_union(target_from_poly([F(2, 5), F(2, 5), F(-1, 5)], 8))
+    lo = cs.depth // 512
+    assert lo < cs.shifts[-1]
+    _assert_upper_matches_reference(cs, [F(3, 10), F(9, 10)], lo, cs.depth)
+
+
+def test_neighbor_mode_rejected_off_trees(twophase_48):
+    cs = concave_union(target_from_poly([F(2, 5), F(2, 5), F(-1, 5)], 4), m0=8, blocks=2,
+                       shifts=[2, 4, 8, 16])
+    grid = [F(1, 2)]
+    for rep in (twophase_48, cs):
+        lo = rep.depth // 4
+        calls = (
+            lambda: estimate_spectrum(rep, grid, (lo, rep.depth), neighbors=True),
+            lambda: estimate_upper(rep, grid, (lo, rep.depth), neighbors=True),
+            lambda: estimate_quasi_assouad(rep, [F(1, 10)], (lo, rep.depth), neighbors=True),
+            lambda: verify_main_theorem(rep, grid, (lo, lo + 8), neighbors=True),
+            lambda: verify_bound(rep, grid, (lo, rep.depth), neighbors=True),
+            lambda: verify_chain(rep, grid, (lo, rep.depth), neighbors=True),
+            lambda: verify_nthroot(rep, grid, (2,), (lo, rep.depth), neighbors=True),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="neighbor mode"):
+                call()

@@ -3,9 +3,19 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from fds.windows import RationalScale, RootScale, ceil_div, iroot, runlen_table, suffix_slope_max
+from fds.errors import BudgetError
+from fds.windows import (
+    RationalScale,
+    RootScale,
+    SuffixHull,
+    ceil_div,
+    iroot,
+    runlen_table,
+    suffix_slope_max,
+)
 
 
 def test_ceil_div():
@@ -46,6 +56,99 @@ def test_root_scale_agrees_with_brute():
                 assert (z - 1) ** n * theta.numerator < m**n * theta.denominator
             top = sc.max_coarse(997)
             assert sc.fine(top) <= 997 < sc.fine(top + 1)
+
+
+def test_root_scale_fine_array_matches_fine():
+    for theta in (Fraction(3, 10), Fraction(1, 2), Fraction(7, 10), Fraction(9, 10)):
+        for n in (1, 2, 3):
+            sc = RootScale(theta, n)
+            for marr in (
+                np.arange(0, 300, dtype=np.int64),
+                np.arange(16384, 65537, 7, dtype=np.int64),
+                # for n = 3 the products pass 2**62: the per-element fallback
+                np.array([2**20, 2**21 + 3, 3 * 2**20], dtype=np.int64),
+            ):
+                got = sc.fine_array(marr)
+                assert got.dtype == np.int64
+                assert got.tolist() == [sc.fine(int(m)) for m in marr]
+    assert RootScale(Fraction(1, 2), 2).fine_array(np.array([], dtype=np.int64)).size == 0
+
+
+def _brute_suffix_best(S, m, lo):
+    """(numerator, denominator, smallest maximizing j) by enumeration."""
+    best = max(Fraction(S[x] - S[m], x - m) for x in range(lo, len(S)))
+    j = min(x for x in range(lo, len(S)) if Fraction(S[x] - S[m], x - m) == best)
+    return S[j] - S[m], j - m, j
+
+
+def _random_prefix(rng, depth):
+    kind = rng.choice(("flat", "branching", "runs", "runs", "frozen"))
+    if kind == "flat":
+        incs = [0] * depth
+    elif kind == "branching":
+        incs = [1] * depth
+    else:
+        p = rng.random()
+        incs = []
+        while len(incs) < depth:
+            incs += [int(rng.random() < p)] * rng.randint(1, 6)
+        incs = incs[:depth]
+        if kind == "frozen":
+            # extended_prefix: no branching beyond the component's own depth
+            cut = rng.randint(0, depth)
+            incs = incs[:cut] + [0] * (depth - cut)
+    S = [0]
+    for c in incs:
+        S.append(S[-1] + c)
+    return S
+
+
+def test_suffix_hull_vs_reference_and_brute():
+    rng = random.Random(11)
+    for trial in range(300):
+        depth = rng.randint(1, 50)
+        S = _random_prefix(rng, depth)
+        hull = SuffixHull(S)
+        corners = hull.x.tolist()
+        assert corners[-1] == depth
+        queries = []
+        for _ in range(rng.randint(1, 15)):
+            m = rng.randint(0, depth - 1)
+            queries.append((m, rng.randint(m + 1, depth)))
+        # lo on a corner and lo just before one
+        for c in corners:
+            if c >= 2:
+                queries.append((rng.randint(0, c - 2), c))
+                queries.append((rng.randint(0, c - 2), c - 1))
+        num, den, j = hull.query([m for m, _ in queries], [lo for _, lo in queries])
+        got = list(zip(num.tolist(), den.tolist(), j.tolist()))
+        assert got == suffix_slope_max(S, queries)
+        assert got == [_brute_suffix_best(S, m, lo) for m, lo in queries]
+
+
+def test_suffix_hull_ties_resolve_to_smallest_j():
+    # from m = 0, levels 2, 4 and 6 all give slope 1/2; lo = 1 gives 0
+    S = [0, 0, 1, 1, 2, 2, 3]
+    hull = SuffixHull(S)
+    num, den, j = hull.query([0, 0, 0], [1, 3, 5])
+    assert j.tolist() == [2, 4, 6]
+    assert (num * 2 == den).all()
+    assert SuffixHull([0, 1]).query([0], [1])[2].tolist() == [1]  # depth 1
+    assert SuffixHull([0, 0]).query([0], [1])[2].tolist() == [1]
+    # m=0 and m=2 both reach 1/2 at best; the first query wins
+    assert hull.fan_max([0, 2], [1, 3]) == (0.5, 0, 2)
+    assert hull.fan_max([2, 0], [3, 1]) == (0.5, 2, 4)
+
+
+def test_suffix_hull_rejects_bad_input():
+    hull = SuffixHull([0, 1, 1, 2])
+    for m, lo in ((1, 1), (2, 1), (0, 4), (-1, 2)):
+        with pytest.raises(ValueError):
+            hull.query([m], [lo])
+    with pytest.raises(ValueError):
+        SuffixHull([0])
+    with pytest.raises(BudgetError):
+        SuffixHull(np.array([0, 1 << 31], dtype=np.int64))
 
 
 def test_suffix_slope_max_vs_brute():
