@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .constructions import (
@@ -29,26 +28,11 @@ from .schedule import BranchingSchedule, materialize
 from . import spectra
 from .svg import render_plot
 
-__all__ = ["main", "RunConfig"]
+__all__ = ["main"]
 
 DEFAULT_GRID = "0.1:0.9:0.1"
 DEFAULT_EPSILONS = "0.1,0.05,0.02"
 ALL_CHECKS = ("main-theorem", "bound", "chain", "nthroot")
-
-
-@dataclass
-class RunConfig:
-    """Merged CLI + config-file settings for one invocation."""
-
-    subcommand: str
-    input: str | None = None
-    output: str | None = None
-    theta_grid: list[Fraction] = field(default_factory=list)
-    m_range: tuple[int, int] | None = None
-    tol: float = 0.05
-    neighbors: bool = False
-    epsilons: list[Fraction] = field(default_factory=list)
-    params: dict = field(default_factory=dict)
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -182,37 +166,17 @@ def _load_input(args) -> formats.SetLike:
     return formats.load(args.input)
 
 
-def _run_config(args, depth: int) -> RunConfig:
-    """Merged settings for an estimate/verify invocation."""
-    grid = parse_theta_grid(args.theta_grid or DEFAULT_GRID)
+def _run_config(args):
+    """(theta grid, coarse range or None, tol, neighbors, epsilons) for an
+    estimate/verify invocation; the library picks the default range."""
     eps_spec = getattr(args, "epsilons", None)
-    return RunConfig(
-        subcommand=args.subcommand,
-        input=args.input,
-        output=args.output,
-        theta_grid=grid,
-        m_range=_effective_range(args, depth, grid),
-        tol=float(args.tol) if args.tol is not None else 0.05,
-        neighbors=(args.neighbors or "off") == "on",
-        epsilons=[_parse_fraction(tok) for tok in str(eps_spec).split(",")]
-        if eps_spec
-        else [],
+    return (
+        parse_theta_grid(args.theta_grid or DEFAULT_GRID),
+        parse_m_range(args.m_range) if args.m_range is not None else None,
+        float(args.tol) if args.tol is not None else 0.05,
+        (args.neighbors or "off") == "on",
+        [_parse_fraction(tok) for tok in str(eps_spec).split(",")] if eps_spec else [],
     )
-
-
-def _effective_range(args, depth: int, grid) -> tuple[int, int]:
-    if args.m_range is not None:
-        spec = args.m_range if isinstance(args.m_range, str) else None
-        lo, hi = parse_m_range(spec) if spec else args.m_range
-    else:
-        # default: deep enough for long windows, low enough to fit the grid
-        lo = max(1, depth // 4)
-        if grid:
-            top = (depth * min(grid).numerator) // min(grid).denominator
-            lo = max(1, min(lo, top))
-        hi = depth
-        return lo, hi
-    return lo, hi
 
 
 def cmd_construct(args) -> int:
@@ -286,38 +250,34 @@ def cmd_estimate(args) -> int:
     rep = _load_input(args)
     if not args.output:
         raise ValueError("--output is required")
-    cfg = _run_config(args, _depth_of(rep))
+    grid, m_range, _, nb, epsilons = _run_config(args)
     mode = args.mode
     if mode in ("spectrum", "upper"):
         fn = spectra.estimate_spectrum if mode == "spectrum" else spectra.estimate_upper
-        est = fn(rep, cfg.theta_grid, cfg.m_range, cfg.neighbors)
+        est = fn(rep, grid, m_range, nb)
         summary = (
             f"{mode}: {len(est.values)} grid points, "
             f"min={min(est.values)!r} max={max(est.values)!r}"
         )
     elif mode == "box":
-        est = spectra.estimate_box(rep, cfg.m_range)
+        if nb:
+            raise ValueError("box mode has no neighbor variant")
+        est = spectra.estimate_box(rep, m_range)
         summary = f"box: value={est.value!r} witness m={est.m_witness}"
     else:
-        eps = cfg.epsilons or [
-            _parse_fraction(tok) for tok in DEFAULT_EPSILONS.split(",")
-        ]
-        est = spectra.estimate_quasi_assouad(rep, eps, cfg.m_range, cfg.neighbors)
+        eps = epsilons or [_parse_fraction(tok) for tok in DEFAULT_EPSILONS.split(",")]
+        est = spectra.estimate_quasi_assouad(rep, eps, m_range, nb)
         summary = f"qa: headline={est.headline!r} ({est.trend})"
     text = spectra.estimate_to_csv(est)
-    with open(cfg.output, "w", encoding="ascii") as fh:
+    with open(args.output, "w", encoding="ascii") as fh:
         fh.write(text)
-    print(f"{summary} -> {cfg.output}")
+    print(f"{summary} -> {args.output}")
     return 0
-
-
-def _depth_of(rep) -> int:
-    return rep.depth
 
 
 def cmd_verify(args) -> int:
     rep = _load_input(args)
-    cfg = _run_config(args, _depth_of(rep))
+    grid, m_range, tol, nb, epsilons = _run_config(args)
     checks = args.check or list(ALL_CHECKS)
     expanded: list[str] = []
     for c in checks:
@@ -326,7 +286,6 @@ def cmd_verify(args) -> int:
     if unknown:
         raise ValueError(f"unknown checks: {unknown}; choose from {ALL_CHECKS}")
     n_values = [int(tok) for tok in str(args.n_values).split(",")]
-    grid, m_range, tol, nb = cfg.theta_grid, cfg.m_range, cfg.tol, cfg.neighbors
     reports = []
     for check in expanded:
         if check == "main-theorem":
@@ -335,7 +294,7 @@ def cmd_verify(args) -> int:
             reports.append(spectra.verify_bound(rep, grid, m_range, tol, nb))
         elif check == "chain":
             reports.append(
-                spectra.verify_chain(rep, grid, m_range, tol, cfg.epsilons or None, nb)
+                spectra.verify_chain(rep, grid, m_range, tol, epsilons or None, nb)
             )
         else:
             reports.append(

@@ -348,6 +348,7 @@ def origin_log_counts(cs: CompositeSet, bucket: int) -> np.ndarray:
     top_safe = np.where(np.isinf(top), 0.0, top)
     total = np.exp2(stack - top_safe).sum(axis=0)
     logs = np.where(np.isinf(top), -np.inf, top_safe + np.log2(total))
+    logs.flags.writeable = False  # cached and shared with every caller
     cs._origin_logs[bucket] = logs
     return logs
 
@@ -436,27 +437,8 @@ def composite_upper(cs: CompositeSet, theta, m_range: tuple[int, int]) -> Spectr
 
 
 def composite_level_logs(cs: CompositeSet, m_lo: int, m_hi: int) -> np.ndarray:
-    """log2 of the union's level counts for m in [m_lo, m_hi].
-
-    Per level: the index-0 chain (origin or a not-yet-started component),
-    one interval for a component exactly at its shift, and 2**S_i(m - e_i)
-    inside component i (frozen below its own depth).
-    """
+    """log2 of the union's level counts for m in [m_lo, m_hi]: the
+    descendant counts of the level-0 node, which holds the whole union."""
     if not 0 <= m_lo <= m_hi <= cs.depth:
         raise ValueError(f"level range [{m_lo}, {m_hi}] outside [0, {cs.depth}]")
-    ms = np.arange(m_lo, m_hi + 1, dtype=np.int64)
-    exps: list[np.ndarray] = []
-    for i, (e, s) in enumerate(cs.components):
-        loc = np.clip(ms - e, 0, None)
-        ex = cs.extended_prefix(i)[loc].astype(np.float64)
-        exps.append(np.where(ms >= e, ex, -np.inf))
-    deepest = cs.shifts[-1] if cs.components else -1
-    chain = np.where(
-        np.full(len(ms), cs.include_origin) | (ms < deepest), 0.0, -np.inf
-    )
-    exps.append(chain)
-    stack = np.vstack(exps)
-    top = stack.max(axis=0)
-    top_safe = np.where(np.isinf(top), 0.0, top)
-    total = np.exp2(stack - top_safe).sum(axis=0)
-    return np.where(np.isinf(top), -np.inf, top_safe + np.log2(total))
+    return origin_log_counts(cs, 0)[m_lo : m_hi + 1]

@@ -4,9 +4,13 @@ Every estimate is a maximum of window exponents over a finite fan of
 scale pairs, reported together with the level range and the witness
 window that achieved it.  The true dimensions are limits over R -> 0; the
 range is exposed in every result so convergence can be studied by
-widening it.  For each theta the coarse range is clamped to
-[m_lo, min(m_hi, max m with ceil(m/theta) <= depth)] and an empty clamp
-is a domain error.
+widening it.  `_norm_range` is the one default-range policy, shared by
+the library and the CLI: without an explicit range, m_hi = depth and
+m_lo = max(1, min(floor(depth / 4), max m with ceil(m / theta_min) <= depth))
+over the thetas the call evaluates (none for the box estimate, the
+1 - eps ladder for quasi-Assouad).  For each theta the coarse range is
+then clamped to [m_lo, min(m_hi, max m with ceil(m/theta) <= depth)] and
+an empty clamp is a domain error.
 
 Exactness contract: within one set representation all estimators read the
 same exponent values (integer prefix differences or cached log tables),
@@ -17,6 +21,7 @@ closed-form comparisons carry an explicit tolerance.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import log2
@@ -28,6 +33,7 @@ from .dyadic import DyadicTree
 from .schedule import (
     BranchingSchedule,
     CompositeSet,
+    _origin_coarse_limit,
     composite_level_logs,
     composite_spectrum,
     composite_upper,
@@ -102,9 +108,17 @@ def _depth(rep, neighbors: bool = False) -> int:
     return rep.depth
 
 
-def _norm_range(depth: int, m_range: tuple[int, int] | None) -> tuple[int, int]:
+def _norm_range(
+    depth: int, m_range: tuple[int, int] | None, thetas: Sequence[Fraction] = ()
+) -> tuple[int, int]:
+    """The coarse range [m_lo, m_hi]: an explicit range is validated; the
+    default starts at a quarter of the depth, lowered so the smallest theta
+    still has an admissible window, and ends at the depth."""
     if m_range is None:
-        return max(1, depth // 4), depth
+        lo = depth // 4
+        if thetas:
+            lo = min(lo, RationalScale(min(thetas)).max_coarse(depth))
+        return max(1, lo), depth
     lo, hi = int(m_range[0]), int(m_range[1])
     if not 1 <= lo <= hi <= depth:
         raise ValueError(f"coarse range [{lo}, {hi}] invalid for depth {depth}")
@@ -129,6 +143,13 @@ def _grid(thetas: Sequence) -> list[Fraction]:
     if out[0] <= 0 or out[-1] >= 1:
         raise ValueError("theta grid must lie strictly inside (0, 1)")
     return out
+
+
+def _resolve(rep, theta_grid: Sequence, m_range, neighbors: bool):
+    """(depth, grid, lo, hi): the grid first, then the range it needs."""
+    depth = _depth(rep, neighbors)
+    grid = _grid(theta_grid)
+    return (depth, grid, *_norm_range(depth, m_range, grid))
 
 
 # ----------------------------------------------------------------------
@@ -165,8 +186,6 @@ def _tree_witness_node(tree: DyadicTree, m: int, mp: int) -> int:
 
 def _tree_pair_on(tree: DyadicTree, m: int, mp: int) -> tuple[int, int]:
     """(max neighbor-mode count, witness node) for one window."""
-    from bisect import bisect_left
-
     fine = tree.levels[mp]
     shift = mp - m
     size = 1 << m
@@ -282,6 +301,19 @@ def _composite_node(cs: CompositeSet, pt) -> int:
     return 1 << (pt.m - e)
 
 
+def _estimate(mode: str, at, rep, theta_grid, m_range, neighbors) -> SpectrumEstimate:
+    """Per theta, the window maximum `at` over the clamped coarse range."""
+    depth, grid, lo, hi = _resolve(rep, theta_grid, m_range, neighbors)
+    values: list[float] = []
+    wits: list[tuple[int, int, int]] = []
+    for th in grid:
+        scale = RationalScale(th)
+        v, m, mp, node = at(rep, scale, *_clamp(depth, scale, lo, hi), neighbors)
+        values.append(v)
+        wits.append((m, mp, node))
+    return SpectrumEstimate(mode, grid, values, (lo, hi), wits)
+
+
 def estimate_spectrum(
     rep,
     theta_grid: Sequence,
@@ -289,18 +321,7 @@ def estimate_spectrum(
     neighbors: bool = False,
 ) -> SpectrumEstimate:
     """Window exponent at the exact ratio rule m' = ceil(m / theta), per theta."""
-    depth = _depth(rep, neighbors)
-    lo, hi = _norm_range(depth, m_range)
-    grid = _grid(theta_grid)
-    values: list[float] = []
-    wits: list[tuple[int, int, int]] = []
-    for th in grid:
-        scale = RationalScale(th)
-        a, b = _clamp(depth, scale, lo, hi)
-        v, m, mp, node = _spectrum_at(rep, scale, a, b, neighbors)
-        values.append(v)
-        wits.append((m, mp, node))
-    return SpectrumEstimate(SPECTRUM, grid, values, (lo, hi), wits)
+    return _estimate(SPECTRUM, _spectrum_at, rep, theta_grid, m_range, neighbors)
 
 
 def estimate_upper(
@@ -310,18 +331,7 @@ def estimate_upper(
     neighbors: bool = False,
 ) -> SpectrumEstimate:
     """Window exponent maximized over every fine level m' >= ceil(m / theta)."""
-    depth = _depth(rep, neighbors)
-    lo, hi = _norm_range(depth, m_range)
-    grid = _grid(theta_grid)
-    values: list[float] = []
-    wits: list[tuple[int, int, int]] = []
-    for th in grid:
-        scale = RationalScale(th)
-        a, b = _clamp(depth, scale, lo, hi)
-        v, m, mp, node = _upper_at(rep, scale, a, b, neighbors)
-        values.append(v)
-        wits.append((m, mp, node))
-    return SpectrumEstimate(UPPER, grid, values, (lo, hi), wits)
+    return _estimate(UPPER, _upper_at, rep, theta_grid, m_range, neighbors)
 
 
 def estimate_box(rep, m_range: tuple[int, int] | None = None) -> BoxEstimate:
@@ -389,16 +399,6 @@ def _ratio_fan_max(rep, scale, lo, hi_eff, neighbors) -> float:
     coarse-level first.  Same window set as estimate_upper's fan."""
     depth = _depth(rep)
     best = -np.inf
-    if isinstance(rep, BranchingSchedule):
-        S = rep.prefix_array()
-        idx = np.arange(depth + 1, dtype=np.int64)
-        for m in range(lo, hi_eff + 1):
-            j0 = scale.fine(m)
-            alpha = (S[j0:] - S[m]) / (idx[j0:] - m)
-            v = float(alpha.max())
-            if v > best:
-                best = v
-        return best
     if isinstance(rep, DyadicTree):
         for m in range(lo, hi_eff + 1):
             if neighbors:
@@ -415,28 +415,28 @@ def _ratio_fan_max(rep, scale, lo, hi_eff, neighbors) -> float:
                     if v > best:
                         best = v
         return best
-    cs: CompositeSet = rep
-    depth = cs.depth
+    # symbolic pieces (shift e, prefix counts on local levels): the schedule
+    # itself, or each composite component
     idx = np.arange(depth + 1, dtype=np.int64)
-    for i, (e, s) in enumerate(cs.components):
-        Sx = cs.extended_prefix(i)
+    if isinstance(rep, BranchingSchedule):
+        pieces = [(0, rep.prefix_array())]
+    else:
+        pieces = [(e, rep.extended_prefix(i)) for i, (e, _) in enumerate(rep.components)]
+    for e, S in pieces:
         for m in range(max(lo, e), hi_eff + 1):
             j0 = scale.fine(m)
-            alpha = (Sx[j0 - e :] - Sx[m - e]) / (idx[j0:] - m)
+            alpha = (S[j0 - e :] - S[m - e]) / (idx[j0:] - m)
             v = float(alpha.max())
             if v > best:
                 best = v
-    from bisect import bisect_left
-
-    top = min(hi_eff, cs.shifts[-1] - 1 if cs.components else -1)
-    for m in range(lo, top + 1):
-        b = bisect_left(cs.shifts, m + 1)
-        logs = origin_log_counts(cs, b)
-        j0 = scale.fine(m)
-        alpha = logs[j0:] / (idx[j0:] - m)
-        v = float(alpha.max())
-        if v > best:
-            best = v
+    if isinstance(rep, CompositeSet):
+        for m in range(lo, min(hi_eff, _origin_coarse_limit(rep)) + 1):
+            logs = origin_log_counts(rep, bisect_left(rep.shifts, m + 1))
+            j0 = scale.fine(m)
+            alpha = logs[j0:] / (idx[j0:] - m)
+            v = float(alpha.max())
+            if v > best:
+                best = v
     return best
 
 
@@ -452,9 +452,7 @@ def verify_main_theorem(
     the optimized upper path and one by direct enumeration, so the
     deviation must be exactly zero.
     """
-    depth = _depth(rep, neighbors)
-    lo, hi = _norm_range(depth, m_range)
-    grid = _grid(theta_grid)
+    depth, grid, lo, hi = _resolve(rep, theta_grid, m_range, neighbors)
     upper = estimate_upper(rep, grid, (lo, hi), neighbors)
     worst = 0.0
     wits: list[str] = []
@@ -481,7 +479,7 @@ def verify_bound(
 ) -> VerificationReport:
     """spectrum(theta) <= box / (1 - theta) + tol on every grid point."""
     spec = estimate_spectrum(rep, theta_grid, m_range, neighbors)
-    box = estimate_box(rep, m_range if m_range is not None else spec.m_range)
+    box = estimate_box(rep, spec.m_range)
     worst = -np.inf
     wits: list[str] = []
     for th, v in zip(spec.thetas, spec.values):
@@ -507,9 +505,7 @@ def verify_chain(
     box <= spectrum + tol, spectrum <= upper (exact), upper <= quasi-Assouad
     headline + tol, and upper non-decreasing along the grid (exact).
     """
-    depth = _depth(rep, neighbors)
-    lo, hi = _norm_range(depth, m_range)
-    grid = _grid(theta_grid)
+    _, grid, lo, hi = _resolve(rep, theta_grid, m_range, neighbors)
     spec = estimate_spectrum(rep, grid, (lo, hi), neighbors)
     upper = estimate_upper(rep, grid, (lo, hi), neighbors)
     box = estimate_box(rep, (lo, hi))
@@ -554,9 +550,7 @@ def verify_nthroot(
     neighbors: bool = False,
 ) -> VerificationReport:
     """spectrum(theta) <= spectrum(theta ** (1/n)) + tol for each n."""
-    depth = _depth(rep, neighbors)
-    lo, hi = _norm_range(depth, m_range)
-    grid = _grid(theta_grid)
+    depth, grid, lo, hi = _resolve(rep, theta_grid, m_range, neighbors)
     spec = estimate_spectrum(rep, grid, (lo, hi), neighbors)
     worst = -np.inf
     wits: list[str] = []

@@ -111,9 +111,6 @@ class RationalScale:
         """Ratio predicate m / m' <= theta, exact."""
         return m * self.q <= m_prime * self.p
 
-    def theta_float(self) -> float:
-        return self.p / self.q
-
     def __repr__(self) -> str:
         return f"RationalScale({self.p}/{self.q})"
 
@@ -173,9 +170,6 @@ class RootScale:
 
     def contains(self, m: int, m_prime: int) -> bool:
         return m**self.n * self.q <= m_prime**self.n * self.p
-
-    def theta_float(self) -> float:
-        return (self.p / self.q) ** (1.0 / self.n)
 
     def __repr__(self) -> str:
         return f"RootScale(({self.p}/{self.q})**(1/{self.n}))"

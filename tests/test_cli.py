@@ -293,3 +293,59 @@ def test_estimate_qa_mode(tmp_path, capsys):
     assert code == 0 and "headline=1.0" in text
     rows = csv.read_text().strip().split("\n")
     assert len(rows) == 4
+
+
+def _library_csv(path, mode, grid="0.1:0.9:0.1"):
+    """The library's CSV for one estimate mode, with its default range."""
+    from fds import spectra
+
+    rep = formats.load(str(path))
+    thetas = parse_theta_grid(grid)
+    est = {
+        "spectrum": lambda: spectra.estimate_spectrum(rep, thetas),
+        "upper": lambda: spectra.estimate_upper(rep, thetas),
+        "box": lambda: spectra.estimate_box(rep),
+        "qa": lambda: spectra.estimate_quasi_assouad(rep, ["0.1", "0.05", "0.02"]),
+    }[mode]()
+    return spectra.estimate_to_csv(est)
+
+
+@pytest.mark.parametrize("mode", ["spectrum", "upper", "box", "qa"])
+def test_default_range_matches_library(tmp_path, capsys, mode):
+    """Without --m-range the CLI leaves the range to the library: box on a
+    depth-64 path scans m >= 64 // 4 even though the grid reaches 0.1."""
+    path = tmp_path / "p.fds"
+    run(["construct", "path", "--depth", "64", "-o", str(path)], capsys)
+    csv = tmp_path / "p.csv"
+    code, text, _ = run(["estimate", "--mode", mode, "-i", str(path), "--theta-grid",
+                         "0.1:0.9:0.1", "-o", str(csv)], capsys)
+    assert code == 0
+    assert csv.read_text() == _library_csv(path, mode)
+    if mode == "box":
+        assert "witness m=16" in text
+
+
+def test_default_range_union_fine_grid(tmp_path, capsys):
+    """The library default fits the smallest theta, as the CLI's does: the
+    19-point grid on the 8-component union needs m_lo <= depth / 20."""
+    path = tmp_path / "cu.fds"
+    run(["construct", "concave-union", "--target", "0.4,0.4,-0.2", "--components", "8",
+         "-o", str(path)], capsys)
+    csv = tmp_path / "cu.csv"
+    code, _, _ = run(["estimate", "--mode", "upper", "-i", str(path), "--theta-grid",
+                      "0.05:0.95:0.05", "-o", str(csv)], capsys)
+    assert code == 0
+    assert csv.read_text() == _library_csv(path, "upper", "0.05:0.95:0.05")
+
+
+def test_box_rejects_neighbors_on(tmp_path, capsys):
+    tree = tmp_path / "full.fds"
+    run(["construct", "full", "--depth", "10", "-o", str(tree)], capsys)
+    argv = ["estimate", "--mode", "box", "-i", str(tree), "-o", str(tmp_path / "b.csv")]
+    assert run(argv + ["--neighbors", "off"], capsys)[0] == 0
+    code, _, err = run(argv + ["--neighbors", "on"], capsys)
+    assert code == 2 and "box mode has no neighbor variant" in err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("neighbors = on\n")
+    code, _, err = run(argv + ["--config", str(cfg)], capsys)
+    assert code == 2 and "box mode has no neighbor variant" in err

@@ -132,6 +132,26 @@ def test_clamped_range_error_messages(twophase_48):
         estimate_spectrum(twophase_48, GRID, (0, 65536))
 
 
+def test_norm_range_default_policy():
+    from fds.spectra import _norm_range
+
+    # floor(depth * min theta) >= depth // 4 keeps depth // 4
+    assert _norm_range(64, None) == (16, 64)
+    assert _norm_range(64, None, [F(1, 4), F(1, 2)]) == (16, 64)
+    # a smaller floor(depth * min theta) lowers m_lo to it
+    assert _norm_range(64, None, [F(1, 2), F(1, 10)]) == (6, 64)
+    assert _norm_range(3, None) == (1, 3)
+    # floor(depth * min theta) = 0: m_lo stays 1 and the clamp has no window
+    assert _norm_range(8, None, [F(1, 10)]) == (1, 8)
+    with pytest.raises(ValueError, match="no admissible window"):
+        estimate_spectrum(left_path_tree(8), [F(1, 10)])
+    # an explicit range is validated and kept as given
+    assert _norm_range(64, (2, 9), [F(1, 10)]) == (2, 9)
+    for bad in ((0, 64), (10, 65), (5, 4)):
+        with pytest.raises(ValueError, match="invalid for depth"):
+            _norm_range(64, bad, [F(1, 2)])
+
+
 def test_verify_main_theorem_exact_everywhere(twophase_48):
     sets = [
         full_binary_tree(10),
