@@ -2,7 +2,8 @@
 
 Scales are dyadic throughout: level m names interval width 2**-m, and a
 compact subset of [0, 1] is represented by the sorted indices of the
-level-m intervals that meet it, for every m up to a finite depth.  Index
+level-m intervals that meet it, for every m up to a finite depth; a
+valid skeleton is determined by its deepest level alone.  Index
 counts stand in for covering numbers: a set of diameter 2**-m meets at
 most two level-m intervals, and the exponents extracted from window
 ratios are insensitive to bounded factors like that.
@@ -14,7 +15,11 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import log2
-from typing import Iterable
+from typing import Iterable, Sequence
+
+import numpy as np
+
+from .windows import RunTable, leaf_gaps
 
 __all__ = [
     "DyadicInterval",
@@ -102,55 +107,146 @@ def neighbors(v: DyadicInterval) -> tuple[DyadicInterval, ...]:
 
 
 class DyadicTree:
-    """Per-level sorted index tuples for the intervals meeting a compact set.
+    """The dyadic intervals meeting a compact set, stored as the deepest level.
 
-    Valid trees are prefix closed (a present node's parent is present) and
-    have no dangling interior nodes (every node above the deepest level has
-    a present child), so every present node owns at least one descendant at
-    every deeper level.  Construction only sorts, deduplicates and
-    bounds-checks; use validate() to report the structural rules on
-    untrusted input.
+    A valid tree is prefix closed (a present node's parent is present) and
+    has no dangling node (every node above the deepest level has a present
+    child), so level m is exactly the set of leaves (the level-depth
+    indices) shifted right by depth - m.  A tree therefore holds three
+    things: `depth`, the sorted tuple `leaves`, and the read-only int64
+    array `gaps` of adjacent widths (a ^ b).bit_length(), each at most
+    depth.  Two leaves fall into one level-m node exactly when every gap
+    between them is at most depth - m, so level counts, `has`, run tables
+    and witnesses all derive from the leaves and the gaps.
+
+    `from_leaves(depth, leaves)` builds a tree from its deepest level.
+    `DyadicTree(levels)` takes every level, sorts and deduplicates each,
+    and raises ValueError naming the first missing-parent or dangling node.
+    `level(m)` is cached per level; `levels` materialises every level once
+    and is meant for tests and small trees.
     """
 
-    __slots__ = ("levels", "_runtables")
+    __slots__ = ("depth", "leaves", "gaps", "_level", "_levels", "_runs")
 
     def __init__(self, levels: Iterable[Iterable[int]]):
-        packed = []
-        for m, idxs in enumerate(levels):
-            xs = sorted({int(k) for k in idxs})
-            if xs and not (0 <= xs[0] and xs[-1] < (1 << m)):
-                raise ValueError(f"index out of range at level {m}")
-            packed.append(tuple(xs))
-        if not packed:
-            packed = [()]
-        self.levels: tuple[tuple[int, ...], ...] = tuple(packed)
-        self._runtables: dict = {}
+        packed = _pack(levels)
+        self._init(len(packed) - 1, packed[-1])
+        for m, xs in enumerate(packed):
+            if self._derive(m) != xs:
+                v = _violations(packed)[0]
+                if v.kind == "missing-parent":
+                    raise ValueError(
+                        f"prefix closure violated: ({v.level}, {v.index}) present, "
+                        f"({v.level - 1}, {v.index >> 1}) absent"
+                    )
+                raise ValueError(
+                    f"dangling node ({v.level}, {v.index}): no child at level {v.level + 1}"
+                )
+        self._level = dict(enumerate(packed))
+
+    @classmethod
+    def from_leaves(cls, depth: int, leaves: Iterable[int]) -> "DyadicTree":
+        """The tree whose level-depth indices are `leaves`, sorted and
+        deduplicated."""
+        depth = int(depth)
+        if depth < 0:
+            raise ValueError(f"negative depth {depth}")
+        xs = [int(x) for x in leaves]
+        if any(b <= a for a, b in zip(xs, xs[1:])):
+            xs = sorted(set(xs))
+        if xs and not (0 <= xs[0] and xs[-1].bit_length() <= depth):
+            raise ValueError(f"leaf out of range at depth {depth}")
+        t = cls.__new__(cls)
+        t._init(depth, tuple(xs))
+        return t
+
+    def _init(self, depth: int, leaves: tuple[int, ...]) -> None:
+        self.depth = depth
+        self.leaves = leaves
+        self.gaps = leaf_gaps(leaves)
+        self.gaps.flags.writeable = False
+        self._level: dict[int, tuple[int, ...]] = {}
+        self._levels: tuple[tuple[int, ...], ...] | None = None
+        self._runs: RunTable | None = None
+
+    def _derive(self, m: int) -> tuple[int, ...]:
+        s = self.depth - m
+        xs = self.leaves
+        if not xs:
+            return ()
+        keep = np.flatnonzero(self.gaps > s) + 1
+        return (xs[0] >> s, *(xs[i] >> s for i in keep.tolist()))
+
+    def level(self, m: int) -> tuple[int, ...]:
+        """Sorted indices of level m: the leaves shifted right by depth - m,
+        deduplicated."""
+        if not 0 <= m <= self.depth:
+            raise ValueError(f"level {m} outside [0, {self.depth}]")
+        xs = self._level.get(m)
+        if xs is None:
+            xs = self._level[m] = self._derive(m)
+        return xs
 
     @property
-    def depth(self) -> int:
-        return len(self.levels) - 1
+    def levels(self) -> tuple[tuple[int, ...], ...]:
+        if self._levels is None:
+            self._levels = tuple(self.level(m) for m in range(self.depth + 1))
+        return self._levels
+
+    def level_sizes(self, ms) -> np.ndarray:
+        """Node counts of the levels ms: 1 plus the gaps wider than depth - m
+        (0 for a tree without leaves)."""
+        ms = np.asarray(ms, dtype=np.int64)
+        if not self.leaves:
+            return np.zeros_like(ms)
+        gs = np.sort(self.gaps)
+        return 1 + gs.size - np.searchsorted(gs, self.depth - ms, side="right")
+
+    def run_table(self) -> RunTable:
+        """The all-levels run table of the leaf gaps, built once."""
+        if self._runs is None:
+            self._runs = RunTable(self.gaps, len(self.leaves))
+        return self._runs
 
     def has(self, level: int, index: int) -> bool:
         if not 0 <= level <= self.depth:
             return False
-        xs = self.levels[level]
-        i = bisect_left(xs, index)
-        return i < len(xs) and xs[i] == index
+        s = self.depth - level
+        i = bisect_left(self.leaves, index << s)
+        return i < len(self.leaves) and self.leaves[i] >> s == index
 
     def node_count(self) -> int:
-        return sum(len(xs) for xs in self.levels)
+        if not self.leaves:
+            return 0
+        return self.depth + 1 + int(self.gaps.sum())
 
     def is_empty(self) -> bool:
-        return all(not xs for xs in self.levels)
+        return not self.leaves
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, DyadicTree) and self.levels == other.levels
+        return (
+            isinstance(other, DyadicTree)
+            and self.depth == other.depth
+            and self.leaves == other.leaves
+        )
 
     def __hash__(self):
-        return hash(self.levels)
+        return hash((self.depth, self.leaves))
 
     def __repr__(self) -> str:
         return f"DyadicTree(depth={self.depth}, nodes={self.node_count()})"
+
+
+def _pack(levels: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
+    """Per level, the sorted distinct indices, bounds-checked; at least one
+    level."""
+    packed = []
+    for m, idxs in enumerate(levels):
+        xs = sorted({int(k) for k in idxs})
+        if xs and not (0 <= xs[0] and xs[-1].bit_length() <= m):
+            raise ValueError(f"index out of range at level {m}")
+        packed.append(tuple(xs))
+    return tuple(packed) or ((),)
 
 
 @dataclass(frozen=True)
@@ -160,27 +256,33 @@ class Violation:
     index: int
 
 
-def validate(t: DyadicTree) -> list[Violation]:
-    """All prefix-closure and dangling-node violations, empty when valid."""
+def _violations(levels: Sequence[Sequence[int]]) -> list[Violation]:
     out: list[Violation] = []
-    for m in range(1, t.depth + 1):
-        for k in t.levels[m]:
-            if not t.has(m - 1, k >> 1):
+    for m in range(1, len(levels)):
+        above = set(levels[m - 1])
+        for k in levels[m]:
+            if k >> 1 not in above:
                 out.append(Violation("missing-parent", m, k))
-    for m in range(t.depth):
-        nxt = t.levels[m + 1]
-        for k in t.levels[m]:
-            i = bisect_left(nxt, 2 * k)
-            if i >= len(nxt) or nxt[i] > 2 * k + 1:
+    for m in range(len(levels) - 1):
+        below = {k >> 1 for k in levels[m + 1]}
+        for k in levels[m]:
+            if k not in below:
                 out.append(Violation("dangling", m, k))
     return out
+
+
+def validate(t: DyadicTree | Iterable[Iterable[int]]) -> list[Violation]:
+    """All prefix-closure and dangling-node violations of a tree or of raw
+    per-level index lists, empty when valid.  A DyadicTree is valid by
+    construction; raw lists are what `DyadicTree(levels)` would reject."""
+    return _violations(t.levels if isinstance(t, DyadicTree) else _pack(t))
 
 
 def level_count(t: DyadicTree, m: int) -> int:
     """Number of level-m intervals meeting the set (global cover surrogate)."""
     if not 0 <= m <= t.depth:
         raise ValueError(f"level {m} outside [0, {t.depth}]")
-    return len(t.levels[m])
+    return int(t.level_sizes(m))
 
 
 def _range_count(xs: tuple[int, ...], lo: int, hi: int) -> int:
@@ -208,7 +310,7 @@ def local_count(
         hi = min(1 << v.level, v.index + 2)
     # Descendants of consecutive same-level nodes occupy one contiguous
     # index range; absent neighbors contribute nothing by prefix closure.
-    return _range_count(t.levels[m_prime], lo << shift, hi << shift)
+    return _range_count(t.level(m_prime), lo << shift, hi << shift)
 
 
 def max_alpha(t: DyadicTree, w: WindowQuery) -> tuple[float, DyadicInterval]:
@@ -219,10 +321,10 @@ def max_alpha(t: DyadicTree, w: WindowQuery) -> tuple[float, DyadicInterval]:
     """
     if w.m_prime > t.depth:
         raise ValueError(f"fine level {w.m_prime} beyond depth {t.depth}")
-    nodes = t.levels[w.m]
+    nodes = t.level(w.m)
     if not nodes:
         raise ValueError(f"no nodes at level {w.m}")
-    fine = t.levels[w.m_prime]
+    fine = t.level(w.m_prime)
     shift = w.span
     best = 0
     best_k = nodes[0]
@@ -250,13 +352,8 @@ def embed(t: DyadicTree, e: int) -> DyadicTree:
     """
     if e < 1:
         raise ValueError("shift must be >= 1 to stay inside [0, 1]")
-    if t.is_empty():
-        return DyadicTree([()] * (t.depth + e + 1))
-    levels: list[tuple[int, ...]] = [(0,)] * e
-    for m, xs in enumerate(t.levels):
-        base = 1 << m
-        levels.append(tuple(base + k for k in xs))
-    return DyadicTree(levels)
+    top = 1 << t.depth
+    return DyadicTree.from_leaves(t.depth + e, [top + x for x in t.leaves])
 
 
 def merge(
@@ -274,14 +371,8 @@ def merge(
     d = max([t.depth for t in ts], default=0)
     if depth is not None:
         d = max(d, depth)
-    levels = []
-    for m in range(d + 1):
-        acc: set[int] = {0} if include_origin else set()
-        for t in ts:
-            if m <= t.depth:
-                acc.update(t.levels[m])
-            else:
-                pad = m - t.depth
-                acc.update(k << pad for k in t.levels[t.depth])
-        levels.append(sorted(acc))
-    return DyadicTree(levels)
+    leaves: set[int] = {0} if include_origin else set()
+    for t in ts:
+        pad = d - t.depth
+        leaves.update(x << pad for x in t.leaves)
+    return DyadicTree.from_leaves(d, sorted(leaves))

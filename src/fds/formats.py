@@ -1,8 +1,14 @@
 """Versioned text formats for trees, schedules and composites.
 
-fds-tree 1        one line per non-empty level: "<level>: <i> <i> ...",
-                  indices in decimal, sorted ascending; parsing rejects
-                  prefix-closure violations.
+fds-tree 2        "depth <D>", "leaves <N>", then N lines with one leaf
+                  (a level-D index) each, in lowercase hex without prefix,
+                  strictly ascending and below 2**D.  A valid tree is
+                  determined by its leaves; this is the version written.
+fds-tree 1        one line per level: "<level>: <i> <i> ...", indices in
+                  decimal, sorted ascending.  Still read; parsing rejects
+                  prefix-closure violations and dangling nodes (a node
+                  above the deepest level without a child), and a
+                  non-empty tree needs a line for every level.
 fds-schedule 1    run lines "<count> <c>" with c in {1, 2}, counts summing
                   to the declared depth.
 fds-composite 1   "origin <0|1>" then one "component <shift> <spec>" line
@@ -14,6 +20,7 @@ fds-composite 1   "origin <0|1>" then one "component <shift> <spec>" line
 from __future__ import annotations
 
 import os
+import re
 from typing import Union
 
 from .dyadic import DyadicTree
@@ -31,12 +38,12 @@ __all__ = [
 SetLike = Union[DyadicTree, BranchingSchedule, CompositeSet]
 
 
+_HEX = re.compile(r"[0-9a-f]+")
+
+
 def write_tree(t: DyadicTree) -> str:
-    lines = ["fds-tree 1", f"depth {t.depth}"]
-    for m, xs in enumerate(t.levels):
-        if xs:
-            lines.append(f"{m}: " + " ".join(str(k) for k in xs))
-    return "\n".join(lines) + "\n"
+    head = f"fds-tree 2\ndepth {t.depth}\nleaves {len(t.leaves)}\n"
+    return head + "".join(f"{x:x}\n" for x in t.leaves)
 
 
 def write_schedule(s: BranchingSchedule) -> str:
@@ -72,20 +79,57 @@ def _lines(text: str) -> list[str]:
     return [ln.rstrip() for ln in text.splitlines() if ln.strip()]
 
 
+def _count_line(line: str, key: str) -> int:
+    """The non-negative integer of a "<key> <n>" line."""
+    toks = line.split()
+    if len(toks) != 2 or toks[0] != key:
+        raise FormatError(f"missing {key} line")
+    try:
+        n = int(toks[1])
+    except ValueError as exc:
+        raise FormatError(f"bad {key} line") from exc
+    if n < 0:
+        raise FormatError(f"negative {key} {n}")
+    return n
+
+
 def parse_tree(text: str) -> DyadicTree:
     lines = _lines(text)
-    if not lines or lines[0] != "fds-tree 1":
+    if not lines or lines[0] not in ("fds-tree 1", "fds-tree 2"):
         raise FormatError("not an fds-tree file")
-    if len(lines) < 2 or not lines[1].startswith("depth "):
-        raise FormatError("missing depth line")
-    try:
-        depth = int(lines[1].split()[1])
-    except (IndexError, ValueError) as exc:
-        raise FormatError("bad depth line") from exc
-    if depth < 0:
-        raise FormatError(f"negative depth {depth}")
-    levels: list[list[int]] = [[] for _ in range(depth + 1)]
-    for ln in lines[2:]:
+    depth = _count_line(lines[1] if len(lines) > 1 else "", "depth")
+    if lines[0] == "fds-tree 2":
+        return _parse_leaves(lines[2:], depth)
+    return _parse_levels(lines[2:], depth)
+
+
+def _parse_leaves(lines: list[str], depth: int) -> DyadicTree:
+    count = _count_line(lines[0] if lines else "", "leaves")
+    body = lines[1:]
+    if len(body) != count:
+        raise FormatError(f"leaves line declares {count}, file has {len(body)}")
+    for tok in body:
+        if not _HEX.fullmatch(tok):
+            raise FormatError(f"bad leaf {tok!r}")
+    xs = [int(tok, 16) for tok in body]
+    if any(b <= a for a, b in zip(xs, xs[1:])):
+        raise FormatError("leaves not strictly ascending")
+    if xs and xs[-1].bit_length() > depth:
+        raise FormatError(f"leaf {xs[-1]:x} out of range at depth {depth}")
+    return DyadicTree.from_leaves(depth, xs)
+
+
+def _parse_levels(lines: list[str], depth: int) -> DyadicTree:
+    if not lines:
+        return DyadicTree.from_leaves(depth, [])
+    # checked before anything is allocated per level
+    if len(lines) != depth + 1:
+        raise FormatError(
+            f"{len(lines)} level lines for depth {depth}; a non-empty tree "
+            f"has one per level"
+        )
+    levels: list[list[int] | None] = [None] * (depth + 1)
+    for ln in lines:
         head, _, rest = ln.partition(":")
         try:
             m = int(head)
@@ -94,23 +138,17 @@ def parse_tree(text: str) -> DyadicTree:
             raise FormatError(f"bad level line {ln!r}") from exc
         if not 0 <= m <= depth:
             raise FormatError(f"level {m} outside depth {depth}")
-        if levels[m]:
+        if levels[m] is not None:
             raise FormatError(f"duplicate level line for level {m}")
         if any(b <= a for a, b in zip(xs, xs[1:])):
             raise FormatError(f"indices at level {m} not strictly ascending")
-        if xs and not 0 <= xs[0] <= xs[-1] < (1 << m):
+        if xs and not (0 <= xs[0] and xs[-1].bit_length() <= m):
             raise FormatError(f"index out of range at level {m}")
         levels[m] = xs
-    tree = DyadicTree(levels)
-    present = [set(xs) for xs in tree.levels]
-    for m in range(1, depth + 1):
-        for k in tree.levels[m]:
-            if (k >> 1) not in present[m - 1]:
-                raise FormatError(
-                    f"prefix closure violated: ({m}, {k}) present, "
-                    f"({m - 1}, {k >> 1}) absent"
-                )
-    return tree
+    try:
+        return DyadicTree(levels)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from exc
 
 
 def _parse_runs_token(token: str) -> BranchingSchedule:
@@ -194,7 +232,7 @@ def load(path: str) -> SetLike:
     with open(path, encoding="ascii") as fh:
         text = fh.read()
     head = text.splitlines()[0].strip() if text.strip() else ""
-    if head == "fds-tree 1":
+    if head in ("fds-tree 1", "fds-tree 2"):
         return parse_tree(text)
     if head == "fds-schedule 1":
         return parse_schedule(text)

@@ -199,18 +199,18 @@ def materialize(
                 raise BudgetError(
                     f"materializing depth {s.depth} needs more than {max_nodes} nodes"
                 )
-    levels: list[tuple[int, ...]] = [(0,)]
-    cur: tuple[int, ...] = (0,)
+    # a leaf is a sum of one bit 2**(depth - j) per branching level j;
+    # doubling over the bits in ascending order keeps the leaves sorted
+    bits = []
     j = 0
     for cnt, c in s.runs:
-        for _ in range(cnt):
-            j += 1
-            if c == 2:
-                cur = tuple(2 * k + b for k in cur for b in (0, 1))
-            else:
-                cur = tuple(2 * k for k in cur)
-            levels.append(cur)
-    return DyadicTree(levels)
+        if c == 2:
+            bits.extend(1 << (s.depth - i) for i in range(j + 1, j + cnt + 1))
+        j += cnt
+    leaves = [0]
+    for bit in reversed(bits):
+        leaves += [x + bit for x in leaves]
+    return DyadicTree.from_leaves(s.depth, leaves)
 
 
 class CompositeSet:

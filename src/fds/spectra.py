@@ -39,7 +39,7 @@ from .schedule import (
     composite_upper,
     origin_log_counts,
 )
-from .windows import RationalScale, RootScale, runlen_table
+from .windows import RationalScale, RootScale
 
 __all__ = [
     "SpectrumEstimate",
@@ -153,45 +153,31 @@ def _resolve(rep, theta_grid: Sequence, m_range, neighbors: bool):
 
 
 # ----------------------------------------------------------------------
-# tree cores (neighbor mode off uses per-level run tables)
-
-
-def _tree_table(tree: DyadicTree, mp: int):
-    tbl = tree._runtables.get(mp)
-    if tbl is None:
-        counts = runlen_table(tree.levels[mp])
-        tbl = (counts, np.log2(counts.astype(np.float64)))
-        tree._runtables[mp] = tbl
-    return tbl
+# tree cores (neighbor mode off reads the tree's all-levels run table; the
+# window (m, mp) is its level s = depth - mp at threshold s + d = depth - m)
 
 
 def _tree_witness_node(tree: DyadicTree, m: int, mp: int) -> int:
-    """Leftmost level-m ancestor holding the most level-mp indices."""
-    shift = mp - m
-    best = 0
-    best_k = 0
-    cur = 0
-    cur_k = -1
-    for x in tree.levels[mp]:
-        k = x >> shift
-        if k != cur_k:
-            cur_k = k
-            cur = 0
-        cur += 1
-        if cur > best:
-            best = cur
-            best_k = k
-    return best_k
+    """Leftmost level-m node holding the most level-mp nodes."""
+    if not tree.leaves:
+        return 0
+    g = tree.gaps
+    # leaves split into level-m groups where a gap exceeds depth - m, and
+    # into level-mp nodes where it exceeds depth - mp
+    starts = np.flatnonzero(np.concatenate(([True], g > tree.depth - m)))
+    nodes = np.concatenate(([1], g > tree.depth - mp)).astype(np.int64)
+    k = int(np.argmax(np.add.reduceat(nodes, starts)))
+    return tree.leaves[int(starts[k])] >> (tree.depth - m)
 
 
 def _tree_pair_on(tree: DyadicTree, m: int, mp: int) -> tuple[int, int]:
     """(max neighbor-mode count, witness node) for one window."""
-    fine = tree.levels[mp]
+    fine = tree.level(mp)
     shift = mp - m
     size = 1 << m
     best = 0
     best_k = 0
-    for k in tree.levels[m]:
+    for k in tree.level(m):
         lo = max(0, k - 1) << shift
         hi = min(size, k + 2) << shift
         c = bisect_left(fine, hi) - bisect_left(fine, lo)
@@ -212,15 +198,14 @@ def _tree_spectrum(tree, scale, lo, hi, neighbors) -> tuple[float, int, int, int
                 best = cand
                 best_node = node
         return best[0], -best[1], -best[2], best_node
-    for m in range(lo, hi + 1):
-        mp = scale.fine(m)
-        counts, logs = _tree_table(tree, mp)
-        d = min(mp - m, len(counts) - 1)
-        cand = (float(logs[d]) / (mp - m), -m, -mp)
-        if best is None or cand > best:
-            best = cand
-    m, mp = -best[1], -best[2]
-    return best[0], m, mp, _tree_witness_node(tree, m, mp)
+    runs = tree.run_table()
+    marr = np.arange(lo, hi + 1, dtype=np.int64)
+    mps = scale.fine_array(marr)
+    idx = runs.at(runs.rank(tree.depth - mps), runs.rank(tree.depth - marr))
+    vals = runs.logs[idx] / (mps - marr)
+    k = int(np.argmax(vals))
+    m, mp = int(marr[k]), int(mps[k])
+    return float(vals[k]), m, mp, _tree_witness_node(tree, m, mp)
 
 
 def _tree_upper(tree, scale, lo, hi, neighbors) -> tuple[float, int, int, int]:
@@ -236,16 +221,17 @@ def _tree_upper(tree, scale, lo, hi, neighbors) -> tuple[float, int, int, int]:
                     best = cand
                     best_node = node
         return best[0], -best[1], -best[2], best_node
-    for mp in range(scale.fine(lo), depth + 1):
-        mmax = min(hi, scale.max_coarse(mp))
-        if mmax < lo:
+    runs = tree.run_table()
+    ms = np.arange(lo, hi + 1)
+    cols = runs.rank(depth - ms)
+    mps = np.arange(scale.fine(lo), depth + 1)
+    for mp, row in zip(mps.tolist(), runs.rank(depth - mps).tolist()):
+        n = min(hi, scale.max_coarse(mp)) - lo + 1
+        if n < 1:
             continue
-        counts, logs = _tree_table(tree, mp)
-        deltas = np.arange(mp - lo, mp - mmax - 1, -1)  # m ascending
-        idx = np.minimum(deltas, len(counts) - 1)
-        vals = logs[idx] / deltas
+        vals = runs.logs[runs.at(row, cols[:n])] / (mp - ms[:n])
         k = int(np.argmax(vals))
-        cand = (float(vals[k]), -(mp - int(deltas[k])), -mp)
+        cand = (float(vals[k]), -(lo + k), -mp)
         if best is None or cand > best:
             best = cand
     m, mp = -best[1], -best[2]
@@ -341,9 +327,7 @@ def estimate_box(rep, m_range: tuple[int, int] | None = None) -> BoxEstimate:
     if isinstance(rep, DyadicTree):
         if rep.is_empty():
             raise ValueError("cannot estimate the box dimension of an empty tree")
-        logs = np.log2(
-            np.array([len(rep.levels[m]) for m in range(lo, hi + 1)], dtype=np.float64)
-        )
+        logs = np.log2(rep.level_sizes(np.arange(lo, hi + 1)).astype(np.float64))
     elif isinstance(rep, BranchingSchedule):
         logs = rep.prefix_array()[lo : hi + 1].astype(np.float64)
     else:
@@ -399,25 +383,27 @@ def _ratio_fan_max(rep, scale, lo, hi_eff, neighbors) -> float:
     coarse-level first.  Same window set as estimate_upper's fan."""
     depth = _depth(rep)
     best = -np.inf
-    if isinstance(rep, DyadicTree):
+    if isinstance(rep, DyadicTree) and neighbors:
         for m in range(lo, hi_eff + 1):
-            if neighbors:
-                for mp in range(scale.fine(m), depth + 1):
-                    c, _ = _tree_pair_on(rep, m, mp)
-                    v = log2(c) / (mp - m)
-                    if v > best:
-                        best = v
-            else:
-                for mp in range(scale.fine(m), depth + 1):
-                    counts, logs = _tree_table(rep, mp)
-                    d = min(mp - m, len(counts) - 1)
-                    v = float(logs[d]) / (mp - m)
-                    if v > best:
-                        best = v
+            for mp in range(scale.fine(m), depth + 1):
+                c, _ = _tree_pair_on(rep, m, mp)
+                v = log2(c) / (mp - m)
+                if v > best:
+                    best = v
+        return best
+    idx = np.arange(depth + 1, dtype=np.int64)
+    if isinstance(rep, DyadicTree):
+        runs = rep.run_table()
+        rows = runs.rank(depth - idx)
+        for m in range(lo, hi_eff + 1):
+            j0 = scale.fine(m)
+            logs = runs.logs[runs.at(rows[j0:], runs.rank(depth - m))]
+            v = float((logs / (idx[j0:] - m)).max())
+            if v > best:
+                best = v
         return best
     # symbolic pieces (shift e, prefix counts on local levels): the schedule
     # itself, or each composite component
-    idx = np.arange(depth + 1, dtype=np.int64)
     if isinstance(rep, BranchingSchedule):
         pieces = [(0, rep.prefix_array())]
     else:

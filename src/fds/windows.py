@@ -7,8 +7,9 @@ log2(count(m, m')) / (m' - m) over large window fans.  This module holds:
 * exact integer fine-level rules for rational theta and for theta**(1/n),
 * a suffix-hull tree that answers whole batches of "best m' >= lo from
   coarse level m" slope queries exactly, with numpy,
-* run-length tables that give, for one tree level m', the largest number
-  of indices sharing a single level-m ancestor, for every m at once.
+* run tables that give, for every level m' of a tree stored as its
+  leaves, the largest number of level-m' nodes sharing a single level-m
+  ancestor, for every m at once.
 
 The suffix-hull tree rests on one observation.  S is linear between
 consecutive levels, so for a fixed m the chord slope to (j, S[j]) moves
@@ -46,6 +47,8 @@ __all__ = [
     "RootScale",
     "suffix_slope_max",
     "SuffixHull",
+    "leaf_gaps",
+    "RunTable",
     "runlen_table",
 ]
 
@@ -321,39 +324,111 @@ class SuffixHull:
         return float(alpha[k]), int(np.asarray(m)[k]), int(j[k])
 
 
+def leaf_gaps(xs: Sequence[int]) -> np.ndarray:
+    """Adjacent XOR widths (a ^ b).bit_length() of sorted, distinct indices:
+    a and b share their ancestor d levels up exactly when the width is at
+    most d."""
+    return np.fromiter(
+        ((a ^ b).bit_length() for a, b in zip(xs, xs[1:])),
+        dtype=np.int64,
+        count=max(len(xs) - 1, 0),
+    )
+
+
+def _dominance(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per gap, the nearest strictly greater gap on the left (-1 if none) and
+    the nearest greater-or-equal gap on the right (len(g) if none)."""
+    gl = g.tolist()
+    n = len(gl)
+    left = [-1] * n
+    right = [n] * n
+    stack: list[int] = []
+    for i, v in enumerate(gl):
+        while stack and gl[stack[-1]] <= v:
+            right[stack.pop()] = i
+        if stack:
+            left[i] = stack[-1]
+        stack.append(i)
+    return np.array(left, dtype=np.int64), np.array(right, dtype=np.int64)
+
+
+class RunTable:
+    """Largest ancestor multiplicity at every level and width of one tree.
+
+    The tree is given by the gaps of its sorted leaves (see `leaf_gaps`).
+    At the level s above the leaves two leaves are distinct nodes exactly
+    when their gap exceeds s, and two such nodes share their ancestor d
+    levels further up exactly when every gap between them is at most s + d.
+    So `counts(s, d)` is 1 plus the most gaps > s inside one run of
+    consecutive gaps <= s + d.
+
+    A gap's dominance interval (up to the nearest strictly greater gap on
+    the left and the nearest greater-or-equal gap on the right) is a run in
+    which it is the largest gap, and every maximal run of gaps <= T is the
+    interval of its rightmost largest gap.  The answer is therefore a
+    running maximum, over the gaps in ascending order up to s + d, of 1 +
+    the gaps > s in each interval.  It depends on s only through the set of
+    gaps > s, so one block is kept per distinct gap value u[b], serving
+    every s in [u[b-1], u[b]): its entries are the running maximum at the
+    thresholds u[b], u[b+1], ....  Lookups go through ranks (the number of
+    distinct gap values <= x): s selects block rank(s), and s + d the
+    entry rank(s + d) - 1 when that is at least rank(s); otherwise no gap
+    > s is <= s + d and the answer is table entry 0, the count below a
+    single node (1, or 0 for a tree without leaves).
+    """
+
+    __slots__ = ("u", "base", "table", "logs")
+
+    def __init__(self, gaps: Sequence[int], leaves: int):
+        g = np.asarray(gaps, dtype=np.int64)
+        left, right = _dominance(g)
+        order = np.argsort(g, kind="stable")
+        u, first = np.unique(g[order], return_index=True)
+        ends = np.append(first[1:], g.size) - 1
+        # interval ends in ascending gap order, shifted by one so that the
+        # outside ends -1 and len(g) are valid indices into rk; both ends of
+        # an alive gap's interval are alive or outside
+        left, right = left[order] + 1, right[order] + 1
+        alive = np.arange(g.size)  # sorted positions of the gaps >= u[b]
+        rk = np.full(g.size + 2, -1)  # rk[p + 1]: rank of p among alive
+        blocks = []
+        for b, (f, v) in enumerate(zip(first.tolist(), u.tolist())):
+            alive = alive[g[alive] >= v]
+            rk[alive + 1] = np.arange(alive.size)
+            rk[-1] = alive.size
+            inside = rk[right[f:]] - rk[left[f:]] - 1
+            blocks.append(np.maximum.accumulate(inside)[ends[b:] - f])
+        k = u.size
+        self.u = u
+        # entry for threshold rank t >= b of block b sits at base[b] + t
+        sizes = k - np.arange(k + 1)
+        self.base = np.concatenate(([0], np.cumsum(sizes[:-1]))) - np.arange(k + 1)
+        self.table = np.concatenate(([min(leaves, 1)], *(1 + x for x in blocks)))
+        with np.errstate(divide="ignore"):  # a tree without leaves logs -inf
+            self.logs = np.log2(self.table.astype(np.float64))
+
+    def rank(self, x):
+        """Number of distinct gap values <= x (elementwise)."""
+        return np.searchsorted(self.u, x, side="right")
+
+    def at(self, rs, rt):
+        """Table positions for s with rank(s) = rs and s + d with rank rt."""
+        return np.where(rt > rs, self.base[rs] + rt, 0)
+
+    def counts(self, s, d) -> np.ndarray:
+        """Most level-s nodes below one node d levels up (elementwise);
+        `logs` at the same positions holds their log2."""
+        return self.table[self.at(self.rank(s), self.rank(np.add(s, d)))]
+
+
 def runlen_table(xs: Sequence[int]) -> np.ndarray:
     """Largest ancestor multiplicity per window width, for one tree level.
 
-    xs holds the sorted, distinct indices present at some level m'.  Two
-    indices share their level-(m' - d) ancestor exactly when their XOR fits
-    in d bits, so the count below the best level-(m' - d) node is the
-    longest run of consecutive entries whose adjacent XOR widths are all
-    <= d.  Adjacent gaps are merged in increasing width order, recording
-    the running maximum; entry d of the result is that maximum (clamp d to
-    the last entry for widths beyond the largest gap).
+    xs holds the sorted, distinct indices present at some level m'.  Entry
+    d of the result is the most indices sharing one level-(m' - d)
+    ancestor, for d up to the largest adjacent XOR width (clamp d to the
+    last entry beyond it): the level-0 row of the `RunTable` of xs.
     """
-    n = len(xs)
-    if n == 0:
-        return np.zeros(1, dtype=np.int64)
-    if n == 1:
-        return np.ones(1, dtype=np.int64)
-    gaps = [(a ^ b).bit_length() for a, b in zip(xs, xs[1:])]
-    maxg = max(gaps)
-    buckets: list[list[int]] = [[] for _ in range(maxg + 1)]
-    for i, g in enumerate(gaps):
-        buckets[g].append(i)
-    left = list(range(n))
-    right = list(range(n))
-    best = np.empty(maxg + 1, dtype=np.int64)
-    best[0] = 1
-    cur = 1
-    for d in range(1, maxg + 1):
-        for i in buckets[d]:
-            l = left[i]
-            r = right[i + 1]
-            left[r] = l
-            right[l] = r
-            if r - l + 1 > cur:
-                cur = r - l + 1
-        best[d] = cur
-    return best
+    gaps = leaf_gaps(xs)
+    width = int(gaps.max()) if gaps.size else 0
+    return RunTable(gaps, len(xs)).counts(0, np.arange(width + 1))

@@ -69,6 +69,10 @@ def oracle_tree_upper(tree: DyadicTree, theta: Fraction, lo: int, hi: int) -> fl
     return best
 
 
+def oracle_tree_box(tree: DyadicTree, lo: int, hi: int) -> float:
+    return max(log2(len(tree.levels[m])) / m for m in range(lo, hi + 1))
+
+
 def oracle_schedule_spectrum(s: BranchingSchedule, theta: Fraction, lo: int, hi: int) -> float:
     p, q = theta.numerator, theta.denominator
     best = 0.0

@@ -57,16 +57,20 @@ def test_validate_full_tree_clean():
 
 
 def test_validate_missing_parent():
-    t = DyadicTree([[0], [0], [0, 3]])  # (2,3) present, (1,1) absent
-    bad = validate(t)
+    levels = [[0], [0], [0, 3]]  # (2,3) present, (1,1) absent
+    bad = validate(levels)
     kinds = {(v.kind, v.level, v.index) for v in bad}
     assert ("missing-parent", 2, 3) in kinds
+    with pytest.raises(ValueError, match=r"\(2, 3\)"):
+        DyadicTree(levels)
 
 
 def test_validate_dangling():
-    t = DyadicTree([[0], [0, 1], [2]])  # (1,0) has no child at level 2
-    bad = validate(t)
+    levels = [[0], [0, 1], [2]]  # (1,0) has no child at level 2
+    bad = validate(levels)
     assert ("dangling", 1, 0) in {(v.kind, v.level, v.index) for v in bad}
+    with pytest.raises(ValueError, match=r"dangling node \(1, 0\)"):
+        DyadicTree(levels)
 
 
 def test_level_count_full_and_path():

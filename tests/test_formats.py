@@ -2,7 +2,8 @@
 
 import pytest
 
-from fds.constructions import geometric_sequence_tree
+from fds.constructions import full_binary_tree, geometric_sequence_tree, left_path_tree
+from fds.dyadic import DyadicTree
 from fds.errors import FormatError
 from fds.formats import (
     dump,
@@ -23,7 +24,7 @@ def test_tree_round_trip(tmp_path):
     dump(t, str(path))
     assert load(str(path)) == t
     text = path.read_text()
-    assert text.splitlines()[0] == "fds-tree 1"
+    assert text.splitlines()[0] == "fds-tree 2"
     assert text.splitlines()[1] == "depth 12"
 
 
@@ -74,6 +75,70 @@ def test_tree_rejects_malformed():
         parse_tree("fds-tree 1\ndepth 1\n0: 0\n1: 5\n")  # out of range
     with pytest.raises(FormatError):
         parse_tree("fds-tree 1\ndepth 1\n3: 0\n")  # level beyond depth
+
+
+def _v1_text(t):
+    lines = ["fds-tree 1", f"depth {t.depth}"]
+    lines += [f"{m}: " + " ".join(map(str, xs)) for m, xs in enumerate(t.levels)]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "tree", [geometric_sequence_tree(20), full_binary_tree(6), left_path_tree(9)]
+)
+def test_tree_v1_loads_equal_to_v2_round_trip(tree, tmp_path):
+    path = tmp_path / "v1.fds"
+    path.write_text(_v1_text(tree))
+    old = load(str(path))
+    assert old == tree
+    assert parse_tree(write_tree(old)) == old
+
+
+def test_tree_v2_text():
+    assert write_tree(geometric_sequence_tree(3)) == (
+        "fds-tree 2\ndepth 3\nleaves 4\n0\n1\n2\n4\n"
+    )
+    empty = DyadicTree.from_leaves(5, [])
+    assert write_tree(empty) == "fds-tree 2\ndepth 5\nleaves 0\n"
+    assert parse_tree(write_tree(empty)) == empty
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "fds-tree 2\ndepth 3\n1\n",  # no leaves line
+        "fds-tree 2\ndepth 3\nleaves 3\n1\n2\n",  # count mismatch
+        "fds-tree 2\ndepth 3\nleaves 1\n1\n2\n",  # count mismatch
+        "fds-tree 2\ndepth 3\nleaves 2\n2\n1\n",  # unsorted
+        "fds-tree 2\ndepth 3\nleaves 2\n1\n1\n",  # duplicate
+        "fds-tree 2\ndepth 3\nleaves 1\n8\n",  # 8 >= 2**3
+        "fds-tree 2\ndepth 3\nleaves 1\nx\n",  # not hex
+        "fds-tree 2\ndepth 3\nleaves 1\n0x1\n",  # not bare hex
+        "fds-tree 2\ndepth 3\nleaves 1\n-1\n",
+    ],
+)
+def test_tree_v2_rejects_malformed(text):
+    with pytest.raises(FormatError):
+        parse_tree(text)
+
+
+def test_tree_v1_rejects_dangling():
+    with pytest.raises(FormatError, match="dangling node \\(1, 1\\)"):
+        parse_tree("fds-tree 1\ndepth 2\n0: 0\n1: 0 1\n2: 0\n")
+
+
+def test_tree_v1_checks_level_lines_before_allocating():
+    # a root without children at depth 10**6: rejected by the line count
+    with pytest.raises(FormatError, match="level lines"):
+        parse_tree("fds-tree 1\ndepth 1000000\n0: 0\n")
+
+
+def test_deep_tree_round_trip(tmp_path):
+    t = DyadicTree.from_leaves(15000, [1 << 14999])
+    path = tmp_path / "deep.fds"
+    dump(t, str(path))
+    assert load(str(path)) == t
+    assert t.node_count() == 15001
 
 
 def test_schedule_rejects_malformed():

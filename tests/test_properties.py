@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from fds.dyadic import (
     DyadicInterval,
+    DyadicTree,
     WindowQuery,
     embed,
     level_count,
@@ -24,7 +25,10 @@ from fds.schedule import (
     materialize,
 )
 from fds.constructions import rational_enumeration
-from fds.spectra import estimate_spectrum, estimate_upper
+from fds.spectra import estimate_box, estimate_spectrum, estimate_upper
+from fds.windows import runlen_table
+
+from conftest import oracle_tree_box, oracle_tree_spectrum, oracle_tree_upper
 
 
 @st.composite
@@ -170,3 +174,35 @@ def test_window_alpha_shift_invariant(t, data):
     b, wit2 = max_alpha(embed(t, e), WindowQuery(m + e, mp + e))
     assert a == b
     assert wit2.index == wit.index + (1 << m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(trees())
+def test_leaf_storage_matches_levels(t):
+    levels = t.levels
+    assert DyadicTree.from_leaves(t.depth, levels[-1]) == DyadicTree(levels)
+    assert t.node_count() == sum(len(xs) for xs in levels)
+    runs = t.run_table()
+    for m, xs in enumerate(levels):
+        assert level_count(t, m) == len(xs)
+        present = set(xs)
+        for k in range(min(1 << m, 64)):
+            assert t.has(m, k) == (k in present)
+        want = runlen_table(xs)
+        s = t.depth - m
+        for d in range(m + 1):
+            assert runs.counts(s, d) == want[min(d, len(want) - 1)], (m, d)
+
+
+@settings(max_examples=30, deadline=None)
+@given(trees(max_depth=8))
+def test_tree_estimators_match_oracles(t):
+    for th in (Fraction(1, 3), Fraction(1, 2), Fraction(3, 4)):
+        hi = t.depth * th.numerator // th.denominator
+        if hi < 1:
+            continue
+        spec = estimate_spectrum(t, [th], (1, t.depth))
+        assert spec.values == [oracle_tree_spectrum(t, th, 1, hi)]
+        up = estimate_upper(t, [th], (1, t.depth))
+        assert up.values == [oracle_tree_upper(t, th, 1, hi)]
+    assert estimate_box(t, (1, t.depth)).value == oracle_tree_box(t, 1, t.depth)
