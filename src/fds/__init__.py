@@ -19,12 +19,6 @@ from .errors import BudgetError, FormatError
 from .schedule import (
     BranchingSchedule,
     CompositeSet,
-    analytic_alpha,
-    analytic_local_count,
-    analytic_spectrum,
-    analytic_upper,
-    composite_spectrum,
-    composite_upper,
     materialize,
     materialize_composite,
 )

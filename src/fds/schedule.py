@@ -12,24 +12,17 @@ origin, the union construction used for prescribed concave spectra.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .dyadic import DyadicTree, embed, merge
 from .errors import BudgetError
-from .windows import SuffixHull, suffix_slope_max
+from .windows import SuffixHull
 
 __all__ = [
     "BranchingSchedule",
     "CompositeSet",
-    "SpectrumPoint",
-    "analytic_local_count",
-    "analytic_alpha",
-    "analytic_spectrum",
-    "analytic_upper",
     "materialize",
     "materialize_composite",
     "composite_spectrum",
@@ -37,21 +30,6 @@ __all__ = [
 ]
 
 MAX_MATERIALIZE_NODES = 1 << 22
-
-
-@dataclass(frozen=True)
-class SpectrumPoint:
-    """One maximized window exponent with its witness window.
-
-    `part` identifies the piece of a composite that realized the maximum
-    (-1 for the node containing the origin, otherwise a component index);
-    it is 0 for plain schedules.
-    """
-
-    value: Fraction | float
-    m: int
-    m_prime: int
-    part: int = 0
 
 
 class BranchingSchedule:
@@ -131,54 +109,6 @@ class BranchingSchedule:
 
     def __repr__(self) -> str:
         return f"BranchingSchedule(depth={self.depth}, runs={len(self.runs)})"
-
-
-def analytic_local_count(s: BranchingSchedule, m: int, m_prime: int) -> int:
-    """Branching levels in (m, m']; every level-m node has exactly
-    2**analytic_local_count descendants at level m_prime."""
-    if not 0 <= m < m_prime <= s.depth:
-        raise ValueError(f"window ({m}, {m_prime}) outside schedule depth {s.depth}")
-    return s.prefix(m_prime) - s.prefix(m)
-
-
-def analytic_alpha(s: BranchingSchedule, m: int, m_prime: int) -> Fraction:
-    """Exact window exponent (S[m'] - S[m]) / (m' - m), in [0, 1]."""
-    return Fraction(analytic_local_count(s, m, m_prime), m_prime - m)
-
-
-def analytic_spectrum(s: BranchingSchedule, theta, m_range: tuple[int, int]) -> SpectrumPoint:
-    """Max of analytic_alpha(m, fine(m)) over m in m_range, fine = ceil(m/theta).
-
-    The whole range must fit: fine(m_hi) <= depth.  Ties resolve to the
-    smallest m.
-    """
-    scale = _as_scale(theta)
-    lo, hi = _check_range(s.depth, scale, m_range)
-    S = s.prefix_array()
-    best_n, best_d, best_m, best_mp = -1, 1, lo, lo + 1
-    for m in range(lo, hi + 1):
-        mp = scale.fine(m)
-        n = int(S[mp] - S[m])
-        d = mp - m
-        if n * best_d > best_n * d:
-            best_n, best_d, best_m, best_mp = n, d, m, mp
-    return SpectrumPoint(Fraction(best_n, best_d), best_m, best_mp)
-
-
-def analytic_upper(s: BranchingSchedule, theta, m_range: tuple[int, int]) -> SpectrumPoint:
-    """Max of analytic_alpha(m, m') over m in m_range and m' in [fine(m), depth]."""
-    scale = _as_scale(theta)
-    lo, hi = _check_range(s.depth, scale, m_range)
-    S = [int(v) for v in s.prefix_array()]
-    queries = [(m, scale.fine(m)) for m in range(lo, hi + 1)]
-    results = suffix_slope_max(S, queries)
-    best = None
-    for (m, _), (n, d, j) in zip(queries, results):
-        cand = (Fraction(n, d), -m, -j)
-        if best is None or cand > best:
-            best = cand
-    assert best is not None
-    return SpectrumPoint(best[0], -best[1], -best[2])
 
 
 def materialize(
@@ -279,6 +209,9 @@ class CompositeSet:
             and self.include_origin == other.include_origin
         )
 
+    def __hash__(self):
+        return hash((self.components, self.include_origin))
+
     def __repr__(self) -> str:
         return (
             f"CompositeSet(components={len(self.components)}, depth={self.depth}, "
@@ -291,27 +224,6 @@ def materialize_composite(
 ) -> DyadicTree:
     trees = [embed(materialize(s, max_nodes), e) for e, s in cs.components]
     return merge(trees, include_origin=cs.include_origin, depth=cs.depth)
-
-
-def _as_scale(theta):
-    from .windows import RationalScale
-
-    if hasattr(theta, "fine"):
-        return theta
-    return RationalScale(Fraction(theta))
-
-
-def _check_range(depth: int, scale, m_range: tuple[int, int]) -> tuple[int, int]:
-    lo, hi = m_range
-    if not 1 <= lo <= hi:
-        raise ValueError(f"bad coarse range [{lo}, {hi}]")
-    top = scale.max_coarse(depth)
-    if hi > top:
-        raise ValueError(
-            f"window ({hi}, {scale.fine(hi)}) exceeds depth {depth}; "
-            f"coarse levels are limited to {top} at this theta"
-        )
-    return lo, hi
 
 
 def origin_log_counts(cs: CompositeSet, bucket: int) -> np.ndarray:
@@ -353,92 +265,94 @@ def origin_log_counts(cs: CompositeSet, bucket: int) -> np.ndarray:
     return logs
 
 
-def _origin_coarse_limit(cs: CompositeSet) -> int:
-    """Largest coarse m at which the index-0 node still contains a component."""
-    return cs.shifts[-1] - 1 if cs.components else -1
+def pieces(rep: BranchingSchedule | CompositeSet) -> list[tuple[int, int, np.ndarray]]:
+    """(part, shift e, prefix counts on local levels) per symbolic piece: a
+    schedule is piece 0 at shift 0, a composite has one piece per component."""
+    if isinstance(rep, BranchingSchedule):
+        return [(0, 0, rep.prefix_array())]
+    return [(i, e, rep.extended_prefix(i)) for i, (e, _) in enumerate(rep.components)]
 
 
-def composite_spectrum(cs: CompositeSet, theta, m_range: tuple[int, int]) -> SpectrumPoint:
-    """Max window exponent of the union at fixed ratio rule fine = ceil(m/theta).
+def origin_rows(
+    rep: BranchingSchedule | CompositeSet, lo: int, hi: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    """(m, origin_log_counts row) per coarse m in [lo, hi] below the last
+    shift, where the node at index 0 still contains a component; one row
+    per bucket b, the levels m with b shifts <= m.  A schedule has no
+    origin node."""
+    if isinstance(rep, BranchingSchedule):
+        return
+    shifts = rep.shifts
+    start = lo
+    for b in range(bisect_left(shifts, lo + 1), len(shifts)):
+        stop = min(hi, shifts[b] - 1)
+        if start > stop:
+            return
+        logs = origin_log_counts(rep, b)
+        for m in range(start, stop + 1):
+            yield m, logs
+        start = stop + 1
 
-    Component-interior windows are exact schedule exponents; windows from
-    the node containing the origin see the summed component counts plus the
-    origin chain.  The range must give at least one admissible window.
+
+def _witness(rep, best: tuple[float, int, int, int]) -> tuple[float, int, int, int]:
+    """(value, m, m', node) from a (value, -m, -m', -part) key.  The node is
+    the leftmost level-m node of the part: index 0 for a schedule and for
+    the origin node (part -1), 2**(m - e) for a component at shift e."""
+    value, m, mp, part = best[0], -best[1], -best[2], -best[3]
+    if part < 0 or isinstance(rep, BranchingSchedule):
+        return value, m, mp, 0
+    return value, m, mp, 1 << (m - rep.components[part][0])
+
+
+def composite_spectrum(rep, scale, lo: int, hi: int) -> tuple[float, int, int, int]:
+    """(value, m, m', node) of the max window exponent at the fixed ratio
+    rule m' = scale.fine(m) over the clamped coarse range [lo, hi].
+
+    Piece-interior windows are exact schedule exponents; windows from the
+    node containing the origin see the summed component counts plus the
+    origin chain.  Ties go to the smallest m, then the smallest m', then
+    the origin node (part -1, key 1), then the lowest component.
     """
-    scale = _as_scale(theta)
-    lo, hi = _check_range(cs.depth, scale, m_range)
-    best: tuple[float, int, int, int] | None = None  # (value, -m, -mp, -part)
-    for i, (e, s) in enumerate(cs.components):
+    best = None  # (value, -m, -m', -part)
+    for part, e, S in pieces(rep):
         a = max(lo, e)
         if a > hi:
             continue
         marr = np.arange(a, hi + 1, dtype=np.int64)
         mp = scale.fine_array(marr)
-        Sx = cs.extended_prefix(i)
-        alpha = (Sx[mp - e] - Sx[marr - e]) / (mp - marr)
+        alpha = (S[mp - e] - S[marr - e]) / (mp - marr)
         k = int(np.argmax(alpha))
-        cand = (float(alpha[k]), -int(marr[k]), -int(mp[k]), -i)
+        cand = (float(alpha[k]), -int(marr[k]), -int(mp[k]), -part)
         if best is None or cand > best:
             best = cand
-    top = min(hi, _origin_coarse_limit(cs))
-    if cs.components:
-        logs_cache = {}
-        for m in range(lo, top + 1):
-            b = bisect_left(cs.shifts, m + 1)  # components with e > m
-            logs = logs_cache.get(b)
-            if logs is None:
-                logs = origin_log_counts(cs, b)
-                logs_cache[b] = logs
-            mp = scale.fine(m)
-            cand = (float(logs[mp]) / (mp - m), -m, -mp, 1)  # part -1 sorts last
-            if best is None or cand > best:
-                best = cand
-    if best is None:
-        raise ValueError(f"no component admits coarse range [{lo}, {hi}]")
-    value, m, mp, part = best[0], -best[1], -best[2], -best[3]
-    return SpectrumPoint(value, m, mp, part)
+    for m, logs in origin_rows(rep, lo, hi):
+        mp = scale.fine(m)
+        cand = (float(logs[mp]) / (mp - m), -m, -mp, 1)
+        if best is None or cand > best:
+            best = cand
+    return _witness(rep, best)
 
 
-def composite_upper(cs: CompositeSet, theta, m_range: tuple[int, int]) -> SpectrumPoint:
-    """Max window exponent over m in range and every m' >= fine(m)."""
-    scale = _as_scale(theta)
-    lo, hi = _check_range(cs.depth, scale, m_range)
-    D = cs.depth
-    best: tuple[float, int, int, int] | None = None
-    for i, (e, s) in enumerate(cs.components):
+def composite_upper(rep, scale, lo: int, hi: int) -> tuple[float, int, int, int]:
+    """(value, m, m', node) of the max window exponent over m in [lo, hi]
+    and every m' >= scale.fine(m), with composite_spectrum's tie order."""
+    best = None
+    for part, e, _ in pieces(rep):
         a = max(lo, e)
         if a > hi:
             continue
+        hull = (rep.suffix_hull() if isinstance(rep, BranchingSchedule)
+                else rep.component_hull(part))
         marr = np.arange(a, hi + 1, dtype=np.int64)
-        v, lm, j = cs.component_hull(i).fan_max(marr - e, scale.fine_array(marr) - e)
-        cand = (v, -(lm + e), -(j + e), -i)
+        v, lm, j = hull.fan_max(marr - e, scale.fine_array(marr) - e)
+        cand = (v, -(lm + e), -(j + e), -part)
         if best is None or cand > best:
             best = cand
-    top = min(hi, _origin_coarse_limit(cs))
-    if cs.components:
-        spans_all = np.arange(D + 1, dtype=np.float64)
-        logs_cache = {}
-        for m in range(lo, top + 1):
-            b = bisect_left(cs.shifts, m + 1)
-            logs = logs_cache.get(b)
-            if logs is None:
-                logs = origin_log_counts(cs, b)
-                logs_cache[b] = logs
-            f = scale.fine(m)
-            alpha = logs[f:] / (spans_all[f:] - m)
-            k = int(np.argmax(alpha))
-            cand = (float(alpha[k]), -m, -(f + k), 1)
-            if best is None or cand > best:
-                best = cand
-    if best is None:
-        raise ValueError(f"no component admits coarse range [{lo}, {hi}]")
-    value, m, mp, part = best[0], -best[1], -best[2], -best[3]
-    return SpectrumPoint(value, m, mp, part)
-
-
-def composite_level_logs(cs: CompositeSet, m_lo: int, m_hi: int) -> np.ndarray:
-    """log2 of the union's level counts for m in [m_lo, m_hi]: the
-    descendant counts of the level-0 node, which holds the whole union."""
-    if not 0 <= m_lo <= m_hi <= cs.depth:
-        raise ValueError(f"level range [{m_lo}, {m_hi}] outside [0, {cs.depth}]")
-    return origin_log_counts(cs, 0)[m_lo : m_hi + 1]
+    for m, logs in origin_rows(rep, lo, hi):
+        f = scale.fine(m)
+        alpha = logs[f:] / np.arange(f - m, len(logs) - m, dtype=np.float64)
+        k = int(np.argmax(alpha))
+        cand = (float(alpha[k]), -m, -(f + k), 1)
+        if best is None or cand > best:
+            best = cand
+    return _witness(rep, best)

@@ -29,15 +29,17 @@ from typing import Sequence
 
 import numpy as np
 
+from .constructions import MAX_SCHEDULE_DEPTH
 from .dyadic import DyadicTree
+from .errors import BudgetError
 from .schedule import (
     BranchingSchedule,
     CompositeSet,
-    _origin_coarse_limit,
-    composite_level_logs,
     composite_spectrum,
     composite_upper,
     origin_log_counts,
+    origin_rows,
+    pieces,
 )
 from .windows import RationalScale, RootScale
 
@@ -98,13 +100,20 @@ class VerificationReport:
 
 
 def _depth(rep, neighbors: bool = False) -> int:
-    """Depth of a supported set; neighbor mode exists for trees only."""
+    """Depth of a supported, non-empty set within the depth budget, checked
+    before any per-level allocation; neighbor mode exists for trees only."""
     if not isinstance(rep, (DyadicTree, BranchingSchedule, CompositeSet)):
         raise TypeError(f"unsupported set representation {type(rep).__name__}")
     if neighbors and not isinstance(rep, DyadicTree):
         raise ValueError(
             f"neighbor mode applies to trees only, not to {type(rep).__name__}"
         )
+    if rep.depth > MAX_SCHEDULE_DEPTH:
+        raise BudgetError(
+            f"depth {rep.depth} exceeds the depth budget {MAX_SCHEDULE_DEPTH}"
+        )
+    if isinstance(rep, DyadicTree) and rep.is_empty():
+        raise ValueError("cannot estimate dimensions of an empty tree")
     return rep.depth
 
 
@@ -118,8 +127,9 @@ def _norm_range(
         lo = depth // 4
         if thetas:
             lo = min(lo, RationalScale(min(thetas)).max_coarse(depth))
-        return max(1, lo), depth
-    lo, hi = int(m_range[0]), int(m_range[1])
+        lo, hi = max(1, lo), depth
+    else:
+        lo, hi = int(m_range[0]), int(m_range[1])
     if not 1 <= lo <= hi <= depth:
         raise ValueError(f"coarse range [{lo}, {hi}] invalid for depth {depth}")
     return lo, hi
@@ -159,8 +169,6 @@ def _resolve(rep, theta_grid: Sequence, m_range, neighbors: bool):
 
 def _tree_witness_node(tree: DyadicTree, m: int, mp: int) -> int:
     """Leftmost level-m node holding the most level-mp nodes."""
-    if not tree.leaves:
-        return 0
     g = tree.gaps
     # leaves split into level-m groups where a gap exceeds depth - m, and
     # into level-mp nodes where it exceeds depth - mp
@@ -239,52 +247,19 @@ def _tree_upper(tree, scale, lo, hi, neighbors) -> tuple[float, int, int, int]:
 
 
 # ----------------------------------------------------------------------
-# schedule cores
-
-
-def _sched_spectrum(s, scale, lo, hi) -> tuple[float, int, int, int]:
-    S = s.prefix_array()
-    marr = np.arange(lo, hi + 1, dtype=np.int64)
-    mp = scale.fine_array(marr)
-    alpha = (S[mp] - S[marr]) / (mp - marr)
-    k = int(np.argmax(alpha))
-    # homogeneous: every node realizes the count; leftmost node is index 0
-    return float(alpha[k]), int(marr[k]), int(mp[k]), 0
-
-
-def _sched_upper(s, scale, lo, hi) -> tuple[float, int, int, int]:
-    marr = np.arange(lo, hi + 1, dtype=np.int64)
-    v, m, mp = s.suffix_hull().fan_max(marr, scale.fine_array(marr))
-    return v, m, mp, 0
-
-
-# ----------------------------------------------------------------------
 # dispatch
 
 
 def _spectrum_at(rep, scale, lo, hi_eff, neighbors) -> tuple[float, int, int, int]:
     if isinstance(rep, DyadicTree):
         return _tree_spectrum(rep, scale, lo, hi_eff, neighbors)
-    if isinstance(rep, BranchingSchedule):
-        return _sched_spectrum(rep, scale, lo, hi_eff)
-    pt = composite_spectrum(rep, scale, (lo, hi_eff))
-    return float(pt.value), pt.m, pt.m_prime, _composite_node(rep, pt)
+    return composite_spectrum(rep, scale, lo, hi_eff)
 
 
 def _upper_at(rep, scale, lo, hi_eff, neighbors) -> tuple[float, int, int, int]:
     if isinstance(rep, DyadicTree):
         return _tree_upper(rep, scale, lo, hi_eff, neighbors)
-    if isinstance(rep, BranchingSchedule):
-        return _sched_upper(rep, scale, lo, hi_eff)
-    pt = composite_upper(rep, scale, (lo, hi_eff))
-    return float(pt.value), pt.m, pt.m_prime, _composite_node(rep, pt)
-
-
-def _composite_node(cs: CompositeSet, pt) -> int:
-    if pt.part < 0:
-        return 0
-    e, _ = cs.components[pt.part]
-    return 1 << (pt.m - e)
+    return composite_upper(rep, scale, lo, hi_eff)
 
 
 def _estimate(mode: str, at, rep, theta_grid, m_range, neighbors) -> SpectrumEstimate:
@@ -325,13 +300,12 @@ def estimate_box(rep, m_range: tuple[int, int] | None = None) -> BoxEstimate:
     depth = _depth(rep)
     lo, hi = _norm_range(depth, m_range)
     if isinstance(rep, DyadicTree):
-        if rep.is_empty():
-            raise ValueError("cannot estimate the box dimension of an empty tree")
         logs = np.log2(rep.level_sizes(np.arange(lo, hi + 1)).astype(np.float64))
     elif isinstance(rep, BranchingSchedule):
         logs = rep.prefix_array()[lo : hi + 1].astype(np.float64)
     else:
-        logs = composite_level_logs(rep, lo, hi)
+        # the level-0 node holds the whole union
+        logs = origin_log_counts(rep, 0)[lo : hi + 1]
     ms = np.arange(lo, hi + 1, dtype=np.float64)
     vals = logs / ms
     k = int(np.argmax(vals))
@@ -402,27 +376,19 @@ def _ratio_fan_max(rep, scale, lo, hi_eff, neighbors) -> float:
             if v > best:
                 best = v
         return best
-    # symbolic pieces (shift e, prefix counts on local levels): the schedule
-    # itself, or each composite component
-    if isinstance(rep, BranchingSchedule):
-        pieces = [(0, rep.prefix_array())]
-    else:
-        pieces = [(e, rep.extended_prefix(i)) for i, (e, _) in enumerate(rep.components)]
-    for e, S in pieces:
+    for _, e, S in pieces(rep):
         for m in range(max(lo, e), hi_eff + 1):
             j0 = scale.fine(m)
             alpha = (S[j0 - e :] - S[m - e]) / (idx[j0:] - m)
             v = float(alpha.max())
             if v > best:
                 best = v
-    if isinstance(rep, CompositeSet):
-        for m in range(lo, min(hi_eff, _origin_coarse_limit(rep)) + 1):
-            logs = origin_log_counts(rep, bisect_left(rep.shifts, m + 1))
-            j0 = scale.fine(m)
-            alpha = logs[j0:] / (idx[j0:] - m)
-            v = float(alpha.max())
-            if v > best:
-                best = v
+    for m, logs in origin_rows(rep, lo, hi_eff):
+        j0 = scale.fine(m)
+        alpha = logs[j0:] / (idx[j0:] - m)
+        v = float(alpha.max())
+        if v > best:
+            best = v
     return best
 
 

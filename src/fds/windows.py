@@ -194,9 +194,9 @@ def suffix_slope_max(
     search along the hull.  Everything is exact Python-integer arithmetic,
     with no depth limit.
 
-    This is the reference path: `analytic_upper` and the tests use it, and
-    the estimators use `SuffixHull`, which folds only the concave corners,
-    is built once per prefix array and answers each batch with numpy.
+    This is the reference path behind the tests' upper-spectrum oracle; the
+    estimators use `SuffixHull`, which folds only the concave corners, is
+    built once per prefix array and answers each batch with numpy.
     """
     depth = len(S) - 1
     order = sorted(range(len(queries)), key=lambda i: queries[i][1], reverse=True)

@@ -100,8 +100,8 @@ def reference_upper(rep, theta: Fraction, lo: int, hi: int) -> tuple[float, int,
     """(value, m, m') of the upper spectrum at one theta over the clamped
     coarse range [lo, hi], for a schedule or a composite: one
     suffix_slope_max sweep per schedule or component, ties to the smallest
-    m, then the smallest m', then the lowest component, the origin node
-    last."""
+    m, then the smallest m', then the origin node, then the lowest
+    component."""
     scale = RationalScale(theta)
     pieces = [(0, rep.prefix_array())] if isinstance(rep, BranchingSchedule) else [
         (e, rep.extended_prefix(i)) for i, (e, _) in enumerate(rep.components)

@@ -26,7 +26,7 @@ from fds.constructions import (
 )
 from fds.dyadic import DyadicInterval, local_count
 from fds.formats import dump, load
-from fds.schedule import BranchingSchedule, analytic_local_count, materialize
+from fds.schedule import BranchingSchedule, materialize
 from fds.spectra import (
     estimate_box,
     estimate_quasi_assouad,
@@ -142,7 +142,7 @@ def test_c3_oracle_equivalence():
         for m in range(depth):
             for mp in range(m + 1, depth + 1):
                 windows += 1
-                want = 1 << analytic_local_count(sched, m, mp)
+                want = 1 << (sched.prefix(mp) - sched.prefix(m))
                 for k in tree.levels[m]:
                     if local_count(tree, DyadicInterval(m, k), mp) != want:
                         mismatches += 1

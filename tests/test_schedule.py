@@ -10,16 +10,12 @@ from fds.errors import BudgetError
 from fds.schedule import (
     BranchingSchedule,
     CompositeSet,
-    analytic_alpha,
-    analytic_local_count,
-    analytic_spectrum,
-    analytic_upper,
-    composite_spectrum,
-    composite_upper,
     materialize,
     materialize_composite,
+    origin_log_counts,
 )
 from fds.constructions import TwoPhaseParams, two_phase_schedule
+from fds.spectra import estimate_spectrum, estimate_upper
 
 from conftest import (
     oracle_schedule_spectrum,
@@ -47,42 +43,40 @@ def test_prefix_counts():
 
 
 def test_analytic_local_count_examples():
+    # every level-m node has 2**(S[m'] - S[m]) descendants at level m'
     s = BranchingSchedule([(2, 2), (1, 1), (1, 2)])
-    assert analytic_local_count(s, 1, 4) == 2  # descendant count 4
+    assert s.prefix(4) - s.prefix(1) == 2  # descendant count 4
     quiet = BranchingSchedule([(9, 1)])
-    assert analytic_local_count(quiet, 2, 7) == 0
+    assert quiet.prefix(7) - quiet.prefix(2) == 0
     full = BranchingSchedule([(12, 2)])
-    assert analytic_local_count(full, 0, 12) == 12
+    assert full.prefix(12) - full.prefix(0) == 12
     with pytest.raises(ValueError):
-        analytic_local_count(s, 3, 3)
-    with pytest.raises(ValueError):
-        analytic_local_count(s, 0, 9)
+        s.prefix(9)
 
 
 def test_analytic_alpha_examples():
     s = BranchingSchedule([(2, 2), (1, 1), (1, 2)])
-    assert analytic_alpha(s, 1, 4) == Fraction(2, 3)
+    assert Fraction(s.prefix(4) - s.prefix(1), 4 - 1) == Fraction(2, 3)
     full = BranchingSchedule([(30, 2)])
-    assert analytic_alpha(full, 3, 17) == 1
+    assert Fraction(full.prefix(17) - full.prefix(3), 17 - 3) == 1
 
 
 def test_analytic_spectrum_trivial():
+    half = [Fraction(1, 2)]
     full = BranchingSchedule([(64, 2)])
-    pt = analytic_spectrum(full, Fraction(1, 2), (4, 32))
-    assert pt.value == 1
+    assert estimate_spectrum(full, half, (4, 32)).values == [1.0]
     quiet = BranchingSchedule([(64, 1)])
-    pt = analytic_spectrum(quiet, Fraction(1, 2), (4, 32))
-    assert pt.value == 0
+    assert estimate_spectrum(quiet, half, (4, 32)).values == [0.0]
     with pytest.raises(ValueError):
-        analytic_spectrum(full, Fraction(1, 2), (4, 40))  # 40/0.5 > 64
+        estimate_spectrum(full, half, (33, 40))  # 33/0.5 > 64
 
 
 def test_analytic_spectrum_two_phase_full_range():
     sched = two_phase_schedule(TwoPhaseParams(Fraction(1, 2), Fraction(1, 1), 4, 3))
     theta = Fraction(1, 4)
     top = sched.depth // 4
-    pt = analytic_spectrum(sched, theta, (1, top))
-    assert abs(float(pt.value) - Fraction(2, 3)) <= 0.05
+    (value,) = estimate_spectrum(sched, [theta], (1, top)).values
+    assert abs(value - Fraction(2, 3)) <= 0.05
     # the closed form min{s/(1-theta), t} evaluated directly
     assert Fraction(1, 2) / (1 - theta) == Fraction(2, 3)
 
@@ -101,11 +95,11 @@ def test_analytic_upper_dominates_and_matches_oracle():
             hi = int(theta * s.depth)
         if hi < lo:
             continue
-        spec = analytic_spectrum(s, theta, (lo, hi))
-        up = analytic_upper(s, theta, (lo, hi))
-        assert up.value >= spec.value
-        assert float(up.value) == oracle_schedule_upper(s, theta, lo, hi)
-        assert float(spec.value) == oracle_schedule_spectrum(s, theta, lo, hi)
+        (spec,) = estimate_spectrum(s, [theta], (lo, hi)).values
+        (up,) = estimate_upper(s, [theta], (lo, hi)).values
+        assert up >= spec
+        assert up == oracle_schedule_upper(s, theta, lo, hi)
+        assert spec == oracle_schedule_spectrum(s, theta, lo, hi)
 
 
 def test_upper_matches_exhaustive_oracle_at_reduced_depth():
@@ -113,9 +107,9 @@ def test_upper_matches_exhaustive_oracle_at_reduced_depth():
     assert sched.depth == 256
     theta = Fraction(9, 10)
     lo, hi = 64, 230
-    up = analytic_upper(sched, theta, (lo, hi))
-    assert float(up.value) == oracle_schedule_upper(sched, theta, lo, hi)
-    assert abs(float(up.value) - 0.8) <= 0.05
+    (up,) = estimate_upper(sched, [theta], (lo, hi)).values
+    assert up == oracle_schedule_upper(sched, theta, lo, hi)
+    assert abs(up - 0.8) <= 0.05
 
 
 def test_materialize_examples():
@@ -137,7 +131,7 @@ def test_oracle_equivalence_materialized():
         assert validate(tree) == []
         for m in range(s.depth):
             for mp in range(m + 1, s.depth + 1):
-                want = analytic_local_count(s, m, mp)
+                want = s.prefix(mp) - s.prefix(m)
                 for k in tree.levels[m]:
                     got = local_count(tree, DyadicInterval(m, k), mp)
                     assert got == (1 << want)
@@ -160,7 +154,7 @@ def test_composite_single_component_shift_invariance():
     cs = CompositeSet([(e, s)], include_origin=False)
     theta = Fraction(1, 2)
     lo, hi = e, cs.depth // 2
-    pt = composite_spectrum(cs, theta, (lo, hi))
+    (value,) = estimate_spectrum(cs, [theta], (lo, hi)).values
     from fds.windows import RationalScale
 
     sc = RationalScale(theta)
@@ -169,20 +163,17 @@ def test_composite_single_component_shift_invariance():
         / (sc.fine(m) - m)
         for m in range(lo, hi + 1)
     )
-    assert float(pt.value) == best
+    assert value == best
 
 
 def test_composite_two_quiet_components_zero():
     q = BranchingSchedule([(20, 1)])
     cs = CompositeSet([(2, q), (4, q)], include_origin=True)
-    pt = composite_spectrum(cs, Fraction(1, 2), (5, 10))
-    assert float(pt.value) == 0.0
+    assert estimate_spectrum(cs, [Fraction(1, 2)], (5, 10)).values == [0.0]
 
 
 def test_composite_matches_materialized_tree():
     # small union: composite analytics vs the fully expanded tree
-    from fds.spectra import estimate_spectrum, estimate_upper
-
     a = BranchingSchedule([(1, 2), (2, 1), (3, 2), (2, 1)])
     b = BranchingSchedule([(4, 1), (4, 2)])
     cs = CompositeSet([(1, a), (3, b)], include_origin=True)
@@ -201,14 +192,14 @@ def test_composite_matches_materialized_tree():
 
 
 def test_composite_level_counts_match_tree():
-    from fds.schedule import composite_level_logs
     import math
 
     a = BranchingSchedule([(1, 2), (2, 1), (3, 2)])
     b = BranchingSchedule([(2, 1), (2, 2)])
     cs = CompositeSet([(1, a), (4, b)], include_origin=True)
     tree = materialize_composite(cs)
-    logs = composite_level_logs(cs, 0, cs.depth)
+    logs = origin_log_counts(cs, 0)
+    assert len(logs) == cs.depth + 1
     for m in range(cs.depth + 1):
         assert float(logs[m]) == pytest.approx(
             math.log2(level_count(tree, m)), abs=1e-12
@@ -220,6 +211,48 @@ def test_composite_upper_dominates_spectrum():
     cs = CompositeSet([(2, a)], include_origin=True)
     for th in (Fraction(3, 10), Fraction(1, 2), Fraction(7, 10)):
         lo, hi = 1, int(th * cs.depth)
-        sp = composite_spectrum(cs, th, (lo, hi))
-        up = composite_upper(cs, th, (lo, hi))
-        assert up.value >= sp.value
+        sp = estimate_spectrum(cs, [th], (lo, hi))
+        up = estimate_upper(cs, [th], (lo, hi))
+        assert up.values[0] >= sp.values[0]
+
+
+def test_composite_hashable():
+    a = BranchingSchedule([(1, 2), (2, 1)])
+    cs = CompositeSet([(1, a), (3, a)])
+    same = CompositeSet([(1, BranchingSchedule([(1, 2), (2, 1)])), (3, a)])
+    no_origin = CompositeSet([(1, a), (3, a)], include_origin=False)
+    assert cs == same and hash(cs) == hash(same)
+    assert cs != no_origin
+    assert len({cs, same, no_origin}) == 2
+
+
+A_RUNS = [(1, 2), (2, 1), (3, 2), (2, 1)]
+Q_RUNS = [(20, 1)]
+
+
+@pytest.mark.parametrize("cs, m_range, spectrum, upper", [
+    # components at shifts 1, 2, 3; the witness node is 2**(m - e) for a
+    # component at shift e and 0 for the node holding the origin
+    (CompositeSet([(1, BranchingSchedule(A_RUNS)), (2, BranchingSchedule(A_RUNS)),
+                   (3, BranchingSchedule(A_RUNS))]), None,
+     [(2, 7, 2), (2, 4, 0), (2, 3, 0)], [(2, 8, 1), (2, 4, 0), (2, 3, 0)]),
+    (CompositeSet([(1, BranchingSchedule(A_RUNS)), (2, BranchingSchedule(A_RUNS)),
+                   (3, BranchingSchedule(A_RUNS))]), (1, 11),
+     [(1, 4, 0), (1, 2, 0), (1, 2, 0)], [(1, 4, 0), (1, 2, 0), (1, 2, 0)]),
+    # two quiet components: every window has exponent 0, so ties go to the
+    # smallest m, then m', then the lowest component
+    (CompositeSet([(2, BranchingSchedule(Q_RUNS)), (4, BranchingSchedule(Q_RUNS))]), None,
+     [(6, 20, 16), (6, 12, 16), (6, 9, 16)], [(6, 20, 16), (6, 12, 16), (6, 9, 16)]),
+    (CompositeSet([(2, BranchingSchedule(Q_RUNS)), (4, BranchingSchedule(Q_RUNS))]), (1, 24),
+     [(1, 4, 0), (1, 2, 0), (1, 2, 0)], [(1, 4, 0), (1, 2, 0), (1, 2, 0)]),
+    (CompositeSet([(2, BranchingSchedule(Q_RUNS)), (4, BranchingSchedule(Q_RUNS))],
+                  include_origin=False), None,
+     [(6, 20, 16), (6, 12, 16), (6, 9, 16)], [(6, 20, 16), (6, 12, 16), (6, 9, 16)]),
+    (CompositeSet([(2, BranchingSchedule(Q_RUNS)), (4, BranchingSchedule(Q_RUNS))],
+                  include_origin=False), (1, 24),
+     [(1, 4, 0), (1, 2, 0), (1, 2, 0)], [(1, 4, 0), (1, 2, 0), (1, 2, 0)]),
+])
+def test_composite_witness_windows_and_nodes(cs, m_range, spectrum, upper):
+    grid = [Fraction(3, 10), Fraction(1, 2), Fraction(7, 10)]
+    assert estimate_spectrum(cs, grid, m_range).witnesses == spectrum
+    assert estimate_upper(cs, grid, m_range).witnesses == upper

@@ -13,7 +13,7 @@ from fds.constructions import (
     concave_union,
 )
 from fds.dyadic import WindowQuery, max_alpha
-from fds.schedule import BranchingSchedule, analytic_alpha
+from fds.schedule import BranchingSchedule
 from fds.spectra import (
     estimate_box,
     estimate_quasi_assouad,
@@ -104,7 +104,8 @@ def test_witness_reproducibility(twophase_48):
             assert wit.index == node
     est = estimate_spectrum(twophase_48, [F(1, 2)], (1024, 65536))
     (m, mp, _), = est.witnesses
-    assert float(analytic_alpha(twophase_48, m, mp)) == est.values[0]
+    S = twophase_48.prefix_array()
+    assert int(S[mp] - S[m]) / (mp - m) == est.values[0]
 
 
 def test_quasi_assouad_full_and_path():
@@ -315,4 +316,26 @@ def test_neighbor_mode_rejected_off_trees(twophase_48):
         )
         for call in calls:
             with pytest.raises(ValueError, match="neighbor mode"):
+                call()
+
+
+def test_empty_tree_rejected_everywhere():
+    """An empty tree has no window to maximize: every estimator and
+    verifier rejects it instead of reporting -inf or a PASS."""
+    from fds.formats import parse_tree
+
+    empty = parse_tree("fds-tree 2\ndepth 8\nleaves 0\n")
+    grid = [F(1, 2)]
+    for nb in (False, True):
+        for call in (
+            lambda: estimate_spectrum(empty, grid, neighbors=nb),
+            lambda: estimate_upper(empty, grid, neighbors=nb),
+            lambda: estimate_quasi_assouad(empty, [F(1, 10)], neighbors=nb),
+            lambda: verify_main_theorem(empty, grid, neighbors=nb),
+            lambda: verify_bound(empty, grid, neighbors=nb),
+            lambda: verify_chain(empty, grid, neighbors=nb),
+            lambda: verify_nthroot(empty, grid, (2,), neighbors=nb),
+            lambda: estimate_box(empty),
+        ):
+            with pytest.raises(ValueError, match="empty tree"):
                 call()
