@@ -1,27 +1,9 @@
 """fds: dyadic sets with prescribed Assouad-type spectra, plus estimators
 and cross-verifiers for their dimensions."""
 
-from .dyadic import (
-    DyadicInterval,
-    DyadicTree,
-    WindowQuery,
-    children,
-    embed,
-    level_count,
-    local_count,
-    max_alpha,
-    merge,
-    neighbors,
-    parent,
-    validate,
-)
+from .dyadic import DyadicTree
 from .errors import BudgetError, FormatError
-from .schedule import (
-    BranchingSchedule,
-    CompositeSet,
-    materialize,
-    materialize_composite,
-)
+from .schedule import BranchingSchedule, CompositeSet, materialize
 from .constructions import (
     ConcaveTarget,
     TwoPhaseParams,

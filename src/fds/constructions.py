@@ -269,7 +269,7 @@ def geometric_sequence_tree(depth: int) -> DyadicTree:
     """
     if depth < 2:
         raise ValueError(f"need depth >= 2, got {depth}")
-    return DyadicTree.from_leaves(depth, [0] + [1 << j for j in range(depth)])
+    return DyadicTree(depth, [0] + [1 << j for j in range(depth)])
 
 
 def full_binary_tree(depth: int, max_nodes: int = 1 << 22) -> DyadicTree:
@@ -277,10 +277,10 @@ def full_binary_tree(depth: int, max_nodes: int = 1 << 22) -> DyadicTree:
         raise ValueError("negative depth")
     if (1 << (depth + 1)) > max_nodes:
         raise BudgetError(f"full tree of depth {depth} exceeds {max_nodes} nodes")
-    return DyadicTree.from_leaves(depth, range(1 << depth))
+    return DyadicTree(depth, range(1 << depth))
 
 
 def left_path_tree(depth: int) -> DyadicTree:
     if depth < 0:
         raise ValueError("negative depth")
-    return DyadicTree.from_leaves(depth, [0])
+    return DyadicTree(depth, [0])

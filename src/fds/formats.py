@@ -116,12 +116,12 @@ def _parse_leaves(lines: list[str], depth: int) -> DyadicTree:
         raise FormatError("leaves not strictly ascending")
     if xs and xs[-1].bit_length() > depth:
         raise FormatError(f"leaf {xs[-1]:x} out of range at depth {depth}")
-    return DyadicTree.from_leaves(depth, xs)
+    return DyadicTree(depth, xs)
 
 
 def _parse_levels(lines: list[str], depth: int) -> DyadicTree:
     if not lines:
-        return DyadicTree.from_leaves(depth, [])
+        return DyadicTree(depth, [])
     # checked before anything is allocated per level
     if len(lines) != depth + 1:
         raise FormatError(
@@ -145,10 +145,29 @@ def _parse_levels(lines: list[str], depth: int) -> DyadicTree:
         if xs and not (0 <= xs[0] and xs[-1].bit_length() <= m):
             raise FormatError(f"index out of range at level {m}")
         levels[m] = xs
-    try:
-        return DyadicTree(levels)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
+    # a valid tree is fixed by its deepest level; any other level that
+    # differs from the one derived from it shows a violation
+    tree = DyadicTree(depth, levels[depth])
+    if any(tree.level(m) != tuple(xs) for m, xs in enumerate(levels)):
+        _raise_first_violation(levels)
+    return tree
+
+
+def _raise_first_violation(levels: list[list[int]]) -> None:
+    """The first missing parent, top down, else the first dangling node."""
+    for m in range(1, len(levels)):
+        above = set(levels[m - 1])
+        for k in levels[m]:
+            if k >> 1 not in above:
+                raise FormatError(
+                    f"prefix closure violated: ({m}, {k}) present, "
+                    f"({m - 1}, {k >> 1}) absent"
+                )
+    for m in range(len(levels) - 1):
+        below = {k >> 1 for k in levels[m + 1]}
+        for k in levels[m]:
+            if k not in below:
+                raise FormatError(f"dangling node ({m}, {k}): no child at level {m + 1}")
 
 
 def _parse_runs_token(token: str) -> BranchingSchedule:

@@ -16,7 +16,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .dyadic import DyadicTree, embed, merge
+from .dyadic import DyadicTree
 from .errors import BudgetError
 from .windows import SuffixHull
 
@@ -24,7 +24,6 @@ __all__ = [
     "BranchingSchedule",
     "CompositeSet",
     "materialize",
-    "materialize_composite",
     "composite_spectrum",
     "composite_upper",
 ]
@@ -95,12 +94,6 @@ class BranchingSchedule:
             self._hull = SuffixHull(self.prefix_array())
         return self._hull
 
-    def child_count(self, j: int) -> int:
-        """c_j for 1 <= j <= depth."""
-        if not 1 <= j <= self.depth:
-            raise ValueError(f"level {j} outside [1, {self.depth}]")
-        return self.runs[bisect_left(self._ends, j)][1]
-
     def __eq__(self, other) -> bool:
         return isinstance(other, BranchingSchedule) and self.runs == other.runs
 
@@ -140,7 +133,7 @@ def materialize(
     leaves = [0]
     for bit in reversed(bits):
         leaves += [x + bit for x in leaves]
-    return DyadicTree.from_leaves(s.depth, leaves)
+    return DyadicTree(s.depth, leaves)
 
 
 class CompositeSet:
@@ -148,8 +141,9 @@ class CompositeSet:
 
     Shifts are strictly increasing positive integers, so the components
     occupy pairwise disjoint intervals [2**-e_i, 2**-e_i+1).  Below its own
-    depth a component continues along left endpoints (no further
-    branching), mirroring DyadicTree.merge.
+    depth a component continues along left endpoints: every surviving
+    interval keeps only its left child, so the component's level counts
+    stay frozen at 2**S_i(depth_i) down to the union's depth.
     """
 
     __slots__ = ("components", "include_origin", "_ext", "_hulls", "_origin_logs")
@@ -217,13 +211,6 @@ class CompositeSet:
             f"CompositeSet(components={len(self.components)}, depth={self.depth}, "
             f"origin={self.include_origin})"
         )
-
-
-def materialize_composite(
-    cs: CompositeSet, max_nodes: int = MAX_MATERIALIZE_NODES
-) -> DyadicTree:
-    trees = [embed(materialize(s, max_nodes), e) for e, s in cs.components]
-    return merge(trees, include_origin=cs.include_origin, depth=cs.depth)
 
 
 def origin_log_counts(cs: CompositeSet, bucket: int) -> np.ndarray:

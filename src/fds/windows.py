@@ -110,10 +110,6 @@ class RationalScale:
         """Largest m with fine(m) <= depth."""
         return depth * self.p // self.q
 
-    def contains(self, m: int, m_prime: int) -> bool:
-        """Ratio predicate m / m' <= theta, exact."""
-        return m * self.q <= m_prime * self.p
-
     def __repr__(self) -> str:
         return f"RationalScale({self.p}/{self.q})"
 
@@ -170,9 +166,6 @@ class RootScale:
         while m**self.n * self.q > x:
             m -= 1
         return m
-
-    def contains(self, m: int, m_prime: int) -> bool:
-        return m**self.n * self.q <= m_prime**self.n * self.p
 
     def __repr__(self) -> str:
         return f"RootScale(({self.p}/{self.q})**(1/{self.n}))"

@@ -1,4 +1,4 @@
-"""Shared fixtures and slow-but-independent oracles.
+"""Shared fixtures, slow-but-independent oracles and per-node references.
 
 The oracles recompute counts and window maxima by direct enumeration,
 avoiding the library's range-count tables, hull sweeps and numpy paths,
@@ -6,6 +6,10 @@ so estimator tests compare two genuinely different routes.
 `reference_upper` is the exception: it replays the upper-spectrum
 maximization per theta on the reference sweep `suffix_slope_max`, so the
 estimators' suffix-hull trees are checked against the sweep they replace.
+
+The per-node references (`local_count`, `max_alpha`) count one node or
+window by bisecting a level; `embed`, `merge` and `materialize_composite`
+build the tree of a composite set leaf by leaf.  No estimator uses them.
 """
 
 from __future__ import annotations
@@ -19,9 +23,94 @@ import numpy as np
 import pytest
 
 from fds.dyadic import DyadicTree
-from fds.schedule import BranchingSchedule, CompositeSet, origin_log_counts
+from fds.schedule import BranchingSchedule, CompositeSet, materialize, origin_log_counts
 from fds.constructions import TwoPhaseParams, two_phase_schedule
 from fds.windows import RationalScale, ceil_div, suffix_slope_max
+
+
+# ----------------------------------------------------------------------
+# per-node references
+
+
+def levels(tree: DyadicTree) -> tuple[tuple[int, ...], ...]:
+    """Every level of the tree, 0..depth."""
+    return tuple(tree.level(m) for m in range(tree.depth + 1))
+
+
+def v1_text(levels) -> str:
+    """An fds-tree 1 file holding the given per-level index lists."""
+    lines = ["fds-tree 1", f"depth {len(levels) - 1}"]
+    lines += [f"{m}: " + " ".join(map(str, xs)) for m, xs in enumerate(levels)]
+    return "\n".join(lines) + "\n"
+
+
+def local_count(tree: DyadicTree, m: int, k: int, mp: int, neighbors: bool = False) -> int:
+    """Level-mp nodes below the present level-m node k, the localized cover
+    surrogate.
+
+    With neighbors, nodes below k's present same-level neighbors count as
+    well; the two modes bracket the count of a metric ball centered in the
+    node within constant factors.
+    """
+    if not m < mp <= tree.depth:
+        raise ValueError(f"fine level {mp} outside ({m}, {tree.depth}]")
+    nodes = tree.level(m)
+    i = bisect_left(nodes, k)
+    if i == len(nodes) or nodes[i] != k:
+        raise ValueError(f"node ({m}, {k}) not present")
+    lo, hi = k, k + 1
+    if neighbors:
+        lo, hi = max(0, k - 1), min(1 << m, k + 2)
+    # descendants of consecutive same-level nodes occupy one contiguous
+    # index range; absent neighbors contribute nothing by prefix closure
+    fine = tree.level(mp)
+    shift = mp - m
+    return bisect_left(fine, hi << shift) - bisect_left(fine, lo << shift)
+
+
+def max_alpha(tree: DyadicTree, m: int, mp: int, neighbors: bool = False) -> tuple[float, int]:
+    """(log2(max local_count) / (mp - m), witness node) over the present
+    level-m nodes; ties to the smallest node."""
+    if not 0 <= m < mp <= tree.depth:
+        raise ValueError(f"need 0 <= m < mp <= {tree.depth}, got ({m}, {mp})")
+    if not tree.level(m):
+        raise ValueError(f"no nodes at level {m}")
+    best, best_k = 0, None
+    for k in tree.level(m):
+        c = local_count(tree, m, k, mp, neighbors)
+        if c > best:
+            best, best_k = c, k
+    return log2(best) / (mp - m), best_k
+
+
+def embed(tree: DyadicTree, e: int) -> DyadicTree:
+    """Scale by 2**-e and translate by 2**-e: level m index k maps to level
+    m + e index 2**m + k, so the image sits in [2**-e, 2**-(e-1)) and the
+    levels 0..e-1 hold the single index 0.  Needs e >= 1."""
+    if e < 1:
+        raise ValueError("shift must be >= 1 to stay inside [0, 1]")
+    top = 1 << tree.depth
+    return DyadicTree(tree.depth + e, [top + x for x in tree.leaves])
+
+
+def merge(trees, include_origin: bool = False, depth: int | None = None) -> DyadicTree:
+    """Per-level index union of several trees, at the largest input depth
+    (or `depth` if larger).  A shorter input continues below its own depth
+    along left endpoints, each leaf keeping its leftmost child.  With
+    include_origin, index 0 is present at every level."""
+    ts = list(trees)
+    d = max([t.depth for t in ts] + [depth or 0])
+    leaves = {0} if include_origin else set()
+    for t in ts:
+        leaves.update(x << (d - t.depth) for x in t.leaves)
+    return DyadicTree(d, leaves)
+
+
+def materialize_composite(cs: CompositeSet) -> DyadicTree:
+    """The tree of a composite set: its components materialized, embedded
+    at their shifts and merged at the composite's depth."""
+    trees = [embed(materialize(s), e) for e, s in cs.components]
+    return merge(trees, include_origin=cs.include_origin, depth=cs.depth)
 
 
 # ----------------------------------------------------------------------
@@ -37,40 +126,52 @@ def oracle_local_count(tree: DyadicTree, m: int, k: int, mp: int, neighbors: boo
         if k + 1 < (1 << m):
             want.add(k + 1)
     shift = mp - m
-    return sum(1 for x in tree.levels[mp] if (x >> shift) in want)
+    return sum(1 for x in tree.level(mp) if (x >> shift) in want)
 
 
 def oracle_window_alpha(tree: DyadicTree, m: int, mp: int, neighbors: bool = False):
     """(alpha, witness) for one window by scanning every present node."""
     best = 0
     best_k = None
-    for k in tree.levels[m]:
+    for k in tree.level(m):
         c = oracle_local_count(tree, m, k, mp, neighbors)
         if c > best:
             best, best_k = c, k
     return log2(best) / (mp - m), best_k
 
 
-def oracle_tree_spectrum(tree: DyadicTree, theta: Fraction, lo: int, hi: int) -> float:
+def oracle_tree_spectrum(
+    tree: DyadicTree, theta: Fraction, lo: int, hi: int, neighbors: bool = False
+) -> tuple[float, int, int, int]:
+    """(value, m, m', node) over the exact-ratio windows: ties to the
+    smallest m, then the smallest node."""
     p, q = theta.numerator, theta.denominator
-    return max(
-        oracle_window_alpha(tree, m, ceil_div(m * q, p))[0] for m in range(lo, hi + 1)
-    )
+    best = None
+    for m in range(lo, hi + 1):
+        mp = ceil_div(m * q, p)
+        v, k = oracle_window_alpha(tree, m, mp, neighbors)
+        if best is None or v > best[0]:
+            best = (v, m, mp, k)
+    return best
 
 
-def oracle_tree_upper(tree: DyadicTree, theta: Fraction, lo: int, hi: int) -> float:
+def oracle_tree_upper(
+    tree: DyadicTree, theta: Fraction, lo: int, hi: int, neighbors: bool = False
+) -> tuple[float, int, int, int]:
+    """(value, m, m', node) over every window with m' >= ceil(m / theta):
+    ties to the smallest m, then the smallest m', then the smallest node."""
     p, q = theta.numerator, theta.denominator
-    best = 0.0
+    best = None
     for m in range(lo, hi + 1):
         for mp in range(ceil_div(m * q, p), tree.depth + 1):
-            v = oracle_window_alpha(tree, m, mp)[0]
-            if v > best:
-                best = v
+            v, k = oracle_window_alpha(tree, m, mp, neighbors)
+            if best is None or v > best[0]:
+                best = (v, m, mp, k)
     return best
 
 
 def oracle_tree_box(tree: DyadicTree, lo: int, hi: int) -> float:
-    return max(log2(len(tree.levels[m])) / m for m in range(lo, hi + 1))
+    return max(log2(len(tree.level(m))) / m for m in range(lo, hi + 1))
 
 
 def oracle_schedule_spectrum(s: BranchingSchedule, theta: Fraction, lo: int, hi: int) -> float:

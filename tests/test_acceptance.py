@@ -24,7 +24,6 @@ from fds.constructions import (
     target_from_poly,
     two_phase_schedule,
 )
-from fds.dyadic import DyadicInterval, local_count
 from fds.formats import dump, load
 from fds.schedule import BranchingSchedule, materialize
 from fds.spectra import (
@@ -37,6 +36,8 @@ from fds.spectra import (
     verify_main_theorem,
     verify_nthroot,
 )
+
+from conftest import local_count
 
 F = Fraction
 GRID_19 = [F(k, 20) for k in range(1, 20)]
@@ -143,8 +144,8 @@ def test_c3_oracle_equivalence():
             for mp in range(m + 1, depth + 1):
                 windows += 1
                 want = 1 << (sched.prefix(mp) - sched.prefix(m))
-                for k in tree.levels[m]:
-                    if local_count(tree, DyadicInterval(m, k), mp) != want:
+                for k in tree.level(m):
+                    if local_count(tree, m, k, mp) != want:
                         mismatches += 1
     elapsed = time.time() - t0
     check(

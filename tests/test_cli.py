@@ -49,7 +49,7 @@ def test_construct_full_and_estimate(tmp_path, capsys):
     code, text, _ = run(["construct", "full", "--depth", "10", "-o", str(out)], capsys)
     assert code == 0 and "nodes=2047" in text
     tree = formats.load(str(out))
-    assert len(tree.levels[10]) == 1024
+    assert len(tree.level(10)) == 1024
     csv = tmp_path / "full.csv"
     code, text, _ = run(
         ["estimate", "--mode", "spectrum", "-i", str(out), "--theta-grid",

@@ -19,10 +19,9 @@ from fds.constructions import (
     target_from_poly,
     two_phase_schedule,
 )
-from fds.dyadic import WindowQuery, level_count, max_alpha, validate
 from fds.errors import BudgetError
 
-from conftest import oracle_schedule_spectrum
+from conftest import max_alpha, oracle_schedule_spectrum
 
 F = Fraction
 
@@ -180,10 +179,9 @@ def test_finite_sup_below_target_everywhere():
 
 def test_geometric_tree_shape():
     t = geometric_sequence_tree(12)
-    assert validate(t) == []
-    assert t.levels[3] == (0, 1, 2, 4)
+    assert t.level(3) == (0, 1, 2, 4)
     for m in range(1, 13):
-        assert level_count(t, m) == m + 1
+        assert int(t.level_sizes(m)) == m + 1
     with pytest.raises(ValueError):
         geometric_sequence_tree(1)
 
@@ -193,13 +191,13 @@ def test_geometric_logarithmic_windows():
 
     t = geometric_sequence_tree(64)
     for m in (4, 8, 16, 32):
-        a, _ = max_alpha(t, WindowQuery(m, 2 * m))
+        a, _ = max_alpha(t, m, 2 * m)
         assert a <= log2(m + 2) / m
 
 
 def test_sanity_trees():
-    assert level_count(full_binary_tree(10), 10) == 1024
-    assert level_count(left_path_tree(10), 10) == 1
+    assert int(full_binary_tree(10).level_sizes(10)) == 1024
+    assert int(left_path_tree(10).level_sizes(10)) == 1
     with pytest.raises(BudgetError):
         full_binary_tree(40)
 
@@ -212,7 +210,6 @@ def test_report_uniform_count_constant():
     only sanity-bounded here.
     """
     from fds.schedule import materialize
-    from fds.dyadic import WindowQuery, max_alpha
 
     s, t = F(2, 5), F(4, 5)
     sched = two_phase_schedule(TwoPhaseParams(s, t, 4, 1))  # depth 16
@@ -220,7 +217,7 @@ def test_report_uniform_count_constant():
     worst = 0.0
     for m in range(1, tree.depth):
         for mp in range(m + 1, tree.depth + 1):
-            a, _ = max_alpha(tree, WindowQuery(m, mp))
+            a, _ = max_alpha(tree, m, mp)
             u = float(closed_form_u(s, t, F(m, mp)))
             ratio = 2.0 ** ((a - u) * (mp - m))
             worst = max(worst, ratio)

@@ -17,6 +17,8 @@ from fds.formats import (
 )
 from fds.schedule import BranchingSchedule, CompositeSet
 
+from conftest import levels, v1_text
+
 
 def test_tree_round_trip(tmp_path):
     t = geometric_sequence_tree(12)
@@ -77,18 +79,12 @@ def test_tree_rejects_malformed():
         parse_tree("fds-tree 1\ndepth 1\n3: 0\n")  # level beyond depth
 
 
-def _v1_text(t):
-    lines = ["fds-tree 1", f"depth {t.depth}"]
-    lines += [f"{m}: " + " ".join(map(str, xs)) for m, xs in enumerate(t.levels)]
-    return "\n".join(lines) + "\n"
-
-
 @pytest.mark.parametrize(
     "tree", [geometric_sequence_tree(20), full_binary_tree(6), left_path_tree(9)]
 )
 def test_tree_v1_loads_equal_to_v2_round_trip(tree, tmp_path):
     path = tmp_path / "v1.fds"
-    path.write_text(_v1_text(tree))
+    path.write_text(v1_text(levels(tree)))
     old = load(str(path))
     assert old == tree
     assert parse_tree(write_tree(old)) == old
@@ -98,7 +94,7 @@ def test_tree_v2_text():
     assert write_tree(geometric_sequence_tree(3)) == (
         "fds-tree 2\ndepth 3\nleaves 4\n0\n1\n2\n4\n"
     )
-    empty = DyadicTree.from_leaves(5, [])
+    empty = DyadicTree(5, [])
     assert write_tree(empty) == "fds-tree 2\ndepth 5\nleaves 0\n"
     assert parse_tree(write_tree(empty)) == empty
 
@@ -134,7 +130,7 @@ def test_tree_v1_checks_level_lines_before_allocating():
 
 
 def test_deep_tree_round_trip(tmp_path):
-    t = DyadicTree.from_leaves(15000, [1 << 14999])
+    t = DyadicTree(15000, [1 << 14999])
     path = tmp_path / "deep.fds"
     dump(t, str(path))
     assert load(str(path)) == t
@@ -175,3 +171,12 @@ def test_writers_are_deterministic():
     assert write_schedule(s) == write_schedule(s)
     cs = CompositeSet([(2, s)])
     assert write_composite(cs) == write_composite(cs)
+
+
+def test_tree_v1_reports_first_missing_parent_before_dangling():
+    # (1, 1) dangles and (3, 6) misses its parent (2, 3): missing parents
+    # are reported first, top down
+    text = "fds-tree 1\ndepth 3\n0: 0\n1: 0 1\n2: 0\n3: 0 6\n"
+    with pytest.raises(FormatError) as exc:
+        parse_tree(text)
+    assert str(exc.value) == "prefix closure violated: (3, 6) present, (2, 3) absent"

@@ -6,23 +6,18 @@ from math import log2
 
 from hypothesis import given, settings, strategies as st
 
-from fds.dyadic import (
-    DyadicInterval,
-    DyadicTree,
-    WindowQuery,
-    embed,
-    level_count,
-    local_count,
-    max_alpha,
-    merge,
-    validate,
-)
+from fds.dyadic import DyadicTree
 from fds.schedule import BranchingSchedule, materialize
 from fds.constructions import rational_enumeration
 from fds.spectra import estimate_box, estimate_spectrum, estimate_upper
 from fds.windows import runlen_table
 
 from conftest import (
+    embed,
+    levels,
+    local_count,
+    max_alpha,
+    merge,
     oracle_schedule_spectrum,
     oracle_schedule_upper,
     oracle_tree_box,
@@ -48,30 +43,27 @@ def trees(draw, max_depth=9):
     seed = draw(st.integers(min_value=0, max_value=2**16))
     rng = random.Random(seed)
     t = materialize(s)
-    levels = [list(t.levels[0])]
     prev = [0]
     for m in range(1, t.depth + 1):
+        present = set(t.level(m))
         cur = []
         for k in prev:
-            kids = [x for x in (2 * k, 2 * k + 1) if t.has(m, x)]
+            kids = [x for x in (2 * k, 2 * k + 1) if x in present]
             if len(kids) == 2 and rng.random() < 0.3:
                 kids = [kids[rng.randrange(2)]]
             cur.extend(kids)
-        cur = sorted(set(cur))
-        levels.append(cur)
-        prev = cur
-    from fds.dyadic import DyadicTree
-
-    return DyadicTree(levels)
+        prev = sorted(set(cur))
+    return DyadicTree(t.depth, prev)
 
 
 @settings(max_examples=60, deadline=None)
 @given(trees(), st.integers(min_value=1, max_value=6))
 def test_embed_preserves_validity_and_counts(t, e):
     out = embed(t, e)
-    assert validate(out) == []
+    assert levels(out)[:e] == ((0,),) * e
     for m in range(t.depth + 1):
-        assert level_count(out, m + e) == level_count(t, m)
+        assert int(out.level_sizes(m + e)) == int(t.level_sizes(m))
+        assert out.level(m + e) == tuple((1 << m) + k for k in t.level(m))
 
 
 @settings(max_examples=40, deadline=None)
@@ -79,7 +71,15 @@ def test_embed_preserves_validity_and_counts(t, e):
 def test_merge_preserves_validity(ts, origin):
     shifted = [embed(t, i + 1) for i, t in enumerate(ts)]
     out = merge(shifted, include_origin=origin)
-    assert validate(out) == []
+    # per-level union, shorter inputs continued along left endpoints
+    for m in range(out.depth + 1):
+        want = {0} if origin else set()
+        for t in shifted:
+            if m <= t.depth:
+                want.update(t.level(m))
+            else:
+                want.update(x << (m - t.depth) for x in t.leaves)
+        assert out.level(m) == tuple(sorted(want))
 
 
 @settings(max_examples=60, deadline=None)
@@ -87,19 +87,19 @@ def test_merge_preserves_validity(ts, origin):
 def test_local_count_neighbor_dominates(t, data):
     m = data.draw(st.integers(min_value=0, max_value=t.depth - 1))
     mp = data.draw(st.integers(min_value=m + 1, max_value=t.depth))
-    k = data.draw(st.sampled_from(t.levels[m]))
-    v = DyadicInterval(m, k)
-    off = local_count(t, v, mp, neighbor_mode=False)
-    on = local_count(t, v, mp, neighbor_mode=True)
+    k = data.draw(st.sampled_from(t.level(m)))
+    off = local_count(t, m, k, mp, neighbors=False)
+    on = local_count(t, m, k, mp, neighbors=True)
     assert on >= off >= 1
 
 
 @settings(max_examples=60, deadline=None)
 @given(trees())
 def test_level_counts_monotone_and_doubling(t):
+    sizes = t.level_sizes(range(t.depth + 1)).tolist()
     for m in range(1, t.depth + 1):
-        assert level_count(t, m) <= 2 * level_count(t, m - 1)
-        assert level_count(t, m) >= level_count(t, m - 1)
+        assert sizes[m] <= 2 * sizes[m - 1]
+        assert sizes[m] >= sizes[m - 1]
 
 
 @settings(max_examples=60, deadline=None)
@@ -107,9 +107,9 @@ def test_level_counts_monotone_and_doubling(t):
 def test_max_alpha_in_unit_interval(t, data):
     m = data.draw(st.integers(min_value=0, max_value=t.depth - 1))
     mp = data.draw(st.integers(min_value=m + 1, max_value=t.depth))
-    a, _ = max_alpha(t, WindowQuery(m, mp))
+    a, _ = max_alpha(t, m, mp)
     assert 0.0 <= a <= 1.0
-    a_on, _ = max_alpha(t, WindowQuery(m, mp, neighbor_mode=True))
+    a_on, _ = max_alpha(t, m, mp, neighbors=True)
     assert a <= a_on <= 1.0 + log2(3) / (mp - m)
 
 
@@ -170,24 +170,23 @@ def test_window_alpha_shift_invariant(t, data):
     e = data.draw(st.integers(min_value=1, max_value=4))
     m = data.draw(st.integers(min_value=0, max_value=t.depth - 1))
     mp = data.draw(st.integers(min_value=m + 1, max_value=t.depth))
-    a, wit = max_alpha(t, WindowQuery(m, mp))
-    b, wit2 = max_alpha(embed(t, e), WindowQuery(m + e, mp + e))
+    a, wit = max_alpha(t, m, mp)
+    b, wit2 = max_alpha(embed(t, e), m + e, mp + e)
     assert a == b
-    assert wit2.index == wit.index + (1 << m)
+    assert wit2 == wit + (1 << m)
 
 
 @settings(max_examples=60, deadline=None)
 @given(trees())
 def test_leaf_storage_matches_levels(t):
-    levels = t.levels
-    assert DyadicTree.from_leaves(t.depth, levels[-1]) == DyadicTree(levels)
-    assert t.node_count() == sum(len(xs) for xs in levels)
+    # every level by shifting the leaves, not through the gaps
+    lv = [tuple(sorted({x >> (t.depth - m) for x in t.leaves})) for m in range(t.depth + 1)]
+    assert levels(t) == tuple(lv)
+    assert DyadicTree(t.depth, reversed(t.leaves)) == t
+    assert t.node_count() == sum(len(xs) for xs in lv)
     runs = t.run_table()
-    for m, xs in enumerate(levels):
-        assert level_count(t, m) == len(xs)
-        present = set(xs)
-        for k in range(min(1 << m, 64)):
-            assert t.has(m, k) == (k in present)
+    assert t.level_sizes(range(t.depth + 1)).tolist() == [len(xs) for xs in lv]
+    for m, xs in enumerate(lv):
         want = runlen_table(xs)
         s = t.depth - m
         for d in range(m + 1):
@@ -202,7 +201,22 @@ def test_tree_estimators_match_oracles(t):
         if hi < 1:
             continue
         spec = estimate_spectrum(t, [th], (1, t.depth))
-        assert spec.values == [oracle_tree_spectrum(t, th, 1, hi)]
+        assert spec.values == [oracle_tree_spectrum(t, th, 1, hi)[0]]
         up = estimate_upper(t, [th], (1, t.depth))
-        assert up.values == [oracle_tree_upper(t, th, 1, hi)]
+        assert up.values == [oracle_tree_upper(t, th, 1, hi)[0]]
     assert estimate_box(t, (1, t.depth)).value == oracle_tree_box(t, 1, t.depth)
+
+
+@settings(max_examples=30, deadline=None)
+@given(trees(max_depth=8))
+def test_tree_neighbor_estimators_match_oracles(t):
+    """Neighbor mode, exact: values and witness (m, m', node) against the
+    set-scan oracles, ties to (value, -m, -m') and then the smallest node."""
+    for th in (Fraction(1, 3), Fraction(1, 2), Fraction(3, 4)):
+        hi = t.depth * th.numerator // th.denominator
+        if hi < 1:
+            continue
+        for est, oracle in ((estimate_spectrum, oracle_tree_spectrum),
+                            (estimate_upper, oracle_tree_upper)):
+            got = est(t, [th], (1, t.depth), neighbors=True)
+            assert (got.values[0], *got.witnesses[0]) == oracle(t, th, 1, hi, True)

@@ -12,7 +12,6 @@ from fds.constructions import (
     target_from_poly,
     concave_union,
 )
-from fds.dyadic import WindowQuery, max_alpha
 from fds.schedule import BranchingSchedule
 from fds.spectra import (
     estimate_box,
@@ -27,7 +26,7 @@ from fds.spectra import (
     verify_nthroot,
 )
 
-from conftest import oracle_tree_spectrum, oracle_tree_upper, reference_upper
+from conftest import max_alpha, oracle_tree_spectrum, oracle_tree_upper, reference_upper
 
 F = Fraction
 GRID = [F(k, 10) for k in range(1, 10)]
@@ -72,8 +71,8 @@ def test_tree_estimators_match_oracle():
     up = estimate_upper(t, grid, (8, 48))
     for th, s_got, u_got in zip(grid, sp.values, up.values):
         hi = min(48, int(th * 48))
-        assert s_got == oracle_tree_spectrum(t, th, 8, hi)
-        assert u_got == oracle_tree_upper(t, th, 8, hi)
+        assert s_got == oracle_tree_spectrum(t, th, 8, hi)[0]
+        assert u_got == oracle_tree_upper(t, th, 8, hi)[0]
 
 
 def test_tree_neighbor_mode_estimates():
@@ -84,6 +83,13 @@ def test_tree_neighbor_mode_estimates():
     assert on.values[0] >= off.values[0]
     up_on = estimate_upper(t, grid, (8, 16), neighbors=True)
     assert up_on.values[0] >= on.values[0]
+    # exact, witnesses included, against the set-scan oracles
+    for th in (F(1, 3), F(1, 2), F(3, 4)):
+        hi = min(16, 32 * th.numerator // th.denominator)
+        for est, oracle in ((estimate_spectrum, oracle_tree_spectrum),
+                            (estimate_upper, oracle_tree_upper)):
+            got = est(t, [th], (8, 16), neighbors=True)
+            assert (got.values[0], *got.witnesses[0]) == oracle(t, th, 8, hi, True)
 
 
 def test_estimate_box_examples(twophase_48):
@@ -99,9 +105,9 @@ def test_witness_reproducibility(twophase_48):
     grid = [F(2, 5), F(7, 10)]
     for est in (estimate_spectrum(t, grid, (8, 40)), estimate_upper(t, grid, (8, 40))):
         for v, (m, mp, node) in zip(est.values, est.witnesses):
-            a, wit = max_alpha(t, WindowQuery(m, mp))
+            a, wit = max_alpha(t, m, mp)
             assert a == v
-            assert wit.index == node
+            assert wit == node
     est = estimate_spectrum(twophase_48, [F(1, 2)], (1024, 65536))
     (m, mp, _), = est.witnesses
     S = twophase_48.prefix_array()
