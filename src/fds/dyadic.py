@@ -15,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .windows import RunTable, leaf_gaps
+from .windows import NeighborTable, RunTable, leaf_gaps
 
 __all__ = ["DyadicTree"]
 
@@ -39,7 +39,7 @@ class DyadicTree:
     per level.
     """
 
-    __slots__ = ("depth", "leaves", "gaps", "_level", "_runs")
+    __slots__ = ("depth", "leaves", "gaps", "_level", "_runs", "_nbrs")
 
     def __init__(self, depth: int, leaves: Iterable[int]):
         depth = int(depth)
@@ -56,6 +56,7 @@ class DyadicTree:
         self.gaps.flags.writeable = False
         self._level: dict[int, tuple[int, ...]] = {}
         self._runs: RunTable | None = None
+        self._nbrs: NeighborTable | None = None
 
     def _derive(self, m: int) -> tuple[int, ...]:
         s = self.depth - m
@@ -89,6 +90,12 @@ class DyadicTree:
         if self._runs is None:
             self._runs = RunTable(self.gaps, len(self.leaves))
         return self._runs
+
+    def neighbor_table(self) -> NeighborTable:
+        """The all-windows neighborhood count table, built once."""
+        if self._nbrs is None:
+            self._nbrs = NeighborTable(self.leaves, self.gaps, self.depth)
+        return self._nbrs
 
     def node_count(self) -> int:
         if not self.leaves:

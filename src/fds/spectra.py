@@ -12,6 +12,11 @@ over the thetas the call evaluates (none for the box estimate, the
 then clamped to [m_lo, min(m_hi, max m with ceil(m/theta) <= depth)] and
 an empty clamp is a domain error.
 
+Trees are read through tables cached on the tree: the all-levels run
+table, or with neighbor mode on (a node counted with its present
+same-level neighbors) the neighbor count table, built once per tree, so
+neither mode loops over the nodes of a level per window.
+
 Exactness contract: within one set representation all estimators read the
 same exponent values (integer prefix differences or cached log tables),
 so the structural identities - spectrum <= upper, upper non-decreasing in
@@ -21,10 +26,8 @@ closed-form comparisons carry an explicit tolerance.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import log2
 from typing import Sequence
 
 import numpy as np
@@ -163,73 +166,47 @@ def _resolve(rep, theta_grid: Sequence, m_range, neighbors: bool):
 
 
 # ----------------------------------------------------------------------
-# tree cores (neighbor mode off reads the tree's all-levels run table; the
-# window (m, mp) is its level s = depth - mp at threshold s + d = depth - m)
+# tree cores (both modes read a table cached on the tree through the same
+# rank/at/logs lookups: the all-levels run table with neighbor mode off, the
+# neighbor table with it on; the window (m, mp) is level s = depth - mp at
+# threshold s + d = depth - m)
 
 
-def _tree_witness_node(tree: DyadicTree, m: int, mp: int) -> int:
-    """Leftmost level-m node holding the most level-mp nodes."""
+def _tree_table(tree: DyadicTree, neighbors: bool):
+    return tree.neighbor_table() if neighbors else tree.run_table()
+
+
+def _tree_witness_node(tree: DyadicTree, m: int, mp: int, neighbors: bool) -> int:
+    """Leftmost level-m node holding the most level-mp nodes (with its
+    present neighbors in neighbor mode)."""
+    s = tree.depth - m
+    if neighbors:
+        nb = tree.neighbor_table()
+        return tree.leaves[int(nb.start[nb.at(tree.depth - mp, s)])] >> s
     g = tree.gaps
     # leaves split into level-m groups where a gap exceeds depth - m, and
     # into level-mp nodes where it exceeds depth - mp
-    starts = np.flatnonzero(np.concatenate(([True], g > tree.depth - m)))
+    starts = np.flatnonzero(np.concatenate(([True], g > s)))
     nodes = np.concatenate(([1], g > tree.depth - mp)).astype(np.int64)
     k = int(np.argmax(np.add.reduceat(nodes, starts)))
-    return tree.leaves[int(starts[k])] >> (tree.depth - m)
-
-
-def _tree_pair_on(tree: DyadicTree, m: int, mp: int) -> tuple[int, int]:
-    """(max neighbor-mode count, witness node) for one window."""
-    fine = tree.level(mp)
-    shift = mp - m
-    size = 1 << m
-    best = 0
-    best_k = 0
-    for k in tree.level(m):
-        lo = max(0, k - 1) << shift
-        hi = min(size, k + 2) << shift
-        c = bisect_left(fine, hi) - bisect_left(fine, lo)
-        if c > best:
-            best = c
-            best_k = k
-    return best, best_k
+    return tree.leaves[int(starts[k])] >> s
 
 
 def _tree_spectrum(tree, scale, lo, hi, neighbors) -> tuple[float, int, int, int]:
-    best = None
-    if neighbors:
-        for m in range(lo, hi + 1):
-            mp = scale.fine(m)
-            c, node = _tree_pair_on(tree, m, mp)
-            cand = (log2(c) / (mp - m), -m, -mp)
-            if best is None or cand > best:
-                best = cand
-                best_node = node
-        return best[0], -best[1], -best[2], best_node
-    runs = tree.run_table()
+    runs = _tree_table(tree, neighbors)
     marr = np.arange(lo, hi + 1, dtype=np.int64)
     mps = scale.fine_array(marr)
     idx = runs.at(runs.rank(tree.depth - mps), runs.rank(tree.depth - marr))
     vals = runs.logs[idx] / (mps - marr)
     k = int(np.argmax(vals))
     m, mp = int(marr[k]), int(mps[k])
-    return float(vals[k]), m, mp, _tree_witness_node(tree, m, mp)
+    return float(vals[k]), m, mp, _tree_witness_node(tree, m, mp, neighbors)
 
 
 def _tree_upper(tree, scale, lo, hi, neighbors) -> tuple[float, int, int, int]:
     depth = tree.depth
     best = None
-    if neighbors:
-        # quadratic fan scan; neighbor counts have no all-width table
-        for m in range(lo, hi + 1):
-            for mp in range(scale.fine(m), depth + 1):
-                c, node = _tree_pair_on(tree, m, mp)
-                cand = (log2(c) / (mp - m), -m, -mp)
-                if best is None or cand > best:
-                    best = cand
-                    best_node = node
-        return best[0], -best[1], -best[2], best_node
-    runs = tree.run_table()
+    runs = _tree_table(tree, neighbors)
     ms = np.arange(lo, hi + 1)
     cols = runs.rank(depth - ms)
     mps = np.arange(scale.fine(lo), depth + 1)
@@ -243,7 +220,7 @@ def _tree_upper(tree, scale, lo, hi, neighbors) -> tuple[float, int, int, int]:
         if best is None or cand > best:
             best = cand
     m, mp = -best[1], -best[2]
-    return best[0], m, mp, _tree_witness_node(tree, m, mp)
+    return best[0], m, mp, _tree_witness_node(tree, m, mp, neighbors)
 
 
 # ----------------------------------------------------------------------
@@ -352,22 +329,13 @@ def estimate_quasi_assouad(
 # ratio-fan enumeration (the brute side of the upper identity)
 
 
-def _ratio_fan_max(rep, scale, lo, hi_eff, neighbors) -> float:
+def _ratio_fan_max(rep, depth, scale, lo, hi_eff, neighbors) -> float:
     """Max exponent over all windows with ratio m/m' <= theta, enumerated
     coarse-level first.  Same window set as estimate_upper's fan."""
-    depth = _depth(rep)
     best = -np.inf
-    if isinstance(rep, DyadicTree) and neighbors:
-        for m in range(lo, hi_eff + 1):
-            for mp in range(scale.fine(m), depth + 1):
-                c, _ = _tree_pair_on(rep, m, mp)
-                v = log2(c) / (mp - m)
-                if v > best:
-                    best = v
-        return best
     idx = np.arange(depth + 1, dtype=np.int64)
     if isinstance(rep, DyadicTree):
-        runs = rep.run_table()
+        runs = _tree_table(rep, neighbors)
         rows = runs.rank(depth - idx)
         for m in range(lo, hi_eff + 1):
             j0 = scale.fine(m)
@@ -411,7 +379,7 @@ def verify_main_theorem(
     for th, lhs in zip(upper.thetas, upper.values):
         scale = RationalScale(th)
         _, hi_eff = _clamp(depth, scale, lo, hi)
-        rhs = _ratio_fan_max(rep, scale, lo, hi_eff, neighbors)
+        rhs = _ratio_fan_max(rep, depth, scale, lo, hi_eff, neighbors)
         dev = abs(lhs - rhs)
         if dev > worst:
             worst = dev

@@ -9,7 +9,9 @@ log2(count(m, m')) / (m' - m) over large window fans.  This module holds:
   coarse level m" slope queries exactly, with numpy,
 * run tables that give, for every level m' of a tree stored as its
   leaves, the largest number of level-m' nodes sharing a single level-m
-  ancestor, for every m at once.
+  ancestor, for every m at once,
+* neighbor tables that give the same maximum over a level-m node together
+  with its present same-level neighbors, with the leftmost witness.
 
 The suffix-hull tree rests on one observation.  S is linear between
 consecutive levels, so for a fixed m the chord slope to (j, S[j]) moves
@@ -33,7 +35,7 @@ stay inside int64 because depth and the span of S are both below 2**31.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, log2
 from typing import Sequence
 
 import numpy as np
@@ -49,6 +51,7 @@ __all__ = [
     "SuffixHull",
     "leaf_gaps",
     "RunTable",
+    "NeighborTable",
     "runlen_table",
 ]
 
@@ -412,6 +415,80 @@ class RunTable:
         """Most level-s nodes below one node d levels up (elementwise);
         `logs` at the same positions holds their log2."""
         return self.table[self.at(self.rank(s), self.rank(np.add(s, d)))]
+
+
+def _adjacency(xs: Sequence[int], gaps: np.ndarray) -> np.ndarray:
+    """Per adjacent pair a < b of sorted, distinct indices with width g (see
+    `leaf_gaps`), the least s with (a >> s) + 1 == b >> s: the two fall in
+    consecutive cells s levels up exactly for s in [that, g).  That holds
+    when a's bits s..g-2 are all ones and b's are all zeros."""
+    out = []
+    for a, b, g in zip(xs, xs[1:], gaps.tolist()):
+        low = (1 << (g - 1)) - 1
+        out.append(max((~a & low).bit_length(), (b & low).bit_length()))
+    return np.array(out, dtype=np.int64)
+
+
+class NeighborTable:
+    """Largest neighborhood count at every window of one tree.
+
+    A level-m node's neighborhood is the node and its present same-level
+    neighbors k - 1 and k + 1; a metric ball of radius 2**-m centered in
+    the node meets at most these three cells, so the neighborhood count
+    brackets the ball's.  The leaves split into level-m groups (one per
+    node) where a gap exceeds s = depth - m, and a neighborhood is one
+    contiguous leaf range [a, b]: from the first leaf of the previous group
+    when that group is the cell to the left (see `_adjacency`), to the
+    last leaf of the next group when that is the cell to the right.  Its
+    count t levels above the leaves is 1 + P[t, b] - P[t, a] with the
+    prefix counts P[t, i] = #(gaps[:i] > t).  Per coarse level one argmax
+    over the groups serves every fine level at once and picks the leftmost
+    best node.
+
+    Lookups follow `RunTable`'s: levels are counted up from the leaves and
+    index the table directly, so `rank` is the identity, and `at(rs, rt)` is
+    the position of the window with fine level s = rs and coarse level
+    rt > rs.  `table` holds the best count there, `logs` its log2 (taken
+    with math.log2, so a value equals log2 of a recount bit for bit) and
+    `start` the first leaf of the leftmost node reaching it.
+    """
+
+    __slots__ = ("size", "table", "logs", "start")
+
+    def __init__(self, leaves: Sequence[int], gaps: Sequence[int], depth: int):
+        g = np.asarray(gaps, dtype=np.int64)
+        n = len(leaves)
+        size = depth + 1
+        adjacent = _adjacency(leaves, g)
+        prefix = np.zeros((depth, n), dtype=np.int32)
+        np.cumsum(g > np.arange(depth)[:, None], axis=1, dtype=np.int32, out=prefix[:, 1:])
+        table = np.zeros((size, size), dtype=np.int32)
+        start = np.zeros((size, size), dtype=np.int32)
+        for s in range(1, size if n else 1):
+            cut = np.flatnonzero(g > s)
+            first = np.concatenate(([0], cut + 1))
+            last = np.append(cut, n - 1)
+            near = adjacent[cut] <= s
+            a, b = first.copy(), last.copy()
+            a[1:] = np.where(near, first[:-1], first[1:])
+            b[:-1] = np.where(near, last[1:], last[:-1])
+            c = prefix[:s, b] - prefix[:s, a]
+            k = np.argmax(c, axis=1)
+            table[s, :s] = c[np.arange(s), k] + 1
+            start[s, :s] = first[k]
+        lut = np.array([-np.inf] + [log2(c) for c in range(1, int(table.max()) + 1)])
+        self.size = size
+        self.table = table.ravel()
+        self.logs = lut[self.table]
+        self.start = start.ravel()
+
+    def rank(self, x):
+        """Levels index the table directly (elementwise identity)."""
+        return np.asarray(x)
+
+    def at(self, rs, rt):
+        """Table positions for fine level rs below coarse level rt."""
+        return np.multiply(rt, self.size) + rs
 
 
 def runlen_table(xs: Sequence[int]) -> np.ndarray:

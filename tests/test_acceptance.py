@@ -110,6 +110,19 @@ def test_c1_upper_identity(two_phase_sets):
     )
 
 
+def test_c1_neighbor_upper_identity_budget():
+    """Neighbor mode on the depth-512 geometric tree: the upper estimate
+    equals the ratio-fan maximum exactly over 9 thetas, within budget."""
+    t0 = time.time()
+    r = verify_main_theorem(geometric_sequence_tree(512), GRID_9, neighbors=True)
+    elapsed = time.time() - t0
+    check(
+        "acceptance-1-neighbor-upper-identity",
+        r.passed and r.worst == 0.0 and elapsed < 10,
+        f"worst={r.worst!r} tol=0.0 time={elapsed:.1f}s budget=10s",
+    )
+
+
 def test_c2_two_phase_closed_form(two_phase_sets):
     """Spectrum tracks min{s/(1-theta), t} within 0.05 on a 19-point grid."""
     t0 = time.time()

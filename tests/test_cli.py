@@ -394,3 +394,58 @@ def test_depth_budget_before_allocation(tmp_path, capsys, text):
         code, _, err = run([*command, "-i", str(path), "--theta-grid", "0.5:0.5:0.1",
                             "-o", str(tmp_path / "d.csv")], capsys)
         assert code == 2 and "depth budget" in err
+
+
+NEIGHBOR_CSV = {
+    "spectrum": """theta,value,m_witness,mprime_witness
+0.1,0.10801648174379151,6,60
+0.2,0.1981203125901445,6,30
+0.3,0.29196163151788135,6,20
+0.4,0.39832916674679514,6,15
+0.5,0.5283208335737187,6,12
+0.6,0.701838730514401,6,10
+0.7,0.861654166907052,6,9
+0.8,1.160964047443681,6,8
+0.9,2.0,6,7
+""",
+    "qa": """theta,value,m_witness,mprime_witness
+0.9,1.160964047443681,16,18
+0.95,2.0,16,17
+0.98,2.0,16,17
+""",
+}
+NEIGHBOR_CSV["upper"] = NEIGHBOR_CSV["spectrum"]
+NEIGHBOR_SUMMARY = {
+    "spectrum": "spectrum: 9 grid points, min=0.10801648174379151 max=2.0",
+    "upper": "upper: 9 grid points, min=0.10801648174379151 max=2.0",
+    "qa": "qa: headline=2.0 (non-decreasing as eps shrinks: eps=0.1->1.160964047443681, "
+          "eps=0.05->2.0, eps=0.02->2.0)",
+}
+NEIGHBOR_REPORT = """CHECK main-theorem PASS worst=0.0 tol=0.0
+CHECK chain FAIL worst=0.30987600526580916 tol=0.05
+  witness theta=0.1: box 0.4678924870096007 > spectrum 0.10801648174379151 + tol
+  witness theta=0.2: box 0.4678924870096007 > spectrum 0.1981203125901445 + tol
+  witness theta=0.3: box 0.4678924870096007 > spectrum 0.29196163151788135 + tol
+  witness theta=0.4: box 0.4678924870096007 > spectrum 0.39832916674679514 + tol
+CHECK nthroot PASS worst=-0.05 tol=0.05
+CHECK bound PASS worst=-0.37645620706726257 tol=0.05
+"""
+
+
+def test_neighbor_mode_output_bytes(tmp_path, capsys):
+    """Neighbor-mode CSVs, summaries and reports on the depth-64 geometric
+    tree, byte for byte (the default range; chain fails at small theta)."""
+    path = tmp_path / "geo.fds"
+    assert run(["construct", "geometric", "--depth", "64", "-o", str(path)], capsys)[0] == 0
+    grid = ["--theta-grid", "0.1:0.9:0.1", "--neighbors", "on"]
+    for mode in ("spectrum", "upper", "qa"):
+        csv = tmp_path / f"{mode}.csv"
+        code, text, _ = run(["estimate", "--mode", mode, "-i", str(path), *grid,
+                             "-o", str(csv)], capsys)
+        assert code == 0
+        assert text == f"{NEIGHBOR_SUMMARY[mode]} -> {csv}\n"
+        assert csv.read_text() == NEIGHBOR_CSV[mode]
+    code, text, _ = run(["verify", "-i", str(path), "--check",
+                         "main-theorem,chain,nthroot,bound", *grid], capsys)
+    assert code == 1
+    assert text == NEIGHBOR_REPORT

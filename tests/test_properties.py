@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from fds.dyadic import DyadicTree
 from fds.schedule import BranchingSchedule, materialize
-from fds.constructions import rational_enumeration
+from fds.constructions import full_binary_tree, geometric_sequence_tree, rational_enumeration
 from fds.spectra import estimate_box, estimate_spectrum, estimate_upper
 from fds.windows import runlen_table
 
@@ -220,3 +220,40 @@ def test_tree_neighbor_estimators_match_oracles(t):
                             (estimate_upper, oracle_tree_upper)):
             got = est(t, [th], (1, t.depth), neighbors=True)
             assert (got.values[0], *got.witnesses[0]) == oracle(t, th, 1, hi, True)
+
+
+def _assert_neighbor_table_matches_oracle(t):
+    """Every window 0 <= m < m' <= depth: the neighbor table's best count,
+    witness node and log2 against conftest's bisect count, leftmost node
+    on ties."""
+    nb = t.neighbor_table()
+    for m in range(t.depth):
+        for mp in range(m + 1, t.depth + 1):
+            pos = nb.at(t.depth - mp, t.depth - m)
+            node = t.leaves[int(nb.start[pos])] >> (t.depth - m)
+            alpha, k = max_alpha(t, m, mp, neighbors=True)
+            assert (int(nb.table[pos]), node) == (local_count(t, m, k, mp, True), k), (m, mp)
+            assert nb.logs[pos] / (mp - m) == alpha, (m, mp)
+
+
+@settings(max_examples=60, deadline=None)
+@given(trees())
+def test_neighbor_table_matches_bisect_oracle(t):
+    _assert_neighbor_table_matches_oracle(t)
+
+
+def test_neighbor_table_exhaustive_geometric_and_full():
+    _assert_neighbor_table_matches_oracle(geometric_sequence_tree(64))
+    t = full_binary_tree(8)
+    _assert_neighbor_table_matches_oracle(t)
+    nb = t.neighbor_table()
+    for m in range(t.depth):
+        for mp in range(m + 1, t.depth + 1):
+            # the edge nodes 0 and 2**m - 1 have one neighbor inside [0, 1]
+            # (none at m = 0); an interior node has two and wins from m = 2
+            edge = min(2, 1 << m) << (mp - m)
+            assert local_count(t, m, 0, mp, True) == edge
+            assert local_count(t, m, (1 << m) - 1, mp, True) == edge
+            pos = nb.at(t.depth - mp, t.depth - m)
+            assert int(nb.table[pos]) == min(3, 1 << m) << (mp - m)
+            assert t.leaves[int(nb.start[pos])] >> (t.depth - m) == (0 if m < 2 else 1)
