@@ -341,15 +341,18 @@ def cmd_plot(args) -> int:
         series.append((label, _read_csv_series(p)))
     samples = [k / 200 for k in range(1, 200)]
     if args.overlay_u:
-        s_tok, t_tok = str(args.overlay_u).split(",")
+        toks = str(args.overlay_u).split(",")
+        if len(toks) != 2:
+            raise ValueError(f"--overlay-u needs exactly two values S,T, got {args.overlay_u!r}")
+        s_tok, t_tok = toks
         from .constructions import closed_form_u
 
-        s, t = float(Fraction(s_tok)), float(Fraction(t_tok))
+        s, t = float(_parse_fraction(s_tok)), float(_parse_fraction(t_tok))
         series.append(
             (f"u(s={s_tok},t={t_tok})", [(x, closed_form_u(s, t, x)) for x in samples])
         )
     if args.overlay_poly:
-        coeffs = [float(Fraction(tok)) for tok in str(args.overlay_poly).split(",")]
+        coeffs = [float(_parse_fraction(tok)) for tok in str(args.overlay_poly).split(",")]
         def poly(x: float) -> float:
             acc = 0.0
             for c in reversed(coeffs):

@@ -17,6 +17,12 @@ table, or with neighbor mode on (a node counted with its present
 same-level neighbors) the neighbor count table, built once per tree, so
 neither mode loops over the nodes of a level per window.
 
+The brute side of the main theorem enumerates every window directly, in
+one pass over the widest fan for the whole grid: every window (m, m') is
+the exact-ratio window of theta' = m / m', so each coarse level's row of
+window exponents is computed once and reduced by ratio into the maximum
+of every theta whose clamped range holds m.
+
 Exactness contract: within one set representation all estimators read the
 same exponent values (integer prefix differences or cached log tables),
 so the structural identities - spectrum <= upper, upper non-decreasing in
@@ -326,38 +332,85 @@ def estimate_quasi_assouad(
 
 
 # ----------------------------------------------------------------------
-# ratio-fan enumeration (the brute side of the upper identity)
+# ratio-fan enumeration (the brute side of the upper identity).  Every
+# window (m, m') is the exact-ratio window of theta' = m / m', so one pass
+# over the widest fan computes each window once: per coarse level m, one
+# row of exponents over m' >= fine(m) at the largest theta, reduced by
+# ratio into the running maximum of every theta still live at m.
 
 
-def _ratio_fan_max(rep, depth, scale, lo, hi_eff, neighbors) -> float:
-    """Max exponent over all windows with ratio m/m' <= theta, enumerated
-    coarse-level first.  Same window set as estimate_upper's fan."""
-    best = -np.inf
-    idx = np.arange(depth + 1, dtype=np.int64)
+def _fan_rows(rep, depth: int, lo: int, hi: int, neighbors: bool):
+    """fill(m, f, out): the exponent numerators of the windows (m, j) for
+    j = f, ..., depth into out, for m in [lo, hi] - a tree table's log2
+    counts, or the elementwise max over the pieces with shift e <= m of
+    S[j - e] - S[m - e] and over the origin node's log2 counts."""
     if isinstance(rep, DyadicTree):
         runs = _tree_table(rep, neighbors)
-        rows = runs.rank(depth - idx)
-        for m in range(lo, hi_eff + 1):
-            j0 = scale.fine(m)
-            logs = runs.logs[runs.at(rows[j0:], runs.rank(depth - m))]
-            v = float((logs / (idx[j0:] - m)).max())
-            if v > best:
-                best = v
-        return best
-    for _, e, S in pieces(rep):
-        for m in range(max(lo, e), hi_eff + 1):
-            j0 = scale.fine(m)
-            alpha = (S[j0 - e :] - S[m - e]) / (idx[j0:] - m)
-            v = float(alpha.max())
-            if v > best:
-                best = v
-    for m, logs in origin_rows(rep, lo, hi_eff):
-        j0 = scale.fine(m)
-        alpha = logs[j0:] / (idx[j0:] - m)
-        v = float(alpha.max())
-        if v > best:
-            best = v
-    return best
+        ranks = runs.rank(depth - np.arange(depth + 1))  # fine rank per level
+        by_rank = np.empty(depth + 1)
+
+        def fill(m, f, out):
+            runs.row(runs.rank(depth - m), by_rank)
+            np.take(by_rank, ranks[f:], out=out)
+
+        return fill
+    # prefix counts stay below 2**53, so they and their differences are
+    # exact in float64; pieces ascend in shift
+    parts = [(e, S.astype(np.float64)) for _, e, S in pieces(rep)]
+    origin = dict(origin_rows(rep, lo, hi))
+    spare = np.empty(depth + 1)
+
+    def fill(m, f, out):
+        dst = out
+        for e, S in parts:
+            if e > m:
+                break
+            np.subtract(S[f - e :], S[m - e], out=dst)
+            if dst is not out:
+                np.maximum(out, dst, out=out)
+            dst = spare[: out.size]
+        logs = origin.get(m)
+        if logs is not None:
+            if dst is out:
+                np.copyto(out, logs[f:])
+            else:
+                np.maximum(out, logs[f:], out=out)
+
+    return fill
+
+
+def _ratio_fan_maxima(rep, depth, grid, lo, his, neighbors) -> list[float]:
+    """Per theta of the ascending grid, the max exponent over every window
+    (m, m') with lo <= m <= his[k] and m' >= ceil(m / theta), enumerated
+    coarse level first.  his[k], theta's clamped coarse top, rises with
+    theta, so the thetas live at m (his >= m) are a suffix of the grid and
+    the largest is live wherever any is.  Dividing the row's max numerator
+    by the fixed width m' - m gives the max of the quotients bit for bit,
+    since rounding is monotone."""
+    k = len(grid)
+    top = his[-1]
+    marr = np.arange(lo, top + 1, dtype=np.int64)
+    # fine levels per m, largest theta first, so each row ascends; kept as
+    # offsets from the widest fan's start
+    offsets = np.stack([RationalScale(th).fine_array(marr) for th in reversed(grid)], axis=1)
+    starts = offsets[:, 0].tolist()
+    offsets -= offsets[:, :1]
+    live = (k - np.searchsorted(his, marr, side="left")).tolist()
+    fill = _fan_rows(rep, depth, lo, top, neighbors)
+    widths = np.arange(depth + 1, dtype=np.float64)
+    buf = np.empty(depth + 1)
+    best = np.full(k, -np.inf)
+    for i, m in enumerate(range(lo, top + 1)):
+        f, n = starts[i], live[i]
+        row = buf[: depth + 1 - f]
+        fill(m, f, row)
+        np.divide(row, widths[f - m : depth + 1 - m], out=row)
+        # segment maxima between the live thetas' fine levels, then the
+        # running maximum from the narrowest fan (smallest theta) outward
+        seg = np.maximum.reduceat(row, offsets[i, :n])
+        tail = best[k - n :]
+        np.maximum(tail, np.maximum.accumulate(seg[::-1]), out=tail)
+    return best.tolist()
 
 
 def verify_main_theorem(
@@ -369,17 +422,17 @@ def verify_main_theorem(
     """Upper estimate vs the max over all achievable window ratios <= theta.
 
     Both sides maximize over the identical finite window fan, one through
-    the optimized upper path and one by direct enumeration, so the
-    deviation must be exactly zero.
+    the optimized upper path and one by direct enumeration of every window
+    in one pass over the widest fan, reduced by ratio for all thetas at
+    once, so the deviation must be exactly zero.
     """
     depth, grid, lo, hi = _resolve(rep, theta_grid, m_range, neighbors)
     upper = estimate_upper(rep, grid, (lo, hi), neighbors)
+    his = [_clamp(depth, RationalScale(th), lo, hi)[1] for th in grid]
+    fan = _ratio_fan_maxima(rep, depth, grid, lo, his, neighbors)
     worst = 0.0
     wits: list[str] = []
-    for th, lhs in zip(upper.thetas, upper.values):
-        scale = RationalScale(th)
-        _, hi_eff = _clamp(depth, scale, lo, hi)
-        rhs = _ratio_fan_max(rep, depth, scale, lo, hi_eff, neighbors)
+    for th, lhs, rhs in zip(upper.thetas, upper.values, fan):
         dev = abs(lhs - rhs)
         if dev > worst:
             worst = dev

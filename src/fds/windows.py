@@ -411,6 +411,13 @@ class RunTable:
         """Table positions for s with rank(s) = rs and s + d with rank rt."""
         return np.where(rt > rs, self.base[rs] + rt, 0)
 
+    def row(self, rt: int, out: np.ndarray) -> np.ndarray:
+        """`logs` at every fine rank rs = 0, ..., len(u) below coarse rank
+        rt, written into out[:len(u) + 1] without temporaries."""
+        np.take(self.logs[rt:], self.base[:rt], out=out[:rt])
+        out[rt : self.u.size + 1] = self.logs[0]
+        return out
+
     def counts(self, s, d) -> np.ndarray:
         """Most level-s nodes below one node d levels up (elementwise);
         `logs` at the same positions holds their log2."""
@@ -489,6 +496,12 @@ class NeighborTable:
     def at(self, rs, rt):
         """Table positions for fine level rs below coarse level rt."""
         return np.multiply(rt, self.size) + rs
+
+    def row(self, rt: int, out: np.ndarray) -> np.ndarray:
+        """`logs` at every fine level below coarse level rt, written into
+        out[:size]."""
+        np.copyto(out[: self.size], self.logs[rt * self.size : (rt + 1) * self.size])
+        return out
 
 
 def runlen_table(xs: Sequence[int]) -> np.ndarray:

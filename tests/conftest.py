@@ -6,6 +6,8 @@ so estimator tests compare two genuinely different routes.
 `reference_upper` is the exception: it replays the upper-spectrum
 maximization per theta on the reference sweep `suffix_slope_max`, so the
 estimators' suffix-hull trees are checked against the sweep they replace.
+`ratio_fan_max` enumerates the main theorem's ratio fan one theta at a
+time, the oracle of the all-theta brute side in `verify_main_theorem`.
 
 The per-node references (`local_count`, `max_alpha`) count one node or
 window by bisecting a level; `embed`, `merge` and `materialize_composite`
@@ -23,7 +25,14 @@ import numpy as np
 import pytest
 
 from fds.dyadic import DyadicTree
-from fds.schedule import BranchingSchedule, CompositeSet, materialize, origin_log_counts
+from fds.schedule import (
+    BranchingSchedule,
+    CompositeSet,
+    materialize,
+    origin_log_counts,
+    origin_rows,
+    pieces,
+)
 from fds.constructions import TwoPhaseParams, two_phase_schedule
 from fds.windows import RationalScale, ceil_div, suffix_slope_max
 
@@ -228,6 +237,33 @@ def reference_upper(rep, theta: Fraction, lo: int, hi: int) -> tuple[float, int,
             if best is None or cand > best:
                 best = cand
     return best[0], -best[1], -best[2]
+
+
+def ratio_fan_max(rep, theta: Fraction, lo: int, hi: int, neighbors: bool = False) -> float:
+    """Max exponent over all windows with ratio m/m' <= theta and coarse
+    level m in the clamped range [lo, hi], enumerated per theta, coarse
+    level first and piece by piece: the brute side of the upper identity
+    one theta at a time."""
+    scale = RationalScale(theta)
+    depth = rep.depth
+    best = -np.inf
+    idx = np.arange(depth + 1, dtype=np.int64)
+    if isinstance(rep, DyadicTree):
+        runs = rep.neighbor_table() if neighbors else rep.run_table()
+        rows = runs.rank(depth - idx)
+        for m in range(lo, hi + 1):
+            j0 = scale.fine(m)
+            logs = runs.logs[runs.at(rows[j0:], runs.rank(depth - m))]
+            best = max(best, float((logs / (idx[j0:] - m)).max()))
+        return best
+    for _, e, S in pieces(rep):
+        for m in range(max(lo, e), hi + 1):
+            j0 = scale.fine(m)
+            best = max(best, float(((S[j0 - e :] - S[m - e]) / (idx[j0:] - m)).max()))
+    for m, logs in origin_rows(rep, lo, hi):
+        j0 = scale.fine(m)
+        best = max(best, float((logs[j0:] / (idx[j0:] - m)).max()))
+    return best
 
 
 def random_schedule(rng: random.Random, max_depth: int = 18) -> BranchingSchedule:

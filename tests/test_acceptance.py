@@ -110,6 +110,20 @@ def test_c1_upper_identity(two_phase_sets):
     )
 
 
+def test_c1_readme_set_upper_identity_budget(two_phase_sets):
+    """The README set (s=2/5, t=4/5, depth 65536) over 19 thetas and m in
+    1024:65536: the upper estimate equals the ratio-fan maximum exactly,
+    with every window enumerated once for all thetas, within budget."""
+    t0 = time.time()
+    r = verify_main_theorem(two_phase_sets[(F(2, 5), F(4, 5))], GRID_19, (1024, 65536))
+    elapsed = time.time() - t0
+    check(
+        "acceptance-1-readme-set-upper-identity",
+        r.passed and r.worst == 0.0 and elapsed < 15,
+        f"worst={r.worst!r} tol=0.0 time={elapsed:.1f}s budget=15s",
+    )
+
+
 def test_c1_neighbor_upper_identity_budget():
     """Neighbor mode on the depth-512 geometric tree: the upper estimate
     equals the ratio-fan maximum exactly over 9 thetas, within budget."""

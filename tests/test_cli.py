@@ -170,6 +170,22 @@ def test_plot_command(tmp_path, capsys):
     assert code == 2
 
 
+def test_plot_overlay_arguments_exit_2(tmp_path, capsys):
+    """Malformed overlay values are usage errors (exit 2), not crashes."""
+    csv = tmp_path / "c.csv"
+    csv.write_text("theta,value,m_witness,mprime_witness\n0.2,1.0,1,5\n")
+    svg = tmp_path / "c.svg"
+    for flag, value, message in (
+        ("--overlay-u", "1/0,1", "error: bad rational '1/0'"),
+        ("--overlay-poly", "1,1/0", "error: bad rational '1/0'"),
+        ("--overlay-u", "0.4,0.8,0.9", "--overlay-u needs exactly two values S,T"),
+    ):
+        code, _, err = run(["plot", str(csv), flag, value, "-o", str(svg)], capsys)
+        assert code == 2 and message in err, (flag, value, err)
+        assert "Traceback" not in err
+    assert not svg.exists()
+
+
 def test_plot_constant_polyline_level(tmp_path, capsys):
     csv = tmp_path / "c.csv"
     csv.write_text(

@@ -7,10 +7,10 @@ from math import log2
 from hypothesis import given, settings, strategies as st
 
 from fds.dyadic import DyadicTree
-from fds.schedule import BranchingSchedule, materialize
+from fds.schedule import BranchingSchedule, CompositeSet, materialize
 from fds.constructions import full_binary_tree, geometric_sequence_tree, rational_enumeration
-from fds.spectra import estimate_box, estimate_spectrum, estimate_upper
-from fds.windows import runlen_table
+from fds.spectra import _ratio_fan_maxima, estimate_box, estimate_spectrum, estimate_upper
+from fds.windows import RationalScale, runlen_table
 
 from conftest import (
     embed,
@@ -23,6 +23,7 @@ from conftest import (
     oracle_tree_box,
     oracle_tree_spectrum,
     oracle_tree_upper,
+    ratio_fan_max,
 )
 
 
@@ -257,3 +258,68 @@ def test_neighbor_table_exhaustive_geometric_and_full():
             pos = nb.at(t.depth - mp, t.depth - m)
             assert int(nb.table[pos]) == min(3, 1 << m) << (mp - m)
             assert t.leaves[int(nb.start[pos])] >> (t.depth - m) == (0 if m < 2 else 1)
+
+
+def _fan_case(data, depth: int, lo_cap: int | None = None):
+    """(grid, lo, his): up to six thetas p/q with q <= 12, so that several
+    often share a fine level, a coarse start lo every theta admits, and the
+    tops his[k] = min(hi, max_coarse(theta_k)), which differ when hi is
+    large."""
+    pool = [Fraction(p, q) for q in range(2, 13) for p in range(1, q) if depth * p >= q]
+    grid = sorted(set(data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))))
+    top = RationalScale(grid[0]).max_coarse(depth)
+    lo = data.draw(st.integers(min_value=1, max_value=min(top, lo_cap or top)))
+    hi = data.draw(st.integers(min_value=lo, max_value=depth))
+    return grid, lo, [min(hi, RationalScale(th).max_coarse(depth)) for th in grid]
+
+
+def _assert_fan_maxima_match_oracle(rep, grid, lo, his, neighbors=False):
+    """The all-theta brute side equals the per-theta enumeration bit for bit."""
+    got = _ratio_fan_maxima(rep, rep.depth, grid, lo, his, neighbors)
+    want = [ratio_fan_max(rep, th, lo, h, neighbors) for th, h in zip(grid, his)]
+    assert got == want, (grid, lo, his)
+
+
+@settings(max_examples=60, deadline=None)
+@given(trees(), st.booleans(), st.data())
+def test_fan_maxima_match_oracle_trees(t, neighbors, data):
+    _assert_fan_maxima_match_oracle(t, *_fan_case(data, t.depth), neighbors)
+
+
+@settings(max_examples=60, deadline=None)
+@given(schedules(max_depth=24), st.data())
+def test_fan_maxima_match_oracle_schedules(s, data):
+    _assert_fan_maxima_match_oracle(s, *_fan_case(data, s.depth))
+
+
+@settings(max_examples=60, deadline=None)
+@given(schedules(max_depth=10), schedules(max_depth=10),
+       st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=5),
+       st.booleans(), st.data())
+def test_fan_maxima_match_oracle_composites(a, b, e, gap, origin, data):
+    """Two components, with or without the origin; the coarse range starts
+    below the second shift, so that piece is skipped at its first levels."""
+    cs = CompositeSet([(e, a), (e + gap, b)], include_origin=origin)
+    _assert_fan_maxima_match_oracle(cs, *_fan_case(data, cs.depth, lo_cap=e + gap - 1))
+
+
+def test_fan_maxima_explicit_grids():
+    """Fixed cases with the features the reduction must get right: two
+    thetas sharing a fine level, distinct clamped tops, and a composite
+    whose second shift lies inside the coarse range, with and without
+    the origin."""
+    grid = [Fraction(1, 3), Fraction(2, 5), Fraction(3, 7), Fraction(1, 2), Fraction(4, 5)]
+    assert RationalScale(grid[1]).fine(1) == RationalScale(grid[2]).fine(1) == 3
+    s = BranchingSchedule([(3, 2), (5, 1), (4, 2), (9, 1), (7, 2), (12, 1)])
+    his = [min(30, RationalScale(th).max_coarse(s.depth)) for th in grid]
+    assert his == [13, 16, 17, 20, 30]
+    _assert_fan_maxima_match_oracle(s, grid, 1, his)
+    t = geometric_sequence_tree(64)
+    his = [min(50, RationalScale(th).max_coarse(64)) for th in grid]
+    for neighbors in (False, True):
+        _assert_fan_maxima_match_oracle(t, grid, 1, his, neighbors)
+    for origin in (False, True):
+        cs = CompositeSet([(2, s), (9, BranchingSchedule([(6, 2), (6, 1)]))], origin)
+        his = [RationalScale(th).max_coarse(cs.depth) for th in grid]
+        assert 1 < 9 <= his[0]
+        _assert_fan_maxima_match_oracle(cs, grid, 1, his)
