@@ -195,7 +195,7 @@ def cmd_construct(args) -> int:
         )
         sched = two_phase_schedule(params)
         formats.dump(sched, out)
-        print(f"wrote {out}: fds-schedule depth={sched.depth} runs={len(sched.runs)}")
+        print(f"wrote {out}: fds-schedule depth={sched.depth} runs={len(sched.lengths)}")
     elif gen == "concave-union":
         samples = getattr(args, "samples", None)
         if args.target is not None:

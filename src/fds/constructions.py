@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from .dyadic import DyadicTree
 from .errors import BudgetError
 from .schedule import BranchingSchedule, CompositeSet
@@ -88,7 +90,8 @@ def two_phase_schedule(
     branching levels for active length A.
     """
     q = p.quiet_fraction
-    cs: list[int] = [1] * p.m0
+    tn, td = p.t.numerator, p.t.denominator
+    cs = [np.ones(p.m0, dtype=np.int64)]
     M = p.m0
     for _ in range(p.blocks):
         nxt = M * M
@@ -99,21 +102,14 @@ def two_phase_schedule(
         L = nxt - M
         quiet = (q.numerator * L) // q.denominator
         active = L - quiet
-        cs.extend([1] * quiet)
-        tn, td = p.t.numerator, p.t.denominator
-        prev = 0
-        for a in range(1, active + 1):
-            cur = (tn * a) // td
-            cs.append(2 if cur > prev else 1)
-            prev = cur
+        a = np.arange(active + 1, dtype=np.int64)
+        if max(tn * active, td) >= 1 << 63:
+            a = a.astype(object)  # exact Python ints where int64 would wrap
+        cs.append(np.ones(quiet, dtype=np.int64))
+        cs.append(1 + (np.diff((tn * a) // td) > 0).astype(np.int64))
         M = nxt
-    runs: list[tuple[int, int]] = []
-    for c in cs:
-        if runs and runs[-1][1] == c:
-            runs[-1] = (runs[-1][0] + 1, c)
-        else:
-            runs.append((1, c))
-    return BranchingSchedule(runs)
+    levels = np.concatenate(cs)  # one run per level; the constructor merges them
+    return BranchingSchedule(np.column_stack((np.ones_like(levels), levels)))
 
 
 def rational_enumeration(count: int) -> list[Fraction]:

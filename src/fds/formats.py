@@ -9,12 +9,16 @@ fds-tree 1        one line per level: "<level>: <i> <i> ...", indices in
                   prefix-closure violations and dangling nodes (a node
                   above the deepest level without a child), and a
                   non-empty tree needs a line for every level.
-fds-schedule 1    run lines "<count> <c>" with c in {1, 2}, counts summing
-                  to the declared depth.
+fds-schedule 1    run lines "<count> <c>" (one space) with c in {1, 2},
+                  counts positive and summing to the declared depth.
 fds-composite 1   "origin <0|1>" then one "component <shift> <spec>" line
                   per component, where <spec> is either an inline run list
-                  "runs:<count>x<c>,..." or a path to an fds-schedule file
-                  (resolved relative to the composite file).
+                  "runs:<count>x<c>,<count>x<c>,..." (at least one run, no
+                  spaces) or a path to an fds-schedule file (resolved
+                  relative to the composite file).
+
+Run counts and child counts are ASCII digits only, below 2**63; no sign,
+underscore or surrounding space.
 """
 
 from __future__ import annotations
@@ -22,6 +26,8 @@ from __future__ import annotations
 import os
 import re
 from typing import Union
+
+import numpy as np
 
 from .dyadic import DyadicTree
 from .errors import FormatError
@@ -39,6 +45,13 @@ SetLike = Union[DyadicTree, BranchingSchedule, CompositeSet]
 
 
 _HEX = re.compile(r"[0-9a-f]+")
+# run grammar: "<length>x<count>" tokens joined by "," after "runs:", and
+# "<length> <count>" run lines; ASCII digits only
+_RUNS_TOKEN = re.compile(r"[0-9]+x[0-9]+(?:,[0-9]+x[0-9]+)*")
+_RUNS_PREFIX = re.compile(r"(?:[0-9]+x[0-9]+,)*")
+_RUN_LINES = re.compile(r"(?:[0-9]+ [0-9]+(?:\n[0-9]+ [0-9]+)*)?")
+_RUN_LINES_PREFIX = re.compile(r"(?:[0-9]+ [0-9]+\n)*")
+_POW10 = 10 ** np.arange(20, dtype=np.uint64)
 
 
 def write_tree(t: DyadicTree) -> str:
@@ -46,14 +59,24 @@ def write_tree(t: DyadicTree) -> str:
     return head + "".join(f"{x:x}\n" for x in t.leaves)
 
 
+def _run_tokens(s: BranchingSchedule, template: str) -> list[str]:
+    """template.format(length, count) per run, each distinct run formatted
+    once and looked up by index."""
+    # key 2 * length + (count - 1) fits uint64 for every int64 length
+    keys, inv = np.unique(
+        s.lengths.astype(np.uint64) * 2 + (s.counts == 2), return_inverse=True
+    )
+    tokens = [template.format(k >> 1, (k & 1) + 1) for k in keys.tolist()]
+    return np.array(tokens, dtype=object)[inv].tolist()
+
+
 def write_schedule(s: BranchingSchedule) -> str:
-    lines = ["fds-schedule 1", f"depth {s.depth}"]
-    lines.extend(f"{cnt} {c}" for cnt, c in s.runs)
+    lines = ["fds-schedule 1", f"depth {s.depth}", *_run_tokens(s, "{} {}")]
     return "\n".join(lines) + "\n"
 
 
 def _inline_runs(s: BranchingSchedule) -> str:
-    return "runs:" + ",".join(f"{cnt}x{c}" for cnt, c in s.runs)
+    return "runs:" + ",".join(_run_tokens(s, "{}x{}"))
 
 
 def write_composite(cs: CompositeSet) -> str:
@@ -170,15 +193,39 @@ def _raise_first_violation(levels: list[list[int]]) -> None:
                 raise FormatError(f"dangling node ({m}, {k}): no child at level {m + 1}")
 
 
-def _parse_runs_token(token: str) -> BranchingSchedule:
-    body = token[len("runs:") :]
-    runs = []
-    for part in body.split(","):
-        cnt, _, c = part.partition("x")
-        try:
-            runs.append((int(cnt), int(c)))
-        except ValueError as exc:
-            raise FormatError(f"bad run token {part!r}") from exc
+def _decimals(text: str) -> np.ndarray:
+    """The maximal ASCII digit runs of `text` as int64, parsed in numpy.
+
+    FormatError for a number with more than 19 digits or at least 2**63,
+    so no value wraps.
+    """
+    b = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    digit = (b >= 48) & (b <= 57)
+    edges = np.diff(digit.astype(np.int8), prepend=0, append=0)
+    starts, ends = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
+    width = ends - starts
+    bad = width > 19
+    if not bad.any():
+        # the k-th digit from a number's end weighs 10**k; 19 digits fit uint64
+        digits = (b[digit] - 48).astype(np.uint64)
+        cend = np.cumsum(width)
+        places = np.repeat(cend, width) - 1 - np.arange(digits.size)
+        values = np.add.reduceat(digits * _POW10[places], cend - width)
+        bad = values >= 1 << 63
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise FormatError(f"number {text[starts[i]:ends[i]]} exceeds the int64 range")
+    return values.astype(np.int64)
+
+
+def _parse_runs(body: str, grammar, prefix, sep: str, what: str) -> BranchingSchedule:
+    """The schedule of a run body: its grammar is checked once, then every
+    number is parsed in numpy.  A grammar error names the first part, split
+    at `sep`, after the longest well-formed prefix."""
+    if not grammar.fullmatch(body):
+        part = body[prefix.match(body).end() :].split(sep, 1)[0]
+        raise FormatError(f"bad {what} {part!r}")
+    runs = _decimals(body).reshape(-1, 2)
     try:
         return BranchingSchedule(runs)
     except ValueError as exc:
@@ -195,19 +242,8 @@ def parse_schedule(text: str) -> BranchingSchedule:
         depth = int(lines[1].split()[1])
     except (IndexError, ValueError) as exc:
         raise FormatError("bad depth line") from exc
-    runs = []
-    for ln in lines[2:]:
-        toks = ln.split()
-        if len(toks) != 2:
-            raise FormatError(f"bad run line {ln!r}")
-        try:
-            runs.append((int(toks[0]), int(toks[1])))
-        except ValueError as exc:
-            raise FormatError(f"bad run line {ln!r}") from exc
-    try:
-        sched = BranchingSchedule(runs)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
+    body = "\n".join(lines[2:])
+    sched = _parse_runs(body, _RUN_LINES, _RUN_LINES_PREFIX, "\n", "run line")
     if sched.depth != depth:
         raise FormatError(f"run lengths sum to {sched.depth}, declared {depth}")
     return sched
@@ -234,7 +270,8 @@ def parse_composite(text: str, base_dir: str = ".") -> CompositeSet:
             raise FormatError(f"bad shift in {ln!r}") from exc
         spec = toks[2]
         if spec.startswith("runs:"):
-            sched = _parse_runs_token(spec)
+            body = spec[len("runs:") :]
+            sched = _parse_runs(body, _RUNS_TOKEN, _RUNS_PREFIX, ",", "run token")
         else:
             sub = spec if os.path.isabs(spec) else os.path.join(base_dir, spec)
             with open(sub, encoding="ascii") as fh:

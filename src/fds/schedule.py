@@ -11,7 +11,6 @@ origin, the union construction used for prescribed concave spectra.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -32,60 +31,62 @@ MAX_MATERIALIZE_NODES = 1 << 22
 
 
 class BranchingSchedule:
-    """Run-length encoded child counts c_j in {1, 2} for levels 1..depth."""
+    """Run-length encoded child counts c_j in {1, 2} for levels 1..depth.
 
-    __slots__ = ("runs", "depth", "_ends", "_sends", "_snp", "_hull")
+    The runs are two read-only int64 arrays, `lengths` and `counts`, with
+    equal neighbours merged, so the counts alternate between 1 and 2.
+    """
 
-    def __init__(self, runs: Iterable[tuple[int, int]]):
-        norm: list[tuple[int, int]] = []
-        for cnt, c in runs:
-            cnt = int(cnt)
-            c = int(c)
+    __slots__ = ("lengths", "counts", "depth", "_snp", "_hull")
+
+    def __init__(self, runs):
+        """`runs`: (length, count) pairs, an (n, 2) array-like."""
+        try:
+            arr = np.array(runs, dtype=np.int64)
+        except OverflowError as exc:
+            raise ValueError("run lengths and child counts must fit in int64") from exc
+        if arr.size == 0:
+            arr = arr.reshape(0, 2)
+        if arr.ndim != 2 or arr.shape[1] != 2:
+            raise ValueError(f"runs must be (length, count) pairs, got shape {arr.shape}")
+        lengths, counts = arr[:, 0], arr[:, 1]
+        bad = np.flatnonzero((lengths <= 0) | ((counts != 1) & (counts != 2)))
+        if bad.size:
+            cnt, c = arr[bad[0]].tolist()
             if cnt <= 0:
                 raise ValueError(f"run length must be positive, got {cnt}")
-            if c not in (1, 2):
-                raise ValueError(f"child count must be 1 or 2, got {c}")
-            if norm and norm[-1][1] == c:
-                norm[-1] = (norm[-1][0] + cnt, c)
-            else:
-                norm.append((cnt, c))
-        self.runs: tuple[tuple[int, int], ...] = tuple(norm)
-        ends: list[int] = []
-        sends: list[int] = []
-        pos = 0
-        acc = 0
-        for cnt, c in self.runs:
-            pos += cnt
-            acc += cnt if c == 2 else 0
-            ends.append(pos)
-            sends.append(acc)
-        self.depth = pos
-        self._ends = ends
-        self._sends = sends
+            raise ValueError(f"child count must be 1 or 2, got {c}")
+        # positive int64 partial sums turn negative at the first wrap
+        ends = np.cumsum(lengths)
+        if ends.size and ends.min() < 0:
+            raise ValueError("run lengths sum past the int64 range")
+        starts = np.flatnonzero(np.diff(counts, prepend=0))
+        self.lengths = np.add.reduceat(lengths, starts)
+        self.counts = counts[starts]
+        self.lengths.flags.writeable = False
+        self.counts.flags.writeable = False
+        self.depth = int(ends[-1]) if ends.size else 0
         self._snp: np.ndarray | None = None
         self._hull: SuffixHull | None = None
+
+    @property
+    def runs(self) -> tuple[tuple[int, int], ...]:
+        """The runs as (length, count) tuples, built on each access."""
+        return tuple(zip(self.lengths.tolist(), self.counts.tolist()))
 
     def prefix(self, m: int) -> int:
         """Number of branching levels among 1..m (the log2 of the level count)."""
         if not 0 <= m <= self.depth:
             raise ValueError(f"level {m} outside [0, {self.depth}]")
-        if m == 0:
-            return 0
-        i = bisect_left(self._ends, m)
-        start = self._ends[i - 1] if i else 0
-        base = self._sends[i - 1] if i else 0
-        return base + (m - start if self.runs[i][1] == 2 else 0)
+        return int(self.prefix_array()[m])
 
     def prefix_array(self) -> np.ndarray:
-        """S[0..depth] as int64, cached."""
+        """S[0..depth] as read-only int64, cached."""
         if self._snp is None:
-            incs = np.zeros(self.depth + 1, dtype=np.int64)
-            pos = 1
-            for cnt, c in self.runs:
-                if c == 2:
-                    incs[pos : pos + cnt] = 1
-                pos += cnt
-            self._snp = np.cumsum(incs, dtype=np.int64)
+            snp = np.zeros(self.depth + 1, dtype=np.int64)
+            np.cumsum(np.repeat(self.counts == 2, self.lengths), dtype=np.int64, out=snp[1:])
+            snp.flags.writeable = False
+            self._snp = snp
         return self._snp
 
     def suffix_hull(self) -> SuffixHull:
@@ -95,13 +96,17 @@ class BranchingSchedule:
         return self._hull
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, BranchingSchedule) and self.runs == other.runs
+        return (
+            isinstance(other, BranchingSchedule)
+            and np.array_equal(self.lengths, other.lengths)
+            and np.array_equal(self.counts, other.counts)
+        )
 
     def __hash__(self):
-        return hash(self.runs)
+        return hash((self.lengths.tobytes(), self.counts.tobytes()))
 
     def __repr__(self) -> str:
-        return f"BranchingSchedule(depth={self.depth}, runs={len(self.runs)})"
+        return f"BranchingSchedule(depth={self.depth}, runs={len(self.lengths)})"
 
 
 def materialize(
@@ -271,7 +276,7 @@ def origin_rows(
         return
     shifts = rep.shifts
     start = lo
-    for b in range(bisect_left(shifts, lo + 1), len(shifts)):
+    for b in range(int(np.searchsorted(shifts, lo, side="right")), len(shifts)):
         stop = min(hi, shifts[b] - 1)
         if start > stop:
             return

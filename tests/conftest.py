@@ -8,6 +8,9 @@ maximization per theta on the reference sweep `suffix_slope_max`, so the
 estimators' suffix-hull trees are checked against the sweep they replace.
 `ratio_fan_max` enumerates the main theorem's ratio fan one theta at a
 time, the oracle of the all-theta brute side in `verify_main_theorem`.
+The schedule oracles build a two-phase schedule level by level and write
+and parse schedule runs one run at a time, the references of the numpy
+run arrays in `constructions`, `schedule` and `formats`.
 
 The per-node references (`local_count`, `max_alpha`) count one node or
 window by bisecting a level; `embed`, `merge` and `materialize_composite`
@@ -271,6 +274,75 @@ def random_schedule(rng: random.Random, max_depth: int = 18) -> BranchingSchedul
     bias = rng.uniform(0.2, 0.8)
     cs = [2 if rng.random() < bias else 1 for _ in range(depth)]
     return BranchingSchedule([(1, c) for c in cs])
+
+
+# ----------------------------------------------------------------------
+# schedule oracles: one level or one run at a time
+
+
+def oracle_two_phase_levels(p: TwoPhaseParams) -> list[int]:
+    """Child counts c_1..c_depth of the two-phase schedule, level by level."""
+    q = p.quiet_fraction
+    cs = [1] * p.m0
+    M = p.m0
+    for _ in range(p.blocks):
+        nxt = M * M
+        L = nxt - M
+        quiet = (q.numerator * L) // q.denominator
+        active = L - quiet
+        cs.extend([1] * quiet)
+        tn, td = p.t.numerator, p.t.denominator
+        prev = 0
+        for a in range(1, active + 1):
+            cur = (tn * a) // td
+            cs.append(2 if cur > prev else 1)
+            prev = cur
+        M = nxt
+    return cs
+
+
+def oracle_runs(levels: list[int]) -> list[tuple[int, int]]:
+    """Run-length encoding of per-level child counts, level by level."""
+    runs: list[tuple[int, int]] = []
+    for c in levels:
+        if runs and runs[-1][1] == c:
+            runs[-1] = (runs[-1][0] + 1, c)
+        else:
+            runs.append((1, c))
+    return runs
+
+
+def oracle_prefix(levels: list[int]) -> list[int]:
+    """S[0..depth]: branching levels among 1..m, level by level."""
+    out = [0]
+    for c in levels:
+        out.append(out[-1] + (c == 2))
+    return out
+
+
+def oracle_write_schedule(s: BranchingSchedule) -> str:
+    lines = ["fds-schedule 1", f"depth {s.depth}"]
+    lines.extend(f"{cnt} {c}" for cnt, c in s.runs)
+    return "\n".join(lines) + "\n"
+
+
+def oracle_write_composite(cs: CompositeSet) -> str:
+    lines = ["fds-composite 1", f"origin {int(cs.include_origin)}"]
+    lines.extend(
+        f"component {e} runs:" + ",".join(f"{cnt}x{c}" for cnt, c in s.runs)
+        for e, s in cs.components
+    )
+    return "\n".join(lines) + "\n"
+
+
+def oracle_parse_runs(body: str, sep: str, run_sep: str) -> list[tuple[int, int]]:
+    """(length, count) per run of a well-formed run body, one run at a time:
+    runs joined by `run_sep`, length and count joined by `sep`."""
+    runs = []
+    for part in body.split(run_sep):
+        cnt, _, c = part.partition(sep)
+        runs.append((int(cnt), int(c)))
+    return runs
 
 
 # ----------------------------------------------------------------------

@@ -124,6 +124,23 @@ def test_c1_readme_set_upper_identity_budget(two_phase_sets):
     )
 
 
+def test_union_setup_budget(tmp_path):
+    """Representation build: the 8-component concave union (blocks 3,
+    depth 65792, about 29k runs per component) is built, written and read
+    back within budget, through the schedules' run arrays."""
+    path = str(tmp_path / "cu.fds")
+    t0 = time.perf_counter()
+    cs = concave_union(target_from_poly([F(2, 5), F(2, 5), F(-1, 5)], 8), blocks=3)
+    dump(cs, path)
+    back = load(path)
+    elapsed = time.perf_counter() - t0
+    check(
+        "acceptance-1-union-setup",
+        back == cs and cs.depth == 65792 and elapsed < 0.5,
+        f"depth={cs.depth} time={elapsed:.2f}s budget=0.5s",
+    )
+
+
 def test_c1_neighbor_upper_identity_budget():
     """Neighbor mode on the depth-512 geometric tree: the upper estimate
     equals the ratio-fan maximum exactly over 9 thetas, within budget."""

@@ -4,6 +4,7 @@ import pytest
 
 from fds.cli import main, parse_m_range, parse_theta_grid
 from fds import formats
+from fds.errors import FormatError
 from fds.schedule import BranchingSchedule
 
 
@@ -379,19 +380,39 @@ def test_empty_tree_exits_2(tmp_path, capsys):
             assert code == 2 and out == "" and want in err, (mode, extra)
 
 
+# run numbers or run-length sums past int64: rejected while parsing
+INT64_OVERFLOW = [
+    "fds-composite 1\norigin 1\ncomponent 1 runs:99999999999999999999999x2\n",
+    "fds-composite 1\norigin 1\ncomponent 1 runs:4611686018427387904x2,4611686018427387904x1\n",
+    "fds-schedule 1\ndepth 18446744073709551616\n" + "999999999999999999 2\n999999999999999999 1\n" * 5,
+]
+
+
 @pytest.mark.parametrize("text", [
     "fds-schedule 1\ndepth 1099511627776\n1099511627776 2\n",
     "fds-tree 2\ndepth 1099511627776\nleaves 1\n0\n",
     "fds-composite 1\norigin 1\ncomponent 1099511627776 runs:4x2\n",
+    *INT64_OVERFLOW,
 ])
 def test_depth_budget_before_allocation(tmp_path, capsys, text):
     """A short file declaring depth 2**40 fails on the depth budget before
-    any depth-length array is allocated, in the library and the CLI."""
+    any depth-length array is allocated, in the library and the CLI.  A run
+    number or run-length sum past int64 fails while parsing, never wrapping
+    into a small depth."""
     from fds import spectra
     from fds.errors import BudgetError
 
     path = tmp_path / "deep.fds"
     path.write_text(text)
+    if text in INT64_OVERFLOW:
+        with pytest.raises(FormatError, match="int64 range"):
+            formats.load(str(path))
+        for command in (["estimate", "--mode", "upper"], ["estimate", "--mode", "box"], ["verify"]):
+            code, out, err = run([*command, "-i", str(path), "--theta-grid", "0.5:0.5:0.1",
+                                  "-o", str(tmp_path / "d.csv")], capsys)
+            assert code == 2 and out == "" and err.startswith("error: ")
+            assert "int64 range" in err and "Traceback" not in err
+        return
     rep = formats.load(str(path))
     grid = ["0.5"]
     for call in (
@@ -410,6 +431,17 @@ def test_depth_budget_before_allocation(tmp_path, capsys, text):
         code, _, err = run([*command, "-i", str(path), "--theta-grid", "0.5:0.5:0.1",
                             "-o", str(tmp_path / "d.csv")], capsys)
         assert code == 2 and "depth budget" in err
+
+
+@pytest.mark.parametrize("token", ["1_0x1", "+3x2", " 1x2", "3x2,", "1x2,,1x1"])
+def test_run_grammar_rejected_in_cli(tmp_path, capsys, token):
+    """Run tokens take ASCII digits only: Python's lenient int() forms
+    exit 2 on every command that loads the set."""
+    path = tmp_path / "cu.fds"
+    path.write_text(f"fds-composite 1\norigin 1\ncomponent 2 runs:{token}\n")
+    for command in (["estimate", "--mode", "upper"], ["verify"]):
+        code, out, err = run([*command, "-i", str(path), "-o", str(tmp_path / "e.csv")], capsys)
+        assert code == 2 and out == "" and "bad run token" in err
 
 
 NEIGHBOR_CSV = {

@@ -21,7 +21,7 @@ from fds.constructions import (
 )
 from fds.errors import BudgetError
 
-from conftest import max_alpha, oracle_schedule_spectrum
+from conftest import max_alpha, oracle_runs, oracle_schedule_spectrum, oracle_two_phase_levels
 
 F = Fraction
 
@@ -82,6 +82,24 @@ def test_two_phase_spectrum_against_exhaustive_windows():
 def test_two_phase_depth_budget():
     with pytest.raises(BudgetError):
         two_phase_schedule(TwoPhaseParams(F(2, 5), F(4, 5), 4, 4))
+
+
+@pytest.mark.parametrize("s, t, m0", [
+    # t's numerator times the active length (about 2**19) passes 2**63
+    (F(1, 4), F(2**45 + 1, 2**46), 1024),
+    # t's denominator alone passes 2**63
+    (F(1, 2**70), F(3, 2**64 + 1), 64),
+    (F(1, 3), F(2**64 - 1, 2**64), 64),
+])
+def test_two_phase_exact_past_int64(s, t, m0):
+    """floor(t * a) stays exact where t's numerator times the block length,
+    or its denominator, exceeds the int64 range."""
+    p = TwoPhaseParams(s, t, m0, 1)
+    assert p.t.numerator * (m0 * m0) >= 2**63 or p.t.denominator >= 2**63
+    sched = two_phase_schedule(p)
+    levels = oracle_two_phase_levels(p)
+    assert sched.runs == tuple(oracle_runs(levels))
+    assert sched.prefix(sched.depth) == sum(c == 2 for c in levels)
 
 
 def test_long_run_density_approaches_s():

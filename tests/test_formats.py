@@ -180,3 +180,68 @@ def test_tree_v1_reports_first_missing_parent_before_dangling():
     with pytest.raises(FormatError) as exc:
         parse_tree(text)
     assert str(exc.value) == "prefix closure violated: (3, 6) present, (2, 3) absent"
+
+
+@pytest.mark.parametrize("token, part", [
+    ("runs:1_0x1", "1_0x1"),
+    ("runs:+3x2", "+3x2"),
+    ("runs: 1x2", " 1x2"),
+    ("runs:3x2,", ""),
+    ("runs:1x2,,1x1", ""),
+    ("runs:1x2,3x-1", "3x-1"),
+    ("runs:", ""),
+    ("runs:1x2,٣x1", "٣x1"),  # a non-ASCII digit
+])
+def test_runs_token_accepts_ascii_digits_only(token, part):
+    text = f"fds-composite 1\norigin 1\ncomponent 2 {token}\n"
+    with pytest.raises(FormatError) as exc:
+        parse_composite(text)
+    assert str(exc.value) == f"bad run token {part!r}"
+
+
+@pytest.mark.parametrize("lines, bad", [
+    ("1_0 1", "1_0 1"),
+    ("2 1\n+3 2", "+3 2"),
+    ("2 1\n 1 2", " 1 2"),
+    ("2 1\n1  2", "1  2"),
+    ("2 1\n1\t2", "1\t2"),
+    ("2 1\n1 2 3", "1 2 3"),
+    ("2 1\n1x2", "1x2"),
+])
+def test_schedule_run_lines_accept_ascii_digits_only(lines, bad):
+    with pytest.raises(FormatError) as exc:
+        parse_schedule(f"fds-schedule 1\ndepth 3\n{lines}\n")
+    assert str(exc.value) == f"bad run line {bad!r}"
+
+
+def test_run_errors_report_first_offending_run():
+    with pytest.raises(FormatError, match="^run length must be positive, got 0$"):
+        parse_composite("fds-composite 1\norigin 1\ncomponent 2 runs:3x1,0x2,2x5\n")
+    with pytest.raises(FormatError, match="^child count must be 1 or 2, got 5$"):
+        parse_schedule("fds-schedule 1\ndepth 5\n3 1\n2 5\n0 2\n")
+    with pytest.raises(FormatError, match="^child count must be 1 or 2, got 0$"):
+        parse_schedule("fds-schedule 1\ndepth 5\n3 0\n")
+
+
+@pytest.mark.parametrize("text, match", [
+    ("fds-composite 1\norigin 1\ncomponent 2 runs:99999999999999999999999x2\n",
+     "number 99999999999999999999999 exceeds the int64 range"),
+    ("fds-composite 1\norigin 1\ncomponent 2 runs:9223372036854775808x2\n",
+     "number 9223372036854775808 exceeds the int64 range"),
+    ("fds-schedule 1\ndepth 9\n4611686018427387904 2\n4611686018427387904 1\n",
+     "run lengths sum past the int64 range"),
+    ("fds-schedule 1\ndepth 9\n3 18446744073709551618\n",
+     "number 18446744073709551618 exceeds the int64 range"),
+])
+def test_run_numbers_past_int64_rejected(text, match):
+    parse = parse_schedule if text.startswith("fds-schedule") else parse_composite
+    with pytest.raises(FormatError, match=match):
+        parse(text)
+
+
+def test_largest_int64_run_length_parses():
+    s = parse_schedule("fds-schedule 1\ndepth 9223372036854775807\n9223372036854775807 1\n")
+    assert s.depth == 2**63 - 1 and s.runs == ((2**63 - 1, 1),)
+    assert parse_composite("fds-composite 1\norigin 0\ncomponent 1 runs:0007x2,1x1\n") == (
+        CompositeSet([(1, BranchingSchedule([(7, 2), (1, 1)]))], include_origin=False)
+    )

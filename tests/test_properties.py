@@ -1,14 +1,25 @@
 """Property tests for the structural invariants."""
 
+import os
 import random
+import tempfile
 from fractions import Fraction
 from math import log2
+
+import numpy as np
 
 from hypothesis import given, settings, strategies as st
 
 from fds.dyadic import DyadicTree
 from fds.schedule import BranchingSchedule, CompositeSet, materialize
-from fds.constructions import full_binary_tree, geometric_sequence_tree, rational_enumeration
+from fds.constructions import (
+    TwoPhaseParams,
+    full_binary_tree,
+    geometric_sequence_tree,
+    rational_enumeration,
+    two_phase_schedule,
+)
+from fds.formats import dump, load
 from fds.spectra import _ratio_fan_maxima, estimate_box, estimate_spectrum, estimate_upper
 from fds.windows import RationalScale, runlen_table
 
@@ -18,8 +29,14 @@ from conftest import (
     local_count,
     max_alpha,
     merge,
+    oracle_parse_runs,
+    oracle_prefix,
+    oracle_runs,
     oracle_schedule_spectrum,
     oracle_schedule_upper,
+    oracle_two_phase_levels,
+    oracle_write_composite,
+    oracle_write_schedule,
     oracle_tree_box,
     oracle_tree_spectrum,
     oracle_tree_upper,
@@ -323,3 +340,89 @@ def test_fan_maxima_explicit_grids():
         his = [RationalScale(th).max_coarse(cs.depth) for th in grid]
         assert 1 < 9 <= his[0]
         _assert_fan_maxima_match_oracle(cs, grid, 1, his)
+
+
+# ----------------------------------------------------------------------
+# schedule run arrays against the level-by-level and run-by-run oracles
+
+
+@st.composite
+def two_phase_params(draw):
+    """0 < s < t <= 1 with small and int64-overflowing denominators of t."""
+    td = draw(st.one_of(st.integers(1, 64), st.integers(1, 2**70), st.integers(2**62, 2**70)))
+    t = Fraction(draw(st.integers(1, td)), td)
+    v = draw(st.integers(2, 1000))
+    s = t * Fraction(draw(st.integers(1, v - 1)), v)
+    return TwoPhaseParams(s, t, draw(st.integers(2, 12)), draw(st.integers(1, 2)))
+
+
+@st.composite
+def run_schedules(draw, min_size=0):
+    """Schedules from arbitrary runs, long ones included; neighbours with
+    equal counts are merged by the constructor."""
+    runs = draw(st.lists(st.tuples(st.integers(1, 10**17), st.sampled_from((1, 2))),
+                         min_size=min_size, max_size=12))
+    return BranchingSchedule(runs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(two_phase_params())
+def test_two_phase_runs_and_prefix_match_oracle(p):
+    sched = two_phase_schedule(p)
+    levels = oracle_two_phase_levels(p)
+    assert sched.runs == tuple(oracle_runs(levels))
+    assert sched.prefix_array().tolist() == oracle_prefix(levels)
+    assert sched.depth == len(levels)
+
+
+def _round_trip(obj, oracle_text: str):
+    """load(dump(obj)), checking the written bytes against the oracle's."""
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "x.fds")
+        dump(obj, path)
+        with open(path, encoding="ascii") as fh:
+            assert fh.read() == oracle_text
+        return load(path)
+
+
+@settings(max_examples=60, deadline=None)
+@given(two_phase_params())
+def test_two_phase_dump_matches_oracle_writer(p):
+    sched = two_phase_schedule(p)
+    assert _round_trip(sched, oracle_write_schedule(sched)) == sched
+
+
+@settings(max_examples=60, deadline=None)
+@given(run_schedules())
+def test_schedule_round_trip_matches_oracles(s):
+    text = oracle_write_schedule(s)
+    assert _round_trip(s, text) == s
+    body = text.split("\n", 2)[2].rstrip("\n")
+    assert s.runs == tuple(oracle_parse_runs(body, " ", "\n") if body else ())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(run_schedules(min_size=1), min_size=0, max_size=4),
+       st.lists(st.integers(1, 2**40), min_size=4, max_size=4, unique=True),
+       st.booleans())
+def test_composite_round_trip_matches_oracles(scheds, shifts, origin):
+    cs = CompositeSet(zip(sorted(shifts), scheds), include_origin=origin)
+    text = oracle_write_composite(cs)
+    assert _round_trip(cs, text) == cs
+    for line, (_, s) in zip(text.splitlines()[2:], cs.components):
+        body = line.split()[2].removeprefix("runs:")
+        assert s.runs == tuple(oracle_parse_runs(body, "x", ","))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 40), st.sampled_from((1, 2))), max_size=12))
+def test_schedule_arrays_match_per_level_oracle(runs):
+    """Merged runs, prefix counts and prefix(m) from arbitrary runs."""
+    s = BranchingSchedule(np.array(runs, dtype=np.int64).reshape(-1, 2))
+    levels = [c for n, c in runs for _ in range(n)]
+    assert s.runs == tuple(oracle_runs(levels))
+    S = oracle_prefix(levels)
+    assert s.prefix_array().tolist() == S
+    assert [s.prefix(m) for m in range(s.depth + 1)] == S
+    assert s.lengths.dtype == s.counts.dtype == np.int64
+    assert not s.lengths.flags.writeable and not s.counts.flags.writeable

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from fds.errors import BudgetError
@@ -32,6 +33,43 @@ def test_run_normalization():
         BranchingSchedule([(0, 1)])
     with pytest.raises(ValueError):
         BranchingSchedule([(1, 3)])
+
+
+def test_runs_are_read_only_int64_arrays():
+    runs = np.array([[2, 1], [1, 1], [3, 2]], dtype=np.int64)
+    s = BranchingSchedule(runs)
+    runs[0, 0] = 99  # the schedule keeps its own copy
+    assert s.lengths.tolist() == [3, 3] and s.counts.tolist() == [1, 2]
+    assert s.lengths.dtype == s.counts.dtype == np.int64
+    with pytest.raises(ValueError):
+        s.lengths[0] = 1
+    with pytest.raises(ValueError):
+        s.prefix_array()[0] = 1
+    assert BranchingSchedule([]).depth == 0
+    assert BranchingSchedule(runs) == BranchingSchedule([(100, 1), (3, 2)])
+    assert hash(BranchingSchedule([(1, 2), (2, 2)])) == hash(BranchingSchedule([(3, 2)]))
+    with pytest.raises(ValueError, match="pairs"):
+        BranchingSchedule([(1, 2, 3)])
+
+
+def test_validation_reports_first_offending_run():
+    with pytest.raises(ValueError, match="^run length must be positive, got 0$"):
+        BranchingSchedule([(3, 1), (0, 2), (2, 5), (-1, 1)])
+    with pytest.raises(ValueError, match="^child count must be 1 or 2, got 5$"):
+        BranchingSchedule([(3, 1), (2, 5), (0, 2)])
+    with pytest.raises(ValueError, match="^run length must be positive, got -4$"):
+        BranchingSchedule([(-4, 3)])
+
+
+@pytest.mark.parametrize("runs", [
+    [(2**63, 2)],
+    [(2**62, 2), (2**62, 1)],  # the sum wraps
+    [(2**62, 2), (2**62, 2)],  # merging the equal neighbours would wrap
+    [(2**63 - 1, 1), (1, 2)],
+])
+def test_int64_overflow_rejected(runs):
+    with pytest.raises(ValueError, match="int64"):
+        BranchingSchedule(runs)
 
 
 def test_prefix_counts():
