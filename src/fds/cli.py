@@ -32,7 +32,6 @@ __all__ = ["main"]
 
 DEFAULT_GRID = "0.1:0.9:0.1"
 DEFAULT_EPSILONS = "0.1,0.05,0.02"
-ALL_CHECKS = ("main-theorem", "bound", "chain", "nthroot")
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -278,28 +277,19 @@ def cmd_estimate(args) -> int:
 def cmd_verify(args) -> int:
     rep = _load_input(args)
     grid, m_range, tol, nb, epsilons = _run_config(args)
-    checks = args.check or list(ALL_CHECKS)
-    expanded: list[str] = []
-    for c in checks:
-        expanded.extend(tok.strip() for tok in c.split(","))
-    unknown = [c for c in expanded if c not in ALL_CHECKS]
+    # the calls read n_values, parsed once the check names are known good
+    checks = {
+        "main-theorem": lambda: spectra.verify_main_theorem(rep, grid, m_range, nb),
+        "bound": lambda: spectra.verify_bound(rep, grid, m_range, tol, nb),
+        "chain": lambda: spectra.verify_chain(rep, grid, m_range, tol, epsilons or None, nb),
+        "nthroot": lambda: spectra.verify_nthroot(rep, grid, n_values, m_range, tol, nb),
+    }
+    names = [tok.strip() for c in args.check or checks for tok in c.split(",")]
+    unknown = [c for c in names if c not in checks]
     if unknown:
-        raise ValueError(f"unknown checks: {unknown}; choose from {ALL_CHECKS}")
+        raise ValueError(f"unknown checks: {unknown}; choose from {tuple(checks)}")
     n_values = [int(tok) for tok in str(args.n_values).split(",")]
-    reports = []
-    for check in expanded:
-        if check == "main-theorem":
-            reports.append(spectra.verify_main_theorem(rep, grid, m_range, nb))
-        elif check == "bound":
-            reports.append(spectra.verify_bound(rep, grid, m_range, tol, nb))
-        elif check == "chain":
-            reports.append(
-                spectra.verify_chain(rep, grid, m_range, tol, epsilons or None, nb)
-            )
-        else:
-            reports.append(
-                spectra.verify_nthroot(rep, grid, n_values, m_range, tol, nb)
-            )
+    reports = [checks[name]() for name in names]
     for rep_ in reports:
         sys.stdout.write(spectra.report_to_text(rep_))
     return 0 if all(r.passed for r in reports) else 1

@@ -18,7 +18,7 @@ import numpy as np
 
 from .dyadic import DyadicTree
 from .errors import BudgetError
-from .schedule import BranchingSchedule, CompositeSet
+from .schedule import MAX_MATERIALIZE_NODES, BranchingSchedule, CompositeSet
 
 __all__ = [
     "TwoPhaseParams",
@@ -36,6 +36,8 @@ __all__ = [
 ]
 
 MAX_SCHEDULE_DEPTH = 1 << 21
+# polynomial targets are checked for admissibility at k / TARGET_GRID
+TARGET_GRID = 256
 
 
 @dataclass(frozen=True)
@@ -78,9 +80,7 @@ def closed_form_u(s, t, theta):
     return min(s / (1 - theta), t)
 
 
-def two_phase_schedule(
-    p: TwoPhaseParams, max_depth: int = MAX_SCHEDULE_DEPTH
-) -> BranchingSchedule:
+def two_phase_schedule(p: TwoPhaseParams) -> BranchingSchedule:
     """Build the block schedule for (s, t).
 
     Levels 1..m0 are a quiet lead-in.  Block k covers (M_{k-1}, M_k] with
@@ -95,9 +95,9 @@ def two_phase_schedule(
     M = p.m0
     for _ in range(p.blocks):
         nxt = M * M
-        if nxt > max_depth:
+        if nxt > MAX_SCHEDULE_DEPTH:
             raise BudgetError(
-                f"block boundary {nxt} exceeds the depth budget {max_depth}"
+                f"block boundary {nxt} exceeds the depth budget {MAX_SCHEDULE_DEPTH}"
             )
         L = nxt - M
         quiet = (q.numerator * L) // q.denominator
@@ -187,19 +187,17 @@ def poly_eval(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
     return acc
 
 
-def target_from_poly(
-    coeffs: Sequence[Fraction], count: int, grid: int = 256
-) -> ConcaveTarget:
+def target_from_poly(coeffs: Sequence[Fraction], count: int) -> ConcaveTarget:
     """Sample a polynomial target at the first `count` enumerated rationals.
 
     Admissibility (non-decreasing, concave, growth cap) is checked on a
-    uniform grid of `grid` intervals before sampling.
+    uniform grid of `TARGET_GRID` intervals before sampling.
     """
     cs = [Fraction(c) for c in coeffs]
     f0 = poly_eval(cs, Fraction(0))
     if not 0 < f0 <= 1:
         raise ValueError(f"target f(0) must lie in (0, 1], got {f0}")
-    vals = [poly_eval(cs, Fraction(k, grid)) for k in range(grid + 1)]
+    vals = [poly_eval(cs, Fraction(k, TARGET_GRID)) for k in range(TARGET_GRID + 1)]
     if any(not 0 < v <= 1 for v in vals[1:]):
         raise ValueError("target leaves (0, 1] on [0, 1]")
     diffs = [b - a for a, b in zip(vals, vals[1:])]
@@ -207,7 +205,7 @@ def target_from_poly(
         raise ValueError("target is not non-decreasing on [0, 1]")
     if any(b > a for a, b in zip(diffs, diffs[1:])):
         raise ValueError("target is not concave on [0, 1]")
-    if any(v > f0 * (1 + Fraction(k, grid)) for k, v in enumerate(vals)):
+    if any(v > f0 * (1 + Fraction(k, TARGET_GRID)) for k, v in enumerate(vals)):
         raise ValueError("target exceeds the growth cap f(0) * (1 + theta)")
     qs = rational_enumeration(count)
     return ConcaveTarget(f0, tuple((q, poly_eval(cs, q)) for q in qs))
@@ -219,7 +217,6 @@ def concave_union(
     blocks: int = 3,
     shifts: Sequence[int] | None = None,
     shift_linear: int | None = None,
-    max_depth: int = MAX_SCHEDULE_DEPTH,
 ) -> CompositeSet:
     """Union of two-phase components realizing the target spectrum.
 
@@ -244,7 +241,7 @@ def concave_union(
     for e, (s, t) in zip(shifts, target.pairs()):
         if not 0 < s < t <= 1:
             raise ValueError(f"component parameters (s={s}, t={t}) are inadmissible")
-        comps.append((e, two_phase_schedule(TwoPhaseParams(s, t, m0, blocks), max_depth)))
+        comps.append((e, two_phase_schedule(TwoPhaseParams(s, t, m0, blocks))))
     return CompositeSet(comps, include_origin=True)
 
 
@@ -268,11 +265,13 @@ def geometric_sequence_tree(depth: int) -> DyadicTree:
     return DyadicTree(depth, [0] + [1 << j for j in range(depth)])
 
 
-def full_binary_tree(depth: int, max_nodes: int = 1 << 22) -> DyadicTree:
+def full_binary_tree(depth: int) -> DyadicTree:
     if depth < 0:
         raise ValueError("negative depth")
-    if (1 << (depth + 1)) > max_nodes:
-        raise BudgetError(f"full tree of depth {depth} exceeds {max_nodes} nodes")
+    if (1 << (depth + 1)) > MAX_MATERIALIZE_NODES:
+        raise BudgetError(
+            f"full tree of depth {depth} exceeds {MAX_MATERIALIZE_NODES} nodes"
+        )
     return DyadicTree(depth, range(1 << depth))
 
 

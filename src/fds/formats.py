@@ -17,8 +17,10 @@ fds-composite 1   "origin <0|1>" then one "component <shift> <spec>" line
                   spaces) or a path to an fds-schedule file (resolved
                   relative to the composite file).
 
-Run counts and child counts are ASCII digits only, below 2**63; no sign,
-underscore or surrounding space.
+Every decimal number - run lengths and child counts, the depth, leaves
+and shift fields, and the level and index tokens of fds-tree 1 - is ASCII
+digits only: no sign, underscore, surrounding space or non-ASCII digit.
+Run numbers are also below 2**63.
 """
 
 from __future__ import annotations
@@ -102,18 +104,20 @@ def _lines(text: str) -> list[str]:
     return [ln.rstrip() for ln in text.splitlines() if ln.strip()]
 
 
+def _decimal(tok: str, what: str) -> int:
+    """The value of a decimal field outside the run body: ASCII digits
+    only, like a run number."""
+    if not (tok.isascii() and tok.isdigit()):
+        raise FormatError(f"bad {what}")
+    return int(tok)
+
+
 def _count_line(line: str, key: str) -> int:
     """The non-negative integer of a "<key> <n>" line."""
     toks = line.split()
     if len(toks) != 2 or toks[0] != key:
         raise FormatError(f"missing {key} line")
-    try:
-        n = int(toks[1])
-    except ValueError as exc:
-        raise FormatError(f"bad {key} line") from exc
-    if n < 0:
-        raise FormatError(f"negative {key} {n}")
-    return n
+    return _decimal(toks[1], f"{key} line")
 
 
 def parse_tree(text: str) -> DyadicTree:
@@ -154,18 +158,16 @@ def _parse_levels(lines: list[str], depth: int) -> DyadicTree:
     levels: list[list[int] | None] = [None] * (depth + 1)
     for ln in lines:
         head, _, rest = ln.partition(":")
-        try:
-            m = int(head)
-            xs = [int(tok) for tok in rest.split()]
-        except ValueError as exc:
-            raise FormatError(f"bad level line {ln!r}") from exc
-        if not 0 <= m <= depth:
+        what = f"level line {ln!r}"
+        m = _decimal(head, what)
+        xs = [_decimal(tok, what) for tok in rest.split()]
+        if m > depth:
             raise FormatError(f"level {m} outside depth {depth}")
         if levels[m] is not None:
             raise FormatError(f"duplicate level line for level {m}")
         if any(b <= a for a, b in zip(xs, xs[1:])):
             raise FormatError(f"indices at level {m} not strictly ascending")
-        if xs and not (0 <= xs[0] and xs[-1].bit_length() <= m):
+        if xs and xs[-1].bit_length() > m:
             raise FormatError(f"index out of range at level {m}")
         levels[m] = xs
     # a valid tree is fixed by its deepest level; any other level that
@@ -236,12 +238,7 @@ def parse_schedule(text: str) -> BranchingSchedule:
     lines = _lines(text)
     if not lines or lines[0] != "fds-schedule 1":
         raise FormatError("not an fds-schedule file")
-    if len(lines) < 2 or not lines[1].startswith("depth "):
-        raise FormatError("missing depth line")
-    try:
-        depth = int(lines[1].split()[1])
-    except (IndexError, ValueError) as exc:
-        raise FormatError("bad depth line") from exc
+    depth = _count_line(lines[1] if len(lines) > 1 else "", "depth")
     body = "\n".join(lines[2:])
     sched = _parse_runs(body, _RUN_LINES, _RUN_LINES_PREFIX, "\n", "run line")
     if sched.depth != depth:
@@ -264,10 +261,7 @@ def parse_composite(text: str, base_dir: str = ".") -> CompositeSet:
         toks = ln.split(maxsplit=2)
         if len(toks) != 3 or toks[0] != "component":
             raise FormatError(f"bad component line {ln!r}")
-        try:
-            shift = int(toks[1])
-        except ValueError as exc:
-            raise FormatError(f"bad shift in {ln!r}") from exc
+        shift = _decimal(toks[1], f"shift in {ln!r}")
         spec = toks[2]
         if spec.startswith("runs:"):
             body = spec[len("runs:") :]

@@ -109,9 +109,7 @@ class BranchingSchedule:
         return f"BranchingSchedule(depth={self.depth}, runs={len(self.lengths)})"
 
 
-def materialize(
-    s: BranchingSchedule, max_nodes: int = MAX_MATERIALIZE_NODES
-) -> DyadicTree:
+def materialize(s: BranchingSchedule) -> DyadicTree:
     """Expand the schedule into a tree, keeping the left child always and
     the right child exactly at branching levels."""
     total = 0
@@ -123,9 +121,10 @@ def materialize(
             if c == 2:
                 S += 1
             total += 1 << S
-            if total > max_nodes:
+            if total > MAX_MATERIALIZE_NODES:
                 raise BudgetError(
-                    f"materializing depth {s.depth} needs more than {max_nodes} nodes"
+                    f"materializing depth {s.depth} needs more than "
+                    f"{MAX_MATERIALIZE_NODES} nodes"
                 )
     # a leaf is a sum of one bit 2**(depth - j) per branching level j;
     # doubling over the bits in ascending order keeps the leaves sorted

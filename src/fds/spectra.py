@@ -28,12 +28,20 @@ same exponent values (integer prefix differences or cached log tables),
 so the structural identities - spectrum <= upper, upper non-decreasing in
 theta, and the upper/ratio-fan identity - hold with zero tolerance, while
 closed-form comparisons carry an explicit tolerance.
+
+One report rule serves every verifier (`_report`): a check is a list of
+rows (deviation, own tolerance, witness), the own tolerance being `tol`
+for a tolerance link and 0.0 for an exact one; `worst` is the largest
+deviation before any tolerance, and the check passes iff every deviation
+is at most its own tolerance.  A NaN `tol` is rejected.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import pairwise
 from typing import Sequence
 
 import numpy as np
@@ -413,6 +421,22 @@ def _ratio_fan_maxima(rep, depth, grid, lo, his, neighbors) -> list[float]:
     return best.tolist()
 
 
+def _report(name: str, tol: float, rows) -> VerificationReport:
+    """The report rule of the module docstring over rows (deviation, own
+    tolerance, witness text); the witnesses are the rows that exceed their
+    own tolerance."""
+    rows = list(rows)
+    worst = max((dev for dev, _, _ in rows), default=-np.inf)
+    wits = [text for dev, own, text in rows if not dev <= own]
+    return VerificationReport(name, not wits, float(worst), tol, wits)
+
+
+def _tolerance(tol: float) -> float:
+    if math.isnan(tol):
+        raise ValueError("tolerance must not be NaN")
+    return tol
+
+
 def verify_main_theorem(
     rep,
     theta_grid: Sequence,
@@ -430,17 +454,11 @@ def verify_main_theorem(
     upper = estimate_upper(rep, grid, (lo, hi), neighbors)
     his = [_clamp(depth, RationalScale(th), lo, hi)[1] for th in grid]
     fan = _ratio_fan_maxima(rep, depth, grid, lo, his, neighbors)
-    worst = 0.0
-    wits: list[str] = []
-    for th, lhs, rhs in zip(upper.thetas, upper.values, fan):
-        dev = abs(lhs - rhs)
-        if dev > worst:
-            worst = dev
-        if dev != 0.0:
-            wits.append(
-                f"theta={float(th):g} upper={lhs!r} ratio-fan={rhs!r} dev={dev!r}"
-            )
-    return VerificationReport("main-theorem", worst == 0.0, worst, 0.0, wits)
+    devs = [abs(lhs - rhs) for lhs, rhs in zip(upper.values, fan)]
+    return _report("main-theorem", 0.0, (
+        (dev, 0.0, f"theta={float(th):g} upper={lhs!r} ratio-fan={rhs!r} dev={dev!r}")
+        for th, lhs, rhs, dev in zip(upper.thetas, upper.values, fan, devs)
+    ))
 
 
 def verify_bound(
@@ -451,18 +469,14 @@ def verify_bound(
     neighbors: bool = False,
 ) -> VerificationReport:
     """spectrum(theta) <= box / (1 - theta) + tol on every grid point."""
+    tol = _tolerance(tol)
     spec = estimate_spectrum(rep, theta_grid, m_range, neighbors)
     box = estimate_box(rep, spec.m_range)
-    worst = -np.inf
-    wits: list[str] = []
-    for th, v in zip(spec.thetas, spec.values):
-        cap = box.value / (1.0 - float(th))
-        dev = v - cap
-        if dev > worst:
-            worst = dev
-        if dev > tol:
-            wits.append(f"theta={float(th):g} spectrum={v!r} bound={cap!r}")
-    return VerificationReport("bound", worst <= tol, float(worst), tol, wits)
+    caps = [box.value / (1.0 - float(th)) for th in spec.thetas]
+    return _report("bound", tol, (
+        (v - cap, tol, f"theta={float(th):g} spectrum={v!r} bound={cap!r}")
+        for th, v, cap in zip(spec.thetas, spec.values, caps)
+    ))
 
 
 def verify_chain(
@@ -478,40 +492,30 @@ def verify_chain(
     box <= spectrum + tol, spectrum <= upper (exact), upper <= quasi-Assouad
     headline + tol, and upper non-decreasing along the grid (exact).
     """
+    tol = _tolerance(tol)
     _, grid, lo, hi = _resolve(rep, theta_grid, m_range, neighbors)
     spec = estimate_spectrum(rep, grid, (lo, hi), neighbors)
     upper = estimate_upper(rep, grid, (lo, hi), neighbors)
-    box = estimate_box(rep, (lo, hi))
+    box = estimate_box(rep, (lo, hi)).value
     if epsilons is None:
         # shrink toward 1 - max(grid) so the headline sits at the grid top
         e0 = 1 - grid[-1]
         epsilons = [e0 + (1 - e0) / 2, e0 + (1 - e0) / 4, e0]
-    qa = estimate_quasi_assouad(rep, epsilons, (lo, hi), neighbors)
-    worst = -np.inf
-    wits: list[str] = []
-    for th, sv, uv in zip(grid, spec.values, upper.values):
-        checks = (
-            (box.value - sv - tol, f"box {box.value!r} > spectrum {sv!r} + tol"),
-            (sv - uv, f"spectrum {sv!r} > upper {uv!r}"),
-            (uv - qa.headline - tol, f"upper {uv!r} > quasi-Assouad {qa.headline!r} + tol"),
-        )
-        for dev, msg in checks:
-            if dev > worst:
-                worst = dev
-            if dev > 0:
-                wits.append(f"theta={float(th):g}: {msg}")
-    for (t1, u1), (t2, u2) in zip(
-        zip(grid, upper.values), zip(grid[1:], upper.values[1:])
-    ):
-        dev = u1 - u2
-        if dev > worst:
-            worst = dev
-        if dev > 0:
-            wits.append(
+    qa = estimate_quasi_assouad(rep, epsilons, (lo, hi), neighbors).headline
+
+    def rows():
+        for th, sv, uv in zip(grid, spec.values, upper.values):
+            at = f"theta={float(th):g}: "
+            yield box - sv, tol, f"{at}box {box!r} > spectrum {sv!r} + tol"
+            yield sv - uv, 0.0, f"{at}spectrum {sv!r} > upper {uv!r}"
+            yield uv - qa, tol, f"{at}upper {uv!r} > quasi-Assouad {qa!r} + tol"
+        for (t1, u1), (t2, u2) in pairwise(zip(grid, upper.values)):
+            yield u1 - u2, 0.0, (
                 f"upper not monotone: theta={float(t1):g}->{u1!r}, "
                 f"theta={float(t2):g}->{u2!r}"
             )
-    return VerificationReport("chain", not wits, float(worst), tol, wits)
+
+    return _report("chain", tol, rows())
 
 
 def verify_nthroot(
@@ -523,24 +527,21 @@ def verify_nthroot(
     neighbors: bool = False,
 ) -> VerificationReport:
     """spectrum(theta) <= spectrum(theta ** (1/n)) + tol for each n."""
+    tol = _tolerance(tol)
     depth, grid, lo, hi = _resolve(rep, theta_grid, m_range, neighbors)
     spec = estimate_spectrum(rep, grid, (lo, hi), neighbors)
-    worst = -np.inf
-    wits: list[str] = []
-    for th, base in zip(grid, spec.values):
-        for n in n_values:
-            scale = RootScale(th, int(n))
-            a, b = _clamp(depth, scale, lo, hi)
-            other, _, _, _ = _spectrum_at(rep, scale, a, b, neighbors)
-            dev = base - other - tol
-            if dev > worst:
-                worst = dev
-            if dev > 0:
-                wits.append(
+
+    def rows():
+        for th, base in zip(grid, spec.values):
+            for n in n_values:
+                scale = RootScale(th, int(n))
+                other = _spectrum_at(rep, scale, *_clamp(depth, scale, lo, hi), neighbors)[0]
+                yield base - other, tol, (
                     f"theta={float(th):g} n={n}: spectrum {base!r} > "
                     f"root-spectrum {other!r} + tol"
                 )
-    return VerificationReport("nthroot", not wits, float(worst), tol, wits)
+
+    return _report("nthroot", tol, rows())
 
 
 # ----------------------------------------------------------------------

@@ -444,6 +444,21 @@ def test_run_grammar_rejected_in_cli(tmp_path, capsys, token):
         assert code == 2 and out == "" and "bad run token" in err
 
 
+def test_header_numbers_rejected_in_cli(tmp_path, capsys):
+    path = tmp_path / "set.fds"
+    path.write_text("fds-composite 1\norigin 1\ncomponent 1_0 runs:1x2\n")
+    code, out, err = run(["verify", "-i", str(path)], capsys)
+    assert code == 2 and out == "" and err.startswith("error: bad ")
+
+
+def test_verify_rejects_nan_tolerance(tmp_path, capsys):
+    path = tmp_path / "geo.fds"
+    run(["construct", "geometric", "--depth", "64", "-o", str(path)], capsys)
+    for check in ("bound", "chain", "nthroot", "main-theorem,bound"):
+        code, out, err = run(["verify", "-i", str(path), "--check", check, "--tol", "nan"], capsys)
+        assert code == 2 and out == "" and "NaN" in err, check
+
+
 NEIGHBOR_CSV = {
     "spectrum": """theta,value,m_witness,mprime_witness
 0.1,0.10801648174379151,6,60
@@ -470,12 +485,12 @@ NEIGHBOR_SUMMARY = {
           "eps=0.05->2.0, eps=0.02->2.0)",
 }
 NEIGHBOR_REPORT = """CHECK main-theorem PASS worst=0.0 tol=0.0
-CHECK chain FAIL worst=0.30987600526580916 tol=0.05
+CHECK chain FAIL worst=0.35987600526580915 tol=0.05
   witness theta=0.1: box 0.4678924870096007 > spectrum 0.10801648174379151 + tol
   witness theta=0.2: box 0.4678924870096007 > spectrum 0.1981203125901445 + tol
   witness theta=0.3: box 0.4678924870096007 > spectrum 0.29196163151788135 + tol
   witness theta=0.4: box 0.4678924870096007 > spectrum 0.39832916674679514 + tol
-CHECK nthroot PASS worst=-0.05 tol=0.05
+CHECK nthroot PASS worst=0.0 tol=0.05
 CHECK bound PASS worst=-0.37645620706726257 tol=0.05
 """
 

@@ -239,6 +239,27 @@ def test_run_numbers_past_int64_rejected(text, match):
         parse(text)
 
 
+@pytest.mark.parametrize("text", [
+    "fds-composite 1\norigin 1\ncomponent 1_0 runs:1x2\n",
+    "fds-composite 1\norigin 1\ncomponent +2 runs:1x2\n",
+    "fds-schedule 1\ndepth +1_0\n10 1\n",
+    "fds-schedule 1\ndepth ３\n3 1\n",  # a full-width digit
+    "fds-tree 2\ndepth +3\nleaves 1\n0\n",
+    "fds-tree 2\ndepth ３\nleaves 1\n0\n",
+    "fds-tree 2\ndepth 3\nleaves +1\n0\n",
+    "fds-tree 1\ndepth 1_0\n",
+    "fds-tree 1\ndepth 1\n+0: 0\n1: 0\n",
+    "fds-tree 1\ndepth 1\n0: 0\n1: -0\n",
+    "fds-tree 1\ndepth 1\n0: 0\n1: ٠\n",  # a non-ASCII digit
+])
+def test_header_numbers_accept_ascii_digits_only(text):
+    parse = {"fds-tree": parse_tree, "fds-schedule": parse_schedule}.get(
+        text.split()[0], parse_composite
+    )
+    with pytest.raises(FormatError, match="^bad "):
+        parse(text)
+
+
 def test_largest_int64_run_length_parses():
     s = parse_schedule("fds-schedule 1\ndepth 9223372036854775807\n9223372036854775807 1\n")
     assert s.depth == 2**63 - 1 and s.runs == ((2**63 - 1, 1),)

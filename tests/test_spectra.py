@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from fds.constructions import (
@@ -12,6 +13,7 @@ from fds.constructions import (
     target_from_poly,
     concave_union,
 )
+from fds.dyadic import DyadicTree
 from fds.schedule import BranchingSchedule
 from fds.spectra import (
     estimate_box,
@@ -25,8 +27,15 @@ from fds.spectra import (
     verify_main_theorem,
     verify_nthroot,
 )
+from fds.windows import RationalScale, RootScale
 
-from conftest import max_alpha, oracle_tree_spectrum, oracle_tree_upper, reference_upper
+from conftest import (
+    max_alpha,
+    oracle_tree_spectrum,
+    oracle_tree_upper,
+    ratio_fan_max,
+    reference_upper,
+)
 
 F = Fraction
 GRID = [F(k, 10) for k in range(1, 10)]
@@ -224,6 +233,76 @@ def test_verify_nthroot(twophase_48):
     assert base == pytest.approx(0.5714, abs=1e-3)
     assert other == pytest.approx(0.8, abs=1e-9)
     assert base <= other
+
+
+def _root_spectrum(rep, theta, n, lo, hi):
+    """The exact-ratio spectrum at theta ** (1/n) from the set's public
+    tables: one window per coarse level of the clamped range."""
+    scale = RootScale(theta, n)
+    ms = np.arange(lo, min(hi, scale.max_coarse(rep.depth)) + 1)
+    fs = scale.fine_array(ms)
+    if isinstance(rep, DyadicTree):
+        runs = rep.run_table()
+        nums = runs.logs[runs.at(runs.rank(rep.depth - fs), runs.rank(rep.depth - ms))]
+    else:
+        S = rep.prefix_array()
+        nums = S[fs] - S[ms]
+    return float((nums / (fs - ms)).max())
+
+
+CHAIN_EPS = [F(1, 2), F(1, 5), F(1, 10)]
+
+
+def _raw_rows(check, rep, grid, m_range, tol):
+    """(deviation, own tolerance) per link of a check, recomputed from the
+    public estimates: tolerance links carry tol, exact links 0.0."""
+    spec = estimate_spectrum(rep, grid, m_range)
+    lo, hi = spec.m_range
+    if check == "main-theorem":
+        up = estimate_upper(rep, grid, m_range)
+        his = [min(hi, RationalScale(th).max_coarse(rep.depth)) for th in up.thetas]
+        return [
+            (abs(u - ratio_fan_max(rep, th, lo, h)), 0.0)
+            for th, u, h in zip(up.thetas, up.values, his)
+        ]
+    if check == "bound":
+        box = estimate_box(rep, (lo, hi)).value
+        return [(v - box / (1 - float(th)), tol) for th, v in zip(spec.thetas, spec.values)]
+    if check == "nthroot":
+        return [
+            (v - _root_spectrum(rep, th, n, lo, hi), tol)
+            for th, v in zip(spec.thetas, spec.values)
+            for n in (2, 3)
+        ]
+    up = estimate_upper(rep, grid, (lo, hi)).values
+    box = estimate_box(rep, (lo, hi)).value
+    qa = estimate_quasi_assouad(rep, CHAIN_EPS, (lo, hi)).headline
+    rows = []
+    for sv, uv in zip(spec.values, up):
+        rows += [(box - sv, tol), (sv - uv, 0.0), (uv - qa, tol)]
+    return rows + [(u1 - u2, 0.0) for u1, u2 in zip(up, up[1:])]
+
+
+@pytest.mark.parametrize("check", ["main-theorem", "bound", "chain", "nthroot"])
+def test_report_rule(check, twophase_48):
+    """worst is the largest raw deviation, before any tolerance, and a check
+    passes iff every deviation is at most its own tolerance."""
+    sets = [
+        (geometric_sequence_tree(128), [F(1, 10), F(3, 10), F(1, 2), F(9, 10)], None),
+        (twophase_48, [F(3, 10), F(3, 5), F(9, 10)], (3277, 4096)),
+    ]
+    for rep, grid, m_range in sets:
+        for tol in (0.05, -0.01):
+            r = {
+                "main-theorem": lambda: verify_main_theorem(rep, grid, m_range),
+                "bound": lambda: verify_bound(rep, grid, m_range, tol),
+                "chain": lambda: verify_chain(rep, grid, m_range, tol, CHAIN_EPS),
+                "nthroot": lambda: verify_nthroot(rep, grid, (2, 3), m_range, tol),
+            }[check]()
+            raw = _raw_rows(check, rep, grid, m_range, tol)
+            assert r.worst == max(dev for dev, _ in raw)
+            assert r.passed == all(dev <= own for dev, own in raw)
+            assert len(r.witnesses) == sum(dev > own for dev, own in raw)
 
 
 def test_geometric_four_quantities_small_and_ordered(geo_tree_256=None):
