@@ -32,6 +32,8 @@ __all__ = ["main"]
 
 DEFAULT_GRID = "0.1:0.9:0.1"
 DEFAULT_EPSILONS = "0.1,0.05,0.02"
+# most points a --theta-grid may expand to
+MAX_GRID_POINTS = 10_000
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -51,12 +53,12 @@ def parse_theta_grid(spec: str) -> list[Fraction]:
         raise ValueError("theta grid step must be positive")
     if not (0 < start <= stop < 1):
         raise ValueError("theta grid must lie strictly inside (0, 1)")
-    out = []
-    cur = start
-    while cur <= stop:
-        out.append(cur)
-        cur += step
-    return out
+    count = (stop - start) // step + 1
+    if count > MAX_GRID_POINTS:
+        raise ValueError(
+            f"theta grid {spec!r} has {count} points, more than {MAX_GRID_POINTS}"
+        )
+    return [start + i * step for i in range(count)]
 
 
 def parse_m_range(spec: str) -> tuple[int, int]:

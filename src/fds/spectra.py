@@ -15,13 +15,25 @@ an empty clamp is a domain error.
 Trees are read through tables cached on the tree: the all-levels run
 table, or with neighbor mode on (a node counted with its present
 same-level neighbors) the neighbor count table, built once per tree, so
-neither mode loops over the nodes of a level per window.
+neither mode loops over the nodes of a level per window.  The two sides
+of the main theorem read these tables in two different orders:
 
-The brute side of the main theorem enumerates every window directly, in
-one pass over the widest fan for the whole grid: every window (m, m') is
-the exact-ratio window of theta' = m / m', so each coarse level's row of
-window exponents is computed once and reduced by ratio into the maximum
-of every theta whose clamped range holds m.
+- The upper estimate goes by fine level, in blocks, for the whole grid at
+  once.  Window (m, m') is admitted at theta iff m <= max_coarse(m'), so
+  at each fine level the coarse levels live at theta are a prefix of the
+  range; one gather per block and one running maximum over the coarse
+  levels give every theta its row maxima as prefix maxima.
+- The brute side goes by coarse level, in one pass over the widest fan:
+  every window (m, m') is the exact-ratio window of theta' = m / m', so
+  each coarse level's row of window exponents is computed once and
+  reduced by ratio into the maximum of every theta whose clamped range
+  holds m.
+
+Both sides divide the same table entries by the same widths, so they meet
+the same floats, and a maximum is exact whatever the order; the check
+still compares two independent reductions, one by prefix over coarse
+levels and one by ratio segments over fine levels, so a window either
+side drops or admits by mistake shows as a nonzero deviation.
 
 Exactness contract: within one set representation all estimators read the
 same exponent values (integer prefix differences or cached log tables),
@@ -79,6 +91,8 @@ __all__ = [
 
 SPECTRUM = "assouad-spectrum"
 UPPER = "upper-spectrum"
+# table entries one block of the tree upper kernel gathers at once
+UPPER_BLOCK = 1 << 16
 
 
 @dataclass
@@ -173,10 +187,13 @@ def _grid(thetas: Sequence) -> list[Fraction]:
 
 
 def _resolve(rep, theta_grid: Sequence, m_range, neighbors: bool):
-    """(depth, grid, lo, hi): the grid first, then the range it needs."""
+    """(depth, grid, lo, hi, his): the grid first, then the range it needs,
+    then each theta's clamped coarse top (rising with theta)."""
     depth = _depth(rep, neighbors)
     grid = _grid(theta_grid)
-    return (depth, grid, *_norm_range(depth, m_range, grid))
+    lo, hi = _norm_range(depth, m_range, grid)
+    his = [_clamp(depth, RationalScale(th), lo, hi)[1] for th in grid]
+    return depth, grid, lo, hi, his
 
 
 # ----------------------------------------------------------------------
@@ -217,24 +234,51 @@ def _tree_spectrum(tree, scale, lo, hi, neighbors) -> tuple[float, int, int, int
     return float(vals[k]), m, mp, _tree_witness_node(tree, m, mp, neighbors)
 
 
-def _tree_upper(tree, scale, lo, hi, neighbors) -> tuple[float, int, int, int]:
+def _tree_uppers(tree, grid, lo, his, neighbors) -> list[tuple[float, int, int, int]]:
+    """Per theta of the ascending grid, (value, m, m', node) over every
+    window (m, m') with lo <= m <= his[k] and m' >= ceil(m / theta): ties to
+    the smallest m, then the smallest m', then the leftmost node.
+
+    Fine levels go in blocks of at most UPPER_BLOCK table entries.  At each
+    fine level the coarse levels live at theta are a prefix of lo, ...,
+    his[k], so one gather and one running maximum over the coarse levels
+    serve every theta: each row's prefix maximum at its live count."""
     depth = tree.depth
-    best = None
     runs = _tree_table(tree, neighbors)
-    ms = np.arange(lo, hi + 1)
+    ms = np.arange(lo, his[-1] + 1)
     cols = runs.rank(depth - ms)
-    mps = np.arange(scale.fine(lo), depth + 1)
-    for mp, row in zip(mps.tolist(), runs.rank(depth - mps).tolist()):
-        n = min(hi, scale.max_coarse(mp)) - lo + 1
-        if n < 1:
-            continue
-        vals = runs.logs[runs.at(row, cols[:n])] / (mp - ms[:n])
-        k = int(np.argmax(vals))
-        cand = (float(vals[k]), -(lo + k), -mp)
-        if best is None or cand > best:
-            best = cand
-    m, mp = -best[1], -best[2]
-    return best[0], m, mp, _tree_witness_node(tree, m, mp, neighbors)
+    # coarse level m is live at theta from its fine level on
+    fines = [RationalScale(th).fine_array(ms[: hi - lo + 1]) for th, hi in zip(grid, his)]
+    step = max(1, UPPER_BLOCK // ms.size)
+    best = [None] * len(grid)
+    for a in range(int(fines[-1][0]), depth + 1, step):
+        mps = np.arange(a, min(a + step, depth + 1))
+        live = np.stack([np.searchsorted(f, mps, side="right") for f in fines])
+        n = int(live.max())
+        vals = runs.logs[runs.at(runs.rank(depth - mps)[:, None], cols[None, :n])]
+        widths = mps[:, None] - ms[None, :n]
+        # a width below one belongs to a window no theta admits
+        np.divide(vals, np.maximum(widths, 1, out=widths), out=vals)
+        prefix = np.maximum.accumulate(vals, axis=1, out=vals)
+        tops = np.where(live > 0, prefix[np.arange(mps.size), live - 1], -np.inf)
+        for k, row in enumerate(tops):
+            if not live[k, -1]:
+                continue
+            v = row.max()
+            if best[k] is not None and v < best[k][0]:
+                continue
+            hit = np.flatnonzero(row == v)
+            # the first coarse level reaching v per hit row, then the
+            # first hit row (smallest m') at the smallest of those
+            first = np.argmax(prefix[hit] >= v, axis=1)
+            j = int(np.argmin(first))
+            cand = (float(v), -(lo + int(first[j])), -int(mps[hit[j]]))
+            if best[k] is None or cand > best[k]:
+                best[k] = cand
+    return [
+        (v, -m, -mp, _tree_witness_node(tree, -m, -mp, neighbors))
+        for v, m, mp in best
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -247,22 +291,25 @@ def _spectrum_at(rep, scale, lo, hi_eff, neighbors) -> tuple[float, int, int, in
     return composite_spectrum(rep, scale, lo, hi_eff)
 
 
-def _upper_at(rep, scale, lo, hi_eff, neighbors) -> tuple[float, int, int, int]:
+def _spectra(rep, grid, lo, his, neighbors) -> list[tuple[float, int, int, int]]:
+    return [
+        _spectrum_at(rep, RationalScale(th), lo, hi, neighbors) for th, hi in zip(grid, his)
+    ]
+
+
+def _uppers(rep, grid, lo, his, neighbors) -> list[tuple[float, int, int, int]]:
     if isinstance(rep, DyadicTree):
-        return _tree_upper(rep, scale, lo, hi_eff, neighbors)
-    return composite_upper(rep, scale, lo, hi_eff)
+        return _tree_uppers(rep, grid, lo, his, neighbors)
+    return [composite_upper(rep, RationalScale(th), lo, hi) for th, hi in zip(grid, his)]
 
 
-def _estimate(mode: str, at, rep, theta_grid, m_range, neighbors) -> SpectrumEstimate:
-    """Per theta, the window maximum `at` over the clamped coarse range."""
-    depth, grid, lo, hi = _resolve(rep, theta_grid, m_range, neighbors)
-    values: list[float] = []
-    wits: list[tuple[int, int, int]] = []
-    for th in grid:
-        scale = RationalScale(th)
-        v, m, mp, node = at(rep, scale, *_clamp(depth, scale, lo, hi), neighbors)
-        values.append(v)
-        wits.append((m, mp, node))
+def _estimate(mode: str, solve, rep, theta_grid, m_range, neighbors) -> SpectrumEstimate:
+    """Per theta, the window maximum `solve` finds over the clamped coarse
+    range, as (value, m, m', node)."""
+    _, grid, lo, hi, his = _resolve(rep, theta_grid, m_range, neighbors)
+    found = solve(rep, grid, lo, his, neighbors)
+    values = [v for v, *_ in found]
+    wits = [tuple(w) for _, *w in found]
     return SpectrumEstimate(mode, grid, values, (lo, hi), wits)
 
 
@@ -273,7 +320,7 @@ def estimate_spectrum(
     neighbors: bool = False,
 ) -> SpectrumEstimate:
     """Window exponent at the exact ratio rule m' = ceil(m / theta), per theta."""
-    return _estimate(SPECTRUM, _spectrum_at, rep, theta_grid, m_range, neighbors)
+    return _estimate(SPECTRUM, _spectra, rep, theta_grid, m_range, neighbors)
 
 
 def estimate_upper(
@@ -283,7 +330,7 @@ def estimate_upper(
     neighbors: bool = False,
 ) -> SpectrumEstimate:
     """Window exponent maximized over every fine level m' >= ceil(m / theta)."""
-    return _estimate(UPPER, _upper_at, rep, theta_grid, m_range, neighbors)
+    return _estimate(UPPER, _uppers, rep, theta_grid, m_range, neighbors)
 
 
 def estimate_box(rep, m_range: tuple[int, int] | None = None) -> BoxEstimate:
@@ -450,9 +497,8 @@ def verify_main_theorem(
     in one pass over the widest fan, reduced by ratio for all thetas at
     once, so the deviation must be exactly zero.
     """
-    depth, grid, lo, hi = _resolve(rep, theta_grid, m_range, neighbors)
+    depth, grid, lo, hi, his = _resolve(rep, theta_grid, m_range, neighbors)
     upper = estimate_upper(rep, grid, (lo, hi), neighbors)
-    his = [_clamp(depth, RationalScale(th), lo, hi)[1] for th in grid]
     fan = _ratio_fan_maxima(rep, depth, grid, lo, his, neighbors)
     devs = [abs(lhs - rhs) for lhs, rhs in zip(upper.values, fan)]
     return _report("main-theorem", 0.0, (
@@ -493,7 +539,7 @@ def verify_chain(
     headline + tol, and upper non-decreasing along the grid (exact).
     """
     tol = _tolerance(tol)
-    _, grid, lo, hi = _resolve(rep, theta_grid, m_range, neighbors)
+    _, grid, lo, hi, _ = _resolve(rep, theta_grid, m_range, neighbors)
     spec = estimate_spectrum(rep, grid, (lo, hi), neighbors)
     upper = estimate_upper(rep, grid, (lo, hi), neighbors)
     box = estimate_box(rep, (lo, hi)).value
@@ -528,7 +574,7 @@ def verify_nthroot(
 ) -> VerificationReport:
     """spectrum(theta) <= spectrum(theta ** (1/n)) + tol for each n."""
     tol = _tolerance(tol)
-    depth, grid, lo, hi = _resolve(rep, theta_grid, m_range, neighbors)
+    depth, grid, lo, hi, _ = _resolve(rep, theta_grid, m_range, neighbors)
     spec = estimate_spectrum(rep, grid, (lo, hi), neighbors)
 
     def rows():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from fds.cli import main, parse_m_range, parse_theta_grid
+from fds.cli import MAX_GRID_POINTS, main, parse_m_range, parse_theta_grid
 from fds import formats
 from fds.errors import FormatError
 from fds.schedule import BranchingSchedule
@@ -28,7 +28,20 @@ def test_parse_theta_grid():
         parse_theta_grid("0.1:0.9:0")
     with pytest.raises(ValueError):
         parse_theta_grid("0.1:0.9")
+    assert len(parse_theta_grid("1/20000:1/2:1/20000")) == MAX_GRID_POINTS
+    with pytest.raises(ValueError, match="10001 points"):
+        parse_theta_grid("1/20000:10001/20000:1/20000")
     assert parse_m_range("16:64") == (16, 64)
+
+
+def test_huge_theta_grid_exits_2(tmp_path, capsys):
+    path = tmp_path / "full.fds"
+    assert run(["construct", "full", "--depth", "8", "-o", str(path)], capsys)[0] == 0
+    code, out, err = run(["estimate", "--mode", "upper", "-i", str(path),
+                          "--theta-grid", "0.1:0.9:1/1000000000000",
+                          "-o", str(tmp_path / "upper.csv")], capsys)
+    assert code == 2 and out == "" and not (tmp_path / "upper.csv").exists()
+    assert "800000000001 points, more than 10000" in err
 
 
 def test_construct_two_phase_depth(tmp_path, capsys):
@@ -478,6 +491,24 @@ NEIGHBOR_CSV = {
 """,
 }
 NEIGHBOR_CSV["upper"] = NEIGHBOR_CSV["spectrum"]
+RUN_CSV = {
+    "upper": """theta,value,m_witness,mprime_witness
+0.1,0.10706221691712334,6,60
+0.2,0.1934940079072802,6,30
+0.3,0.27906361397203705,6,20
+0.4,0.3691031216541514,6,15
+0.5,0.4678924870096007,6,12
+0.6,0.5804820237218405,6,10
+0.7,0.6666666666666666,6,9
+0.8,0.792481250360578,6,8
+0.9,1.0,6,7
+""",
+    "qa": """theta,value,m_witness,mprime_witness
+0.9,0.792481250360578,16,18
+0.95,1.0,16,17
+0.98,1.0,16,17
+""",
+}
 NEIGHBOR_SUMMARY = {
     "spectrum": "spectrum: 9 grid points, min=0.10801648174379151 max=2.0",
     "upper": "upper: 9 grid points, min=0.10801648174379151 max=2.0",
@@ -512,3 +543,16 @@ def test_neighbor_mode_output_bytes(tmp_path, capsys):
                          "main-theorem,chain,nthroot,bound", *grid], capsys)
     assert code == 1
     assert text == NEIGHBOR_REPORT
+
+
+def test_run_mode_output_bytes(tmp_path, capsys):
+    """Run-mode upper and qa CSVs on the depth-64 geometric tree, byte for
+    byte (the default range)."""
+    path = tmp_path / "geo.fds"
+    assert run(["construct", "geometric", "--depth", "64", "-o", str(path)], capsys)[0] == 0
+    for mode, csv_text in RUN_CSV.items():
+        csv = tmp_path / f"{mode}.csv"
+        code, _, _ = run(["estimate", "--mode", mode, "-i", str(path),
+                          "--theta-grid", "0.1:0.9:0.1", "-o", str(csv)], capsys)
+        assert code == 0
+        assert csv.read_text() == csv_text

@@ -5,6 +5,7 @@ import random
 import tempfile
 from fractions import Fraction
 from math import log2
+from unittest.mock import patch
 
 import numpy as np
 
@@ -19,6 +20,7 @@ from fds.constructions import (
     rational_enumeration,
     two_phase_schedule,
 )
+from fds import spectra
 from fds.formats import dump, load
 from fds.spectra import _ratio_fan_maxima, estimate_box, estimate_spectrum, estimate_upper
 from fds.windows import RationalScale, runlen_table
@@ -211,33 +213,39 @@ def test_leaf_storage_matches_levels(t):
             assert runs.counts(s, d) == want[min(d, len(want) - 1)], (m, d)
 
 
+def _assert_tree_estimators_match_oracles(t, neighbors):
+    """Values and witness (m, m', node) of one call over the whole grid
+    against the set-scan oracles, ties to (value, -m, -m') and then the
+    smallest node; the upper kernel also with one fine level per block, so
+    ties meet across blocks."""
+    tops = {th: t.depth * th.numerator // th.denominator
+            for th in (Fraction(1, 3), Fraction(1, 2), Fraction(3, 4))}
+    grid = [th for th, hi in tops.items() if hi >= 1]
+
+    def rows(est):
+        got = est(t, grid, (1, t.depth), neighbors=neighbors)
+        return [(v, *w) for v, w in zip(got.values, got.witnesses)]
+
+    def want(oracle):
+        return [oracle(t, th, 1, tops[th], neighbors) for th in grid]
+
+    assert rows(estimate_spectrum) == want(oracle_tree_spectrum)
+    assert rows(estimate_upper) == want(oracle_tree_upper)
+    with patch.object(spectra, "UPPER_BLOCK", 1):
+        assert rows(estimate_upper) == want(oracle_tree_upper)
+
+
 @settings(max_examples=30, deadline=None)
 @given(trees(max_depth=8))
 def test_tree_estimators_match_oracles(t):
-    for th in (Fraction(1, 3), Fraction(1, 2), Fraction(3, 4)):
-        hi = t.depth * th.numerator // th.denominator
-        if hi < 1:
-            continue
-        spec = estimate_spectrum(t, [th], (1, t.depth))
-        assert spec.values == [oracle_tree_spectrum(t, th, 1, hi)[0]]
-        up = estimate_upper(t, [th], (1, t.depth))
-        assert up.values == [oracle_tree_upper(t, th, 1, hi)[0]]
+    _assert_tree_estimators_match_oracles(t, neighbors=False)
     assert estimate_box(t, (1, t.depth)).value == oracle_tree_box(t, 1, t.depth)
 
 
 @settings(max_examples=30, deadline=None)
 @given(trees(max_depth=8))
 def test_tree_neighbor_estimators_match_oracles(t):
-    """Neighbor mode, exact: values and witness (m, m', node) against the
-    set-scan oracles, ties to (value, -m, -m') and then the smallest node."""
-    for th in (Fraction(1, 3), Fraction(1, 2), Fraction(3, 4)):
-        hi = t.depth * th.numerator // th.denominator
-        if hi < 1:
-            continue
-        for est, oracle in ((estimate_spectrum, oracle_tree_spectrum),
-                            (estimate_upper, oracle_tree_upper)):
-            got = est(t, [th], (1, t.depth), neighbors=True)
-            assert (got.values[0], *got.witnesses[0]) == oracle(t, th, 1, hi, True)
+    _assert_tree_estimators_match_oracles(t, neighbors=True)
 
 
 def _assert_neighbor_table_matches_oracle(t):

@@ -13,6 +13,7 @@ from fds.constructions import (
     target_from_poly,
     concave_union,
 )
+from fds import spectra
 from fds.dyadic import DyadicTree
 from fds.schedule import BranchingSchedule
 from fds.spectra import (
@@ -82,6 +83,37 @@ def test_tree_estimators_match_oracle():
         hi = min(48, int(th * 48))
         assert s_got == oracle_tree_spectrum(t, th, 8, hi)[0]
         assert u_got == oracle_tree_upper(t, th, 8, hi)[0]
+
+
+def _upper_rows(t, grid, neighbors=False):
+    est = estimate_upper(t, grid, neighbors=neighbors)
+    return [(v, *w) for v, w in zip(est.values, est.witnesses)]
+
+
+def test_tree_upper_block_boundaries(monkeypatch):
+    """One fine level per block gives the default block's values and
+    witnesses, ties included."""
+    geo = geometric_sequence_tree(64)
+    full = full_binary_tree(8)
+    eighths = [F(k, 8) for k in range(1, 8)]
+    cases = [(geo, GRID, False), (geo, GRID, True), (full, eighths, False)]
+    default = [_upper_rows(*case) for case in cases]
+    monkeypatch.setattr(spectra, "UPPER_BLOCK", 1)
+    assert [_upper_rows(*case) for case in cases] == default
+    # every window of the full tree ties at 1.0: the first coarse level
+    # and its first admitted fine level win
+    lo = estimate_upper(full, eighths).m_range[0]
+    assert default[2] == [
+        (1.0, lo, RationalScale(th).fine(lo), 0) for th in eighths
+    ]
+
+
+def test_tree_upper_grid_in_one_call():
+    t = geometric_sequence_tree(512)
+    both = estimate_upper(t, GRID)
+    for k, th in enumerate(GRID):
+        one = estimate_upper(t, [th], both.m_range)
+        assert (one.values, one.witnesses) == ([both.values[k]], [both.witnesses[k]])
 
 
 def test_tree_neighbor_mode_estimates():
