@@ -61,11 +61,29 @@ def parse_theta_grid(spec: str) -> list[Fraction]:
     return [start + i * step for i in range(count)]
 
 
+def parse_count(text, flag: str, default: int | None = None) -> int | None:
+    """A non-negative integer option value, or `default` when the option
+    is unset: ASCII digits only, the rule of the file headers, so signs,
+    spaces, underscores and non-ASCII digits are rejected rather than read
+    by Python's lenient int()."""
+    if text is None:
+        return default
+    text = str(text)
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"{flag} needs ASCII digits, got {text!r}")
+    return int(text)
+
+
+def _counts(spec, flag: str) -> list[int]:
+    """A comma-separated list of parse_count values."""
+    return [parse_count(tok, flag) for tok in str(spec).split(",")]
+
+
 def parse_m_range(spec: str) -> tuple[int, int]:
     parts = spec.split(":")
     if len(parts) != 2:
         raise ValueError(f"m range must be lo:hi, got {spec!r}")
-    return int(parts[0]), int(parts[1])
+    return parse_count(parts[0], "--m-range"), parse_count(parts[1], "--m-range")
 
 
 def read_config(path: str) -> dict[str, str]:
@@ -106,13 +124,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     con.add_argument("--s", default=None)
     con.add_argument("--t", default=None)
-    con.add_argument("--m0", type=int, default=None)
-    con.add_argument("--blocks", type=int, default=None)
-    con.add_argument("--depth", type=int, default=None)
+    con.add_argument("--m0", default=None)
+    con.add_argument("--blocks", default=None)
+    con.add_argument("--depth", default=None)
     con.add_argument("--target", default=None, help="polynomial coefficients c0,c1,...")
-    con.add_argument("--components", type=int, default=None)
+    con.add_argument("--components", default=None)
     con.add_argument("--shifts", default=None, help="explicit comma-separated shifts")
-    con.add_argument("--shift-linear", type=int, default=None)
+    con.add_argument("--shift-linear", default=None)
 
     est = sub.add_parser("estimate", parents=[common], help="estimate a dimension")
     est.add_argument("--mode", choices=("spectrum", "upper", "box", "qa"), default="spectrum")
@@ -185,14 +203,16 @@ def cmd_construct(args) -> int:
     out = args.output
     if not out:
         raise ValueError("--output is required")
+    m0 = parse_count(args.m0, "--m0", 4)
+    blocks = parse_count(args.blocks, "--blocks", 3)
     if gen == "two-phase":
         if args.s is None or args.t is None:
             raise ValueError("two-phase needs --s and --t")
         params = TwoPhaseParams(
             _parse_fraction(str(args.s)),
             _parse_fraction(str(args.t)),
-            int(args.m0) if args.m0 is not None else 4,
-            int(args.blocks) if args.blocks is not None else 3,
+            m0,
+            blocks,
         )
         sched = two_phase_schedule(params)
         formats.dump(sched, out)
@@ -201,7 +221,7 @@ def cmd_construct(args) -> int:
         samples = getattr(args, "samples", None)
         if args.target is not None:
             coeffs = [_parse_fraction(tok) for tok in str(args.target).split(",")]
-            count = int(args.components) if args.components is not None else 8
+            count = parse_count(args.components, "--components", 8)
             target = target_from_poly(coeffs, count)
         elif samples is not None:
             # explicit sample list: "<f0>;<q>:<f>,<q>:<f>,..."
@@ -213,23 +233,19 @@ def cmd_construct(args) -> int:
             target = ConcaveTarget(_parse_fraction(head), tuple(pts))
         else:
             raise ValueError("concave-union needs --target c0,c1,... or samples=")
-        shifts = (
-            [int(tok) for tok in str(args.shifts).split(",")] if args.shifts else None
-        )
         cs = concave_union(
             target,
-            m0=int(args.m0) if args.m0 is not None else 4,
-            blocks=int(args.blocks) if args.blocks is not None else 3,
-            shifts=shifts,
-            shift_linear=args.shift_linear,
+            m0=m0,
+            blocks=blocks,
+            shifts=_counts(args.shifts, "--shifts") if args.shifts else None,
+            shift_linear=parse_count(args.shift_linear, "--shift-linear"),
         )
         formats.dump(cs, out)
         print(
             f"wrote {out}: fds-composite components={len(cs.components)} depth={cs.depth}"
         )
     elif gen in ("geometric", "full", "path"):
-        depth = args.depth if args.depth is not None else {"geometric": 256, "full": 10, "path": 64}[gen]
-        depth = int(depth)
+        depth = parse_count(args.depth, "--depth", {"geometric": 256, "full": 10, "path": 64}[gen])
         tree = {
             "geometric": geometric_sequence_tree,
             "full": full_binary_tree,
@@ -290,7 +306,7 @@ def cmd_verify(args) -> int:
     unknown = [c for c in names if c not in checks]
     if unknown:
         raise ValueError(f"unknown checks: {unknown}; choose from {tuple(checks)}")
-    n_values = [int(tok) for tok in str(args.n_values).split(",")]
+    n_values = _counts(args.n_values, "--n-values")
     reports = [checks[name]() for name in names]
     for rep_ in reports:
         sys.stdout.write(spectra.report_to_text(rep_))

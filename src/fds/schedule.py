@@ -326,7 +326,14 @@ def composite_spectrum(rep, scale, lo: int, hi: int) -> tuple[float, int, int, i
 
 def composite_upper(rep, scale, lo: int, hi: int) -> tuple[float, int, int, int]:
     """(value, m, m', node) of the max window exponent over m in [lo, hi]
-    and every m' >= scale.fine(m), with composite_spectrum's tie order."""
+    and every m' >= scale.fine(m), with composite_spectrum's tie order.
+
+    Each piece's windows form one region of its suffix hull, coarse levels
+    max(lo, e)..hi with fine levels from scale.fine(m), solved by
+    `SuffixHull.region_max` in local levels: closed-form boundary and
+    corner windows plus hull queries at the convex corners only.  Rows of
+    the node containing the origin are scanned one coarse level at a
+    time."""
     best = None
     for part, e, _ in pieces(rep):
         a = max(lo, e)
@@ -335,7 +342,7 @@ def composite_upper(rep, scale, lo: int, hi: int) -> tuple[float, int, int, int]
         hull = (rep.suffix_hull() if isinstance(rep, BranchingSchedule)
                 else rep.component_hull(part))
         marr = np.arange(a, hi + 1, dtype=np.int64)
-        v, lm, j = hull.fan_max(marr - e, scale.fine_array(marr) - e)
+        v, lm, j = hull.region_max(a - e, scale.fine_array(marr) - e)
         cand = (v, -(lm + e), -(j + e), -part)
         if best is None or cand > best:
             best = cand

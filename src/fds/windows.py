@@ -27,6 +27,27 @@ binary-lifting table over the successors finds that peak for a whole
 batch of queries in O(log corners) numpy steps.  `suffix_slope_max`, the
 offline sweep over every level, is kept as the reference path.
 
+The upper spectrum needs the best window over a whole region: coarse
+levels m = a..b, each with fine levels j >= lo[m - a], lo non-decreasing.
+Fix j instead: moving m one level right moves (m, S[m]) along a step of
+S, and the chord slope to (j, S[j]) rises across a step below it and
+never rises across a step at or above it.  A flat step (S does not grow)
+therefore never lowers the exponent and a branching step never raises
+it, so the smallest best m for that j is a, b, a convex corner (a level
+where the slope rises: a flat step followed by a branching one), or the
+last m that still admits j.  Fix m: the smallest best j is lo or a
+concave corner, as above.  The lexicographic witness (best value, then
+smallest m, then smallest j) thus lies in one of three families:
+
+1. boundary windows (m, lo[m - a]) for every m, one vectorised divide;
+2. corner windows (M(x), x) for every concave corner x >= lo[0], where
+   M(x) is the last m with lo[m - a] <= x;
+3. hull queries at a, b and the convex corners strictly between them.
+
+`SuffixHull.region_max` takes the best of the three.  Every exponent is
+the same int/int division, and distinct fractions with denominators below
+2**26 never round to one float, so float ties are exact ties.
+
 All scale arithmetic is integer-exact; floating point only enters when a
 finished exponent is reported.  Hull products (S[j] - S[m]) * (x - m)
 stay inside int64 because depth and the span of S are both below 2**31.
@@ -239,7 +260,8 @@ class SuffixHull:
     """Upper hulls of every suffix of one prefix-count array S.
 
     Built once; each `query` answers a batch of suffix_slope_max queries
-    with the same results (the smallest maximizing j on ties), in numpy.
+    with the same results (the smallest maximizing j on ties), in numpy,
+    and `region_max` the best window of a whole coarse-level region.
     The concave corners x[k] of S (levels where the slope drops, plus
     depth) are folded right to left with suffix_slope_max's stack and
     collinear-pop rule; up[t][k] is the corner 2**t hull successors after
@@ -311,13 +333,41 @@ class SuffixHull:
         j = np.where((S[lo] - sm) * (x[k] - m) >= (y[k] - sm) * (lo - m), lo, x[k])
         return S[j] - sm, j - m, j
 
-    def fan_max(self, m, lo) -> tuple[float, int, int]:
-        """(value, m, j*) of the best query in the batch; ties go to the
-        first query, so to the smallest m when m is ascending."""
-        num, den, j = self.query(m, lo)
-        alpha = num / den
-        k = int(np.argmax(alpha))
-        return float(alpha[k]), int(np.asarray(m)[k]), int(j[k])
+    def region_max(self, a: int, lo) -> tuple[float, int, int]:
+        """(value, m, j*) maximizing (S[j] - S[m]) / (j - m) over the region
+        m = a, ..., a + len(lo) - 1 and j in [lo[m - a], depth], for lo
+        non-decreasing with m < lo[m - a] <= depth; ties go to the smallest
+        m, then the smallest j.  The witness is the best of the three
+        candidate families of the module docstring, compared as
+        (value, -m, -j)."""
+        S, x = self.S, self.x
+        lo = np.asarray(lo, dtype=np.int64)
+        b = a + lo.size - 1
+        m = np.arange(a, b + 1, dtype=np.int64)
+        if not lo.size or a < 0 or lo[-1] >= len(S) or (lo <= m).any() or (
+            np.diff(lo) < 0
+        ).any():
+            raise ValueError(
+                f"bad region: need 0 <= m < lo <= {len(S) - 1} with lo non-decreasing"
+            )
+
+        def best(value, mm, jj):
+            k = int(np.argmax(value))  # the first maximum: smallest m, then j
+            return float(value[k]), -int(mm[k]), -int(jj[k])
+
+        # boundary windows (m, lo)
+        cands = [best((S[lo] - S[a : b + 1]) / (lo - m), m, lo)]
+        # corner windows (M(x), x): M(x) is the last m admitting j = x
+        xs = x[np.searchsorted(x, lo[0]) :]
+        mx = a + np.searchsorted(lo, xs, side="right") - 1
+        cands.append(best((S[xs] - S[mx]) / (xs - mx), mx, xs))
+        # hull queries at a, b and every convex corner between them
+        inc = np.diff(S[a : b + 1])
+        mq = np.concatenate(([a], a + 1 + np.flatnonzero(inc[:-1] < inc[1:]), [b]))
+        num, den, j = self.query(mq, lo[mq - a])
+        cands.append(best(num / den, mq, j))
+        value, neg_m, neg_j = max(cands)
+        return value, -neg_m, -neg_j
 
 
 def leaf_gaps(xs: Sequence[int]) -> np.ndarray:

@@ -6,6 +6,9 @@ so estimator tests compare two genuinely different routes.
 `reference_upper` is the exception: it replays the upper-spectrum
 maximization per theta on the reference sweep `suffix_slope_max`, so the
 estimators' suffix-hull trees are checked against the sweep they replace.
+`oracle_fan_max` sends one hull query per coarse level and takes the
+argmax, the batch that `SuffixHull.region_max`'s candidate families
+replace.
 `ratio_fan_max` enumerates the main theorem's ratio fan one theta at a
 time, the oracle of the all-theta brute side in `verify_main_theorem`.
 The schedule oracles build a two-phase schedule level by level and write
@@ -240,6 +243,16 @@ def reference_upper(rep, theta: Fraction, lo: int, hi: int) -> tuple[float, int,
             if best is None or cand > best:
                 best = cand
     return best[0], -best[1], -best[2]
+
+
+def oracle_fan_max(hull, m, lo) -> tuple[float, int, int]:
+    """(value, m, j*) of the best of one hull query per coarse level:
+    `SuffixHull.query` on every (m, lo) pair, then the first argmax, so
+    ties go to the first query (the smallest m when m is ascending)."""
+    num, den, j = hull.query(m, lo)
+    alpha = num / den
+    k = int(np.argmax(alpha))
+    return float(alpha[k]), int(np.asarray(m)[k]), int(j[k])
 
 
 def ratio_fan_max(rep, theta: Fraction, lo: int, hi: int, neighbors: bool = False) -> float:

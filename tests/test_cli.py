@@ -32,6 +32,9 @@ def test_parse_theta_grid():
     with pytest.raises(ValueError, match="10001 points"):
         parse_theta_grid("1/20000:10001/20000:1/20000")
     assert parse_m_range("16:64") == (16, 64)
+    for spec in (" 1_0:+3_2", "16:-64", "1:\u0664"):
+        with pytest.raises(ValueError, match="--m-range needs ASCII digits"):
+            parse_m_range(spec)
 
 
 def test_huge_theta_grid_exits_2(tmp_path, capsys):
@@ -42,6 +45,44 @@ def test_huge_theta_grid_exits_2(tmp_path, capsys):
                           "-o", str(tmp_path / "upper.csv")], capsys)
     assert code == 2 and out == "" and not (tmp_path / "upper.csv").exists()
     assert "800000000001 points, more than 10000" in err
+
+
+TWO_PHASE = ["construct", "two-phase", "--s", "0.4", "--t", "0.8"]
+UNION = ["construct", "concave-union", "--target", "0.4,0.4,-0.2", "--m0", "4",
+         "--blocks", "2"]
+
+
+@pytest.mark.parametrize("flag, lenient, bad, digits, argv", [
+    ("--m-range", " 1_0:+3_2", " 1_0", "10:32",
+     ["estimate", "--mode", "upper", "-i", "{set}", "--theta-grid", "0.5:0.9:0.1"]),
+    ("--m0", "+4", "+4", "4", [*TWO_PHASE, "--blocks", "2"]),
+    ("--blocks", " 2", " 2", "2", [*TWO_PHASE, "--m0", "4"]),
+    ("--depth", "1_0", "1_0", "10", ["construct", "full"]),
+    ("--components", "\u0662", "\u0662", "2", UNION),
+    ("--shift-linear", "+3", "+3", "3", [*UNION, "--components", "2"]),
+    ("--shifts", "2, 4", " 4", "2,4", [*UNION, "--components", "2"]),
+    ("--n-values", "2,-3", "-3", "2,3", ["verify", "--check", "nthroot", "-i", "{set}",
+                                         "--theta-grid", "0.5:0.9:0.1", "--m-range", "10:32"]),
+])
+def test_integer_flags_take_ascii_digits_only(tmp_path, capsys, flag, lenient, bad, digits, argv):
+    """Values Python's int() reads (a sign, spaces, underscores, non-ASCII
+    digits) exit 2 naming the flag and the token; the digits-only form of
+    the same command succeeds."""
+    tree = tmp_path / "geo.fds"
+    assert run(["construct", "geometric", "--depth", "64", "-o", str(tree)], capsys)[0] == 0
+    argv = [tok.replace("{set}", str(tree)) for tok in argv]
+    out = tmp_path / "out"
+    code, text, err = run([*argv, flag, lenient, "-o", str(out)], capsys)
+    assert code == 2 and text == "" and not out.exists()
+    assert f"error: {flag} needs ASCII digits, got {bad!r}" in err
+    assert run([*argv, flag, digits, "-o", str(out)], capsys)[0] == 0
+
+
+def test_integer_config_keys_take_ascii_digits_only(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("s = 0.4\nt = 0.8\nm0 = +4\n")
+    code, _, err = run([*TWO_PHASE, "--config", str(cfg), "-o", str(tmp_path / "x.fds")], capsys)
+    assert code == 2 and "--m0 needs ASCII digits, got '+4'" in err
 
 
 def test_construct_two_phase_depth(tmp_path, capsys):

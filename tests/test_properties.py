@@ -43,6 +43,7 @@ from conftest import (
     oracle_tree_spectrum,
     oracle_tree_upper,
     ratio_fan_max,
+    reference_upper,
 )
 
 
@@ -348,6 +349,55 @@ def test_fan_maxima_explicit_grids():
         his = [RationalScale(th).max_coarse(cs.depth) for th in grid]
         assert 1 < 9 <= his[0]
         _assert_fan_maxima_match_oracle(cs, grid, 1, his)
+
+
+def _assert_upper_witnesses(rep, grid, lo, his):
+    """estimate_upper over the whole grid in one call gives, per theta, the
+    (value, m, m') of the per-theta suffix_slope_max replay; max(his) as
+    the range top clamps every theta to its own his entry again."""
+    est = estimate_upper(rep, grid, (lo, max(his)))
+    assert est.thetas == grid
+    got = [(v, m, mp) for v, (m, mp, _) in zip(est.values, est.witnesses)]
+    assert got == [reference_upper(rep, th, lo, h) for th, h in zip(grid, his)], (grid, lo, his)
+
+
+@settings(max_examples=60, deadline=None)
+@given(schedules(max_depth=24), st.data())
+def test_upper_witnesses_match_reference_schedules(s, data):
+    _assert_upper_witnesses(s, *_fan_case(data, s.depth))
+
+
+@settings(max_examples=60, deadline=None)
+@given(schedules(max_depth=10), schedules(max_depth=10),
+       st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=5),
+       st.booleans(), st.data())
+def test_upper_witnesses_match_reference_composites(a, b, e, gap, origin, data):
+    """Two components, with or without the origin; the coarse range starts
+    below the second shift."""
+    cs = CompositeSet([(e, a), (e + gap, b)], include_origin=origin)
+    _assert_upper_witnesses(cs, *_fan_case(data, cs.depth, lo_cap=e + gap - 1))
+
+
+def test_upper_witnesses_explicit():
+    """A fully branching schedule (every window is 1, so the witness is the
+    first window (lo, fine(lo))), a flat tail, and one-level regions: a
+    schedule range lo == hi, and a composite whose second piece enters at
+    the range top."""
+    grid = [Fraction(1, 3), Fraction(2, 5), Fraction(1, 2), Fraction(4, 5)]
+    full = BranchingSchedule([(40, 2)])
+    est = estimate_upper(full, grid, (3, 40))
+    for th, v, (m, mp, node) in zip(grid, est.values, est.witnesses):
+        assert (v, m, mp, node) == (1.0, 3, RationalScale(th).fine(3), 0)
+    his = [min(40, RationalScale(th).max_coarse(40)) for th in grid]
+    _assert_upper_witnesses(full, grid, 3, his)
+    tail = BranchingSchedule([(3, 2), (5, 1), (4, 2), (2, 1), (1, 2), (30, 1)])
+    his = [RationalScale(th).max_coarse(tail.depth) for th in grid]
+    _assert_upper_witnesses(tail, grid, 1, his)
+    _assert_upper_witnesses(tail, grid, 6, [6] * len(grid))
+    for origin in (False, True):
+        cs = CompositeSet([(2, tail), (9, BranchingSchedule([(6, 2), (6, 1)]))], origin)
+        assert RationalScale(grid[0]).max_coarse(cs.depth) >= 9
+        _assert_upper_witnesses(cs, grid, 4, [9] * len(grid))
 
 
 # ----------------------------------------------------------------------

@@ -17,6 +17,8 @@ from fds.windows import (
     suffix_slope_max,
 )
 
+from conftest import oracle_fan_max
+
 
 def test_ceil_div():
     assert ceil_div(7, 2) == 4
@@ -134,8 +136,12 @@ def test_suffix_hull_ties_resolve_to_smallest_j():
     assert SuffixHull([0, 1]).query([0], [1])[2].tolist() == [1]  # depth 1
     assert SuffixHull([0, 0]).query([0], [1])[2].tolist() == [1]
     # m=0 and m=2 both reach 1/2 at best; the first query wins
-    assert hull.fan_max([0, 2], [1, 3]) == (0.5, 0, 2)
-    assert hull.fan_max([2, 0], [3, 1]) == (0.5, 2, 4)
+    assert oracle_fan_max(hull, [0, 2], [1, 3]) == (0.5, 0, 2)
+    assert oracle_fan_max(hull, [2, 0], [3, 1]) == (0.5, 2, 4)
+    # regions: levels 2, 4 and 6 tie from m = 0; every window of a fully
+    # branching S is 1, so the smallest m and then the smallest j win
+    assert hull.region_max(0, [1]) == (0.5, 0, 2)
+    assert SuffixHull([0, 1, 2, 3]).region_max(0, [1, 2, 3]) == (1.0, 0, 1)
 
 
 def test_suffix_hull_rejects_bad_input():
@@ -143,10 +149,60 @@ def test_suffix_hull_rejects_bad_input():
     for m, lo in ((1, 1), (2, 1), (0, 4), (-1, 2)):
         with pytest.raises(ValueError):
             hull.query([m], [lo])
+    # region_max: empty, lo <= m, decreasing lo, lo past depth, negative a
+    for a, lo in ((0, []), (1, [2, 2]), (0, [3, 2]), (2, [4]), (-1, [1, 2])):
+        with pytest.raises(ValueError):
+            hull.region_max(a, lo)
     with pytest.raises(ValueError):
         SuffixHull([0])
     with pytest.raises(BudgetError):
         SuffixHull(np.array([0, 1 << 31], dtype=np.int64))
+
+
+def _random_region(rng, depth, corners):
+    """(a, lo): a contiguous coarse region a..b below depth and a
+    non-decreasing lo > m, from a ratio rule (in a composite piece's local
+    levels), a staircase m + 1 + gap, or levels on and just before the
+    concave corners."""
+    a = rng.randint(0, depth - 1)
+    b = rng.randint(a, depth - 1)
+    kind = rng.randrange(3)
+    if kind == 0:
+        scale = RationalScale(Fraction(rng.randint(1, 11), 12))
+        e = rng.randint(0, a)
+        lo = scale.fine_array(np.arange(a + e, b + e + 1, dtype=np.int64)) - e
+        if a + e >= 1 and lo[-1] <= depth:
+            return a, lo
+    lo, prev, gap = [], 0, rng.randint(0, 8)
+    for m in range(a, b + 1):
+        pick = m + 1 + rng.randint(0, gap)
+        if kind == 2:
+            c = rng.choice(corners)
+            pick = rng.choice((pick, c, c - 1))
+        prev = min(depth, max(prev, m + 1, pick))
+        lo.append(prev)
+    return a, np.array(lo)
+
+
+def test_region_max_vs_fan_max_oracle():
+    # the smallest cases whose witness only one candidate family holds
+    for S, lo, want in (
+        ([0, 0, 0, 1, 1, 1], [4, 4, 5], (1 / 3, 1, 4)),  # boundary (1, lo)
+        ([0, 0, 0, 1, 1], [1, 2, 4], (0.5, 1, 3)),  # corner (M(3), 3)
+        ([0, 1, 1, 2], [2, 2], (2 / 3, 0, 3)),  # hull query at a
+        ([0, 0, 1, 1, 2], [1, 3, 3], (2 / 3, 1, 4)),  # hull query at convex 1
+    ):
+        hull = SuffixHull(S)
+        assert oracle_fan_max(hull, np.arange(len(lo)), lo) == want
+        assert hull.region_max(0, lo) == want
+    rng = random.Random(17)
+    for trial in range(3000):
+        depth = rng.randint(1, 50)
+        S = _random_prefix(rng, depth)
+        hull = SuffixHull(S)
+        a, lo = _random_region(rng, depth, hull.x.tolist())
+        m = np.arange(a, a + len(lo))
+        assert hull.region_max(a, lo) == oracle_fan_max(hull, m, lo), (S, a, lo.tolist())
 
 
 def test_suffix_slope_max_vs_brute():
