@@ -27,6 +27,7 @@ from . import formats
 from .schedule import BranchingSchedule, materialize
 from . import spectra
 from .svg import render_plot
+from .windows import root_order
 
 __all__ = ["main"]
 
@@ -306,7 +307,7 @@ def cmd_verify(args) -> int:
     unknown = [c for c in names if c not in checks]
     if unknown:
         raise ValueError(f"unknown checks: {unknown}; choose from {tuple(checks)}")
-    n_values = _counts(args.n_values, "--n-values")
+    n_values = [root_order(n) for n in _counts(args.n_values, "--n-values")]
     reports = [checks[name]() for name in names]
     for rep_ in reports:
         sys.stdout.write(spectra.report_to_text(rep_))

@@ -305,12 +305,13 @@ def composite_spectrum(rep, scale, lo: int, hi: int) -> tuple[float, int, int, i
     the origin node (part -1, key 1), then the lowest component.
     """
     best = None  # (value, -m, -m', -part)
+    ms = np.arange(lo, hi + 1, dtype=np.int64)
+    fines = scale.fine_array(ms)
     for part, e, S in pieces(rep):
         a = max(lo, e)
         if a > hi:
             continue
-        marr = np.arange(a, hi + 1, dtype=np.int64)
-        mp = scale.fine_array(marr)
+        marr, mp = ms[a - lo :], fines[a - lo :]
         alpha = (S[mp - e] - S[marr - e]) / (mp - marr)
         k = int(np.argmax(alpha))
         cand = (float(alpha[k]), -int(marr[k]), -int(mp[k]), -part)
@@ -335,14 +336,14 @@ def composite_upper(rep, scale, lo: int, hi: int) -> tuple[float, int, int, int]
     the node containing the origin are scanned one coarse level at a
     time."""
     best = None
+    fines = scale.fine_array(np.arange(lo, hi + 1, dtype=np.int64))
     for part, e, _ in pieces(rep):
         a = max(lo, e)
         if a > hi:
             continue
         hull = (rep.suffix_hull() if isinstance(rep, BranchingSchedule)
                 else rep.component_hull(part))
-        marr = np.arange(a, hi + 1, dtype=np.int64)
-        v, lm, j = hull.region_max(a - e, scale.fine_array(marr) - e)
+        v, lm, j = hull.region_max(a - e, fines[a - lo :] - e)
         cand = (v, -(lm + e), -(j + e), -part)
         if best is None or cand > best:
             best = cand

@@ -27,13 +27,19 @@ of the main theorem read these tables in two different orders:
   every window (m, m') is the exact-ratio window of theta' = m / m', so
   each coarse level's row of window exponents is computed once and
   reduced by ratio into the maximum of every theta whose clamped range
-  holds m.
+  holds m.  On a composite a row is the elementwise max over the pieces
+  present at m; a piece whose row a kept piece dominates pointwise over
+  the whole fan (an exact integer test, `_kept_pieces`) is left out of
+  the max, which cannot change it.
 
 Both sides divide the same table entries by the same widths, so they meet
 the same floats, and a maximum is exact whatever the order; the check
 still compares two independent reductions, one by prefix over coarse
 levels and one by ratio segments over fine levels, so a window either
-side drops or admits by mistake shows as a nonzero deviation.
+side drops or admits by mistake shows as a nonzero deviation.  The
+dominance test reads only prefix counts, never the suffix hulls, and every
+window of every kept row is still enumerated, so the brute side stays
+independent of the upper kernel.
 
 Exactness contract: within one set representation all estimators read the
 same exponent values (integer prefix differences or cached log tables),
@@ -70,7 +76,7 @@ from .schedule import (
     origin_rows,
     pieces,
 )
-from .windows import RationalScale, RootScale
+from .windows import RationalScale, RootScale, root_order
 
 __all__ = [
     "SpectrumEstimate",
@@ -93,6 +99,8 @@ SPECTRUM = "assouad-spectrum"
 UPPER = "upper-spectrum"
 # table entries one block of the tree upper kernel gathers at once
 UPPER_BLOCK = 1 << 16
+# piece-pair differences one block of the brute side's dominance test holds
+FAN_PAIR_BLOCK = 1 << 16
 
 
 @dataclass
@@ -394,11 +402,77 @@ def estimate_quasi_assouad(
 # ratio into the running maximum of every theta still live at m.
 
 
-def _fan_rows(rep, depth: int, lo: int, hi: int, neighbors: bool):
+def _kept_pieces(parts, depth: int, lo: int, starts: np.ndarray) -> np.ndarray | None:
+    """(rows, pieces) bool: whether piece q's row at coarse level lo + i,
+    over the fine levels starts[i], ..., depth, enters the row maximum;
+    None for fewer than two pieces, where nothing can be dropped.
+
+    With G_q[j] = S_q[j - e_q] and c_q = S_q(m - e_q), a present piece p
+    dominates q on [f, depth] iff D_pq(f) = max_{j >= f}(G_q[j] - G_p[j])
+    <= c_q - c_p, all in integers.  Per row the present pieces are visited
+    by their widest-window numerator S_q(depth - e_q) - c_q, largest first
+    (ties to the lower index), and q is dropped iff a piece already kept
+    dominates it, so a kept piece stands for every piece it drops and two
+    equal rows cannot drop each other.  D_pq is read at the row starts as
+    one suffix maximum per pair, built in blocks of fine levels from the
+    top down."""
+    P = len(parts)
+    if P < 2:
+        return None
+    ms = np.arange(lo, lo + starts.size, dtype=np.int64)
+    present = ms[:, None] >= np.array([e for e, _ in parts], dtype=np.int64)
+    kept = np.zeros_like(present)
+    tops = np.array([S[-1] for _, S in parts])
+    step = max(1, FAN_PAIR_BLOCK // (P * P))
+    carry = np.full((P, P), np.iinfo(np.int64).min)
+    f0, f1 = int(starts[0]), int(starts[-1])
+
+    def levels(a, b):
+        # [q, j - a] = G_q[j]; a piece reads its first level below its
+        # shift, where no row that uses it starts
+        return np.stack([
+            S[a - e : b - e] if a >= e else S[np.maximum(np.arange(a - e, b - e), 0)]
+            for e, S in parts
+        ])
+
+    def diffs(a, b):
+        G = levels(a, b)
+        return G[None, :, :] - G[:, None, :]  # [p, q, j - a] = G_q[j] - G_p[j]
+
+    # fine levels above the last row start: one plain maximum
+    for a in range(f1 + 1, depth + 1, step):
+        np.maximum(carry, diffs(a, min(a + step, depth + 1)).max(axis=2), out=carry)
+    for b in range(f1 + 1, f0, -step):
+        a = max(f0, b - step)
+        suf = np.maximum.accumulate(diffs(a, b)[:, :, ::-1], axis=2)[:, :, ::-1]
+        np.maximum(suf, carry[:, :, None], out=suf)
+        carry = suf[:, :, 0].copy()
+        i0, i1 = np.searchsorted(starts, [a, b])
+        rows = np.arange(i1 - i0)
+        dom = suf[:, :, starts[i0:i1] - a].transpose(2, 0, 1)  # [i, p, q]
+        c = levels(lo + i0, lo + i1).T  # [i, q] = c_q at m = lo + i0 + i
+        pb, kb = present[i0:i1], kept[i0:i1]
+        # widest numerator first; absent pieces last
+        order = np.argsort(np.where(pb, c - tops, 1), axis=1, kind="stable")
+        for q in order.T:
+            margin = c[rows, q][:, None] - c
+            hit = kb & (dom[rows, :, q] <= margin)
+            kb[rows, q] = pb[rows, q] & ~hit.any(axis=1)
+    return kept
+
+
+def _fan_rows(rep, depth: int, lo: int, starts: np.ndarray, neighbors: bool):
     """fill(m, f, out): the exponent numerators of the windows (m, j) for
-    j = f, ..., depth into out, for m in [lo, hi] - a tree table's log2
-    counts, or the elementwise max over the pieces with shift e <= m of
-    S[j - e] - S[m - e] and over the origin node's log2 counts."""
+    j = f, ..., depth into out, for m in [lo, lo + len(starts) - 1] and f
+    at or above starts[m - lo] - a tree table's log2 counts, or the
+    elementwise max over the pieces with shift e <= m of S[j - e] - S[m - e]
+    and over the origin node's log2 counts.
+
+    A composite row skips every piece that `_kept_pieces` finds dominated
+    on [starts[m - lo], depth] by a kept piece: the kept row is pointwise at
+    least as large, so the elementwise max, and every float made from it,
+    is unchanged.  Origin rows are never skipped.  A schedule has one piece
+    and a tree none, so their rows skip nothing."""
     if isinstance(rep, DyadicTree):
         runs = _tree_table(rep, neighbors)
         ranks = runs.rank(depth - np.arange(depth + 1))  # fine rank per level
@@ -409,15 +483,18 @@ def _fan_rows(rep, depth: int, lo: int, hi: int, neighbors: bool):
             np.take(by_rank, ranks[f:], out=out)
 
         return fill
+    ints = [(e, S) for _, e, S in pieces(rep)]
+    kept = _kept_pieces(ints, depth, lo, starts)
     # prefix counts stay below 2**53, so they and their differences are
     # exact in float64; pieces ascend in shift
-    parts = [(e, S.astype(np.float64)) for _, e, S in pieces(rep)]
-    origin = dict(origin_rows(rep, lo, hi))
+    parts = [(e, S.astype(np.float64)) for e, S in ints]
+    origin = dict(origin_rows(rep, lo, lo + starts.size - 1))
     spare = np.empty(depth + 1)
 
     def fill(m, f, out):
         dst = out
-        for e, S in parts:
+        use = parts if kept is None else [parts[k] for k in np.flatnonzero(kept[m - lo])]
+        for e, S in use:
             if e > m:
                 break
             np.subtract(S[f - e :], S[m - e], out=dst)
@@ -441,17 +518,21 @@ def _ratio_fan_maxima(rep, depth, grid, lo, his, neighbors) -> list[float]:
     theta, so the thetas live at m (his >= m) are a suffix of the grid and
     the largest is live wherever any is.  Dividing the row's max numerator
     by the fixed width m' - m gives the max of the quotients bit for bit,
-    since rounding is monotone."""
+    since rounding is monotone.  Each row is built by `_fan_rows`, which
+    leaves out the composite pieces a kept piece dominates from the widest
+    fan's start on; that start is at or below every live theta's, so the
+    dropped pieces are dominated on every segment too."""
     k = len(grid)
     top = his[-1]
     marr = np.arange(lo, top + 1, dtype=np.int64)
     # fine levels per m, largest theta first, so each row ascends; kept as
     # offsets from the widest fan's start
     offsets = np.stack([RationalScale(th).fine_array(marr) for th in reversed(grid)], axis=1)
-    starts = offsets[:, 0].tolist()
+    first = offsets[:, 0].copy()
+    fill = _fan_rows(rep, depth, lo, first, neighbors)
+    starts = first.tolist()
     offsets -= offsets[:, :1]
     live = (k - np.searchsorted(his, marr, side="left")).tolist()
-    fill = _fan_rows(rep, depth, lo, top, neighbors)
     widths = np.arange(depth + 1, dtype=np.float64)
     buf = np.empty(depth + 1)
     best = np.full(k, -np.inf)
@@ -495,7 +576,11 @@ def verify_main_theorem(
     Both sides maximize over the identical finite window fan, one through
     the optimized upper path and one by direct enumeration of every window
     in one pass over the widest fan, reduced by ratio for all thetas at
-    once, so the deviation must be exactly zero.
+    once, so the deviation must be exactly zero.  On a composite the
+    enumeration skips the rows of pieces that a kept piece dominates
+    pointwise (an integer test on prefix counts that leaves every row
+    maximum bit for bit unchanged); every window of every other row is
+    still enumerated, without the suffix hulls the upper path uses.
     """
     depth, grid, lo, hi, his = _resolve(rep, theta_grid, m_range, neighbors)
     upper = estimate_upper(rep, grid, (lo, hi), neighbors)
@@ -572,15 +657,17 @@ def verify_nthroot(
     tol: float = 0.05,
     neighbors: bool = False,
 ) -> VerificationReport:
-    """spectrum(theta) <= spectrum(theta ** (1/n)) + tol for each n."""
+    """spectrum(theta) <= spectrum(theta ** (1/n)) + tol for each n; every
+    n must lie in 1..MAX_ROOT_ORDER, checked before any estimate."""
     tol = _tolerance(tol)
+    orders = [root_order(int(n)) for n in n_values]
     depth, grid, lo, hi, _ = _resolve(rep, theta_grid, m_range, neighbors)
     spec = estimate_spectrum(rep, grid, (lo, hi), neighbors)
 
     def rows():
         for th, base in zip(grid, spec.values):
-            for n in n_values:
-                scale = RootScale(th, int(n))
+            for n in orders:
+                scale = RootScale(th, n)
                 other = _spectrum_at(rep, scale, *_clamp(depth, scale, lo, hi), neighbors)[0]
                 yield base - other, tol, (
                     f"theta={float(th):g} n={n}: spectrum {base!r} > "

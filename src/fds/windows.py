@@ -68,6 +68,7 @@ __all__ = [
     "iroot",
     "RationalScale",
     "RootScale",
+    "root_order",
     "suffix_slope_max",
     "SuffixHull",
     "leaf_gaps",
@@ -79,6 +80,9 @@ __all__ = [
 
 # SuffixHull keeps (S[j] - S[m]) * (x - m) inside int64
 MAX_HULL_SPAN = 1 << 31
+# RootScale's exact integer steps grow as m**n; n = 16 already takes
+# seconds on a depth-65536 range
+MAX_ROOT_ORDER = 16
 
 
 def ceil_div(a: int, b: int) -> int:
@@ -138,6 +142,13 @@ class RationalScale:
         return f"RationalScale({self.p}/{self.q})"
 
 
+def root_order(n: int) -> int:
+    """n itself if it is a root order RootScale accepts, 1..MAX_ROOT_ORDER."""
+    if not 1 <= n <= MAX_ROOT_ORDER:
+        raise ValueError(f"root order must lie in [1, {MAX_ROOT_ORDER}], got {n}")
+    return n
+
+
 class RootScale:
     """Fine-level rule m' = ceil(m / theta ** (1/n)), integer-exact."""
 
@@ -147,11 +158,9 @@ class RootScale:
         theta = Fraction(theta)
         if not 0 < theta < 1:
             raise ValueError(f"theta must lie strictly in (0, 1), got {theta}")
-        if n < 1:
-            raise ValueError("root order must be >= 1")
         self.p = theta.numerator
         self.q = theta.denominator
-        self.n = n
+        self.n = root_order(n)
 
     def fine(self, m: int) -> int:
         # smallest z with z**n * p >= m**n * q

@@ -124,6 +124,22 @@ def test_c1_readme_set_upper_identity_budget(two_phase_sets):
     )
 
 
+def test_c1_union_upper_identity_budget():
+    """The 8-component concave union (blocks 3, depth 65792) over 7 thetas
+    (0.3:0.9) on the default range: the upper estimate equals the ratio-fan
+    maximum exactly, with every window of every row the dominance test
+    keeps enumerated once for all thetas, within budget."""
+    cs = concave_union(target_from_poly([F(2, 5), F(2, 5), F(-1, 5)], 8), blocks=3)
+    t0 = time.time()
+    r = verify_main_theorem(cs, GRID_7)
+    elapsed = time.time() - t0
+    check(
+        "acceptance-1-union-upper-identity",
+        r.passed and r.worst == 0.0 and elapsed < 8,
+        f"worst={r.worst!r} tol=0.0 time={elapsed:.1f}s budget=8s",
+    )
+
+
 def test_union_setup_budget(tmp_path):
     """Representation build: the 8-component concave union (blocks 3,
     depth 65792, about 29k runs per component) is built, written and read

@@ -78,6 +78,20 @@ def test_integer_flags_take_ascii_digits_only(tmp_path, capsys, flag, lenient, b
     assert run([*argv, flag, digits, "-o", str(out)], capsys)[0] == 0
 
 
+def test_n_values_above_max_root_order_exit_2(tmp_path, capsys):
+    """An order beyond windows.MAX_ROOT_ORDER exits 2 naming the value,
+    before any check runs, as the library's RootScale rejects it; the
+    largest allowed order runs."""
+    tree = tmp_path / "geo.fds"
+    assert run(["construct", "geometric", "--depth", "32", "-o", str(tree)], capsys)[0] == 0
+    argv = ["verify", "--check", "main-theorem,nthroot", "-i", str(tree)]
+    code, out, err = run([*argv, "--n-values", "2,99999"], capsys)
+    assert code == 2 and out == ""
+    assert "error: root order must lie in [1, 16], got 99999" in err
+    code, out, _ = run([*argv, "--n-values", "2,16"], capsys)
+    assert code == 0 and "CHECK nthroot PASS" in out
+
+
 def test_integer_config_keys_take_ascii_digits_only(tmp_path, capsys):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("s = 0.4\nt = 0.8\nm0 = +4\n")

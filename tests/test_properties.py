@@ -12,7 +12,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from fds.dyadic import DyadicTree
-from fds.schedule import BranchingSchedule, CompositeSet, materialize
+from fds.schedule import BranchingSchedule, CompositeSet, materialize, pieces
 from fds.constructions import (
     TwoPhaseParams,
     full_binary_tree,
@@ -348,6 +348,60 @@ def test_fan_maxima_explicit_grids():
         cs = CompositeSet([(2, s), (9, BranchingSchedule([(6, 2), (6, 1)]))], origin)
         his = [RationalScale(th).max_coarse(cs.depth) for th in grid]
         assert 1 < 9 <= his[0]
+        _assert_fan_maxima_match_oracle(cs, grid, 1, his)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(schedules(max_depth=8), min_size=1, max_size=3), st.data())
+def test_fan_maxima_match_oracle_many_components(pool, data):
+    """Three to five components drawn from a pool of at most three
+    schedules, so equal rows and chains of dominance through a kept piece
+    are common; with or without the origin, the coarse range starting
+    below the last shift, and dominance blocks down to one fine level."""
+    n = data.draw(st.integers(min_value=3, max_value=5))
+    gaps = data.draw(st.lists(st.integers(min_value=1, max_value=3), min_size=n, max_size=n))
+    shifts = np.cumsum(gaps).tolist()
+    cs = CompositeSet([(e, data.draw(st.sampled_from(pool))) for e in shifts],
+                      include_origin=data.draw(st.booleans()))
+    block = data.draw(st.sampled_from((1, 50, spectra.FAN_PAIR_BLOCK)))
+    with patch.object(spectra, "FAN_PAIR_BLOCK", block):
+        _assert_fan_maxima_match_oracle(cs, *_fan_case(data, cs.depth, lo_cap=shifts[-1] - 1))
+
+
+def _kept_rows(cs, lo, starts):
+    """The brute side's kept-piece mask for rows lo, lo + 1, ... starting at
+    the given fine levels."""
+    parts = [(e, S) for _, e, S in pieces(cs)]
+    return spectra._kept_pieces(parts, cs.depth, lo, np.array(starts, dtype=np.int64))
+
+
+def test_fan_rows_equal_flat_components_keep_the_lowest():
+    """Identical all-flat components tie exactly on every row: the lowest
+    present piece is kept and every other one is dropped against it, with
+    and without the origin, whose rows lie inside the range."""
+    flat = BranchingSchedule([(6, 1)])
+    for origin in (False, True):
+        cs = CompositeSet([(1, flat), (2, flat), (4, flat)], include_origin=origin)
+        kept = _kept_rows(cs, 1, range(2, 9))
+        assert kept.tolist() == [[True, False, False]] * 7
+        grid = [Fraction(1, 2), Fraction(9, 10)]
+        his = [RationalScale(th).max_coarse(cs.depth) for th in grid]
+        _assert_fan_maxima_match_oracle(cs, grid, 1, his)
+
+
+def test_fan_rows_without_dominance_keep_every_piece():
+    """Early, late and middle branching: no row is dominated by another on
+    [m + 1, depth], so every present piece is kept; the maxima match the
+    oracle with and without the origin rows below the last shift."""
+    early = BranchingSchedule([(4, 2), (8, 1)])
+    late = BranchingSchedule([(6, 1), (6, 2)])
+    middle = BranchingSchedule([(3, 1), (3, 2), (6, 1)])
+    grid = [Fraction(1, 2), Fraction(9, 10)]
+    for origin in (False, True):
+        cs = CompositeSet([(1, early), (2, late), (3, middle)], include_origin=origin)
+        assert _kept_rows(cs, 3, [4, 5]).all()
+        _assert_fan_maxima_match_oracle(cs, grid, 3, [4, 4])
+        his = [RationalScale(th).max_coarse(cs.depth) for th in grid]
         _assert_fan_maxima_match_oracle(cs, grid, 1, his)
 
 

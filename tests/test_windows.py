@@ -8,11 +8,13 @@ import pytest
 
 from fds.errors import BudgetError
 from fds.windows import (
+    MAX_ROOT_ORDER,
     RationalScale,
     RootScale,
     SuffixHull,
     ceil_div,
     iroot,
+    root_order,
     runlen_table,
     suffix_slope_max,
 )
@@ -72,6 +74,17 @@ def test_root_scale_fine_array_matches_fine():
                 assert got.dtype == np.int64
                 assert got.tolist() == [sc.fine(int(m)) for m in marr]
     assert RootScale(Fraction(1, 2), 2).fine_array(np.array([], dtype=np.int64)).size == 0
+
+
+def test_root_scale_bounds_the_order():
+    """Orders 1..MAX_ROOT_ORDER build; 0 and MAX_ROOT_ORDER + 1 are rejected
+    with the value named, before any fine level is computed."""
+    assert MAX_ROOT_ORDER == 16
+    top = RootScale(Fraction(1, 2), MAX_ROOT_ORDER)
+    assert top.fine(64) == 67 and root_order(MAX_ROOT_ORDER) == MAX_ROOT_ORDER
+    for n in (0, MAX_ROOT_ORDER + 1, 99999):
+        with pytest.raises(ValueError, match=f"root order must lie in \\[1, 16\\], got {n}$"):
+            RootScale(Fraction(1, 2), n)
 
 
 def _brute_suffix_best(S, m, lo):
