@@ -17,7 +17,7 @@ import numpy as np
 
 from .dyadic import DyadicTree
 from .errors import BudgetError
-from .windows import SuffixHull
+from .windows import region_max
 
 __all__ = [
     "BranchingSchedule",
@@ -34,10 +34,12 @@ class BranchingSchedule:
     """Run-length encoded child counts c_j in {1, 2} for levels 1..depth.
 
     The runs are two read-only int64 arrays, `lengths` and `counts`, with
-    equal neighbours merged, so the counts alternate between 1 and 2.
+    equal neighbours merged, so the counts alternate between 1 and 2.  The
+    prefix counts are the only cache: estimators, `region_max` included,
+    read them directly.
     """
 
-    __slots__ = ("lengths", "counts", "depth", "_snp", "_hull")
+    __slots__ = ("lengths", "counts", "depth", "_snp")
 
     def __init__(self, runs):
         """`runs`: (length, count) pairs, an (n, 2) array-like."""
@@ -67,7 +69,6 @@ class BranchingSchedule:
         self.counts.flags.writeable = False
         self.depth = int(ends[-1]) if ends.size else 0
         self._snp: np.ndarray | None = None
-        self._hull: SuffixHull | None = None
 
     @property
     def runs(self) -> tuple[tuple[int, int], ...]:
@@ -88,12 +89,6 @@ class BranchingSchedule:
             snp.flags.writeable = False
             self._snp = snp
         return self._snp
-
-    def suffix_hull(self) -> SuffixHull:
-        """Suffix-hull tree over prefix_array(), cached."""
-        if self._hull is None:
-            self._hull = SuffixHull(self.prefix_array())
-        return self._hull
 
     def __eq__(self, other) -> bool:
         return (
@@ -147,10 +142,13 @@ class CompositeSet:
     occupy pairwise disjoint intervals [2**-e_i, 2**-e_i+1).  Below its own
     depth a component continues along left endpoints: every surviving
     interval keeps only its left child, so the component's level counts
-    stay frozen at 2**S_i(depth_i) down to the union's depth.
+    stay frozen at 2**S_i(depth_i) down to the union's depth.  The
+    extended prefix counts per component and the origin node's log counts
+    per shift bucket are cached; estimators, `region_max` included, read
+    them directly.
     """
 
-    __slots__ = ("components", "include_origin", "_ext", "_hulls", "_origin_logs")
+    __slots__ = ("components", "include_origin", "_ext", "_origin_logs")
 
     def __init__(
         self,
@@ -166,7 +164,6 @@ class CompositeSet:
         self.components = comps
         self.include_origin = bool(include_origin)
         self._ext: dict[int, np.ndarray] = {}
-        self._hulls: dict[int, SuffixHull] = {}
         self._origin_logs: dict[int, np.ndarray] = {}
 
     @property
@@ -192,13 +189,6 @@ class CompositeSet:
                 arr = S[: span + 1]
             self._ext[i] = arr
         return arr
-
-    def component_hull(self, i: int) -> SuffixHull:
-        """Suffix-hull tree over extended_prefix(i), cached."""
-        hull = self._hulls.get(i)
-        if hull is None:
-            hull = self._hulls[i] = SuffixHull(self.extended_prefix(i))
-        return hull
 
     def __eq__(self, other) -> bool:
         return (
@@ -329,21 +319,18 @@ def composite_upper(rep, scale, lo: int, hi: int) -> tuple[float, int, int, int]
     """(value, m, m', node) of the max window exponent over m in [lo, hi]
     and every m' >= scale.fine(m), with composite_spectrum's tie order.
 
-    Each piece's windows form one region of its suffix hull, coarse levels
-    max(lo, e)..hi with fine levels from scale.fine(m), solved by
-    `SuffixHull.region_max` in local levels: closed-form boundary and
-    corner windows plus hull queries at the convex corners only.  Rows of
-    the node containing the origin are scanned one coarse level at a
-    time."""
+    Each piece's windows form one region, coarse levels max(lo, e)..hi
+    with fine levels from scale.fine(m), solved exactly by `region_max`
+    on the piece's prefix counts in local levels, with no per-piece cache.
+    Rows of the node containing the origin are scanned one coarse level
+    at a time."""
     best = None
     fines = scale.fine_array(np.arange(lo, hi + 1, dtype=np.int64))
-    for part, e, _ in pieces(rep):
+    for part, e, S in pieces(rep):
         a = max(lo, e)
         if a > hi:
             continue
-        hull = (rep.suffix_hull() if isinstance(rep, BranchingSchedule)
-                else rep.component_hull(part))
-        v, lm, j = hull.region_max(a - e, fines[a - lo :] - e)
+        v, lm, j = region_max(S, a - e, fines[a - lo :] - e)
         cand = (v, -(lm + e), -(j + e), -part)
         if best is None or cand > best:
             best = cand

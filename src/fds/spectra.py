@@ -37,9 +37,9 @@ the same floats, and a maximum is exact whatever the order; the check
 still compares two independent reductions, one by prefix over coarse
 levels and one by ratio segments over fine levels, so a window either
 side drops or admits by mistake shows as a nonzero deviation.  The
-dominance test reads only prefix counts, never the suffix hulls, and every
-window of every kept row is still enumerated, so the brute side stays
-independent of the upper kernel.
+dominance test reads only prefix counts, never the region solver, and
+every window of every kept row is still enumerated, so the brute side
+stays independent of the upper kernel.
 
 Exactness contract: within one set representation all estimators read the
 same exponent values (integer prefix differences or cached log tables),
@@ -413,9 +413,10 @@ def _kept_pieces(parts, depth: int, lo: int, starts: np.ndarray) -> np.ndarray |
     by their widest-window numerator S_q(depth - e_q) - c_q, largest first
     (ties to the lower index), and q is dropped iff a piece already kept
     dominates it, so a kept piece stands for every piece it drops and two
-    equal rows cannot drop each other.  D_pq is read at the row starts as
-    one suffix maximum per pair, built in blocks of fine levels from the
-    top down."""
+    equal rows cannot drop each other.  Only the pairs p < q are
+    subtracted: D_pq is the suffix maximum of G_q - G_p and D_qp minus its
+    suffix minimum, read at the row starts and built in blocks of fine
+    levels from the top down."""
     P = len(parts)
     if P < 2:
         return None
@@ -423,8 +424,11 @@ def _kept_pieces(parts, depth: int, lo: int, starts: np.ndarray) -> np.ndarray |
     present = ms[:, None] >= np.array([e for e, _ in parts], dtype=np.int64)
     kept = np.zeros_like(present)
     tops = np.array([S[-1] for _, S in parts])
-    step = max(1, FAN_PAIR_BLOCK // (P * P))
-    carry = np.full((P, P), np.iinfo(np.int64).min)
+    pi, qi = np.triu_indices(P, 1)
+    step = max(1, FAN_PAIR_BLOCK // pi.size)
+    # running max and min of G_q - G_p (p < q) above the current block
+    most = np.full(pi.size, np.iinfo(np.int64).min)
+    least = np.full(pi.size, np.iinfo(np.int64).max)
     f0, f1 = int(starts[0]), int(starts[-1])
 
     def levels(a, b):
@@ -437,19 +441,29 @@ def _kept_pieces(parts, depth: int, lo: int, starts: np.ndarray) -> np.ndarray |
 
     def diffs(a, b):
         G = levels(a, b)
-        return G[None, :, :] - G[:, None, :]  # [p, q, j - a] = G_q[j] - G_p[j]
+        return G[qi] - G[pi]  # [pair, j - a] = G_q[j] - G_p[j] for p < q
 
-    # fine levels above the last row start: one plain maximum
+    # fine levels above the last row start: one plain maximum and minimum
     for a in range(f1 + 1, depth + 1, step):
-        np.maximum(carry, diffs(a, min(a + step, depth + 1)).max(axis=2), out=carry)
+        d = diffs(a, min(a + step, depth + 1))
+        np.maximum(most, d.max(axis=1), out=most)
+        np.minimum(least, d.min(axis=1), out=least)
     for b in range(f1 + 1, f0, -step):
         a = max(f0, b - step)
-        suf = np.maximum.accumulate(diffs(a, b)[:, :, ::-1], axis=2)[:, :, ::-1]
-        np.maximum(suf, carry[:, :, None], out=suf)
-        carry = suf[:, :, 0].copy()
+        d = diffs(a, b)[:, ::-1]
+        top = np.maximum.accumulate(d, axis=1)[:, ::-1]
+        bot = np.minimum.accumulate(d, axis=1)[:, ::-1]
+        np.maximum(top, most[:, None], out=top)
+        np.minimum(bot, least[:, None], out=bot)
+        most, least = top[:, 0].copy(), bot[:, 0].copy()
         i0, i1 = np.searchsorted(starts, [a, b])
         rows = np.arange(i1 - i0)
-        dom = suf[:, :, starts[i0:i1] - a].transpose(2, 0, 1)  # [i, p, q]
+        # the diagonal D_qq = 0 is never used: q is not kept at its visit
+        at = starts[i0:i1] - a
+        dom = np.zeros((P, P, at.size), dtype=np.int64)
+        dom[pi, qi] = top[:, at]
+        dom[qi, pi] = -bot[:, at]
+        dom = dom.transpose(2, 0, 1)  # [i, p, q]
         c = levels(lo + i0, lo + i1).T  # [i, q] = c_q at m = lo + i0 + i
         pb, kb = present[i0:i1], kept[i0:i1]
         # widest numerator first; absent pieces last
@@ -580,7 +594,7 @@ def verify_main_theorem(
     enumeration skips the rows of pieces that a kept piece dominates
     pointwise (an integer test on prefix counts that leaves every row
     maximum bit for bit unchanged); every window of every other row is
-    still enumerated, without the suffix hulls the upper path uses.
+    still enumerated, independent of the region solver the upper path uses.
     """
     depth, grid, lo, hi, his = _resolve(rep, theta_grid, m_range, neighbors)
     upper = estimate_upper(rep, grid, (lo, hi), neighbors)

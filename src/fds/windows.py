@@ -5,52 +5,40 @@ maximize exponents of the form (S[m'] - S[m]) / (m' - m) or
 log2(count(m, m')) / (m' - m) over large window fans.  This module holds:
 
 * exact integer fine-level rules for rational theta and for theta**(1/n),
-* a suffix-hull tree that answers whole batches of "best m' >= lo from
-  coarse level m" slope queries exactly, with numpy,
+* an exact parametric solve of the best slope window over a region of
+  coarse levels, each with its own lowest fine level,
 * run tables that give, for every level m' of a tree stored as its
   leaves, the largest number of level-m' nodes sharing a single level-m
   ancestor, for every m at once,
 * neighbor tables that give the same maximum over a level-m node together
   with its present same-level neighbors, with the leftmost witness.
 
-The suffix-hull tree rests on one observation.  S is linear between
-consecutive levels, so for a fixed m the chord slope to (j, S[j]) moves
-monotonically toward the local slope along every linear piece: it falls
-along a flat run and never falls along a branching run.  The smallest
-maximizing j >= lo is therefore lo itself or a concave corner at or beyond
-lo (a level where the slope drops, i.e. the end of a branching run, or
-depth).  Folding only the corners right to left into an upper hull gives
-each corner its hull successor; the chain of successors from a corner is
-the upper hull of every corner to its right, and the chord slope from a
-point left of the chain rises strictly and then never rises again.  A
-binary-lifting table over the successors finds that peak for a whole
-batch of queries in O(log corners) numpy steps.  `suffix_slope_max`, the
-offline sweep over every level, is kept as the reference path.
-
 The upper spectrum needs the best window over a whole region: coarse
 levels m = a..b, each with fine levels j >= lo[m - a], lo non-decreasing.
-Fix j instead: moving m one level right moves (m, S[m]) along a step of
-S, and the chord slope to (j, S[j]) rises across a step below it and
-never rises across a step at or above it.  A flat step (S does not grow)
-therefore never lowers the exponent and a branching step never raises
-it, so the smallest best m for that j is a, b, a convex corner (a level
-where the slope rises: a flat step followed by a branching one), or the
-last m that still admits j.  Fix m: the smallest best j is lo or a
-concave corner, as above.  The lexicographic witness (best value, then
-smallest m, then smallest j) thus lies in one of three families:
-
-1. boundary windows (m, lo[m - a]) for every m, one vectorised divide;
-2. corner windows (M(x), x) for every concave corner x >= lo[0], where
-   M(x) is the last m with lo[m - a] <= x;
-3. hull queries at a, b and the convex corners strictly between them.
-
-`SuffixHull.region_max` takes the best of the three.  Every exponent is
-the same int/int division, and distinct fractions with denominators below
-2**26 never round to one float, so float ties are exact ties.
+`region_max` solves it with Dinkelbach's parametric method for fractional
+programs (W. Dinkelbach, "On nonlinear fractional programming",
+Management Science 13(7), 1967).  Let v = p/q be the slope of an
+admissible window and T(i) = q * S[i] - p * i.  Since q > 0 and j > m, a
+window (m, j) has a slope strictly above v iff T(j) > T(m).  One suffix
+maximum of T over [lo[0], depth] therefore gives every m its best gain
+max_{j >= lo[m - a]} T(j) - T(m) at once.  Starting from the best boundary
+window (m, lo[m - a]), each round moves v to a window of the largest gain
+(its first m, and the first j >= lo reaching the suffix maximum), whose
+slope is strictly larger; there are finitely many windows, so the moves
+stop: after at most one on the concave union's regions, after a few on
+lattice staircases of strictly convex curves.  When no gain is positive,
+v is the maximum and the windows reaching it are exactly those with
+T(j) = T(m), so the first m with gain 0 and its first j >= lo[m - a]
+with T(j) = T(m) are the lexicographic witness: best value, then
+smallest m, then smallest j.  Every exponent is the same int/int
+division, and distinct fractions with denominators below 2**26 never
+round to one float, so float ties are exact ties.  `suffix_slope_max`,
+an offline hull sweep over every level, is kept as the reference path.
 
 All scale arithmetic is integer-exact; floating point only enters when a
-finished exponent is reported.  Hull products (S[j] - S[m]) * (x - m)
-stay inside int64 because depth and the span of S are both below 2**31.
+finished exponent is reported.  T is taken on S - S[a] and on levels
+counted from a, so its products stay below 2**62 while depth and the span
+of S are both below 2**31.
 """
 
 from __future__ import annotations
@@ -70,7 +58,7 @@ __all__ = [
     "RootScale",
     "root_order",
     "suffix_slope_max",
-    "SuffixHull",
+    "region_max",
     "leaf_gaps",
     "RunTable",
     "NeighborTable",
@@ -78,7 +66,7 @@ __all__ = [
 ]
 
 
-# SuffixHull keeps (S[j] - S[m]) * (x - m) inside int64
+# region_max keeps q * (S[i] - S[a]) and p * (i - a) inside int64
 MAX_HULL_SPAN = 1 << 31
 # RootScale's exact integer steps grow as m**n; n = 16 already takes
 # seconds on a depth-65536 range
@@ -221,8 +209,8 @@ def suffix_slope_max(
     with no depth limit.
 
     This is the reference path behind the tests' upper-spectrum oracle; the
-    estimators use `SuffixHull`, which folds only the concave corners, is
-    built once per prefix array and answers each batch with numpy.
+    estimators use `region_max`, which solves a whole region of coarse
+    levels at once without a hull.
     """
     depth = len(S) - 1
     order = sorted(range(len(queries)), key=lambda i: queries[i][1], reverse=True)
@@ -265,118 +253,58 @@ def suffix_slope_max(
     return out
 
 
-class SuffixHull:
-    """Upper hulls of every suffix of one prefix-count array S.
-
-    Built once; each `query` answers a batch of suffix_slope_max queries
-    with the same results (the smallest maximizing j on ties), in numpy,
-    and `region_max` the best window of a whole coarse-level region.
-    The concave corners x[k] of S (levels where the slope drops, plus
-    depth) are folded right to left with suffix_slope_max's stack and
-    collinear-pop rule; up[t][k] is the corner 2**t hull successors after
-    corner k (the last corner is its own successor), for as many t as the
-    longest successor chain needs.
-    """
-
-    __slots__ = ("S", "x", "y", "up")
-
-    def __init__(self, S: Sequence[int]):
-        S = np.asarray(S, dtype=np.int64)
-        depth = len(S) - 1
-        if depth < 1:
-            raise ValueError("a suffix hull needs at least two levels")
-        if depth >= MAX_HULL_SPAN or int(S.max()) - int(S.min()) >= MAX_HULL_SPAN:
-            raise BudgetError(
-                f"suffix hull over {depth} levels exceeds the int64 product "
-                f"budget (depth and the span of S must stay below 2**31)"
-            )
-        inc = np.diff(S)
-        x = np.append(np.flatnonzero(inc[:-1] > inc[1:]) + 1, depth)
-        y = S[x]
-        xs = x.tolist()
-        ys = y.tolist()
-        nxt = list(range(len(xs)))
-        chain = [0] * len(xs)  # hull vertices after corner k
-        stack: list[int] = []
-        for k in range(len(xs) - 1, -1, -1):
-            xk, yk = xs[k], ys[k]
-            while len(stack) > 1:
-                a, b = stack[-1], stack[-2]
-                if (xs[b] - xk) * (ys[a] - yk) - (ys[b] - yk) * (xs[a] - xk) > 0:
-                    break
-                stack.pop()
-            if stack:
-                nxt[k] = stack[-1]
-                chain[k] = len(stack)
-            stack.append(k)
-        up = [np.array(nxt, dtype=np.int32)]
-        while (1 << len(up)) <= max(chain):
-            up.append(up[-1][up[-1]])
-        self.S = S
-        self.x = x
-        self.y = y
-        self.up = up
-
-    def query(self, m, lo) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(numerator, denominator, j*) arrays maximizing (S[j] - S[m]) / (j - m)
-        over j in [lo, depth], elementwise for arrays m < lo <= depth."""
-        S, x, y, up = self.S, self.x, self.y, self.up
-        m = np.asarray(m, dtype=np.int64)
-        lo = np.asarray(lo, dtype=np.int64)
-        if m.size and not ((0 <= m) & (m < lo) & (lo < len(S))).all():
-            raise ValueError(f"bad query: need 0 <= m < lo <= {len(S) - 1}")
-        sm = S[m]
-
-        def better(k):
-            # the hull successor of corner k gives a strictly larger slope
-            w = up[0][k]
-            return (y[w] - sm) * (x[k] - m) > (y[k] - sm) * (x[w] - m)
-
-        # the slope rises strictly along the chain up to its peak and never
-        # after, so lift to the last corner whose successor still improves
-        k = np.searchsorted(x, lo)
-        for step in reversed(up):
-            w = step[k]
-            k = np.where(better(w), w, k)
-        k = np.where(better(k), up[0][k], k)
-        j = np.where((S[lo] - sm) * (x[k] - m) >= (y[k] - sm) * (lo - m), lo, x[k])
-        return S[j] - sm, j - m, j
-
-    def region_max(self, a: int, lo) -> tuple[float, int, int]:
-        """(value, m, j*) maximizing (S[j] - S[m]) / (j - m) over the region
-        m = a, ..., a + len(lo) - 1 and j in [lo[m - a], depth], for lo
-        non-decreasing with m < lo[m - a] <= depth; ties go to the smallest
-        m, then the smallest j.  The witness is the best of the three
-        candidate families of the module docstring, compared as
-        (value, -m, -j)."""
-        S, x = self.S, self.x
-        lo = np.asarray(lo, dtype=np.int64)
-        b = a + lo.size - 1
-        m = np.arange(a, b + 1, dtype=np.int64)
-        if not lo.size or a < 0 or lo[-1] >= len(S) or (lo <= m).any() or (
-            np.diff(lo) < 0
-        ).any():
-            raise ValueError(
-                f"bad region: need 0 <= m < lo <= {len(S) - 1} with lo non-decreasing"
-            )
-
-        def best(value, mm, jj):
-            k = int(np.argmax(value))  # the first maximum: smallest m, then j
-            return float(value[k]), -int(mm[k]), -int(jj[k])
-
-        # boundary windows (m, lo)
-        cands = [best((S[lo] - S[a : b + 1]) / (lo - m), m, lo)]
-        # corner windows (M(x), x): M(x) is the last m admitting j = x
-        xs = x[np.searchsorted(x, lo[0]) :]
-        mx = a + np.searchsorted(lo, xs, side="right") - 1
-        cands.append(best((S[xs] - S[mx]) / (xs - mx), mx, xs))
-        # hull queries at a, b and every convex corner between them
-        inc = np.diff(S[a : b + 1])
-        mq = np.concatenate(([a], a + 1 + np.flatnonzero(inc[:-1] < inc[1:]), [b]))
-        num, den, j = self.query(mq, lo[mq - a])
-        cands.append(best(num / den, mq, j))
-        value, neg_m, neg_j = max(cands)
-        return value, -neg_m, -neg_j
+def region_max(S: Sequence[int], a: int, lo) -> tuple[float, int, int]:
+    """(value, m, j*) maximizing (S[j] - S[m]) / (j - m) over the region
+    m = a, ..., a + len(lo) - 1 and j in [lo[m - a], depth], for lo
+    non-decreasing with m < lo[m - a] <= depth = len(S) - 1; ties go to
+    the smallest m, then the smallest j.  Solved by the parametric rounds
+    of the module docstring on T(i) = q * (S[i] - S[a]) - p * (i - a) for
+    i = a..depth (the docstring's T less a constant).  Each round rebuilds
+    T in place, and the array of the level term then holds the suffix
+    maximum, so two depth-sized arrays are live at a time."""
+    S = np.asarray(S, dtype=np.int64)
+    lo = np.asarray(lo, dtype=np.int64)
+    depth = len(S) - 1
+    m = np.arange(a, a + lo.size, dtype=np.int64)
+    if not lo.size or a < 0 or lo[-1] > depth or (lo <= m).any() or (np.diff(lo) < 0).any():
+        raise ValueError(
+            f"bad region: need 0 <= m < lo <= {depth} with lo non-decreasing"
+        )
+    if depth >= MAX_HULL_SPAN or int(S.max()) - int(S.min()) >= MAX_HULL_SPAN:
+        raise BudgetError(
+            f"a region over {depth} levels exceeds the int64 product budget "
+            f"(depth and the span of S must stay below 2**31)"
+        )
+    # start from the best boundary window (m, lo[m - a])
+    num = S[lo]
+    num -= S[a : a + lo.size]
+    k = int(np.argmax(num / np.subtract(lo, m, out=m)))
+    mk, j = a + k, int(lo[k])
+    del num, m  # freed before the depth-sized arrays exist
+    r, f, g = lo.size, int(lo[0]) - a, int(lo[-1]) - a  # lo[0], lo[-1] in T
+    rows = lo - lo[0]  # lo[m - a] as an index into the suffix maximum
+    T = np.empty(depth + 1 - a, dtype=np.int64)
+    while True:
+        p, q = int(S[j] - S[mk]), j - mk
+        np.subtract(S[a:], S[a], out=T)  # |S - S[a]| and i - a stay below 2**31
+        T *= q
+        top = np.arange(T.size, dtype=np.int64)
+        top *= p
+        T -= top
+        # now the suffix maximum of T at lo[0]..lo[-1]: one plain maximum
+        # from lo[-1] on, then a running maximum down to lo[0]
+        top = top[: g - f + 1]
+        top[-1] = T[g:].max()
+        np.maximum.accumulate(T[f:g][::-1], out=top[:-1][::-1])
+        np.maximum(top[:-1], top[-1], out=top[:-1])
+        gain = top[rows]
+        gain -= T[:r]
+        k = int(np.argmax(gain))  # the first m of the largest gain
+        mk = a + k
+        # the first j >= lo reaching the suffix maximum
+        j = int(lo[k]) + int(np.argmax(T[lo[k] - a :]))
+        if gain[k] == 0:
+            return float(int(S[j] - S[mk]) / (j - mk)), mk, j
 
 
 def leaf_gaps(xs: Sequence[int]) -> np.ndarray:

@@ -1,14 +1,13 @@
 """Shared fixtures, slow-but-independent oracles and per-node references.
 
 The oracles recompute counts and window maxima by direct enumeration,
-avoiding the library's range-count tables, hull sweeps and numpy paths,
+avoiding the library's range-count tables, region solver and numpy paths,
 so estimator tests compare two genuinely different routes.
 `reference_upper` is the exception: it replays the upper-spectrum
 maximization per theta on the reference sweep `suffix_slope_max`, so the
-estimators' suffix-hull trees are checked against the sweep they replace.
-`oracle_fan_max` sends one hull query per coarse level and takes the
-argmax, the batch that `SuffixHull.region_max`'s candidate families
-replace.
+estimators' parametric region solve is checked against a hull sweep.
+`oracle_fan_max` sends one `suffix_slope_max` query per coarse level and
+takes the argmax, the batch that one `region_max` call replaces.
 `ratio_fan_max` enumerates the main theorem's ratio fan one theta at a
 time, the oracle of the all-theta brute side in `verify_main_theorem`.
 The schedule oracles build a two-phase schedule level by level and write
@@ -245,14 +244,15 @@ def reference_upper(rep, theta: Fraction, lo: int, hi: int) -> tuple[float, int,
     return best[0], -best[1], -best[2]
 
 
-def oracle_fan_max(hull, m, lo) -> tuple[float, int, int]:
-    """(value, m, j*) of the best of one hull query per coarse level:
-    `SuffixHull.query` on every (m, lo) pair, then the first argmax, so
+def oracle_fan_max(S, m, lo) -> tuple[float, int, int]:
+    """(value, m, j*) of the best of one query per coarse level:
+    `suffix_slope_max` on every (m, lo) pair, then the first argmax, so
     ties go to the first query (the smallest m when m is ascending)."""
-    num, den, j = hull.query(m, lo)
-    alpha = num / den
-    k = int(np.argmax(alpha))
-    return float(alpha[k]), int(np.asarray(m)[k]), int(j[k])
+    queries = [(int(x), int(y)) for x, y in zip(m, lo)]
+    answers = suffix_slope_max([int(x) for x in S], queries)
+    alpha = [n / d for n, d, _ in answers]
+    k = alpha.index(max(alpha))
+    return alpha[k], queries[k][0], answers[k][2]
 
 
 def ratio_fan_max(rep, theta: Fraction, lo: int, hi: int, neighbors: bool = False) -> float:

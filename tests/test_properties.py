@@ -9,7 +9,7 @@ from unittest.mock import patch
 
 import numpy as np
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from fds.dyadic import DyadicTree
 from fds.schedule import BranchingSchedule, CompositeSet, materialize, pieces
@@ -23,7 +23,7 @@ from fds.constructions import (
 from fds import spectra
 from fds.formats import dump, load
 from fds.spectra import _ratio_fan_maxima, estimate_box, estimate_spectrum, estimate_upper
-from fds.windows import RationalScale, runlen_table
+from fds.windows import RationalScale, region_max, runlen_table
 
 from conftest import (
     embed,
@@ -31,6 +31,7 @@ from conftest import (
     local_count,
     max_alpha,
     merge,
+    oracle_fan_max,
     oracle_parse_runs,
     oracle_prefix,
     oracle_runs,
@@ -452,6 +453,38 @@ def test_upper_witnesses_explicit():
         cs = CompositeSet([(2, tail), (9, BranchingSchedule([(6, 2), (6, 1)]))], origin)
         assert RationalScale(grid[0]).max_coarse(cs.depth) >= 9
         _assert_upper_witnesses(cs, grid, 4, [9] * len(grid))
+
+
+@st.composite
+def staircase_regions(draw):
+    """(S, a, lo): the lattice staircase floor(g) of a strictly convex or
+    concave curve g with slopes in [0, 1], so S has many upper-hull
+    vertices and the parametric solve its most rounds, and a ratio-rule
+    region in a piece's local levels: lo[m - a] = ceil((m + e) / theta) - e."""
+    n = draw(st.integers(min_value=8, max_value=400))
+    v = draw(st.integers(min_value=1, max_value=64))
+    u = draw(st.integers(min_value=1, max_value=v))  # curvature u / v
+    w = draw(st.integers(min_value=0, max_value=v - u))  # linear slope w / v
+    i = np.arange(n + 1, dtype=np.int64)
+    bend = i * i if draw(st.booleans()) else 2 * n * i - i * i  # convex, concave
+    S = (u * bend + 2 * n * w * i) // (2 * n * v)
+    q = draw(st.integers(min_value=2, max_value=12))
+    scale = RationalScale(Fraction(draw(st.integers(min_value=1, max_value=q - 1)), q))
+    e = draw(st.integers(min_value=0, max_value=n // 4))
+    top = scale.max_coarse(n + e)  # last global coarse level with fine(m) - e <= n
+    assume(top >= max(e, 1))
+    m0 = draw(st.integers(min_value=max(e, 1), max_value=top))
+    m1 = draw(st.integers(min_value=m0, max_value=top))
+    lo = scale.fine_array(np.arange(m0, m1 + 1, dtype=np.int64)) - e
+    return S, m0 - e, lo
+
+
+@settings(max_examples=150, deadline=None)
+@given(staircase_regions())
+def test_region_max_on_curve_staircases(case):
+    """region_max against one suffix_slope_max query per coarse level."""
+    S, a, lo = case
+    assert region_max(S, a, lo) == oracle_fan_max(S, range(a, a + lo.size), lo)
 
 
 # ----------------------------------------------------------------------

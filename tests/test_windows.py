@@ -11,9 +11,9 @@ from fds.windows import (
     MAX_ROOT_ORDER,
     RationalScale,
     RootScale,
-    SuffixHull,
     ceil_div,
     iroot,
+    region_max,
     root_order,
     runlen_table,
     suffix_slope_max,
@@ -116,13 +116,20 @@ def _random_prefix(rng, depth):
     return S
 
 
-def test_suffix_hull_vs_reference_and_brute():
+def _concave_corners(S):
+    """Levels where the slope of S drops, plus depth: with lo, the only
+    levels a smallest best j can take for a fixed m."""
+    inc = np.diff(S)
+    return (np.flatnonzero(inc[:-1] > inc[1:]) + 1).tolist() + [len(S) - 1]
+
+
+def test_region_max_vs_reference_and_brute():
+    # one-level regions (m, [lo]) against the offline sweep and enumeration
     rng = random.Random(11)
     for trial in range(300):
         depth = rng.randint(1, 50)
         S = _random_prefix(rng, depth)
-        hull = SuffixHull(S)
-        corners = hull.x.tolist()
+        corners = _concave_corners(S)
         assert corners[-1] == depth
         queries = []
         for _ in range(rng.randint(1, 15)):
@@ -133,43 +140,49 @@ def test_suffix_hull_vs_reference_and_brute():
             if c >= 2:
                 queries.append((rng.randint(0, c - 2), c))
                 queries.append((rng.randint(0, c - 2), c - 1))
-        num, den, j = hull.query([m for m, _ in queries], [lo for _, lo in queries])
-        got = list(zip(num.tolist(), den.tolist(), j.tolist()))
-        assert got == suffix_slope_max(S, queries)
-        assert got == [_brute_suffix_best(S, m, lo) for m, lo in queries]
+        got = [region_max(S, m, [lo]) for m, lo in queries]
+        want = [(n / d, m, j) for (m, _), (n, d, j) in zip(queries, suffix_slope_max(S, queries))]
+        assert got == want
+        assert want == [
+            (n / d, m, j) for (m, lo) in queries for n, d, j in [_brute_suffix_best(S, m, lo)]
+        ]
 
 
-def test_suffix_hull_ties_resolve_to_smallest_j():
+def test_region_max_ties_resolve_to_smallest_j():
     # from m = 0, levels 2, 4 and 6 all give slope 1/2; lo = 1 gives 0
     S = [0, 0, 1, 1, 2, 2, 3]
-    hull = SuffixHull(S)
-    num, den, j = hull.query([0, 0, 0], [1, 3, 5])
-    assert j.tolist() == [2, 4, 6]
-    assert (num * 2 == den).all()
-    assert SuffixHull([0, 1]).query([0], [1])[2].tolist() == [1]  # depth 1
-    assert SuffixHull([0, 0]).query([0], [1])[2].tolist() == [1]
+    assert [region_max(S, 0, [lo]) for lo in (1, 3, 5)] == [(0.5, 0, 2), (0.5, 0, 4), (0.5, 0, 6)]
+    assert region_max([0, 1], 0, [1]) == (1.0, 0, 1)  # depth 1
+    assert region_max([0, 0], 0, [1]) == (0.0, 0, 1)
     # m=0 and m=2 both reach 1/2 at best; the first query wins
-    assert oracle_fan_max(hull, [0, 2], [1, 3]) == (0.5, 0, 2)
-    assert oracle_fan_max(hull, [2, 0], [3, 1]) == (0.5, 2, 4)
-    # regions: levels 2, 4 and 6 tie from m = 0; every window of a fully
-    # branching S is 1, so the smallest m and then the smallest j win
-    assert hull.region_max(0, [1]) == (0.5, 0, 2)
-    assert SuffixHull([0, 1, 2, 3]).region_max(0, [1, 2, 3]) == (1.0, 0, 1)
+    assert oracle_fan_max(S, [0, 2], [1, 3]) == (0.5, 0, 2)
+    assert oracle_fan_max(S, [2, 0], [3, 1]) == (0.5, 2, 4)
+    # regions: (0, 2), (0, 4) and (2, 4) all reach 1/2, so the smallest m
+    # and then its smallest j win; every window of a fully branching S is 1
+    # and every window of a flat S is 0, so the first window (a, lo[0]) wins
+    assert region_max(S, 0, [1]) == (0.5, 0, 2)
+    assert region_max([0, 1, 1, 1, 2], 0, [2, 2, 3]) == (0.5, 0, 2)
+    assert region_max([0, 1, 1, 1, 2], 1, [3, 3]) == (0.5, 2, 4)
+    assert region_max([0, 1, 2, 3], 0, [1, 2, 3]) == (1.0, 0, 1)
+    assert region_max([0] * 6, 1, [3, 3, 4]) == (0.0, 1, 3)
 
 
-def test_suffix_hull_rejects_bad_input():
-    hull = SuffixHull([0, 1, 1, 2])
+def test_region_max_rejects_bad_input():
+    S = [0, 1, 1, 2]
+    # one-level regions: lo <= m, lo past depth, negative m
     for m, lo in ((1, 1), (2, 1), (0, 4), (-1, 2)):
         with pytest.raises(ValueError):
-            hull.query([m], [lo])
-    # region_max: empty, lo <= m, decreasing lo, lo past depth, negative a
+            region_max(S, m, [lo])
+    # empty, lo <= m, decreasing lo, lo past depth, negative a
     for a, lo in ((0, []), (1, [2, 2]), (0, [3, 2]), (2, [4]), (-1, [1, 2])):
         with pytest.raises(ValueError):
-            hull.region_max(a, lo)
-    with pytest.raises(ValueError):
-        SuffixHull([0])
+            region_max(S, a, lo)
+    with pytest.raises(ValueError):  # a single level has no window
+        region_max([0], 0, [1])
+    top = (1 << 31) - 1
+    assert region_max(np.array([0, top], dtype=np.int64), 0, [1]) == (float(top), 0, 1)
     with pytest.raises(BudgetError):
-        SuffixHull(np.array([0, 1 << 31], dtype=np.int64))
+        region_max(np.array([0, 1 << 31], dtype=np.int64), 0, [1])
 
 
 def _random_region(rng, depth, corners):
@@ -198,24 +211,24 @@ def _random_region(rng, depth, corners):
 
 
 def test_region_max_vs_fan_max_oracle():
-    # the smallest cases whose witness only one candidate family holds
+    # the smallest regions whose witness is only a boundary window (m, lo),
+    # only the last m admitting a concave corner, only reached from a, and
+    # only from a convex corner (a flat step followed by a branching one)
     for S, lo, want in (
-        ([0, 0, 0, 1, 1, 1], [4, 4, 5], (1 / 3, 1, 4)),  # boundary (1, lo)
-        ([0, 0, 0, 1, 1], [1, 2, 4], (0.5, 1, 3)),  # corner (M(3), 3)
-        ([0, 1, 1, 2], [2, 2], (2 / 3, 0, 3)),  # hull query at a
-        ([0, 0, 1, 1, 2], [1, 3, 3], (2 / 3, 1, 4)),  # hull query at convex 1
+        ([0, 0, 0, 1, 1, 1], [4, 4, 5], (1 / 3, 1, 4)),
+        ([0, 0, 0, 1, 1], [1, 2, 4], (0.5, 1, 3)),
+        ([0, 1, 1, 2], [2, 2], (2 / 3, 0, 3)),
+        ([0, 0, 1, 1, 2], [1, 3, 3], (2 / 3, 1, 4)),
     ):
-        hull = SuffixHull(S)
-        assert oracle_fan_max(hull, np.arange(len(lo)), lo) == want
-        assert hull.region_max(0, lo) == want
+        assert oracle_fan_max(S, range(len(lo)), lo) == want
+        assert region_max(S, 0, lo) == want
     rng = random.Random(17)
     for trial in range(3000):
         depth = rng.randint(1, 50)
         S = _random_prefix(rng, depth)
-        hull = SuffixHull(S)
-        a, lo = _random_region(rng, depth, hull.x.tolist())
-        m = np.arange(a, a + len(lo))
-        assert hull.region_max(a, lo) == oracle_fan_max(hull, m, lo), (S, a, lo.tolist())
+        a, lo = _random_region(rng, depth, _concave_corners(S))
+        m = range(a, a + len(lo))
+        assert region_max(S, a, lo) == oracle_fan_max(S, m, lo), (S, a, lo.tolist())
 
 
 def test_suffix_slope_max_vs_brute():
