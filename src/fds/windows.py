@@ -9,7 +9,8 @@ log2(count(m, m')) / (m' - m) over large window fans.  This module holds:
   coarse levels, each with its own lowest fine level,
 * run tables that give, for every level m' of a tree stored as its
   leaves, the largest number of level-m' nodes sharing a single level-m
-  ancestor, for every m at once,
+  ancestor, for every m at once, built a chunk of thresholds at a time
+  from prefix counts and one running maximum per chunk,
 * neighbor tables that give the same maximum over a level-m node together
   with its present same-level neighbors, with the leftmost witness.
 
@@ -71,6 +72,9 @@ MAX_HULL_SPAN = 1 << 31
 # RootScale's exact integer steps grow as m**n; n = 16 already takes
 # seconds on a depth-65536 range
 MAX_ROOT_ORDER = 16
+# prefix counts (threshold rows x alive gaps) one chunk of the RunTable
+# build holds at once
+RUN_BLOCK = 1 << 14
 
 
 def ceil_div(a: int, b: int) -> int:
@@ -358,6 +362,18 @@ class RunTable:
     entry rank(s + d) - 1 when that is at least rank(s); otherwise no gap
     > s is <= s + d and the answer is table entry 0, the count below a
     single node (1, or 0 for a tree without leaves).
+
+    The build takes the threshold ranks in chunks b0, ..., b0 + B - 1 with
+    B = max(1, RUN_BLOCK // n), for the n gaps >= u[b0], and works in their
+    compressed positions.  Prefix counts P[r, x], the gaps >= u[b0 + r]
+    among the first x of them, come from one cumsum along each row (row 0
+    counts every one, so it is x itself).  Each interval's ends map to
+    compressed positions lo and hi, so P[:, hi] - P[:, lo] counts every
+    interval at every threshold of the chunk, one running maximum along
+    the rows yields the chunk's blocks, and their entries t >= b go
+    straight into the preallocated table.  A chunk's temporaries hold
+    about max(RUN_BLOCK, n) counts, so the build peaks at the kept table
+    and logs.
     """
 
     __slots__ = ("u", "base", "table", "logs")
@@ -365,30 +381,59 @@ class RunTable:
     def __init__(self, gaps: Sequence[int], leaves: int):
         g = np.asarray(gaps, dtype=np.int64)
         left, right = _dominance(g)
-        order = np.argsort(g, kind="stable")
-        u, first = np.unique(g[order], return_index=True)
+        # numpy sorts 16-bit keys stably by radix, several times faster
+        small = g.size and 0 <= g.min() and g.max() < 1 << 16
+        order = np.argsort(g.astype(np.uint16) if small else g, kind="stable")
+        sg = g[order]
+        first = np.flatnonzero(np.diff(sg, prepend=sg[:1] - 1))  # where values start
+        u = sg[first]
         ends = np.append(first[1:], g.size) - 1
         # interval ends in ascending gap order, shifted by one so that the
         # outside ends -1 and len(g) are valid indices into rk; both ends of
         # an alive gap's interval are alive or outside
         left, right = left[order] + 1, right[order] + 1
-        alive = np.arange(g.size)  # sorted positions of the gaps >= u[b]
-        rk = np.full(g.size + 2, -1)  # rk[p + 1]: rank of p among alive
-        blocks = []
-        for b, (f, v) in enumerate(zip(first.tolist(), u.tolist())):
-            alive = alive[g[alive] >= v]
-            rk[alive + 1] = np.arange(alive.size)
-            rk[-1] = alive.size
-            inside = rk[right[f:]] - rk[left[f:]] - 1
-            blocks.append(np.maximum.accumulate(inside)[ends[b:] - f])
         k = u.size
-        self.u = u
-        # entry for threshold rank t >= b of block b sits at base[b] + t
+        # entry for threshold rank t >= b of block b sits at base[b] + t + 1
         sizes = k - np.arange(k + 1)
-        self.base = np.concatenate(([0], np.cumsum(sizes[:-1]))) - np.arange(k + 1)
-        self.table = np.concatenate(([min(leaves, 1)], *(1 + x for x in blocks)))
+        base = np.concatenate(([0], np.cumsum(sizes[:-1]))) - np.arange(k + 1)
+        table = np.empty(k * (k + 1) // 2 + 1, dtype=np.int64)
+        table[0] = min(leaves, 1)
+        # positions, ranks and counts are below len(g) and gaps at most the
+        # depth, both far below 2**31 for any tree held as a tuple of leaves
+        count = np.int32
+        alive = np.arange(1, g.size + 1, dtype=count)  # positions + 1 of the gaps >= u[b0]
+        live = g.astype(count)  # their values
+        rk = np.full(g.size + 2, -1, dtype=count)  # rk[p + 1]: rank of p among alive
+        b0 = 0
+        while b0 < k:
+            f = int(first[b0])
+            keep = live >= u[b0]
+            alive, live = alive[keep], live[keep]
+            n = alive.size
+            rk[alive] = np.arange(n, dtype=count)
+            rk[-1] = n
+            nb = min(max(1, RUN_BLOCK // n), k - b0)
+            # each interval as compressed positions [lo, hi) among alive
+            lo, hi = np.take(rk, left[f:]), np.take(rk, right[f:])
+            lo += 1
+            # row r: the gaps >= u[b0 + r] inside every interval, all of
+            # them in row 0, through the prefix counts P below it.  The
+            # interval of a gap < u[b0 + r] holds none, so no row is masked.
+            inside = np.empty((nb, n), dtype=count)
+            np.subtract(hi, lo, out=inside[0])
+            P = np.zeros((nb - 1, n + 1), dtype=count)
+            np.cumsum(live >= u[b0 + 1 : b0 + nb, None], axis=1, dtype=count, out=P[:, 1:])
+            np.take(P, hi, axis=1, out=inside[1:])
+            inside[1:] -= np.take(P, lo, axis=1)
+            np.maximum.accumulate(inside, axis=1, out=inside)
+            runs = inside[:, ends[b0:] - f]
+            upper = np.arange(k - b0) >= np.arange(nb)[:, None]  # t >= b
+            start, stop = base[b0] + b0 + 1, base[b0 + nb - 1] + k + 1
+            np.add(runs[upper], 1, out=table[start:stop])
+            b0 += nb
+        self.u, self.base, self.table = u, base, table
         with np.errstate(divide="ignore"):  # a tree without leaves logs -inf
-            self.logs = np.log2(self.table.astype(np.float64))
+            self.logs = np.log2(table)
 
     def rank(self, x):
         """Number of distinct gap values <= x (elementwise)."""

@@ -10,6 +10,8 @@ estimators' parametric region solve is checked against a hull sweep.
 takes the argmax, the batch that one `region_max` call replaces.
 `ratio_fan_max` enumerates the main theorem's ratio fan one theta at a
 time, the oracle of the all-theta brute side in `verify_main_theorem`.
+`oracle_run_table` builds a `RunTable`'s arrays one distinct gap value at
+a time, the reference of its chunked build.
 The schedule oracles build a two-phase schedule level by level and write
 and parse schedule runs one run at a time, the references of the numpy
 run arrays in `constructions`, `schedule` and `formats`.
@@ -39,7 +41,7 @@ from fds.schedule import (
     pieces,
 )
 from fds.constructions import TwoPhaseParams, two_phase_schedule
-from fds.windows import RationalScale, ceil_div, suffix_slope_max
+from fds.windows import RationalScale, _dominance, ceil_div, suffix_slope_max
 
 
 # ----------------------------------------------------------------------
@@ -280,6 +282,35 @@ def ratio_fan_max(rep, theta: Fraction, lo: int, hi: int, neighbors: bool = Fals
         j0 = scale.fine(m)
         best = max(best, float((logs[j0:] / (idx[j0:] - m)).max()))
     return best
+
+
+def oracle_run_table(gaps, leaves: int):
+    """(u, base, table, logs) of `RunTable(gaps, leaves)`, one Python
+    iteration per distinct gap value u[b]: filter the gaps >= u[b], rank
+    them, count the alive gaps inside every dominance interval, and keep
+    the running maximum at the last gap of each value >= u[b]."""
+    g = np.asarray(gaps, dtype=np.int64)
+    left, right = _dominance(g)
+    order = np.argsort(g, kind="stable")
+    u, first = np.unique(g[order], return_index=True)
+    ends = np.append(first[1:], g.size) - 1
+    left, right = left[order] + 1, right[order] + 1
+    alive = np.arange(g.size)
+    rk = np.full(g.size + 2, -1)
+    blocks = []
+    for b, (f, v) in enumerate(zip(first.tolist(), u.tolist())):
+        alive = alive[g[alive] >= v]
+        rk[alive + 1] = np.arange(alive.size)
+        rk[-1] = alive.size
+        inside = rk[right[f:]] - rk[left[f:]] - 1
+        blocks.append(np.maximum.accumulate(inside)[ends[b:] - f])
+    k = u.size
+    sizes = k - np.arange(k + 1)
+    base = np.concatenate(([0], np.cumsum(sizes[:-1]))) - np.arange(k + 1)
+    table = np.concatenate(([min(leaves, 1)], *(1 + x for x in blocks)))
+    with np.errstate(divide="ignore"):
+        logs = np.log2(table.astype(np.float64))
+    return u, base, table, logs
 
 
 def random_schedule(rng: random.Random, max_depth: int = 18) -> BranchingSchedule:

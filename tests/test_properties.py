@@ -3,11 +3,13 @@
 import os
 import random
 import tempfile
+from collections import Counter
 from fractions import Fraction
 from math import log2
 from unittest.mock import patch
 
 import numpy as np
+import pytest
 
 from hypothesis import assume, given, settings, strategies as st
 
@@ -17,13 +19,14 @@ from fds.constructions import (
     TwoPhaseParams,
     full_binary_tree,
     geometric_sequence_tree,
+    left_path_tree,
     rational_enumeration,
     two_phase_schedule,
 )
-from fds import spectra
+from fds import spectra, windows
 from fds.formats import dump, load
 from fds.spectra import _ratio_fan_maxima, estimate_box, estimate_spectrum, estimate_upper
-from fds.windows import RationalScale, region_max, runlen_table
+from fds.windows import RationalScale, RunTable, region_max
 
 from conftest import (
     embed,
@@ -34,6 +37,7 @@ from conftest import (
     oracle_fan_max,
     oracle_parse_runs,
     oracle_prefix,
+    oracle_run_table,
     oracle_runs,
     oracle_schedule_spectrum,
     oracle_schedule_upper,
@@ -209,10 +213,47 @@ def test_leaf_storage_matches_levels(t):
     runs = t.run_table()
     assert t.level_sizes(range(t.depth + 1)).tolist() == [len(xs) for xs in lv]
     for m, xs in enumerate(lv):
-        want = runlen_table(xs)
         s = t.depth - m
         for d in range(m + 1):
-            assert runs.counts(s, d) == want[min(d, len(want) - 1)], (m, d)
+            # the most level-m nodes below one level-(m - d) ancestor
+            want = max(Counter(x >> d for x in xs).values(), default=0)
+            assert runs.counts(s, d) == want, (m, d)
+
+
+def _assert_run_table_matches_oracle(t):
+    """u, base, table and logs bit for bit against the one-value-at-a-time
+    build, with chunks of one threshold, of five, and of the default size."""
+    want = oracle_run_table(t.gaps, len(t.leaves))
+    for block in (1, 5, windows.RUN_BLOCK):
+        with patch.object(windows, "RUN_BLOCK", block):
+            runs = RunTable(t.gaps, len(t.leaves))
+        for got, ref in zip((runs.u, runs.base, runs.table, runs.logs), want):
+            assert got.dtype == ref.dtype and got.shape == ref.shape, block
+            assert got.tobytes() == ref.tobytes(), block
+
+
+@settings(max_examples=60, deadline=None)
+@given(trees())
+def test_run_table_matches_oracle(t):
+    _assert_run_table_matches_oracle(t)
+
+
+@pytest.mark.parametrize(
+    "t",
+    [
+        DyadicTree(4, []),
+        DyadicTree(4, [9]),
+        left_path_tree(12),
+        full_binary_tree(8),
+        geometric_sequence_tree(64),
+        geometric_sequence_tree(300),
+        DyadicTree(70000, [0, 1, 3 << 69998]),
+    ],
+    ids=["empty", "one-leaf", "left-path-12", "full-8", "geometric-64", "geometric-300",
+         "gaps-past-16-bits"],
+)
+def test_run_table_matches_oracle_fixed(t):
+    _assert_run_table_matches_oracle(t)
 
 
 def _assert_tree_estimators_match_oracles(t, neighbors):

@@ -1,16 +1,19 @@
 """The maximization engine against direct enumeration."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from fds.constructions import geometric_sequence_tree
 from fds.errors import BudgetError
 from fds.windows import (
     MAX_ROOT_ORDER,
     RationalScale,
     RootScale,
+    RunTable,
     ceil_div,
     iroot,
     region_max,
@@ -269,3 +272,18 @@ def test_runlen_table_vs_brute():
             want = max(groups.values())
             got = int(table[min(delta, len(table) - 1)])
             assert got == want, (xs, delta)
+
+
+def test_run_table_build_peak_is_its_kept_size():
+    # the build writes its blocks straight into the kept arrays, so its
+    # traced peak stays near table + logs (8.4 MB at geometric depth 1024)
+    t = geometric_sequence_tree(1024)
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        runs = RunTable(t.gaps, len(t.leaves))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = runs.table.nbytes + runs.logs.nbytes
+    assert peak <= 1.2 * kept, (peak, kept)
