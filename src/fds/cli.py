@@ -11,10 +11,12 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from functools import partial, reduce
 
 from .constructions import (
     ConcaveTarget,
     TwoPhaseParams,
+    closed_form_u,
     concave_union,
     full_binary_tree,
     geometric_sequence_tree,
@@ -35,6 +37,7 @@ DEFAULT_GRID = "0.1:0.9:0.1"
 DEFAULT_EPSILONS = "0.1,0.05,0.02"
 # most points a --theta-grid may expand to
 MAX_GRID_POINTS = 10_000
+NEIGHBORS = ("on", "off")
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -62,22 +65,18 @@ def parse_theta_grid(spec: str) -> list[Fraction]:
     return [start + i * step for i in range(count)]
 
 
-def parse_count(text, flag: str, default: int | None = None) -> int | None:
-    """A non-negative integer option value, or `default` when the option
-    is unset: ASCII digits only, the rule of the file headers, so signs,
-    spaces, underscores and non-ASCII digits are rejected rather than read
-    by Python's lenient int()."""
-    if text is None:
-        return default
-    text = str(text)
+def parse_count(text: str, flag: str) -> int:
+    """A non-negative integer option value: ASCII digits only, the rule of
+    the file headers, so signs, spaces, underscores and non-ASCII digits
+    are rejected rather than read by Python's lenient int()."""
     if not (text.isascii() and text.isdigit()):
         raise ValueError(f"{flag} needs ASCII digits, got {text!r}")
     return int(text)
 
 
-def _counts(spec, flag: str) -> list[int]:
+def _counts(spec: str, flag: str) -> list[int]:
     """A comma-separated list of parse_count values."""
-    return [parse_count(tok, flag) for tok in str(spec).split(",")]
+    return [parse_count(tok, flag) for tok in spec.split(",")]
 
 
 def parse_m_range(spec: str) -> tuple[int, int]:
@@ -101,214 +100,251 @@ def read_config(path: str) -> dict[str, str]:
     return out
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="fds",
-        description="Construct dyadic sets with prescribed Assouad-type "
-        "spectra; estimate and cross-verify their dimensions.",
-    )
-    sub = ap.add_subparsers(dest="subcommand", required=True)
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--input", "-i", default=None)
-    common.add_argument("--output", "-o", default=None)
-    common.add_argument("--theta-grid", default=None, metavar="A:B:C")
-    common.add_argument("--m-range", default=None, metavar="LO:HI")
-    common.add_argument("--tol", type=float, default=None)
-    common.add_argument("--neighbors", choices=("on", "off"), default=None)
-    common.add_argument("--config", default=None)
-
-    con = sub.add_parser("construct", parents=[common], help="generate a set file")
-    con.add_argument(
-        "generator",
-        choices=("two-phase", "concave-union", "geometric", "full", "path", "from-schedule"),
-    )
-    con.add_argument("--s", default=None)
-    con.add_argument("--t", default=None)
-    con.add_argument("--m0", default=None)
-    con.add_argument("--blocks", default=None)
-    con.add_argument("--depth", default=None)
-    con.add_argument("--target", default=None, help="polynomial coefficients c0,c1,...")
-    con.add_argument("--components", default=None)
-    con.add_argument("--shifts", default=None, help="explicit comma-separated shifts")
-    con.add_argument("--shift-linear", default=None)
-
-    est = sub.add_parser("estimate", parents=[common], help="estimate a dimension")
-    est.add_argument("--mode", choices=("spectrum", "upper", "box", "qa"), default="spectrum")
-    est.add_argument("--epsilons", default=None, help="comma-separated, e.g. 0.1,0.05,0.02")
-
-    ver = sub.add_parser("verify", parents=[common], help="run identity checks")
-    ver.add_argument("--check", action="append", default=None, help="repeatable; default all")
-    ver.add_argument("--epsilons", default=None)
-    ver.add_argument("--n-values", default="2,3")
-
-    plo = sub.add_parser("plot", parents=[common], help="render CSVs as one SVG")
-    plo.add_argument("csvs", nargs="*")
-    plo.add_argument("--overlay-u", default=None, metavar="S,T")
-    plo.add_argument("--overlay-poly", default=None, metavar="C0,C1,...")
-    return ap
+def _fractions(spec: str) -> list[Fraction]:
+    return [_parse_fraction(tok) for tok in spec.split(",")]
 
 
-_CONFIG_KEYS = {
-    "s",
-    "t",
-    "m0",
-    "blocks",
-    "target",
-    "samples",
-    "shifts",
-    "depth",
-    "theta-grid",
-    "m-range",
-    "tol",
-    "neighbors",
-    "epsilons",
+def _tol(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"--tol needs a number, got {text!r}") from None
+
+
+def _neighbors(text: str) -> bool:
+    if text not in NEIGHBORS:
+        raise ValueError(f"--neighbors needs one of {NEIGHBORS}, got {text!r}")
+    return text == "on"
+
+
+def _samples(spec: str) -> ConcaveTarget:
+    """An explicit concave target "<f0>;<q>:<f>,<q>:<f>,..."."""
+    head, _, body = spec.partition(";")
+    pts = [tok.partition(":")[::2] for tok in body.split(",")]
+    return ConcaveTarget(_parse_fraction(head), tuple(tuple(map(_parse_fraction, p)) for p in pts))
+
+
+def _overlay_u(spec: str) -> list[tuple[str, float]]:
+    toks = spec.split(",")
+    if len(toks) != 2:
+        raise ValueError(f"--overlay-u needs exactly two values S,T, got {spec!r}")
+    return [(tok, float(_parse_fraction(tok))) for tok in toks]
+
+
+# Every option by its long name: the converter its text goes through, from a
+# flag or a config key alike, then its flag's short forms and argparse
+# keywords (None: a config key with no flag).
+_OPTIONS = {
+    "input": (str, ("-i",), {}),
+    "output": (str, ("-o",), {}),
+    "theta-grid": (parse_theta_grid, (), {"metavar": "A:B:C"}),
+    "m-range": (parse_m_range, (), {"metavar": "LO:HI"}),
+    "tol": (_tol, (), {}),
+    "neighbors": (_neighbors, (), {"choices": NEIGHBORS}),
+    "s": (_parse_fraction, (), {}),
+    "t": (_parse_fraction, (), {}),
+    "m0": (partial(parse_count, flag="--m0"), (), {}),
+    "blocks": (partial(parse_count, flag="--blocks"), (), {}),
+    "depth": (partial(parse_count, flag="--depth"), (), {}),
+    "target": (_fractions, (), {"help": "polynomial coefficients c0,c1,..."}),
+    "components": (partial(parse_count, flag="--components"), (), {}),
+    "shifts": (partial(_counts, flag="--shifts"), (), {"help": "explicit comma-separated shifts"}),
+    "shift-linear": (partial(parse_count, flag="--shift-linear"), (), {}),
+    "samples": (_samples, (), None),
+    "epsilons": (_fractions, (), {"help": "comma-separated, e.g. 0.1,0.05,0.02"}),
+    "n-values": (lambda spec: [root_order(n) for n in _counts(spec, "--n-values")], (), {}),
+    "overlay-u": (_overlay_u, (), {"metavar": "S,T"}),
+    "overlay-poly": (lambda spec: list(map(float, _fractions(spec))), (),
+                     {"metavar": "C0,C1,..."}),
+}
+# options that name files: flags only, never config keys or library arguments
+_FILES = ("input", "output")
+
+# The one table of which options apply: subcommand -> variant -> the options
+# it reads.  A variant is a construct generator, an estimate mode or a verify
+# check; verify reads what any selected check reads.  Each subparser declares
+# only the flags some variant of it reads, so argparse rejects the others,
+# and _options rejects a flag or config key the chosen variant ignores.
+_RUN = ("input", "theta-grid", "m-range", "neighbors")
+_TREE = ("output", "depth")
+_APPLIES = {
+    "construct": {
+        "two-phase": ("output", "s", "t", "m0", "blocks"),
+        "concave-union": ("output", "target", "components", "samples", "m0", "blocks",
+                          "shifts", "shift-linear"),
+        "geometric": _TREE,
+        "full": _TREE,
+        "path": _TREE,
+        "from-schedule": ("input", "output"),
+    },
+    "estimate": {
+        "spectrum": (*_RUN, "output"),
+        "upper": (*_RUN, "output"),
+        # The one documented exception: box and qa take their range from no
+        # theta grid, yet accept --theta-grid (checked, unused).  Box also
+        # takes --neighbors only to accept off and reject on by name.
+        "box": (*_RUN, "output"),
+        "qa": (*_RUN, "output", "epsilons"),
+    },
+    "verify": {
+        "main-theorem": _RUN,
+        "bound": (*_RUN, "tol"),
+        "chain": (*_RUN, "tol", "epsilons"),
+        "nthroot": (*_RUN, "tol", "n-values"),
+    },
+    "plot": {"plot": ("input", "output", "overlay-u", "overlay-poly")},
 }
 
 
-def _merge_config(args: argparse.Namespace) -> None:
-    """Fill unset CLI options from the config file; flags win."""
-    if not getattr(args, "config", None):
-        return
-    cfg = read_config(args.config)
-    unknown = set(cfg) - _CONFIG_KEYS
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    for key, value in cfg.items():
-        attr = key.replace("-", "_")
-        if getattr(args, attr, None) is None:
-            setattr(args, attr, value)
+class _Subcommand(argparse.ArgumentParser):
+    """Declares the flags that some variant of its subcommand reads when it
+    parses, so a command line builds only its own subcommand's flags."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        reads = set().union(*_APPLIES[self.prog.split()[-1]].values())
+        for opt, (_, short, kw) in _OPTIONS.items():
+            if opt in reads and kw is not None:
+                self.add_argument(f"--{opt}", *short, **kw)
+        self.add_argument("--config")
+        return super().parse_known_args(args, namespace)
 
 
-def _load_input(args) -> formats.SetLike:
-    if not args.input:
-        raise ValueError("--input is required")
-    return formats.load(args.input)
+def _build_parser() -> argparse.ArgumentParser:
+    ap = argparse.ArgumentParser(
+        prog="fds", description="Construct dyadic sets with prescribed Assouad-type "
+        "spectra; estimate and cross-verify their dimensions.")
+    sub = ap.add_subparsers(dest="subcommand", required=True, parser_class=_Subcommand)
+    con = sub.add_parser("construct", help="generate a set file")
+    con.add_argument("generator", choices=tuple(_APPLIES["construct"]))
+    est = sub.add_parser("estimate", help="estimate a dimension")
+    est.add_argument("--mode", choices=tuple(_APPLIES["estimate"]), default="spectrum")
+    ver = sub.add_parser("verify", help="run identity checks")
+    ver.add_argument("--check", action="append", help="repeatable; default all")
+    plo = sub.add_parser("plot", help="render CSVs as one SVG")
+    plo.add_argument("csvs", nargs="*")
+    return ap
 
 
-def _run_config(args):
-    """(theta grid, coarse range or None, tol, neighbors, epsilons) for an
-    estimate/verify invocation; the library picks the default range."""
-    eps_spec = getattr(args, "epsilons", None)
-    return (
-        parse_theta_grid(args.theta_grid or DEFAULT_GRID),
-        parse_m_range(args.m_range) if args.m_range is not None else None,
-        float(args.tol) if args.tol is not None else 0.05,
-        (args.neighbors or "off") == "on",
-        [_parse_fraction(tok) for tok in str(eps_spec).split(",")] if eps_spec else [],
-    )
-
-
-def cmd_construct(args) -> int:
-    gen = args.generator
-    out = args.output
-    if not out:
-        raise ValueError("--output is required")
-    m0 = parse_count(args.m0, "--m0", 4)
-    blocks = parse_count(args.blocks, "--blocks", 3)
-    if gen == "two-phase":
-        if args.s is None or args.t is None:
-            raise ValueError("two-phase needs --s and --t")
-        params = TwoPhaseParams(
-            _parse_fraction(str(args.s)),
-            _parse_fraction(str(args.t)),
-            m0,
-            blocks,
-        )
-        sched = two_phase_schedule(params)
-        formats.dump(sched, out)
-        print(f"wrote {out}: fds-schedule depth={sched.depth} runs={len(sched.lengths)}")
-    elif gen == "concave-union":
-        samples = getattr(args, "samples", None)
-        if args.target is not None:
-            coeffs = [_parse_fraction(tok) for tok in str(args.target).split(",")]
-            count = parse_count(args.components, "--components", 8)
-            target = target_from_poly(coeffs, count)
-        elif samples is not None:
-            # explicit sample list: "<f0>;<q>:<f>,<q>:<f>,..."
-            head, _, body = str(samples).partition(";")
-            pts = []
-            for tok in body.split(","):
-                q, _, f = tok.partition(":")
-                pts.append((_parse_fraction(q), _parse_fraction(f)))
-            target = ConcaveTarget(_parse_fraction(head), tuple(pts))
-        else:
-            raise ValueError("concave-union needs --target c0,c1,... or samples=")
-        cs = concave_union(
-            target,
-            m0=m0,
-            blocks=blocks,
-            shifts=_counts(args.shifts, "--shifts") if args.shifts else None,
-            shift_linear=parse_count(args.shift_linear, "--shift-linear"),
-        )
-        formats.dump(cs, out)
-        print(
-            f"wrote {out}: fds-composite components={len(cs.components)} depth={cs.depth}"
-        )
-    elif gen in ("geometric", "full", "path"):
-        depth = parse_count(args.depth, "--depth", {"geometric": 256, "full": 10, "path": 64}[gen])
-        tree = {
-            "geometric": geometric_sequence_tree,
-            "full": full_binary_tree,
-            "path": left_path_tree,
-        }[gen](depth)
-        formats.dump(tree, out)
-        print(f"wrote {out}: fds-tree depth={tree.depth} nodes={tree.node_count()}")
-    elif gen == "from-schedule":
-        obj = _load_input(args)
-        if not isinstance(obj, BranchingSchedule):
-            raise ValueError("from-schedule needs an fds-schedule input")
-        tree = materialize(obj)
-        formats.dump(tree, out)
-        print(f"wrote {out}: fds-tree depth={tree.depth} nodes={tree.node_count()}")
-    return 0
-
-
-def cmd_estimate(args) -> int:
-    rep = _load_input(args)
-    if not args.output:
-        raise ValueError("--output is required")
-    grid, m_range, _, nb, epsilons = _run_config(args)
-    mode = args.mode
-    if mode in ("spectrum", "upper"):
-        fn = spectra.estimate_spectrum if mode == "spectrum" else spectra.estimate_upper
-        est = fn(rep, grid, m_range, nb)
-        summary = (
-            f"{mode}: {len(est.values)} grid points, "
-            f"min={min(est.values)!r} max={max(est.values)!r}"
-        )
-    elif mode == "box":
-        if nb:
-            raise ValueError("box mode has no neighbor variant")
-        est = spectra.estimate_box(rep, m_range)
-        summary = f"box: value={est.value!r} witness m={est.m_witness}"
-    else:
-        eps = epsilons or [_parse_fraction(tok) for tok in DEFAULT_EPSILONS.split(",")]
-        est = spectra.estimate_quasi_assouad(rep, eps, m_range, nb)
-        summary = f"qa: headline={est.headline!r} ({est.trend})"
-    text = spectra.estimate_to_csv(est)
-    with open(args.output, "w", encoding="ascii") as fh:
-        fh.write(text)
-    print(f"{summary} -> {args.output}")
-    return 0
-
-
-def cmd_verify(args) -> int:
-    rep = _load_input(args)
-    grid, m_range, tol, nb, epsilons = _run_config(args)
-    # the calls read n_values, parsed once the check names are known good
-    checks = {
-        "main-theorem": lambda: spectra.verify_main_theorem(rep, grid, m_range, nb),
-        "bound": lambda: spectra.verify_bound(rep, grid, m_range, tol, nb),
-        "chain": lambda: spectra.verify_chain(rep, grid, m_range, tol, epsilons or None, nb),
-        "nthroot": lambda: spectra.verify_nthroot(rep, grid, n_values, m_range, tol, nb),
-    }
+def _variants(args) -> tuple[str, list[str]]:
+    """The command as the user named it, and its variants in the table."""
+    if args.subcommand == "construct":
+        return f"construct {args.generator}", [args.generator]
+    if args.subcommand == "estimate":
+        return f"estimate --mode {args.mode}", [args.mode]
+    if args.subcommand == "plot":
+        return "plot", ["plot"]
+    checks = _APPLIES["verify"]
     names = [tok.strip() for c in args.check or checks for tok in c.split(",")]
     unknown = [c for c in names if c not in checks]
     if unknown:
         raise ValueError(f"unknown checks: {unknown}; choose from {tuple(checks)}")
-    n_values = [root_order(n) for n in _counts(args.n_values, "--n-values")]
-    reports = [checks[name]() for name in names]
+    return f"verify --check {','.join(names)}", names
+
+
+def _options(args, label: str, variants: list[str]) -> dict:
+    """The converted value of every option given as a flag or config key
+    (a flag wins over the config file), by long name.  An option none of
+    the variants reads, or an empty value, is an error naming it."""
+    cfg = read_config(args.config) if args.config is not None else {}
+    unknown = sorted(key for key in cfg if key not in _OPTIONS or key in _FILES)
+    if unknown:
+        raise ValueError(f"unknown config keys: {unknown}")
+    given = {key: (text, f"config key {key!r}") for key, text in cfg.items()}
+    for name in _OPTIONS:
+        text = getattr(args, name.replace("-", "_"), None)
+        if text is not None:
+            given[name] = (text, f"--{name}")
+    reads = set().union(*(_APPLIES[args.subcommand][v] for v in variants))
+    ignored = [src for name, (_, src) in given.items() if name not in reads]
+    if ignored:
+        raise ValueError(f"{label} does not read {', '.join(ignored)}")
+    opts = {}
+    for name, (text, src) in given.items():
+        if not text:
+            raise ValueError(f"{src} needs a value")
+        opts[name] = _OPTIONS[name][0](text)
+    if "theta-grid" in reads and "theta-grid" not in opts:
+        opts["theta-grid"] = parse_theta_grid(DEFAULT_GRID)
+    return opts
+
+
+def _kwargs(opts: dict, names) -> dict:
+    """The given options among `names`, but files, as library keyword arguments."""
+    return {n.replace("-", "_"): opts[n] for n in names if n in opts and n not in _FILES}
+
+
+def _required(opts: dict, name: str):
+    if name not in opts:
+        raise ValueError(f"--{name} is required")
+    return opts[name]
+
+
+def cmd_construct(opts: dict, gen: str) -> int:
+    out = _required(opts, "output")
+    if gen == "two-phase":
+        if "s" not in opts or "t" not in opts:
+            raise ValueError("two-phase needs --s and --t")
+        params = TwoPhaseParams(opts["s"], opts["t"], **_kwargs(opts, ("m0", "blocks")))
+        sched = two_phase_schedule(params)
+        formats.dump(sched, out)
+        print(f"wrote {out}: fds-schedule depth={sched.depth} runs={len(sched.lengths)}")
+    elif gen == "concave-union":
+        if "target" in opts:
+            target = target_from_poly(opts["target"], opts.get("components", 8))
+        elif "samples" in opts:
+            target = opts["samples"]
+        else:
+            raise ValueError("concave-union needs --target c0,c1,... or samples=")
+        cs = concave_union(target, **_kwargs(opts, ("m0", "blocks", "shifts", "shift-linear")))
+        formats.dump(cs, out)
+        print(f"wrote {out}: fds-composite components={len(cs.components)} depth={cs.depth}")
+    else:
+        if gen == "from-schedule":
+            obj = formats.load(_required(opts, "input"))
+            if not isinstance(obj, BranchingSchedule):
+                raise ValueError("from-schedule needs an fds-schedule input")
+            tree = materialize(obj)
+        else:
+            build = {"geometric": geometric_sequence_tree, "full": full_binary_tree,
+                     "path": left_path_tree}[gen]
+            tree = build(opts.get("depth", {"geometric": 256, "full": 10, "path": 64}[gen]))
+        formats.dump(tree, out)
+        print(f"wrote {out}: fds-tree depth={tree.depth} nodes={tree.node_count()}")
+    return 0
+
+
+def cmd_estimate(opts: dict, mode: str) -> int:
+    rep = formats.load(_required(opts, "input"))
+    out = _required(opts, "output")
+    kw = _kwargs(opts, _APPLIES["estimate"][mode])
+    if mode in ("spectrum", "upper"):
+        fn = spectra.estimate_spectrum if mode == "spectrum" else spectra.estimate_upper
+        est = fn(rep, **kw)
+        lo, hi = min(est.values), max(est.values)
+        summary = f"{mode}: {len(est.values)} grid points, min={lo!r} max={hi!r}"
+    else:
+        del kw["theta_grid"]
+        if mode == "box":
+            if kw.pop("neighbors", False):
+                raise ValueError("box mode has no neighbor variant")
+            est = spectra.estimate_box(rep, **kw)
+            summary = f"box: value={est.value!r} witness m={est.m_witness}"
+        else:
+            kw.setdefault("epsilons", DEFAULT_EPSILONS.split(","))
+            est = spectra.estimate_quasi_assouad(rep, **kw)
+            summary = f"qa: headline={est.headline!r} ({est.trend})"
+    with open(out, "w", encoding="ascii") as fh:
+        fh.write(spectra.estimate_to_csv(est))
+    print(f"{summary} -> {out}")
+    return 0
+
+
+def cmd_verify(opts: dict, names: list[str]) -> int:
+    rep = formats.load(_required(opts, "input"))
+    checks = _APPLIES["verify"]
+    # looked up per call, so a wrapper installed on spectra sees each check
+    reports = [getattr(spectra, "verify_" + n.replace("-", "_"))(rep, **_kwargs(opts, checks[n]))
+               for n in names]
     for rep_ in reports:
         sys.stdout.write(spectra.report_to_text(rep_))
     return 0 if all(r.passed for r in reports) else 1
@@ -335,39 +371,23 @@ def _read_csv_series(path: str) -> list[tuple[float, float]]:
     return pts
 
 
-def cmd_plot(args) -> int:
-    out = args.output
-    if not out:
-        raise ValueError("--output is required")
-    paths = list(args.csvs)
-    if args.input:
-        paths.insert(0, args.input)
+def cmd_plot(opts: dict, csvs: list[str]) -> int:
+    out = _required(opts, "output")
+    paths = [opts["input"], *csvs] if "input" in opts else list(csvs)
     if not paths:
         raise ValueError("plot needs at least one CSV input")
-    series = []
-    for p in paths:
-        label = p.rsplit("/", 1)[-1]
-        series.append((label, _read_csv_series(p)))
+    series = [(p.rsplit("/", 1)[-1], _read_csv_series(p)) for p in paths]
     samples = [k / 200 for k in range(1, 200)]
-    if args.overlay_u:
-        toks = str(args.overlay_u).split(",")
-        if len(toks) != 2:
-            raise ValueError(f"--overlay-u needs exactly two values S,T, got {args.overlay_u!r}")
-        s_tok, t_tok = toks
-        from .constructions import closed_form_u
-
-        s, t = float(_parse_fraction(s_tok)), float(_parse_fraction(t_tok))
+    if "overlay-u" in opts:
+        (s_tok, s), (t_tok, t) = opts["overlay-u"]
         series.append(
             (f"u(s={s_tok},t={t_tok})", [(x, closed_form_u(s, t, x)) for x in samples])
         )
-    if args.overlay_poly:
-        coeffs = [float(_parse_fraction(tok)) for tok in str(args.overlay_poly).split(",")]
-        def poly(x: float) -> float:
-            acc = 0.0
-            for c in reversed(coeffs):
-                acc = acc * x + c
-            return acc
-        series.append(("target f", [(x, poly(x)) for x in samples]))
+    if "overlay-poly" in opts:
+        coeffs = opts["overlay-poly"][::-1]
+        series.append(("target f", [
+            (x, reduce(lambda acc, c: acc * x + c, coeffs, 0.0)) for x in samples
+        ]))
     text = render_plot(series)
     with open(out, "w", encoding="ascii") as fh:
         fh.write(text)
@@ -382,14 +402,15 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        _merge_config(args)
+        label, variants = _variants(args)
+        opts = _options(args, label, variants)
         if args.subcommand == "construct":
-            return cmd_construct(args)
+            return cmd_construct(opts, args.generator)
         if args.subcommand == "estimate":
-            return cmd_estimate(args)
+            return cmd_estimate(opts, args.mode)
         if args.subcommand == "verify":
-            return cmd_verify(args)
-        return cmd_plot(args)
+            return cmd_verify(opts, variants)
+        return cmd_plot(opts, args.csvs)
     except (ValueError, BudgetError) as exc:  # includes FormatError
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -72,10 +72,11 @@ def test_integer_flags_take_ascii_digits_only(tmp_path, capsys, flag, lenient, b
     assert run(["construct", "geometric", "--depth", "64", "-o", str(tree)], capsys)[0] == 0
     argv = [tok.replace("{set}", str(tree)) for tok in argv]
     out = tmp_path / "out"
-    code, text, err = run([*argv, flag, lenient, "-o", str(out)], capsys)
+    to = [] if argv[0] == "verify" else ["-o", str(out)]
+    code, text, err = run([*argv, flag, lenient, *to], capsys)
     assert code == 2 and text == "" and not out.exists()
     assert f"error: {flag} needs ASCII digits, got {bad!r}" in err
-    assert run([*argv, flag, digits, "-o", str(out)], capsys)[0] == 0
+    assert run([*argv, flag, digits, *to], capsys)[0] == 0
 
 
 def test_n_values_above_max_root_order_exit_2(tmp_path, capsys):
@@ -341,7 +342,9 @@ def _schedule_and_union(tmp_path, capsys):
 def test_neighbors_flag_rejected_off_trees(tmp_path, capsys, command):
     for path in _schedule_and_union(tmp_path, capsys):
         argv = [*command, "-i", str(path), "--theta-grid", "0.5:0.7:0.1",
-                "--m-range", "64:72", "-o", str(tmp_path / "nb.csv")]
+                "--m-range", "64:72"]
+        if command[0] != "verify":
+            argv += ["-o", str(tmp_path / "nb.csv")]
         assert run(argv + ["--neighbors", "off"], capsys)[0] == 0
         code, _, err = run(argv + ["--neighbors", "on"], capsys)
         assert code == 2 and "neighbor mode" in err
@@ -441,7 +444,9 @@ def test_empty_tree_exits_2(tmp_path, capsys):
     path.write_text("fds-tree 2\ndepth 8\nleaves 0\n")
     for mode in ("spectrum", "upper", "box", "qa", None):
         command = ["estimate", "--mode", mode] if mode else ["verify"]
-        argv = [*command, "-i", str(path), "-o", str(tmp_path / "e.csv")]
+        argv = [*command, "-i", str(path)]
+        if mode:
+            argv += ["-o", str(tmp_path / "e.csv")]
         for extra in ([], ["--neighbors", "on"]):
             code, out, err = run(argv + extra, capsys)
             want = "box mode has no neighbor variant" if mode == "box" and extra else "empty tree"
@@ -476,8 +481,9 @@ def test_depth_budget_before_allocation(tmp_path, capsys, text):
         with pytest.raises(FormatError, match="int64 range"):
             formats.load(str(path))
         for command in (["estimate", "--mode", "upper"], ["estimate", "--mode", "box"], ["verify"]):
+            to = ["-o", str(tmp_path / "d.csv")] if command[0] != "verify" else []
             code, out, err = run([*command, "-i", str(path), "--theta-grid", "0.5:0.5:0.1",
-                                  "-o", str(tmp_path / "d.csv")], capsys)
+                                  *to], capsys)
             assert code == 2 and out == "" and err.startswith("error: ")
             assert "int64 range" in err and "Traceback" not in err
         return
@@ -496,8 +502,9 @@ def test_depth_budget_before_allocation(tmp_path, capsys, text):
         with pytest.raises(BudgetError, match="depth budget"):
             call()
     for command in (["estimate", "--mode", "upper"], ["estimate", "--mode", "box"], ["verify"]):
+        to = ["-o", str(tmp_path / "d.csv")] if command[0] != "verify" else []
         code, _, err = run([*command, "-i", str(path), "--theta-grid", "0.5:0.5:0.1",
-                            "-o", str(tmp_path / "d.csv")], capsys)
+                            *to], capsys)
         assert code == 2 and "depth budget" in err
 
 
@@ -508,7 +515,8 @@ def test_run_grammar_rejected_in_cli(tmp_path, capsys, token):
     path = tmp_path / "cu.fds"
     path.write_text(f"fds-composite 1\norigin 1\ncomponent 2 runs:{token}\n")
     for command in (["estimate", "--mode", "upper"], ["verify"]):
-        code, out, err = run([*command, "-i", str(path), "-o", str(tmp_path / "e.csv")], capsys)
+        to = ["-o", str(tmp_path / "e.csv")] if command[0] != "verify" else []
+        code, out, err = run([*command, "-i", str(path), *to], capsys)
         assert code == 2 and out == "" and "bad run token" in err
 
 
@@ -611,3 +619,167 @@ def test_run_mode_output_bytes(tmp_path, capsys):
                           "--theta-grid", "0.1:0.9:0.1", "-o", str(csv)], capsys)
         assert code == 0
         assert csv.read_text() == csv_text
+
+
+# Each command line gives options its command variant does not read: the
+# flags that argparse rejects (the subcommand declares no such flag) and the
+# ones the option table rejects (some other variant of it reads them).
+IGNORED_FLAGS = [
+    ("estimate --mode upper -i {set} -o {out}", ["--tol", "0.1"]),
+    ("estimate --mode spectrum -i {set} -o {out}", ["--epsilons", "0.1"]),
+    ("verify --check main-theorem -i {set}", ["--tol", "0.1", "--epsilons", "0.1"]),
+    ("verify --check bound -i {set}", ["--epsilons", "0.1"]),
+    ("verify --check bound -i {set}", ["--n-values", "4"]),
+    ("verify --check bound -i {set}", ["-o", "{out}"]),
+    ("construct geometric -o {out}", ["--s", "0.3", "--blocks", "2"]),
+    ("construct geometric -o {out}", ["--m-range", "1:2", "--neighbors", "on"]),
+    ("construct two-phase --s 0.4 --t 0.8 -o {out}", ["--depth", "5"]),
+    ("construct two-phase --s 0.4 --t 0.8 -o {out}", ["-i", "{set}"]),
+    ("construct concave-union --target 0.4,0.4,-0.2 -o {out}", ["--s", "0.3"]),
+    ("plot {csv} -o {out}", ["--neighbors", "on"]),
+    ("plot {csv} -o {out}", ["--tol", "3", "--theta-grid", "0.1:0.2:0.1"]),
+]
+LONG = {"-i": "--input", "-o": "--output"}
+
+
+def _ignored_case(tmp_path, capsys, command, extra):
+    """(argv without the ignored options, the ignored options as given, their
+    long names, the output path) for one IGNORED_FLAGS row."""
+    paths = {"set": tmp_path / "geo.fds", "csv": tmp_path / "a.csv", "out": tmp_path / "out"}
+    assert run(["construct", "geometric", "--depth", "16", "-o", str(paths["set"])],
+               capsys)[0] == 0
+    paths["csv"].write_text("theta,value,m_witness,mprime_witness\n0.2,1.0,1,5\n")
+    argv, extra = ([tok.format(**paths) for tok in toks] for toks in (command.split(), extra))
+    return argv, extra, [LONG.get(tok, tok) for tok in extra[::2]], paths["out"]
+
+
+@pytest.mark.parametrize("command, extra", IGNORED_FLAGS)
+def test_ignored_flag_exits_2(tmp_path, capsys, command, extra):
+    """A flag the command variant does not read exits 2 naming it, before
+    any output; the same command line without it runs."""
+    argv, extra, flags, out = _ignored_case(tmp_path, capsys, command, extra)
+    code, text, err = run([*argv, *extra], capsys)
+    assert code == 2 and text == "" and not out.exists(), err
+    for flag, given in zip(flags, extra[::2]):
+        # argparse names the flag as given, the option table by its long name
+        assert flag in err or f"{given} " in err, (flag, err)
+    assert run(argv, capsys)[0] == 0
+
+
+@pytest.mark.parametrize("command, extra", IGNORED_FLAGS)
+def test_ignored_config_key_exits_2(tmp_path, capsys, command, extra):
+    """The config-file form of each ignored flag exits 2 naming the key:
+    as a key the variant does not read, or as an unknown key (input and
+    output are never config keys)."""
+    argv, extra, flags, out = _ignored_case(tmp_path, capsys, command, extra)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{flag[2:]} = {value}\n" for flag, value in zip(flags, extra[1::2])))
+    code, text, err = run([*argv, "--config", str(cfg)], capsys)
+    assert code == 2 and text == "" and not out.exists(), err
+    for flag in flags:
+        assert repr(flag[2:]) in err, (flag, err)
+
+
+@pytest.mark.parametrize("value", ["ON", "maybe"])
+def test_config_values_take_flag_choices(tmp_path, capsys, value):
+    """A config value goes through the flag's conversion and choices:
+    `neighbors = ON` exits 2 as `--neighbors ON` does, rather than running
+    with neighbor mode off."""
+    tree = tmp_path / "geo.fds"
+    assert run(["construct", "geometric", "--depth", "64", "-o", str(tree)], capsys)[0] == 0
+    argv = ["estimate", "--mode", "upper", "-i", str(tree), "-o", str(tmp_path / "u.csv")]
+    assert run([*argv, "--neighbors", value], capsys)[0] == 2
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"neighbors = {value}\n")
+    code, out, err = run([*argv, "--config", str(cfg)], capsys)
+    assert code == 2 and out == "" and "neighbors" in err
+    assert not (tmp_path / "u.csv").exists()
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["estimate", "--mode", "upper", "-i", "{set}", "-o", "{out}", "--theta-grid", ""],
+     "--theta-grid"),
+    (["estimate", "--mode", "qa", "-i", "{set}", "-o", "{out}", "--epsilons", ""], "--epsilons"),
+    (["verify", "--check", "chain", "-i", "{set}", "--epsilons", ""], "--epsilons"),
+    (["construct", "concave-union", "--target", "0.4,0.4,-0.2", "-o", "{out}", "--shifts", ""],
+     "--shifts"),
+    (["plot", "{csv}", "-o", "{out}", "--overlay-u", ""], "--overlay-u"),
+    (["plot", "{csv}", "-o", "{out}", "--overlay-poly", ""], "--overlay-poly"),
+    (["estimate", "--mode", "upper", "-i", "{set}", "-o", "{out}", "--config", "{cfg}"],
+     "config key 'theta-grid'"),
+])
+def test_empty_values_exit_2(tmp_path, capsys, argv, option):
+    """An empty option value exits 2 naming the option instead of falling
+    back to the default (a grid, an epsilon ladder, shifts) or dropping an
+    overlay."""
+    paths = {"set": tmp_path / "geo.fds", "csv": tmp_path / "a.csv", "out": tmp_path / "out",
+             "cfg": tmp_path / "run.cfg"}
+    assert run(["construct", "geometric", "--depth", "16", "-o", str(paths["set"])],
+               capsys)[0] == 0
+    paths["csv"].write_text("theta,value,m_witness,mprime_witness\n0.2,1.0,1,5\n")
+    paths["cfg"].write_text("theta-grid =\n")
+    code, out, err = run([tok.format(**paths) for tok in argv], capsys)
+    assert code == 2 and out == "" and f"error: {option} needs a value" in err
+    assert not paths["out"].exists()
+
+
+def _readme_commands():
+    """The `fds ...` command lines of the README's CLI section."""
+    import pathlib
+    import shlex
+
+    text = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("fds ")]
+
+
+def test_documented_command_lines_run(tmp_path, capsys, monkeypatch):
+    """Every README command line, then the command-line shapes of the
+    bench's CLI workloads (bench/workloads.py, at its tiny scale, with
+    --theta-grid given to box and qa), exit 0."""
+    monkeypatch.chdir(tmp_path)
+    readme = _readme_commands()
+    assert len(readme) == 7
+    for argv in readme:
+        assert run(argv, capsys)[0] == 0, argv
+    grid = ["--theta-grid", "81/800:721/800:1/10"]
+    bench = [
+        ["construct", "two-phase", "--s", "0.4", "--t", "0.8", "--m0", "4", "--blocks", "2",
+         "-o", "tp.fds"],
+        *(["estimate", "--mode", mode, "-i", "tp.fds", *([] if mode in ("box", "qa") else
+          ["--theta-grid", "0.05:0.95:0.05"]), "--m-range", "8:256", "-o", f"tp-{mode}.csv"]
+          for mode in ("spectrum", "upper", "box", "qa")),
+        ["verify", "-i", "tp.fds", "--check", "chain,bound,nthroot", "--theta-grid",
+         "0.3:0.9:0.1", "--m-range", "64:256", "--tol", "0.05"],
+        ["verify", "-i", "tp.fds", "--check", "main-theorem", "--theta-grid", "0.5:0.7:0.1",
+         "--m-range", "64:72"],
+        ["plot", "tp-spectrum.csv", "tp-upper.csv", "--overlay-u", "0.4,0.8", "-o", "tp.svg"],
+        ["construct", "geometric", "--depth", "32", "-o", "geo.fds"],
+        ["construct", "geometric", "--depth", "16", "-o", "geo-nb.fds"],
+        *(["estimate", "--mode", mode, "-i", "geo.fds", *grid, "-o", f"geo-{mode}.csv"]
+          for mode in ("spectrum", "upper", "box", "qa")),
+        ["verify", "-i", "geo.fds", "--check", "main-theorem", *grid],
+        ["verify", "-i", "geo-nb.fds", "--check", "main-theorem", "--neighbors", "on", *grid],
+        ["plot", "geo-spectrum.csv", "geo-upper.csv", "-o", "geo.svg"],
+    ]
+    for argv in bench:
+        assert run(argv, capsys)[0] == 0, argv
+    # the geometric tolerance checks run; chain fails on the finite-depth box
+    assert run(["verify", "-i", "geo.fds", "--check", "chain,bound,nthroot", *grid, "--tol",
+                "0.05"], capsys)[0] in (0, 1)
+
+
+def test_config_keys_are_the_flags_a_variant_reads(tmp_path, capsys):
+    """A flag's long name is a config key wherever the variant reads the
+    flag, e.g. `components` for concave-union and `n-values` for nthroot."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("components = 2\nm0 = 4\nblocks = 2\n")
+    union = tmp_path / "cu.fds"
+    code, text, _ = run(["construct", "concave-union", "--target", "0.4,0.4,-0.2",
+                         "--config", str(cfg), "-o", str(union)], capsys)
+    assert code == 0 and "components=2" in text
+    cfg.write_text("n-values = 2\ntheta-grid = 0.5:0.5:0.1\n")
+    code, text, _ = run(["verify", "--check", "nthroot", "-i", str(union), "--config", str(cfg)],
+                        capsys)
+    assert code == 0 and text.startswith("CHECK nthroot PASS")
