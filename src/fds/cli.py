@@ -159,6 +159,9 @@ _OPTIONS = {
 }
 # options that name files: flags only, never config keys or library arguments
 _FILES = ("input", "output")
+# pairs of options one command cannot take together: explicit samples
+# replace the polynomial target and its sample count
+_CONFLICTS = (("samples", "target"), ("samples", "components"))
 
 # The one table of which options apply: subcommand -> variant -> the options
 # it reads.  A variant is a construct generator, an estimate mode or a verify
@@ -198,7 +201,11 @@ _APPLIES = {
 
 class _Subcommand(argparse.ArgumentParser):
     """Declares the flags that some variant of its subcommand reads when it
-    parses, so a command line builds only its own subcommand's flags."""
+    parses, so a command line builds only its own subcommand's flags.  No
+    prefix of a flag stands for it, so only the table's names get past."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def parse_known_args(self, args=None, namespace=None):
         reads = set().union(*_APPLIES[self.prog.split()[-1]].values())
@@ -212,7 +219,7 @@ class _Subcommand(argparse.ArgumentParser):
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="fds", description="Construct dyadic sets with prescribed Assouad-type "
-        "spectra; estimate and cross-verify their dimensions.")
+        "spectra; estimate and cross-verify their dimensions.", allow_abbrev=False)
     sub = ap.add_subparsers(dest="subcommand", required=True, parser_class=_Subcommand)
     con = sub.add_parser("construct", help="generate a set file")
     con.add_argument("generator", choices=tuple(_APPLIES["construct"]))
@@ -244,7 +251,10 @@ def _variants(args) -> tuple[str, list[str]]:
 def _options(args, label: str, variants: list[str]) -> dict:
     """The converted value of every option given as a flag or config key
     (a flag wins over the config file), by long name.  An option none of
-    the variants reads, or an empty value, is an error naming it."""
+    the variants reads, an empty value, or two options of a `_CONFLICTS`
+    pair is an error naming them."""
+    if args.config == "":
+        raise ValueError("--config needs a value")
     cfg = read_config(args.config) if args.config is not None else {}
     unknown = sorted(key for key in cfg if key not in _OPTIONS or key in _FILES)
     if unknown:
@@ -258,6 +268,9 @@ def _options(args, label: str, variants: list[str]) -> dict:
     ignored = [src for name, (_, src) in given.items() if name not in reads]
     if ignored:
         raise ValueError(f"{label} does not read {', '.join(ignored)}")
+    for a, b in _CONFLICTS:
+        if a in given and b in given:
+            raise ValueError(f"{label} cannot take {given[a][1]} and {given[b][1]} together")
     opts = {}
     for name, (text, src) in given.items():
         if not text:

@@ -91,25 +91,30 @@ def two_phase_schedule(p: TwoPhaseParams) -> BranchingSchedule:
     """
     q = p.quiet_fraction
     tn, td = p.t.numerator, p.t.denominator
-    cs = [np.ones(p.m0, dtype=np.int64)]
-    M = p.m0
+    bounds = [p.m0]
     for _ in range(p.blocks):
-        nxt = M * M
+        nxt = bounds[-1] ** 2
         if nxt > MAX_SCHEDULE_DEPTH:
             raise BudgetError(
                 f"block boundary {nxt} exceeds the depth budget {MAX_SCHEDULE_DEPTH}"
             )
+        bounds.append(nxt)
+    # the child count of level i + 1 at index i; the runs are read off
+    # where it changes
+    levels = np.ones(bounds[-1], dtype=np.int8)
+    for M, nxt in zip(bounds, bounds[1:]):
         L = nxt - M
         quiet = (q.numerator * L) // q.denominator
         active = L - quiet
         a = np.arange(active + 1, dtype=np.int64)
         if max(tn * active, td) >= 1 << 63:
             a = a.astype(object)  # exact Python ints where int64 would wrap
-        cs.append(np.ones(quiet, dtype=np.int64))
-        cs.append(1 + (np.diff((tn * a) // td) > 0).astype(np.int64))
-        M = nxt
-    levels = np.concatenate(cs)  # one run per level; the constructor merges them
-    return BranchingSchedule(np.column_stack((np.ones_like(levels), levels)))
+        a *= tn
+        a //= td  # floor(t * a)
+        levels[M + quiet : nxt][a[1:] > a[:-1]] = 2
+    starts = np.flatnonzero(np.diff(levels, prepend=np.int8(0)))
+    lengths = np.diff(starts, append=levels.size)
+    return BranchingSchedule(np.column_stack((lengths, levels[starts])))
 
 
 def rational_enumeration(count: int) -> list[Fraction]:

@@ -47,11 +47,10 @@ SetLike = Union[DyadicTree, BranchingSchedule, CompositeSet]
 
 
 _HEX = re.compile(r"[0-9a-f]+")
-# run grammar: "<length>x<count>" tokens joined by "," after "runs:", and
-# "<length> <count>" run lines; ASCII digits only
-_RUNS_TOKEN = re.compile(r"[0-9]+x[0-9]+(?:,[0-9]+x[0-9]+)*")
+# the longest well-formed prefix of a run body, read only to name the part
+# of a rejected body: "<length>x<count>," tokens and "<length> <count>\n"
+# run lines
 _RUNS_PREFIX = re.compile(r"(?:[0-9]+x[0-9]+,)*")
-_RUN_LINES = re.compile(r"(?:[0-9]+ [0-9]+(?:\n[0-9]+ [0-9]+)*)?")
 _RUN_LINES_PREFIX = re.compile(r"(?:[0-9]+ [0-9]+\n)*")
 _POW10 = 10 ** np.arange(20, dtype=np.uint64)
 
@@ -195,39 +194,58 @@ def _raise_first_violation(levels: list[list[int]]) -> None:
                 raise FormatError(f"dangling node ({m}, {k}): no child at level {m + 1}")
 
 
-def _decimals(text: str) -> np.ndarray:
-    """The maximal ASCII digit runs of `text` as int64, parsed in numpy.
+def _run_numbers(body: str, inner: str, sep: str) -> np.ndarray | None:
+    """The numbers of a non-empty run body as an (n, 2) int64 array, or None
+    when the body breaks the grammar: n >= 1 runs joined by `sep`, each two
+    ASCII digit runs joined by `inner`.
 
-    FormatError for a number with more than 19 digits or at least 2**63,
-    so no value wraps.
+    The grammar is read off the non-digit bytes alone: there are 2n - 1 of
+    them, no two adjacent, neither end of the body is one, and they
+    alternate inner, sep, inner, ...  The digit runs between them are then
+    parsed grouped by width, one gather and one dot product per width.
+    FormatError for a number with more than 19 digits or at least 2**63, so
+    no value wraps.
     """
-    b = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-    digit = (b >= 48) & (b <= 57)
-    edges = np.diff(digit.astype(np.int8), prepend=0, append=0)
-    starts, ends = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
-    width = ends - starts
-    bad = width > 19
-    if not bad.any():
-        # the k-th digit from a number's end weighs 10**k; 19 digits fit uint64
-        digits = (b[digit] - 48).astype(np.uint64)
-        cend = np.cumsum(width)
-        places = np.repeat(cend, width) - 1 - np.arange(digits.size)
-        values = np.add.reduceat(digits * _POW10[places], cend - width)
-        bad = values >= 1 << 63
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise FormatError(f"number {text[starts[i]:ends[i]]} exceeds the int64 range")
-    return values.astype(np.int64)
+    if not body.isascii():
+        return None
+    b = np.frombuffer(body.encode("ascii"), dtype=np.uint8)
+    cut = np.flatnonzero(b - np.uint8(48) > 9)  # wraps below "0"
+    if (
+        cut.size % 2 == 0
+        or cut[0] == 0
+        or cut[-1] == b.size - 1
+        or (cut.size > 1 and np.diff(cut).min() == 1)
+        or (b[cut[::2]] != ord(inner)).any()
+        or (b[cut[1::2]] != ord(sep)).any()
+    ):
+        return None
+    starts = np.concatenate(([0], cut + 1))
+    width = np.append(cut, b.size) - starts
+    wide = np.flatnonzero(width > 19)
+    if not wide.size:
+        # first digits: the value of every one-digit number
+        values = (b[starts] - np.uint8(48)).astype(np.uint64)
+        present = np.flatnonzero(np.bincount(width))
+        for w in present[present > 1].tolist():
+            at = np.flatnonzero(width == w)
+            digits = b[starts[at, None] + np.arange(w)] - np.uint8(48)
+            # the k-th digit from a number's end weighs 10**k; 19 digits fit uint64
+            values[at] = digits.astype(np.uint64) @ _POW10[w - 1 :: -1]
+        wide = np.flatnonzero(values >= 1 << 63)
+    if wide.size:
+        i, w = int(starts[wide[0]]), int(width[wide[0]])
+        raise FormatError(f"number {body[i:i + w]} exceeds the int64 range")
+    return values.astype(np.int64).reshape(-1, 2)
 
 
-def _parse_runs(body: str, grammar, prefix, sep: str, what: str) -> BranchingSchedule:
-    """The schedule of a run body: its grammar is checked once, then every
-    number is parsed in numpy.  A grammar error names the first part, split
-    at `sep`, after the longest well-formed prefix."""
-    if not grammar.fullmatch(body):
+def _parse_runs(body: str, inner: str, sep: str, prefix, what: str) -> BranchingSchedule:
+    """The schedule of a run body, checked and parsed in numpy by
+    `_run_numbers`.  A grammar error names the first part, split at `sep`,
+    after the longest well-formed prefix."""
+    runs = _run_numbers(body, inner, sep)
+    if runs is None:
         part = body[prefix.match(body).end() :].split(sep, 1)[0]
         raise FormatError(f"bad {what} {part!r}")
-    runs = _decimals(body).reshape(-1, 2)
     try:
         return BranchingSchedule(runs)
     except ValueError as exc:
@@ -240,7 +258,12 @@ def parse_schedule(text: str) -> BranchingSchedule:
         raise FormatError("not an fds-schedule file")
     depth = _count_line(lines[1] if len(lines) > 1 else "", "depth")
     body = "\n".join(lines[2:])
-    sched = _parse_runs(body, _RUN_LINES, _RUN_LINES_PREFIX, "\n", "run line")
+    # unlike an inline run list, a schedule file may hold no run line
+    sched = (
+        _parse_runs(body, " ", "\n", _RUN_LINES_PREFIX, "run line")
+        if body
+        else BranchingSchedule(np.empty((0, 2), dtype=np.int64))
+    )
     if sched.depth != depth:
         raise FormatError(f"run lengths sum to {sched.depth}, declared {depth}")
     return sched
@@ -265,7 +288,7 @@ def parse_composite(text: str, base_dir: str = ".") -> CompositeSet:
         spec = toks[2]
         if spec.startswith("runs:"):
             body = spec[len("runs:") :]
-            sched = _parse_runs(body, _RUNS_TOKEN, _RUNS_PREFIX, ",", "run token")
+            sched = _parse_runs(body, "x", ",", _RUNS_PREFIX, "run token")
         else:
             sub = spec if os.path.isabs(spec) else os.path.join(base_dir, spec)
             with open(sub, encoding="ascii") as fh:

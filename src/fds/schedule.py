@@ -17,7 +17,7 @@ import numpy as np
 
 from .dyadic import DyadicTree
 from .errors import BudgetError
-from .windows import region_max
+from .windows import Workspace, region_max
 
 __all__ = [
     "BranchingSchedule",
@@ -216,31 +216,37 @@ def origin_log_counts(cs: CompositeSet, bucket: int) -> np.ndarray:
     the origin is included or some component lies deeper than m') plus, for
     each contained component, one interval while m' is at or above its
     shift and 2**S_i(m' - e_i) below it.  Computed in floats via
-    max-normalized exponentials; exact powers of two keep this
-    deterministic.
+    max-normalized exponentials, one term at a time in a fixed order
+    (components by shift, then the chain), over the levels where the term
+    is present; exact powers of two keep this deterministic.
     """
     logs = cs._origin_logs.get(bucket)
     if logs is not None:
         return logs
     D = cs.depth
     shifts = cs.shifts
-    mprimes = np.arange(D + 1, dtype=np.int64)
-    exps: list[np.ndarray] = []
-    for i in range(bucket, len(cs.components)):
-        e, s = cs.components[i]
-        loc = np.clip(mprimes - e, 0, None)
-        ex = cs.extended_prefix(i)[loc].astype(np.float64)
-        exps.append(np.where(mprimes >= e, ex, -np.inf))
     deepest = shifts[-1] if shifts else -1
-    chain = np.where(
-        np.full(D + 1, cs.include_origin) | (mprimes < deepest), 0.0, -np.inf
-    )
-    exps.append(chain)
-    stack = np.vstack(exps)
-    top = stack.max(axis=0)
-    top_safe = np.where(np.isinf(top), 0.0, top)
-    total = np.exp2(stack - top_safe).sum(axis=0)
-    logs = np.where(np.isinf(top), -np.inf, top_safe + np.log2(total))
+    # the chain is present (log 0) on [0, stop)
+    stop = D + 1 if cs.include_origin else max(deepest, 0)
+    terms = [(e, cs.extended_prefix(i)[: D + 1 - e])
+             for i, (e, _) in enumerate(cs.components) if i >= bucket]
+    top = np.full(D + 1, -np.inf)
+    for e, ex in terms:
+        np.maximum(top[e:], ex, out=top[e:])
+    np.maximum(top[:stop], 0.0, out=top[:stop])
+    dead = np.isinf(top)
+    top[dead] = 0.0
+    total = np.zeros(D + 1)
+    term = np.empty(D + 1)
+    for e, ex in terms:
+        np.exp2(np.subtract(ex, top[e:], out=term[e:]), out=term[e:])
+        total[e:] += term[e:]
+    np.exp2(np.negative(top[:stop], out=term[:stop]), out=term[:stop])
+    total[:stop] += term[:stop]
+    with np.errstate(divide="ignore"):
+        logs = np.log2(total, out=total)
+    logs += top
+    logs[dead] = -np.inf
     logs.flags.writeable = False  # cached and shared with every caller
     cs._origin_logs[bucket] = logs
     return logs
@@ -285,26 +291,36 @@ def _witness(rep, best: tuple[float, int, int, int]) -> tuple[float, int, int, i
     return value, m, mp, 1 << (m - rep.components[part][0])
 
 
-def composite_spectrum(rep, scale, lo: int, hi: int) -> tuple[float, int, int, int]:
+def composite_spectrum(
+    rep, scale, lo: int, hi: int, work: Workspace | None = None
+) -> tuple[float, int, int, int]:
     """(value, m, m', node) of the max window exponent at the fixed ratio
     rule m' = scale.fine(m) over the clamped coarse range [lo, hi].
 
     Piece-interior windows are exact schedule exponents; windows from the
     node containing the origin see the summed component counts plus the
     origin chain.  Ties go to the smallest m, then the smallest m', then
-    the origin node (part -1, key 1), then the lowest component.
+    the origin node (part -1, key 1), then the lowest component.  The fine
+    levels live in work.ints[3] and a piece's indices, numerators, widths
+    and exponents in work.ints[0:3] and work.floats[0], of the caller's
+    `Workspace` or one made for the call.
     """
     best = None  # (value, -m, -m', -part)
-    ms = np.arange(lo, hi + 1, dtype=np.int64)
-    fines = scale.fine_array(ms)
+    work = Workspace(rep.depth) if work is None else work
+    r = hi - lo + 1
+    fines = scale.fine_array(work.levels[lo : hi + 1], out=work.ints[3][:r], work=work)
+    at, num, widths = work.ints[0], work.ints[1], work.ints[2]
     for part, e, S in pieces(rep):
         a = max(lo, e)
         if a > hi:
             continue
-        marr, mp = ms[a - lo :], fines[a - lo :]
-        alpha = (S[mp - e] - S[marr - e]) / (mp - marr)
+        n, mp = hi + 1 - a, fines[a - lo :]
+        np.take(S, np.subtract(mp, e, out=at[:n]), out=num[:n], mode="clip")
+        num[:n] -= S[a - e : hi + 1 - e]
+        np.subtract(mp, work.levels[a : hi + 1], out=widths[:n])
+        alpha = np.divide(num[:n], widths[:n], out=work.floats[0][:n])
         k = int(np.argmax(alpha))
-        cand = (float(alpha[k]), -int(marr[k]), -int(mp[k]), -part)
+        cand = (float(alpha[k]), -(a + k), -int(mp[k]), -part)
         if best is None or cand > best:
             best = cand
     for m, logs in origin_rows(rep, lo, hi):
@@ -315,28 +331,39 @@ def composite_spectrum(rep, scale, lo: int, hi: int) -> tuple[float, int, int, i
     return _witness(rep, best)
 
 
-def composite_upper(rep, scale, lo: int, hi: int) -> tuple[float, int, int, int]:
+def composite_upper(
+    rep, scale, lo: int, hi: int, work: Workspace | None = None
+) -> tuple[float, int, int, int]:
     """(value, m, m', node) of the max window exponent over m in [lo, hi]
     and every m' >= scale.fine(m), with composite_spectrum's tie order.
 
     Each piece's windows form one region, coarse levels max(lo, e)..hi
     with fine levels from scale.fine(m), solved exactly by `region_max`
     on the piece's prefix counts in local levels, with no per-piece cache.
-    Rows of the node containing the origin are scanned one coarse level
-    at a time."""
+    The fine levels live in work.ints[3], outside region_max's rows, and
+    are shifted in place to each piece's local levels (pieces ascend in
+    shift).  Rows of the node containing the origin are scanned one coarse
+    level at a time."""
     best = None
-    fines = scale.fine_array(np.arange(lo, hi + 1, dtype=np.int64))
+    work = Workspace(rep.depth) if work is None else work
+    r = hi - lo + 1
+    fines = scale.fine_array(work.levels[lo : hi + 1], out=work.ints[3][:r], work=work)
+    shift = 0
     for part, e, S in pieces(rep):
         a = max(lo, e)
         if a > hi:
-            continue
-        v, lm, j = region_max(S, a - e, fines[a - lo :] - e)
+            break
+        fines -= e - shift
+        shift = e
+        v, lm, j = region_max(S, a - e, fines[a - lo :], work)
         cand = (v, -(lm + e), -(j + e), -part)
         if best is None or cand > best:
             best = cand
     for m, logs in origin_rows(rep, lo, hi):
         f = scale.fine(m)
-        alpha = logs[f:] / np.arange(f - m, len(logs) - m, dtype=np.float64)
+        n = len(logs) - f
+        widths = np.subtract(work.levels[f : len(logs)], m, out=work.ints[0][:n])
+        alpha = np.divide(logs[f:], widths, out=work.floats[0][:n])
         k = int(np.argmax(alpha))
         cand = (float(alpha[k]), -m, -(f + k), 1)
         if best is None or cand > best:

@@ -12,6 +12,10 @@ over the thetas the call evaluates (none for the box estimate, the
 then clamped to [m_lo, min(m_hi, max m with ceil(m/theta) <= depth)] and
 an empty clamp is a domain error.
 
+Schedules and composites are read by the kernels of `schedule` on their
+prefix counts; every estimate or verify call lends those kernels one
+`Workspace`, so no theta and no solve round allocates a depth-sized array.
+
 Trees are read through tables cached on the tree: the all-levels run
 table, or with neighbor mode on (a node counted with its present
 same-level neighbors) the neighbor count table, built once per tree, so
@@ -76,7 +80,7 @@ from .schedule import (
     origin_rows,
     pieces,
 )
-from .windows import RationalScale, RootScale, root_order
+from .windows import RationalScale, RootScale, Workspace, root_order
 
 __all__ = [
     "SpectrumEstimate",
@@ -194,6 +198,16 @@ def _grid(thetas: Sequence) -> list[Fraction]:
     return out
 
 
+def _workspace(rep, work: Workspace | None) -> Workspace | None:
+    """The workspace an estimate or verify call lends its schedule kernels:
+    the caller's, else a new one for a schedule or composite, made only
+    after `_depth` has checked the depth budget.  Trees read tables
+    instead and get none."""
+    if work is not None or isinstance(rep, DyadicTree):
+        return work
+    return Workspace(rep.depth)
+
+
 def _resolve(rep, theta_grid: Sequence, m_range, neighbors: bool):
     """(depth, grid, lo, hi, his): the grid first, then the range it needs,
     then each theta's clamped coarse top (rising with theta)."""
@@ -293,29 +307,30 @@ def _tree_uppers(tree, grid, lo, his, neighbors) -> list[tuple[float, int, int, 
 # dispatch
 
 
-def _spectrum_at(rep, scale, lo, hi_eff, neighbors) -> tuple[float, int, int, int]:
+def _spectrum_at(rep, scale, lo, hi_eff, neighbors, work) -> tuple[float, int, int, int]:
     if isinstance(rep, DyadicTree):
         return _tree_spectrum(rep, scale, lo, hi_eff, neighbors)
-    return composite_spectrum(rep, scale, lo, hi_eff)
+    return composite_spectrum(rep, scale, lo, hi_eff, work)
 
 
-def _spectra(rep, grid, lo, his, neighbors) -> list[tuple[float, int, int, int]]:
+def _spectra(rep, grid, lo, his, neighbors, work) -> list[tuple[float, int, int, int]]:
     return [
-        _spectrum_at(rep, RationalScale(th), lo, hi, neighbors) for th, hi in zip(grid, his)
+        _spectrum_at(rep, RationalScale(th), lo, hi, neighbors, work)
+        for th, hi in zip(grid, his)
     ]
 
 
-def _uppers(rep, grid, lo, his, neighbors) -> list[tuple[float, int, int, int]]:
+def _uppers(rep, grid, lo, his, neighbors, work) -> list[tuple[float, int, int, int]]:
     if isinstance(rep, DyadicTree):
         return _tree_uppers(rep, grid, lo, his, neighbors)
-    return [composite_upper(rep, RationalScale(th), lo, hi) for th, hi in zip(grid, his)]
+    return [composite_upper(rep, RationalScale(th), lo, hi, work) for th, hi in zip(grid, his)]
 
 
-def _estimate(mode: str, solve, rep, theta_grid, m_range, neighbors) -> SpectrumEstimate:
+def _estimate(mode: str, solve, rep, theta_grid, m_range, neighbors, work) -> SpectrumEstimate:
     """Per theta, the window maximum `solve` finds over the clamped coarse
     range, as (value, m, m', node)."""
     _, grid, lo, hi, his = _resolve(rep, theta_grid, m_range, neighbors)
-    found = solve(rep, grid, lo, his, neighbors)
+    found = solve(rep, grid, lo, his, neighbors, _workspace(rep, work))
     values = [v for v, *_ in found]
     wits = [tuple(w) for _, *w in found]
     return SpectrumEstimate(mode, grid, values, (lo, hi), wits)
@@ -326,9 +341,14 @@ def estimate_spectrum(
     theta_grid: Sequence,
     m_range: tuple[int, int] | None = None,
     neighbors: bool = False,
+    *,
+    work: Workspace | None = None,
 ) -> SpectrumEstimate:
-    """Window exponent at the exact ratio rule m' = ceil(m / theta), per theta."""
-    return _estimate(SPECTRUM, _spectra, rep, theta_grid, m_range, neighbors)
+    """Window exponent at the exact ratio rule m' = ceil(m / theta), per theta.
+
+    `work`, here and in every estimator, is a `Workspace` of the set's depth
+    that the caller lends; without one the call makes its own."""
+    return _estimate(SPECTRUM, _spectra, rep, theta_grid, m_range, neighbors, work)
 
 
 def estimate_upper(
@@ -336,24 +356,32 @@ def estimate_upper(
     theta_grid: Sequence,
     m_range: tuple[int, int] | None = None,
     neighbors: bool = False,
+    *,
+    work: Workspace | None = None,
 ) -> SpectrumEstimate:
     """Window exponent maximized over every fine level m' >= ceil(m / theta)."""
-    return _estimate(UPPER, _uppers, rep, theta_grid, m_range, neighbors)
+    return _estimate(UPPER, _uppers, rep, theta_grid, m_range, neighbors, work)
 
 
-def estimate_box(rep, m_range: tuple[int, int] | None = None) -> BoxEstimate:
+def estimate_box(
+    rep, m_range: tuple[int, int] | None = None, *, work: Workspace | None = None
+) -> BoxEstimate:
     """max over m in range of log2(level count at m) / m."""
     depth = _depth(rep)
     lo, hi = _norm_range(depth, m_range)
     if isinstance(rep, DyadicTree):
         logs = np.log2(rep.level_sizes(np.arange(lo, hi + 1)).astype(np.float64))
-    elif isinstance(rep, BranchingSchedule):
-        logs = rep.prefix_array()[lo : hi + 1].astype(np.float64)
+        vals = logs / np.arange(lo, hi + 1, dtype=np.float64)
     else:
-        # the level-0 node holds the whole union
-        logs = origin_log_counts(rep, 0)[lo : hi + 1]
-    ms = np.arange(lo, hi + 1, dtype=np.float64)
-    vals = logs / ms
+        work = _workspace(rep, work)
+        # a schedule's log2 counts are its prefix counts; the level-0 node
+        # of a composite holds the whole union
+        logs = (
+            rep.prefix_array() if isinstance(rep, BranchingSchedule)
+            else origin_log_counts(rep, 0)
+        )
+        vals = np.divide(logs[lo : hi + 1], work.levels[lo : hi + 1],
+                         out=work.floats[0][: hi - lo + 1])
     k = int(np.argmax(vals))
     return BoxEstimate(float(vals[k]), lo + k, (lo, hi))
 
@@ -363,6 +391,8 @@ def estimate_quasi_assouad(
     epsilons: Sequence,
     m_range: tuple[int, int] | None = None,
     neighbors: bool = False,
+    *,
+    work: Workspace | None = None,
 ) -> QuasiAssouadEstimate:
     """Upper-spectrum values at theta = 1 - eps for a shrinking eps ladder.
 
@@ -375,7 +405,7 @@ def estimate_quasi_assouad(
     if any(not 0 < e < 1 for e in eps):
         raise ValueError("epsilons must lie strictly in (0, 1)")
     thetas = [1 - e for e in eps]
-    est = estimate_upper(rep, thetas, m_range, neighbors)
+    est = estimate_upper(rep, thetas, m_range, neighbors, work=work)
     order = {th: i for i, th in enumerate(est.thetas)}
     values = [est.values[order[1 - e]] for e in eps]
     wits = [est.witnesses[order[1 - e]] for e in eps]
@@ -475,12 +505,13 @@ def _kept_pieces(parts, depth: int, lo: int, starts: np.ndarray) -> np.ndarray |
     return kept
 
 
-def _fan_rows(rep, depth: int, lo: int, starts: np.ndarray, neighbors: bool):
+def _fan_rows(rep, depth: int, lo: int, starts: np.ndarray, neighbors: bool, work):
     """fill(m, f, out): the exponent numerators of the windows (m, j) for
     j = f, ..., depth into out, for m in [lo, lo + len(starts) - 1] and f
     at or above starts[m - lo] - a tree table's log2 counts, or the
     elementwise max over the pieces with shift e <= m of S[j - e] - S[m - e]
-    and over the origin node's log2 counts.
+    and over the origin node's log2 counts; a composite row keeps its
+    pieces' maximum in work.floats[1].
 
     A composite row skips every piece that `_kept_pieces` finds dominated
     on [starts[m - lo], depth] by a kept piece: the kept row is pointwise at
@@ -500,10 +531,15 @@ def _fan_rows(rep, depth: int, lo: int, starts: np.ndarray, neighbors: bool):
     ints = [(e, S) for _, e, S in pieces(rep)]
     kept = _kept_pieces(ints, depth, lo, starts)
     # prefix counts stay below 2**53, so they and their differences are
-    # exact in float64; pieces ascend in shift
-    parts = [(e, S.astype(np.float64)) for e, S in ints]
+    # exact in float64; pieces ascend in shift.  The float copies are the
+    # rows of one block, one allocation per call.
+    parts = []
+    for (e, S), row in zip(ints, np.empty((len(ints), depth + 1))):
+        row = row[: S.size]
+        row[:] = S
+        parts.append((e, row))
     origin = dict(origin_rows(rep, lo, lo + starts.size - 1))
-    spare = np.empty(depth + 1)
+    spare = work.floats[1]
 
     def fill(m, f, out):
         dst = out
@@ -525,7 +561,7 @@ def _fan_rows(rep, depth: int, lo: int, starts: np.ndarray, neighbors: bool):
     return fill
 
 
-def _ratio_fan_maxima(rep, depth, grid, lo, his, neighbors) -> list[float]:
+def _ratio_fan_maxima(rep, depth, grid, lo, his, neighbors, work=None) -> list[float]:
     """Per theta of the ascending grid, the max exponent over every window
     (m, m') with lo <= m <= his[k] and m' >= ceil(m / theta), enumerated
     coarse level first.  his[k], theta's clamped coarse top, rises with
@@ -535,7 +571,8 @@ def _ratio_fan_maxima(rep, depth, grid, lo, his, neighbors) -> list[float]:
     since rounding is monotone.  Each row is built by `_fan_rows`, which
     leaves out the composite pieces a kept piece dominates from the widest
     fan's start on; that start is at or below every live theta's, so the
-    dropped pieces are dominated on every segment too."""
+    dropped pieces are dominated on every segment too.  A schedule or
+    composite builds its rows in work.floats[0] (see `_workspace`)."""
     k = len(grid)
     top = his[-1]
     marr = np.arange(lo, top + 1, dtype=np.int64)
@@ -543,12 +580,13 @@ def _ratio_fan_maxima(rep, depth, grid, lo, his, neighbors) -> list[float]:
     # offsets from the widest fan's start
     offsets = np.stack([RationalScale(th).fine_array(marr) for th in reversed(grid)], axis=1)
     first = offsets[:, 0].copy()
-    fill = _fan_rows(rep, depth, lo, first, neighbors)
+    work = _workspace(rep, work)
+    fill = _fan_rows(rep, depth, lo, first, neighbors, work)
     starts = first.tolist()
     offsets -= offsets[:, :1]
     live = (k - np.searchsorted(his, marr, side="left")).tolist()
     widths = np.arange(depth + 1, dtype=np.float64)
-    buf = np.empty(depth + 1)
+    buf = np.empty(depth + 1) if work is None else work.floats[0]
     best = np.full(k, -np.inf)
     for i, m in enumerate(range(lo, top + 1)):
         f, n = starts[i], live[i]
@@ -597,8 +635,9 @@ def verify_main_theorem(
     still enumerated, independent of the region solver the upper path uses.
     """
     depth, grid, lo, hi, his = _resolve(rep, theta_grid, m_range, neighbors)
-    upper = estimate_upper(rep, grid, (lo, hi), neighbors)
-    fan = _ratio_fan_maxima(rep, depth, grid, lo, his, neighbors)
+    work = _workspace(rep, None)
+    upper = estimate_upper(rep, grid, (lo, hi), neighbors, work=work)
+    fan = _ratio_fan_maxima(rep, depth, grid, lo, his, neighbors, work)
     devs = [abs(lhs - rhs) for lhs, rhs in zip(upper.values, fan)]
     return _report("main-theorem", 0.0, (
         (dev, 0.0, f"theta={float(th):g} upper={lhs!r} ratio-fan={rhs!r} dev={dev!r}")
@@ -615,8 +654,10 @@ def verify_bound(
 ) -> VerificationReport:
     """spectrum(theta) <= box / (1 - theta) + tol on every grid point."""
     tol = _tolerance(tol)
-    spec = estimate_spectrum(rep, theta_grid, m_range, neighbors)
-    box = estimate_box(rep, spec.m_range)
+    _depth(rep, neighbors)
+    work = _workspace(rep, None)
+    spec = estimate_spectrum(rep, theta_grid, m_range, neighbors, work=work)
+    box = estimate_box(rep, spec.m_range, work=work)
     caps = [box.value / (1.0 - float(th)) for th in spec.thetas]
     return _report("bound", tol, (
         (v - cap, tol, f"theta={float(th):g} spectrum={v!r} bound={cap!r}")
@@ -639,14 +680,15 @@ def verify_chain(
     """
     tol = _tolerance(tol)
     _, grid, lo, hi, _ = _resolve(rep, theta_grid, m_range, neighbors)
-    spec = estimate_spectrum(rep, grid, (lo, hi), neighbors)
-    upper = estimate_upper(rep, grid, (lo, hi), neighbors)
-    box = estimate_box(rep, (lo, hi)).value
+    work = _workspace(rep, None)
+    spec = estimate_spectrum(rep, grid, (lo, hi), neighbors, work=work)
+    upper = estimate_upper(rep, grid, (lo, hi), neighbors, work=work)
+    box = estimate_box(rep, (lo, hi), work=work).value
     if epsilons is None:
         # shrink toward 1 - max(grid) so the headline sits at the grid top
         e0 = 1 - grid[-1]
         epsilons = [e0 + (1 - e0) / 2, e0 + (1 - e0) / 4, e0]
-    qa = estimate_quasi_assouad(rep, epsilons, (lo, hi), neighbors).headline
+    qa = estimate_quasi_assouad(rep, epsilons, (lo, hi), neighbors, work=work).headline
 
     def rows():
         for th, sv, uv in zip(grid, spec.values, upper.values):
@@ -676,13 +718,14 @@ def verify_nthroot(
     tol = _tolerance(tol)
     orders = [root_order(int(n)) for n in n_values]
     depth, grid, lo, hi, _ = _resolve(rep, theta_grid, m_range, neighbors)
-    spec = estimate_spectrum(rep, grid, (lo, hi), neighbors)
+    work = _workspace(rep, None)
+    spec = estimate_spectrum(rep, grid, (lo, hi), neighbors, work=work)
 
     def rows():
         for th, base in zip(grid, spec.values):
             for n in orders:
                 scale = RootScale(th, n)
-                other = _spectrum_at(rep, scale, *_clamp(depth, scale, lo, hi), neighbors)[0]
+                other = _spectrum_at(rep, scale, *_clamp(depth, scale, lo, hi), neighbors, work)[0]
                 yield base - other, tol, (
                     f"theta={float(th):g} n={n}: spectrum {base!r} > "
                     f"root-spectrum {other!r} + tol"

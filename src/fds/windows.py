@@ -36,6 +36,12 @@ division, and distinct fractions with denominators below 2**26 never
 round to one float, so float ties are exact ties.  `suffix_slope_max`,
 an offline hull sweep over every level, is kept as the reference path.
 
+The schedule kernels (`region_max`, the scales' `fine_array` and the
+kernels of `schedule`) write every depth- or region-sized array into the
+rows of a `Workspace` that one estimate or verify call creates and lends
+them, so no round and no theta allocates one, and a call's speed does not
+depend on the allocator state that earlier work in the process left.
+
 All scale arithmetic is integer-exact; floating point only enters when a
 finished exponent is reported.  T is taken on S - S[a] and on levels
 counted from a, so its products stay below 2**62 while depth and the span
@@ -57,6 +63,7 @@ __all__ = [
     "iroot",
     "RationalScale",
     "RootScale",
+    "Workspace",
     "root_order",
     "suffix_slope_max",
     "region_max",
@@ -102,6 +109,29 @@ def iroot(x: int, n: int) -> int:
     return z
 
 
+class Workspace:
+    """Scratch rows of depth + 1 entries for the schedule kernels of one
+    estimate or verify call.
+
+    The call creates it in its own frame and lends it to every kernel it
+    runs; nothing keeps it afterwards.  `levels` holds 0, ..., depth and is
+    filled once.  `ints` (int64) and `floats` (float64) are rows a kernel
+    may overwrite, so a kernel that calls another keeps its own arrays in
+    rows the callee leaves alone: `region_max` writes ints[0:3] and
+    floats[0], `RootScale.fine_array` ints[0:2] and floats[0], and their
+    callers keep theirs in ints[3] and floats[1].  The rows are one block,
+    allocated once per call; rows a call never writes are never touched,
+    so they cost address space, not memory.
+    """
+
+    __slots__ = ("levels", "ints", "floats")
+
+    def __init__(self, depth: int):
+        self.levels = np.arange(depth + 1, dtype=np.int64)
+        rows = np.empty((6, depth + 1), dtype=np.int64)
+        self.ints, self.floats = rows[:4], rows[4:].view(np.float64)
+
+
 class RationalScale:
     """Fine-level rule m' = ceil(m / theta) for rational theta in (0, 1).
 
@@ -121,10 +151,15 @@ class RationalScale:
     def fine(self, m: int) -> int:
         return ceil_div(m * self.q, self.p)
 
-    def fine_array(self, marr: np.ndarray) -> np.ndarray:
+    def fine_array(self, marr: np.ndarray, out=None, work: Workspace | None = None) -> np.ndarray:
+        """fine(m) per entry of marr, into out when given; `work` is not
+        needed (see `RootScale.fine_array`)."""
         if int(marr[-1]) * self.q >= (1 << 62):
-            return np.array([self.fine(int(m)) for m in marr], dtype=np.int64)
-        return (marr * self.q + self.p - 1) // self.p
+            return _filled(out, [self.fine(int(m)) for m in marr])
+        out = np.multiply(marr, self.q, out=out)
+        out += self.p - 1
+        out //= self.p
+        return out
 
     def max_coarse(self, depth: int) -> int:
         """Largest m with fine(m) <= depth."""
@@ -132,6 +167,15 @@ class RationalScale:
 
     def __repr__(self) -> str:
         return f"RationalScale({self.p}/{self.q})"
+
+
+def _filled(out, values: list[int]) -> np.ndarray:
+    """values as int64, written into out when given."""
+    arr = np.array(values, dtype=np.int64)
+    if out is None:
+        return arr
+    out[...] = arr
+    return out
 
 
 def root_order(n: int) -> int:
@@ -162,25 +206,42 @@ class RootScale:
             z += 1
         return z
 
-    def fine_array(self, marr: np.ndarray) -> np.ndarray:
+    def fine_array(self, marr: np.ndarray, out=None, work: Workspace | None = None) -> np.ndarray:
+        """fine(m) per entry of marr, into out when given.  The steps below
+        keep their arrays in work.ints[0:2] and work.floats[0] when a
+        workspace is lent, so out must lie outside those rows."""
         # float seed, then exact integer steps toward the smallest z with
         # z**n * p >= m**n * q; z stays between the seed and that answer,
         # so the products stay below 2**62 when both ends do
         n, p, q = self.n, self.p, self.q
         marr = np.asarray(marr, dtype=np.int64)
-        if not marr.size:
-            return marr.copy()
-        z = np.ceil(marr * (q / p) ** (1.0 / n)).astype(np.int64)
+        size = marr.size
+        z = np.empty(size, dtype=np.int64) if out is None else out
+        if not size:
+            return z
+        if work is None:
+            work = Workspace(size - 1)
+        seed = np.multiply(marr, (q / p) ** (1.0 / n), out=work.floats[0][:size])
+        np.ceil(seed, out=seed)
+        np.copyto(z, seed, casting="unsafe")
         top = max(int(z.max()), self.fine(int(marr.max())))
         if top**n * q >= (1 << 62):
-            return np.array([self.fine(int(m)) for m in marr], dtype=np.int64)
-        x = marr**n * q
+            return _filled(out, [self.fine(int(m)) for m in marr])
+        x, t = work.ints[0][:size], work.ints[1][:size]
+        np.power(marr, n, out=x)
+        x *= q
         while True:
-            inc = z**n * p < x
-            dec = (z > 0) & ((z - 1) ** n * p >= x)
+            np.power(z, n, out=t)
+            t *= p
+            inc = t < x
+            np.subtract(z, 1, out=t)
+            np.power(t, n, out=t)
+            t *= p
+            dec = (t >= x) & (z > 0)
             if not (inc.any() or dec.any()):
                 return z
-            z += inc.astype(np.int64) - dec
+            z += inc
+            z -= dec
 
     def max_coarse(self, depth: int) -> int:
         # largest m with m**n * q <= depth**n * p
@@ -257,20 +318,26 @@ def suffix_slope_max(
     return out
 
 
-def region_max(S: Sequence[int], a: int, lo) -> tuple[float, int, int]:
+def region_max(
+    S: Sequence[int], a: int, lo, work: Workspace | None = None
+) -> tuple[float, int, int]:
     """(value, m, j*) maximizing (S[j] - S[m]) / (j - m) over the region
     m = a, ..., a + len(lo) - 1 and j in [lo[m - a], depth], for lo
     non-decreasing with m < lo[m - a] <= depth = len(S) - 1; ties go to
     the smallest m, then the smallest j.  Solved by the parametric rounds
     of the module docstring on T(i) = q * (S[i] - S[a]) - p * (i - a) for
-    i = a..depth (the docstring's T less a constant).  Each round rebuilds
-    T in place, and the array of the level term then holds the suffix
-    maximum, so two depth-sized arrays are live at a time."""
+    i = a..depth (the docstring's T less a constant).
+
+    Every array lives in the rows of `work`, a `Workspace` of at least
+    depth + 1 levels (one is made when none is lent): T in ints[0], the
+    level term and then the suffix maximum in ints[1], the gains in
+    ints[2], all indexed by level, and the boundary slopes in floats[0].
+    So no round allocates, and lo may be a view of work.ints[3]."""
     S = np.asarray(S, dtype=np.int64)
     lo = np.asarray(lo, dtype=np.int64)
-    depth = len(S) - 1
-    m = np.arange(a, a + lo.size, dtype=np.int64)
-    if not lo.size or a < 0 or lo[-1] > depth or (lo <= m).any() or (np.diff(lo) < 0).any():
+    depth, r = len(S) - 1, lo.size
+    # m = a + r - 1 < lo[-1] <= depth bounds the levels the region reads
+    if not r or a < 0 or a + r > depth or lo[-1] > depth:
         raise ValueError(
             f"bad region: need 0 <= m < lo <= {depth} with lo non-decreasing"
         )
@@ -279,34 +346,39 @@ def region_max(S: Sequence[int], a: int, lo) -> tuple[float, int, int]:
             f"a region over {depth} levels exceeds the int64 product budget "
             f"(depth and the span of S must stay below 2**31)"
         )
+    if work is None:
+        work = Workspace(depth)
+    T, top, gain = work.ints[0], work.ints[1], work.ints[2]
+    m = work.levels[a : a + r]
+    if (lo <= m).any() or (lo[1:] < lo[:-1]).any():
+        raise ValueError(
+            f"bad region: need 0 <= m < lo <= {depth} with lo non-decreasing"
+        )
     # start from the best boundary window (m, lo[m - a])
-    num = S[lo]
-    num -= S[a : a + lo.size]
-    k = int(np.argmax(num / np.subtract(lo, m, out=m)))
+    num, den = gain[:r], top[:r]
+    np.take(S, lo, out=num, mode="clip")  # lo is checked; clip needs no copy
+    num -= S[a : a + r]
+    np.subtract(lo, m, out=den)
+    k = int(np.argmax(np.divide(num, den, out=work.floats[0][:r])))
     mk, j = a + k, int(lo[k])
-    del num, m  # freed before the depth-sized arrays exist
-    r, f, g = lo.size, int(lo[0]) - a, int(lo[-1]) - a  # lo[0], lo[-1] in T
-    rows = lo - lo[0]  # lo[m - a] as an index into the suffix maximum
-    T = np.empty(depth + 1 - a, dtype=np.int64)
+    f, g = int(lo[0]), int(lo[-1])
+    levels = work.levels[: depth + 1 - a]  # i - a for i = a..depth
     while True:
         p, q = int(S[j] - S[mk]), j - mk
-        np.subtract(S[a:], S[a], out=T)  # |S - S[a]| and i - a stay below 2**31
-        T *= q
-        top = np.arange(T.size, dtype=np.int64)
-        top *= p
-        T -= top
-        # now the suffix maximum of T at lo[0]..lo[-1]: one plain maximum
-        # from lo[-1] on, then a running maximum down to lo[0]
-        top = top[: g - f + 1]
-        top[-1] = T[g:].max()
-        np.maximum.accumulate(T[f:g][::-1], out=top[:-1][::-1])
-        np.maximum(top[:-1], top[-1], out=top[:-1])
-        gain = top[rows]
-        gain -= T[:r]
-        k = int(np.argmax(gain))  # the first m of the largest gain
+        np.subtract(S[a:], S[a], out=T[a : depth + 1])  # |S - S[a]| and i - a stay below 2**31
+        T[a : depth + 1] *= q
+        T[a : depth + 1] -= np.multiply(levels, p, out=top[a : depth + 1])
+        # the suffix maximum of T at lo[0]..lo[-1]: one plain maximum from
+        # lo[-1] on, then a running maximum down to lo[0]
+        top[g] = T[g : depth + 1].max()
+        np.maximum.accumulate(T[f:g][::-1], out=top[f:g][::-1])
+        np.maximum(top[f:g], top[g], out=top[f:g])
+        np.take(top, lo, out=gain[:r], mode="clip")
+        gain[:r] -= T[a : a + r]
+        k = int(np.argmax(gain[:r]))  # the first m of the largest gain
         mk = a + k
         # the first j >= lo reaching the suffix maximum
-        j = int(lo[k]) + int(np.argmax(T[lo[k] - a :]))
+        j = int(lo[k]) + int(np.argmax(T[lo[k] : depth + 1]))
         if gain[k] == 0:
             return float(int(S[j] - S[mk]) / (j - mk)), mk, j
 

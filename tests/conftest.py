@@ -14,7 +14,9 @@ time, the oracle of the all-theta brute side in `verify_main_theorem`.
 a time, the reference of its chunked build.
 The schedule oracles build a two-phase schedule level by level and write
 and parse schedule runs one run at a time, the references of the numpy
-run arrays in `constructions`, `schedule` and `formats`.
+run arrays in `constructions`, `schedule` and `formats`; `RUNS_TOKEN` and
+`RUN_LINES` match a whole run body, the reference of the grammar check
+`formats` reads off the body's non-digit bytes.
 
 The per-node references (`local_count`, `max_alpha`) count one node or
 window by bisecting a level; `embed`, `merge` and `materialize_composite`
@@ -24,6 +26,8 @@ build the tree of a composite set leaf by leaf.  No estimator uses them.
 from __future__ import annotations
 
 import random
+import re
+import tracemalloc
 from bisect import bisect_left
 from fractions import Fraction
 from math import log2
@@ -379,6 +383,13 @@ def oracle_write_composite(cs: CompositeSet) -> str:
     return "\n".join(lines) + "\n"
 
 
+# the run-body grammar of `formats` as full-body regexes: "<length>x<count>"
+# tokens joined by "," (at least one) and "<length> <count>" run lines
+# joined by "\n" (possibly none), ASCII digits only
+RUNS_TOKEN = re.compile(r"[0-9]+x[0-9]+(?:,[0-9]+x[0-9]+)*")
+RUN_LINES = re.compile(r"(?:[0-9]+ [0-9]+(?:\n[0-9]+ [0-9]+)*)?")
+
+
 def oracle_parse_runs(body: str, sep: str, run_sep: str) -> list[tuple[int, int]]:
     """(length, count) per run of a well-formed run body, one run at a time:
     runs joined by `run_sep`, length and count joined by `sep`."""
@@ -387,6 +398,17 @@ def oracle_parse_runs(body: str, sep: str, run_sep: str) -> list[tuple[int, int]
         cnt, _, c = part.partition(sep)
         runs.append((int(cnt), int(c)))
     return runs
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes tracemalloc sees while fn runs (numpy reports its arrays)."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 # ----------------------------------------------------------------------

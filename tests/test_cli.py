@@ -707,6 +707,8 @@ def test_config_values_take_flag_choices(tmp_path, capsys, value):
     (["plot", "{csv}", "-o", "{out}", "--overlay-poly", ""], "--overlay-poly"),
     (["estimate", "--mode", "upper", "-i", "{set}", "-o", "{out}", "--config", "{cfg}"],
      "config key 'theta-grid'"),
+    (["estimate", "--mode", "upper", "-i", "{set}", "-o", "{out}", "--config", ""],
+     "--config"),
 ])
 def test_empty_values_exit_2(tmp_path, capsys, argv, option):
     """An empty option value exits 2 naming the option instead of falling
@@ -721,6 +723,36 @@ def test_empty_values_exit_2(tmp_path, capsys, argv, option):
     code, out, err = run([tok.format(**paths) for tok in argv], capsys)
     assert code == 2 and out == "" and f"error: {option} needs a value" in err
     assert not paths["out"].exists()
+
+
+@pytest.mark.parametrize("flags, names", [
+    (["--components", "3"], ("config key 'samples'", "--components")),
+    (["--target", "0.4,0.4,-0.2"], ("config key 'samples'", "--target")),
+])
+def test_samples_conflicts_exit_2(tmp_path, capsys, flags, names):
+    """A `samples` config key replaces the polynomial target and its sample
+    count, so --target or --components next to it exits 2 naming both
+    instead of being ignored or silently winning."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("samples = 0.4;1/2:0.55,1/4:0.4875\n")
+    out = tmp_path / "cu.fds"
+    argv = ["construct", "concave-union", "--config", str(cfg), "-o", str(out)]
+    code, text, err = run([*argv, *flags], capsys)
+    assert code == 2 and text == "" and not out.exists()
+    assert all(name in err for name in names), err
+    assert run(argv, capsys)[0] == 0
+
+
+@pytest.mark.parametrize("abbrev", [["--m", "4"], ["--bl", "2"]])
+def test_flag_abbreviations_exit_2(tmp_path, capsys, abbrev):
+    """A prefix of a flag is not that flag: `--m` and `--bl` exit 2 rather
+    than run as --m0 and --blocks."""
+    out = tmp_path / "tp.fds"
+    argv = ["construct", "two-phase", "--s", "0.4", "--t", "0.8", "-o", str(out)]
+    code, text, _ = run([*argv, *abbrev], capsys)
+    assert code == 2 and text == "" and not out.exists()
+    full = {"--m": "--m0", "--bl": "--blocks"}[abbrev[0]]
+    assert run([*argv, full, abbrev[1]], capsys)[0] == 0
 
 
 def _readme_commands():

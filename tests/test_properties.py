@@ -23,12 +23,15 @@ from fds.constructions import (
     rational_enumeration,
     two_phase_schedule,
 )
-from fds import spectra, windows
+from fds import formats, spectra, windows
+from fds.errors import FormatError
 from fds.formats import dump, load
 from fds.spectra import _ratio_fan_maxima, estimate_box, estimate_spectrum, estimate_upper
 from fds.windows import RationalScale, RunTable, region_max
 
 from conftest import (
+    RUN_LINES,
+    RUNS_TOKEN,
     embed,
     levels,
     local_count,
@@ -598,6 +601,80 @@ def test_composite_round_trip_matches_oracles(scheds, shifts, origin):
     for line, (_, s) in zip(text.splitlines()[2:], cs.components):
         body = line.split()[2].removeprefix("runs:")
         assert s.runs == tuple(oracle_parse_runs(body, "x", ","))
+
+
+# bytes a run-body mutant draws from: digits, both grammars' separators,
+# and near misses (sign, underscore, tab, a non-ASCII digit)
+BODY_BYTES = tuple("0123456789") + (" ", "\n", "x", ",", "-", "_", "\t", "\u0663")
+
+
+@st.composite
+def mutated_run_bodies(draw):
+    """(body, inline): a well-formed run-line or inline run body with one
+    byte inserted, deleted or replaced.  Numbers are small, zero-padded, or
+    near 2**63, so a mutant can also reach the int64 bound."""
+    inline = draw(st.booleans())
+    inner, sep = ("x", ",") if inline else (" ", "\n")
+    number = st.one_of(
+        st.integers(0, 30).map(str),
+        st.tuples(st.integers(1, 3), st.integers(0, 9)).map(lambda t: "0" * t[0] + str(t[1])),
+        st.integers(2**62, 2**63 - 1).map(str),
+    )
+    runs = draw(st.lists(st.tuples(number, number), min_size=1, max_size=5))
+    body = sep.join(f"{a}{inner}{b}" for a, b in runs)
+    kind = draw(st.sampled_from(("insert", "delete", "replace")))
+    at = draw(st.integers(0, len(body) - (kind != "insert")))
+    byte = draw(st.sampled_from(BODY_BYTES))
+    tail = body[at + (kind != "insert") :]
+    return body[:at] + ("" if kind == "delete" else byte) + tail, inline
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_run_bodies())
+def test_run_body_parser_matches_grammar_oracle(case):
+    """The numpy grammar check accepts a mutated body exactly when the
+    full-body regex does; then its numbers are the oracle's (or the first
+    one past int64 is named), else the error names the part after the
+    longest well-formed prefix."""
+    body, inline = case
+    inner, sep = ("x", ",") if inline else (" ", "\n")
+    grammar, prefix, what = (
+        (RUNS_TOKEN, formats._RUNS_PREFIX, "run token") if inline
+        else (RUN_LINES, formats._RUN_LINES_PREFIX, "run line")
+    )
+    if grammar.fullmatch(body) is None:
+        assert formats._run_numbers(body, inner, sep) is None
+        part = body[prefix.match(body).end() :].split(sep, 1)[0]
+        with pytest.raises(FormatError) as exc:
+            formats._parse_runs(body, inner, sep, prefix, what)
+        assert str(exc.value) == f"bad {what} {part!r}"
+        return
+    runs = oracle_parse_runs(body, inner, sep)
+    tokens = [tok for run in body.split(sep) for tok in run.split(inner)]
+    past = [t for t in tokens if len(t) > 19] or [t for t in tokens if int(t) >= 2**63]
+    if past:
+        with pytest.raises(FormatError) as exc:
+            formats._run_numbers(body, inner, sep)
+        assert str(exc.value) == f"number {past[0]} exceeds the int64 range"
+    else:
+        assert formats._run_numbers(body, inner, sep).tolist() == [list(r) for r in runs]
+
+
+def test_valid_run_bodies_load_without_a_regex(tmp_path, monkeypatch):
+    """The prefix regexes serve error messages only: well-formed schedule
+    and composite files load with them disabled."""
+
+    class Unused:
+        def match(self, body):
+            raise AssertionError("a prefix regex ran on a well-formed body")
+
+    monkeypatch.setattr(formats, "_RUNS_PREFIX", Unused())
+    monkeypatch.setattr(formats, "_RUN_LINES_PREFIX", Unused())
+    s = two_phase_schedule(TwoPhaseParams(Fraction(2, 5), Fraction(4, 5), 4, 2))
+    cs = CompositeSet([(2, s), (5, BranchingSchedule([(3, 1), (2, 2)]))])
+    for obj in (s, cs):
+        dump(obj, str(tmp_path / "x.fds"))
+        assert load(str(tmp_path / "x.fds")) == obj
 
 
 @settings(max_examples=60, deadline=None)

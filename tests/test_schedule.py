@@ -10,11 +10,14 @@ from fds.errors import BudgetError
 from fds.schedule import (
     BranchingSchedule,
     CompositeSet,
+    composite_spectrum,
+    composite_upper,
     materialize,
     origin_log_counts,
 )
 from fds.constructions import TwoPhaseParams, two_phase_schedule
 from fds.spectra import estimate_spectrum, estimate_upper
+from fds.windows import RationalScale, RootScale, Workspace
 
 from conftest import (
     local_count,
@@ -22,6 +25,7 @@ from conftest import (
     oracle_schedule_spectrum,
     oracle_schedule_upper,
     random_schedule,
+    traced_peak,
 )
 
 
@@ -292,3 +296,30 @@ def test_composite_witness_windows_and_nodes(cs, m_range, spectrum, upper):
     grid = [Fraction(3, 10), Fraction(1, 2), Fraction(7, 10)]
     assert estimate_spectrum(cs, grid, m_range).witnesses == spectrum
     assert estimate_upper(cs, grid, m_range).witnesses == upper
+
+
+@pytest.mark.parametrize("composite", [False, True])
+def test_schedule_kernels_allocate_no_depth_sized_array(composite):
+    """With its caller's workspace, one composite_spectrum call (ratio and
+    root scales) and one composite_upper call over every coarse level that
+    has a window (nearly the whole depth at theta = 0.99) peak below one
+    int64 array of that region's size, itself below depth + 1 entries, on
+    the depth-2**16 two-phase schedule and on a two-component union of it,
+    whose origin node's rows enter the range."""
+    s = two_phase_schedule(TwoPhaseParams(Fraction(2, 5), Fraction(4, 5), 4, 3))
+    rep = CompositeSet([(2, s), (4, s)]) if composite else s
+    depth = rep.depth
+    work = Workspace(depth)
+    theta = Fraction(99, 100)
+    calls = [
+        (composite_spectrum, RationalScale(theta)),
+        (composite_spectrum, RootScale(theta, 2)),
+        (composite_upper, RationalScale(theta)),
+    ]
+    for kernel, scale in calls:
+        hi = scale.max_coarse(depth)
+        first = kernel(rep, scale, 1, hi, work)  # fills the set's own caches
+        found = []
+        peak = traced_peak(lambda: found.append(kernel(rep, scale, 1, hi, work)))
+        assert peak < 8 * hi < 8 * (depth + 1), (kernel.__name__, scale, peak)
+        assert found == [first]

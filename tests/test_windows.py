@@ -14,6 +14,7 @@ from fds.windows import (
     RationalScale,
     RootScale,
     RunTable,
+    Workspace,
     ceil_div,
     iroot,
     region_max,
@@ -22,7 +23,7 @@ from fds.windows import (
     suffix_slope_max,
 )
 
-from conftest import oracle_fan_max
+from conftest import oracle_fan_max, traced_peak
 
 
 def test_ceil_div():
@@ -168,6 +169,23 @@ def test_region_max_ties_resolve_to_smallest_j():
     assert region_max([0, 1, 1, 1, 2], 1, [3, 3]) == (0.5, 2, 4)
     assert region_max([0, 1, 2, 3], 0, [1, 2, 3]) == (1.0, 0, 1)
     assert region_max([0] * 6, 1, [3, 3, 4]) == (0.0, 1, 3)
+
+
+def test_region_max_allocates_no_depth_sized_array():
+    """With a caller-owned workspace no round of region_max allocates a
+    depth-sized array: on a depth-2**16 convex staircase, where the solve
+    takes several rounds, a narrow region peaks below one int64 array of
+    depth + 1 entries, and the answer is the one of a call without it."""
+    depth = 1 << 16
+    levels = np.arange(depth + 1, dtype=np.int64)
+    S = levels * levels // (4 * depth)
+    a = depth // 4
+    lo = RationalScale(Fraction(1, 2)).fine_array(np.arange(a, a + 256, dtype=np.int64))
+    work = Workspace(depth)
+    found = []
+    peak = traced_peak(lambda: found.append(region_max(S, a, lo, work)))
+    assert peak < 8 * (depth + 1), peak
+    assert found == [region_max(S, a, lo)] and found[0][2] == depth
 
 
 def test_region_max_rejects_bad_input():
