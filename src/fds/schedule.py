@@ -292,7 +292,7 @@ def _witness(rep, best: tuple[float, int, int, int]) -> tuple[float, int, int, i
 
 
 def composite_spectrum(
-    rep, scale, lo: int, hi: int, work: Workspace | None = None
+    rep, scale, lo: int, hi: int, work: Workspace
 ) -> tuple[float, int, int, int]:
     """(value, m, m', node) of the max window exponent at the fixed ratio
     rule m' = scale.fine(m) over the clamped coarse range [lo, hi].
@@ -303,12 +303,15 @@ def composite_spectrum(
     the origin node (part -1, key 1), then the lowest component.  The fine
     levels live in work.ints[3] and a piece's indices, numerators, widths
     and exponents in work.ints[0:3] and work.floats[0], of the caller's
-    `Workspace` or one made for the call.
+    `Workspace` of the set's depth.  [lo, hi] must be clamped: every fine
+    level at most the depth, else ValueError.
     """
     best = None  # (value, -m, -m', -part)
-    work = Workspace(rep.depth) if work is None else work
-    r = hi - lo + 1
-    fines = scale.fine_array(work.levels[lo : hi + 1], out=work.ints[3][:r], work=work)
+    fines = scale.fine_array(work.levels[lo : hi + 1], work)
+    if fines[-1] > rep.depth:  # fines ascend
+        raise ValueError(
+            f"coarse level {hi} has fine level {int(fines[-1])} past depth {rep.depth}"
+        )
     at, num, widths = work.ints[0], work.ints[1], work.ints[2]
     for part, e, S in pieces(rep):
         a = max(lo, e)
@@ -332,7 +335,7 @@ def composite_spectrum(
 
 
 def composite_upper(
-    rep, scale, lo: int, hi: int, work: Workspace | None = None
+    rep, scale, lo: int, hi: int, work: Workspace
 ) -> tuple[float, int, int, int]:
     """(value, m, m', node) of the max window exponent over m in [lo, hi]
     and every m' >= scale.fine(m), with composite_spectrum's tie order.
@@ -345,9 +348,7 @@ def composite_upper(
     shift).  Rows of the node containing the origin are scanned one coarse
     level at a time."""
     best = None
-    work = Workspace(rep.depth) if work is None else work
-    r = hi - lo + 1
-    fines = scale.fine_array(work.levels[lo : hi + 1], out=work.ints[3][:r], work=work)
+    fines = scale.fine_array(work.levels[lo : hi + 1], work)
     shift = 0
     for part, e, S in pieces(rep):
         a = max(lo, e)

@@ -326,9 +326,12 @@ def _uppers(rep, grid, lo, his, neighbors, work) -> list[tuple[float, int, int, 
     return [composite_upper(rep, RationalScale(th), lo, hi, work) for th, hi in zip(grid, his)]
 
 
-def _estimate(mode: str, solve, rep, theta_grid, m_range, neighbors, work) -> SpectrumEstimate:
+def _estimate(
+    mode: str, solve, rep, theta_grid, m_range, neighbors, work=None
+) -> SpectrumEstimate:
     """Per theta, the window maximum `solve` finds over the clamped coarse
-    range, as (value, m, m', node)."""
+    range, as (value, m, m', node).  A verify call lends its own workspace
+    (see `_workspace`); an estimate call makes one."""
     _, grid, lo, hi, his = _resolve(rep, theta_grid, m_range, neighbors)
     found = solve(rep, grid, lo, his, neighbors, _workspace(rep, work))
     values = [v for v, *_ in found]
@@ -341,14 +344,9 @@ def estimate_spectrum(
     theta_grid: Sequence,
     m_range: tuple[int, int] | None = None,
     neighbors: bool = False,
-    *,
-    work: Workspace | None = None,
 ) -> SpectrumEstimate:
-    """Window exponent at the exact ratio rule m' = ceil(m / theta), per theta.
-
-    `work`, here and in every estimator, is a `Workspace` of the set's depth
-    that the caller lends; without one the call makes its own."""
-    return _estimate(SPECTRUM, _spectra, rep, theta_grid, m_range, neighbors, work)
+    """Window exponent at the exact ratio rule m' = ceil(m / theta), per theta."""
+    return _estimate(SPECTRUM, _spectra, rep, theta_grid, m_range, neighbors)
 
 
 def estimate_upper(
@@ -356,17 +354,17 @@ def estimate_upper(
     theta_grid: Sequence,
     m_range: tuple[int, int] | None = None,
     neighbors: bool = False,
-    *,
-    work: Workspace | None = None,
 ) -> SpectrumEstimate:
     """Window exponent maximized over every fine level m' >= ceil(m / theta)."""
-    return _estimate(UPPER, _uppers, rep, theta_grid, m_range, neighbors, work)
+    return _estimate(UPPER, _uppers, rep, theta_grid, m_range, neighbors)
 
 
-def estimate_box(
-    rep, m_range: tuple[int, int] | None = None, *, work: Workspace | None = None
-) -> BoxEstimate:
+def estimate_box(rep, m_range: tuple[int, int] | None = None) -> BoxEstimate:
     """max over m in range of log2(level count at m) / m."""
+    return _box(rep, m_range)
+
+
+def _box(rep, m_range, work=None) -> BoxEstimate:
     depth = _depth(rep)
     lo, hi = _norm_range(depth, m_range)
     if isinstance(rep, DyadicTree):
@@ -391,21 +389,23 @@ def estimate_quasi_assouad(
     epsilons: Sequence,
     m_range: tuple[int, int] | None = None,
     neighbors: bool = False,
-    *,
-    work: Workspace | None = None,
 ) -> QuasiAssouadEstimate:
     """Upper-spectrum values at theta = 1 - eps for a shrinking eps ladder.
 
     The headline is the value at the smallest eps; the trend line reports
     the observed sequence without asserting monotonicity in eps.
     """
+    return _quasi_assouad(rep, epsilons, m_range, neighbors)
+
+
+def _quasi_assouad(rep, epsilons, m_range, neighbors, work=None) -> QuasiAssouadEstimate:
     eps = [Fraction(e) for e in epsilons]
     if not eps:
         raise ValueError("need at least one epsilon")
     if any(not 0 < e < 1 for e in eps):
         raise ValueError("epsilons must lie strictly in (0, 1)")
     thetas = [1 - e for e in eps]
-    est = estimate_upper(rep, thetas, m_range, neighbors, work=work)
+    est = _estimate(UPPER, _uppers, rep, thetas, m_range, neighbors, work)
     order = {th: i for i, th in enumerate(est.thetas)}
     values = [est.values[order[1 - e]] for e in eps]
     wits = [est.witnesses[order[1 - e]] for e in eps]
@@ -636,7 +636,7 @@ def verify_main_theorem(
     """
     depth, grid, lo, hi, his = _resolve(rep, theta_grid, m_range, neighbors)
     work = _workspace(rep, None)
-    upper = estimate_upper(rep, grid, (lo, hi), neighbors, work=work)
+    upper = _estimate(UPPER, _uppers, rep, grid, (lo, hi), neighbors, work)
     fan = _ratio_fan_maxima(rep, depth, grid, lo, his, neighbors, work)
     devs = [abs(lhs - rhs) for lhs, rhs in zip(upper.values, fan)]
     return _report("main-theorem", 0.0, (
@@ -656,8 +656,8 @@ def verify_bound(
     tol = _tolerance(tol)
     _depth(rep, neighbors)
     work = _workspace(rep, None)
-    spec = estimate_spectrum(rep, theta_grid, m_range, neighbors, work=work)
-    box = estimate_box(rep, spec.m_range, work=work)
+    spec = _estimate(SPECTRUM, _spectra, rep, theta_grid, m_range, neighbors, work)
+    box = _box(rep, spec.m_range, work)
     caps = [box.value / (1.0 - float(th)) for th in spec.thetas]
     return _report("bound", tol, (
         (v - cap, tol, f"theta={float(th):g} spectrum={v!r} bound={cap!r}")
@@ -681,14 +681,14 @@ def verify_chain(
     tol = _tolerance(tol)
     _, grid, lo, hi, _ = _resolve(rep, theta_grid, m_range, neighbors)
     work = _workspace(rep, None)
-    spec = estimate_spectrum(rep, grid, (lo, hi), neighbors, work=work)
-    upper = estimate_upper(rep, grid, (lo, hi), neighbors, work=work)
-    box = estimate_box(rep, (lo, hi), work=work).value
+    spec = _estimate(SPECTRUM, _spectra, rep, grid, (lo, hi), neighbors, work)
+    upper = _estimate(UPPER, _uppers, rep, grid, (lo, hi), neighbors, work)
+    box = _box(rep, (lo, hi), work).value
     if epsilons is None:
         # shrink toward 1 - max(grid) so the headline sits at the grid top
         e0 = 1 - grid[-1]
         epsilons = [e0 + (1 - e0) / 2, e0 + (1 - e0) / 4, e0]
-    qa = estimate_quasi_assouad(rep, epsilons, (lo, hi), neighbors, work=work).headline
+    qa = _quasi_assouad(rep, epsilons, (lo, hi), neighbors, work).headline
 
     def rows():
         for th, sv, uv in zip(grid, spec.values, upper.values):
@@ -719,7 +719,7 @@ def verify_nthroot(
     orders = [root_order(int(n)) for n in n_values]
     depth, grid, lo, hi, _ = _resolve(rep, theta_grid, m_range, neighbors)
     work = _workspace(rep, None)
-    spec = estimate_spectrum(rep, grid, (lo, hi), neighbors, work=work)
+    spec = _estimate(SPECTRUM, _spectra, rep, grid, (lo, hi), neighbors, work)
 
     def rows():
         for th, base in zip(grid, spec.values):

@@ -118,8 +118,9 @@ class Workspace:
     filled once.  `ints` (int64) and `floats` (float64) are rows a kernel
     may overwrite, so a kernel that calls another keeps its own arrays in
     rows the callee leaves alone: `region_max` writes ints[0:3] and
-    floats[0], `RootScale.fine_array` ints[0:2] and floats[0], and their
-    callers keep theirs in ints[3] and floats[1].  The rows are one block,
+    floats[0], the scales' `fine_array` puts its result in ints[3] and
+    `RootScale`'s steps use ints[0:2] and floats[0], and their callers keep
+    the fine levels in ints[3] and their own arrays in floats[1].  The rows are one block,
     allocated once per call; rows a call never writes are never touched,
     so they cost address space, not memory.
     """
@@ -151,9 +152,10 @@ class RationalScale:
     def fine(self, m: int) -> int:
         return ceil_div(m * self.q, self.p)
 
-    def fine_array(self, marr: np.ndarray, out=None, work: Workspace | None = None) -> np.ndarray:
-        """fine(m) per entry of marr, into out when given; `work` is not
-        needed (see `RootScale.fine_array`)."""
+    def fine_array(self, marr: np.ndarray, work: Workspace | None = None) -> np.ndarray:
+        """fine(m) per entry of marr, in work.ints[3] when a workspace is
+        lent, else in a new array."""
+        out = None if work is None else work.ints[3][: len(marr)]
         if int(marr[-1]) * self.q >= (1 << 62):
             return _filled(out, [self.fine(int(m)) for m in marr])
         out = np.multiply(marr, self.q, out=out)
@@ -206,17 +208,18 @@ class RootScale:
             z += 1
         return z
 
-    def fine_array(self, marr: np.ndarray, out=None, work: Workspace | None = None) -> np.ndarray:
-        """fine(m) per entry of marr, into out when given.  The steps below
-        keep their arrays in work.ints[0:2] and work.floats[0] when a
-        workspace is lent, so out must lie outside those rows."""
+    def fine_array(self, marr: np.ndarray, work: Workspace | None = None) -> np.ndarray:
+        """fine(m) per entry of marr, in work.ints[3] when a workspace is
+        lent, else in a new array.  The steps below keep their arrays in
+        work.ints[0:2] and work.floats[0], of the lent workspace or one
+        made for the call."""
         # float seed, then exact integer steps toward the smallest z with
         # z**n * p >= m**n * q; z stays between the seed and that answer,
         # so the products stay below 2**62 when both ends do
         n, p, q = self.n, self.p, self.q
         marr = np.asarray(marr, dtype=np.int64)
         size = marr.size
-        z = np.empty(size, dtype=np.int64) if out is None else out
+        z = np.empty(size, dtype=np.int64) if work is None else work.ints[3][:size]
         if not size:
             return z
         if work is None:
@@ -226,7 +229,7 @@ class RootScale:
         np.copyto(z, seed, casting="unsafe")
         top = max(int(z.max()), self.fine(int(marr.max())))
         if top**n * q >= (1 << 62):
-            return _filled(out, [self.fine(int(m)) for m in marr])
+            return _filled(z, [self.fine(int(m)) for m in marr])
         x, t = work.ints[0][:size], work.ints[1][:size]
         np.power(marr, n, out=x)
         x *= q
@@ -336,8 +339,12 @@ def region_max(
     S = np.asarray(S, dtype=np.int64)
     lo = np.asarray(lo, dtype=np.int64)
     depth, r = len(S) - 1, lo.size
+    if work is None:
+        work = Workspace(depth)
+    m = work.levels[a : a + r]
     # m = a + r - 1 < lo[-1] <= depth bounds the levels the region reads
-    if not r or a < 0 or a + r > depth or lo[-1] > depth:
+    if (not r or a < 0 or a + r > depth or lo[-1] > depth
+            or (lo <= m).any() or (lo[1:] < lo[:-1]).any()):
         raise ValueError(
             f"bad region: need 0 <= m < lo <= {depth} with lo non-decreasing"
         )
@@ -346,14 +353,7 @@ def region_max(
             f"a region over {depth} levels exceeds the int64 product budget "
             f"(depth and the span of S must stay below 2**31)"
         )
-    if work is None:
-        work = Workspace(depth)
     T, top, gain = work.ints[0], work.ints[1], work.ints[2]
-    m = work.levels[a : a + r]
-    if (lo <= m).any() or (lo[1:] < lo[:-1]).any():
-        raise ValueError(
-            f"bad region: need 0 <= m < lo <= {depth} with lo non-decreasing"
-        )
     # start from the best boundary window (m, lo[m - a])
     num, den = gain[:r], top[:r]
     np.take(S, lo, out=num, mode="clip")  # lo is checked; clip needs no copy

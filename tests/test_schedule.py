@@ -299,6 +299,21 @@ def test_composite_witness_windows_and_nodes(cs, m_range, spectrum, upper):
 
 
 @pytest.mark.parametrize("composite", [False, True])
+def test_composite_spectrum_rejects_unclamped_range(composite):
+    """A coarse top whose fine level lies past the depth raises instead of
+    reading a clipped prefix count."""
+    s = BranchingSchedule(A_RUNS)
+    rep = CompositeSet([(1, s), (2, s)]) if composite else s
+    work = Workspace(rep.depth)
+    for scale in (RationalScale(Fraction(1, 2)), RootScale(Fraction(1, 2), 2)):
+        hi = scale.max_coarse(rep.depth)
+        composite_spectrum(rep, scale, 1, hi, work)
+        for top in (hi + 1, rep.depth):
+            with pytest.raises(ValueError, match="past depth"):
+                composite_spectrum(rep, scale, 1, top, work)
+
+
+@pytest.mark.parametrize("composite", [False, True])
 def test_schedule_kernels_allocate_no_depth_sized_array(composite):
     """With its caller's workspace, one composite_spectrum call (ratio and
     root scales) and one composite_upper call over every coarse level that
