@@ -107,20 +107,24 @@ class BranchingSchedule:
 def materialize(s: BranchingSchedule) -> DyadicTree:
     """Expand the schedule into a tree, keeping the left child always and
     the right child exactly at branching levels."""
-    total = 0
-    S = 0
-    pos = 0
+    # level j below the root holds 2**S(j) nodes; one closed form per run.
+    # A level of 2**top nodes is alone over the budget, and so is a run of
+    # more than budget >> S non-branching levels, so capping both keeps
+    # every integer below 2**(top + 2) without changing the verdict.
+    budget = MAX_MATERIALIZE_NODES
+    top = budget.bit_length()
+    total = S = 0
     for cnt, c in s.runs:
-        for _ in range(cnt):
-            pos += 1
-            if c == 2:
-                S += 1
-            total += 1 << S
-            if total > MAX_MATERIALIZE_NODES:
-                raise BudgetError(
-                    f"materializing depth {s.depth} needs more than "
-                    f"{MAX_MATERIALIZE_NODES} nodes"
-                )
+        if c == 2:
+            k = min(cnt, top - S)
+            total += ((1 << k) - 1) << (S + 1)  # 2**(S+1) + ... + 2**(S+k)
+            S += k
+        else:
+            total += min(cnt, (budget >> S) + 1) << S
+        if total > budget:
+            raise BudgetError(
+                f"materializing depth {s.depth} needs more than {budget} nodes"
+            )
     # a leaf is a sum of one bit 2**(depth - j) per branching level j;
     # doubling over the bits in ascending order keeps the leaves sorted
     bits = []

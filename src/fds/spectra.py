@@ -13,8 +13,10 @@ then clamped to [m_lo, min(m_hi, max m with ceil(m/theta) <= depth)] and
 an empty clamp is a domain error.
 
 Schedules and composites are read by the kernels of `schedule` on their
-prefix counts; every estimate or verify call lends those kernels one
-`Workspace`, so no theta and no solve round allocates a depth-sized array.
+prefix counts.  The dispatch of each estimator call (`_spectra`,
+`_uppers`) lends those kernels one `Workspace`, so no theta and no solve
+round allocates a depth-sized array.  Every verifier reaches its estimates
+through the public estimators, so it checks the functions the CLI calls.
 
 Trees are read through tables cached on the tree: the all-levels run
 table, or with neighbor mode on (a node counted with its present
@@ -198,16 +200,6 @@ def _grid(thetas: Sequence) -> list[Fraction]:
     return out
 
 
-def _workspace(rep, work: Workspace | None) -> Workspace | None:
-    """The workspace an estimate or verify call lends its schedule kernels:
-    the caller's, else a new one for a schedule or composite, made only
-    after `_depth` has checked the depth budget.  Trees read tables
-    instead and get none."""
-    if work is not None or isinstance(rep, DyadicTree):
-        return work
-    return Workspace(rep.depth)
-
-
 def _resolve(rep, theta_grid: Sequence, m_range, neighbors: bool):
     """(depth, grid, lo, hi, his): the grid first, then the range it needs,
     then each theta's clamped coarse top (rising with theta)."""
@@ -256,8 +248,8 @@ def _tree_spectrum(tree, scale, lo, hi, neighbors) -> tuple[float, int, int, int
     return float(vals[k]), m, mp, _tree_witness_node(tree, m, mp, neighbors)
 
 
-def _tree_uppers(tree, grid, lo, his, neighbors) -> list[tuple[float, int, int, int]]:
-    """Per theta of the ascending grid, (value, m, m', node) over every
+def _tree_uppers(tree, scales, lo, his, neighbors) -> list[tuple[float, int, int, int]]:
+    """Per scale of an ascending theta grid, (value, m, m', node) over every
     window (m, m') with lo <= m <= his[k] and m' >= ceil(m / theta): ties to
     the smallest m, then the smallest m', then the leftmost node.
 
@@ -270,9 +262,9 @@ def _tree_uppers(tree, grid, lo, his, neighbors) -> list[tuple[float, int, int, 
     ms = np.arange(lo, his[-1] + 1)
     cols = runs.rank(depth - ms)
     # coarse level m is live at theta from its fine level on
-    fines = [RationalScale(th).fine_array(ms[: hi - lo + 1]) for th, hi in zip(grid, his)]
+    fines = [scale.fine_array(ms[: hi - lo + 1]) for scale, hi in zip(scales, his)]
     step = max(1, UPPER_BLOCK // ms.size)
-    best = [None] * len(grid)
+    best = [None] * len(scales)
     for a in range(int(fines[-1][0]), depth + 1, step):
         mps = np.arange(a, min(a + step, depth + 1))
         live = np.stack([np.searchsorted(f, mps, side="right") for f in fines])
@@ -304,36 +296,31 @@ def _tree_uppers(tree, grid, lo, his, neighbors) -> list[tuple[float, int, int, 
 
 
 # ----------------------------------------------------------------------
-# dispatch
+# dispatch: a schedule or composite gets one workspace per call, made here,
+# after `_resolve` has checked the depth budget; trees read tables instead
 
 
-def _spectrum_at(rep, scale, lo, hi_eff, neighbors, work) -> tuple[float, int, int, int]:
+def _spectra(rep, scales, lo, his, neighbors) -> list[tuple[float, int, int, int]]:
+    """Per scale, (value, m, m', node) at its fixed ratio rule over the
+    coarse levels lo..his[k]."""
     if isinstance(rep, DyadicTree):
-        return _tree_spectrum(rep, scale, lo, hi_eff, neighbors)
-    return composite_spectrum(rep, scale, lo, hi_eff, work)
+        return [_tree_spectrum(rep, sc, lo, hi, neighbors) for sc, hi in zip(scales, his)]
+    work = Workspace(rep.depth)
+    return [composite_spectrum(rep, sc, lo, hi, work) for sc, hi in zip(scales, his)]
 
 
-def _spectra(rep, grid, lo, his, neighbors, work) -> list[tuple[float, int, int, int]]:
-    return [
-        _spectrum_at(rep, RationalScale(th), lo, hi, neighbors, work)
-        for th, hi in zip(grid, his)
-    ]
-
-
-def _uppers(rep, grid, lo, his, neighbors, work) -> list[tuple[float, int, int, int]]:
+def _uppers(rep, scales, lo, his, neighbors) -> list[tuple[float, int, int, int]]:
     if isinstance(rep, DyadicTree):
-        return _tree_uppers(rep, grid, lo, his, neighbors)
-    return [composite_upper(rep, RationalScale(th), lo, hi, work) for th, hi in zip(grid, his)]
+        return _tree_uppers(rep, scales, lo, his, neighbors)
+    work = Workspace(rep.depth)
+    return [composite_upper(rep, sc, lo, hi, work) for sc, hi in zip(scales, his)]
 
 
-def _estimate(
-    mode: str, solve, rep, theta_grid, m_range, neighbors, work=None
-) -> SpectrumEstimate:
+def _estimate(mode: str, solve, rep, theta_grid, m_range, neighbors) -> SpectrumEstimate:
     """Per theta, the window maximum `solve` finds over the clamped coarse
-    range, as (value, m, m', node).  A verify call lends its own workspace
-    (see `_workspace`); an estimate call makes one."""
+    range, as (value, m, m', node)."""
     _, grid, lo, hi, his = _resolve(rep, theta_grid, m_range, neighbors)
-    found = solve(rep, grid, lo, his, neighbors, _workspace(rep, work))
+    found = solve(rep, [RationalScale(th) for th in grid], lo, his, neighbors)
     values = [v for v, *_ in found]
     wits = [tuple(w) for _, *w in found]
     return SpectrumEstimate(mode, grid, values, (lo, hi), wits)
@@ -361,25 +348,15 @@ def estimate_upper(
 
 def estimate_box(rep, m_range: tuple[int, int] | None = None) -> BoxEstimate:
     """max over m in range of log2(level count at m) / m."""
-    return _box(rep, m_range)
-
-
-def _box(rep, m_range, work=None) -> BoxEstimate:
     depth = _depth(rep)
     lo, hi = _norm_range(depth, m_range)
     if isinstance(rep, DyadicTree):
         logs = np.log2(rep.level_sizes(np.arange(lo, hi + 1)).astype(np.float64))
-        vals = logs / np.arange(lo, hi + 1, dtype=np.float64)
+    elif isinstance(rep, BranchingSchedule):
+        logs = rep.prefix_array()[lo : hi + 1]  # a schedule's log2 counts
     else:
-        work = _workspace(rep, work)
-        # a schedule's log2 counts are its prefix counts; the level-0 node
-        # of a composite holds the whole union
-        logs = (
-            rep.prefix_array() if isinstance(rep, BranchingSchedule)
-            else origin_log_counts(rep, 0)
-        )
-        vals = np.divide(logs[lo : hi + 1], work.levels[lo : hi + 1],
-                         out=work.floats[0][: hi - lo + 1])
+        logs = origin_log_counts(rep, 0)[lo : hi + 1]  # level 0 holds the whole union
+    vals = logs / np.arange(lo, hi + 1, dtype=np.float64)
     k = int(np.argmax(vals))
     return BoxEstimate(float(vals[k]), lo + k, (lo, hi))
 
@@ -395,17 +372,12 @@ def estimate_quasi_assouad(
     The headline is the value at the smallest eps; the trend line reports
     the observed sequence without asserting monotonicity in eps.
     """
-    return _quasi_assouad(rep, epsilons, m_range, neighbors)
-
-
-def _quasi_assouad(rep, epsilons, m_range, neighbors, work=None) -> QuasiAssouadEstimate:
     eps = [Fraction(e) for e in epsilons]
     if not eps:
         raise ValueError("need at least one epsilon")
     if any(not 0 < e < 1 for e in eps):
         raise ValueError("epsilons must lie strictly in (0, 1)")
-    thetas = [1 - e for e in eps]
-    est = _estimate(UPPER, _uppers, rep, thetas, m_range, neighbors, work)
+    est = _estimate(UPPER, _uppers, rep, [1 - e for e in eps], m_range, neighbors)
     order = {th: i for i, th in enumerate(est.thetas)}
     values = [est.values[order[1 - e]] for e in eps]
     wits = [est.witnesses[order[1 - e]] for e in eps]
@@ -505,13 +477,13 @@ def _kept_pieces(parts, depth: int, lo: int, starts: np.ndarray) -> np.ndarray |
     return kept
 
 
-def _fan_rows(rep, depth: int, lo: int, starts: np.ndarray, neighbors: bool, work):
+def _fan_rows(rep, depth: int, lo: int, starts: np.ndarray, neighbors: bool):
     """fill(m, f, out): the exponent numerators of the windows (m, j) for
     j = f, ..., depth into out, for m in [lo, lo + len(starts) - 1] and f
     at or above starts[m - lo] - a tree table's log2 counts, or the
     elementwise max over the pieces with shift e <= m of S[j - e] - S[m - e]
     and over the origin node's log2 counts; a composite row keeps its
-    pieces' maximum in work.floats[1].
+    pieces' maximum in one spare row of depth + 1 entries per call.
 
     A composite row skips every piece that `_kept_pieces` finds dominated
     on [starts[m - lo], depth] by a kept piece: the kept row is pointwise at
@@ -539,7 +511,7 @@ def _fan_rows(rep, depth: int, lo: int, starts: np.ndarray, neighbors: bool, wor
         row[:] = S
         parts.append((e, row))
     origin = dict(origin_rows(rep, lo, lo + starts.size - 1))
-    spare = work.floats[1]
+    spare = np.empty(depth + 1)
 
     def fill(m, f, out):
         dst = out
@@ -561,7 +533,7 @@ def _fan_rows(rep, depth: int, lo: int, starts: np.ndarray, neighbors: bool, wor
     return fill
 
 
-def _ratio_fan_maxima(rep, depth, grid, lo, his, neighbors, work=None) -> list[float]:
+def _ratio_fan_maxima(rep, depth, grid, lo, his, neighbors) -> list[float]:
     """Per theta of the ascending grid, the max exponent over every window
     (m, m') with lo <= m <= his[k] and m' >= ceil(m / theta), enumerated
     coarse level first.  his[k], theta's clamped coarse top, rises with
@@ -571,8 +543,8 @@ def _ratio_fan_maxima(rep, depth, grid, lo, his, neighbors, work=None) -> list[f
     since rounding is monotone.  Each row is built by `_fan_rows`, which
     leaves out the composite pieces a kept piece dominates from the widest
     fan's start on; that start is at or below every live theta's, so the
-    dropped pieces are dominated on every segment too.  A schedule or
-    composite builds its rows in work.floats[0] (see `_workspace`)."""
+    dropped pieces are dominated on every segment too.  Every row is built
+    in one buffer of depth + 1 entries per call."""
     k = len(grid)
     top = his[-1]
     marr = np.arange(lo, top + 1, dtype=np.int64)
@@ -580,13 +552,12 @@ def _ratio_fan_maxima(rep, depth, grid, lo, his, neighbors, work=None) -> list[f
     # offsets from the widest fan's start
     offsets = np.stack([RationalScale(th).fine_array(marr) for th in reversed(grid)], axis=1)
     first = offsets[:, 0].copy()
-    work = _workspace(rep, work)
-    fill = _fan_rows(rep, depth, lo, first, neighbors, work)
+    fill = _fan_rows(rep, depth, lo, first, neighbors)
     starts = first.tolist()
     offsets -= offsets[:, :1]
     live = (k - np.searchsorted(his, marr, side="left")).tolist()
     widths = np.arange(depth + 1, dtype=np.float64)
-    buf = np.empty(depth + 1) if work is None else work.floats[0]
+    buf = np.empty(depth + 1)
     best = np.full(k, -np.inf)
     for i, m in enumerate(range(lo, top + 1)):
         f, n = starts[i], live[i]
@@ -633,11 +604,12 @@ def verify_main_theorem(
     pointwise (an integer test on prefix counts that leaves every row
     maximum bit for bit unchanged); every window of every other row is
     still enumerated, independent of the region solver the upper path uses.
+    The upper side is `estimate_upper` itself, on the resolved grid and
+    range.
     """
     depth, grid, lo, hi, his = _resolve(rep, theta_grid, m_range, neighbors)
-    work = _workspace(rep, None)
-    upper = _estimate(UPPER, _uppers, rep, grid, (lo, hi), neighbors, work)
-    fan = _ratio_fan_maxima(rep, depth, grid, lo, his, neighbors, work)
+    upper = estimate_upper(rep, grid, (lo, hi), neighbors)
+    fan = _ratio_fan_maxima(rep, depth, grid, lo, his, neighbors)
     devs = [abs(lhs - rhs) for lhs, rhs in zip(upper.values, fan)]
     return _report("main-theorem", 0.0, (
         (dev, 0.0, f"theta={float(th):g} upper={lhs!r} ratio-fan={rhs!r} dev={dev!r}")
@@ -654,10 +626,8 @@ def verify_bound(
 ) -> VerificationReport:
     """spectrum(theta) <= box / (1 - theta) + tol on every grid point."""
     tol = _tolerance(tol)
-    _depth(rep, neighbors)
-    work = _workspace(rep, None)
-    spec = _estimate(SPECTRUM, _spectra, rep, theta_grid, m_range, neighbors, work)
-    box = _box(rep, spec.m_range, work)
+    spec = estimate_spectrum(rep, theta_grid, m_range, neighbors)
+    box = estimate_box(rep, spec.m_range)
     caps = [box.value / (1.0 - float(th)) for th in spec.thetas]
     return _report("bound", tol, (
         (v - cap, tol, f"theta={float(th):g} spectrum={v!r} bound={cap!r}")
@@ -679,16 +649,15 @@ def verify_chain(
     headline + tol, and upper non-decreasing along the grid (exact).
     """
     tol = _tolerance(tol)
-    _, grid, lo, hi, _ = _resolve(rep, theta_grid, m_range, neighbors)
-    work = _workspace(rep, None)
-    spec = _estimate(SPECTRUM, _spectra, rep, grid, (lo, hi), neighbors, work)
-    upper = _estimate(UPPER, _uppers, rep, grid, (lo, hi), neighbors, work)
-    box = _box(rep, (lo, hi), work).value
+    spec = estimate_spectrum(rep, theta_grid, m_range, neighbors)
+    grid, m_range = spec.thetas, spec.m_range
+    upper = estimate_upper(rep, grid, m_range, neighbors)
+    box = estimate_box(rep, m_range).value
     if epsilons is None:
         # shrink toward 1 - max(grid) so the headline sits at the grid top
         e0 = 1 - grid[-1]
         epsilons = [e0 + (1 - e0) / 2, e0 + (1 - e0) / 4, e0]
-    qa = _quasi_assouad(rep, epsilons, (lo, hi), neighbors, work).headline
+    qa = estimate_quasi_assouad(rep, epsilons, m_range, neighbors).headline
 
     def rows():
         for th, sv, uv in zip(grid, spec.values, upper.values):
@@ -717,21 +686,18 @@ def verify_nthroot(
     n must lie in 1..MAX_ROOT_ORDER, checked before any estimate."""
     tol = _tolerance(tol)
     orders = [root_order(int(n)) for n in n_values]
-    depth, grid, lo, hi, _ = _resolve(rep, theta_grid, m_range, neighbors)
-    work = _workspace(rep, None)
-    spec = _estimate(SPECTRUM, _spectra, rep, grid, (lo, hi), neighbors, work)
-
-    def rows():
-        for th, base in zip(grid, spec.values):
-            for n in orders:
-                scale = RootScale(th, n)
-                other = _spectrum_at(rep, scale, *_clamp(depth, scale, lo, hi), neighbors, work)[0]
-                yield base - other, tol, (
-                    f"theta={float(th):g} n={n}: spectrum {base!r} > "
-                    f"root-spectrum {other!r} + tol"
-                )
-
-    return _report("nthroot", tol, rows())
+    spec = estimate_spectrum(rep, theta_grid, m_range, neighbors)
+    lo, hi = spec.m_range
+    # every (theta, n) root spectrum in one call, with one workspace
+    cases = [(th, base, n) for th, base in zip(spec.thetas, spec.values) for n in orders]
+    scales = [RootScale(th, n) for th, _, n in cases]
+    his = [_clamp(rep.depth, sc, lo, hi)[1] for sc in scales]
+    roots = _spectra(rep, scales, lo, his, neighbors)
+    return _report("nthroot", tol, (
+        (base - other, tol,
+         f"theta={float(th):g} n={n}: spectrum {base!r} > root-spectrum {other!r} + tol")
+        for (th, base, n), (other, *_) in zip(cases, roots)
+    ))
 
 
 # ----------------------------------------------------------------------

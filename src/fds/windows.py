@@ -38,9 +38,10 @@ an offline hull sweep over every level, is kept as the reference path.
 
 The schedule kernels (`region_max`, the scales' `fine_array` and the
 kernels of `schedule`) write every depth- or region-sized array into the
-rows of a `Workspace` that one estimate or verify call creates and lends
-them, so no round and no theta allocates one, and a call's speed does not
-depend on the allocator state that earlier work in the process left.
+rows of a `Workspace`.  The estimators' dispatch creates one per estimator
+call and lends it to every kernel that call runs, so no round and no theta
+allocates one, and a call's speed does not depend on the allocator state
+that earlier work in the process left.
 
 All scale arithmetic is integer-exact; floating point only enters when a
 finished exponent is reported.  T is taken on S - S[a] and on levels
@@ -111,25 +112,26 @@ def iroot(x: int, n: int) -> int:
 
 class Workspace:
     """Scratch rows of depth + 1 entries for the schedule kernels of one
-    estimate or verify call.
+    estimator call.
 
-    The call creates it in its own frame and lends it to every kernel it
-    runs; nothing keeps it afterwards.  `levels` holds 0, ..., depth and is
-    filled once.  `ints` (int64) and `floats` (float64) are rows a kernel
-    may overwrite, so a kernel that calls another keeps its own arrays in
-    rows the callee leaves alone: `region_max` writes ints[0:3] and
-    floats[0], the scales' `fine_array` puts its result in ints[3] and
-    `RootScale`'s steps use ints[0:2] and floats[0], and their callers keep
-    the fine levels in ints[3] and their own arrays in floats[1].  The rows are one block,
-    allocated once per call; rows a call never writes are never touched,
-    so they cost address space, not memory.
+    The estimator's dispatch creates it in its own frame and lends it to
+    every kernel it runs for the call's thetas or scales; nothing keeps it
+    afterwards.  `levels` holds 0, ..., depth and is filled once.  `ints`
+    (int64) and `floats` (float64) are rows a kernel may overwrite, so a
+    kernel that calls another keeps its own arrays in rows the callee
+    leaves alone: `region_max` writes ints[0:3] and floats[0], the scales'
+    `fine_array` puts its result in ints[3] and `RootScale`'s steps use
+    ints[0:2] and floats[0], and their callers keep the fine levels in
+    ints[3].  The rows are one block, allocated once per call; rows a call
+    never writes are never touched, so they cost address space, not
+    memory.
     """
 
     __slots__ = ("levels", "ints", "floats")
 
     def __init__(self, depth: int):
         self.levels = np.arange(depth + 1, dtype=np.int64)
-        rows = np.empty((6, depth + 1), dtype=np.int64)
+        rows = np.empty((5, depth + 1), dtype=np.int64)
         self.ints, self.floats = rows[:4], rows[4:].view(np.float64)
 
 
@@ -153,10 +155,11 @@ class RationalScale:
         return ceil_div(m * self.q, self.p)
 
     def fine_array(self, marr: np.ndarray, work: Workspace | None = None) -> np.ndarray:
-        """fine(m) per entry of marr, in work.ints[3] when a workspace is
-        lent, else in a new array."""
-        out = None if work is None else work.ints[3][: len(marr)]
-        if int(marr[-1]) * self.q >= (1 << 62):
+        """fine(m) per entry of marr, in any order, in work.ints[3] when a
+        workspace is lent, else in a new array."""
+        marr = np.asarray(marr, dtype=np.int64)
+        out = None if work is None else work.ints[3][: marr.size]
+        if marr.size and int(marr.max()) * self.q >= (1 << 62):
             return _filled(out, [self.fine(int(m)) for m in marr])
         out = np.multiply(marr, self.q, out=out)
         out += self.p - 1

@@ -621,6 +621,137 @@ def test_run_mode_output_bytes(tmp_path, capsys):
         assert csv.read_text() == csv_text
 
 
+# Per symbolic set: each estimate mode's summary line and CSV, the report of
+# `verify` with every check, and that of nthroot at n = 2, 3, 5, all with
+# the default grid and range.
+SET_PINS = {
+    "two-phase": {
+        "construct": ["two-phase", "--s", "0.4", "--t", "0.8", "--blocks", "2"],
+        "spectrum": (
+            "spectrum: 9 grid points, min=0.40444444444444444 max=0.8421052631578947",
+            """theta,value,m_witness,mprime_witness
+0.1,0.40444444444444444,25,250
+0.2,0.46568627450980393,51,255
+0.3,0.5280898876404494,76,254
+0.4,0.6209150326797386,102,255
+0.5,0.75,128,256
+0.6,0.8061224489795918,147,245
+0.7,0.8135593220338984,137,196
+0.8,0.8157894736842105,152,190
+0.9,0.8421052631578947,167,186
+""",
+        ),
+        "upper": (
+            "upper: 9 grid points, min=0.4155844155844156 max=0.8421052631578947",
+            """theta,value,m_witness,mprime_witness
+0.1,0.4155844155844156,25,256
+0.2,0.4682926829268293,51,256
+0.3,0.5333333333333333,76,256
+0.4,0.6233766233766234,102,256
+0.5,0.75,128,256
+0.6,0.8085106382978723,137,231
+0.7,0.8135593220338984,137,196
+0.8,0.8205128205128205,137,176
+0.9,0.8421052631578947,137,156
+""",
+        ),
+        "box": (
+            "box: value=0.390625 witness m=256",
+            """theta,value,m_witness,mprime_witness
+,0.390625,256,
+""",
+        ),
+        "qa": (
+            "qa: headline=1.0 (non-decreasing as eps shrinks: eps=0.1->0.8421052631578947, "
+            "eps=0.05->0.8888888888888888, eps=0.02->1.0)",
+            """theta,value,m_witness,mprime_witness
+0.9,0.8421052631578947,137,156
+0.95,0.8888888888888888,137,146
+0.98,1.0,137,140
+""",
+        ),
+        "verify": """CHECK main-theorem PASS worst=0.0 tol=0.0
+CHECK bound PASS worst=-0.022594975490196068 tol=0.05
+CHECK chain PASS worst=0.0 tol=0.05
+CHECK nthroot PASS worst=-0.010204081632653073 tol=0.05
+""",
+        "nthroot": "CHECK nthroot PASS worst=-0.010204081632653073 tol=0.05\n",
+    },
+    "concave-union": {
+        "construct": ["concave-union", "--target", "0.4,0.4,-0.2", "--components", "4",
+                      "--blocks", "2"],
+        "spectrum": (
+            "spectrum: 9 grid points, min=0.3662551440329218 max=0.6666666666666666",
+            """theta,value,m_witness,mprime_witness
+0.1,0.3662551440329218,27,270
+0.2,0.39814814814814814,54,270
+0.3,0.455026455026455,81,270
+0.4,0.5131578947368421,101,253
+0.5,0.5148514851485149,101,202
+0.6,0.5567010309278351,145,242
+0.7,0.575,185,265
+0.8,0.5918367346938775,194,243
+0.9,0.6666666666666666,27,30
+""",
+        ),
+        "upper": (
+            "upper: 9 grid points, min=0.36885245901639346 max=0.6666666666666666",
+            """theta,value,m_witness,mprime_witness
+0.1,0.36885245901639346,27,271
+0.2,0.4009216589861751,54,271
+0.3,0.45789473684210524,81,271
+0.4,0.5131578947368421,101,253
+0.5,0.5169491525423728,117,235
+0.6,0.5588235294117647,147,249
+0.7,0.575,184,264
+0.8,0.5961538461538461,203,255
+0.9,0.6666666666666666,27,30
+""",
+        ),
+        "box": (
+            "box: value=0.33587589723875316 witness m=271",
+            """theta,value,m_witness,mprime_witness
+,0.33587589723875316,271,
+""",
+        ),
+        "qa": (
+            "qa: headline=0.75 (non-decreasing as eps shrinks: eps=0.1->0.6190476190476191, "
+            "eps=0.05->0.6428571428571429, eps=0.02->0.75)",
+            """theta,value,m_witness,mprime_witness
+0.9,0.6190476190476191,189,210
+0.95,0.6428571428571429,196,210
+0.98,0.75,141,145
+""",
+        ),
+        "verify": """CHECK main-theorem PASS worst=0.0 tol=0.0
+CHECK bound PASS worst=-0.0069402973434705695 tol=0.05
+CHECK chain PASS worst=0.0 tol=0.05
+CHECK nthroot PASS worst=0.023809523809523725 tol=0.05
+""",
+        "nthroot": "CHECK nthroot PASS worst=0.023809523809523725 tol=0.05\n",
+    },
+}
+
+
+@pytest.mark.parametrize("name", SET_PINS)
+def test_symbolic_set_output_bytes(tmp_path, capsys, name):
+    """Every estimate mode and every check on a depth-256 two-phase
+    schedule and a depth-272 four-component concave union, byte for byte."""
+    pins = SET_PINS[name]
+    path = tmp_path / "set.fds"
+    assert run(["construct", *pins["construct"], "-o", str(path)], capsys)[0] == 0
+    for mode in ("spectrum", "upper", "box", "qa"):
+        summary, csv_text = pins[mode]
+        csv = tmp_path / f"{mode}.csv"
+        code, text, _ = run(["estimate", "--mode", mode, "-i", str(path), "-o", str(csv)], capsys)
+        assert code == 0
+        assert text == f"{summary} -> {csv}\n"
+        assert csv.read_text() == csv_text
+    assert run(["verify", "-i", str(path)], capsys)[:2] == (0, pins["verify"])
+    assert run(["verify", "-i", str(path), "--check", "nthroot", "--n-values", "2,3,5"],
+               capsys)[:2] == (0, pins["nthroot"])
+
+
 # Each command line gives options its command variant does not read: the
 # flags that argparse rejects (the subcommand declares no such flag) and the
 # ones the option table rejects (some other variant of it reads them).

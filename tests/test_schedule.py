@@ -8,6 +8,7 @@ import pytest
 
 from fds.errors import BudgetError
 from fds.schedule import (
+    MAX_MATERIALIZE_NODES,
     BranchingSchedule,
     CompositeSet,
     composite_spectrum,
@@ -163,6 +164,19 @@ def test_materialize_examples():
     assert mixed.level(3) == (0, 1, 4, 5)
     with pytest.raises(BudgetError):
         materialize(BranchingSchedule([(40, 2)]))
+
+
+def test_materialize_node_budget_boundary():
+    """The budget counts the nodes below the root: a path of exactly
+    MAX_MATERIALIZE_NODES levels is accepted, one level more is not, and
+    runs far past the budget, branching or not, are rejected in closed
+    form with the same message."""
+    budget = MAX_MATERIALIZE_NODES
+    assert budget == 1 << 22
+    assert materialize(BranchingSchedule([(budget, 1)])).node_count() == budget + 1
+    for runs in ([(budget + 1, 1)], [(1 << 62, 1)], [(21, 2), (3, 1)], [(2, 2), (1 << 40, 2)]):
+        with pytest.raises(BudgetError, match=f"needs more than {budget} nodes"):
+            materialize(BranchingSchedule(runs))
 
 
 def test_oracle_equivalence_materialized():

@@ -80,6 +80,25 @@ def test_root_scale_fine_array_matches_fine():
     assert RootScale(Fraction(1, 2), 2).fine_array(np.array([], dtype=np.int64)).size == 0
 
 
+def test_rational_scale_fine_array_guards_the_largest_entry():
+    """The int64 guard reads the largest coarse level, not the last: an
+    unsorted array whose first entry passes 2**62 after the multiply falls
+    back to exact integers instead of wrapping.  Empty input gives an
+    empty int64 array, as RootScale's does."""
+    for theta, marr in (
+        (Fraction(3, 2**42), [2**21, 1]),
+        (Fraction(3, 2**42), [5, 2**21, 1]),
+        (Fraction(1, 10), [512, 3, 511]),
+    ):
+        sc = RationalScale(theta)
+        for work in (None, Workspace(4)):
+            got = sc.fine_array(np.array(marr, dtype=np.int64), work)
+            assert got.dtype == np.int64
+            assert got.tolist() == [sc.fine(m) for m in marr]
+        got = sc.fine_array(np.array([], dtype=np.int64))
+        assert got.dtype == np.int64 and got.size == 0
+
+
 def test_root_scale_bounds_the_order():
     """Orders 1..MAX_ROOT_ORDER build; 0 and MAX_ROOT_ORDER + 1 are rejected
     with the value named, before any fine level is computed."""
