@@ -10,6 +10,7 @@ sequences give a canonical set with zero box-counting dimension.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -111,10 +112,10 @@ def two_phase_schedule(p: TwoPhaseParams) -> BranchingSchedule:
             a = a.astype(object)  # exact Python ints where int64 would wrap
         a *= tn
         a //= td  # floor(t * a)
-        levels[M + quiet : nxt][a[1:] > a[:-1]] = 2
+        levels[M + quiet : nxt] += a[1:] > a[:-1]
     starts = np.flatnonzero(np.diff(levels, prepend=np.int8(0)))
     lengths = np.diff(starts, append=levels.size)
-    return BranchingSchedule(np.column_stack((lengths, levels[starts])))
+    return BranchingSchedule(np.array((lengths, levels[starts])).T)
 
 
 def rational_enumeration(count: int) -> list[Fraction]:
@@ -202,15 +203,27 @@ def target_from_poly(coeffs: Sequence[Fraction], count: int) -> ConcaveTarget:
     f0 = poly_eval(cs, Fraction(0))
     if not 0 < f0 <= 1:
         raise ValueError(f"target f(0) must lie in (0, 1], got {f0}")
-    vals = [poly_eval(cs, Fraction(k, TARGET_GRID)) for k in range(TARGET_GRID + 1)]
-    if any(not 0 < v <= 1 for v in vals[1:]):
+    # every grid value p(k / G) times scale = lcm(denominators) * G**deg is
+    # an integer: Horner in k with the weights c_i * scale / G**i
+    G, deg = TARGET_GRID, len(cs) - 1
+    lcm = math.lcm(*(c.denominator for c in cs))
+    weights = [c.numerator * (lcm // c.denominator) * G ** (deg - i) for i, c in enumerate(cs)]
+    vals = []
+    for k in range(G + 1):
+        acc = 0
+        for w in reversed(weights):
+            acc = acc * k + w
+        vals.append(acc)
+    scale = lcm * G**deg
+    if any(not 0 < v <= scale for v in vals[1:]):
         raise ValueError("target leaves (0, 1] on [0, 1]")
     diffs = [b - a for a, b in zip(vals, vals[1:])]
     if any(d < 0 for d in diffs):
         raise ValueError("target is not non-decreasing on [0, 1]")
     if any(b > a for a, b in zip(diffs, diffs[1:])):
         raise ValueError("target is not concave on [0, 1]")
-    if any(v > f0 * (1 + Fraction(k, TARGET_GRID)) for k, v in enumerate(vals)):
+    # v / scale > f0 * (1 + k / G), with vals[0] = f0 * scale
+    if any(v * G > vals[0] * (G + k) for k, v in enumerate(vals)):
         raise ValueError("target exceeds the growth cap f(0) * (1 + theta)")
     qs = rational_enumeration(count)
     return ConcaveTarget(f0, tuple((q, poly_eval(cs, q)) for q in qs))

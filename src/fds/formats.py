@@ -21,6 +21,13 @@ Every decimal number - run lengths and child counts, the depth, leaves
 and shift fields, and the level and index tokens of fds-tree 1 - is ASCII
 digits only: no sign, underscore, surrounding space or non-ASCII digit.
 Run numbers are also below 2**63.
+
+`load` picks the format by the first line, cut at the first line break
+`str.splitlines` knows and stripped of surrounding whitespace.  Run bodies
+are written and read whole in numpy: `_run_bytes` lays out the bytes of
+every run at once, and `_run_numbers` checks the grammar on the non-digit
+bytes and gathers the digits.  The tests' oracles write and parse one run
+at a time with Python strings, as the reference for both.
 """
 
 from __future__ import annotations
@@ -52,6 +59,7 @@ _HEX = re.compile(r"[0-9a-f]+")
 # run lines
 _RUNS_PREFIX = re.compile(r"(?:[0-9]+x[0-9]+,)*")
 _RUN_LINES_PREFIX = re.compile(r"(?:[0-9]+ [0-9]+\n)*")
+_LINE_BREAK = re.compile("[\n\r\v\f\x1c\x1d\x1e]")
 _POW10 = 10 ** np.arange(20, dtype=np.uint64)
 
 
@@ -60,30 +68,57 @@ def write_tree(t: DyadicTree) -> str:
     return head + "".join(f"{x:x}\n" for x in t.leaves)
 
 
-def _run_tokens(s: BranchingSchedule, template: str) -> list[str]:
-    """template.format(length, count) per run, each distinct run formatted
-    once and looked up by index."""
-    # key 2 * length + (count - 1) fits uint64 for every int64 length
-    keys, inv = np.unique(
-        s.lengths.astype(np.uint64) * 2 + (s.counts == 2), return_inverse=True
-    )
-    tokens = [template.format(k >> 1, (k & 1) + 1) for k in keys.tolist()]
-    return np.array(tokens, dtype=object)[inv].tolist()
+def _run_bytes(s: BranchingSchedule, inner: str, sep: str) -> np.ndarray:
+    """One "<length><inner><count><sep>" per run, as one ASCII uint8 array."""
+    lengths = s.lengths
+    # a run takes its length's digits plus 3 bytes.  Each // 10 that leaves
+    # a length nonzero adds a digit, the next one leftwards
+    ends = np.full(lengths.size, 4, dtype=np.int64)
+    higher = []  # (runs, their digit) for the tens, the hundreds, ...
+    at = np.flatnonzero(lengths >= 10)
+    rest = lengths[at] // 10
+    while at.size:
+        ends[at] += 1
+        rest, digit = np.divmod(rest, 10)
+        higher.append((at, digit))
+        live = np.flatnonzero(rest)
+        at, rest = at[live], rest[live]
+    np.cumsum(ends, out=ends)
+    out = np.empty(int(ends[-1]) if ends.size else 0, dtype=np.uint8)
+    ends -= 1
+    out[ends] = ord(sep)
+    # one byte per run, first each count's digit, then each length's last
+    byte = np.empty(lengths.size, dtype=np.uint8)
+    ends -= 1
+    np.add(s.counts, 48, out=byte, casting="unsafe")
+    out[ends] = byte
+    ends -= 1
+    out[ends] = ord(inner)
+    ends -= 1
+    np.remainder(lengths, 10, out=byte, casting="unsafe")
+    byte += 48
+    out[ends] = byte
+    for k, (at, digit) in enumerate(higher, 1):
+        out[ends[at] - k] = digit + 48
+    return out
 
 
 def write_schedule(s: BranchingSchedule) -> str:
-    lines = ["fds-schedule 1", f"depth {s.depth}", *_run_tokens(s, "{} {}")]
-    return "\n".join(lines) + "\n"
-
-
-def _inline_runs(s: BranchingSchedule) -> str:
-    return "runs:" + ",".join(_run_tokens(s, "{}x{}"))
+    body = str(_run_bytes(s, " ", "\n"), "ascii")
+    return f"fds-schedule 1\ndepth {s.depth}\n{body}"
 
 
 def write_composite(cs: CompositeSet) -> str:
-    lines = ["fds-composite 1", f"origin {int(cs.include_origin)}"]
-    lines.extend(f"component {e} {_inline_runs(s)}" for e, s in cs.components)
-    return "\n".join(lines) + "\n"
+    """ValueError for a component without runs, which no inline run list
+    can hold."""
+    parts = [f"fds-composite 1\norigin {int(cs.include_origin)}\n"]
+    for e, s in cs.components:
+        if not s.lengths.size:
+            raise ValueError(f"component at shift {e} has no runs to write")
+        body = _run_bytes(s, "x", ",")
+        body[-1] = ord("\n")  # the line ends with the last run
+        parts += (f"component {e} runs:", str(body, "ascii"))
+    return "".join(parts)
 
 
 def dump(obj: SetLike, path: str) -> None:
@@ -195,47 +230,63 @@ def _raise_first_violation(levels: list[list[int]]) -> None:
 
 
 def _run_numbers(body: str, inner: str, sep: str) -> np.ndarray | None:
-    """The numbers of a non-empty run body as an (n, 2) int64 array, or None
-    when the body breaks the grammar: n >= 1 runs joined by `sep`, each two
+    """The numbers of a run body as an (n, 2) int64 array, or None when the
+    body breaks the grammar: n >= 1 runs joined by `sep`, each two
     ASCII digit runs joined by `inner`.
 
     The grammar is read off the non-digit bytes alone: there are 2n - 1 of
     them, no two adjacent, neither end of the body is one, and they
-    alternate inner, sep, inner, ...  The digit runs between them are then
-    parsed grouped by width, one gather and one dot product per width.
+    alternate inner, sep, inner, ...  One gather of first digits gives every
+    one-digit number; the longer ones are parsed grouped by width, one
+    gather and one dot product per width.
     FormatError for a number with more than 19 digits or at least 2**63, so
     no value wraps.
     """
-    if not body.isascii():
+    if not (body and body.isascii()):
         return None
     b = np.frombuffer(body.encode("ascii"), dtype=np.uint8)
-    cut = np.flatnonzero(b - np.uint8(48) > 9)  # wraps below "0"
+    other = b - np.uint8(48) > 9  # wraps below "0"
+    if other[0] or other[-1] or (other[1:] & other[:-1]).any():
+        return None
+    cut = np.flatnonzero(other)
     if (
         cut.size % 2 == 0
-        or cut[0] == 0
-        or cut[-1] == b.size - 1
-        or (cut.size > 1 and np.diff(cut).min() == 1)
         or (b[cut[::2]] != ord(inner)).any()
         or (b[cut[1::2]] != ord(sep)).any()
     ):
         return None
-    starts = np.concatenate(([0], cut + 1))
-    width = np.append(cut, b.size) - starts
-    wide = np.flatnonzero(width > 19)
-    if not wide.size:
-        # first digits: the value of every one-digit number
-        values = (b[starts] - np.uint8(48)).astype(np.uint64)
-        present = np.flatnonzero(np.bincount(width))
-        for w in present[present > 1].tolist():
-            at = np.flatnonzero(width == w)
-            digits = b[starts[at, None] + np.arange(w)] - np.uint8(48)
-            # the k-th digit from a number's end weighs 10**k; 19 digits fit uint64
-            values[at] = digits.astype(np.uint64) @ _POW10[w - 1 :: -1]
-        wide = np.flatnonzero(values >= 1 << 63)
-    if wide.size:
-        i, w = int(starts[wide[0]]), int(width[wide[0]])
-        raise FormatError(f"number {body[i:i + w]} exceeds the int64 range")
-    return values.astype(np.int64).reshape(-1, 2)
+    # first digits: the value of every one-digit number; lengths (numbers
+    # 0, 2, 4, ...) then counts, so each column of the result is contiguous
+    n = (cut.size + 1) // 2
+    values = np.empty(2 * n, dtype=np.int64)
+    values[0] = b[0]
+    values[1:n] = b[1:][cut[1::2]]
+    values[n:] = b[1:][cut[::2]]
+    values -= 48
+    # digits followed by a digit; a number's first one heads the number
+    pair = np.flatnonzero(~(other[:-1] | other[1:]))
+    if pair.size:
+        lead = np.flatnonzero(other[pair - 1] | (pair == 0))
+        head = pair[lead]
+        width = np.diff(lead, append=pair.size) + 1
+        past = np.flatnonzero(width > 19)
+        if not past.size:
+            num = np.searchsorted(cut, head)  # the numbers they head
+            at = (num >> 1) + (num & 1) * n
+            for w in np.flatnonzero(np.bincount(width)).tolist():
+                sel = np.flatnonzero(width == w)
+                digits = b[head[sel, None] + np.arange(w)] - np.uint8(48)
+                # the k-th digit from a number's end weighs 10**k; 19 digits fit uint64
+                v = digits.astype(np.uint64) @ _POW10[w - 1 :: -1]
+                if w == 19:  # the only width that reaches 2**63
+                    past = sel[v >= 1 << 63]
+                    if past.size:
+                        break
+                values[at[sel]] = v
+        if past.size:
+            i, w = int(head[past[0]]), int(width[past[0]])
+            raise FormatError(f"number {body[i:i + w]} exceeds the int64 range")
+    return values.reshape(2, n).T
 
 
 def _parse_runs(body: str, inner: str, sep: str, prefix, what: str) -> BranchingSchedule:
@@ -284,7 +335,10 @@ def parse_composite(text: str, base_dir: str = ".") -> CompositeSet:
         toks = ln.split(maxsplit=2)
         if len(toks) != 3 or toks[0] != "component":
             raise FormatError(f"bad component line {ln!r}")
-        shift = _decimal(toks[1], f"shift in {ln!r}")
+        try:
+            shift = _decimal(toks[1], "shift")
+        except FormatError:  # the line's repr is built only on error
+            raise FormatError(f"bad shift in {ln!r}") from None
         spec = toks[2]
         if spec.startswith("runs:"):
             body = spec[len("runs:") :]
@@ -304,7 +358,10 @@ def load(path: str) -> SetLike:
     """Read any fds set file, dispatching on its header line."""
     with open(path, encoding="ascii") as fh:
         text = fh.read()
-    head = text.splitlines()[0].strip() if text.strip() else ""
+    # the first line as str.splitlines cuts it; an ASCII file holds no
+    # other line break
+    brk = _LINE_BREAK.search(text)
+    head = text[: brk.start() if brk else len(text)].strip()
     if head in ("fds-tree 1", "fds-tree 2"):
         return parse_tree(text)
     if head == "fds-schedule 1":

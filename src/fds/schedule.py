@@ -44,7 +44,7 @@ class BranchingSchedule:
     def __init__(self, runs):
         """`runs`: (length, count) pairs, an (n, 2) array-like."""
         try:
-            arr = np.array(runs, dtype=np.int64)
+            arr = np.asarray(runs, dtype=np.int64)
         except OverflowError as exc:
             raise ValueError("run lengths and child counts must fit in int64") from exc
         if arr.size == 0:
@@ -52,22 +52,28 @@ class BranchingSchedule:
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise ValueError(f"runs must be (length, count) pairs, got shape {arr.shape}")
         lengths, counts = arr[:, 0], arr[:, 1]
-        bad = np.flatnonzero((lengths <= 0) | ((counts != 1) & (counts != 2)))
-        if bad.size:
+        if arr.size and (lengths.min() <= 0 or counts.min() < 1 or counts.max() > 2):
+            bad = np.flatnonzero((lengths <= 0) | ((counts != 1) & (counts != 2)))
             cnt, c = arr[bad[0]].tolist()
             if cnt <= 0:
                 raise ValueError(f"run length must be positive, got {cnt}")
             raise ValueError(f"child count must be 1 or 2, got {c}")
-        # positive int64 partial sums turn negative at the first wrap
-        ends = np.cumsum(lengths)
-        if ends.size and ends.min() < 0:
+        # positive int64 partial sums turn negative at the first wrap, which
+        # needs size * max past the range
+        near = arr.size and int(lengths.max()) * lengths.size >= 1 << 63
+        if near and np.cumsum(lengths).min() < 0:
             raise ValueError("run lengths sum past the int64 range")
-        starts = np.flatnonzero(np.diff(counts, prepend=0))
-        self.lengths = np.add.reduceat(lengths, starts)
-        self.counts = counts[starts]
+        # the stored runs are copies, never views of the caller's array
+        if (counts[1:] == counts[:-1]).any():
+            starts = np.flatnonzero(np.diff(counts, prepend=0))
+            self.lengths = np.add.reduceat(lengths, starts)
+            self.counts = counts[starts]
+        else:  # already merged, as every written file and two-phase build is
+            self.lengths = lengths.copy()
+            self.counts = counts.copy()
         self.lengths.flags.writeable = False
         self.counts.flags.writeable = False
-        self.depth = int(ends[-1]) if ends.size else 0
+        self.depth = int(lengths.sum())
         self._snp: np.ndarray | None = None
 
     @property

@@ -13,10 +13,14 @@ time, the oracle of the all-theta brute side in `verify_main_theorem`.
 `oracle_run_table` builds a `RunTable`'s arrays one distinct gap value at
 a time, the reference of its chunked build.
 The schedule oracles build a two-phase schedule level by level and write
-and parse schedule runs one run at a time, the references of the numpy
-run arrays in `constructions`, `schedule` and `formats`; `RUNS_TOKEN` and
-`RUN_LINES` match a whole run body, the reference of the grammar check
-`formats` reads off the body's non-digit bytes.
+and parse schedule runs one run at a time with Python string formatting
+and `int`, the references of the numpy run arrays in `constructions` and
+`schedule`, of the byte writer `formats._run_bytes` and of the digit
+gathers in `formats._run_numbers`; `RUNS_TOKEN` and `RUN_LINES` match a
+whole run body, the reference of the grammar check `formats` reads off
+the body's non-digit bytes.
+`oracle_target_admissible` checks a polynomial target on its grid in
+Fractions, the reference of the integer check in `target_from_poly`.
 
 The per-node references (`local_count`, `max_alpha`) count one node or
 window by bisecting a level; `embed`, `merge` and `materialize_composite`
@@ -44,7 +48,7 @@ from fds.schedule import (
     origin_rows,
     pieces,
 )
-from fds.constructions import TwoPhaseParams, two_phase_schedule
+from fds.constructions import TARGET_GRID, TwoPhaseParams, poly_eval, two_phase_schedule
 from fds.windows import RationalScale, _dominance, ceil_div, suffix_slope_max
 
 
@@ -398,6 +402,30 @@ def oracle_parse_runs(body: str, sep: str, run_sep: str) -> list[tuple[int, int]
         cnt, _, c = part.partition(sep)
         runs.append((int(cnt), int(c)))
     return runs
+
+
+# ----------------------------------------------------------------------
+# target admissibility in exact rationals, one grid point at a time
+
+
+def oracle_target_admissible(coeffs) -> None:
+    """The admissibility check of `target_from_poly` in Fractions: f(0) in
+    (0, 1], then range, monotone, concave and growth cap on the grid
+    k / TARGET_GRID, raising the same ValueError messages."""
+    cs = [Fraction(c) for c in coeffs]
+    f0 = poly_eval(cs, Fraction(0))
+    if not 0 < f0 <= 1:
+        raise ValueError(f"target f(0) must lie in (0, 1], got {f0}")
+    vals = [poly_eval(cs, Fraction(k, TARGET_GRID)) for k in range(TARGET_GRID + 1)]
+    if any(not 0 < v <= 1 for v in vals[1:]):
+        raise ValueError("target leaves (0, 1] on [0, 1]")
+    diffs = [b - a for a, b in zip(vals, vals[1:])]
+    if any(d < 0 for d in diffs):
+        raise ValueError("target is not non-decreasing on [0, 1]")
+    if any(b > a for a, b in zip(diffs, diffs[1:])):
+        raise ValueError("target is not concave on [0, 1]")
+    if any(v > f0 * (1 + Fraction(k, TARGET_GRID)) for k, v in enumerate(vals)):
+        raise ValueError("target exceeds the growth cap f(0) * (1 + theta)")
 
 
 def traced_peak(fn) -> int:

@@ -7,6 +7,8 @@ from fds import formats
 from fds.errors import FormatError
 from fds.schedule import BranchingSchedule
 
+from test_formats import COMPOSITE_TEXT, LINE_BREAK_VARIANTS, SCHEDULE_TEXT, UNRECOGNIZED
+
 
 def run(argv, capsys):
     code = main(argv)
@@ -946,3 +948,24 @@ def test_config_keys_are_the_flags_a_variant_reads(tmp_path, capsys):
     code, text, _ = run(["verify", "--check", "nthroot", "-i", str(union), "--config", str(cfg)],
                         capsys)
     assert code == 0 and text.startswith("CHECK nthroot PASS")
+
+
+@pytest.mark.parametrize("text", [SCHEDULE_TEXT, COMPOSITE_TEXT])
+def test_cli_header_line_breaks(text, tmp_path, capsys):
+    """Set files that differ from the LF file only in line breaks or header
+    space estimate alike; a blank or whitespace-only first line exits 2."""
+    path, csv = tmp_path / "x.fds", tmp_path / "box.csv"
+    argv = ["estimate", "--mode", "box", "-i", str(path), "-o", str(csv)]
+    path.write_bytes(text.encode("ascii"))
+    assert run(argv, capsys)[0] == 0
+    expected = csv.read_text()
+    for variant in LINE_BREAK_VARIANTS:
+        path.write_bytes(variant(text).encode("ascii"))
+        csv.unlink()
+        assert run(argv, capsys)[0] == 0 and csv.read_text() == expected
+    for variant in UNRECOGNIZED:
+        path.write_bytes(variant(text).encode("ascii"))
+        csv.unlink(missing_ok=True)
+        code, out, err = run(argv, capsys)
+        assert code == 2 and out == "" and not csv.exists()
+        assert err == "error: unrecognized set file header ''\n"

@@ -1,6 +1,8 @@
 """Generators: two-phase schedules, rational enumeration, concave unions,
 sanity trees."""
 
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -21,7 +23,13 @@ from fds.constructions import (
 )
 from fds.errors import BudgetError
 
-from conftest import max_alpha, oracle_runs, oracle_schedule_spectrum, oracle_two_phase_levels
+from conftest import (
+    max_alpha,
+    oracle_runs,
+    oracle_schedule_spectrum,
+    oracle_target_admissible,
+    oracle_two_phase_levels,
+)
 
 F = Fraction
 
@@ -142,6 +150,56 @@ def test_target_from_poly_admissibility():
         target_from_poly([F(1, 4), F(0), F(1, 4)], 4)
     with pytest.raises(ValueError):  # f(0) = 0
         target_from_poly([F(0), F(1, 2)], 4)
+
+
+def _verdict(check, coeffs):
+    """The ValueError message of check(coeffs), or None when it passes."""
+    try:
+        check(coeffs)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _target_verdict(coeffs):
+    # one sample, at 1/2, a grid point: its own checks follow from the grid's
+    return _verdict(lambda cs: target_from_poly(cs, 1), coeffs)
+
+
+CAP = "target exceeds the growth cap f(0) * (1 + theta)"
+
+
+@pytest.mark.parametrize("coeffs, message", [
+    ([F(1)], None),  # the value 1 everywhere, zero slope
+    ([F(1, 2), F(1, 2)], None),  # the value 1 at theta = 1; growth cap met exactly
+    ([F(2, 5), F(2, 5)], None),  # growth cap met at every grid point
+    ([F(2, 5), F(1, 5)], None),  # equal successive slopes
+    ([F(1, 2), F(1, 4), F(-1, 8)], None),  # slope zero at theta = 1
+    ([F(1, 2), F(1, 2), F(1, 2 * 256**2)], "target leaves (0, 1] on [0, 1]"),
+    ([F(1, 2), F(1, 4), F(-1, 8) - F(1, 1000)], "target is not non-decreasing on [0, 1]"),
+    ([F(2, 5), F(1, 5), F(1, 10**5)], "target is not concave on [0, 1]"),
+    ([F(2, 5), F(2, 5) + F(1, 1000), F(-1, 1000)], CAP),  # met at 0 and 1 only
+    ([F(0), F(1, 2)], "target f(0) must lie in (0, 1], got 0"),
+])
+def test_target_check_edges(coeffs, message):
+    assert _verdict(oracle_target_admissible, coeffs) == message
+    assert _target_verdict(coeffs) == message
+
+
+def test_target_check_matches_fraction_oracle():
+    """Random small-rational polynomials of degree up to 3 get the oracle's
+    verdict and message, and every verdict occurs."""
+    rng = random.Random(19)
+    seen = Counter()
+    for _ in range(300):
+        d = rng.randint(1, 12)
+        coeffs = [F(rng.randint(-1, d), d), F(rng.randint(-2, 2 * d), 2 * d),
+                  F(rng.randint(-d, 1), 2 * d), F(rng.randint(-2, 2), 4 * d)]
+        coeffs = coeffs[: rng.randint(1, 4)]
+        message = _verdict(oracle_target_admissible, coeffs)
+        assert _target_verdict(coeffs) == message, coeffs
+        seen[message and message.split(",")[0]] += 1
+    assert len(seen) == 6, seen
 
 
 def test_concave_union_component_parameters():

@@ -165,12 +165,62 @@ def test_load_rejects_unknown_header(tmp_path):
 
 
 def test_writers_are_deterministic():
-    t = geometric_sequence_tree(8)
-    assert write_tree(t) == write_tree(t)
-    s = BranchingSchedule([(3, 1), (5, 2)])
-    assert write_schedule(s) == write_schedule(s)
-    cs = CompositeSet([(2, s)])
-    assert write_composite(cs) == write_composite(cs)
+    """Fixed texts, so a writer that varies across runs or versions fails."""
+    assert write_tree(geometric_sequence_tree(8)) == (
+        "fds-tree 2\ndepth 8\nleaves 9\n0\n1\n2\n4\n8\n10\n20\n40\n80\n"
+    )
+    s = BranchingSchedule([(3, 1), (5, 2), (12, 1)])
+    assert write_schedule(s) == "fds-schedule 1\ndepth 20\n3 1\n5 2\n12 1\n"
+    cs = CompositeSet([(2, s), (25, BranchingSchedule([(100, 2), (7, 1)]))])
+    assert write_composite(cs) == (
+        "fds-composite 1\norigin 1\n"
+        "component 2 runs:3x1,5x2,12x1\ncomponent 25 runs:100x2,7x1\n"
+    )
+
+
+def test_composite_without_runs_is_not_written(tmp_path):
+    """An inline run list needs a run: dump raises before the file opens."""
+    cs = CompositeSet([(1, BranchingSchedule([])), (3, BranchingSchedule([(4, 2)]))])
+    with pytest.raises(ValueError, match="^component at shift 1 has no runs to write$"):
+        write_composite(cs)
+    path = tmp_path / "c.fds"
+    with pytest.raises(ValueError, match="shift 1"):
+        dump(cs, str(path))
+    assert not path.exists()
+    path.write_text("kept\n")
+    with pytest.raises(ValueError, match="shift 1"):
+        dump(cs, str(path))
+    assert path.read_text() == "kept\n"
+
+
+# LF set files and variants that differ only in line breaks and trailing
+# header space; the reader treats them alike
+SCHEDULE_TEXT = "fds-schedule 1\ndepth 10\n3 1\n5 2\n2 1\n"
+COMPOSITE_TEXT = "fds-composite 1\norigin 1\ncomponent 2 runs:4x2\ncomponent 5 runs:3x1,3x2\n"
+LINE_BREAK_VARIANTS = [
+    lambda t: t.replace("\n", "\r\n"),
+    lambda t: t.replace("\n", "\x0c", 1),
+    lambda t: t.replace("\n", "  \n", 1),
+]
+UNRECOGNIZED = [
+    lambda t: "\n" + t,  # a leading blank line
+    lambda t: " \t\n  \n",  # whitespace only
+]
+
+
+@pytest.mark.parametrize("text", [SCHEDULE_TEXT, COMPOSITE_TEXT])
+def test_load_header_line_breaks(text, tmp_path):
+    path = tmp_path / "x.fds"
+    path.write_bytes(text.encode("ascii"))
+    expected = load(str(path))
+    for variant in LINE_BREAK_VARIANTS:
+        path.write_bytes(variant(text).encode("ascii"))
+        assert load(str(path)) == expected
+    for variant in UNRECOGNIZED:
+        path.write_bytes(variant(text).encode("ascii"))
+        with pytest.raises(FormatError) as exc:
+            load(str(path))
+        assert str(exc.value) == "unrecognized set file header ''"
 
 
 def test_tree_v1_reports_first_missing_parent_before_dangling():

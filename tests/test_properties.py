@@ -603,6 +603,36 @@ def test_composite_round_trip_matches_oracles(scheds, shifts, origin):
         assert s.runs == tuple(oracle_parse_runs(body, "x", ","))
 
 
+# the last and first length of every decimal width up to 19 digits
+WIDTH_EDGES = [n for w in range(1, 19) for n in (10**w - 1, 10**w)] + [2**63 - 1]
+
+
+def _alternating(lengths) -> BranchingSchedule:
+    return BranchingSchedule([(n, 1 + i % 2) for i, n in enumerate(lengths)])
+
+
+@pytest.mark.parametrize("n", WIDTH_EDGES)
+def test_writers_match_oracles_at_every_decimal_width(n):
+    """Each width edge alone and between one-digit runs, in a schedule file
+    and an inline run list, written and read back."""
+    scheds = [_alternating([n])]
+    if n < 2**63 - 1:
+        scheds.append(_alternating([3, n, 7]))
+    for s in scheds:
+        assert _round_trip(s, oracle_write_schedule(s)) == s
+        for cs in (CompositeSet([(1, s)]), CompositeSet([(1, s), (5, _alternating([9, 1]))])):
+            assert _round_trip(cs, oracle_write_composite(cs)) == cs
+
+
+def test_writers_match_oracles_on_all_widths_mixed():
+    """Every width below 19 digits in one run list, between one-digit runs."""
+    lengths = [m for n in WIDTH_EDGES[:-1] for m in (n, 1 + n % 9)]
+    s = _alternating(lengths)
+    assert _round_trip(s, oracle_write_schedule(s)) == s
+    cs = CompositeSet([(2, s), (3, _alternating([2**63 - 1]))], include_origin=False)
+    assert _round_trip(cs, oracle_write_composite(cs)) == cs
+
+
 # bytes a run-body mutant draws from: digits, both grammars' separators,
 # and near misses (sign, underscore, tab, a non-ASCII digit)
 BODY_BYTES = tuple("0123456789") + (" ", "\n", "x", ",", "-", "_", "\t", "\u0663")

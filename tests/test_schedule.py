@@ -43,8 +43,11 @@ def test_run_normalization():
 def test_runs_are_read_only_int64_arrays():
     runs = np.array([[2, 1], [1, 1], [3, 2]], dtype=np.int64)
     s = BranchingSchedule(runs)
-    runs[0, 0] = 99  # the schedule keeps its own copy
+    merged = np.array([[2, 1], [3, 2]], dtype=np.int64)
+    t = BranchingSchedule(merged)
+    runs[0, 0] = merged[0, 0] = 99  # the schedule keeps its own copy, merged or not
     assert s.lengths.tolist() == [3, 3] and s.counts.tolist() == [1, 2]
+    assert t.lengths.tolist() == [2, 3] and t.counts.tolist() == [1, 2]
     assert s.lengths.dtype == s.counts.dtype == np.int64
     with pytest.raises(ValueError):
         s.lengths[0] = 1
