@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
-from functools import partial, reduce
+from functools import cache, partial, reduce
 
 from .constructions import (
     ConcaveTarget,
@@ -165,9 +165,9 @@ _CONFLICTS = (("samples", "target"), ("samples", "components"))
 
 # The one table of which options apply: subcommand -> variant -> the options
 # it reads.  A variant is a construct generator, an estimate mode or a verify
-# check; verify reads what any selected check reads.  Each subparser declares
-# only the flags some variant of it reads, so argparse rejects the others,
-# and _options rejects a flag or config key the chosen variant ignores.
+# check; verify reads what any selected check reads.  `_build_parser` gives
+# each subparser only the flags some variant of it reads, so argparse rejects
+# the others, and _options rejects a flag or config key the variant ignores.
 _RUN = ("input", "theta-grid", "m-range", "neighbors")
 _TREE = ("output", "depth")
 _APPLIES = {
@@ -199,41 +199,35 @@ _APPLIES = {
 }
 
 
-class _Subcommand(argparse.ArgumentParser):
-    """Declares the flags that some variant of its subcommand reads when it
-    parses, so a command line builds only its own subcommand's flags.  No
-    prefix of a flag stands for it, so only the table's names get past."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, allow_abbrev=False, **kwargs)
-
-    def parse_known_args(self, args=None, namespace=None):
-        reads = set().union(*_APPLIES[self.prog.split()[-1]].values())
-        for opt, (_, short, kw) in _OPTIONS.items():
-            if opt in reads and kw is not None:
-                self.add_argument(f"--{opt}", *short, **kw)
-        self.add_argument("--config")
-        return super().parse_known_args(args, namespace)
-
-
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process.  Each subparser declares its own
+    argument, the flags some variant of it reads, then --config; no prefix
+    of a flag stands for it, so only the table's names get past."""
     ap = argparse.ArgumentParser(
         prog="fds", description="Construct dyadic sets with prescribed Assouad-type "
         "spectra; estimate and cross-verify their dimensions.", allow_abbrev=False)
-    sub = ap.add_subparsers(dest="subcommand", required=True, parser_class=_Subcommand)
-    con = sub.add_parser("construct", help="generate a set file")
-    con.add_argument("generator", choices=tuple(_APPLIES["construct"]))
-    est = sub.add_parser("estimate", help="estimate a dimension")
-    est.add_argument("--mode", choices=tuple(_APPLIES["estimate"]), default="spectrum")
-    ver = sub.add_parser("verify", help="run identity checks")
-    ver.add_argument("--check", action="append", help="repeatable; default all")
-    plo = sub.add_parser("plot", help="render CSVs as one SVG")
-    plo.add_argument("csvs", nargs="*")
+    sub = ap.add_subparsers(dest="subcommand", required=True)
+    add = partial(sub.add_parser, allow_abbrev=False)
+    add("construct", help="generate a set file").add_argument(
+        "generator", choices=tuple(_APPLIES["construct"]))
+    add("estimate", help="estimate a dimension").add_argument(
+        "--mode", choices=tuple(_APPLIES["estimate"]), default="spectrum")
+    add("verify", help="run identity checks").add_argument(
+        "--check", action="append", help="repeatable; default all")
+    add("plot", help="render CSVs as one SVG").add_argument("csvs", nargs="*")
+    for name, parser in sub.choices.items():
+        reads = set().union(*_APPLIES[name].values())
+        for opt, (_, short, kw) in _OPTIONS.items():
+            if opt in reads and kw is not None:
+                parser.add_argument(f"--{opt}", *short, **kw)
+        parser.add_argument("--config")
     return ap
 
 
 def _variants(args) -> tuple[str, list[str]]:
-    """The command as the user named it, and its variants in the table."""
+    """The command as the user named it, and its variants in the table,
+    each once, in the order first named."""
     if args.subcommand == "construct":
         return f"construct {args.generator}", [args.generator]
     if args.subcommand == "estimate":
@@ -245,7 +239,7 @@ def _variants(args) -> tuple[str, list[str]]:
     unknown = [c for c in names if c not in checks]
     if unknown:
         raise ValueError(f"unknown checks: {unknown}; choose from {tuple(checks)}")
-    return f"verify --check {','.join(names)}", names
+    return f"verify --check {','.join(names)}", list(dict.fromkeys(names))
 
 
 def _options(args, label: str, variants: list[str]) -> dict:
@@ -409,9 +403,8 @@ def cmd_plot(opts: dict, csvs: list[str]) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = _build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

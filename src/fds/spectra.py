@@ -411,14 +411,15 @@ def _kept_pieces(parts, depth: int, lo: int, starts: np.ndarray) -> np.ndarray |
 
     With G_q[j] = S_q[j - e_q] and c_q = S_q(m - e_q), a present piece p
     dominates q on [f, depth] iff D_pq(f) = max_{j >= f}(G_q[j] - G_p[j])
-    <= c_q - c_p, all in integers.  Per row the present pieces are visited
-    by their widest-window numerator S_q(depth - e_q) - c_q, largest first
-    (ties to the lower index), and q is dropped iff a piece already kept
-    dominates it, so a kept piece stands for every piece it drops and two
-    equal rows cannot drop each other.  Only the pairs p < q are
-    subtracted: D_pq is the suffix maximum of G_q - G_p and D_qp minus its
-    suffix minimum, read at the row starts and built in blocks of fine
-    levels from the top down."""
+    <= c_q - c_p, all in integers.  Per row q is dropped iff a present p
+    before it dominates it, p before q meaning a larger widest-window
+    numerator S(depth - e) - c (ties to the lower index).  Dominance is
+    transitive, so this is the greedy visit in that order that drops q iff
+    a piece already kept dominates it: a kept piece stands for every piece
+    it drops and two equal rows cannot drop each other.  Only the pairs
+    p < q are subtracted: D_pq is the suffix maximum of G_q - G_p and D_qp
+    minus its suffix minimum, read at the row starts and built in blocks of
+    fine levels from the top down."""
     P = len(parts)
     if P < 2:
         return None
@@ -427,6 +428,7 @@ def _kept_pieces(parts, depth: int, lo: int, starts: np.ndarray) -> np.ndarray |
     kept = np.zeros_like(present)
     tops = np.array([S[-1] for _, S in parts])
     pi, qi = np.triu_indices(P, 1)
+    lower = np.arange(P)[:, None] < np.arange(P)  # [p, q]: p < q
     step = max(1, FAN_PAIR_BLOCK // pi.size)
     # running max and min of G_q - G_p (p < q) above the current block
     most = np.full(pi.size, np.iinfo(np.int64).min)
@@ -459,21 +461,19 @@ def _kept_pieces(parts, depth: int, lo: int, starts: np.ndarray) -> np.ndarray |
         np.minimum(bot, least[:, None], out=bot)
         most, least = top[:, 0].copy(), bot[:, 0].copy()
         i0, i1 = np.searchsorted(starts, [a, b])
-        rows = np.arange(i1 - i0)
-        # the diagonal D_qq = 0 is never used: q is not kept at its visit
+        # the diagonal D_qq = 0 is never used: q does not come before q
         at = starts[i0:i1] - a
         dom = np.zeros((P, P, at.size), dtype=np.int64)
         dom[pi, qi] = top[:, at]
         dom[qi, pi] = -bot[:, at]
         dom = dom.transpose(2, 0, 1)  # [i, p, q]
         c = levels(lo + i0, lo + i1).T  # [i, q] = c_q at m = lo + i0 + i
-        pb, kb = present[i0:i1], kept[i0:i1]
-        # widest numerator first; absent pieces last
-        order = np.argsort(np.where(pb, c - tops, 1), axis=1, kind="stable")
-        for q in order.T:
-            margin = c[rows, q][:, None] - c
-            hit = kb & (dom[rows, :, q] <= margin)
-            kb[rows, q] = pb[rows, q] & ~hit.any(axis=1)
+        wide = tops - c  # [i, q]: q's widest-window numerator
+        wp, wq = wide[:, :, None], wide[:, None, :]
+        before = (wp > wq) | ((wp == wq) & lower)  # [i, p, q]: p comes before q
+        pb = present[i0:i1]
+        hit = pb[:, :, None] & before & (dom <= c[:, None, :] - c[:, :, None])
+        kept[i0:i1] = pb & ~hit.any(axis=1)
     return kept
 
 
@@ -647,17 +647,16 @@ def verify_chain(
 
     box <= spectrum + tol, spectrum <= upper (exact), upper <= quasi-Assouad
     headline + tol, and upper non-decreasing along the grid (exact).
+    Without epsilons the headline is the upper spectrum at the grid top,
+    the quasi-Assouad value at eps = 1 - max(grid).
     """
     tol = _tolerance(tol)
     spec = estimate_spectrum(rep, theta_grid, m_range, neighbors)
     grid, m_range = spec.thetas, spec.m_range
     upper = estimate_upper(rep, grid, m_range, neighbors)
     box = estimate_box(rep, m_range).value
-    if epsilons is None:
-        # shrink toward 1 - max(grid) so the headline sits at the grid top
-        e0 = 1 - grid[-1]
-        epsilons = [e0 + (1 - e0) / 2, e0 + (1 - e0) / 4, e0]
-    qa = estimate_quasi_assouad(rep, epsilons, m_range, neighbors).headline
+    qa = (upper.values[-1] if epsilons is None
+          else estimate_quasi_assouad(rep, epsilons, m_range, neighbors).headline)
 
     def rows():
         for th, sv, uv in zip(grid, spec.values, upper.values):

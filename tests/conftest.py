@@ -292,6 +292,26 @@ def ratio_fan_max(rep, theta: Fraction, lo: int, hi: int, neighbors: bool = Fals
     return best
 
 
+def oracle_kept_pieces(parts, depth: int, lo: int, starts) -> list[list[bool]]:
+    """The brute side's kept-piece mask by the greedy visit on whole rows:
+    per coarse level m = lo + i, the present pieces (shift e <= m) go in
+    order of their widest-window numerator S[depth - e] - S[m - e], largest
+    first, ties to the lower index, and a piece is kept unless a piece
+    already kept is at least as large at every fine level starts[i], ...,
+    depth.  The reference of `spectra._kept_pieces`' one-rule mask."""
+    out = []
+    for i, f in enumerate(starts):
+        m = lo + i
+        rows = {q: [int(S[j - e] - S[m - e]) for j in range(f, depth + 1)]
+                for q, (e, S) in enumerate(parts) if e <= m}
+        kept = []
+        for q in sorted(rows, key=lambda q: -rows[q][-1]):
+            if not any(all(a >= b for a, b in zip(rows[p], rows[q])) for p in kept):
+                kept.append(q)
+        out.append([q in kept for q in range(len(parts))])
+    return out
+
+
 def oracle_run_table(gaps, leaves: int):
     """(u, base, table, logs) of `RunTable(gaps, leaves)`, one Python
     iteration per distinct gap value u[b]: filter the gaps >= u[b], rank

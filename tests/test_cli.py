@@ -876,16 +876,33 @@ def test_samples_conflicts_exit_2(tmp_path, capsys, flags, names):
     assert run(argv, capsys)[0] == 0
 
 
-@pytest.mark.parametrize("abbrev", [["--m", "4"], ["--bl", "2"]])
+@pytest.mark.parametrize("abbrev", [
+    ["construct", "--m", "4"],
+    ["construct", "--bl", "2"],
+    ["estimate", "--th", "0.5:0.9:0.1"],
+    ["verify", "--ch", "main-theorem"],
+    ["plot", "--overlay-p", "0.4,0.4,-0.2"],
+])
 def test_flag_abbreviations_exit_2(tmp_path, capsys, abbrev):
-    """A prefix of a flag is not that flag: `--m` and `--bl` exit 2 rather
-    than run as --m0 and --blocks."""
-    out = tmp_path / "tp.fds"
-    argv = ["construct", "two-phase", "--s", "0.4", "--t", "0.8", "-o", str(out)]
-    code, text, _ = run([*argv, *abbrev], capsys)
+    """A prefix of a flag is not that flag on any subcommand: `--m`, `--bl`,
+    `--th`, `--ch` and `--overlay-p` exit 2, writing nothing, rather than
+    run as the full flag, which exits 0."""
+    tp, csv, out = tmp_path / "tp.fds", tmp_path / "spec.csv", tmp_path / "out"
+    run(["construct", "two-phase", "--s", "0.4", "--t", "0.8", "--blocks", "2", "-o", str(tp)],
+        capsys)
+    assert run(["estimate", "-i", str(tp), "--theta-grid", "0.5:0.9:0.1", "--m-range", "64:256",
+                "-o", str(csv)], capsys)[0] == 0
+    argv = {
+        "construct": ["construct", "two-phase", "--s", "0.4", "--t", "0.8", "-o", str(out)],
+        "estimate": ["estimate", "-i", str(tp), "--m-range", "64:256", "-o", str(out)],
+        "verify": ["verify", "-i", str(tp), "--theta-grid", "0.5:0.7:0.1", "--m-range", "64:72"],
+        "plot": ["plot", str(csv), "-o", str(out)],
+    }[abbrev[0]]
+    code, text, _ = run([*argv, *abbrev[1:]], capsys)
     assert code == 2 and text == "" and not out.exists()
-    full = {"--m": "--m0", "--bl": "--blocks"}[abbrev[0]]
-    assert run([*argv, full, abbrev[1]], capsys)[0] == 0
+    full = {"--m": "--m0", "--bl": "--blocks", "--th": "--theta-grid", "--ch": "--check",
+            "--overlay-p": "--overlay-poly"}[abbrev[1]]
+    assert run([*argv, full, abbrev[2]], capsys)[0] == 0
 
 
 def _readme_commands():
@@ -969,3 +986,171 @@ def test_cli_header_line_breaks(text, tmp_path, capsys):
         code, out, err = run(argv, capsys)
         assert code == 2 and out == "" and not csv.exists()
         assert err == "error: unrecognized set file header ''\n"
+
+
+def test_chain_default_headline_needs_no_lower_rung(tmp_path, capsys):
+    """Chain without --epsilons reads its quasi-Assouad headline off the
+    upper estimate at the grid top, so a range on which theta = 0.45 (half
+    the grid top) has no admissible window still runs; an explicit ladder
+    is still validated."""
+    tp = tmp_path / "tp.fds"
+    run(["construct", "two-phase", "--s", "0.4", "--t", "0.8", "--blocks", "2", "-o", str(tp)],
+        capsys)
+    argv = ["verify", "-i", str(tp), "--check", "chain", "--theta-grid", "0.5:0.9:0.1",
+            "--m-range", "120:256"]
+    assert run(argv, capsys) == (0, "CHECK chain PASS worst=0.0 tol=0.05\n", "")
+    assert run([*argv, "--epsilons", "0.1,2"], capsys) == (
+        2, "", "error: epsilons must lie strictly in (0, 1)\n")
+
+
+@pytest.mark.parametrize("checks, once", [
+    (["--check", "chain,chain"], "chain"),
+    (["--check", "chain", "--check", "chain"], "chain"),
+    (["--check", "bound,chain", "--check", "bound"], "bound,chain"),
+])
+def test_check_named_twice_runs_once(tmp_path, capsys, monkeypatch, checks, once):
+    """A check named more than once runs once, in the order first named."""
+    from fds import spectra
+
+    tp = tmp_path / "tp.fds"
+    run(["construct", "two-phase", "--s", "0.4", "--t", "0.8", "--blocks", "2", "-o", str(tp)],
+        capsys)
+    argv = ["verify", "-i", str(tp), "--theta-grid", "0.5:0.9:0.1", "--m-range", "64:256"]
+    expected = run([*argv, "--check", once], capsys)
+    calls = []
+    chain = spectra.verify_chain
+    monkeypatch.setattr(spectra, "verify_chain", lambda *a, **k: calls.append(1) or chain(*a, **k))
+    assert run([*argv, *checks], capsys) == expected
+    assert expected[0] == 0 and len(calls) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "geometric", "--depth", "16", "-o", "g.fds"],
+    ["estimate", "--mode", "upper", "-i", "g.fds", "-o", "u.csv"],
+    ["verify", "-i", "g.fds", "--check", "main-theorem,chain", "--tol", "1"],
+    ["plot", "u.csv", "-o", "p.svg"],
+])
+def test_main_leaves_no_cyclic_garbage(tmp_path, capsys, monkeypatch, argv):
+    """The parser is built once per process, so after a warm-up call a
+    successful command leaves nothing for the cyclic collector to free."""
+    import gc
+
+    monkeypatch.chdir(tmp_path)
+    for setup in (["construct", "geometric", "--depth", "16", "-o", "g.fds"],
+                  ["estimate", "--mode", "upper", "-i", "g.fds", "-o", "u.csv"], argv):
+        assert run(setup, capsys)[0] == 0
+    gc.collect()
+    gc.disable()
+    try:
+        code = main(argv)
+        garbage = gc.collect()
+    finally:
+        gc.enable()
+    assert code == 0 and garbage == 0
+
+
+# `fds -h` and `fds <subcommand> -h` at 80 columns, byte for byte
+HELP = {
+    '': (
+        'usage: fds [-h] {construct,estimate,verify,plot} ...\n'
+        '\n'
+        'Construct dyadic sets with prescribed Assouad-type spectra; estimate and\n'
+        'cross-verify their dimensions.\n'
+        '\n'
+        'positional arguments:\n'
+        '  {construct,estimate,verify,plot}\n'
+        '    construct           generate a set file\n'
+        '    estimate            estimate a dimension\n'
+        '    verify              run identity checks\n'
+        '    plot                render CSVs as one SVG\n'
+        '\n'
+        'options:\n'
+        '  -h, --help            show this help message and exit\n'
+    ),
+    'construct': (
+        'usage: fds construct [-h] [--input INPUT] [--output OUTPUT] [--s S] [--t T]\n'
+        '                     [--m0 M0] [--blocks BLOCKS] [--depth DEPTH]\n'
+        '                     [--target TARGET] [--components COMPONENTS]\n'
+        '                     [--shifts SHIFTS] [--shift-linear SHIFT_LINEAR]\n'
+        '                     [--config CONFIG]\n'
+        '                     {two-phase,concave-union,geometric,full,path,from-schedule}\n'
+        '\n'
+        'positional arguments:\n'
+        '  {two-phase,concave-union,geometric,full,path,from-schedule}\n'
+        '\n'
+        'options:\n'
+        '  -h, --help            show this help message and exit\n'
+        '  --input INPUT, -i INPUT\n'
+        '  --output OUTPUT, -o OUTPUT\n'
+        '  --s S\n'
+        '  --t T\n'
+        '  --m0 M0\n'
+        '  --blocks BLOCKS\n'
+        '  --depth DEPTH\n'
+        '  --target TARGET       polynomial coefficients c0,c1,...\n'
+        '  --components COMPONENTS\n'
+        '  --shifts SHIFTS       explicit comma-separated shifts\n'
+        '  --shift-linear SHIFT_LINEAR\n'
+        '  --config CONFIG\n'
+    ),
+    'estimate': (
+        'usage: fds estimate [-h] [--mode {spectrum,upper,box,qa}] [--input INPUT]\n'
+        '                    [--output OUTPUT] [--theta-grid A:B:C] [--m-range LO:HI]\n'
+        '                    [--neighbors {on,off}] [--epsilons EPSILONS]\n'
+        '                    [--config CONFIG]\n'
+        '\n'
+        'options:\n'
+        '  -h, --help            show this help message and exit\n'
+        '  --mode {spectrum,upper,box,qa}\n'
+        '  --input INPUT, -i INPUT\n'
+        '  --output OUTPUT, -o OUTPUT\n'
+        '  --theta-grid A:B:C\n'
+        '  --m-range LO:HI\n'
+        '  --neighbors {on,off}\n'
+        '  --epsilons EPSILONS   comma-separated, e.g. 0.1,0.05,0.02\n'
+        '  --config CONFIG\n'
+    ),
+    'verify': (
+        'usage: fds verify [-h] [--check CHECK] [--input INPUT] [--theta-grid A:B:C]\n'
+        '                  [--m-range LO:HI] [--tol TOL] [--neighbors {on,off}]\n'
+        '                  [--epsilons EPSILONS] [--n-values N_VALUES]\n'
+        '                  [--config CONFIG]\n'
+        '\n'
+        'options:\n'
+        '  -h, --help            show this help message and exit\n'
+        '  --check CHECK         repeatable; default all\n'
+        '  --input INPUT, -i INPUT\n'
+        '  --theta-grid A:B:C\n'
+        '  --m-range LO:HI\n'
+        '  --tol TOL\n'
+        '  --neighbors {on,off}\n'
+        '  --epsilons EPSILONS   comma-separated, e.g. 0.1,0.05,0.02\n'
+        '  --n-values N_VALUES\n'
+        '  --config CONFIG\n'
+    ),
+    'plot': (
+        'usage: fds plot [-h] [--input INPUT] [--output OUTPUT] [--overlay-u S,T]\n'
+        '                [--overlay-poly C0,C1,...] [--config CONFIG]\n'
+        '                [csvs ...]\n'
+        '\n'
+        'positional arguments:\n'
+        '  csvs\n'
+        '\n'
+        'options:\n'
+        '  -h, --help            show this help message and exit\n'
+        '  --input INPUT, -i INPUT\n'
+        '  --output OUTPUT, -o OUTPUT\n'
+        '  --overlay-u S,T\n'
+        '  --overlay-poly C0,C1,...\n'
+        '  --config CONFIG\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("sub", list(HELP))
+def test_help_bytes(capsys, monkeypatch, sub):
+    """`-h` of the program and of every subcommand prints the same bytes,
+    however many commands the process has parsed before."""
+    monkeypatch.setenv("COLUMNS", "80")
+    for _ in range(2):
+        assert run([sub, "-h"] if sub else ["-h"], capsys) == (0, HELP[sub], "")

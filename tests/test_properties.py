@@ -38,6 +38,7 @@ from conftest import (
     max_alpha,
     merge,
     oracle_fan_max,
+    oracle_kept_pieces,
     oracle_parse_runs,
     oracle_prefix,
     oracle_run_table,
@@ -418,6 +419,29 @@ def _kept_rows(cs, lo, starts):
     the given fine levels."""
     parts = [(e, S) for _, e, S in pieces(cs)]
     return spectra._kept_pieces(parts, cs.depth, lo, np.array(starts, dtype=np.int64))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(schedules(max_depth=8), min_size=1, max_size=3), st.data())
+def test_kept_pieces_match_greedy_oracle(pool, data):
+    """The one-rule mask (q dropped iff a present piece before it dominates
+    it) equals the greedy visit over whole rows, for two to six components
+    from a pool of at most three schedules, so equal rows and chains of
+    dominance are common; the rows start at the fine levels of the widest
+    theta, and dominance blocks go down to one fine level."""
+    n = data.draw(st.integers(min_value=2, max_value=6))
+    gaps = data.draw(st.lists(st.integers(min_value=1, max_value=3), min_size=n, max_size=n))
+    shifts = np.cumsum(gaps).tolist()
+    cs = CompositeSet([(e, data.draw(st.sampled_from(pool))) for e in shifts],
+                      include_origin=data.draw(st.booleans()))
+    grid, lo, his = _fan_case(data, cs.depth, lo_cap=shifts[-1])
+    scale = RationalScale(grid[-1])
+    starts = [scale.fine(m) for m in range(lo, his[-1] + 1)]
+    parts = [(e, S) for _, e, S in pieces(cs)]
+    block = data.draw(st.sampled_from((1, 7, spectra.FAN_PAIR_BLOCK)))
+    with patch.object(spectra, "FAN_PAIR_BLOCK", block):
+        kept = _kept_rows(cs, lo, starts)
+    assert kept.tolist() == oracle_kept_pieces(parts, cs.depth, lo, starts)
 
 
 def test_fan_rows_equal_flat_components_keep_the_lowest():

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from fds.constructions import (
+    TwoPhaseParams,
     closed_form_u,
     full_binary_tree,
     geometric_sequence_tree,
     left_path_tree,
     target_from_poly,
     concave_union,
+    two_phase_schedule,
 )
 from fds import spectra
 from fds.dyadic import DyadicTree
@@ -251,6 +253,25 @@ def test_verify_chain_failure_carries_witness():
     text = report_to_text(r)
     assert text.startswith("CHECK chain FAIL")
     assert "witness" in text
+
+
+@pytest.mark.parametrize("case", ["geometric", "geometric-neighbors", "two-phase", "union"])
+def test_verify_chain_default_headline_is_the_grid_top(case, monkeypatch):
+    """Without epsilons the chain's quasi-Assouad headline is the upper
+    spectrum at the grid top: the report equals the one with the single
+    rung eps = 1 - max(grid), and no quasi-Assouad estimate is made."""
+    rep = {
+        "geometric": lambda: geometric_sequence_tree(128),
+        "geometric-neighbors": lambda: geometric_sequence_tree(128),
+        "two-phase": lambda: two_phase_schedule(TwoPhaseParams(F(2, 5), F(4, 5), blocks=2)),
+        "union": lambda: concave_union(target_from_poly([F(2, 5), F(2, 5), F(-1, 5)], 4),
+                                       blocks=2),
+    }[case]()
+    nb = case == "geometric-neighbors"
+    grid = [F(k, 10) for k in range(3, 10)]
+    explicit = verify_chain(rep, grid, None, 0.05, [1 - grid[-1]], nb)
+    monkeypatch.setattr(spectra, "estimate_quasi_assouad", None)
+    assert verify_chain(rep, grid, None, 0.05, None, nb) == explicit
 
 
 def test_verify_nthroot(twophase_48):
