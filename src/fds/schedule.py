@@ -311,10 +311,10 @@ def composite_spectrum(
     node containing the origin see the summed component counts plus the
     origin chain.  Ties go to the smallest m, then the smallest m', then
     the origin node (part -1, key 1), then the lowest component.  The fine
-    levels live in work.ints[3] and a piece's indices, numerators, widths
-    and exponents in work.ints[0:3] and work.floats[0], of the caller's
-    `Workspace` of the set's depth.  [lo, hi] must be clamped: every fine
-    level at most the depth, else ValueError.
+    levels and their widths m' - m live in work.ints[3] and ints[2], and a
+    piece's indices, numerators and exponents in ints[0:2] and floats[0],
+    of the caller's `Workspace` of the set's depth.  [lo, hi] must be
+    clamped: every fine level at most the depth, else ValueError.
     """
     best = None  # (value, -m, -m', -part)
     fines = scale.fine_array(work.levels[lo : hi + 1], work)
@@ -322,7 +322,8 @@ def composite_spectrum(
         raise ValueError(
             f"coarse level {hi} has fine level {int(fines[-1])} past depth {rep.depth}"
         )
-    at, num, widths = work.ints[0], work.ints[1], work.ints[2]
+    widths = np.subtract(fines, work.levels[lo : hi + 1], out=work.ints[2][: hi + 1 - lo])
+    at, num = work.ints[0], work.ints[1]
     for part, e, S in pieces(rep):
         a = max(lo, e)
         if a > hi:
@@ -330,8 +331,7 @@ def composite_spectrum(
         n, mp = hi + 1 - a, fines[a - lo :]
         np.take(S, np.subtract(mp, e, out=at[:n]), out=num[:n], mode="clip")
         num[:n] -= S[a - e : hi + 1 - e]
-        np.subtract(mp, work.levels[a : hi + 1], out=widths[:n])
-        alpha = np.divide(num[:n], widths[:n], out=work.floats[0][:n])
+        alpha = np.divide(num[:n], widths[a - lo :], out=work.floats[0][:n])
         k = int(np.argmax(alpha))
         cand = (float(alpha[k]), -(a + k), -int(mp[k]), -part)
         if best is None or cand > best:

@@ -4,7 +4,7 @@ A window (m, m') encodes the scale pair R = 2**-m, r = 2**-m'.  Estimators
 maximize exponents of the form (S[m'] - S[m]) / (m' - m) or
 log2(count(m, m')) / (m' - m) over large window fans.  This module holds:
 
-* exact integer fine-level rules for rational theta and for theta**(1/n),
+* one exact fine-level kernel for rational theta and for theta**(1/n),
 * an exact parametric solve of the best slope window over a region of
   coarse levels, each with its own lowest fine level,
 * run tables that give, for every level m' of a tree stored as its
@@ -36,6 +36,15 @@ division, and distinct fractions with denominators below 2**26 never
 round to one float, so float ties are exact ties.  `suffix_slope_max`,
 an offline hull sweep over every level, is kept as the reference path.
 
+The fine level of m at theta = p/q and root order n (n = 1 for the
+rational rule) is the smallest z with z**n * p >= m**n * q.  Past an
+int64 ceil-division it starts from a float seed of m * (q/p)**(1/n)
+off by less than bound = 2**-50 times the largest seed s: four roundings
+below 2**-53 each.  Only a seed within bound of an integer N is tested
+exactly, by the sign of N**n * p - m**n * q: in wrapping int64 while its
+size, below p * n * (s + 2)**n * 2**-49, stays below 2**63, else by the
+scalar `fine`.
+
 The schedule kernels (`region_max`, the scales' `fine_array` and the
 kernels of `schedule`) write every depth- or region-sized array into the
 rows of a `Workspace`.  The estimators' dispatch creates one per estimator
@@ -43,10 +52,10 @@ call and lends it to every kernel that call runs, so no round and no theta
 allocates one, and a call's speed does not depend on the allocator state
 that earlier work in the process left.
 
-All scale arithmetic is integer-exact; floating point only enters when a
-finished exponent is reported.  T is taken on S - S[a] and on levels
-counted from a, so its products stay below 2**62 while depth and the span
-of S are both below 2**31.
+All scale arithmetic is exact; floating point only enters in bounded
+fine-level seeds and when a finished exponent is reported.  T is taken
+on S - S[a] and on levels counted from a, so its products stay below
+2**62 while depth and the span of S are both below 2**31.
 """
 
 from __future__ import annotations
@@ -77,8 +86,7 @@ __all__ = [
 
 # region_max keeps q * (S[i] - S[a]) and p * (i - a) inside int64
 MAX_HULL_SPAN = 1 << 31
-# RootScale's exact integer steps grow as m**n; n = 16 already takes
-# seconds on a depth-65536 range
+# RootScale's scalar `fine` and `max_coarse` hold m**n as exact integers
 MAX_ROOT_ORDER = 16
 # prefix counts (threshold rows x alive gaps) one chunk of the RunTable
 # build holds at once
@@ -120,11 +128,11 @@ class Workspace:
     (int64) and `floats` (float64) are rows a kernel may overwrite, so a
     kernel that calls another keeps its own arrays in rows the callee
     leaves alone: `region_max` writes ints[0:3] and floats[0], the scales'
-    `fine_array` puts its result in ints[3] and `RootScale`'s steps use
-    ints[0:2] and floats[0], and their callers keep the fine levels in
-    ints[3].  The rows are one block, allocated once per call; rows a call
-    never writes are never touched, so they cost address space, not
-    memory.
+    `fine_array` puts its result in ints[3] and, off its int64
+    ceil-division, keeps its float seeds in floats[0] and its exact test
+    in ints[0:2], and their callers keep the fine levels in ints[3].  The
+    rows are one block, allocated once per call; rows a call never writes
+    are never touched, so they cost address space, not memory.
     """
 
     __slots__ = ("levels", "ints", "floats")
@@ -133,6 +141,53 @@ class Workspace:
         self.levels = np.arange(depth + 1, dtype=np.int64)
         rows = np.empty((5, depth + 1), dtype=np.int64)
         self.ints, self.floats = rows[:4], rows[4:].view(np.float64)
+
+
+def _ratio(theta) -> tuple[int, int]:
+    """(p, q) of theta = p/q in lowest terms, for theta strictly in (0, 1)."""
+    theta = Fraction(theta)
+    if not 0 < theta < 1:
+        raise ValueError(f"theta must lie strictly in (0, 1), got {theta}")
+    return theta.numerator, theta.denominator
+
+
+def _fine_levels(scale, n: int, marr, work: Workspace | None) -> np.ndarray:
+    """Smallest z with z**n * p >= m**n * q (theta = p/q) per level m >= 0 of
+    marr, in any order, by the module docstring's rule, in work.ints[3] (or a
+    new array); seeds and exact tests use work.floats[0] and work.ints[0:2]."""
+    p, q = scale.p, scale.q
+    marr = np.asarray(marr, dtype=np.int64)
+    size = marr.size
+    z = np.empty(size, dtype=np.int64) if work is None else work.ints[3][:size]
+    if n == 1 and (int(marr.max(initial=0)) + 1) * q < 1 << 62:  # so m * q + p - 1 fits
+        np.multiply(marr, q, out=z)
+        z += p - 1
+        z //= p
+        return z
+    if work is None:
+        work = Workspace(size - 1)
+    seed = np.multiply(marr, iroot((q << 64 * n) // p, n) / (1 << 64), out=work.floats[0][:size])
+    top = float(seed.max(initial=0.0))
+    np.rint(seed, out=z, casting="unsafe")  # N, the integer nearest the seed
+    seed -= z
+    up = seed > 0
+    near = np.abs(seed, out=seed) <= top * 2.0**-50
+    if near.any():
+        if top < 1 << 49 and p * n * (int(top) + 2) ** n < 1 << 112:
+            # where near, |N**n * p - m**n * q| < 2**63, so its residue
+            # modulo 2**64 (uint64 products wrap) read as int64 is itself
+            t, x = (work.ints[k][:size].view(np.uint64) for k in (0, 1))
+            np.power(z.view(np.uint64), n, out=t)
+            t *= p % (1 << 64)
+            np.power(marr.view(np.uint64), n, out=x)
+            x *= q % (1 << 64)
+            t -= x
+            np.less(t.view(np.int64), 0, out=up, where=near)
+        else:
+            up[near] = False
+            z[near] = [scale.fine(m) for m in marr[near].tolist()]
+    z += up
+    return z
 
 
 class RationalScale:
@@ -145,26 +200,14 @@ class RationalScale:
     __slots__ = ("p", "q")
 
     def __init__(self, theta: Fraction):
-        theta = Fraction(theta)
-        if not 0 < theta < 1:
-            raise ValueError(f"theta must lie strictly in (0, 1), got {theta}")
-        self.p = theta.numerator
-        self.q = theta.denominator
+        self.p, self.q = _ratio(theta)
 
     def fine(self, m: int) -> int:
         return ceil_div(m * self.q, self.p)
 
     def fine_array(self, marr: np.ndarray, work: Workspace | None = None) -> np.ndarray:
-        """fine(m) per entry of marr, in any order, in work.ints[3] when a
-        workspace is lent, else in a new array."""
-        marr = np.asarray(marr, dtype=np.int64)
-        out = None if work is None else work.ints[3][: marr.size]
-        if marr.size and int(marr.max()) * self.q >= (1 << 62):
-            return _filled(out, [self.fine(int(m)) for m in marr])
-        out = np.multiply(marr, self.q, out=out)
-        out += self.p - 1
-        out //= self.p
-        return out
+        """fine(m) per entry of marr, in any order, by `_fine_levels`."""
+        return _fine_levels(self, 1, marr, work)
 
     def max_coarse(self, depth: int) -> int:
         """Largest m with fine(m) <= depth."""
@@ -172,15 +215,6 @@ class RationalScale:
 
     def __repr__(self) -> str:
         return f"RationalScale({self.p}/{self.q})"
-
-
-def _filled(out, values: list[int]) -> np.ndarray:
-    """values as int64, written into out when given."""
-    arr = np.array(values, dtype=np.int64)
-    if out is None:
-        return arr
-    out[...] = arr
-    return out
 
 
 def root_order(n: int) -> int:
@@ -196,11 +230,7 @@ class RootScale:
     __slots__ = ("p", "q", "n")
 
     def __init__(self, theta: Fraction, n: int):
-        theta = Fraction(theta)
-        if not 0 < theta < 1:
-            raise ValueError(f"theta must lie strictly in (0, 1), got {theta}")
-        self.p = theta.numerator
-        self.q = theta.denominator
+        self.p, self.q = _ratio(theta)
         self.n = root_order(n)
 
     def fine(self, m: int) -> int:
@@ -212,42 +242,8 @@ class RootScale:
         return z
 
     def fine_array(self, marr: np.ndarray, work: Workspace | None = None) -> np.ndarray:
-        """fine(m) per entry of marr, in work.ints[3] when a workspace is
-        lent, else in a new array.  The steps below keep their arrays in
-        work.ints[0:2] and work.floats[0], of the lent workspace or one
-        made for the call."""
-        # float seed, then exact integer steps toward the smallest z with
-        # z**n * p >= m**n * q; z stays between the seed and that answer,
-        # so the products stay below 2**62 when both ends do
-        n, p, q = self.n, self.p, self.q
-        marr = np.asarray(marr, dtype=np.int64)
-        size = marr.size
-        z = np.empty(size, dtype=np.int64) if work is None else work.ints[3][:size]
-        if not size:
-            return z
-        if work is None:
-            work = Workspace(size - 1)
-        seed = np.multiply(marr, (q / p) ** (1.0 / n), out=work.floats[0][:size])
-        np.ceil(seed, out=seed)
-        np.copyto(z, seed, casting="unsafe")
-        top = max(int(z.max()), self.fine(int(marr.max())))
-        if top**n * q >= (1 << 62):
-            return _filled(z, [self.fine(int(m)) for m in marr])
-        x, t = work.ints[0][:size], work.ints[1][:size]
-        np.power(marr, n, out=x)
-        x *= q
-        while True:
-            np.power(z, n, out=t)
-            t *= p
-            inc = t < x
-            np.subtract(z, 1, out=t)
-            np.power(t, n, out=t)
-            t *= p
-            dec = (t >= x) & (z > 0)
-            if not (inc.any() or dec.any()):
-                return z
-            z += inc
-            z -= dec
+        """fine(m) per entry of marr, in any order, by `_fine_levels`."""
+        return _fine_levels(self, self.n, marr, work)
 
     def max_coarse(self, depth: int) -> int:
         # largest m with m**n * q <= depth**n * p

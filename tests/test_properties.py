@@ -27,7 +27,7 @@ from fds import formats, spectra, windows
 from fds.errors import FormatError
 from fds.formats import dump, load
 from fds.spectra import _ratio_fan_maxima, estimate_box, estimate_spectrum, estimate_upper
-from fds.windows import RationalScale, RunTable, region_max
+from fds.windows import RationalScale, RootScale, RunTable, Workspace, region_max
 
 from conftest import (
     RUN_LINES,
@@ -553,6 +553,52 @@ def test_region_max_on_curve_staircases(case):
     """region_max against one suffix_slope_max query per coarse level."""
     S, a, lo = case
     assert region_max(S, a, lo) == oracle_fan_max(S, range(a, a + lo.size), lo)
+
+
+@st.composite
+def fine_level_cases(draw):
+    """A scale, coarse levels up to 2**21 in ascending or random order, and
+    whether to lend a workspace.  Theta is a float's exact binary fraction
+    in [1/16, 1) (denominator at most 2**56), drawn freely or as a decimal
+    k/d, or k/2**42, or (a/b)**n times 1 or 1 +- 2**-s: a root that puts
+    many fine levels on an integer or within 2**-20 of one, on either side;
+    every fine level stays below 2**62."""
+    n = draw(st.integers(min_value=1, max_value=16))
+    kind = draw(st.sampled_from(["float", "decimal", "binary", "power"]))
+    if kind == "power":
+        b = draw(st.integers(min_value=2, max_value=50))
+        s = draw(st.integers(min_value=42, max_value=90))
+        nudge = Fraction(2**s + draw(st.sampled_from([-1, 0, 1])), 2**s)
+        theta = Fraction(draw(st.integers(min_value=1, max_value=b - 1)), b) ** n * nudge
+    elif kind == "float":
+        theta = Fraction(draw(st.floats(min_value=1 / 16, max_value=1, exclude_max=True)))
+    elif kind == "decimal":
+        d = draw(st.integers(min_value=2, max_value=100))
+        theta = Fraction(draw(st.integers(min_value=-(-d // 16), max_value=d - 1)) / d)
+    else:
+        theta = Fraction(draw(st.integers(min_value=3, max_value=2**42 - 1)), 2**42)
+    scale = RationalScale(theta) if n == 1 and draw(st.booleans()) else RootScale(theta, n)
+    top = draw(st.sampled_from([2**8, 2**16, 2**21]))
+    if draw(st.booleans()):
+        start = draw(st.integers(min_value=0, max_value=top))
+        marr = np.arange(start, min(start + draw(st.integers(0, 1000)), top + 1))
+    else:
+        marr = np.array(draw(st.lists(st.integers(0, top), max_size=60)), dtype=np.int64)
+        if draw(st.booleans()):
+            marr.sort()
+    return scale, marr.astype(np.int64), draw(st.booleans())
+
+
+@settings(max_examples=150, deadline=None)
+@given(fine_level_cases())
+def test_fine_array_matches_scalar_fine(case):
+    """fine_array equals the exact scalar fine entry by entry, with and
+    without a lent workspace, whichever path each entry takes."""
+    scale, marr, lend = case
+    work = Workspace(max(marr.size, 1)) if lend else None
+    got = scale.fine_array(marr, work)
+    assert got.dtype == np.int64
+    assert got.tolist() == [scale.fine(m) for m in marr.tolist()]
 
 
 # ----------------------------------------------------------------------

@@ -332,9 +332,10 @@ def test_composite_spectrum_rejects_unclamped_range(composite):
 
 @pytest.mark.parametrize("composite", [False, True])
 def test_schedule_kernels_allocate_no_depth_sized_array(composite):
-    """With its caller's workspace, one composite_spectrum call (ratio and
-    root scales) and one composite_upper call over every coarse level that
-    has a window (nearly the whole depth at theta = 0.99) peak below one
+    """With its caller's workspace, one composite_spectrum call (the ratio
+    scale, and root scales of orders 2 and 16, whose m**16 passes int64)
+    and one composite_upper call over every coarse level that has a
+    window (nearly the whole depth at theta = 0.99) peak below one
     int64 array of that region's size, itself below depth + 1 entries, on
     the depth-2**16 two-phase schedule and on a two-component union of it,
     whose origin node's rows enter the range."""
@@ -346,6 +347,7 @@ def test_schedule_kernels_allocate_no_depth_sized_array(composite):
     calls = [
         (composite_spectrum, RationalScale(theta)),
         (composite_spectrum, RootScale(theta, 2)),
+        (composite_spectrum, RootScale(theta, 16)),
         (composite_upper, RationalScale(theta)),
     ]
     for kernel, scale in calls:

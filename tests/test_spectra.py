@@ -288,6 +288,21 @@ def test_verify_nthroot(twophase_48):
     assert base <= other
 
 
+def test_nthroot_at_order_16_calls_the_scalar_fine_rarely(twophase_48, monkeypatch):
+    """At n = 16 every m**n passes int64, yet only an entry whose float seed
+    lies within its error bound of an integer reaches the scalar
+    RootScale.fine: far fewer calls than coarse levels the check reads."""
+    calls = []
+    fine = RootScale.fine
+    monkeypatch.setattr(RootScale, "fine", lambda self, m: calls.append(m) or fine(self, m))
+    grid = [F(k, 10) for k in range(3, 10)]
+    assert verify_nthroot(twophase_48, grid, (16,), (16384, 65536), 0.05).passed
+    depth = twophase_48.depth
+    entries = sum(min(65536, RootScale(th, 16).max_coarse(depth)) - 16383 for th in grid)
+    assert entries > 300_000
+    assert len(calls) * 1000 < entries
+
+
 def _root_spectrum(rep, theta, n, lo, hi):
     """The exact-ratio spectrum at theta ** (1/n) from the set's public
     tables: one window per coarse level of the clamped range."""

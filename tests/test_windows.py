@@ -99,6 +99,31 @@ def test_rational_scale_fine_array_guards_the_largest_entry():
         assert got.dtype == np.int64 and got.size == 0
 
 
+def test_rational_scale_ceil_division_allocates_only_its_result():
+    """Without a lent workspace the int64 ceil-division allocates its
+    result array and no other array of the input's size, not even a mask."""
+    m = np.arange(1, 2**16 + 1, dtype=np.int64)
+    sc = RationalScale(Fraction(1, 10))
+    assert traced_peak(lambda: sc.fine_array(m)) < 8 * m.size + 4096
+
+
+def test_fine_array_settles_seeds_next_to_an_integer():
+    """A float theta is its exact binary fraction, so m / theta lies just
+    off an integer at every multiple of the decimal's numerator; some of
+    those seeds round to the other side of it (a bound of 2**-53 times the
+    largest seed misses some).  A root nudged off (a/b)**n puts r within
+    2**-48 of an integer on either side: the int64 test settles it for
+    n = 2, the scalar fine for n = 16."""
+    m = np.arange(0, 3000, dtype=np.int64)
+    scales = [RationalScale(Fraction(k / d)) for k, d in ((3, 29), (11, 25), (19, 25), (35, 38))]
+    for n in (2, 16):
+        for nudge in (Fraction(2**60 - 1, 2**60), Fraction(2**60 + 1, 2**60)):
+            scales.append(RootScale(Fraction(2, 3) ** n * nudge, n))
+    for sc in scales:
+        for work in (None, Workspace(m.size)):
+            assert sc.fine_array(m, work).tolist() == [sc.fine(x) for x in range(m.size)]
+
+
 def test_root_scale_bounds_the_order():
     """Orders 1..MAX_ROOT_ORDER build; 0 and MAX_ROOT_ORDER + 1 are rejected
     with the value named, before any fine level is computed."""
