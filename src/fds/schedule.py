@@ -337,7 +337,7 @@ def composite_spectrum(
         if best is None or cand > best:
             best = cand
     for m, logs in origin_rows(rep, lo, hi):
-        mp = scale.fine(m)
+        mp = int(fines[m - lo])
         cand = (float(logs[mp]) / (mp - m), -m, -mp, 1)
         if best is None or cand > best:
             best = cand

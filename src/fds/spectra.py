@@ -180,15 +180,15 @@ def _norm_range(
     return lo, hi
 
 
-def _clamp(depth: int, scale, lo: int, hi: int) -> tuple[int, int]:
-    top = scale.max_coarse(depth)
-    hi_eff = min(hi, top)
-    if hi_eff < lo:
+def _clamp(depth: int, scale, lo: int, hi: int) -> int:
+    """The clamped coarse top min(hi, max_coarse(depth)), at least lo."""
+    top = min(hi, scale.max_coarse(depth))
+    if top < lo:
         raise ValueError(
             f"no admissible window: coarse level {lo} needs fine level "
             f"{scale.fine(lo)} beyond depth {depth}"
         )
-    return lo, hi_eff
+    return top
 
 
 def _grid(thetas: Sequence) -> list[Fraction]:
@@ -206,7 +206,7 @@ def _resolve(rep, theta_grid: Sequence, m_range, neighbors: bool):
     depth = _depth(rep, neighbors)
     grid = _grid(theta_grid)
     lo, hi = _norm_range(depth, m_range, grid)
-    his = [_clamp(depth, RationalScale(th), lo, hi)[1] for th in grid]
+    his = [_clamp(depth, RationalScale(th), lo, hi) for th in grid]
     return depth, grid, lo, hi, his
 
 
@@ -681,16 +681,18 @@ def verify_nthroot(
     tol: float = 0.05,
     neighbors: bool = False,
 ) -> VerificationReport:
-    """spectrum(theta) <= spectrum(theta ** (1/n)) + tol for each n; every
-    n must lie in 1..MAX_ROOT_ORDER, checked before any estimate."""
+    """spectrum(theta) <= spectrum(theta ** (1/n)) + tol for each n; at
+    least one n, each in 1..MAX_ROOT_ORDER, checked before any estimate."""
     tol = _tolerance(tol)
     orders = [root_order(int(n)) for n in n_values]
+    if not orders:
+        raise ValueError("need at least one root order")
     spec = estimate_spectrum(rep, theta_grid, m_range, neighbors)
     lo, hi = spec.m_range
     # every (theta, n) root spectrum in one call, with one workspace
     cases = [(th, base, n) for th, base in zip(spec.thetas, spec.values) for n in orders]
     scales = [RootScale(th, n) for th, _, n in cases]
-    his = [_clamp(rep.depth, sc, lo, hi)[1] for sc in scales]
+    his = [_clamp(rep.depth, sc, lo, hi) for sc in scales]
     roots = _spectra(rep, scales, lo, his, neighbors)
     return _report("nthroot", tol, (
         (base - other, tol,

@@ -4,7 +4,7 @@ A window (m, m') encodes the scale pair R = 2**-m, r = 2**-m'.  Estimators
 maximize exponents of the form (S[m'] - S[m]) / (m' - m) or
 log2(count(m, m')) / (m' - m) over large window fans.  This module holds:
 
-* one exact fine-level kernel for rational theta and for theta**(1/n),
+* one fine-level rule, `RootScale` at theta**(1/n), `RationalScale` at n = 1,
 * an exact parametric solve of the best slope window over a region of
   coarse levels, each with its own lowest fine level,
 * run tables that give, for every level m' of a tree stored as its
@@ -33,11 +33,11 @@ T(j) = T(m), so the first m with gain 0 and its first j >= lo[m - a]
 with T(j) = T(m) are the lexicographic witness: best value, then
 smallest m, then smallest j.  Every exponent is the same int/int
 division, and distinct fractions with denominators below 2**26 never
-round to one float, so float ties are exact ties.  `suffix_slope_max`,
-an offline hull sweep over every level, is kept as the reference path.
+round to one float, so float ties are exact ties.  The hull sweep
+`suffix_slope_max` and `runlen_table` are the tests' references, not API.
 
-The fine level of m at theta = p/q and root order n (n = 1 for the
-rational rule) is the smallest z with z**n * p >= m**n * q.  Past an
+The fine level of m at theta = p/q and root order n (n = 1 for
+`RationalScale`) is the smallest z with z**n * p >= m**n * q.  Past an
 int64 ceil-division it starts from a float seed of m * (q/p)**(1/n)
 off by less than bound = 2**-50 times the largest seed s: four roundings
 below 2**-53 each.  Only a seed within bound of an integer N is tested
@@ -75,18 +75,16 @@ __all__ = [
     "RootScale",
     "Workspace",
     "root_order",
-    "suffix_slope_max",
     "region_max",
     "leaf_gaps",
     "RunTable",
     "NeighborTable",
-    "runlen_table",
 ]
 
 
 # region_max keeps q * (S[i] - S[a]) and p * (i - a) inside int64
 MAX_HULL_SPAN = 1 << 31
-# RootScale's scalar `fine` and `max_coarse` hold m**n as exact integers
+# a budget on root orders; the scalar `fine` and `max_coarse` hold m**n exactly
 MAX_ROOT_ORDER = 16
 # prefix counts (threshold rows x alive gaps) one chunk of the RunTable
 # build holds at once
@@ -127,10 +125,10 @@ class Workspace:
     afterwards.  `levels` holds 0, ..., depth and is filled once.  `ints`
     (int64) and `floats` (float64) are rows a kernel may overwrite, so a
     kernel that calls another keeps its own arrays in rows the callee
-    leaves alone: `region_max` writes ints[0:3] and floats[0], the scales'
-    `fine_array` puts its result in ints[3] and, off its int64
+    leaves alone: `region_max` writes ints[0:3] and floats[0], `fine_array`
+    of either scale puts its result in ints[3] and, off its int64
     ceil-division, keeps its float seeds in floats[0] and its exact test
-    in ints[0:2], and their callers keep the fine levels in ints[3].  The
+    in ints[0:2], and its callers keep the fine levels in ints[3].  The
     rows are one block, allocated once per call; rows a call never writes
     are never touched, so they cost address space, not memory.
     """
@@ -151,72 +149,6 @@ def _ratio(theta) -> tuple[int, int]:
     return theta.numerator, theta.denominator
 
 
-def _fine_levels(scale, n: int, marr, work: Workspace | None) -> np.ndarray:
-    """Smallest z with z**n * p >= m**n * q (theta = p/q) per level m >= 0 of
-    marr, in any order, by the module docstring's rule, in work.ints[3] (or a
-    new array); seeds and exact tests use work.floats[0] and work.ints[0:2]."""
-    p, q = scale.p, scale.q
-    marr = np.asarray(marr, dtype=np.int64)
-    size = marr.size
-    z = np.empty(size, dtype=np.int64) if work is None else work.ints[3][:size]
-    if n == 1 and (int(marr.max(initial=0)) + 1) * q < 1 << 62:  # so m * q + p - 1 fits
-        np.multiply(marr, q, out=z)
-        z += p - 1
-        z //= p
-        return z
-    if work is None:
-        work = Workspace(size - 1)
-    seed = np.multiply(marr, iroot((q << 64 * n) // p, n) / (1 << 64), out=work.floats[0][:size])
-    top = float(seed.max(initial=0.0))
-    np.rint(seed, out=z, casting="unsafe")  # N, the integer nearest the seed
-    seed -= z
-    up = seed > 0
-    near = np.abs(seed, out=seed) <= top * 2.0**-50
-    if near.any():
-        if top < 1 << 49 and p * n * (int(top) + 2) ** n < 1 << 112:
-            # where near, |N**n * p - m**n * q| < 2**63, so its residue
-            # modulo 2**64 (uint64 products wrap) read as int64 is itself
-            t, x = (work.ints[k][:size].view(np.uint64) for k in (0, 1))
-            np.power(z.view(np.uint64), n, out=t)
-            t *= p % (1 << 64)
-            np.power(marr.view(np.uint64), n, out=x)
-            x *= q % (1 << 64)
-            t -= x
-            np.less(t.view(np.int64), 0, out=up, where=near)
-        else:
-            up[near] = False
-            z[near] = [scale.fine(m) for m in marr[near].tolist()]
-    z += up
-    return z
-
-
-class RationalScale:
-    """Fine-level rule m' = ceil(m / theta) for rational theta in (0, 1).
-
-    Rounding up keeps r = 2**-m' at or below R**(1/theta), matching the
-    inequality direction of the spectrum definitions.
-    """
-
-    __slots__ = ("p", "q")
-
-    def __init__(self, theta: Fraction):
-        self.p, self.q = _ratio(theta)
-
-    def fine(self, m: int) -> int:
-        return ceil_div(m * self.q, self.p)
-
-    def fine_array(self, marr: np.ndarray, work: Workspace | None = None) -> np.ndarray:
-        """fine(m) per entry of marr, in any order, by `_fine_levels`."""
-        return _fine_levels(self, 1, marr, work)
-
-    def max_coarse(self, depth: int) -> int:
-        """Largest m with fine(m) <= depth."""
-        return depth * self.p // self.q
-
-    def __repr__(self) -> str:
-        return f"RationalScale({self.p}/{self.q})"
-
-
 def root_order(n: int) -> int:
     """n itself if it is a root order RootScale accepts, 1..MAX_ROOT_ORDER."""
     if not 1 <= n <= MAX_ROOT_ORDER:
@@ -225,7 +157,9 @@ def root_order(n: int) -> int:
 
 
 class RootScale:
-    """Fine-level rule m' = ceil(m / theta ** (1/n)), integer-exact."""
+    """Fine-level rule m' = ceil(m / theta ** (1/n)), integer-exact.  Rounding
+    up keeps r = 2**-m' at or below the exact scale, matching the inequality
+    direction of the spectrum definitions."""
 
     __slots__ = ("p", "q", "n")
 
@@ -234,29 +168,71 @@ class RootScale:
         self.n = root_order(n)
 
     def fine(self, m: int) -> int:
-        # smallest z with z**n * p >= m**n * q
+        # smallest z with z**n >= ceil(x / p): the floor root or one more
         x = m**self.n * self.q
         z = iroot(ceil_div(x, self.p), self.n)
-        while z**self.n * self.p < x:
-            z += 1
-        return z
+        return z + (z**self.n * self.p < x)
 
     def fine_array(self, marr: np.ndarray, work: Workspace | None = None) -> np.ndarray:
-        """fine(m) per entry of marr, in any order, by `_fine_levels`."""
-        return _fine_levels(self, self.n, marr, work)
+        """fine(m) per level m >= 0 of marr, in any order, by the module
+        docstring's rule, in work.ints[3] (or a new array); seeds and exact
+        tests use work.floats[0] and work.ints[0:2]."""
+        p, q, n = self.p, self.q, self.n
+        marr = np.asarray(marr, dtype=np.int64)
+        size = marr.size
+        z = np.empty(size, dtype=np.int64) if work is None else work.ints[3][:size]
+        if n == 1 and (int(marr.max(initial=0)) + 1) * q < 1 << 62:  # so m * q + p - 1 fits
+            np.multiply(marr, q, out=z)
+            z += p - 1
+            z //= p
+            return z
+        if work is None:
+            work = Workspace(size - 1)
+        seed = np.multiply(marr, iroot((q << 64 * n) // p, n) / (1 << 64), out=work.floats[0][:size])
+        top = float(seed.max(initial=0.0))
+        np.rint(seed, out=z, casting="unsafe")  # N, the integer nearest the seed
+        seed -= z
+        up = seed > 0
+        near = np.abs(seed, out=seed) <= top * 2.0**-50
+        if near.any():
+            if top < 1 << 49 and p * n * (int(top) + 2) ** n < 1 << 112:
+                # where near, |N**n * p - m**n * q| < 2**63, so its residue
+                # modulo 2**64 (uint64 products wrap) read as int64 is itself
+                t, x = (work.ints[k][:size].view(np.uint64) for k in (0, 1))
+                np.power(z.view(np.uint64), n, out=t)
+                t *= p % (1 << 64)
+                np.power(marr.view(np.uint64), n, out=x)
+                x *= q % (1 << 64)
+                t -= x
+                np.less(t.view(np.int64), 0, out=up, where=near)
+            else:
+                up[near] = False
+                z[near] = [self.fine(m) for m in marr[near].tolist()]
+        z += up
+        return z
 
     def max_coarse(self, depth: int) -> int:
         # largest m with m**n * q <= depth**n * p
-        x = depth**self.n * self.p
-        m = iroot(x // self.q, self.n)
-        while (m + 1) ** self.n * self.q <= x:
-            m += 1
-        while m**self.n * self.q > x:
-            m -= 1
-        return m
+        return iroot(depth**self.n * self.p // self.q, self.n)
 
     def __repr__(self) -> str:
         return f"RootScale(({self.p}/{self.q})**(1/{self.n}))"
+
+
+class RationalScale(RootScale):
+    """RootScale at order 1: m' = ceil(m / theta) for rational theta."""
+
+    __slots__ = ()
+
+    def __init__(self, theta: Fraction):
+        super().__init__(theta, 1)
+
+    # the same function under the subclass's own name, so a wrapper put on
+    # RootScale.fine_array (the benchmark tracer's) sees no RationalScale call
+    fine_array = RootScale.fine_array
+
+    def __repr__(self) -> str:
+        return f"RationalScale({self.p}/{self.q})"
 
 
 def suffix_slope_max(
@@ -417,8 +393,8 @@ class RunTable:
     At the level s above the leaves two leaves are distinct nodes exactly
     when their gap exceeds s, and two such nodes share their ancestor d
     levels further up exactly when every gap between them is at most s + d.
-    So `counts(s, d)` is 1 plus the most gaps > s inside one run of
-    consecutive gaps <= s + d.
+    So the most level-s nodes below one node d levels up is 1 plus the most
+    gaps > s inside one run of consecutive gaps <= s + d.
 
     A gap's dominance interval (up to the nearest strictly greater gap on
     the left and the nearest greater-or-equal gap on the right) is a run in
@@ -432,7 +408,8 @@ class RunTable:
     distinct gap values <= x): s selects block rank(s), and s + d the
     entry rank(s + d) - 1 when that is at least rank(s); otherwise no gap
     > s is <= s + d and the answer is table entry 0, the count below a
-    single node (1, or 0 for a tree without leaves).
+    single node (1, or 0 for a tree without leaves).  So the count is
+    table[at(rank(s), rank(s + d))], and `logs` there holds its log2.
 
     The build takes the threshold ranks in chunks b0, ..., b0 + B - 1 with
     B = max(1, RUN_BLOCK // n), for the n gaps >= u[b0], and works in their
@@ -520,11 +497,6 @@ class RunTable:
         np.take(self.logs[rt:], self.base[:rt], out=out[:rt])
         out[rt : self.u.size + 1] = self.logs[0]
         return out
-
-    def counts(self, s, d) -> np.ndarray:
-        """Most level-s nodes below one node d levels up (elementwise);
-        `logs` at the same positions holds their log2."""
-        return self.table[self.at(self.rank(s), self.rank(np.add(s, d)))]
 
 
 def _adjacency(xs: Sequence[int], gaps: np.ndarray) -> np.ndarray:
@@ -617,4 +589,5 @@ def runlen_table(xs: Sequence[int]) -> np.ndarray:
     """
     gaps = leaf_gaps(xs)
     width = int(gaps.max()) if gaps.size else 0
-    return RunTable(gaps, len(xs)).counts(0, np.arange(width + 1))
+    table = RunTable(gaps, len(xs))
+    return table.table[table.at(table.rank(0), table.rank(np.arange(width + 1)))]

@@ -11,7 +11,9 @@ takes the argmax, the batch that one `region_max` call replaces.
 `ratio_fan_max` enumerates the main theorem's ratio fan one theta at a
 time, the oracle of the all-theta brute side in `verify_main_theorem`.
 `oracle_run_table` builds a `RunTable`'s arrays one distinct gap value at
-a time, the reference of its chunked build.
+a time, from dominance intervals found by scanning outward from each gap,
+the reference of its chunked build and its stack pass; `run_count` reads
+one count off a built table.
 The schedule oracles build a two-phase schedule level by level and write
 and parse schedule runs one run at a time with Python string formatting
 and `int`, the references of the numpy run arrays in `constructions` and
@@ -49,7 +51,7 @@ from fds.schedule import (
     pieces,
 )
 from fds.constructions import TARGET_GRID, TwoPhaseParams, poly_eval, two_phase_schedule
-from fds.windows import RationalScale, _dominance, ceil_div, suffix_slope_max
+from fds.windows import RationalScale, ceil_div, suffix_slope_max
 
 
 # ----------------------------------------------------------------------
@@ -312,13 +314,24 @@ def oracle_kept_pieces(parts, depth: int, lo: int, starts) -> list[list[bool]]:
     return out
 
 
+def oracle_dominance(gaps) -> tuple[np.ndarray, np.ndarray]:
+    """Per gap, by scanning outward from it: the nearest strictly greater
+    gap on the left (-1 if none) and the nearest greater-or-equal gap on
+    the right (len(gaps) if none)."""
+    g = [int(x) for x in gaps]
+    n = len(g)
+    left = [next((j for j in range(i - 1, -1, -1) if g[j] > v), -1) for i, v in enumerate(g)]
+    right = [next((j for j in range(i + 1, n) if g[j] >= v), n) for i, v in enumerate(g)]
+    return np.array(left, dtype=np.int64), np.array(right, dtype=np.int64)
+
+
 def oracle_run_table(gaps, leaves: int):
     """(u, base, table, logs) of `RunTable(gaps, leaves)`, one Python
     iteration per distinct gap value u[b]: filter the gaps >= u[b], rank
     them, count the alive gaps inside every dominance interval, and keep
     the running maximum at the last gap of each value >= u[b]."""
     g = np.asarray(gaps, dtype=np.int64)
-    left, right = _dominance(g)
+    left, right = oracle_dominance(g)
     order = np.argsort(g, kind="stable")
     u, first = np.unique(g[order], return_index=True)
     ends = np.append(first[1:], g.size) - 1
@@ -339,6 +352,12 @@ def oracle_run_table(gaps, leaves: int):
     with np.errstate(divide="ignore"):
         logs = np.log2(table.astype(np.float64))
     return u, base, table, logs
+
+
+def run_count(runs, s: int, d: int) -> int:
+    """The most level-s nodes below one node d levels up, read off a
+    `RunTable` through its rank and position lookups."""
+    return int(runs.table[runs.at(runs.rank(s), runs.rank(s + d))])
 
 
 def random_schedule(rng: random.Random, max_depth: int = 18) -> BranchingSchedule:

@@ -6,6 +6,7 @@ from fds.cli import MAX_GRID_POINTS, main, parse_m_range, parse_theta_grid
 from fds import formats
 from fds.errors import FormatError
 from fds.schedule import BranchingSchedule
+from fds.svg import render_plot
 
 from test_formats import COMPOSITE_TEXT, LINE_BREAK_VARIANTS, SCHEDULE_TEXT, UNRECOGNIZED
 
@@ -1154,3 +1155,77 @@ def test_help_bytes(capsys, monkeypatch, sub):
     monkeypatch.setenv("COLUMNS", "80")
     for _ in range(2):
         assert run([sub, "-h"] if sub else ["-h"], capsys) == (0, HELP[sub], "")
+
+
+# files the error-site commands read, named by their placeholders
+ERROR_FILES = {
+    "s.fds": "fds-schedule 1\ndepth 4\n2 1\n2 2\n",
+    "t.fds": "fds-tree 2\ndepth 2\nleaves 1\n0\n",
+    "bad.cfg": "s = 0.4\nm0 4\n",
+    "three.csv": "theta,value,m_witness,mprime_witness\n0.5,0.7,1\n",
+    "word.csv": "theta,value,m_witness,mprime_witness\n0.5,abc,1,2\n",
+    "f0.cfg": "samples = 0;1/2:1/2\n",
+    "abscissa.cfg": "samples = 1/2;1:1/2\n",
+    "value.cfg": "samples = 1/2;1/2:0\n",
+    "level.fds": "fds-tree 1\ndepth 1\n0: 0\n5: 0\n",
+    "twice.fds": "fds-tree 1\ndepth 1\n0: 0\n0: 0\n",
+    "empty-v1.fds": "fds-tree 1\ndepth 3\n",
+    "no-origin.fds": "fds-composite 1\n",
+    "component.fds": "fds-composite 1\norigin 1\ncomponent 2\n",
+}
+
+
+@pytest.mark.parametrize("argv, message", [
+    # options, config lines and the commands' own checks
+    (["estimate", "-i", "{s.fds}", "--m-range", "1:2:3", "-o", "{out}"],
+     "m range must be lo:hi, got '1:2:3'"),
+    ([*TWO_PHASE, "--config", "{bad.cfg}", "-o", "{out}"], "bad config line 'm0 4'"),
+    (["verify", "--check", "bound", "-i", "{s.fds}", "--tol", "abc"],
+     "--tol needs a number, got 'abc'"),
+    (TWO_PHASE, "--output is required"),
+    (["construct", "concave-union", "-o", "{out}"],
+     "concave-union needs --target c0,c1,... or samples="),
+    (["construct", "from-schedule", "-i", "{t.fds}", "-o", "{out}"],
+     "from-schedule needs an fds-schedule input"),
+    (["plot", "{three.csv}", "-o", "{out}"], "{three.csv}: bad row '0.5,0.7,1'"),
+    (["plot", "{word.csv}", "-o", "{out}"], "{word.csv}: bad row '0.5,abc,1,2'"),
+    (["plot", "-o", "{out}"], "plot needs at least one CSV input"),
+    # generators
+    ([*TWO_PHASE, "--blocks", "0", "-o", "{out}"], "need at least one block, got 0"),
+    (["construct", "concave-union", "--config", "{f0.cfg}", "-o", "{out}"],
+     "f(0) must lie in (0, 1], got 0"),
+    (["construct", "concave-union", "--config", "{abscissa.cfg}", "-o", "{out}"],
+     "sample abscissa 1 outside (0, 1)"),
+    (["construct", "concave-union", "--config", "{value.cfg}", "-o", "{out}"],
+     "sample value 0 outside (0, 1]"),
+    ([*UNION, "--shift-linear", "0", "-o", "{out}"], "linear shift factor must be >= 1"),
+    ([*UNION, "--components", "2", "--shifts", "2", "-o", "{out}"], "need 2 shifts, got 1"),
+    # set files
+    (["estimate", "-i", "{level.fds}", "-o", "{out}"], "level 5 outside depth 1"),
+    (["estimate", "-i", "{twice.fds}", "-o", "{out}"], "duplicate level line for level 0"),
+    (["estimate", "-i", "{empty-v1.fds}", "-o", "{out}"],
+     "cannot estimate dimensions of an empty tree"),
+    (["estimate", "-i", "{no-origin.fds}", "-o", "{out}"], "missing origin line"),
+    (["estimate", "-i", "{component.fds}", "-o", "{out}"],
+     "bad component line 'component 2'"),
+])
+def test_error_sites_exit_2(tmp_path, capsys, argv, message):
+    """Each rejected command exits 2 with exactly its error line, prints
+    nothing on stdout and writes no output file."""
+    names = {"out": tmp_path / "out"}
+    for name, text in ERROR_FILES.items():
+        names[name] = tmp_path / name
+        names[name].write_text(text)
+
+    def fill(text):
+        for name, path in names.items():
+            text = text.replace("{" + name + "}", str(path))
+        return text
+
+    assert run([fill(tok) for tok in argv], capsys) == (2, "", f"error: {fill(message)}\n")
+    assert not names["out"].exists()
+
+
+def test_render_plot_needs_a_series():
+    with pytest.raises(ValueError, match="^nothing to plot$"):
+        render_plot([])

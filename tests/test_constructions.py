@@ -299,3 +299,33 @@ def test_report_uniform_count_constant():
             worst = max(worst, ratio)
     print(f"measured uniform count constant: {worst:.3f}")
     assert worst < 64.0
+
+
+class _Target:
+    """A target that skips ConcaveTarget's checks: one sample whose
+    component parameters have s = t."""
+
+    samples = ((F(1, 2), F(1, 2)),)
+
+    def pairs(self):
+        return [(F(1, 2), F(1, 2))]
+
+
+TARGET = ConcaveTarget(F(2, 5), ((F(1, 2), F(11, 20)), (F(1, 4), F(39, 80))))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: TwoPhaseParams(F(2, 5), F(4, 5), 4, 0), "need at least one block, got 0"),
+    (lambda: ConcaveTarget(F(0), ()), "f(0) must lie in (0, 1], got 0"),
+    (lambda: ConcaveTarget(F(1, 2), ((F(1), F(1, 2)),)), "sample abscissa 1 outside (0, 1)"),
+    (lambda: ConcaveTarget(F(1, 2), ((F(1, 2), F(0)),)), "sample value 0 outside (0, 1]"),
+    (lambda: concave_union(TARGET, shift_linear=0), "linear shift factor must be >= 1"),
+    (lambda: concave_union(TARGET, shifts=[2]), "need 2 shifts, got 1"),
+    (lambda: concave_union(_Target()), "component parameters (s=1/2, t=1/2) are inadmissible"),
+    (lambda: full_binary_tree(-1), "negative depth"),
+    (lambda: left_path_tree(-1), "negative depth"),
+])
+def test_generator_error_messages(build, message):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message

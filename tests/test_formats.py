@@ -316,3 +316,32 @@ def test_largest_int64_run_length_parses():
     assert parse_composite("fds-composite 1\norigin 0\ncomponent 1 runs:0007x2,1x1\n") == (
         CompositeSet([(1, BranchingSchedule([(7, 2), (1, 1)]))], include_origin=False)
     )
+
+
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_tree, "fds-schedule 1\ndepth 4\n4 1\n", "not an fds-tree file"),
+    (parse_tree, "fds-tree 1\ndepth 1\n0: 0\n5: 0\n", "level 5 outside depth 1"),
+    (parse_tree, "fds-tree 1\ndepth 1\n0: 0\n0: 0\n", "duplicate level line for level 0"),
+    (parse_schedule, "fds-tree 2\ndepth 1\nleaves 0\n", "not an fds-schedule file"),
+    (parse_composite, "fds-schedule 1\ndepth 0\n", "not an fds-composite file"),
+    (parse_composite, "fds-composite 1\n", "missing origin line"),
+    (parse_composite, "fds-composite 1\nshift 1\n", "missing origin line"),
+    (parse_composite, "fds-composite 1\norigin 1\ncomponent 2\n",
+     "bad component line 'component 2'"),
+])
+def test_parsers_name_the_malformed_part(parse, text, message):
+    with pytest.raises(FormatError) as exc:
+        parse(text)
+    assert str(exc.value) == message
+
+
+def test_v1_tree_without_level_lines_is_empty():
+    tree = parse_tree("fds-tree 1\ndepth 3\n")
+    assert tree == DyadicTree(3, []) and tree.is_empty()
+
+
+def test_dump_rejects_other_objects(tmp_path):
+    path = tmp_path / "x.fds"
+    with pytest.raises(TypeError, match="^cannot serialize object$"):
+        dump(object(), str(path))
+    assert not path.exists()

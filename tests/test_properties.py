@@ -53,6 +53,7 @@ from conftest import (
     oracle_tree_upper,
     ratio_fan_max,
     reference_upper,
+    run_count,
 )
 
 
@@ -221,7 +222,7 @@ def test_leaf_storage_matches_levels(t):
         for d in range(m + 1):
             # the most level-m nodes below one level-(m - d) ancestor
             want = max(Counter(x >> d for x in xs).values(), default=0)
-            assert runs.counts(s, d) == want, (m, d)
+            assert run_count(runs, s, d) == want, (m, d)
 
 
 def _assert_run_table_matches_oracle(t):
@@ -599,6 +600,60 @@ def test_fine_array_matches_scalar_fine(case):
     got = scale.fine_array(marr, work)
     assert got.dtype == np.int64
     assert got.tolist() == [scale.fine(m) for m in marr.tolist()]
+
+
+@st.composite
+def thetas(draw):
+    """A decimal k/d or a float's exact binary fraction, at least 2**-20,
+    so fine levels of m up to 2**21 fit int64."""
+    if draw(st.booleans()):
+        d = draw(st.integers(min_value=2, max_value=1000))
+        return Fraction(draw(st.integers(min_value=1, max_value=d - 1)), d)
+    return Fraction(draw(st.floats(min_value=2**-20, max_value=1, exclude_max=True)))
+
+
+@st.composite
+def root_rules(draw):
+    """(theta, n): n in 1..16 and theta from `thetas` or an exact n-th
+    power (a/b)**n, whose fine levels land on integers."""
+    n = draw(st.integers(min_value=1, max_value=16))
+    if draw(st.integers(min_value=0, max_value=2)):
+        return draw(thetas()), n
+    b = draw(st.integers(min_value=2, max_value=40))
+    return Fraction(draw(st.integers(min_value=1, max_value=b - 1)), b) ** n, n
+
+
+LEVELS = st.integers(min_value=0, max_value=2**21)
+
+
+@settings(max_examples=300, deadline=None)
+@given(root_rules(), LEVELS, LEVELS)
+def test_root_scale_meets_its_definition(rule, m, depth):
+    """fine(m) is the smallest z with z**n * p >= m**n * q, and
+    max_coarse(depth) the largest m with fine(m) <= depth, that is with
+    m**n * q <= depth**n * p."""
+    theta, n = rule
+    p, q = theta.numerator, theta.denominator
+    sc = RootScale(theta, n)
+    z = sc.fine(m)
+    assert z**n * p >= m**n * q and (z == 0 or (z - 1) ** n * p < m**n * q)
+    top = sc.max_coarse(depth)
+    assert top**n * q <= depth**n * p < (top + 1) ** n * q
+    assert sc.fine(top) <= depth < sc.fine(top + 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(thetas(), st.lists(LEVELS, max_size=40), LEVELS)
+def test_rational_scale_is_root_scale_of_order_one(theta, ms, depth):
+    """RationalScale(theta) and RootScale(theta, 1) agree with each other
+    and with the ceil- and floor-division of the rational rule."""
+    p, q = theta.numerator, theta.denominator
+    rational, root = RationalScale(theta), RootScale(theta, 1)
+    want = [-(-m * q // p) for m in ms]
+    assert [rational.fine(m) for m in ms] == [root.fine(m) for m in ms] == want
+    assert rational.max_coarse(depth) == root.max_coarse(depth) == depth * p // q
+    marr = np.array(ms, dtype=np.int64)
+    assert rational.fine_array(marr).tolist() == root.fine_array(marr).tolist() == want
 
 
 # ----------------------------------------------------------------------

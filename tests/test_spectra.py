@@ -492,3 +492,23 @@ def test_empty_tree_rejected_everywhere():
         ):
             with pytest.raises(ValueError, match="empty tree"):
                 call()
+
+
+def test_estimators_reject_bad_inputs_by_name(twophase_48):
+    with pytest.raises(TypeError, match="^unsupported set representation object$"):
+        estimate_spectrum(object(), GRID)
+    with pytest.raises(ValueError, match="^empty theta grid$"):
+        estimate_spectrum(twophase_48, [])
+    with pytest.raises(ValueError, match=r"^theta grid must lie strictly inside \(0, 1\)$"):
+        estimate_upper(twophase_48, [F(1, 2), F(1)])
+    with pytest.raises(TypeError, match="^cannot serialize object$"):
+        estimate_to_csv(object())
+
+
+def test_nthroot_needs_a_root_order_before_any_estimate(twophase_48, monkeypatch):
+    """No root order is an error, not a pass over no rows: raised before
+    the set is read or any estimate runs."""
+    monkeypatch.setattr(spectra, "estimate_spectrum", lambda *a, **k: pytest.fail("estimated"))
+    for rep in (twophase_48, object()):
+        with pytest.raises(ValueError, match="^need at least one root order$"):
+            verify_nthroot(rep, GRID, n_values=[])

@@ -135,6 +135,29 @@ def test_root_scale_bounds_the_order():
             RootScale(Fraction(1, 2), n)
 
 
+def test_rational_scale_is_root_scale_at_order_1():
+    """RationalScale adds no rule of its own: it is a RootScale of order 1
+    with RootScale's fine_array under its own name, and both reprs name
+    their class."""
+    assert issubclass(RationalScale, RootScale)
+    assert not {"fine", "max_coarse"} & set(vars(RationalScale))
+    assert RationalScale.__slots__ == ()
+    assert vars(RationalScale)["fine_array"] is vars(RootScale)["fine_array"]
+    sc = RationalScale(Fraction(3, 10))
+    assert (sc.p, sc.q, sc.n) == (3, 10, 1)
+    assert repr(sc) == "RationalScale(3/10)"
+    assert repr(RootScale(Fraction(3, 10), 1)) == "RootScale((3/10)**(1/1))"
+
+
+def test_reference_paths_reject_bad_arguments():
+    with pytest.raises(ValueError, match="^negative radicand$"):
+        iroot(-1, 2)
+    with pytest.raises(ValueError, match="^root order must be >= 1$"):
+        iroot(4, 0)
+    with pytest.raises(ValueError, match=r"^bad query \(m=1, lo=1\) for depth 2$"):
+        suffix_slope_max([0, 1, 2], [(1, 1)])
+
+
 def _brute_suffix_best(S, m, lo):
     """(numerator, denominator, smallest maximizing j) by enumeration."""
     best = max(Fraction(S[x] - S[m], x - m) for x in range(lo, len(S)))
