@@ -356,7 +356,7 @@ def composite_upper(
     The fine levels live in work.ints[3], outside region_max's rows, and
     are shifted in place to each piece's local levels (pieces ascend in
     shift).  Rows of the node containing the origin are scanned one coarse
-    level at a time."""
+    level at a time from the same fine levels, shifted back."""
     best = None
     fines = scale.fine_array(work.levels[lo : hi + 1], work)
     shift = 0
@@ -371,7 +371,7 @@ def composite_upper(
         if best is None or cand > best:
             best = cand
     for m, logs in origin_rows(rep, lo, hi):
-        f = scale.fine(m)
+        f = int(fines[m - lo]) + shift
         n = len(logs) - f
         widths = np.subtract(work.levels[f : len(logs)], m, out=work.ints[0][:n])
         alpha = np.divide(logs[f:], widths, out=work.floats[0][:n])

@@ -21,31 +21,44 @@ through the public estimators, so it checks the functions the CLI calls.
 Trees are read through tables cached on the tree: the all-levels run
 table, or with neighbor mode on (a node counted with its present
 same-level neighbors) the neighbor count table, built once per tree, so
-neither mode loops over the nodes of a level per window.  The two sides
-of the main theorem read these tables in two different orders:
+neither mode loops over the nodes of a level per window.
 
-- The upper estimate goes by fine level, in blocks, for the whole grid at
-  once.  Window (m, m') is admitted at theta iff m <= max_coarse(m'), so
-  at each fine level the coarse levels live at theta are a prefix of the
-  range; one gather per block and one running maximum over the coarse
-  levels give every theta its row maxima as prefix maxima.
-- The brute side goes by coarse level, in one pass over the widest fan:
-  every window (m, m') is the exact-ratio window of theta' = m / m', so
-  each coarse level's row of window exponents is computed once and
-  reduced by ratio into the maximum of every theta whose clamped range
-  holds m.  On a composite a row is the elementwise max over the pieces
-  present at m; a piece whose row a kept piece dominates pointwise over
-  the whole fan (an exact integer test, `_kept_pieces`) is left out of
-  the max, which cannot change it.
+The two sides of the main theorem read the windows in two different
+orders:
 
-Both sides divide the same table entries by the same widths, so they meet
-the same floats, and a maximum is exact whatever the order; the check
-still compares two independent reductions, one by prefix over coarse
-levels and one by ratio segments over fine levels, so a window either
-side drops or admits by mistake shows as a nonzero deviation.  The
-dominance test reads only prefix counts, never the region solver, and
-every window of every kept row is still enumerated, so the brute side
-stays independent of the upper kernel.
+- The upper estimate goes by fine level.  On a tree it gathers blocks of
+  table entries for the whole grid at once: window (m, m') is admitted at
+  theta iff m <= max_coarse(m'), so at each fine level the coarse levels
+  live at theta are a prefix of the range, and one running maximum over
+  them gives every theta its row maxima.  On a schedule or composite
+  each piece's windows are one region, solved by `region_max` over every
+  level.
+- The brute side goes by coarse level, for all thetas at once: every
+  window (m, m') is the exact-ratio window of theta' = m / m', so a
+  theta's value at row m is the maximum from its own fine level on, read
+  as a suffix maximum from the fine levels of the thetas live at m.  On a
+  tree or composite each row is built whole and divided by its widths.
+  On a composite a row is the elementwise max over the pieces present at
+  m; a piece whose row a kept piece dominates pointwise over the whole
+  fan (an exact integer test, `_kept_pieces`) is left out of the max,
+  which cannot change it.
+- On a schedule the brute side reads only the fan starts and the concave
+  corners, the last level of each branching run and the depth.  The
+  prefix count S rises by 0 or 1 per level, so N(j) = S[j] - S[m] <= j - m.
+  Along a branching stretch N and the width j - m both grow by one, so
+  N / (j - m) does not decrease; along a frozen stretch N is fixed, so it
+  does not increase.  The maximum over j >= f is therefore at f or at a
+  concave corner >= f, and correctly rounded division is monotone, so the
+  float maximum is bit for bit that over every window.
+
+Both sides divide the same integer counts (or table entries) by the same
+widths, so they meet the same floats, and a maximum is exact whatever
+the order; the check still compares two independent reductions.  The
+brute side reads prefix counts and tables only, never `region_max`: the
+corner rule is a fact about the counts, with no slope, no parameter and
+no round of its own, and the upper side still solves over every level.
+A window that either side drops or admits by mistake shows as a nonzero
+deviation.
 
 Exactness contract: within one set representation all estimators read the
 same exponent values (integer prefix differences or cached log tables),
@@ -105,7 +118,8 @@ SPECTRUM = "assouad-spectrum"
 UPPER = "upper-spectrum"
 # table entries one block of the tree upper kernel gathers at once
 UPPER_BLOCK = 1 << 16
-# piece-pair differences one block of the brute side's dominance test holds
+# entries one block of the brute side holds: piece-pair differences of the
+# dominance test, a chunk's fine levels per theta, a schedule's corner cells
 FAN_PAIR_BLOCK = 1 << 16
 
 
@@ -397,11 +411,12 @@ def estimate_quasi_assouad(
 
 
 # ----------------------------------------------------------------------
-# ratio-fan enumeration (the brute side of the upper identity).  Every
-# window (m, m') is the exact-ratio window of theta' = m / m', so one pass
-# over the widest fan computes each window once: per coarse level m, one
-# row of exponents over m' >= fine(m) at the largest theta, reduced by
-# ratio into the running maximum of every theta still live at m.
+# ratio fan (the brute side of the upper identity).  Every window (m, m')
+# is the exact-ratio window of theta' = m / m', so one pass over the widest
+# fan serves every theta: per coarse level m, the exponents over m' >=
+# fine(m) at the largest theta - every window of a tree or composite row,
+# the fan starts and concave corners of a schedule - reduced by ratio into
+# the running maximum of every theta still live at m.
 
 
 def _kept_pieces(parts, depth: int, lo: int, starts: np.ndarray) -> np.ndarray | None:
@@ -488,8 +503,8 @@ def _fan_rows(rep, depth: int, lo: int, starts: np.ndarray, neighbors: bool):
     A composite row skips every piece that `_kept_pieces` finds dominated
     on [starts[m - lo], depth] by a kept piece: the kept row is pointwise at
     least as large, so the elementwise max, and every float made from it,
-    is unchanged.  Origin rows are never skipped.  A schedule has one piece
-    and a tree none, so their rows skip nothing."""
+    is unchanged.  Origin rows are never skipped.  A tree has no pieces,
+    so its rows skip nothing; schedules go to `_corner_maxima` instead."""
     if isinstance(rep, DyadicTree):
         runs = _tree_table(rep, neighbors)
         ranks = runs.rank(depth - np.arange(depth + 1))  # fine rank per level
@@ -533,43 +548,130 @@ def _fan_rows(rep, depth: int, lo: int, starts: np.ndarray, neighbors: bool):
     return fill
 
 
-def _ratio_fan_maxima(rep, depth, grid, lo, his, neighbors) -> list[float]:
-    """Per theta of the ascending grid, the max exponent over every window
-    (m, m') with lo <= m <= his[k] and m' >= ceil(m / theta), enumerated
-    coarse level first.  his[k], theta's clamped coarse top, rises with
-    theta, so the thetas live at m (his >= m) are a suffix of the grid and
-    the largest is live wherever any is.  Dividing the row's max numerator
-    by the fixed width m' - m gives the max of the quotients bit for bit,
-    since rounding is monotone.  Each row is built by `_fan_rows`, which
-    leaves out the composite pieces a kept piece dominates from the widest
-    fan's start on; that start is at or below every live theta's, so the
-    dropped pieces are dominated on every segment too.  Every row is built
-    in one buffer of depth + 1 entries per call."""
-    k = len(grid)
-    top = his[-1]
-    marr = np.arange(lo, top + 1, dtype=np.int64)
-    # fine levels per m, largest theta first, so each row ascends; kept as
-    # offsets from the widest fan's start
-    offsets = np.stack([RationalScale(th).fine_array(marr) for th in reversed(grid)], axis=1)
-    first = offsets[:, 0].copy()
+def _fan_fines(scales, marr: np.ndarray) -> np.ndarray:
+    """(rows, thetas) fine levels of the coarse levels marr, one column per
+    scale, widest fan first, so each row ascends."""
+    return np.stack([scale.fine_array(marr) for scale in scales], axis=1)
+
+
+def _row_maxima(rep, depth, scales, marr, live, neighbors) -> np.ndarray:
+    """Per scale (widest fan first), the max exponent over every window of
+    every row m of marr from the scale's fine level on, at the rows where
+    the scale is among the live[m - lo] widest: each row built whole by
+    `_fan_rows`, divided by its widths and reduced by ratio segments."""
+    k = len(scales)
+    lo = int(marr[0])
+    first = scales[0].fine_array(marr)
     fill = _fan_rows(rep, depth, lo, first, neighbors)
-    starts = first.tolist()
-    offsets -= offsets[:, :1]
-    live = (k - np.searchsorted(his, marr, side="left")).tolist()
     widths = np.arange(depth + 1, dtype=np.float64)
     buf = np.empty(depth + 1)
     best = np.full(k, -np.inf)
-    for i, m in enumerate(range(lo, top + 1)):
-        f, n = starts[i], live[i]
-        row = buf[: depth + 1 - f]
-        fill(m, f, row)
-        np.divide(row, widths[f - m : depth + 1 - m], out=row)
-        # segment maxima between the live thetas' fine levels, then the
-        # running maximum from the narrowest fan (smallest theta) outward
-        seg = np.maximum.reduceat(row, offsets[i, :n])
-        tail = best[k - n :]
-        np.maximum(tail, np.maximum.accumulate(seg[::-1]), out=tail)
-    return best.tolist()
+    step = max(1, FAN_PAIR_BLOCK // k)
+    for a in range(0, marr.size, step):
+        # offsets from the row's widest fan start, one chunk at a time
+        offsets = _fan_fines(scales, marr[a : a + step])
+        offsets -= offsets[:, :1]
+        rows = zip(marr[a : a + step].tolist(), first[a : a + step].tolist(),
+                   live[a : a + step].tolist(), offsets)
+        for m, f, n, off in rows:
+            row = buf[: depth + 1 - f]
+            fill(m, f, row)
+            np.divide(row, widths[f - m : depth + 1 - m], out=row)
+            # segment maxima between the live fine levels, then the running
+            # maximum from the narrowest live fan outward
+            seg = np.maximum.accumulate(np.maximum.reduceat(row, off[:n])[::-1])[::-1]
+            np.maximum(best[:n], seg, out=best[:n])
+    return best
+
+
+def _corner_maxima(S: np.ndarray, depth, scales, marr, tops) -> np.ndarray:
+    """Per scale (widest fan first), the max of (S[j] - S[m]) / (j - m)
+    over j >= the scale's fine level of m, for the rows m of marr at or
+    below the scale's clamped top tops[t], on a schedule's prefix counts S.
+
+    The candidates are the fan starts and the concave corners: the last
+    level of each branching run, and the depth.  Rows go in blocks of
+    about FAN_PAIR_BLOCK cells, each filled with the exponents at the
+    corners from its first widest fan start on, plus a -inf column that
+    the first corner of a theta not live at the row points to when its
+    fine level passes the depth.  A block ends before the row that reaches
+    its first corner, so every width is positive."""
+    k = len(scales)
+    rise = np.diff(S).astype(bool)  # [j - 1]: level j branches
+    rise[:-1] &= ~rise[1:]
+    rise[-1] = True
+    corners = np.flatnonzero(rise) + 1
+    # per column: numerator head S[C] and level C, then the -inf column
+    heads = np.append(S[corners], -np.inf)
+    ends = np.append(corners, depth + 1).astype(np.float64)
+    size = max(FAN_PAIR_BLOCK, heads.size)
+    vals, widths = np.empty(size), np.empty(size)
+    best = np.full(k, -np.inf)
+    step = max(1, FAN_PAIR_BLOCK // k)
+    for a in range(0, marr.size, step):
+        ms = marr[a : a + step]
+        fines = _fan_fines(scales, ms)
+        at = np.searchsorted(corners, fines)  # each fan's first corner
+        base = S[ms]
+        # a fan start past the depth belongs to a theta not live at the row
+        starts = np.minimum(fines, depth)
+        fan = (S[starts] - base[:, None]) / (starts - ms[:, None])
+        seg = np.empty_like(fan)
+        i = 0
+        while i < ms.size:
+            c0 = int(at[i, 0])
+            cols = heads.size - c0
+            rows = min(ms.size - i, max(1, size // cols), int(corners[c0] - ms[i]))
+            block = vals[: rows * cols].reshape(rows, cols)
+            width = widths[: rows * cols].reshape(rows, cols)
+            np.subtract(heads[c0:], base[i : i + rows, None], out=block)
+            np.subtract(ends[c0:], ms[i : i + rows, None], out=width)
+            np.divide(block, width, out=block)
+            # per row: its start, whose segment is dropped, then each fan's
+            # first corner
+            idx = np.empty((rows, k + 1), dtype=np.intp)
+            idx[:, 0] = np.arange(0, rows * cols, cols)
+            np.subtract(at[i : i + rows], c0 - idx[:, :1], out=idx[:, 1:])
+            maxima = np.maximum.reduceat(block.ravel(), idx.ravel())
+            seg[i : i + rows] = maxima.reshape(rows, k + 1)[:, 1:]
+            i += rows
+        np.maximum(seg, fan, out=seg)
+        seg = np.maximum.accumulate(seg[:, ::-1], axis=1)[:, ::-1]
+        seg[ms[:, None] > tops] = -np.inf
+        np.maximum(best, seg.max(axis=0), out=best)
+    return best
+
+
+def _ratio_fan_maxima(rep, depth, grid, lo, his, neighbors) -> list[float]:
+    """Per theta of the ascending grid, the max exponent over every window
+    (m, m') with lo <= m <= his[k] and m' >= ceil(m / theta).  his[k],
+    theta's clamped coarse top, rises with theta, so the thetas live at m
+    (his >= m) are a suffix of the grid and the largest is live wherever
+    any is.  A theta's value at row m is the max over its own fan start
+    and everything after it, so it is a suffix maximum along the row read
+    from the fan starts of the live thetas, widest first.
+
+    A schedule is read by `_corner_maxima`: its prefix count rises by 0
+    or 1 per level, so the quotient (S[j] - S[m]) / (j - m) does not
+    decrease along a branching stretch (numerator and width both grow by
+    one, and N <= width) and does not increase along a frozen one (the
+    numerator is fixed).  The max over j >= f is therefore at f or at a
+    concave corner >= f, and correctly rounded division is monotone, so
+    the float maxima are bit for bit those of every window.  Trees and
+    composites are read by `_row_maxima` over whole rows from `_fan_rows`,
+    which leaves out the composite pieces a kept piece dominates from the
+    widest fan's start on; that start is at or below every live theta's,
+    so the dropped pieces are dominated on every segment too.  Neither
+    reads the region solver of the upper side."""
+    marr = np.arange(lo, his[-1] + 1, dtype=np.int64)
+    scales = [RationalScale(th) for th in reversed(grid)]
+    if isinstance(rep, BranchingSchedule):
+        tops = np.array(his[::-1], dtype=np.int64)
+        best = _corner_maxima(rep.prefix_array(), depth, scales, marr, tops)
+    else:
+        live = len(grid) - np.searchsorted(his, marr, side="left")
+        best = _row_maxima(rep, depth, scales, marr, live, neighbors)
+    return best[::-1].tolist()
 
 
 def _report(name: str, tol: float, rows) -> VerificationReport:
@@ -596,16 +698,26 @@ def verify_main_theorem(
 ) -> VerificationReport:
     """Upper estimate vs the max over all achievable window ratios <= theta.
 
-    Both sides maximize over the identical finite window fan, one through
-    the optimized upper path and one by direct enumeration of every window
-    in one pass over the widest fan, reduced by ratio for all thetas at
-    once, so the deviation must be exactly zero.  On a composite the
-    enumeration skips the rows of pieces that a kept piece dominates
-    pointwise (an integer test on prefix counts that leaves every row
-    maximum bit for bit unchanged); every window of every other row is
-    still enumerated, independent of the region solver the upper path uses.
-    The upper side is `estimate_upper` itself, on the resolved grid and
-    range.
+    Both sides maximize over the identical finite window fan, so the
+    deviation must be exactly zero.  The upper side is `estimate_upper`
+    itself, on the resolved grid and range.  The brute side makes one pass
+    over the widest fan, reduced by ratio for all thetas at once
+    (`_ratio_fan_maxima`):
+
+    - on a tree every window is enumerated;
+    - on a composite every window of every row is enumerated, except the
+      rows of pieces that a kept piece dominates pointwise (an integer
+      test on prefix counts that leaves every row maximum bit for bit
+      unchanged);
+    - on a schedule only the fan starts and the concave corners are read.
+      The prefix count rises by 0 or 1 per level, so the exponent does not
+      decrease along a branching run and does not increase along a frozen
+      one, and a row's maximum from any fan start on sits at that start
+      or at a later corner (the last level of a branching run, or the
+      depth).
+
+    The brute side never calls the region solver, which still solves over
+    every level on the upper side, so the two stay independent.
     """
     depth, grid, lo, hi, his = _resolve(rep, theta_grid, m_range, neighbors)
     upper = estimate_upper(rep, grid, (lo, hi), neighbors)

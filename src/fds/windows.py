@@ -43,7 +43,8 @@ off by less than bound = 2**-50 times the largest seed s: four roundings
 below 2**-53 each.  Only a seed within bound of an integer N is tested
 exactly, by the sign of N**n * p - m**n * q: in wrapping int64 while its
 size, below p * n * (s + 2)**n * 2**-49, stays below 2**63, else by the
-scalar `fine`.
+scalar `fine`.  A largest seed at or past 2**62 raises BudgetError, since
+the int64 levels could wrap; the scalar `fine` has no such limit.
 
 The schedule kernels (`region_max`, the scales' `fine_array` and the
 kernels of `schedule`) write every depth- or region-sized array into the
@@ -190,6 +191,8 @@ class RootScale:
             work = Workspace(size - 1)
         seed = np.multiply(marr, iroot((q << 64 * n) // p, n) / (1 << 64), out=work.floats[0][:size])
         top = float(seed.max(initial=0.0))
+        if top >= 1 << 62:  # the int64 result would wrap
+            raise BudgetError(f"fine level near {top:.3g} exceeds the int64 range")
         np.rint(seed, out=z, casting="unsafe")  # N, the integer nearest the seed
         seed -= z
         up = seed > 0

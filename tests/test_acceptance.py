@@ -113,7 +113,8 @@ def test_c1_upper_identity(two_phase_sets):
 def test_c1_readme_set_upper_identity_budget(two_phase_sets):
     """The README set (s=2/5, t=4/5, depth 65536) over 19 thetas and m in
     1024:65536: the upper estimate equals the ratio-fan maximum exactly,
-    with every window enumerated once for all thetas, within budget."""
+    with each row's fan starts and concave corners read once for all
+    thetas, within budget."""
     t0 = time.time()
     r = verify_main_theorem(two_phase_sets[(F(2, 5), F(4, 5))], GRID_19, (1024, 65536))
     elapsed = time.time() - t0

@@ -365,6 +365,61 @@ def test_fan_maxima_match_oracle_schedules(s, data):
     _assert_fan_maxima_match_oracle(s, *_fan_case(data, s.depth))
 
 
+@st.composite
+def run_schedules(draw, max_runs=30, max_length=24):
+    """Schedules of 1 to max_runs alternating runs of up to max_length
+    levels, so the concave corners (the last level of a branching run) are
+    sparse among the levels."""
+    lengths = draw(st.lists(st.integers(min_value=1, max_value=max_length),
+                            min_size=1, max_size=max_runs))
+    c = draw(st.sampled_from((1, 2)))
+    return BranchingSchedule([(n, 1 + (c + i) % 2) for i, n in enumerate(lengths)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(run_schedules(), st.sampled_from((1, 7, 64, spectra.FAN_PAIR_BLOCK)), st.data())
+def test_corner_kernel_matches_oracle_run_schedules(s, block, data):
+    """The schedule brute side, which reads only fan starts and concave
+    corners, equals the every-window oracle bit for bit, with blocks down
+    to one cell."""
+    assume(s.depth >= 2)
+    with patch.object(spectra, "FAN_PAIR_BLOCK", block):
+        _assert_fan_maxima_match_oracle(s, *_fan_case(data, s.depth))
+
+
+def test_corner_kernel_explicit_schedules():
+    """One-run schedules (all branching: the depth is the only corner and
+    every exponent is 1; all frozen: every exponent is 0), a corner at the
+    depth, several corners, thetas near 1 (width 1 at a block's first
+    cells) and distinct clamped tops, at every block size; the schedule
+    path builds no whole row."""
+    cases = [
+        BranchingSchedule([(40, 2)]),
+        BranchingSchedule([(40, 1)]),
+        BranchingSchedule([(9, 1), (3, 2), (20, 1), (8, 2)]),
+        BranchingSchedule([(3, 2), (5, 1), (4, 2), (9, 1), (7, 2), (12, 1)]),
+    ]
+    grids = [
+        [Fraction(1, 3), Fraction(1, 2), Fraction(4, 5)],
+        [Fraction(9, 10), Fraction(99, 100), Fraction(999, 1000)],
+    ]
+    assert [RationalScale(th).max_coarse(40) for th in grids[0]] == [13, 20, 32]
+    assert RationalScale(grids[1][-1]).fine(39) == 40
+    for block in (1, 7, 64, spectra.FAN_PAIR_BLOCK):
+        with patch.object(spectra, "FAN_PAIR_BLOCK", block), \
+                patch.object(spectra, "_fan_rows") as rows:
+            for s in cases:
+                for grid in grids:
+                    for lo, hi in ((1, s.depth), (1, s.depth // 2), (s.depth // 3, s.depth)):
+                        his = [min(hi, RationalScale(th).max_coarse(s.depth)) for th in grid]
+                        if his[0] >= lo:
+                            _assert_fan_maxima_match_oracle(s, grid, lo, his)
+            assert not rows.called
+    his = [RationalScale(th).max_coarse(40) for th in grids[0]]
+    assert _ratio_fan_maxima(cases[0], 40, grids[0], 1, his, False) == [1.0] * 3
+    assert _ratio_fan_maxima(cases[1], 40, grids[0], 1, his, False) == [0.0] * 3
+
+
 @settings(max_examples=60, deadline=None)
 @given(schedules(max_depth=10), schedules(max_depth=10),
        st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=5),

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from fds.schedule import (
     materialize,
     origin_log_counts,
 )
-from fds.constructions import TwoPhaseParams, two_phase_schedule
+from fds.constructions import TwoPhaseParams, concave_union, target_from_poly, two_phase_schedule
 from fds.spectra import estimate_spectrum, estimate_upper
 from fds.windows import RationalScale, RootScale, Workspace
 
@@ -357,3 +358,24 @@ def test_schedule_kernels_allocate_no_depth_sized_array(composite):
         peak = traced_peak(lambda: found.append(kernel(rep, scale, 1, hi, work)))
         assert peak < 8 * hi < 8 * (depth + 1), (kernel.__name__, scale, peak)
         assert found == [first]
+
+
+def test_composite_upper_origin_rows_read_the_fine_array():
+    """The origin node's rows take their fine levels from the fine array
+    of the whole range: a 9-theta upper estimate over every coarse level of
+    the 8-component concave union, whose origin rows lie below its last
+    shift 256, makes no scalar fine call."""
+    cs = concave_union(target_from_poly([Fraction(2, 5), Fraction(2, 5), Fraction(-1, 5)], 8),
+                       blocks=3)
+    assert cs.shifts[-1] == 256
+    calls = []
+    fine = RootScale.fine
+
+    def counted(self, m):
+        calls.append(m)
+        return fine(self, m)
+
+    with patch.object(RootScale, "fine", counted):
+        est = estimate_upper(cs, [Fraction(k, 10) for k in range(1, 10)], (1, cs.depth))
+    assert calls == []
+    assert est.witnesses[0][:2] == (6579, 65791)

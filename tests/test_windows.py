@@ -99,6 +99,21 @@ def test_rational_scale_fine_array_guards_the_largest_entry():
         assert got.dtype == np.int64 and got.size == 0
 
 
+def test_fine_array_rejects_levels_past_int64():
+    """A largest seed at or past 2**62 raises BudgetError instead of
+    returning a wrapped int64 level; just below it the levels are exact,
+    and the scalar fine has no such limit."""
+    sc = RationalScale(Fraction(1, 2386420683693101056))
+    assert sc.fine(4) == 9545682734772404224
+    with pytest.raises(BudgetError):
+        sc.fine_array(np.array([4]))
+    sc = RationalScale(Fraction(1, 2**60))
+    assert sc.fine_array(np.array([3, 1])).tolist() == [3 * 2**60, 2**60]
+    with pytest.raises(BudgetError):
+        sc.fine_array(np.array([4, 1]), Workspace(2))
+    assert sc.fine(4) == 2**62
+
+
 def test_rational_scale_ceil_division_allocates_only_its_result():
     """Without a lent workspace the int64 ceil-division allocates its
     result array and no other array of the input's size, not even a mask."""
