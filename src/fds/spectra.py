@@ -36,29 +36,44 @@ orders:
 - The brute side goes by coarse level, for all thetas at once: every
   window (m, m') is the exact-ratio window of theta' = m / m', so a
   theta's value at row m is the maximum from its own fine level on, read
-  as a suffix maximum from the fine levels of the thetas live at m.  On a
-  tree or composite each row is built whole and divided by its widths.
-  On a composite a row is the elementwise max over the pieces present at
-  m; a piece whose row a kept piece dominates pointwise over the whole
-  fan (an exact integer test, `_kept_pieces`) is left out of the max,
-  which cannot change it.
-- On a schedule the brute side reads only the fan starts and the concave
-  corners, the last level of each branching run and the depth.  The
-  prefix count S rises by 0 or 1 per level, so N(j) = S[j] - S[m] <= j - m.
-  Along a branching stretch N and the width j - m both grow by one, so
+  as a suffix maximum from the fine levels of the thetas live at m.  One
+  kernel, `_fan_kernel`, reads each row only at those fan starts and at
+  the candidate columns after them:
+
+  | input                      | rows          | columns                    |
+  |----------------------------|---------------|----------------------------|
+  | schedule, composite piece  | where kept    | concave corners, depth     |
+  | composite origin bucket    | its own       | every level                |
+  | tree, neighbor mode off    | every row     | depth + 1 - u per gap u    |
+  | tree, neighbor mode on     | every row     | every level                |
+
+  A schedule is the one piece at shift 0.  On a piece the numerator
+  N(j) = S[j - e] - S[m - e] rises by 0 or 1 per level, so N <= j - m:
+  along a branching stretch N and the width j - m both grow by one, so
   N / (j - m) does not decrease; along a frozen stretch N is fixed, so it
-  does not increase.  The maximum over j >= f is therefore at f or at a
-  concave corner >= f, and correctly rounded division is monotone, so the
-  float maximum is bit for bit that over every window.
+  does not increase.  The maximum from a fan start f on is therefore at
+  f or at a concave corner after it, the last level of a branching run
+  or the depth.  On a run table a row's numerator is fixed and >= 0
+  while the fine rank is, and the width grows, so the maximum from f on
+  is at f or at the first level of a later fine rank, depth + 1 - u for
+  a gap value u.  Neighbor counts and origin counts have no such
+  stretches, so every level is a column.  Correctly rounded division is
+  monotone, so each float maximum is bit for bit that over every window.
+  At a window (m, j) every piece and the origin share the width, so the
+  max of their quotients is the quotient of their largest numerator, and
+  a composite's maximum is the max of its pieces' and buckets' maxima.
+  A piece that a kept piece dominates pointwise over a whole row (an
+  exact integer test, `_kept_pieces`) is left out of that row, which
+  cannot change it.
 
 Both sides divide the same integer counts (or table entries) by the same
 widths, so they meet the same floats, and a maximum is exact whatever
 the order; the check still compares two independent reductions.  The
-brute side reads prefix counts and tables only, never `region_max`: the
-corner rule is a fact about the counts, with no slope, no parameter and
-no round of its own, and the upper side still solves over every level.
-A window that either side drops or admits by mistake shows as a nonzero
-deviation.
+brute side reads prefix counts and tables only, never `region_max`: its
+candidate rule is a fact about the counts, with no slope, no parameter
+and no round of its own, and the upper side still solves over every
+level.  A window that either side drops or admits by mistake shows as a
+nonzero deviation.
 
 Exactness contract: within one set representation all estimators read the
 same exponent values (integer prefix differences or cached log tables),
@@ -78,7 +93,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import pairwise
+from itertools import groupby, pairwise
 from typing import Sequence
 
 import numpy as np
@@ -119,7 +134,7 @@ UPPER = "upper-spectrum"
 # table entries one block of the tree upper kernel gathers at once
 UPPER_BLOCK = 1 << 16
 # entries one block of the brute side holds: piece-pair differences of the
-# dominance test, a chunk's fine levels per theta, a schedule's corner cells
+# dominance test, a chunk's fine levels per theta, a block's candidate cells
 FAN_PAIR_BLOCK = 1 << 16
 
 
@@ -413,16 +428,18 @@ def estimate_quasi_assouad(
 # ----------------------------------------------------------------------
 # ratio fan (the brute side of the upper identity).  Every window (m, m')
 # is the exact-ratio window of theta' = m / m', so one pass over the widest
-# fan serves every theta: per coarse level m, the exponents over m' >=
-# fine(m) at the largest theta - every window of a tree or composite row,
-# the fan starts and concave corners of a schedule - reduced by ratio into
-# the running maximum of every theta still live at m.
+# fan serves every theta: per coarse level m, the exponents at the live
+# thetas' fan starts and at the candidate columns after them, reduced by
+# ratio into the running maximum of every theta still live at m.
 
 
 def _kept_pieces(parts, depth: int, lo: int, starts: np.ndarray) -> np.ndarray | None:
     """(rows, pieces) bool: whether piece q's row at coarse level lo + i,
-    over the fine levels starts[i], ..., depth, enters the row maximum;
-    None for fewer than two pieces, where nothing can be dropped.
+    over the fine levels starts[i], ..., depth, is read by the brute side;
+    None for fewer than two pieces, where nothing can be dropped.  A piece
+    left out at a row is dominated there pointwise by a kept one, so the
+    row's largest numerator at every fine level, and every float made from
+    it, is unchanged.
 
     With G_q[j] = S_q[j - e_q] and c_q = S_q(m - e_q), a present piece p
     dominates q on [f, depth] iff D_pq(f) = max_{j >= f}(G_q[j] - G_p[j])
@@ -492,154 +509,85 @@ def _kept_pieces(parts, depth: int, lo: int, starts: np.ndarray) -> np.ndarray |
     return kept
 
 
-def _fan_rows(rep, depth: int, lo: int, starts: np.ndarray, neighbors: bool):
-    """fill(m, f, out): the exponent numerators of the windows (m, j) for
-    j = f, ..., depth into out, for m in [lo, lo + len(starts) - 1] and f
-    at or above starts[m - lo] - a tree table's log2 counts, or the
-    elementwise max over the pieces with shift e <= m of S[j - e] - S[m - e]
-    and over the origin node's log2 counts; a composite row keeps its
-    pieces' maximum in one spare row of depth + 1 entries per call.
+def _fan_kernel(cols: np.ndarray, rows: np.ndarray, fill, scales, tops) -> np.ndarray:
+    """Per scale (widest fan first), the max exponent over the windows
+    (m, j) with m in rows at or below the scale's clamped top tops[t] and j
+    at the scale's fine level of m or at an ascending candidate column
+    after it; cols ends at the depth.  fill(i, n, js, out) writes the
+    numerators of rows[i:i + n] at the levels js into out, where js is a
+    suffix cols[c0:] of the columns or an (n, thetas) array of fan starts.
 
-    A composite row skips every piece that `_kept_pieces` finds dominated
-    on [starts[m - lo], depth] by a kept piece: the kept row is pointwise at
-    least as large, so the elementwise max, and every float made from it,
-    is unchanged.  Origin rows are never skipped.  A tree has no pieces,
-    so its rows skip nothing; schedules go to `_corner_maxima` instead."""
-    if isinstance(rep, DyadicTree):
-        runs = _tree_table(rep, neighbors)
-        ranks = runs.rank(depth - np.arange(depth + 1))  # fine rank per level
-        by_rank = np.empty(depth + 1)
-
-        def fill(m, f, out):
-            runs.row(runs.rank(depth - m), by_rank)
-            np.take(by_rank, ranks[f:], out=out)
-
-        return fill
-    ints = [(e, S) for _, e, S in pieces(rep)]
-    kept = _kept_pieces(ints, depth, lo, starts)
-    # prefix counts stay below 2**53, so they and their differences are
-    # exact in float64; pieces ascend in shift.  The float copies are the
-    # rows of one block, one allocation per call.
-    parts = []
-    for (e, S), row in zip(ints, np.empty((len(ints), depth + 1))):
-        row = row[: S.size]
-        row[:] = S
-        parts.append((e, row))
-    origin = dict(origin_rows(rep, lo, lo + starts.size - 1))
-    spare = np.empty(depth + 1)
-
-    def fill(m, f, out):
-        dst = out
-        use = parts if kept is None else [parts[k] for k in np.flatnonzero(kept[m - lo])]
-        for e, S in use:
-            if e > m:
-                break
-            np.subtract(S[f - e :], S[m - e], out=dst)
-            if dst is not out:
-                np.maximum(out, dst, out=out)
-            dst = spare[: out.size]
-        logs = origin.get(m)
-        if logs is not None:
-            if dst is out:
-                np.copyto(out, logs[f:])
-            else:
-                np.maximum(out, logs[f:], out=out)
-
-    return fill
-
-
-def _fan_fines(scales, marr: np.ndarray) -> np.ndarray:
-    """(rows, thetas) fine levels of the coarse levels marr, one column per
-    scale, widest fan first, so each row ascends."""
-    return np.stack([scale.fine_array(marr) for scale in scales], axis=1)
-
-
-def _row_maxima(rep, depth, scales, marr, live, neighbors) -> np.ndarray:
-    """Per scale (widest fan first), the max exponent over every window of
-    every row m of marr from the scale's fine level on, at the rows where
-    the scale is among the live[m - lo] widest: each row built whole by
-    `_fan_rows`, divided by its widths and reduced by ratio segments."""
+    Rows go in blocks of about FAN_PAIR_BLOCK cells, each filled with the
+    exponents at the columns from its first row's widest fan start on,
+    plus a -inf column that the first column of a theta not live at the
+    row points to when its fine level passes the depth.  A block ends
+    before the row that reaches its first column, so every width is
+    positive.  One flat maximum.reduceat gives each fan's column maximum;
+    with the fan-start values, a reversed running maximum along theta
+    makes each a suffix maximum from its own start."""
     k = len(scales)
-    lo = int(marr[0])
-    first = scales[0].fine_array(marr)
-    fill = _fan_rows(rep, depth, lo, first, neighbors)
-    widths = np.arange(depth + 1, dtype=np.float64)
-    buf = np.empty(depth + 1)
-    best = np.full(k, -np.inf)
-    step = max(1, FAN_PAIR_BLOCK // k)
-    for a in range(0, marr.size, step):
-        # offsets from the row's widest fan start, one chunk at a time
-        offsets = _fan_fines(scales, marr[a : a + step])
-        offsets -= offsets[:, :1]
-        rows = zip(marr[a : a + step].tolist(), first[a : a + step].tolist(),
-                   live[a : a + step].tolist(), offsets)
-        for m, f, n, off in rows:
-            row = buf[: depth + 1 - f]
-            fill(m, f, row)
-            np.divide(row, widths[f - m : depth + 1 - m], out=row)
-            # segment maxima between the live fine levels, then the running
-            # maximum from the narrowest live fan outward
-            seg = np.maximum.accumulate(np.maximum.reduceat(row, off[:n])[::-1])[::-1]
-            np.maximum(best[:n], seg, out=best[:n])
-    return best
-
-
-def _corner_maxima(S: np.ndarray, depth, scales, marr, tops) -> np.ndarray:
-    """Per scale (widest fan first), the max of (S[j] - S[m]) / (j - m)
-    over j >= the scale's fine level of m, for the rows m of marr at or
-    below the scale's clamped top tops[t], on a schedule's prefix counts S.
-
-    The candidates are the fan starts and the concave corners: the last
-    level of each branching run, and the depth.  Rows go in blocks of
-    about FAN_PAIR_BLOCK cells, each filled with the exponents at the
-    corners from its first widest fan start on, plus a -inf column that
-    the first corner of a theta not live at the row points to when its
-    fine level passes the depth.  A block ends before the row that reaches
-    its first corner, so every width is positive."""
-    k = len(scales)
-    rise = np.diff(S).astype(bool)  # [j - 1]: level j branches
-    rise[:-1] &= ~rise[1:]
-    rise[-1] = True
-    corners = np.flatnonzero(rise) + 1
-    # per column: numerator head S[C] and level C, then the -inf column
-    heads = np.append(S[corners], -np.inf)
-    ends = np.append(corners, depth + 1).astype(np.float64)
-    size = max(FAN_PAIR_BLOCK, heads.size)
+    ends = np.append(cols, cols[-1] + 1).astype(np.float64)
+    size = max(FAN_PAIR_BLOCK, ends.size)
     vals, widths = np.empty(size), np.empty(size)
     best = np.full(k, -np.inf)
     step = max(1, FAN_PAIR_BLOCK // k)
-    for a in range(0, marr.size, step):
-        ms = marr[a : a + step]
-        fines = _fan_fines(scales, ms)
-        at = np.searchsorted(corners, fines)  # each fan's first corner
-        base = S[ms]
+    for a in range(0, rows.size, step):
+        ms = rows[a : a + step]
+        fines = np.stack([scale.fine_array(ms) for scale in scales], axis=1)
+        at = np.searchsorted(cols, fines)  # each fan's first column
         # a fan start past the depth belongs to a theta not live at the row
-        starts = np.minimum(fines, depth)
-        fan = (S[starts] - base[:, None]) / (starts - ms[:, None])
+        starts = np.minimum(fines, cols[-1])
+        fan = np.empty(starts.shape)
+        fill(a, ms.size, starts, fan)
+        fan /= starts - ms[:, None]
         seg = np.empty_like(fan)
+        # per row, the widest fan's first column and the rows below it
+        firsts = at[:, 0].tolist()
+        below = np.searchsorted(ms, cols[at[:, 0]]).tolist()
         i = 0
         while i < ms.size:
-            c0 = int(at[i, 0])
-            cols = heads.size - c0
-            rows = min(ms.size - i, max(1, size // cols), int(corners[c0] - ms[i]))
-            block = vals[: rows * cols].reshape(rows, cols)
-            width = widths[: rows * cols].reshape(rows, cols)
-            np.subtract(heads[c0:], base[i : i + rows, None], out=block)
-            np.subtract(ends[c0:], ms[i : i + rows, None], out=width)
+            c0 = firsts[i]
+            c = ends.size - c0
+            n = min(max(1, size // c), below[i] - i)
+            block = vals[: n * c].reshape(n, c)
+            width = widths[: n * c].reshape(n, c)
+            fill(a + i, n, cols[c0:], block[:, :-1])
+            block[:, -1] = -np.inf
+            np.subtract(ends[c0:], ms[i : i + n, None], out=width)
             np.divide(block, width, out=block)
             # per row: its start, whose segment is dropped, then each fan's
-            # first corner
-            idx = np.empty((rows, k + 1), dtype=np.intp)
-            idx[:, 0] = np.arange(0, rows * cols, cols)
-            np.subtract(at[i : i + rows], c0 - idx[:, :1], out=idx[:, 1:])
+            # first column
+            idx = np.empty((n, k + 1), dtype=np.intp)
+            idx[:, 0] = np.arange(0, n * c, c)
+            np.subtract(at[i : i + n], c0 - idx[:, :1], out=idx[:, 1:])
             maxima = np.maximum.reduceat(block.ravel(), idx.ravel())
-            seg[i : i + rows] = maxima.reshape(rows, k + 1)[:, 1:]
-            i += rows
+            seg[i : i + n] = maxima.reshape(n, k + 1)[:, 1:]
+            i += n
         np.maximum(seg, fan, out=seg)
         seg = np.maximum.accumulate(seg[:, ::-1], axis=1)[:, ::-1]
         seg[ms[:, None] > tops] = -np.inf
         np.maximum(best, seg.max(axis=0), out=best)
     return best
+
+
+def _piece_fan(S: np.ndarray, e: int, rows: np.ndarray):
+    """(columns, rows, fill) of a piece with prefix counts S at shift e:
+    its concave corners, the last level of each branching run and the
+    depth, in the union's levels."""
+    rise = np.diff(S).astype(bool)  # [j - 1]: local level j branches
+    rise[:-1] &= ~rise[1:]
+    rise[-1] = True
+    corners = np.flatnonzero(rise) + 1
+    # prefix counts stay below 2**53, so their floats and differences are
+    # exact
+    heads, base = S[corners].astype(np.float64), S[rows - e].astype(np.float64)
+
+    def fill(i, n, js, out):
+        # a suffix of the columns reads the heads computed once per call
+        top = heads[heads.size - js.size :] if js.ndim == 1 else S[js - e]
+        np.subtract(top, base[i : i + n, None], out=out)
+
+    return corners + e, rows, fill
 
 
 def _ratio_fan_maxima(rep, depth, grid, lo, his, neighbors) -> list[float]:
@@ -651,26 +599,45 @@ def _ratio_fan_maxima(rep, depth, grid, lo, his, neighbors) -> list[float]:
     and everything after it, so it is a suffix maximum along the row read
     from the fan starts of the live thetas, widest first.
 
-    A schedule is read by `_corner_maxima`: its prefix count rises by 0
-    or 1 per level, so the quotient (S[j] - S[m]) / (j - m) does not
-    decrease along a branching stretch (numerator and width both grow by
-    one, and N <= width) and does not increase along a frozen one (the
-    numerator is fixed).  The max over j >= f is therefore at f or at a
-    concave corner >= f, and correctly rounded division is monotone, so
-    the float maxima are bit for bit those of every window.  Trees and
-    composites are read by `_row_maxima` over whole rows from `_fan_rows`,
-    which leaves out the composite pieces a kept piece dominates from the
-    widest fan's start on; that start is at or below every live theta's,
-    so the dropped pieces are dominated on every segment too.  Neither
-    reads the region solver of the upper side."""
+    This is the one place that knows the representation: it hands
+    `_fan_kernel` the candidate columns, rows and fill of the module
+    docstring's table, once per piece and origin bucket of a composite,
+    and takes the max of their maxima.  Pieces a kept piece dominates from
+    the widest fan's start on are left out of a row (`_kept_pieces`); that
+    start is at or below every live theta's, so they are dominated from
+    every fan start too.  Nothing here reads the region solver of the
+    upper side."""
     marr = np.arange(lo, his[-1] + 1, dtype=np.int64)
     scales = [RationalScale(th) for th in reversed(grid)]
-    if isinstance(rep, BranchingSchedule):
-        tops = np.array(his[::-1], dtype=np.int64)
-        best = _corner_maxima(rep.prefix_array(), depth, scales, marr, tops)
+    if isinstance(rep, DyadicTree):
+        runs = _tree_table(rep, neighbors)
+        ranks = runs.rank(depth - marr)
+
+        def fill(i, n, js, out):
+            np.take(runs.logs, runs.at(runs.rank(depth - js), ranks[i : i + n, None]), out=out)
+
+        if neighbors:  # a neighbor count may change at any level
+            cols = np.arange(1, depth + 1)
+        else:  # a run-table count only where the fine rank does
+            cols = np.append(depth + 1 - runs.u[runs.u > 1][::-1], depth)
+        fans = [(cols, marr, fill)]
     else:
-        live = len(grid) - np.searchsorted(his, marr, side="left")
-        best = _row_maxima(rep, depth, scales, marr, live, neighbors)
+        parts = [(e, S) for _, e, S in pieces(rep)]
+        kept = _kept_pieces(parts, depth, lo, scales[0].fine_array(marr))
+        fans = []
+        for q, (e, S) in enumerate(parts):
+            rows = marr[marr >= e] if kept is None else marr[kept[:, q]]
+            if rows.size:
+                fans.append(_piece_fan(S, e, rows))
+        # the origin rows of one bucket share one log-count row
+        for _, bucket in groupby(origin_rows(rep, lo, his[-1]), key=lambda r: id(r[1])):
+            ms, logs = zip(*bucket)
+            fans.append((np.arange(1, depth + 1), np.array(ms, dtype=np.int64),
+                         lambda i, n, js, out, logs=logs[0]: np.copyto(out, logs[js])))
+    tops = np.array(his[::-1], dtype=np.int64)
+    best = np.full(len(scales), -np.inf)
+    for cols, rows, fill in fans:
+        np.maximum(best, _fan_kernel(cols, rows, fill, scales, tops), out=best)
     return best[::-1].tolist()
 
 
@@ -702,19 +669,14 @@ def verify_main_theorem(
     deviation must be exactly zero.  The upper side is `estimate_upper`
     itself, on the resolved grid and range.  The brute side makes one pass
     over the widest fan, reduced by ratio for all thetas at once
-    (`_ratio_fan_maxima`):
-
-    - on a tree every window is enumerated;
-    - on a composite every window of every row is enumerated, except the
-      rows of pieces that a kept piece dominates pointwise (an integer
-      test on prefix counts that leaves every row maximum bit for bit
-      unchanged);
-    - on a schedule only the fan starts and the concave corners are read.
-      The prefix count rises by 0 or 1 per level, so the exponent does not
-      decrease along a branching run and does not increase along a frozen
-      one, and a row's maximum from any fan start on sits at that start
-      or at a later corner (the last level of a branching run, or the
-      depth).
+    (`_ratio_fan_maxima`).  It reads each row at the fan starts and at the
+    candidate columns of the module docstring's table, after which no
+    exponent of the row can rise: the concave corners of a schedule or
+    composite piece, the first level of each fine rank of a run table,
+    and every level of a neighbor table or origin bucket.  Composite
+    pieces that a kept piece dominates pointwise on a row are left out of
+    it (an integer test on prefix counts that leaves every row maximum bit
+    for bit unchanged).
 
     The brute side never calls the region solver, which still solves over
     every level on the upper side, so the two stay independent.

@@ -37,14 +37,16 @@ round to one float, so float ties are exact ties.  The hull sweep
 `suffix_slope_max` and `runlen_table` are the tests' references, not API.
 
 The fine level of m at theta = p/q and root order n (n = 1 for
-`RationalScale`) is the smallest z with z**n * p >= m**n * q.  Past an
-int64 ceil-division it starts from a float seed of m * (q/p)**(1/n)
-off by less than bound = 2**-50 times the largest seed s: four roundings
-below 2**-53 each.  Only a seed within bound of an integer N is tested
-exactly, by the sign of N**n * p - m**n * q: in wrapping int64 while its
-size, below p * n * (s + 2)**n * 2**-49, stays below 2**63, else by the
-scalar `fine`.  A largest seed at or past 2**62 raises BudgetError, since
-the int64 levels could wrap; the scalar `fine` has no such limit.
+`RationalScale`) is the smallest z with z**n * p >= m**n * q.  When p and
+q are the n-th powers of a and b, that is z * a >= m * b, so `fine_array`
+reads such a root at order 1.  Past an int64 ceil-division it starts
+from a float seed of m * (q/p)**(1/n) off by less than bound = 2**-50
+times the largest seed s: four roundings below 2**-53 each.  Only a seed
+within bound of an integer N is tested exactly, by the sign of
+N**n * p - m**n * q: in wrapping int64 while its size, below
+p * n * (s + 2)**n * 2**-49, stays below 2**63, else by the scalar
+`fine`.  A largest seed at or past 2**62 raises BudgetError, since the
+int64 levels could wrap; the scalar `fine` has no such limit.
 
 The schedule kernels (`region_max`, the scales' `fine_array` and the
 kernels of `schedule`) write every depth- or region-sized array into the
@@ -179,6 +181,9 @@ class RootScale:
         docstring's rule, in work.ints[3] (or a new array); seeds and exact
         tests use work.floats[0] and work.ints[0:2]."""
         p, q, n = self.p, self.q, self.n
+        a, b = iroot(p, n), iroot(q, n)
+        if a**n == p and b**n == q:  # a rational root: z * a >= m * b
+            p, q, n = a, b, 1
         marr = np.asarray(marr, dtype=np.int64)
         size = marr.size
         z = np.empty(size, dtype=np.int64) if work is None else work.ints[3][:size]
@@ -494,13 +499,6 @@ class RunTable:
         """Table positions for s with rank(s) = rs and s + d with rank rt."""
         return np.where(rt > rs, self.base[rs] + rt, 0)
 
-    def row(self, rt: int, out: np.ndarray) -> np.ndarray:
-        """`logs` at every fine rank rs = 0, ..., len(u) below coarse rank
-        rt, written into out[:len(u) + 1] without temporaries."""
-        np.take(self.logs[rt:], self.base[:rt], out=out[:rt])
-        out[rt : self.u.size + 1] = self.logs[0]
-        return out
-
 
 def _adjacency(xs: Sequence[int], gaps: np.ndarray) -> np.ndarray:
     """Per adjacent pair a < b of sorted, distinct indices with width g (see
@@ -574,12 +572,6 @@ class NeighborTable:
     def at(self, rs, rt):
         """Table positions for fine level rs below coarse level rt."""
         return np.multiply(rt, self.size) + rs
-
-    def row(self, rt: int, out: np.ndarray) -> np.ndarray:
-        """`logs` at every fine level below coarse level rt, written into
-        out[:size]."""
-        np.copyto(out[: self.size], self.logs[rt * self.size : (rt + 1) * self.size])
-        return out
 
 
 def runlen_table(xs: Sequence[int]) -> np.ndarray:

@@ -128,8 +128,9 @@ def test_c1_readme_set_upper_identity_budget(two_phase_sets):
 def test_c1_union_upper_identity_budget():
     """The 8-component concave union (blocks 3, depth 65792) over 7 thetas
     (0.3:0.9) on the default range: the upper estimate equals the ratio-fan
-    maximum exactly, with every window of every row the dominance test
-    keeps enumerated once for all thetas, within budget."""
+    maximum exactly, with the fan starts and concave corners of each piece
+    on the rows the dominance test keeps it read once for all thetas,
+    within budget."""
     cs = concave_union(target_from_poly([F(2, 5), F(2, 5), F(-1, 5)], 8), blocks=3)
     t0 = time.time()
     r = verify_main_theorem(cs, GRID_7)

@@ -353,10 +353,52 @@ def _assert_fan_maxima_match_oracle(rep, grid, lo, his, neighbors=False):
     assert got == want, (grid, lo, his)
 
 
+BLOCKS = (1, 7, 64, spectra.FAN_PAIR_BLOCK)
+
+
 @settings(max_examples=60, deadline=None)
-@given(trees(), st.booleans(), st.data())
-def test_fan_maxima_match_oracle_trees(t, neighbors, data):
-    _assert_fan_maxima_match_oracle(t, *_fan_case(data, t.depth), neighbors)
+@given(trees(), st.booleans(), st.sampled_from(BLOCKS), st.data())
+def test_fan_maxima_match_oracle_trees(t, neighbors, block, data):
+    """Both tree modes, with blocks down to one cell."""
+    with patch.object(spectra, "FAN_PAIR_BLOCK", block):
+        _assert_fan_maxima_match_oracle(t, *_fan_case(data, t.depth), neighbors)
+
+
+def _kernel_columns():
+    """A wrapper for patching `spectra._fan_kernel`, and the candidate
+    columns of each call it sees."""
+    kernel, seen = spectra._fan_kernel, []
+
+    def wrapper(cols, *args):
+        seen.append(cols.tolist())
+        return kernel(cols, *args)
+
+    return wrapper, seen
+
+
+def test_fan_maxima_trees_read_their_candidate_columns():
+    """Two leaves at depth 4096 (one gap value), four leaves with three
+    distinct gaps, and a tree that branches at levels 6 to 9 only, read up
+    to m = 2 at theta = 1/2, so that its best window (2, 9) lies at an
+    interior column of odd level: in both modes where the neighbor table
+    is small, the brute side equals the every-window oracle in one kernel
+    call, which reads at most k + 1 columns for k distinct gaps with
+    neighbor mode off."""
+    grid = [Fraction(1, 3), Fraction(1, 2), Fraction(9, 10)]
+    bent = materialize(BranchingSchedule([(5, 1), (4, 2), (55, 1)]))
+    assert ratio_fan_max(bent, Fraction(1, 2), 1, 2) == 4 / 7
+    cases = [(DyadicTree(4096, [0, 1]), grid, 4096),
+             (DyadicTree(64, [0, 1, 4, 1024]), grid, 64),
+             (bent, [Fraction(1, 2)], 2)]
+    for t, g, hi in cases:
+        k = np.unique(t.gaps).size
+        his = [min(hi, RationalScale(th).max_coarse(t.depth)) for th in g]
+        for neighbors in (False, True) if t.depth <= 64 else (False,):
+            wrapper, seen = _kernel_columns()
+            with patch.object(spectra, "_fan_kernel", wrapper):
+                _assert_fan_maxima_match_oracle(t, g, 1, his, neighbors)
+            assert len(seen) == 1 and (neighbors or len(seen[0]) <= k + 1)
+    assert [np.unique(t.gaps).size for t, _, _ in cases[:2]] == [1, 3]
 
 
 @settings(max_examples=60, deadline=None)
@@ -377,7 +419,7 @@ def run_schedules(draw, max_runs=30, max_length=24):
 
 
 @settings(max_examples=60, deadline=None)
-@given(run_schedules(), st.sampled_from((1, 7, 64, spectra.FAN_PAIR_BLOCK)), st.data())
+@given(run_schedules(), st.sampled_from(BLOCKS), st.data())
 def test_corner_kernel_matches_oracle_run_schedules(s, block, data):
     """The schedule brute side, which reads only fan starts and concave
     corners, equals the every-window oracle bit for bit, with blocks down
@@ -391,8 +433,8 @@ def test_corner_kernel_explicit_schedules():
     """One-run schedules (all branching: the depth is the only corner and
     every exponent is 1; all frozen: every exponent is 0), a corner at the
     depth, several corners, thetas near 1 (width 1 at a block's first
-    cells) and distinct clamped tops, at every block size; the schedule
-    path builds no whole row."""
+    cells) and distinct clamped tops, at every block size; the kernel
+    reads a schedule only at its concave corners and the depth."""
     cases = [
         BranchingSchedule([(40, 2)]),
         BranchingSchedule([(40, 1)]),
@@ -405,16 +447,20 @@ def test_corner_kernel_explicit_schedules():
     ]
     assert [RationalScale(th).max_coarse(40) for th in grids[0]] == [13, 20, 32]
     assert RationalScale(grids[1][-1]).fine(39) == 40
-    for block in (1, 7, 64, spectra.FAN_PAIR_BLOCK):
-        with patch.object(spectra, "FAN_PAIR_BLOCK", block), \
-                patch.object(spectra, "_fan_rows") as rows:
-            for s in cases:
+    for block in BLOCKS:
+        for s in cases:
+            wrapper, seen = _kernel_columns()
+            with patch.object(spectra, "FAN_PAIR_BLOCK", block), \
+                    patch.object(spectra, "_fan_kernel", wrapper):
                 for grid in grids:
                     for lo, hi in ((1, s.depth), (1, s.depth // 2), (s.depth // 3, s.depth)):
                         his = [min(hi, RationalScale(th).max_coarse(s.depth)) for th in grid]
                         if his[0] >= lo:
                             _assert_fan_maxima_match_oracle(s, grid, lo, his)
-            assert not rows.called
+            # the last level of each branching run, and the depth
+            ends = np.cumsum(s.lengths)
+            corners = sorted({*ends[s.counts == 2].tolist(), s.depth})
+            assert seen and all(cols == corners for cols in seen)
     his = [RationalScale(th).max_coarse(40) for th in grids[0]]
     assert _ratio_fan_maxima(cases[0], 40, grids[0], 1, his, False) == [1.0] * 3
     assert _ratio_fan_maxima(cases[1], 40, grids[0], 1, his, False) == [0.0] * 3
@@ -426,9 +472,12 @@ def test_corner_kernel_explicit_schedules():
        st.booleans(), st.data())
 def test_fan_maxima_match_oracle_composites(a, b, e, gap, origin, data):
     """Two components, with or without the origin; the coarse range starts
-    below the second shift, so that piece is skipped at its first levels."""
+    below the second shift, so that piece is skipped at its first levels;
+    blocks down to one cell."""
     cs = CompositeSet([(e, a), (e + gap, b)], include_origin=origin)
-    _assert_fan_maxima_match_oracle(cs, *_fan_case(data, cs.depth, lo_cap=e + gap - 1))
+    block = data.draw(st.sampled_from(BLOCKS))
+    with patch.object(spectra, "FAN_PAIR_BLOCK", block):
+        _assert_fan_maxima_match_oracle(cs, *_fan_case(data, cs.depth, lo_cap=e + gap - 1))
 
 
 def test_fan_maxima_explicit_grids():

@@ -3,6 +3,7 @@
 import random
 import tracemalloc
 from fractions import Fraction
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -137,6 +138,27 @@ def test_fine_array_settles_seeds_next_to_an_integer():
     for sc in scales:
         for work in (None, Workspace(m.size)):
             assert sc.fine_array(m, work).tolist() == [sc.fine(x) for x in range(m.size)]
+
+
+def test_fine_array_reads_a_rational_root_at_order_one():
+    """(1/2**16)**(1/16) is 1/2 and (4/9)**(1/2) is 2/3: fine_array reads
+    them at order 1, with no scalar fine call (every seed of the first
+    lies next to an integer), and equals fine at every level; the reprs
+    keep the order."""
+    m = np.arange(16384, 65537, dtype=np.int64)
+    fine, calls = RootScale.fine, []
+
+    def counted(self, x):
+        calls.append(x)
+        return fine(self, x)
+
+    for sc, text in ((RootScale(Fraction(1, 2**16), 16), "RootScale((1/65536)**(1/16))"),
+                     (RootScale(Fraction(4, 9), 2), "RootScale((4/9)**(1/2))")):
+        with patch.object(RootScale, "fine", counted):
+            got = sc.fine_array(m)
+        assert calls == []
+        assert got.tolist() == [sc.fine(x) for x in m.tolist()]
+        assert repr(sc) == text
 
 
 def test_root_scale_bounds_the_order():
