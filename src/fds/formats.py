@@ -34,7 +34,8 @@ from __future__ import annotations
 
 import os
 import re
-from typing import Union
+from heapq import merge
+from typing import Iterator, Union
 
 import numpy as np
 
@@ -59,7 +60,12 @@ _HEX = re.compile(r"[0-9a-f]+")
 # run lines
 _RUNS_PREFIX = re.compile(r"(?:[0-9]+x[0-9]+,)*")
 _RUN_LINES_PREFIX = re.compile(r"(?:[0-9]+ [0-9]+\n)*")
-_LINE_BREAK = re.compile("[\n\r\v\f\x1c\x1d\x1e]")
+# every character str.splitlines cuts a line at
+_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+_LINE_BREAK = re.compile(f"[{_BREAKS}]")
+# the first three whitespace-separated tokens of a line, as str.split
+# finds them, the third only by where it starts
+_COMPONENT = re.compile(r"\s*(\S+)\s+(\S+)\s+")
 _POW10 = 10 ** np.arange(20, dtype=np.uint64)
 
 
@@ -136,6 +142,27 @@ def dump(obj: SetLike, path: str) -> None:
 
 def _lines(text: str) -> list[str]:
     return [ln.rstrip() for ln in text.splitlines() if ln.strip()]
+
+
+def _line_spans(text: str) -> Iterator[tuple[int, int]]:
+    """(start, stop) in text of each line of `_lines(text)`, found with one
+    str.find per line break and no copy of a line that ends in a
+    non-whitespace character."""
+
+    def finds(c):
+        at = text.find(c)
+        while at >= 0:
+            yield at
+            at = text.find(c, at + 1)
+
+    start = 0
+    for brk in merge(*map(finds, _BREAKS), [len(text)]):
+        stop = brk
+        if stop > start and text[stop - 1].isspace():
+            stop = start + len(text[start:stop].rstrip())
+        if stop > start:
+            yield start, stop
+        start = brk + 1
 
 
 def _decimal(tok: str, what: str) -> int:
@@ -229,22 +256,23 @@ def _raise_first_violation(levels: list[list[int]]) -> None:
                 raise FormatError(f"dangling node ({m}, {k}): no child at level {m + 1}")
 
 
-def _run_numbers(body: str, inner: str, sep: str) -> np.ndarray | None:
-    """The numbers of a run body as an (n, 2) int64 array, or None when the
-    body breaks the grammar: n >= 1 runs joined by `sep`, each two
-    ASCII digit runs joined by `inner`.
+def _run_numbers(body, inner: str, sep: str) -> np.ndarray | None:
+    """The numbers of a run body, given as bytes, as an (n, 2) int64 array,
+    or None when the body breaks the grammar: n >= 1 runs joined by `sep`,
+    each two ASCII digit runs joined by `inner`.
 
     The grammar is read off the non-digit bytes alone: there are 2n - 1 of
     them, no two adjacent, neither end of the body is one, and they
-    alternate inner, sep, inner, ...  One gather of first digits gives every
-    one-digit number; the longer ones are parsed grouped by width, one
-    gather and one dot product per width.
+    alternate inner, sep, inner, ...  A byte outside ASCII is none of
+    these, so the grammar rejects it.  One gather of first digits gives
+    every one-digit number; the longer ones are parsed grouped by width,
+    one gather and one dot product per width.
     FormatError for a number with more than 19 digits or at least 2**63, so
     no value wraps.
     """
-    if not (body and body.isascii()):
+    b = np.frombuffer(body, dtype=np.uint8)
+    if not b.size:
         return None
-    b = np.frombuffer(body.encode("ascii"), dtype=np.uint8)
     other = b - np.uint8(48) > 9  # wraps below "0"
     if other[0] or other[-1] or (other[1:] & other[:-1]).any():
         return None
@@ -285,16 +313,25 @@ def _run_numbers(body: str, inner: str, sep: str) -> np.ndarray | None:
                 values[at[sel]] = v
         if past.size:
             i, w = int(head[past[0]]), int(width[past[0]])
-            raise FormatError(f"number {body[i:i + w]} exceeds the int64 range")
+            raise FormatError(f"number {str(body[i:i + w], 'ascii')} exceeds the int64 range")
     return values.reshape(2, n).T
 
 
-def _parse_runs(body: str, inner: str, sep: str, prefix, what: str) -> BranchingSchedule:
-    """The schedule of a run body, checked and parsed in numpy by
-    `_run_numbers`.  A grammar error names the first part, split at `sep`,
-    after the longest well-formed prefix."""
-    runs = _run_numbers(body, inner, sep)
+def _parse_runs(
+    text: str, inner: str, sep: str, prefix, what: str, span=None, data=None
+) -> BranchingSchedule:
+    """The schedule of the run body text[start:stop] for span (start, stop),
+    all of text by default, checked and parsed in numpy by `_run_numbers`
+    on the same span of data, the text's bytes with one "?" for each
+    character outside ASCII (made here when not given).  A grammar error
+    names the first part, split at `sep`, after the longest well-formed
+    prefix."""
+    start, stop = span or (0, len(text))
+    if data is None:
+        data = text.encode("ascii", "replace")
+    runs = _run_numbers(memoryview(data)[start:stop], inner, sep)
     if runs is None:
+        body = text[start:stop]
         part = body[prefix.match(body).end() :].split(sep, 1)[0]
         raise FormatError(f"bad {what} {part!r}")
     try:
@@ -321,7 +358,11 @@ def parse_schedule(text: str) -> BranchingSchedule:
 
 
 def parse_composite(text: str, base_dir: str = ".") -> CompositeSet:
-    lines = _lines(text)
+    """The set of an fds-composite file.  Its lines are read as positions
+    in the text (`_line_spans`), and each inline run body goes to
+    `_run_numbers` as a view of the one byte copy of the file."""
+    spans = list(_line_spans(text))
+    lines = [text[a:b] for a, b in spans[:2]]
     if not lines or lines[0] != "fds-composite 1":
         raise FormatError("not an fds-composite file")
     if len(lines) < 2 or not lines[1].startswith("origin "):
@@ -330,21 +371,23 @@ def parse_composite(text: str, base_dir: str = ".") -> CompositeSet:
     if token not in ("0", "1"):
         raise FormatError(f"origin flag must be 0 or 1, got {token!r}")
     origin = token == "1"
+    data = text.encode("ascii", "replace")  # one byte per character
     comps = []
-    for ln in lines[2:]:
-        toks = ln.split(maxsplit=2)
-        if len(toks) != 3 or toks[0] != "component":
-            raise FormatError(f"bad component line {ln!r}")
+    for start, stop in spans[2:]:
+        toks = _COMPONENT.match(text, start, stop)
+        if toks is None or toks[1] != "component":
+            raise FormatError(f"bad component line {text[start:stop]!r}")
         try:
-            shift = _decimal(toks[1], "shift")
+            shift = _decimal(toks[2], "shift")
         except FormatError:  # the line's repr is built only on error
-            raise FormatError(f"bad shift in {ln!r}") from None
-        spec = toks[2]
-        if spec.startswith("runs:"):
-            body = spec[len("runs:") :]
-            sched = _parse_runs(body, "x", ",", _RUNS_PREFIX, "run token")
+            raise FormatError(f"bad shift in {text[start:stop]!r}") from None
+        spec = toks.end()
+        if text.startswith("runs:", spec, stop):
+            span = (spec + len("runs:"), stop)
+            sched = _parse_runs(text, "x", ",", _RUNS_PREFIX, "run token", span, data)
         else:
-            sub = spec if os.path.isabs(spec) else os.path.join(base_dir, spec)
+            sub = text[spec:stop]
+            sub = sub if os.path.isabs(sub) else os.path.join(base_dir, sub)
             with open(sub, encoding="ascii") as fh:
                 sched = parse_schedule(fh.read())
         comps.append((shift, sched))
@@ -358,8 +401,7 @@ def load(path: str) -> SetLike:
     """Read any fds set file, dispatching on its header line."""
     with open(path, encoding="ascii") as fh:
         text = fh.read()
-    # the first line as str.splitlines cuts it; an ASCII file holds no
-    # other line break
+    # the first line as str.splitlines cuts it
     brk = _LINE_BREAK.search(text)
     head = text[: brk.start() if brk else len(text)].strip()
     if head in ("fds-tree 1", "fds-tree 2"):

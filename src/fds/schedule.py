@@ -270,13 +270,13 @@ def pieces(rep: BranchingSchedule | CompositeSet) -> list[tuple[int, int, np.nda
     return [(i, e, rep.extended_prefix(i)) for i, (e, _) in enumerate(rep.components)]
 
 
-def origin_rows(
+def origin_buckets(
     rep: BranchingSchedule | CompositeSet, lo: int, hi: int
-) -> Iterator[tuple[int, np.ndarray]]:
-    """(m, origin_log_counts row) per coarse m in [lo, hi] below the last
-    shift, where the node at index 0 still contains a component; one row
-    per bucket b, the levels m with b shifts <= m.  A schedule has no
-    origin node."""
+) -> Iterator[tuple[int, int, np.ndarray]]:
+    """(first m, last m, origin_log_counts row) per bucket b, the coarse
+    levels m in [lo, hi] with b shifts <= m, below the last shift, where
+    the node at index 0 still contains a component; the levels of one
+    bucket share its row.  A schedule has no origin node."""
     if isinstance(rep, BranchingSchedule):
         return
     shifts = rep.shifts
@@ -285,9 +285,7 @@ def origin_rows(
         stop = min(hi, shifts[b] - 1)
         if start > stop:
             return
-        logs = origin_log_counts(rep, b)
-        for m in range(start, stop + 1):
-            yield m, logs
+        yield start, stop, origin_log_counts(rep, b)
         start = stop + 1
 
 
@@ -310,11 +308,21 @@ def composite_spectrum(
     Piece-interior windows are exact schedule exponents; windows from the
     node containing the origin see the summed component counts plus the
     origin chain.  Ties go to the smallest m, then the smallest m', then
-    the origin node (part -1, key 1), then the lowest component.  The fine
-    levels and their widths m' - m live in work.ints[3] and ints[2], and a
-    piece's indices, numerators and exponents in ints[0:2] and floats[0],
-    of the caller's `Workspace` of the set's depth.  [lo, hi] must be
-    clamped: every fine level at most the depth, else ValueError.
+    the origin node (part -1, key 1), then the lowest component.
+
+    Every piece present at a coarse level m has the same width m' - m
+    there, so the largest quotient at m is its largest numerator
+    S_i[m' - e_i] - S_i[m - e_i] over that width.  The pieces fold their
+    numerators into one running maximum per coarse level (a schedule's
+    one piece writes them straight in), then one divide and one argmax
+    give the best level, and the lowest piece whose numerator equals the
+    maximum there is the witness.  Each origin bucket is one gather,
+    divide and argmax over its levels.  The fine levels live in
+    work.ints[3], the numerators' maximum in ints[2], a piece's indices
+    and numerators in ints[0:2] (the widths in ints[0] after the last
+    piece), and the exponents in floats[0], of the caller's `Workspace`
+    of the set's depth.  [lo, hi] must be clamped: every fine level at
+    most the depth, else ValueError.
     """
     best = None  # (value, -m, -m', -part)
     fines = scale.fine_array(work.levels[lo : hi + 1], work)
@@ -322,23 +330,35 @@ def composite_spectrum(
         raise ValueError(
             f"coarse level {hi} has fine level {int(fines[-1])} past depth {rep.depth}"
         )
-    widths = np.subtract(fines, work.levels[lo : hi + 1], out=work.ints[2][: hi + 1 - lo])
-    at, num = work.ints[0], work.ints[1]
-    for part, e, S in pieces(rep):
+    parts = pieces(rep)
+    at, num, top = work.ints[0], work.ints[1], work.ints[2]
+    a0 = max(lo, parts[0][1])  # the first piece's first level; pieces ascend in shift
+    for part, e, S in parts:
         a = max(lo, e)
         if a > hi:
-            continue
-        n, mp = hi + 1 - a, fines[a - lo :]
-        np.take(S, np.subtract(mp, e, out=at[:n]), out=num[:n], mode="clip")
-        num[:n] -= S[a - e : hi + 1 - e]
-        alpha = np.divide(num[:n], widths[a - lo :], out=work.floats[0][:n])
+            break
+        n, rows = hi + 1 - a, top[a - a0 : hi + 1 - a0]
+        out = num[:n] if part else rows
+        np.take(S, np.subtract(fines[a - lo :], e, out=at[:n]), out=out, mode="clip")
+        out -= S[a - e : hi + 1 - e]
+        if part:
+            np.maximum(rows, out, out=rows)
+    widths = np.subtract(fines, work.levels[lo : hi + 1], out=at[: hi + 1 - lo])
+    if a0 <= hi:
+        n = hi + 1 - a0
+        alpha = np.divide(top[:n], widths[a0 - lo :], out=work.floats[0][:n])
         k = int(np.argmax(alpha))
-        cand = (float(alpha[k]), -(a + k), -int(mp[k]), -part)
-        if best is None or cand > best:
-            best = cand
-    for m, logs in origin_rows(rep, lo, hi):
-        mp = int(fines[m - lo])
-        cand = (float(logs[mp]) / (mp - m), -m, -mp, 1)
+        m, mp = a0 + k, int(fines[a0 - lo + k])
+        # the lowest piece present at m whose numerator is the maximum
+        part = next(i for i, e, S in parts if e <= m and S[mp - e] - S[m - e] == top[k])
+        best = (float(alpha[k]), -m, -mp, -part)
+    for start, stop, logs in origin_buckets(rep, lo, hi):
+        n = stop + 1 - start
+        span = slice(start - lo, stop + 1 - lo)
+        alpha = np.take(logs, fines[span], out=work.floats[0][:n], mode="clip")
+        alpha /= widths[span]
+        k = int(np.argmax(alpha))
+        cand = (float(alpha[k]), -(start + k), -int(fines[start - lo + k]), 1)
         if best is None or cand > best:
             best = cand
     return _witness(rep, best)
@@ -353,11 +373,15 @@ def composite_upper(
     Each piece's windows form one region, coarse levels max(lo, e)..hi
     with fine levels from scale.fine(m), solved exactly by `region_max`
     on the piece's prefix counts in local levels, with no per-piece cache.
-    The fine levels live in work.ints[3], outside region_max's rows, and
-    are shifted in place to each piece's local levels (pieces ascend in
-    shift).  Rows of the node containing the origin are scanned one coarse
-    level at a time from the same fine levels, shifted back."""
-    best = None
+    The best exact fraction of the pieces before is the solve's floor, so
+    a piece that cannot reach it returns None after one round, and one
+    that only ties it returns its own first window of that value; a
+    schedule's one piece has no floor.  The fine levels live in
+    work.ints[3], outside region_max's rows, and are shifted in place to
+    each piece's local levels (pieces ascend in shift).  Rows of the node
+    containing the origin are scanned one coarse level at a time from the
+    same fine levels, shifted back; their float values never set a floor."""
+    best = floor = None
     fines = scale.fine_array(work.levels[lo : hi + 1], work)
     shift = 0
     for part, e, S in pieces(rep):
@@ -366,17 +390,21 @@ def composite_upper(
             break
         fines -= e - shift
         shift = e
-        v, lm, j = region_max(S, a - e, fines[a - lo :], work)
+        found = region_max(S, a - e, fines[a - lo :], work, floor)
+        if found is None:
+            continue
+        v, lm, j = found
         cand = (v, -(lm + e), -(j + e), -part)
         if best is None or cand > best:
-            best = cand
-    for m, logs in origin_rows(rep, lo, hi):
-        f = int(fines[m - lo]) + shift
-        n = len(logs) - f
-        widths = np.subtract(work.levels[f : len(logs)], m, out=work.ints[0][:n])
-        alpha = np.divide(logs[f:], widths, out=work.floats[0][:n])
-        k = int(np.argmax(alpha))
-        cand = (float(alpha[k]), -m, -(f + k), 1)
-        if best is None or cand > best:
-            best = cand
+            best, floor = cand, (int(S[j] - S[lm]), j - lm)
+    for start, stop, logs in origin_buckets(rep, lo, hi):
+        for m in range(start, stop + 1):
+            f = int(fines[m - lo]) + shift
+            n = len(logs) - f
+            widths = np.subtract(work.levels[f : len(logs)], m, out=work.ints[0][:n])
+            alpha = np.divide(logs[f:], widths, out=work.floats[0][:n])
+            k = int(np.argmax(alpha))
+            cand = (float(alpha[k]), -m, -(f + k), 1)
+            if best is None or cand > best:
+                best = cand
     return _witness(rep, best)

@@ -32,7 +32,12 @@ orders:
   live at theta are a prefix of the range, and one running maximum over
   them gives every theta its row maxima.  On a schedule or composite
   each piece's windows are one region, solved by `region_max` over every
-  level.
+  level.  The best exact value of the pieces solved before is the next
+  solve's floor, so a piece that cannot reach it returns None after one
+  round.  The fixed-ratio spectrum reads one window per coarse level m,
+  and every piece present there has its width m' - m, so it keeps one
+  running maximum of the pieces' integer numerators per level and
+  divides once.
 - The brute side goes by coarse level, for all thetas at once: every
   window (m, m') is the exact-ratio window of theta' = m / m', so a
   theta's value at row m is the maximum from its own fine level on, read
@@ -93,7 +98,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import groupby, pairwise
+from itertools import pairwise
 from typing import Sequence
 
 import numpy as np
@@ -107,7 +112,7 @@ from .schedule import (
     composite_spectrum,
     composite_upper,
     origin_log_counts,
-    origin_rows,
+    origin_buckets,
     pieces,
 )
 from .windows import RationalScale, RootScale, Workspace, root_order
@@ -629,11 +634,9 @@ def _ratio_fan_maxima(rep, depth, grid, lo, his, neighbors) -> list[float]:
             rows = marr[marr >= e] if kept is None else marr[kept[:, q]]
             if rows.size:
                 fans.append(_piece_fan(S, e, rows))
-        # the origin rows of one bucket share one log-count row
-        for _, bucket in groupby(origin_rows(rep, lo, his[-1]), key=lambda r: id(r[1])):
-            ms, logs = zip(*bucket)
-            fans.append((np.arange(1, depth + 1), np.array(ms, dtype=np.int64),
-                         lambda i, n, js, out, logs=logs[0]: np.copyto(out, logs[js])))
+        for start, stop, logs in origin_buckets(rep, lo, his[-1]):
+            fans.append((np.arange(1, depth + 1), marr[start - lo : stop + 1 - lo],
+                         lambda i, n, js, out, logs=logs: np.copyto(out, logs[js])))
     tops = np.array(his[::-1], dtype=np.int64)
     best = np.full(len(scales), -np.inf)
     for cols, rows, fill in fans:

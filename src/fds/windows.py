@@ -33,8 +33,15 @@ T(j) = T(m), so the first m with gain 0 and its first j >= lo[m - a]
 with T(j) = T(m) are the lexicographic witness: best value, then
 smallest m, then smallest j.  Every exponent is the same int/int
 division, and distinct fractions with denominators below 2**26 never
-round to one float, so float ties are exact ties.  The hull sweep
-`suffix_slope_max` and `runlen_table` are the tests' references, not API.
+round to one float, so float ties are exact ties.  A caller that already
+holds a value p/q from another region (a composite's earlier pieces) may
+pass it as an exact floor: the rounds then start from the better of the
+floor and the best boundary window.  From the floor, a largest gain
+below 0 means every window of the region lies strictly below it, and the
+solve returns None after that one round; a largest gain of exactly 0
+returns the region's own first window of value p/q by the rule above.
+The hull sweep `suffix_slope_max` and `runlen_table` are the tests'
+references, not API.
 
 The fine level of m at theta = p/q and root order n (n = 1 for
 `RationalScale`) is the smallest z with z**n * p >= m**n * q.  When p and
@@ -305,14 +312,23 @@ def suffix_slope_max(
 
 
 def region_max(
-    S: Sequence[int], a: int, lo, work: Workspace | None = None
-) -> tuple[float, int, int]:
+    S: Sequence[int],
+    a: int,
+    lo,
+    work: Workspace | None = None,
+    floor: tuple[int, int] | None = None,
+) -> tuple[float, int, int] | None:
     """(value, m, j*) maximizing (S[j] - S[m]) / (j - m) over the region
     m = a, ..., a + len(lo) - 1 and j in [lo[m - a], depth], for lo
     non-decreasing with m < lo[m - a] <= depth = len(S) - 1; ties go to
     the smallest m, then the smallest j.  Solved by the parametric rounds
     of the module docstring on T(i) = q * (S[i] - S[a]) - p * (i - a) for
     i = a..depth (the docstring's T less a constant).
+
+    `floor`, an exact fraction (p, q) with 0 <= p < 2**31 and
+    0 < q < 2**31, is a value the caller already holds: the rounds start
+    from it when it beats the best boundary window, and the result is None
+    when every window of the region is strictly below it.
 
     Every array lives in the rows of `work`, a `Workspace` of at least
     depth + 1 levels (one is made when none is lent): T in ints[0], the
@@ -336,6 +352,10 @@ def region_max(
             f"a region over {depth} levels exceeds the int64 product budget "
             f"(depth and the span of S must stay below 2**31)"
         )
+    if floor is not None:
+        fp, fq = map(int, floor)
+        if not (0 <= fp < MAX_HULL_SPAN and 0 < fq < MAX_HULL_SPAN):
+            raise ValueError(f"floor {floor} needs 0 <= p and 0 < q, both below 2**31")
     T, top, gain = work.ints[0], work.ints[1], work.ints[2]
     # start from the best boundary window (m, lo[m - a])
     num, den = gain[:r], top[:r]
@@ -343,11 +363,12 @@ def region_max(
     num -= S[a : a + r]
     np.subtract(lo, m, out=den)
     k = int(np.argmax(np.divide(num, den, out=work.floats[0][:r])))
-    mk, j = a + k, int(lo[k])
+    p, q = int(num[k]), int(den[k])
+    if floor is not None and fp * q > p * fq:  # the floor beats every boundary window
+        p, q = fp, fq
     f, g = int(lo[0]), int(lo[-1])
     levels = work.levels[: depth + 1 - a]  # i - a for i = a..depth
     while True:
-        p, q = int(S[j] - S[mk]), j - mk
         np.subtract(S[a:], S[a], out=T[a : depth + 1])  # |S - S[a]| and i - a stay below 2**31
         T[a : depth + 1] *= q
         T[a : depth + 1] -= np.multiply(levels, p, out=top[a : depth + 1])
@@ -359,11 +380,14 @@ def region_max(
         np.take(top, lo, out=gain[:r], mode="clip")
         gain[:r] -= T[a : a + r]
         k = int(np.argmax(gain[:r]))  # the first m of the largest gain
+        if gain[k] < 0:  # only from a floor: every window lies below it
+            return None
         mk = a + k
         # the first j >= lo reaching the suffix maximum
         j = int(lo[k]) + int(np.argmax(T[lo[k] : depth + 1]))
+        p, q = int(S[j] - S[mk]), j - mk
         if gain[k] == 0:
-            return float(int(S[j] - S[mk]) / (j - mk)), mk, j
+            return p / q, mk, j
 
 
 def leaf_gaps(xs: Sequence[int]) -> np.ndarray:

@@ -8,6 +8,11 @@ maximization per theta on the reference sweep `suffix_slope_max`, so the
 estimators' parametric region solve is checked against a hull sweep.
 `oracle_fan_max` sends one `suffix_slope_max` query per coarse level and
 takes the argmax, the batch that one `region_max` call replaces.
+`oracle_composite_spectrum` and `oracle_composite_upper` evaluate a
+schedule or composite one piece at a time, dividing every row of every
+piece and solving each piece's region with no floor, the references of
+the kernels that share each coarse level's width across the pieces and
+carry the best value from piece to piece.
 `ratio_fan_max` enumerates the main theorem's ratio fan one theta at a
 time, the oracle of the all-theta brute side in `verify_main_theorem`.
 `oracle_run_table` builds a `RunTable`'s arrays one distinct gap value at
@@ -40,6 +45,7 @@ from math import log2
 
 import numpy as np
 import pytest
+from hypothesis import assume, strategies as st
 
 from fds.dyadic import DyadicTree
 from fds.schedule import (
@@ -47,11 +53,10 @@ from fds.schedule import (
     CompositeSet,
     materialize,
     origin_log_counts,
-    origin_rows,
     pieces,
 )
 from fds.constructions import TARGET_GRID, TwoPhaseParams, poly_eval, two_phase_schedule
-from fds.windows import RationalScale, ceil_div, suffix_slope_max
+from fds.windows import RationalScale, ceil_div, region_max, suffix_slope_max
 
 
 # ----------------------------------------------------------------------
@@ -223,6 +228,23 @@ def oracle_schedule_upper(s: BranchingSchedule, theta: Fraction, lo: int, hi: in
     return best
 
 
+def _composite_node(rep, m: int, part: int) -> int:
+    """The leftmost level-m node of a part: index 0 for a schedule and the
+    origin node (part -1), 2**(m - e) for a component at shift e."""
+    if part < 0 or isinstance(rep, BranchingSchedule):
+        return 0
+    return 1 << (m - rep.components[part][0])
+
+
+def _origin_logs(rep, lo: int, hi: int):
+    """(m, origin log counts) per coarse m in [lo, hi] below the last shift,
+    one level at a time."""
+    if isinstance(rep, BranchingSchedule) or not rep.components:
+        return
+    for m in range(lo, min(hi, rep.shifts[-1] - 1) + 1):
+        yield m, origin_log_counts(rep, bisect_left(rep.shifts, m + 1))
+
+
 def reference_upper(rep, theta: Fraction, lo: int, hi: int) -> tuple[float, int, int]:
     """(value, m, m') of the upper spectrum at one theta over the clamped
     coarse range [lo, hi], for a schedule or a composite: one
@@ -242,18 +264,91 @@ def reference_upper(rep, theta: Fraction, lo: int, hi: int) -> tuple[float, int,
             cand = (n / d, -(lm + e), -(j + e), -i)
             if best is None or cand > best:
                 best = cand
-    if isinstance(rep, CompositeSet) and rep.components:
-        # the node holding the origin, as in composite_upper
-        levels = np.arange(rep.depth + 1, dtype=np.float64)
-        for m in range(lo, min(hi, rep.shifts[-1] - 1) + 1):
-            logs = origin_log_counts(rep, bisect_left(rep.shifts, m + 1))
-            f = scale.fine(m)
-            alpha = logs[f:] / (levels[f:] - m)
-            k = int(np.argmax(alpha))
-            cand = (float(alpha[k]), -m, -(f + k), 1)
-            if best is None or cand > best:
-                best = cand
+    # the node holding the origin, as in composite_upper
+    levels = np.arange(rep.depth + 1, dtype=np.float64)
+    for m, logs in _origin_logs(rep, lo, hi):
+        f = scale.fine(m)
+        alpha = logs[f:] / (levels[f:] - m)
+        k = int(np.argmax(alpha))
+        cand = (float(alpha[k]), -m, -(f + k), 1)
+        if best is None or cand > best:
+            best = cand
     return best[0], -best[1], -best[2]
+
+
+def oracle_composite_spectrum(rep, scale, lo: int, hi: int) -> tuple[float, int, int, int]:
+    """`composite_spectrum` one piece at a time: per piece, every quotient
+    of its coarse rows and one argmax, then one Python step per origin row;
+    the best (value, -m, -m', -part) key wins, the origin node keyed 1."""
+    fines = scale.fine_array(np.arange(lo, hi + 1, dtype=np.int64))
+    best = None
+    for part, e, S in pieces(rep):
+        a = max(lo, e)
+        if a > hi:
+            continue
+        mp = fines[a - lo :]
+        alpha = (S[mp - e] - S[a - e : hi + 1 - e]) / (mp - np.arange(a, hi + 1))
+        k = int(np.argmax(alpha))
+        cand = (float(alpha[k]), -(a + k), -int(mp[k]), -part)
+        if best is None or cand > best:
+            best = cand
+    for m, logs in _origin_logs(rep, lo, hi):
+        mp = int(fines[m - lo])
+        cand = (float(logs[mp]) / (mp - m), -m, -mp, 1)
+        if best is None or cand > best:
+            best = cand
+    value, m, mp, part = best[0], -best[1], -best[2], -best[3]
+    return value, m, mp, _composite_node(rep, m, part)
+
+
+def oracle_composite_upper(rep, scale, lo: int, hi: int) -> tuple[float, int, int, int]:
+    """`composite_upper` one piece at a time: a `region_max` solve per piece
+    with no floor, then one Python step per origin row over its whole
+    suffix of fine levels, with `oracle_composite_spectrum`'s keys."""
+    fines = scale.fine_array(np.arange(lo, hi + 1, dtype=np.int64))
+    best = None
+    for part, e, S in pieces(rep):
+        a = max(lo, e)
+        if a > hi:
+            continue
+        v, lm, j = region_max(S, a - e, fines[a - lo :] - e)
+        cand = (v, -(lm + e), -(j + e), -part)
+        if best is None or cand > best:
+            best = cand
+    levels = np.arange(rep.depth + 1)
+    for m, logs in _origin_logs(rep, lo, hi):
+        f = int(fines[m - lo])
+        alpha = logs[f:] / (levels[f:] - m)
+        k = int(np.argmax(alpha))
+        cand = (float(alpha[k]), -m, -(f + k), 1)
+        if best is None or cand > best:
+            best = cand
+    value, m, mp, part = best[0], -best[1], -best[2], -best[3]
+    return value, m, mp, _composite_node(rep, m, part)
+
+
+@st.composite
+def staircase_regions(draw):
+    """(S, a, lo): the lattice staircase floor(g) of a strictly convex or
+    concave curve g with slopes in [0, 1], so S has many upper-hull
+    vertices and the parametric solve its most rounds, and a ratio-rule
+    region in a piece's local levels: lo[m - a] = ceil((m + e) / theta) - e."""
+    n = draw(st.integers(min_value=8, max_value=400))
+    v = draw(st.integers(min_value=1, max_value=64))
+    u = draw(st.integers(min_value=1, max_value=v))  # curvature u / v
+    w = draw(st.integers(min_value=0, max_value=v - u))  # linear slope w / v
+    i = np.arange(n + 1, dtype=np.int64)
+    bend = i * i if draw(st.booleans()) else 2 * n * i - i * i  # convex, concave
+    S = (u * bend + 2 * n * w * i) // (2 * n * v)
+    q = draw(st.integers(min_value=2, max_value=12))
+    scale = RationalScale(Fraction(draw(st.integers(min_value=1, max_value=q - 1)), q))
+    e = draw(st.integers(min_value=0, max_value=n // 4))
+    top = scale.max_coarse(n + e)  # last global coarse level with fine(m) - e <= n
+    assume(top >= max(e, 1))
+    m0 = draw(st.integers(min_value=max(e, 1), max_value=top))
+    m1 = draw(st.integers(min_value=m0, max_value=top))
+    lo = scale.fine_array(np.arange(m0, m1 + 1, dtype=np.int64)) - e
+    return S, m0 - e, lo
 
 
 def oracle_fan_max(S, m, lo) -> tuple[float, int, int]:
@@ -288,7 +383,7 @@ def ratio_fan_max(rep, theta: Fraction, lo: int, hi: int, neighbors: bool = Fals
         for m in range(max(lo, e), hi + 1):
             j0 = scale.fine(m)
             best = max(best, float(((S[j0 - e :] - S[m - e]) / (idx[j0:] - m)).max()))
-    for m, logs in origin_rows(rep, lo, hi):
+    for m, logs in _origin_logs(rep, lo, hi):
         j0 = scale.fine(m)
         best = max(best, float((logs[j0:] / (idx[j0:] - m)).max()))
     return best

@@ -14,7 +14,14 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from fds.dyadic import DyadicTree
-from fds.schedule import BranchingSchedule, CompositeSet, materialize, pieces
+from fds.schedule import (
+    BranchingSchedule,
+    CompositeSet,
+    composite_spectrum,
+    composite_upper,
+    materialize,
+    pieces,
+)
 from fds.constructions import (
     TwoPhaseParams,
     full_binary_tree,
@@ -37,6 +44,8 @@ from conftest import (
     local_count,
     max_alpha,
     merge,
+    oracle_composite_spectrum,
+    oracle_composite_upper,
     oracle_fan_max,
     oracle_kept_pieces,
     oracle_parse_runs,
@@ -54,6 +63,7 @@ from conftest import (
     ratio_fan_max,
     reference_upper,
     run_count,
+    staircase_regions,
 )
 
 
@@ -628,28 +638,70 @@ def test_upper_witnesses_explicit():
         _assert_upper_witnesses(cs, grid, 4, [9] * len(grid))
 
 
-@st.composite
-def staircase_regions(draw):
-    """(S, a, lo): the lattice staircase floor(g) of a strictly convex or
-    concave curve g with slopes in [0, 1], so S has many upper-hull
-    vertices and the parametric solve its most rounds, and a ratio-rule
-    region in a piece's local levels: lo[m - a] = ceil((m + e) / theta) - e."""
-    n = draw(st.integers(min_value=8, max_value=400))
-    v = draw(st.integers(min_value=1, max_value=64))
-    u = draw(st.integers(min_value=1, max_value=v))  # curvature u / v
-    w = draw(st.integers(min_value=0, max_value=v - u))  # linear slope w / v
-    i = np.arange(n + 1, dtype=np.int64)
-    bend = i * i if draw(st.booleans()) else 2 * n * i - i * i  # convex, concave
-    S = (u * bend + 2 * n * w * i) // (2 * n * v)
-    q = draw(st.integers(min_value=2, max_value=12))
-    scale = RationalScale(Fraction(draw(st.integers(min_value=1, max_value=q - 1)), q))
-    e = draw(st.integers(min_value=0, max_value=n // 4))
-    top = scale.max_coarse(n + e)  # last global coarse level with fine(m) - e <= n
-    assume(top >= max(e, 1))
-    m0 = draw(st.integers(min_value=max(e, 1), max_value=top))
-    m1 = draw(st.integers(min_value=m0, max_value=top))
-    lo = scale.fine_array(np.arange(m0, m1 + 1, dtype=np.int64)) - e
-    return S, m0 - e, lo
+def _scale(order: int, theta: Fraction):
+    return RationalScale(theta) if order == 1 else RootScale(theta, order)
+
+
+def _assert_kernels_match_oracles(rep, scale, lo, hi):
+    """Both composite kernels give the full (value, m, m', node) of their
+    per-piece oracles, on one workspace lent to both."""
+    work = Workspace(rep.depth)
+    for kernel, oracle in ((composite_spectrum, oracle_composite_spectrum),
+                           (composite_upper, oracle_composite_upper)):
+        assert kernel(rep, scale, lo, hi, work) == oracle(rep, scale, lo, hi), kernel.__name__
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.lists(schedules(max_depth=10), min_size=1, max_size=3), st.data())
+def test_composite_kernels_match_per_piece_oracles(pool, data):
+    """One to five components from a pool of at most three schedules, so
+    equal schedules at different shifts (ties across parts) are common,
+    with or without the origin, at the ratio rule and root orders 2 and
+    16; the coarse range starts anywhere up to the last shift, often below
+    the first."""
+    n = data.draw(st.integers(min_value=1, max_value=5))
+    gaps = data.draw(st.lists(st.integers(min_value=1, max_value=3), min_size=n, max_size=n))
+    shifts = np.cumsum(gaps).tolist()
+    cs = CompositeSet([(e, data.draw(st.sampled_from(pool))) for e in shifts],
+                      include_origin=data.draw(st.booleans()))
+    q = data.draw(st.integers(min_value=2, max_value=12))
+    theta = Fraction(data.draw(st.integers(min_value=1, max_value=q - 1)), q)
+    scale = _scale(data.draw(st.sampled_from((1, 2, 16))), theta)
+    top = scale.max_coarse(cs.depth)
+    assume(top >= 1)
+    lo = data.draw(st.one_of(st.integers(1, shifts[0]), st.integers(1, shifts[-1])))
+    lo = min(lo, top)
+    hi = data.draw(st.integers(min_value=lo, max_value=top))
+    _assert_kernels_match_oracles(cs, scale, lo, hi)
+
+
+def test_composite_kernels_explicit_ties():
+    """Equal schedules at different shifts tie at a shared coarse level
+    and go to the lower component; a bare schedule is the one piece.
+    Every case at every scale kind, with and without the origin, with
+    ranges from below the first shift and from the last one."""
+    full = BranchingSchedule([(6, 2)])
+    cs = CompositeSet([(1, full), (3, full)], include_origin=False)
+    work = Workspace(cs.depth)
+    half = RationalScale(Fraction(1, 2))
+    # at m = 3 both pieces read three branching levels over width 3
+    assert composite_spectrum(cs, half, 3, 3, work) == (1.0, 3, 6, 1 << 2)
+    assert composite_upper(cs, half, 3, 3, work) == (1.0, 3, 6, 1 << 2)
+    step = BranchingSchedule([(4, 2), (8, 1)])
+    quiet = BranchingSchedule([(2, 1), (3, 2), (7, 1)])
+    reps = [step, full]
+    for origin in (False, True):
+        reps += [CompositeSet([(2, step), (5, step)], origin),
+                 CompositeSet([(1, full), (3, full), (4, quiet)], origin),
+                 CompositeSet([(3, quiet), (4, step), (6, quiet), (7, step), (9, step)], origin)]
+    for rep in reps:
+        last = rep.shifts[-1] if isinstance(rep, CompositeSet) else 1
+        for order in (1, 2, 16):
+            for theta in (Fraction(1, 3), Fraction(1, 2), Fraction(9, 10)):
+                scale = _scale(order, theta)
+                top = scale.max_coarse(rep.depth)
+                for lo in sorted({1, min(last, top)}):
+                    _assert_kernels_match_oracles(rep, scale, lo, top)
 
 
 @settings(max_examples=150, deadline=None)
@@ -896,13 +948,14 @@ def test_run_body_parser_matches_grammar_oracle(case):
     one past int64 is named), else the error names the part after the
     longest well-formed prefix."""
     body, inline = case
+    data = body.encode("ascii", "replace")
     inner, sep = ("x", ",") if inline else (" ", "\n")
     grammar, prefix, what = (
         (RUNS_TOKEN, formats._RUNS_PREFIX, "run token") if inline
         else (RUN_LINES, formats._RUN_LINES_PREFIX, "run line")
     )
     if grammar.fullmatch(body) is None:
-        assert formats._run_numbers(body, inner, sep) is None
+        assert formats._run_numbers(data, inner, sep) is None
         part = body[prefix.match(body).end() :].split(sep, 1)[0]
         with pytest.raises(FormatError) as exc:
             formats._parse_runs(body, inner, sep, prefix, what)
@@ -913,10 +966,25 @@ def test_run_body_parser_matches_grammar_oracle(case):
     past = [t for t in tokens if len(t) > 19] or [t for t in tokens if int(t) >= 2**63]
     if past:
         with pytest.raises(FormatError) as exc:
-            formats._run_numbers(body, inner, sep)
+            formats._run_numbers(data, inner, sep)
         assert str(exc.value) == f"number {past[0]} exceeds the int64 range"
     else:
-        assert formats._run_numbers(body, inner, sep).tolist() == [list(r) for r in runs]
+        assert formats._run_numbers(data, inner, sep).tolist() == [list(r) for r in runs]
+
+
+# every line break str.splitlines knows, whitespace that is not one (ASCII
+# and not), and ordinary characters
+LINE_CHARS = ("\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+              "\u2029", " ", "\t", "\x1f", "\xa0", "\u3000", "a", "7", "x", ",", "\u0663")
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(LINE_CHARS), max_size=40).map("".join))
+def test_line_spans_cut_where_lines_does(text):
+    """The composite parser's line positions give the lines of `_lines`:
+    cut where str.splitlines cuts, trailing whitespace dropped, blank
+    lines left out."""
+    assert [text[a:b] for a, b in formats._line_spans(text)] == formats._lines(text)
 
 
 def test_valid_run_bodies_load_without_a_regex(tmp_path, monkeypatch):

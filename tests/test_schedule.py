@@ -7,6 +7,7 @@ from unittest.mock import patch
 import numpy as np
 import pytest
 
+from fds import schedule
 from fds.errors import BudgetError
 from fds.schedule import (
     MAX_MATERIALIZE_NODES,
@@ -19,7 +20,7 @@ from fds.schedule import (
 )
 from fds.constructions import TwoPhaseParams, concave_union, target_from_poly, two_phase_schedule
 from fds.spectra import estimate_spectrum, estimate_upper
-from fds.windows import RationalScale, RootScale, Workspace
+from fds.windows import RationalScale, RootScale, Workspace, region_max
 
 from conftest import (
     local_count,
@@ -379,3 +380,26 @@ def test_composite_upper_origin_rows_read_the_fine_array():
         est = estimate_upper(cs, [Fraction(k, 10) for k in range(1, 10)], (1, cs.depth))
     assert calls == []
     assert est.witnesses[0][:2] == (6579, 65791)
+
+
+def test_composite_upper_carries_the_best_fraction_as_floor():
+    """Each piece's solve gets the best exact value of the pieces before it
+    as its floor, the first piece and a schedule's one piece none: a piece
+    below the floor returns None, and one that ties it its own first
+    window of that value, which loses on its larger m."""
+    full, flat = BranchingSchedule([(6, 2)]), BranchingSchedule([(6, 1)])
+    calls = []
+
+    def spy(S, a, lo, work=None, floor=None):
+        found = region_max(S, a, lo, work, floor)
+        calls.append((floor, found))
+        return found
+
+    half = RationalScale(Fraction(1, 2))
+    cs = CompositeSet([(1, full), (3, flat), (5, full)], include_origin=False)
+    with patch.object(schedule, "region_max", spy):
+        assert composite_upper(cs, half, 1, 5, Workspace(cs.depth)) == (1.0, 1, 2, 1)
+        assert calls == [(None, (1.0, 0, 1)), ((1, 1), None), ((1, 1), (1.0, 0, 5))]
+        calls.clear()
+        assert composite_upper(full, half, 1, 3, Workspace(full.depth)) == (1.0, 1, 2, 0)
+        assert calls == [(None, (1.0, 1, 2))]

@@ -7,6 +7,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fds.constructions import geometric_sequence_tree
 from fds.errors import BudgetError
@@ -24,7 +25,7 @@ from fds.windows import (
     suffix_slope_max,
 )
 
-from conftest import oracle_fan_max, traced_peak
+from conftest import oracle_fan_max, staircase_regions, traced_peak
 
 
 def test_ceil_div():
@@ -308,6 +309,10 @@ def test_region_max_rejects_bad_input():
     assert region_max(np.array([0, top], dtype=np.int64), 0, [1]) == (float(top), 0, 1)
     with pytest.raises(BudgetError):
         region_max(np.array([0, 1 << 31], dtype=np.int64), 0, [1])
+    # a floor is a fraction p/q with 0 <= p, 0 < q, both below 2**31
+    for floor in ((1, 0), (-1, 2), (1 << 31, 1), (1, 1 << 31)):
+        with pytest.raises(ValueError, match="floor"):
+            region_max(S, 0, [1], floor=floor)
 
 
 def _random_region(rng, depth, corners):
@@ -354,6 +359,57 @@ def test_region_max_vs_fan_max_oracle():
         a, lo = _random_region(rng, depth, _concave_corners(S))
         m = range(a, a + len(lo))
         assert region_max(S, a, lo) == oracle_fan_max(S, m, lo), (S, a, lo.tolist())
+
+
+@settings(max_examples=150, deadline=None)
+@given(staircase_regions(), st.integers(min_value=2, max_value=50))
+def test_region_max_floor_on_curve_staircases(case, k):
+    """A floor strictly above the region's maximum p/q gives None; a floor
+    equal to it, in lowest terms or not, or below it gives the tuple of the
+    solve without one, checked against one suffix_slope_max query per
+    coarse level."""
+    S, a, lo = case
+    want = region_max(S, a, lo)
+    assert want == oracle_fan_max(S, range(a, a + lo.size), lo)
+    _, m, j = want
+    p, q = int(S[j] - S[m]), j - m
+    for above in ((p * k + 1, q * k), (p + 1, q)):
+        assert region_max(S, a, lo, floor=above) is None, (above, want)
+    below = [(0, 1), (p * k - 1, q * k)] if p else [(0, 1)]
+    for floor in [(p, q), (p * k, q * k), *below]:
+        assert region_max(S, a, lo, floor=floor) == want, (floor, want)
+
+
+def test_region_max_floor_exits():
+    """From a floor above every window the solve stops after its first
+    round; a floor tying the maximum returns the region's first window of
+    that value, the smallest m and then the smallest j."""
+    S = [0, 0, 1, 1, 2, 2, 3]
+    assert region_max(S, 0, [1], floor=(1, 2)) == (0.5, 0, 2)
+    assert region_max(S, 0, [1], floor=(2, 3)) is None
+    assert region_max(S, 0, [1, 3], floor=(1, 2)) == (2 / 3, 1, 4)
+    assert region_max([0] * 6, 1, [3, 3, 4], floor=(0, 1)) == (0.0, 1, 3)
+    assert region_max([0] * 6, 1, [3, 3, 4], floor=(1, 1 << 30)) is None
+    rounds = []
+    take = np.take
+
+    def counted(arr, idx, *args, **kw):
+        rounds.append(1)
+        return take(arr, idx, *args, **kw)
+
+    depth = 1 << 12
+    levels = np.arange(depth + 1, dtype=np.int64)
+    S = levels * levels // (4 * depth)  # convex: two rounds without a floor
+    lo = RationalScale(Fraction(1, 2)).fine_array(np.arange(1, 256, dtype=np.int64))
+    want = region_max(S, 1, lo)
+    with patch.object(np, "take", counted):
+        assert region_max(S, 1, lo) == want
+        free = len(rounds)
+        rounds.clear()
+        p, q = int(S[want[2]] - S[want[1]]), want[2] - want[1]
+        assert region_max(S, 1, lo, floor=(p * 2 + 1, q * 2)) is None
+    # one take for the boundary windows' numerators, one per round's gains
+    assert free > len(rounds) == 2
 
 
 def test_suffix_slope_max_vs_brute():
