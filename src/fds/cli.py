@@ -9,6 +9,7 @@ output bytes.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from fractions import Fraction
 from functools import cache, partial, reduce
@@ -372,6 +373,8 @@ def _read_csv_series(path: str) -> list[tuple[float, float]]:
             value = float(cells[1])
         except ValueError as exc:
             raise FormatError(f"{path}: bad row {ln!r}") from exc
+        if not (math.isfinite(theta) and math.isfinite(value)):
+            raise FormatError(f"{path}: bad row {ln!r}")
         pts.append((theta, value))
     if not pts:
         raise FormatError(f"{path}: empty CSV body")

@@ -299,6 +299,15 @@ def _witness(rep, best: tuple[float, int, int, int]) -> tuple[float, int, int, i
     return value, m, mp, 1 << (m - rep.components[part][0])
 
 
+def _origin_best(best, logs, rows, cols, work: Workspace):
+    """max(best, key of the first best window (rows[k], cols[k])) in floats[0], ints[1]."""
+    alpha = np.take(logs, cols, out=work.floats[0][: len(cols)], mode="clip")
+    alpha /= np.subtract(cols, rows, out=work.ints[1][: len(cols)])
+    k = int(np.argmax(alpha))
+    cand = (float(alpha[k]), -int(rows[k]), -int(cols[k]), 1)
+    return cand if best is None else max(best, cand)
+
+
 def composite_spectrum(
     rep, scale, lo: int, hi: int, work: Workspace
 ) -> tuple[float, int, int, int]:
@@ -353,14 +362,8 @@ def composite_spectrum(
         part = next(i for i, e, S in parts if e <= m and S[mp - e] - S[m - e] == top[k])
         best = (float(alpha[k]), -m, -mp, -part)
     for start, stop, logs in origin_buckets(rep, lo, hi):
-        n = stop + 1 - start
-        span = slice(start - lo, stop + 1 - lo)
-        alpha = np.take(logs, fines[span], out=work.floats[0][:n], mode="clip")
-        alpha /= widths[span]
-        k = int(np.argmax(alpha))
-        cand = (float(alpha[k]), -(start + k), -int(fines[start - lo + k]), 1)
-        if best is None or cand > best:
-            best = cand
+        span = fines[start - lo : stop + 1 - lo]
+        best = _origin_best(best, logs, work.levels[start : stop + 1], span, work)
     return _witness(rep, best)
 
 
@@ -372,15 +375,19 @@ def composite_upper(
 
     Each piece's windows form one region, coarse levels max(lo, e)..hi
     with fine levels from scale.fine(m), solved exactly by `region_max`
-    on the piece's prefix counts in local levels, with no per-piece cache.
-    The best exact fraction of the pieces before is the solve's floor, so
-    a piece that cannot reach it returns None after one round, and one
-    that only ties it returns its own first window of that value; a
-    schedule's one piece has no floor.  The fine levels live in
-    work.ints[3], outside region_max's rows, and are shifted in place to
-    each piece's local levels (pieces ascend in shift).  Rows of the node
-    containing the origin are scanned one coarse level at a time from the
-    same fine levels, shifted back; their float values never set a floor."""
+    on the piece's prefix counts in local levels.  The best exact fraction
+    of the pieces before is the solve's floor, so a piece that cannot
+    reach it returns None after one round, and one that only ties it
+    returns its own first window of that value.  The fine levels live in
+    work.ints[3], outside region_max's rows, shifted in place to each
+    piece's local levels (pieces ascend in shift), then back.
+
+    An origin bucket's rows share one log row L >= 0.  At j >= fine(m + 1)
+    row m + 1 reads L[j] / (w - 1), more than row m's L[j] / w in floats
+    where L[j] > 0 (w < 2**51), so level j >= fine(start) needs only its
+    last live row m(j), built by a scatter and cumsum in work.ints[0]
+    (fines ascend strictly).  m(j) never decreases, so the first argmax
+    has the smallest m, then m', and a best of 0 is (start, fine(start))."""
     best = floor = None
     fines = scale.fine_array(work.levels[lo : hi + 1], work)
     shift = 0
@@ -397,14 +404,12 @@ def composite_upper(
         cand = (v, -(lm + e), -(j + e), -part)
         if best is None or cand > best:
             best, floor = cand, (int(S[j] - S[lm]), j - lm)
+    fines += shift
     for start, stop, logs in origin_buckets(rep, lo, hi):
-        for m in range(start, stop + 1):
-            f = int(fines[m - lo]) + shift
-            n = len(logs) - f
-            widths = np.subtract(work.levels[f : len(logs)], m, out=work.ints[0][:n])
-            alpha = np.divide(logs[f:], widths, out=work.floats[0][:n])
-            k = int(np.argmax(alpha))
-            cand = (float(alpha[k]), -m, -(f + k), 1)
-            if best is None or cand > best:
-                best = cand
+        f = int(fines[start - lo])
+        rows = work.ints[0][f : len(logs)]  # m(j) per fine level j >= f
+        rows.fill(0)
+        work.ints[0][fines[start + 1 - lo : stop + 1 - lo]] = 1
+        np.add(np.cumsum(rows, out=rows), start, out=rows)
+        best = _origin_best(best, logs, rows, work.levels[f : len(logs)], work)
     return _witness(rep, best)

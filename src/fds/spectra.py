@@ -32,12 +32,12 @@ orders:
   live at theta are a prefix of the range, and one running maximum over
   them gives every theta its row maxima.  On a schedule or composite
   each piece's windows are one region, solved by `region_max` over every
-  level.  The best exact value of the pieces solved before is the next
-  solve's floor, so a piece that cannot reach it returns None after one
-  round.  The fixed-ratio spectrum reads one window per coarse level m,
-  and every piece present there has its width m' - m, so it keeps one
-  running maximum of the pieces' integer numerators per level and
-  divides once.
+  level, with the best exact value of the pieces before as its floor.
+  Each origin bucket is one pass: at a fine level only the bucket's last
+  row live there can win.  The fixed-ratio spectrum reads one window per
+  coarse level m, and every piece present there has its width m' - m, so
+  it keeps one running maximum of the pieces' integer numerators per
+  level and divides once.
 - The brute side goes by coarse level, for all thetas at once: every
   window (m, m') is the exact-ratio window of theta' = m / m', so a
   theta's value at row m is the maximum from its own fine level on, read
@@ -76,9 +76,9 @@ widths, so they meet the same floats, and a maximum is exact whatever
 the order; the check still compares two independent reductions.  The
 brute side reads prefix counts and tables only, never `region_max`: its
 candidate rule is a fact about the counts, with no slope, no parameter
-and no round of its own, and the upper side still solves over every
-level.  A window that either side drops or admits by mistake shows as a
-nonzero deviation.
+and no round of its own, while the upper side solves each piece over
+every level and reads each origin bucket at every level.  A window that
+either side drops or admits by mistake shows as a nonzero deviation.
 
 Exactness contract: within one set representation all estimators read the
 same exponent values (integer prefix differences or cached log tables),

@@ -85,9 +85,11 @@ def render_plot(series: Sequence[tuple[str, Sequence[tuple[float, float]]]]) -> 
             f'<line x1="{lx}" y1="{ly}" x2="{_fmt(float(lx) + 24)}" y2="{ly}" '
             f'stroke="{color}" stroke-width="2"/>'
         )
+        # escaped by hand: xml.sax.saxutils would import urllib.request
+        text = label.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         parts.append(
             f'<text x="{_fmt(float(lx) + 30)}" y="{_fmt(float(ly) + 4)}" '
-            f'font-size="12">{label}</text>'
+            f'font-size="12">{text}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -271,6 +271,30 @@ def test_plot_constant_polyline_level(tmp_path, capsys):
     assert 'points="184.000,30.000 616.000,30.000"' in svg.read_text()
 
 
+def test_plot_label_is_escaped(tmp_path, capsys):
+    """A CSV file name with XML markup characters is the series label: the
+    SVG parses as XML and its text keeps the name."""
+    from xml.dom import minidom
+
+    csv = tmp_path / "a&b<c>.csv"
+    csv.write_text("theta,value,m_witness,mprime_witness\n0.2,1.0,1,5\n")
+    svg = tmp_path / "x.svg"
+    assert run(["plot", str(csv), "-o", str(svg)], capsys)[0] == 0
+    texts = minidom.parse(str(svg)).getElementsByTagName("text")
+    assert texts[-1].firstChild.data == "a&b<c>.csv"
+
+
+@pytest.mark.parametrize("row", ["nan,0.5,1,5", "inf,0.5,1,5", "0.2,nan,1,5", "0.2,-inf,1,5"])
+def test_plot_rejects_non_finite_cells(tmp_path, capsys, row):
+    """A theta or value that is not finite is a bad row, exit 2, no SVG."""
+    csv = tmp_path / "c.csv"
+    csv.write_text(f"theta,value,m_witness,mprime_witness\n0.2,1.0,1,5\n{row}\n")
+    svg = tmp_path / "c.svg"
+    code, out, err = run(["plot", str(csv), "-o", str(svg)], capsys)
+    assert (code, out, err) == (2, "", f"error: {csv}: bad row {row!r}\n")
+    assert not svg.exists()
+
+
 def test_config_file_merging(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("s = 0.4\nt = 0.8\nm0 = 4\nblocks = 2  # small\n")
@@ -753,6 +777,46 @@ def test_symbolic_set_output_bytes(tmp_path, capsys, name):
     assert run(["verify", "-i", str(path)], capsys)[:2] == (0, pins["verify"])
     assert run(["verify", "-i", str(path), "--check", "nthroot", "--n-values", "2,3,5"],
                capsys)[:2] == (0, pins["nthroot"])
+
+
+def test_union_origin_rows_output_bytes(tmp_path, capsys):
+    """The four-component union (shifts 2 to 16, depth 272) over coarse
+    levels 1 to 40, where the origin node's rows below the last shift enter
+    the upper spectrum: its CSVs, and main-theorem's exact 0.0 next to a
+    failing chain check, byte for byte."""
+    path = tmp_path / "u.fds"
+    assert run(["construct", "concave-union", "--target", "0.4,0.4,-0.2", "--components", "4",
+                "--blocks", "2", "-o", str(path)], capsys)[0] == 0
+    pins = {
+        "upper": ("upper: 9 grid points, min=0.3699186991869919 max=1.0", """theta,value,m_witness,mprime_witness
+0.1,0.3699186991869919,25,271
+0.2,0.396240625180289,1,5
+0.3,0.5283208335737187,1,4
+0.4,0.5283208335737187,1,4
+0.5,1.0,1,2
+0.6,1.0,1,2
+0.7,1.0,1,2
+0.8,1.0,1,2
+0.9,1.0,1,2
+"""),
+        "qa": ("qa: headline=1.0 (non-decreasing as eps shrinks: eps=0.1->1.0, eps=0.05->1.0, "
+               "eps=0.02->1.0)", """theta,value,m_witness,mprime_witness
+0.9,1.0,1,2
+0.95,1.0,1,2
+0.98,1.0,1,2
+"""),
+    }
+    for mode, (summary, csv_text) in pins.items():
+        csv = tmp_path / f"{mode}.csv"
+        assert run(["estimate", "--mode", mode, "-i", str(path), "--m-range", "1:40",
+                    "-o", str(csv)], capsys)[:2] == (0, f"{summary} -> {csv}\n")
+        assert csv.read_text() == csv_text
+    assert run(["verify", "--check", "main-theorem,chain", "-i", str(path), "--m-range", "1:40"],
+               capsys)[:2] == (1, """CHECK main-theorem PASS worst=0.0 tol=0.0
+CHECK chain FAIL worst=0.1337448559670782 tol=0.05
+  witness theta=0.1: box 0.5 > spectrum 0.3662551440329218 + tol
+  witness theta=0.2: box 0.5 > spectrum 0.396240625180289 + tol
+""")
 
 
 # Each command line gives options its command variant does not read: the

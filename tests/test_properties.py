@@ -704,6 +704,42 @@ def test_composite_kernels_explicit_ties():
                     _assert_kernels_match_oracles(rep, scale, lo, top)
 
 
+def test_composite_upper_origin_bucket_edges():
+    """The one pass per origin bucket against the per-row oracle at the
+    bucket's edges.  Frozen components make the origin node's summed counts
+    win: a bucket whose log count is 0 from its fan start on (every window
+    0, so the witness is (lo, fine(lo)) at node 0), the one-row bucket [2, 2],
+    a range starting at 7 inside the bucket [6, 8], and the bucket [3, 39]
+    cut by the clamped top 38 at theta = 9/10."""
+    frozen = BranchingSchedule([(8, 1)])
+    slow = BranchingSchedule([(3, 1), (1, 2), (4, 1)])
+    zero = CompositeSet([(5, frozen)], include_origin=False)
+    for theta in (Fraction(1, 3), Fraction(1, 2), Fraction(9, 10)):
+        scale = RationalScale(theta)
+        for lo in (1, 2, 4):
+            found = composite_upper(zero, scale, lo, 4, Workspace(zero.depth))
+            assert found == (0.0, lo, scale.fine(lo), 0)
+            _assert_kernels_match_oracles(zero, scale, lo, 4)
+    cuts = BranchingSchedule([(30, 1), (1, 2), (3, 1)])
+    for origin in (False, True):
+        rows = CompositeSet([(2, frozen), (3, slow), (5, frozen), (6, slow), (9, frozen)], origin)
+        cut = CompositeSet([(2, frozen), (3, cuts), (40, BranchingSchedule([(3, 2)]))], origin)
+        for theta in (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(9, 10)):
+            scale = RationalScale(theta)
+            found = composite_upper(rows, scale, 2, 2, Workspace(rows.depth))
+            assert found[1::2] == (2, 0)  # the one-row bucket's origin window wins
+            _assert_kernels_match_oracles(rows, scale, 2, 2)
+            top = scale.max_coarse(rows.depth)
+            for lo, hi in ((1, min(8, top)), (1, top), (7, min(8, top)), (7, top)):
+                if lo <= hi:
+                    _assert_kernels_match_oracles(rows, scale, lo, hi)
+        scale = RationalScale(Fraction(9, 10))
+        assert scale.max_coarse(cut.depth) == 38
+        for lo in (1, 3, 30, 38):
+            _assert_kernels_match_oracles(cut, scale, lo, 38)
+        assert composite_upper(cut, scale, 30, 38, Workspace(cut.depth))[1::2] == (38, 0)
+
+
 @settings(max_examples=150, deadline=None)
 @given(staircase_regions())
 def test_region_max_on_curve_staircases(case):
