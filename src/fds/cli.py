@@ -399,7 +399,7 @@ def cmd_plot(opts: dict, csvs: list[str]) -> int:
             (x, reduce(lambda acc, c: acc * x + c, coeffs, 0.0)) for x in samples
         ]))
     text = render_plot(series)
-    with open(out, "w", encoding="ascii") as fh:
+    with open(out, "w", encoding="ascii", errors="xmlcharrefreplace") as fh:
         fh.write(text)
     print(f"wrote {out}: {len(series)} series")
     return 0

@@ -81,10 +81,10 @@ every level and reads each origin bucket at every level.  A window that
 either side drops or admits by mistake shows as a nonzero deviation.
 
 Exactness contract: within one set representation all estimators read the
-same exponent values (integer prefix differences or cached log tables),
-so the structural identities - spectrum <= upper, upper non-decreasing in
-theta, and the upper/ratio-fan identity - hold with zero tolerance, while
-closed-form comparisons carry an explicit tolerance.
+same exponent values (prefix differences, tree counts by `log2_counts`,
+composite origin rows by numpy's log2), so the structural identities -
+spectrum <= upper, upper non-decreasing in theta, and the upper/ratio-fan
+identity - hold with zero tolerance; closed-form checks carry a tolerance.
 
 One report rule serves every verifier (`_report`): a check is a list of
 rows (deviation, own tolerance, witness), the own tolerance being `tol`
@@ -115,7 +115,7 @@ from .schedule import (
     origin_buckets,
     pieces,
 )
-from .windows import RationalScale, RootScale, Workspace, root_order
+from .windows import RationalScale, RootScale, Workspace, log2_counts, root_order
 
 __all__ = [
     "SpectrumEstimate",
@@ -246,9 +246,9 @@ def _resolve(rep, theta_grid: Sequence, m_range, neighbors: bool):
 
 # ----------------------------------------------------------------------
 # tree cores (both modes read a table cached on the tree through the same
-# rank/at/logs lookups: the all-levels run table with neighbor mode off, the
-# neighbor table with it on; the window (m, mp) is level s = depth - mp at
-# threshold s + d = depth - m)
+# rank/at lookups, and a count's log2 as lut[table[idx]]: the all-levels run
+# table with neighbor mode off, the neighbor table with it on; the window
+# (m, mp) is level s = depth - mp at threshold s + d = depth - m)
 
 
 def _tree_table(tree: DyadicTree, neighbors: bool):
@@ -276,7 +276,7 @@ def _tree_spectrum(tree, scale, lo, hi, neighbors) -> tuple[float, int, int, int
     marr = np.arange(lo, hi + 1, dtype=np.int64)
     mps = scale.fine_array(marr)
     idx = runs.at(runs.rank(tree.depth - mps), runs.rank(tree.depth - marr))
-    vals = runs.logs[idx] / (mps - marr)
+    vals = runs.lut[runs.table[idx]] / (mps - marr)
     k = int(np.argmax(vals))
     m, mp = int(marr[k]), int(mps[k])
     return float(vals[k]), m, mp, _tree_witness_node(tree, m, mp, neighbors)
@@ -303,7 +303,7 @@ def _tree_uppers(tree, scales, lo, his, neighbors) -> list[tuple[float, int, int
         mps = np.arange(a, min(a + step, depth + 1))
         live = np.stack([np.searchsorted(f, mps, side="right") for f in fines])
         n = int(live.max())
-        vals = runs.logs[runs.at(runs.rank(depth - mps)[:, None], cols[None, :n])]
+        vals = runs.lut[runs.table[runs.at(runs.rank(depth - mps)[:, None], cols[None, :n])]]
         widths = mps[:, None] - ms[None, :n]
         # a width below one belongs to a window no theta admits
         np.divide(vals, np.maximum(widths, 1, out=widths), out=vals)
@@ -385,7 +385,7 @@ def estimate_box(rep, m_range: tuple[int, int] | None = None) -> BoxEstimate:
     depth = _depth(rep)
     lo, hi = _norm_range(depth, m_range)
     if isinstance(rep, DyadicTree):
-        logs = np.log2(rep.level_sizes(np.arange(lo, hi + 1)).astype(np.float64))
+        logs = log2_counts(rep.level_sizes(np.arange(lo, hi + 1)))
     elif isinstance(rep, BranchingSchedule):
         logs = rep.prefix_array()[lo : hi + 1]  # a schedule's log2 counts
     else:
@@ -619,7 +619,7 @@ def _ratio_fan_maxima(rep, depth, grid, lo, his, neighbors) -> list[float]:
         ranks = runs.rank(depth - marr)
 
         def fill(i, n, js, out):
-            np.take(runs.logs, runs.at(runs.rank(depth - js), ranks[i : i + n, None]), out=out)
+            out[:] = runs.lut[runs.table[runs.at(runs.rank(depth - js), ranks[i : i + n, None])]]
 
         if neighbors:  # a neighbor count may change at any level
             cols = np.arange(1, depth + 1)

@@ -13,6 +13,8 @@ log2(count(m, m')) / (m' - m) over large window fans.  This module holds:
   from prefix counts and one running maximum per chunk,
 * neighbor tables that give the same maximum over a level-m node together
   with its present same-level neighbors, with the leftmost witness.
+  Both keep int32 counts and read their log2 through a lookup of `log2_counts`:
+  math.log2, as the oracles; numpy's AVX-512 log2 rounds 1621 one ulp off.
 
 The upper spectrum needs the best window over a whole region: coarse
 levels m = a..b, each with fine levels j >= lo[m - a], lo non-decreasing.
@@ -401,6 +403,19 @@ def leaf_gaps(xs: Sequence[int]) -> np.ndarray:
     )
 
 
+def log2_counts(counts) -> np.ndarray:
+    """math.log2 of each count, -inf at 0."""
+    return np.array([log2(c) if c else -np.inf for c in np.asarray(counts).tolist()])
+
+
+def _log2_lut(table: np.ndarray) -> np.ndarray:
+    """log2_counts by count at each count a tree table holds, -inf elsewhere."""
+    lut = np.full(int(table.max()) + 1, -np.inf)
+    held = np.unique(table) if table.size < lut.size else np.arange(lut.size)
+    lut[held] = log2_counts(held)
+    return lut
+
+
 def _dominance(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per gap, the nearest strictly greater gap on the left (-1 if none) and
     the nearest greater-or-equal gap on the right (len(g) if none)."""
@@ -441,7 +456,7 @@ class RunTable:
     entry rank(s + d) - 1 when that is at least rank(s); otherwise no gap
     > s is <= s + d and the answer is table entry 0, the count below a
     single node (1, or 0 for a tree without leaves).  So the count is
-    table[at(rank(s), rank(s + d))], and `logs` there holds its log2.
+    table[at(rank(s), rank(s + d))], int32, and its log2 is lut[count].
 
     The build takes the threshold ranks in chunks b0, ..., b0 + B - 1 with
     B = max(1, RUN_BLOCK // n), for the n gaps >= u[b0], and works in their
@@ -453,10 +468,10 @@ class RunTable:
     the rows yields the chunk's blocks, and their entries t >= b go
     straight into the preallocated table.  A chunk's temporaries hold
     about max(RUN_BLOCK, n) counts, so the build peaks at the kept table
-    and logs.
+    plus those temporaries.
     """
 
-    __slots__ = ("u", "base", "table", "logs")
+    __slots__ = ("u", "base", "table", "lut")
 
     def __init__(self, gaps: Sequence[int], leaves: int):
         g = np.asarray(gaps, dtype=np.int64)
@@ -476,7 +491,7 @@ class RunTable:
         # entry for threshold rank t >= b of block b sits at base[b] + t + 1
         sizes = k - np.arange(k + 1)
         base = np.concatenate(([0], np.cumsum(sizes[:-1]))) - np.arange(k + 1)
-        table = np.empty(k * (k + 1) // 2 + 1, dtype=np.int64)
+        table = np.empty(k * (k + 1) // 2 + 1, dtype=np.int32)
         table[0] = min(leaves, 1)
         # positions, ranks and counts are below len(g) and gaps at most the
         # depth, both far below 2**31 for any tree held as a tuple of leaves
@@ -511,9 +526,7 @@ class RunTable:
             start, stop = base[b0] + b0 + 1, base[b0 + nb - 1] + k + 1
             np.add(runs[upper], 1, out=table[start:stop])
             b0 += nb
-        self.u, self.base, self.table = u, base, table
-        with np.errstate(divide="ignore"):  # a tree without leaves logs -inf
-            self.logs = np.log2(table)
+        self.u, self.base, self.table, self.lut = u, base, table, _log2_lut(table)
 
     def rank(self, x):
         """Number of distinct gap values <= x (elementwise)."""
@@ -555,12 +568,12 @@ class NeighborTable:
     Lookups follow `RunTable`'s: levels are counted up from the leaves and
     index the table directly, so `rank` is the identity, and `at(rs, rt)` is
     the position of the window with fine level s = rs and coarse level
-    rt > rs.  `table` holds the best count there, `logs` its log2 (taken
-    with math.log2, so a value equals log2 of a recount bit for bit) and
-    `start` the first leaf of the leftmost node reaching it.
+    rt > rs.  `table` holds the best count there (int32, 0 where rt <= rs),
+    `lut` the log2 of each count and `start` the first leaf of the leftmost
+    node reaching it.
     """
 
-    __slots__ = ("size", "table", "logs", "start")
+    __slots__ = ("size", "table", "lut", "start")
 
     def __init__(self, leaves: Sequence[int], gaps: Sequence[int], depth: int):
         g = np.asarray(gaps, dtype=np.int64)
@@ -583,11 +596,8 @@ class NeighborTable:
             k = np.argmax(c, axis=1)
             table[s, :s] = c[np.arange(s), k] + 1
             start[s, :s] = first[k]
-        lut = np.array([-np.inf] + [log2(c) for c in range(1, int(table.max()) + 1)])
-        self.size = size
-        self.table = table.ravel()
-        self.logs = lut[self.table]
-        self.start = start.ravel()
+        self.size, self.table, self.start = size, table.ravel(), start.ravel()
+        self.lut = _log2_lut(table)
 
     def rank(self, x):
         """Levels index the table directly (elementwise identity)."""

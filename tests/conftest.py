@@ -376,7 +376,7 @@ def ratio_fan_max(rep, theta: Fraction, lo: int, hi: int, neighbors: bool = Fals
         rows = runs.rank(depth - idx)
         for m in range(lo, hi + 1):
             j0 = scale.fine(m)
-            logs = runs.logs[runs.at(rows[j0:], runs.rank(depth - m))]
+            logs = runs.lut[runs.table[runs.at(rows[j0:], runs.rank(depth - m))]]
             best = max(best, float((logs / (idx[j0:] - m)).max()))
         return best
     for _, e, S in pieces(rep):
@@ -421,7 +421,7 @@ def oracle_dominance(gaps) -> tuple[np.ndarray, np.ndarray]:
 
 
 def oracle_run_table(gaps, leaves: int):
-    """(u, base, table, logs) of `RunTable(gaps, leaves)`, one Python
+    """(u, base, table) of `RunTable(gaps, leaves)`, one Python
     iteration per distinct gap value u[b]: filter the gaps >= u[b], rank
     them, count the alive gaps inside every dominance interval, and keep
     the running maximum at the last gap of each value >= u[b]."""
@@ -443,10 +443,8 @@ def oracle_run_table(gaps, leaves: int):
     k = u.size
     sizes = k - np.arange(k + 1)
     base = np.concatenate(([0], np.cumsum(sizes[:-1]))) - np.arange(k + 1)
-    table = np.concatenate(([min(leaves, 1)], *(1 + x for x in blocks)))
-    with np.errstate(divide="ignore"):
-        logs = np.log2(table.astype(np.float64))
-    return u, base, table, logs
+    table = np.concatenate(([min(leaves, 1)], *(1 + x for x in blocks))).astype(np.int32)
+    return u, base, table
 
 
 def run_count(runs, s: int, d: int) -> int:

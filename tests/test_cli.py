@@ -1,9 +1,12 @@
 """CLI subcommands, exit codes, config merging, and output determinism."""
 
+from math import log2
+
 import pytest
 
 from fds.cli import MAX_GRID_POINTS, main, parse_m_range, parse_theta_grid
 from fds import formats
+from fds.dyadic import DyadicTree
 from fds.errors import FormatError
 from fds.schedule import BranchingSchedule
 from fds.svg import render_plot
@@ -282,6 +285,39 @@ def test_plot_label_is_escaped(tmp_path, capsys):
     assert run(["plot", str(csv), "-o", str(svg)], capsys)[0] == 0
     texts = minidom.parse(str(svg)).getElementsByTagName("text")
     assert texts[-1].firstChild.data == "a&b<c>.csv"
+
+
+def test_plot_label_keeps_non_ascii_characters(tmp_path, capsys):
+    """A CSV file name outside ASCII is the series label too: it goes out
+    as XML character references, exit 0, and the parsed text keeps it."""
+    from xml.dom import minidom
+
+    csv = tmp_path / "\u00e9.csv"
+    csv.write_text("theta,value,m_witness,mprime_witness\n0.2,1.0,1,5\n")
+    svg = tmp_path / "x.svg"
+    assert run(["plot", str(csv), "-o", str(svg)], capsys)[0] == 0
+    assert ">&#233;.csv</text>" in svg.read_text(encoding="ascii")
+    texts = minidom.parse(str(svg)).getElementsByTagName("text")
+    assert texts[-1].firstChild.data == "\u00e9.csv"
+
+
+def test_neighbor_modes_write_one_log2_per_count(tmp_path, capsys):
+    """The level-1 node of a 1621-leaf depth-12 tree holds 1621 leaves and
+    has no present neighbor, so both modes read log2(1621) / 11 through
+    math.log2 and write the same bytes; numpy's AVX-512 log2 rounds 1621
+    one ulp off."""
+    tree = tmp_path / "t.fds"
+    formats.dump(DyadicTree(12, range(1621)), str(tree))
+    rows = []
+    for mode in ("off", "on"):
+        csv = tmp_path / f"{mode}.csv"
+        code, _, _ = run(["estimate", "--mode", "spectrum", "-i", str(tree), "--theta-grid",
+                          "1/12:1/12:1/12", "--m-range", "1:1", "--neighbors", mode,
+                          "-o", str(csv)], capsys)
+        assert code == 0
+        rows.append(csv.read_bytes())
+    assert rows[0] == rows[1]
+    assert rows[0].splitlines()[1] == f"0.08333333333333333,{log2(1621) / 11!r},1,12".encode()
 
 
 @pytest.mark.parametrize("row", ["nan,0.5,1,5", "inf,0.5,1,5", "0.2,nan,1,5", "0.2,-inf,1,5"])

@@ -236,13 +236,13 @@ def test_leaf_storage_matches_levels(t):
 
 
 def _assert_run_table_matches_oracle(t):
-    """u, base, table and logs bit for bit against the one-value-at-a-time
+    """u, base and table bit for bit against the one-value-at-a-time
     build, with chunks of one threshold, of five, and of the default size."""
     want = oracle_run_table(t.gaps, len(t.leaves))
     for block in (1, 5, windows.RUN_BLOCK):
         with patch.object(windows, "RUN_BLOCK", block):
             runs = RunTable(t.gaps, len(t.leaves))
-        for got, ref in zip((runs.u, runs.base, runs.table, runs.logs), want):
+        for got, ref in zip((runs.u, runs.base, runs.table), want):
             assert got.dtype == ref.dtype and got.shape == ref.shape, block
             assert got.tobytes() == ref.tobytes(), block
 
@@ -269,6 +269,27 @@ def test_run_table_matches_oracle(t):
 )
 def test_run_table_matches_oracle_fixed(t):
     _assert_run_table_matches_oracle(t)
+
+
+def _assert_luts_are_math_log2(t):
+    """Both tables hold int32 counts, and lut[c] is math.log2(c) bit for
+    bit for every count c they hold (-inf at 0)."""
+    for tab in (t.run_table(), t.neighbor_table()):
+        assert tab.table.dtype == np.int32 and tab.lut[0] == -np.inf
+        for c in np.unique(tab.table[tab.table > 0]).tolist():
+            assert tab.lut[c] == log2(c), c
+
+
+@settings(max_examples=60, deadline=None)
+@given(trees())
+def test_table_luts_are_math_log2(t):
+    _assert_luts_are_math_log2(t)
+
+
+def test_table_luts_are_math_log2_past_1621():
+    # 1621 is the first count numpy's AVX-512 log2 rounds one ulp away
+    _assert_luts_are_math_log2(DyadicTree(12, range(1621)))
+    _assert_luts_are_math_log2(geometric_sequence_tree(300))
 
 
 def _assert_tree_estimators_match_oracles(t, neighbors):
@@ -317,7 +338,7 @@ def _assert_neighbor_table_matches_oracle(t):
             node = t.leaves[int(nb.start[pos])] >> (t.depth - m)
             alpha, k = max_alpha(t, m, mp, neighbors=True)
             assert (int(nb.table[pos]), node) == (local_count(t, m, k, mp, True), k), (m, mp)
-            assert nb.logs[pos] / (mp - m) == alpha, (m, mp)
+            assert nb.lut[nb.table[pos]] / (mp - m) == alpha, (m, mp)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,6 +1,7 @@
 """Estimators and verifiers across the three set representations."""
 
 from fractions import Fraction
+from math import log2
 
 import numpy as np
 import pytest
@@ -133,6 +134,21 @@ def test_tree_neighbor_mode_estimates():
                             (estimate_upper, oracle_tree_upper)):
             got = est(t, [th], (8, 16), neighbors=True)
             assert (got.values[0], *got.witnesses[0]) == oracle(t, th, 8, hi, True)
+
+
+def test_tree_counts_read_one_log2_rule():
+    """1621 is the first count that numpy's AVX-512 log2 rounds one ulp
+    away from math.log2.  Its window on a 1621-leaf tree reads
+    math.log2(1621) / 11 bit for bit in the spectrum, the upper estimate
+    and the brute side, with neighbors off and on, and so does the box
+    at the leaf level of the same leaves at depth 11."""
+    want = log2(1621) / 11
+    t = DyadicTree(12, range(1621))
+    for neighbors in (False, True):
+        for est in (estimate_spectrum, estimate_upper):
+            assert est(t, [F(1, 12)], (1, 1), neighbors=neighbors).values == [want]
+        assert spectra._ratio_fan_maxima(t, 12, [F(1, 12)], 1, [1], neighbors) == [want]
+    assert estimate_box(DyadicTree(11, range(1621)), (11, 11)).value == want
 
 
 def test_estimate_box_examples(twophase_48):
@@ -311,7 +327,7 @@ def _root_spectrum(rep, theta, n, lo, hi):
     fs = scale.fine_array(ms)
     if isinstance(rep, DyadicTree):
         runs = rep.run_table()
-        nums = runs.logs[runs.at(runs.rank(rep.depth - fs), runs.rank(rep.depth - ms))]
+        nums = runs.lut[runs.table[runs.at(runs.rank(rep.depth - fs), runs.rank(rep.depth - ms))]]
     else:
         S = rep.prefix_array()
         nums = S[fs] - S[ms]

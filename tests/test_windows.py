@@ -453,8 +453,10 @@ def test_runlen_table_vs_brute():
 
 
 def test_run_table_build_peak_is_its_kept_size():
-    # the build writes its blocks straight into the kept arrays, so its
-    # traced peak stays near table + logs (8.4 MB at geometric depth 1024)
+    # the build writes its blocks straight into the kept int32 table (2.1 MB
+    # at geometric depth 1024), so its traced peak exceeds what it keeps by
+    # its own working set, about 0.46 MB: a second table-sized array breaks
+    # the bound
     t = geometric_sequence_tree(1024)
     tracemalloc.start()
     tracemalloc.reset_peak()
@@ -463,5 +465,5 @@ def test_run_table_build_peak_is_its_kept_size():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    kept = runs.table.nbytes + runs.logs.nbytes
-    assert peak <= 1.2 * kept, (peak, kept)
+    kept = runs.table.nbytes + runs.lut.nbytes
+    assert peak <= kept + (1 << 20), (peak, kept)
