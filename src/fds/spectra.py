@@ -21,7 +21,9 @@ through the public estimators, so it checks the functions the CLI calls.
 Trees are read through tables cached on the tree: the all-levels run
 table, or with neighbor mode on (a node counted with its present
 same-level neighbors) the neighbor count table, built once per tree, so
-neither mode loops over the nodes of a level per window.
+neither mode loops over the nodes of a level per window.  Only the
+witness node of an estimate is counted from the gaps, once per distinct
+window.
 
 The two sides of the main theorem read the windows in two different
 orders:
@@ -49,8 +51,7 @@ orders:
   |----------------------------|---------------|----------------------------|
   | schedule, composite piece  | where kept    | concave corners, depth     |
   | composite origin bucket    | its own       | every level                |
-  | tree, neighbor mode off    | every row     | depth + 1 - u per gap u    |
-  | tree, neighbor mode on     | every row     | every level                |
+  | tree, either neighbor mode | every row     | depth + 1 - u per gap u    |
 
   A schedule is the one piece at shift 0.  On a piece the numerator
   N(j) = S[j - e] - S[m - e] rises by 0 or 1 per level, so N <= j - m:
@@ -58,11 +59,12 @@ orders:
   N / (j - m) does not decrease; along a frozen stretch N is fixed, so it
   does not increase.  The maximum from a fan start f on is therefore at
   f or at a concave corner after it, the last level of a branching run
-  or the depth.  On a run table a row's numerator is fixed and >= 0
-  while the fine rank is, and the width grows, so the maximum from f on
-  is at f or at the first level of a later fine rank, depth + 1 - u for
-  a gap value u.  Neighbor counts and origin counts have no such
-  stretches, so every level is a column.  Correctly rounded division is
+  or the depth.  A tree count, with or without the neighbors, sees the
+  fine level j only through the gaps wider than depth - j, so along a row
+  it is fixed and >= 1 from one level depth + 1 - u of a gap value u to
+  the next while the width grows: the maximum from f on is at f or at
+  one of those levels after it.  Origin counts have no such stretches,
+  so every level is a column.  Correctly rounded division is
   monotone, so each float maximum is bit for bit that over every window.
   At a window (m, j) every piece and the origin share the width, so the
   max of their quotients is the quotient of their largest numerator, and
@@ -245,10 +247,10 @@ def _resolve(rep, theta_grid: Sequence, m_range, neighbors: bool):
 
 
 # ----------------------------------------------------------------------
-# tree cores (both modes read a table cached on the tree through the same
-# rank/at lookups, and a count's log2 as lut[table[idx]]: the all-levels run
-# table with neighbor mode off, the neighbor table with it on; the window
-# (m, mp) is level s = depth - mp at threshold s + d = depth - m)
+# tree cores (both modes read a table cached on the tree through its `logs`:
+# the all-levels run table with neighbor mode off, the neighbor table with
+# it on; the window (m, mp) is fine level depth - mp below coarse level
+# depth - m, counted up from the leaves)
 
 
 def _tree_table(tree: DyadicTree, neighbors: bool):
@@ -256,36 +258,37 @@ def _tree_table(tree: DyadicTree, neighbors: bool):
 
 
 def _tree_witness_node(tree: DyadicTree, m: int, mp: int, neighbors: bool) -> int:
-    """Leftmost level-m node holding the most level-mp nodes (with its
-    present neighbors in neighbor mode)."""
+    """Leftmost level-m node holding the most level-mp nodes (with those of
+    its present neighbors whose cells touch it in neighbor mode)."""
     s = tree.depth - m
+    # the gaps that split the leaves into level-m and into level-mp nodes;
+    # each level-m split is a level-mp split, so level-m node k holds one
+    # level-mp node per level-mp split from level-m split k - 1 (from the
+    # first leaf for k = 0) to just before split k
+    cuts = np.flatnonzero(tree.gaps > s)
+    fine = np.flatnonzero(tree.gaps > tree.depth - mp)
+    counts = np.diff(np.concatenate(([-1], np.searchsorted(fine, cuts), [fine.size])))
     if neighbors:
-        nb = tree.neighbor_table()
-        return tree.leaves[int(nb.start[nb.at(tree.depth - mp, s)])] >> s
-    g = tree.gaps
-    # leaves split into level-m groups where a gap exceeds depth - m, and
-    # into level-mp nodes where it exceeds depth - mp
-    starts = np.flatnonzero(np.concatenate(([True], g > s)))
-    nodes = np.concatenate(([1], g > tree.depth - mp)).astype(np.int64)
-    k = int(np.argmax(np.add.reduceat(nodes, starts)))
-    return tree.leaves[int(starts[k])] >> s
+        near = tree.neighbor_table().adjacent[cuts] <= s
+        left = counts[:-1] * near
+        counts[:-1] += counts[1:] * near
+        counts[1:] += left
+    k = int(np.argmax(counts))
+    return tree.leaves[int(cuts[k - 1]) + 1 if k else 0] >> s
 
 
-def _tree_spectrum(tree, scale, lo, hi, neighbors) -> tuple[float, int, int, int]:
-    runs = _tree_table(tree, neighbors)
+def _tree_spectrum(tree, scale, lo, hi, neighbors) -> tuple[float, int, int]:
     marr = np.arange(lo, hi + 1, dtype=np.int64)
     mps = scale.fine_array(marr)
-    idx = runs.at(runs.rank(tree.depth - mps), runs.rank(tree.depth - marr))
-    vals = runs.lut[runs.table[idx]] / (mps - marr)
+    vals = _tree_table(tree, neighbors).logs(tree.depth - mps, tree.depth - marr) / (mps - marr)
     k = int(np.argmax(vals))
-    m, mp = int(marr[k]), int(mps[k])
-    return float(vals[k]), m, mp, _tree_witness_node(tree, m, mp, neighbors)
+    return float(vals[k]), int(marr[k]), int(mps[k])
 
 
-def _tree_uppers(tree, scales, lo, his, neighbors) -> list[tuple[float, int, int, int]]:
-    """Per scale of an ascending theta grid, (value, m, m', node) over every
+def _tree_uppers(tree, scales, lo, his, neighbors) -> list[tuple[float, int, int]]:
+    """Per scale of an ascending theta grid, (value, m, m') over every
     window (m, m') with lo <= m <= his[k] and m' >= ceil(m / theta): ties to
-    the smallest m, then the smallest m', then the leftmost node.
+    the smallest m, then the smallest m'.
 
     Fine levels go in blocks of at most UPPER_BLOCK table entries.  At each
     fine level the coarse levels live at theta are a prefix of lo, ...,
@@ -294,7 +297,6 @@ def _tree_uppers(tree, scales, lo, his, neighbors) -> list[tuple[float, int, int
     depth = tree.depth
     runs = _tree_table(tree, neighbors)
     ms = np.arange(lo, his[-1] + 1)
-    cols = runs.rank(depth - ms)
     # coarse level m is live at theta from its fine level on
     fines = [scale.fine_array(ms[: hi - lo + 1]) for scale, hi in zip(scales, his)]
     step = max(1, UPPER_BLOCK // ms.size)
@@ -303,7 +305,7 @@ def _tree_uppers(tree, scales, lo, his, neighbors) -> list[tuple[float, int, int
         mps = np.arange(a, min(a + step, depth + 1))
         live = np.stack([np.searchsorted(f, mps, side="right") for f in fines])
         n = int(live.max())
-        vals = runs.lut[runs.table[runs.at(runs.rank(depth - mps)[:, None], cols[None, :n])]]
+        vals = runs.logs(depth - mps[:, None], depth - ms[None, :n])
         widths = mps[:, None] - ms[None, :n]
         # a width below one belongs to a window no theta admits
         np.divide(vals, np.maximum(widths, 1, out=widths), out=vals)
@@ -323,10 +325,7 @@ def _tree_uppers(tree, scales, lo, his, neighbors) -> list[tuple[float, int, int
             cand = (float(v), -(lo + int(first[j])), -int(mps[hit[j]]))
             if best[k] is None or cand > best[k]:
                 best[k] = cand
-    return [
-        (v, -m, -mp, _tree_witness_node(tree, -m, -mp, neighbors))
-        for v, m, mp in best
-    ]
+    return [(v, -m, -mp) for v, m, mp in best]
 
 
 # ----------------------------------------------------------------------
@@ -334,16 +333,17 @@ def _tree_uppers(tree, scales, lo, his, neighbors) -> list[tuple[float, int, int
 # after `_resolve` has checked the depth budget; trees read tables instead
 
 
-def _spectra(rep, scales, lo, his, neighbors) -> list[tuple[float, int, int, int]]:
+def _spectra(rep, scales, lo, his, neighbors) -> list[tuple]:
     """Per scale, (value, m, m', node) at its fixed ratio rule over the
-    coarse levels lo..his[k]."""
+    coarse levels lo..his[k]; a tree's come without the node, which
+    `_estimate` adds."""
     if isinstance(rep, DyadicTree):
         return [_tree_spectrum(rep, sc, lo, hi, neighbors) for sc, hi in zip(scales, his)]
     work = Workspace(rep.depth)
     return [composite_spectrum(rep, sc, lo, hi, work) for sc, hi in zip(scales, his)]
 
 
-def _uppers(rep, scales, lo, his, neighbors) -> list[tuple[float, int, int, int]]:
+def _uppers(rep, scales, lo, his, neighbors) -> list[tuple]:
     if isinstance(rep, DyadicTree):
         return _tree_uppers(rep, scales, lo, his, neighbors)
     work = Workspace(rep.depth)
@@ -355,6 +355,10 @@ def _estimate(mode: str, solve, rep, theta_grid, m_range, neighbors) -> Spectrum
     range, as (value, m, m', node)."""
     _, grid, lo, hi, his = _resolve(rep, theta_grid, m_range, neighbors)
     found = solve(rep, [RationalScale(th) for th in grid], lo, his, neighbors)
+    if isinstance(rep, DyadicTree):  # one witness node per distinct window
+        windows = {(m, mp) for _, m, mp in found}
+        node = {w: _tree_witness_node(rep, *w, neighbors) for w in windows}
+        found = [(v, m, mp, node[m, mp]) for v, m, mp in found]
     values = [v for v, *_ in found]
     wits = [tuple(w) for _, *w in found]
     return SpectrumEstimate(mode, grid, values, (lo, hi), wits)
@@ -607,24 +611,22 @@ def _ratio_fan_maxima(rep, depth, grid, lo, his, neighbors) -> list[float]:
     This is the one place that knows the representation: it hands
     `_fan_kernel` the candidate columns, rows and fill of the module
     docstring's table, once per piece and origin bucket of a composite,
-    and takes the max of their maxima.  Pieces a kept piece dominates from
-    the widest fan's start on are left out of a row (`_kept_pieces`); that
-    start is at or below every live theta's, so they are dominated from
-    every fan start too.  Nothing here reads the region solver of the
-    upper side."""
+    and takes the max of their maxima.  A tree's columns come from its
+    table's gap values in either neighbor mode.  Pieces a kept piece
+    dominates from the widest fan's start on are left out of a row
+    (`_kept_pieces`); that start is at or below every live theta's, so
+    they are dominated from every fan start too.  Nothing here reads the
+    region solver of the upper side."""
     marr = np.arange(lo, his[-1] + 1, dtype=np.int64)
     scales = [RationalScale(th) for th in reversed(grid)]
     if isinstance(rep, DyadicTree):
         runs = _tree_table(rep, neighbors)
-        ranks = runs.rank(depth - marr)
 
         def fill(i, n, js, out):
-            out[:] = runs.lut[runs.table[runs.at(runs.rank(depth - js), ranks[i : i + n, None])]]
+            out[:] = runs.logs(depth - js, depth - marr[i : i + n, None])
 
-        if neighbors:  # a neighbor count may change at any level
-            cols = np.arange(1, depth + 1)
-        else:  # a run-table count only where the fine rank does
-            cols = np.append(depth + 1 - runs.u[runs.u > 1][::-1], depth)
+        # a count changes only where a gap value u leaves the fine nodes' cut
+        cols = np.append(depth + 1 - runs.u[runs.u > 1][::-1], depth)
         fans = [(cols, marr, fill)]
     else:
         parts = [(e, S) for _, e, S in pieces(rep)]
@@ -675,8 +677,8 @@ def verify_main_theorem(
     (`_ratio_fan_maxima`).  It reads each row at the fan starts and at the
     candidate columns of the module docstring's table, after which no
     exponent of the row can rise: the concave corners of a schedule or
-    composite piece, the first level of each fine rank of a run table,
-    and every level of a neighbor table or origin bucket.  Composite
+    composite piece, the levels depth + 1 - u of a tree's gap values u in
+    either neighbor mode, and every level of an origin bucket.  Composite
     pieces that a kept piece dominates pointwise on a row are left out of
     it (an integer test on prefix counts that leaves every row maximum bit
     for bit unchanged).

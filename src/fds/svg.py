@@ -6,6 +6,7 @@ dimension in [0, 1].  Output bytes depend only on the input series.
 
 from __future__ import annotations
 
+import re
 from typing import Sequence
 
 __all__ = ["render_plot"]
@@ -85,8 +86,10 @@ def render_plot(series: Sequence[tuple[str, Sequence[tuple[float, float]]]]) -> 
             f'<line x1="{lx}" y1="{ly}" x2="{_fmt(float(lx) + 24)}" y2="{ly}" '
             f'stroke="{color}" stroke-width="2"/>'
         )
-        # escaped by hand: xml.sax.saxutils would import urllib.request
-        text = label.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+        # escaped by hand (xml.sax.saxutils would import urllib.request);
+        # U+FFFD stands for what XML 1.0 cannot carry, lone surrogates too
+        text = re.sub(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]", "\ufffd", label)
+        text = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         parts.append(
             f'<text x="{_fmt(float(lx) + 30)}" y="{_fmt(float(ly) + 4)}" '
             f'font-size="12">{text}</text>'

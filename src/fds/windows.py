@@ -12,9 +12,10 @@ log2(count(m, m')) / (m' - m) over large window fans.  This module holds:
   ancestor, for every m at once, built a chunk of thresholds at a time
   from prefix counts and one running maximum per chunk,
 * neighbor tables that give the same maximum over a level-m node together
-  with its present same-level neighbors, with the leftmost witness.
-  Both keep int32 counts and read their log2 through a lookup of `log2_counts`:
-  math.log2, as the oracles; numpy's AVX-512 log2 rounds 1621 one ulp off.
+  with its present same-level neighbors, and keep the leaves' adjacency.
+  Both keep int32 counts and the distinct gap values, and read a window's
+  log2 count, `logs`, through a lookup of `log2_counts`: math.log2, as
+  the oracles; numpy's AVX-512 log2 rounds 1621 one ulp off.
 
 The upper spectrum needs the best window over a whole region: coarse
 levels m = a..b, each with fine levels j >= lo[m - a], lo non-decreasing.
@@ -455,8 +456,8 @@ class RunTable:
     distinct gap values <= x): s selects block rank(s), and s + d the
     entry rank(s + d) - 1 when that is at least rank(s); otherwise no gap
     > s is <= s + d and the answer is table entry 0, the count below a
-    single node (1, or 0 for a tree without leaves).  So the count is
-    table[at(rank(s), rank(s + d))], int32, and its log2 is lut[count].
+    single node (1, or 0 for a tree without leaves).  `logs(s, s + d)`
+    reads the count there and its log2 from `lut`.
 
     The build takes the threshold ranks in chunks b0, ..., b0 + B - 1 with
     B = max(1, RUN_BLOCK // n), for the n gaps >= u[b0], and works in their
@@ -528,12 +529,14 @@ class RunTable:
             b0 += nb
         self.u, self.base, self.table, self.lut = u, base, table, _log2_lut(table)
 
-    def rank(self, x):
-        """Number of distinct gap values <= x (elementwise)."""
-        return np.searchsorted(self.u, x, side="right")
+    def logs(self, s, t):
+        """log2 of the count for fine level s below coarse level t > s, both
+        counted up from the leaves (elementwise, broadcast)."""
+        return self.lut[self.table[self._pos(s, t)]]
 
-    def at(self, rs, rt):
-        """Table positions for s with rank(s) = rs and s + d with rank rt."""
+    def _pos(self, s, t):
+        """Table positions for s and t, through the ranks of both."""
+        rs, rt = (np.searchsorted(self.u, x, side="right") for x in (s, t))
         return np.where(rt > rs, self.base[rs] + rt, 0)
 
 
@@ -546,7 +549,7 @@ def _adjacency(xs: Sequence[int], gaps: np.ndarray) -> np.ndarray:
     for a, b, g in zip(xs, xs[1:], gaps.tolist()):
         low = (1 << (g - 1)) - 1
         out.append(max((~a & low).bit_length(), (b & low).bit_length()))
-    return np.array(out, dtype=np.int64)
+    return np.array(out, dtype=np.int32)
 
 
 class NeighborTable:
@@ -556,24 +559,21 @@ class NeighborTable:
     neighbors k - 1 and k + 1; a metric ball of radius 2**-m centered in
     the node meets at most these three cells, so the neighborhood count
     brackets the ball's.  The leaves split into level-m groups (one per
-    node) where a gap exceeds s = depth - m, and a neighborhood is one
+    node) where a gap exceeds t = depth - m, and a neighborhood is one
     contiguous leaf range [a, b]: from the first leaf of the previous group
-    when that group is the cell to the left (see `_adjacency`), to the
-    last leaf of the next group when that is the cell to the right.  Its
-    count t levels above the leaves is 1 + P[t, b] - P[t, a] with the
-    prefix counts P[t, i] = #(gaps[:i] > t).  Per coarse level one argmax
-    over the groups serves every fine level at once and picks the leftmost
-    best node.
+    when that group is the cell to the left (`adjacent[gap] <= t`, see
+    `_adjacency`), to the last leaf of the next group when that is the
+    cell to the right.  Its count s levels above the leaves is
+    1 + P[s, b] - P[s, a] with the prefix counts P[s, i] = #(gaps[:i] > s).
+    Per coarse level one maximum over the groups serves every fine level
+    at once.
 
-    Lookups follow `RunTable`'s: levels are counted up from the leaves and
-    index the table directly, so `rank` is the identity, and `at(rs, rt)` is
-    the position of the window with fine level s = rs and coarse level
-    rt > rs.  `table` holds the best count there (int32, 0 where rt <= rs),
-    `lut` the log2 of each count and `start` the first leaf of the leftmost
-    node reaching it.
+    `table[t, s]` holds the best count (int32, 0 where t <= s), read as
+    `RunTable`'s through `logs(s, t)`.  `adjacent` (int32, per gap) and the
+    distinct gap values `u` serve the estimators' witness and column rules.
     """
 
-    __slots__ = ("size", "table", "lut", "start")
+    __slots__ = ("u", "table", "lut", "adjacent")
 
     def __init__(self, leaves: Sequence[int], gaps: Sequence[int], depth: int):
         g = np.asarray(gaps, dtype=np.int64)
@@ -583,29 +583,21 @@ class NeighborTable:
         prefix = np.zeros((depth, n), dtype=np.int32)
         np.cumsum(g > np.arange(depth)[:, None], axis=1, dtype=np.int32, out=prefix[:, 1:])
         table = np.zeros((size, size), dtype=np.int32)
-        start = np.zeros((size, size), dtype=np.int32)
-        for s in range(1, size if n else 1):
-            cut = np.flatnonzero(g > s)
+        for t in range(1, size if n else 1):
+            cut = np.flatnonzero(g > t)
             first = np.concatenate(([0], cut + 1))
             last = np.append(cut, n - 1)
-            near = adjacent[cut] <= s
+            near = adjacent[cut] <= t
             a, b = first.copy(), last.copy()
             a[1:] = np.where(near, first[:-1], first[1:])
             b[:-1] = np.where(near, last[1:], last[:-1])
-            c = prefix[:s, b] - prefix[:s, a]
-            k = np.argmax(c, axis=1)
-            table[s, :s] = c[np.arange(s), k] + 1
-            start[s, :s] = first[k]
-        self.size, self.table, self.start = size, table.ravel(), start.ravel()
-        self.lut = _log2_lut(table)
+            table[t, :t] = (prefix[:t, b] - prefix[:t, a]).max(axis=1) + 1
+        self.u, self.table, self.lut = np.flatnonzero(np.bincount(g)), table, _log2_lut(table)
+        self.adjacent = adjacent
 
-    def rank(self, x):
-        """Levels index the table directly (elementwise identity)."""
-        return np.asarray(x)
-
-    def at(self, rs, rt):
-        """Table positions for fine level rs below coarse level rt."""
-        return np.multiply(rt, self.size) + rs
+    def logs(self, s, t):
+        """As `RunTable.logs`: levels index the table directly."""
+        return self.lut[self.table[t, s]]
 
 
 def runlen_table(xs: Sequence[int]) -> np.ndarray:
@@ -619,4 +611,4 @@ def runlen_table(xs: Sequence[int]) -> np.ndarray:
     gaps = leaf_gaps(xs)
     width = int(gaps.max()) if gaps.size else 0
     table = RunTable(gaps, len(xs))
-    return table.table[table.at(table.rank(0), table.rank(np.arange(width + 1)))]
+    return table.table[table._pos(0, np.arange(width + 1))]

@@ -373,10 +373,9 @@ def ratio_fan_max(rep, theta: Fraction, lo: int, hi: int, neighbors: bool = Fals
     idx = np.arange(depth + 1, dtype=np.int64)
     if isinstance(rep, DyadicTree):
         runs = rep.neighbor_table() if neighbors else rep.run_table()
-        rows = runs.rank(depth - idx)
         for m in range(lo, hi + 1):
             j0 = scale.fine(m)
-            logs = runs.lut[runs.table[runs.at(rows[j0:], runs.rank(depth - m))]]
+            logs = runs.logs(depth - idx[j0:], depth - m)
             best = max(best, float((logs / (idx[j0:] - m)).max()))
         return best
     for _, e, S in pieces(rep):
@@ -449,8 +448,8 @@ def oracle_run_table(gaps, leaves: int):
 
 def run_count(runs, s: int, d: int) -> int:
     """The most level-s nodes below one node d levels up, read off a
-    `RunTable` through its rank and position lookups."""
-    return int(runs.table[runs.at(runs.rank(s), runs.rank(s + d))])
+    `RunTable` at its position for that window."""
+    return int(runs.table[runs._pos(s, s + d)])
 
 
 def random_schedule(rng: random.Random, max_depth: int = 18) -> BranchingSchedule:

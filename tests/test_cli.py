@@ -1,5 +1,6 @@
 """CLI subcommands, exit codes, config merging, and output determinism."""
 
+import os
 from math import log2
 
 import pytest
@@ -299,6 +300,22 @@ def test_plot_label_keeps_non_ascii_characters(tmp_path, capsys):
     assert ">&#233;.csv</text>" in svg.read_text(encoding="ascii")
     texts = minidom.parse(str(svg)).getElementsByTagName("text")
     assert texts[-1].firstChild.data == "\u00e9.csv"
+
+
+def test_plot_label_replaces_what_xml_cannot_carry(tmp_path, capsys):
+    """A control character or an undecodable byte (a lone surrogate in
+    Python) in a CSV file name becomes U+FFFD in the label, so the SVG
+    still parses as XML."""
+    from xml.dom import minidom
+
+    for name, want in (("a\x01b.csv", "a\ufffdb.csv"),
+                       (os.fsdecode(b"n\xe9.csv"), "n\ufffd.csv")):
+        csv = tmp_path / name
+        csv.write_text("theta,value,m_witness,mprime_witness\n0.2,1.0,1,5\n")
+        svg = tmp_path / "x.svg"
+        assert run(["plot", str(csv), "-o", str(svg)], capsys)[0] == 0
+        texts = minidom.parse(str(svg)).getElementsByTagName("text")
+        assert texts[-1].firstChild.data == want
 
 
 def test_neighbor_modes_write_one_log2_per_count(tmp_path, capsys):

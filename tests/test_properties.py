@@ -328,17 +328,19 @@ def test_tree_neighbor_estimators_match_oracles(t):
 
 
 def _assert_neighbor_table_matches_oracle(t):
-    """Every window 0 <= m < m' <= depth: the neighbor table's best count,
-    witness node and log2 against conftest's bisect count, leftmost node
-    on ties."""
+    """Every window 0 <= m < m' <= depth: the neighbor table's best count
+    and log2 against conftest's bisect count, and in both modes the
+    estimators' witness node and the table's exponent against
+    `max_alpha`, leftmost node on ties."""
     nb = t.neighbor_table()
     for m in range(t.depth):
         for mp in range(m + 1, t.depth + 1):
-            pos = nb.at(t.depth - mp, t.depth - m)
-            node = t.leaves[int(nb.start[pos])] >> (t.depth - m)
-            alpha, k = max_alpha(t, m, mp, neighbors=True)
-            assert (int(nb.table[pos]), node) == (local_count(t, m, k, mp, True), k), (m, mp)
-            assert nb.lut[nb.table[pos]] / (mp - m) == alpha, (m, mp)
+            fine, coarse = t.depth - mp, t.depth - m
+            for neighbors, tab in ((False, t.run_table()), (True, nb)):
+                alpha, k = max_alpha(t, m, mp, neighbors)
+                node = spectra._tree_witness_node(t, m, mp, neighbors)
+                assert (tab.logs(fine, coarse) / (mp - m), node) == (alpha, k), (m, mp, neighbors)
+            assert int(nb.table[coarse, fine]) == local_count(t, m, k, mp, True), (m, mp)
 
 
 @settings(max_examples=60, deadline=None)
@@ -359,9 +361,8 @@ def test_neighbor_table_exhaustive_geometric_and_full():
             edge = min(2, 1 << m) << (mp - m)
             assert local_count(t, m, 0, mp, True) == edge
             assert local_count(t, m, (1 << m) - 1, mp, True) == edge
-            pos = nb.at(t.depth - mp, t.depth - m)
-            assert int(nb.table[pos]) == min(3, 1 << m) << (mp - m)
-            assert t.leaves[int(nb.start[pos])] >> (t.depth - m) == (0 if m < 2 else 1)
+            assert int(nb.table[t.depth - m, t.depth - mp]) == min(3, 1 << m) << (mp - m)
+            assert spectra._tree_witness_node(t, m, mp, True) == (0 if m < 2 else 1)
 
 
 def _fan_case(data, depth: int, lo_cap: int | None = None):
@@ -387,14 +388,6 @@ def _assert_fan_maxima_match_oracle(rep, grid, lo, his, neighbors=False):
 BLOCKS = (1, 7, 64, spectra.FAN_PAIR_BLOCK)
 
 
-@settings(max_examples=60, deadline=None)
-@given(trees(), st.booleans(), st.sampled_from(BLOCKS), st.data())
-def test_fan_maxima_match_oracle_trees(t, neighbors, block, data):
-    """Both tree modes, with blocks down to one cell."""
-    with patch.object(spectra, "FAN_PAIR_BLOCK", block):
-        _assert_fan_maxima_match_oracle(t, *_fan_case(data, t.depth), neighbors)
-
-
 def _kernel_columns():
     """A wrapper for patching `spectra._fan_kernel`, and the candidate
     columns of each call it sees."""
@@ -407,14 +400,28 @@ def _kernel_columns():
     return wrapper, seen
 
 
+@settings(max_examples=60, deadline=None)
+@given(trees(), st.sampled_from(BLOCKS), st.data())
+def test_fan_maxima_match_oracle_trees(t, block, data):
+    """Both tree modes on every example, with blocks down to one cell, each
+    in one kernel call on at most k + 1 columns for k distinct gaps."""
+    case = _fan_case(data, t.depth)
+    k = np.unique(t.gaps).size
+    for neighbors in (False, True):
+        wrapper, seen = _kernel_columns()
+        with patch.object(spectra, "FAN_PAIR_BLOCK", block), \
+                patch.object(spectra, "_fan_kernel", wrapper):
+            _assert_fan_maxima_match_oracle(t, *case, neighbors)
+        assert len(seen) == 1 and len(seen[0]) <= k + 1, neighbors
+
+
 def test_fan_maxima_trees_read_their_candidate_columns():
     """Two leaves at depth 4096 (one gap value), four leaves with three
     distinct gaps, and a tree that branches at levels 6 to 9 only, read up
     to m = 2 at theta = 1/2, so that its best window (2, 9) lies at an
     interior column of odd level: in both modes where the neighbor table
     is small, the brute side equals the every-window oracle in one kernel
-    call, which reads at most k + 1 columns for k distinct gaps with
-    neighbor mode off."""
+    call, which reads at most k + 1 columns for k distinct gaps."""
     grid = [Fraction(1, 3), Fraction(1, 2), Fraction(9, 10)]
     bent = materialize(BranchingSchedule([(5, 1), (4, 2), (55, 1)]))
     assert ratio_fan_max(bent, Fraction(1, 2), 1, 2) == 4 / 7
@@ -428,7 +435,7 @@ def test_fan_maxima_trees_read_their_candidate_columns():
             wrapper, seen = _kernel_columns()
             with patch.object(spectra, "_fan_kernel", wrapper):
                 _assert_fan_maxima_match_oracle(t, g, 1, his, neighbors)
-            assert len(seen) == 1 and (neighbors or len(seen[0]) <= k + 1)
+            assert len(seen) == 1 and len(seen[0]) <= k + 1, (t, neighbors)
     assert [np.unique(t.gaps).size for t, _, _ in cases[:2]] == [1, 3]
 
 

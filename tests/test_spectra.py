@@ -326,8 +326,7 @@ def _root_spectrum(rep, theta, n, lo, hi):
     ms = np.arange(lo, min(hi, scale.max_coarse(rep.depth)) + 1)
     fs = scale.fine_array(ms)
     if isinstance(rep, DyadicTree):
-        runs = rep.run_table()
-        nums = runs.lut[runs.table[runs.at(runs.rank(rep.depth - fs), runs.rank(rep.depth - ms))]]
+        nums = rep.run_table().logs(rep.depth - fs, rep.depth - ms)
     else:
         S = rep.prefix_array()
         nums = S[fs] - S[ms]

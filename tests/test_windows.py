@@ -13,6 +13,7 @@ from fds.constructions import geometric_sequence_tree
 from fds.errors import BudgetError
 from fds.windows import (
     MAX_ROOT_ORDER,
+    NeighborTable,
     RationalScale,
     RootScale,
     RunTable,
@@ -467,3 +468,21 @@ def test_run_table_build_peak_is_its_kept_size():
         tracemalloc.stop()
     kept = runs.table.nbytes + runs.lut.nbytes
     assert peak <= kept + (1 << 20), (peak, kept)
+
+
+def test_neighbor_table_keeps_counts_adjacency_and_gap_values():
+    # numpy's own allocations after the build at geometric depth 512: the
+    # int32 counts (1.05 MB), their lut, the adjacency and the gap values;
+    # a second table-sized array, such as leftmost-witness starts, doubles
+    # that
+    t = geometric_sequence_tree(512)
+    numpy_only = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot().filter_traces(numpy_only)
+        nb = NeighborTable(t.leaves, t.gaps, t.depth)
+        after = tracemalloc.take_snapshot().filter_traces(numpy_only)
+    finally:
+        tracemalloc.stop()
+    kept = sum(st.size_diff for st in after.compare_to(before, "filename"))
+    assert kept <= nb.table.nbytes + nb.lut.nbytes + nb.adjacent.nbytes + nb.u.nbytes, kept
