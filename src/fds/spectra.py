@@ -44,26 +44,46 @@ orders:
   window (m, m') is the exact-ratio window of theta' = m / m', so a
   theta's value at row m is the maximum from its own fine level on, read
   as a suffix maximum from the fine levels of the thetas live at m.  One
-  kernel, `_fan_kernel`, reads each row only at those fan starts and at
-  the candidate columns after them:
+  kernel, `_fan_kernel`, reads the rows it is given in full: at those fan
+  starts and at the candidate columns after them.
 
-  | input                      | rows          | columns                    |
-  |----------------------------|---------------|----------------------------|
-  | schedule, composite piece  | where kept    | concave corners, depth     |
-  | composite origin bucket    | its own       | every level                |
-  | tree, either neighbor mode | every row     | depth + 1 - u per gap u    |
+  | input                      | rows in full            | columns                    |
+  |----------------------------|-------------------------|----------------------------|
+  | schedule, composite piece  | tops and sinks          | concave corners, depth     |
+  | composite origin bucket    | its own                 | every level                |
+  | tree, either neighbor mode | every row               | depth + 1 - u per gap u    |
 
-  A schedule is the one piece at shift 0.  On a piece the numerator
-  N(j) = S[j - e] - S[m - e] rises by 0 or 1 per level, so N <= j - m:
+  A schedule is the one piece at shift 0, and a composite piece's rows
+  are those `_kept_pieces` keeps for it.  Apart from each theta's clamped
+  top, a piece's row is dropped where its own level branches and the row
+  before is kept, else shortened where its next level is frozen and the
+  next row is kept, else read in full as a sink.  On a schedule the sinks
+  are the rows whose own level is frozen (or that are the first) and
+  whose next level branches.  A shortened row reads its fan start and
+  its corners below the next row's fan start.
+
+  On a piece the numerator N(j) = S[j - e] - S[m - e] rises by 0 or 1 per
+  level, so N <= j - m:
   along a branching stretch N and the width j - m both grow by one, so
   N / (j - m) does not decrease; along a frozen stretch N is fixed, so it
   does not increase.  The maximum from a fan start f on is therefore at
   f or at a concave corner after it, the last level of a branching run
-  or the depth.  A tree count, with or without the neighbors, sees the
-  fine level j only through the gaps wider than depth - j, so along a row
-  it is fixed and >= 1 from one level depth + 1 - u of a gap value u to
-  the next while the width grows: the maximum from f on is at f or at
-  one of those levels after it.  Origin counts have no such stretches,
+  or the depth.  Rows m and m + 1 of a piece, both live at a theta, meet
+  at every column j >= fine(m + 1) with N and w = j - m for row m:
+  - if level m + 1 is frozen, row m + 1 reads N / (w - 1) >= N / w, so
+    row m is shortened to its fan start and its corners below
+    fine(m + 1).  A branching run that crosses fine(m + 1) ends at a
+    corner that row m + 1 reads, and row m rises along it;
+  - if level m + 1 branches, row m + 1 reads (N - 1) / (w - 1) <= N / w,
+    so row m + 1 is dropped: row m reads those columns from its own fan
+    start on.
+  A row is shortened or dropped only toward a neighbour row kept for the
+  same piece and never at a top, so every chain of dominance ends at a
+  row read in full.  A tree count, with or without the neighbors, sees
+  the fine level j only through the gaps wider than depth - j, so along
+  a row it is fixed and >= 1 from one level depth + 1 - u of a gap value
+  u to the next while the width grows: the maximum from f on is at f or
+  at one of those levels after it.  Origin counts have no such stretches,
   so every level is a column.  Correctly rounded division is
   monotone, so each float maximum is bit for bit that over every window.
   At a window (m, j) every piece and the origin share the width, so the
@@ -579,24 +599,58 @@ def _fan_kernel(cols: np.ndarray, rows: np.ndarray, fill, scales, tops) -> np.nd
     return best
 
 
-def _piece_fan(S: np.ndarray, e: int, rows: np.ndarray):
-    """(columns, rows, fill) of a piece with prefix counts S at shift e:
-    its concave corners, the last level of each branching run and the
-    depth, in the union's levels."""
+def _piece_maxima(S: np.ndarray, e: int, rows: np.ndarray, scales, tops) -> np.ndarray:
+    """Per scale (widest fan first), the max exponent of a piece with prefix
+    counts S at shift e over its kept rows (ascending, in the union's
+    levels), by the row rule of the module docstring.
+
+    A row at a clamped top tops[t] is read in full.  Any other row is
+    dropped if its own level branches and the row before is kept, else
+    shortened if its next level is frozen and the next row is kept, else
+    read in full.  Full rows go through `_fan_kernel` at the concave
+    corners (the last level of each branching run, and the depth).  Per
+    scale, the shortened rows live there, which are those below its top,
+    read their fan start and the corners before the next row's fan start,
+    all in one pass."""
     rise = np.diff(S).astype(bool)  # [j - 1]: local level j branches
+    # a row below the largest top ends below the depth, so its next level
+    # exists
+    branches = np.concatenate(([False], rise))
+    own, up = branches[rows - e], branches[rows - e + 1]
+    after = np.append(rows[1:] == rows[:-1] + 1, False)  # row m + 1 kept
+    whole = np.isin(rows, tops)
+    drop = own & np.append(False, after[:-1]) & ~whole
+    short = ~up & after & ~whole & ~drop
+    full, short = rows[~(drop | short)], rows[short]
     rise[:-1] &= ~rise[1:]
     rise[-1] = True
     corners = np.flatnonzero(rise) + 1
     # prefix counts stay below 2**53, so their floats and differences are
     # exact
-    heads, base = S[corners].astype(np.float64), S[rows - e].astype(np.float64)
+    heads = S[corners].astype(np.float64)
+    base = S[full - e].astype(np.float64)
 
     def fill(i, n, js, out):
         # a suffix of the columns reads the heads computed once per call
         top = heads[heads.size - js.size :] if js.ndim == 1 else S[js - e]
         np.subtract(top, base[i : i + n, None], out=out)
 
-    return corners + e, rows, fill
+    cols = corners + e
+    best = _fan_kernel(cols, full, fill, scales, tops)
+    for t, (scale, hi) in enumerate(zip(scales, tops)):
+        ms = short[: np.searchsorted(short, hi)]
+        if not ms.size:
+            break
+        f, g = scale.fine_array(ms), scale.fine_array(ms + 1)
+        c = S[ms - e]
+        a, b = np.searchsorted(cols, f), np.searchsorted(cols, g)
+        n = b - a
+        r = np.repeat(np.arange(ms.size), n)
+        j = np.arange(r.size) + np.repeat(a - (np.cumsum(n) - n), n)
+        cells = (heads[j] - c[r]) / (cols[j] - ms[r])
+        fan = (S[f - e] - c) / (f - ms)
+        best[t] = max(best[t], fan.max(), cells.max(initial=-np.inf))
+    return best
 
 
 def _ratio_fan_maxima(rep, depth, grid, lo, his, neighbors) -> list[float]:
@@ -608,17 +662,22 @@ def _ratio_fan_maxima(rep, depth, grid, lo, his, neighbors) -> list[float]:
     and everything after it, so it is a suffix maximum along the row read
     from the fan starts of the live thetas, widest first.
 
-    This is the one place that knows the representation: it hands
-    `_fan_kernel` the candidate columns, rows and fill of the module
-    docstring's table, once per piece and origin bucket of a composite,
-    and takes the max of their maxima.  A tree's columns come from its
-    table's gap values in either neighbor mode.  Pieces a kept piece
-    dominates from the widest fan's start on are left out of a row
-    (`_kept_pieces`); that start is at or below every live theta's, so
-    they are dominated from every fan start too.  Nothing here reads the
-    region solver of the upper side."""
+    This is the one place that knows the representation: it reads the
+    rows and columns of the module docstring's table, once per piece and
+    origin bucket of a composite, and takes the max of their maxima.  A
+    tree's rows and an origin bucket's go whole to `_fan_kernel`; a tree's
+    columns come from its table's gap values in either neighbor mode.
+    Pieces a kept piece dominates from the widest fan's start on are left
+    out of a row (`_kept_pieces`); that start is at or below every live
+    theta's, so they are dominated from every fan start too.  Each piece
+    then reads its kept rows by the row rule (`_piece_maxima`): only its
+    tops and sinks in full, its other rows shortened toward the next kept
+    row or dropped toward the one before.  Nothing here reads the region
+    solver of the upper side."""
     marr = np.arange(lo, his[-1] + 1, dtype=np.int64)
     scales = [RationalScale(th) for th in reversed(grid)]
+    tops = np.array(his[::-1], dtype=np.int64)
+    best = np.full(len(scales), -np.inf)
     if isinstance(rep, DyadicTree):
         runs = _tree_table(rep, neighbors)
 
@@ -629,18 +688,16 @@ def _ratio_fan_maxima(rep, depth, grid, lo, his, neighbors) -> list[float]:
         cols = np.append(depth + 1 - runs.u[runs.u > 1][::-1], depth)
         fans = [(cols, marr, fill)]
     else:
+        fans = []
         parts = [(e, S) for _, e, S in pieces(rep)]
         kept = _kept_pieces(parts, depth, lo, scales[0].fine_array(marr))
-        fans = []
         for q, (e, S) in enumerate(parts):
             rows = marr[marr >= e] if kept is None else marr[kept[:, q]]
             if rows.size:
-                fans.append(_piece_fan(S, e, rows))
+                np.maximum(best, _piece_maxima(S, e, rows, scales, tops), out=best)
         for start, stop, logs in origin_buckets(rep, lo, his[-1]):
             fans.append((np.arange(1, depth + 1), marr[start - lo : stop + 1 - lo],
                          lambda i, n, js, out, logs=logs: np.copyto(out, logs[js])))
-    tops = np.array(his[::-1], dtype=np.int64)
-    best = np.full(len(scales), -np.inf)
     for cols, rows, fill in fans:
         np.maximum(best, _fan_kernel(cols, rows, fill, scales, tops), out=best)
     return best[::-1].tolist()
@@ -674,14 +731,17 @@ def verify_main_theorem(
     deviation must be exactly zero.  The upper side is `estimate_upper`
     itself, on the resolved grid and range.  The brute side makes one pass
     over the widest fan, reduced by ratio for all thetas at once
-    (`_ratio_fan_maxima`).  It reads each row at the fan starts and at the
+    (`_ratio_fan_maxima`).  It reads a row at the fan starts and at the
     candidate columns of the module docstring's table, after which no
     exponent of the row can rise: the concave corners of a schedule or
     composite piece, the levels depth + 1 - u of a tree's gap values u in
     either neighbor mode, and every level of an origin bucket.  Composite
     pieces that a kept piece dominates pointwise on a row are left out of
     it (an integer test on prefix counts that leaves every row maximum bit
-    for bit unchanged).
+    for bit unchanged).  On a piece, a row the next one dominates is
+    shortened to the columns before the next row's fan start, and a row
+    the one before dominates is dropped, so only the clamped tops and the
+    sinks are read in full.
 
     The brute side never calls the region solver, which still solves over
     every level on the upper side, so the two stay independent.

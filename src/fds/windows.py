@@ -412,7 +412,12 @@ def log2_counts(counts) -> np.ndarray:
 def _log2_lut(table: np.ndarray) -> np.ndarray:
     """log2_counts by count at each count a tree table holds, -inf elsewhere."""
     lut = np.full(int(table.max()) + 1, -np.inf)
-    held = np.unique(table) if table.size < lut.size else np.arange(lut.size)
+    if table.size < lut.size:
+        # the distinct counts by sort and diff: np.unique imports numpy.ma
+        held = np.sort(table, axis=None)
+        held = held[np.diff(held, prepend=-1) != 0]
+    else:
+        held = np.arange(lut.size)
     lut[held] = log2_counts(held)
     return lut
 

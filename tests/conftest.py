@@ -408,6 +408,16 @@ def oracle_kept_pieces(parts, depth: int, lo: int, starts) -> list[list[bool]]:
     return out
 
 
+def oracle_log2_lut(table) -> np.ndarray:
+    """The lookup a tree table keeps from a count to its math.log2 (-inf
+    at 0): every count up to the largest, or only the counts it holds when
+    it holds fewer entries than that (found by np.unique)."""
+    lut = np.full(int(table.max()) + 1, -np.inf)
+    held = np.unique(table) if table.size < lut.size else np.arange(lut.size)
+    lut[held] = [log2(c) if c else -np.inf for c in held.tolist()]
+    return lut
+
+
 def oracle_dominance(gaps) -> tuple[np.ndarray, np.ndarray]:
     """Per gap, by scanning outward from it: the nearest strictly greater
     gap on the left (-1 if none) and the nearest greater-or-equal gap on

@@ -2,6 +2,8 @@
 
 import os
 import random
+import subprocess
+import sys
 import tempfile
 from collections import Counter
 from fractions import Fraction
@@ -30,7 +32,7 @@ from fds.constructions import (
     rational_enumeration,
     two_phase_schedule,
 )
-from fds import formats, spectra, windows
+from fds import formats, schedule, spectra, windows
 from fds.errors import FormatError
 from fds.formats import dump, load
 from fds.spectra import _ratio_fan_maxima, estimate_box, estimate_spectrum, estimate_upper
@@ -48,6 +50,7 @@ from conftest import (
     oracle_composite_upper,
     oracle_fan_max,
     oracle_kept_pieces,
+    oracle_log2_lut,
     oracle_parse_runs,
     oracle_prefix,
     oracle_run_table,
@@ -273,11 +276,13 @@ def test_run_table_matches_oracle_fixed(t):
 
 def _assert_luts_are_math_log2(t):
     """Both tables hold int32 counts, and lut[c] is math.log2(c) bit for
-    bit for every count c they hold (-inf at 0)."""
+    bit for every count c they hold (-inf at 0); the whole lookup equals
+    the one found with np.unique."""
     for tab in (t.run_table(), t.neighbor_table()):
         assert tab.table.dtype == np.int32 and tab.lut[0] == -np.inf
         for c in np.unique(tab.table[tab.table > 0]).tolist():
             assert tab.lut[c] == log2(c), c
+        assert np.array_equal(tab.lut, oracle_log2_lut(tab.table))
 
 
 @settings(max_examples=60, deadline=None)
@@ -290,6 +295,34 @@ def test_table_luts_are_math_log2_past_1621():
     # 1621 is the first count numpy's AVX-512 log2 rounds one ulp away
     _assert_luts_are_math_log2(DyadicTree(12, range(1621)))
     _assert_luts_are_math_log2(geometric_sequence_tree(300))
+
+
+def test_table_luts_of_full_trees_hold_their_distinct_counts():
+    """A full tree's tables hold fewer entries than their largest count, so
+    their lookups cover only the counts held: unchanged from the ones
+    np.unique finds."""
+    for depth in range(1, 11):
+        t = full_binary_tree(depth)
+        assert t.run_table().table.size < 2**depth + 1
+        _assert_luts_are_math_log2(t)
+    tab = full_binary_tree(6).run_table()
+    assert np.isfinite(tab.lut).sum() == np.unique(tab.table).size < tab.lut.size
+
+
+def test_tree_table_build_leaves_numpy_ma_unimported():
+    """np.unique imports numpy.ma on its first call (about 8 ms and 0.5 MB
+    per process); a full tree's run table, which finds its distinct counts,
+    leaves it out in a fresh interpreter."""
+    code = ("import sys\n"
+            "from fds.constructions import full_binary_tree\n"
+            "before = 'numpy.ma' in sys.modules\n"
+            "full_binary_tree(6).run_table()\n"
+            "print(before, 'numpy.ma' in sys.modules)\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.split() == ["False", "False"]
 
 
 def _assert_tree_estimators_match_oracles(t, neighbors):
@@ -388,14 +421,14 @@ def _assert_fan_maxima_match_oracle(rep, grid, lo, his, neighbors=False):
 BLOCKS = (1, 7, 64, spectra.FAN_PAIR_BLOCK)
 
 
-def _kernel_columns():
+def _kernel_calls():
     """A wrapper for patching `spectra._fan_kernel`, and the candidate
-    columns of each call it sees."""
+    columns and rows of each call it sees."""
     kernel, seen = spectra._fan_kernel, []
 
-    def wrapper(cols, *args):
-        seen.append(cols.tolist())
-        return kernel(cols, *args)
+    def wrapper(cols, rows, *args):
+        seen.append((cols.tolist(), rows.tolist()))
+        return kernel(cols, rows, *args)
 
     return wrapper, seen
 
@@ -408,11 +441,11 @@ def test_fan_maxima_match_oracle_trees(t, block, data):
     case = _fan_case(data, t.depth)
     k = np.unique(t.gaps).size
     for neighbors in (False, True):
-        wrapper, seen = _kernel_columns()
+        wrapper, seen = _kernel_calls()
         with patch.object(spectra, "FAN_PAIR_BLOCK", block), \
                 patch.object(spectra, "_fan_kernel", wrapper):
             _assert_fan_maxima_match_oracle(t, *case, neighbors)
-        assert len(seen) == 1 and len(seen[0]) <= k + 1, neighbors
+        assert len(seen) == 1 and len(seen[0][0]) <= k + 1, neighbors
 
 
 def test_fan_maxima_trees_read_their_candidate_columns():
@@ -432,10 +465,10 @@ def test_fan_maxima_trees_read_their_candidate_columns():
         k = np.unique(t.gaps).size
         his = [min(hi, RationalScale(th).max_coarse(t.depth)) for th in g]
         for neighbors in (False, True) if t.depth <= 64 else (False,):
-            wrapper, seen = _kernel_columns()
+            wrapper, seen = _kernel_calls()
             with patch.object(spectra, "_fan_kernel", wrapper):
                 _assert_fan_maxima_match_oracle(t, g, 1, his, neighbors)
-            assert len(seen) == 1 and len(seen[0]) <= k + 1, (t, neighbors)
+            assert len(seen) == 1 and len(seen[0][0]) <= k + 1, (t, neighbors)
     assert [np.unique(t.gaps).size for t, _, _ in cases[:2]] == [1, 3]
 
 
@@ -460,8 +493,9 @@ def run_schedules(draw, max_runs=30, max_length=24):
 @given(run_schedules(), st.sampled_from(BLOCKS), st.data())
 def test_corner_kernel_matches_oracle_run_schedules(s, block, data):
     """The schedule brute side, which reads only fan starts and concave
-    corners, equals the every-window oracle bit for bit, with blocks down
-    to one cell."""
+    corners, and along long frozen and branching runs shortens most rows
+    toward the next one or drops them toward the one before, equals the
+    every-window oracle bit for bit, with blocks down to one cell."""
     assume(s.depth >= 2)
     with patch.object(spectra, "FAN_PAIR_BLOCK", block):
         _assert_fan_maxima_match_oracle(s, *_fan_case(data, s.depth))
@@ -487,7 +521,7 @@ def test_corner_kernel_explicit_schedules():
     assert RationalScale(grids[1][-1]).fine(39) == 40
     for block in BLOCKS:
         for s in cases:
-            wrapper, seen = _kernel_columns()
+            wrapper, seen = _kernel_calls()
             with patch.object(spectra, "FAN_PAIR_BLOCK", block), \
                     patch.object(spectra, "_fan_kernel", wrapper):
                 for grid in grids:
@@ -498,7 +532,7 @@ def test_corner_kernel_explicit_schedules():
             # the last level of each branching run, and the depth
             ends = np.cumsum(s.lengths)
             corners = sorted({*ends[s.counts == 2].tolist(), s.depth})
-            assert seen and all(cols == corners for cols in seen)
+            assert seen and all(cols == corners for cols, _ in seen)
     his = [RationalScale(th).max_coarse(40) for th in grids[0]]
     assert _ratio_fan_maxima(cases[0], 40, grids[0], 1, his, False) == [1.0] * 3
     assert _ratio_fan_maxima(cases[1], 40, grids[0], 1, his, False) == [0.0] * 3
@@ -615,6 +649,73 @@ def test_fan_rows_without_dominance_keep_every_piece():
         _assert_fan_maxima_match_oracle(cs, grid, 3, [4, 4])
         his = [RationalScale(th).max_coarse(cs.depth) for th in grid]
         _assert_fan_maxima_match_oracle(cs, grid, 1, his)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(run_schedules(max_runs=8, max_length=12), min_size=1, max_size=3),
+       st.booleans(), st.sampled_from(BLOCKS), st.data())
+def test_row_rule_matches_oracle_run_composites(pool, origin, block, data):
+    """One to four components of long runs, drawn from a pool of at most
+    three, with or without the origin: the row rule runs on the rows
+    `_kept_pieces` keeps for each piece, so a row is shortened or dropped
+    only toward a neighbour row kept for the same piece."""
+    n = data.draw(st.integers(min_value=1, max_value=4))
+    gaps = data.draw(st.lists(st.integers(min_value=1, max_value=4), min_size=n, max_size=n))
+    shifts = np.cumsum(gaps).tolist()
+    cs = CompositeSet([(e, data.draw(st.sampled_from(pool))) for e in shifts],
+                      include_origin=origin)
+    with patch.object(spectra, "FAN_PAIR_BLOCK", block):
+        _assert_fan_maxima_match_oracle(cs, *_fan_case(data, cs.depth))
+
+
+def test_row_rule_reads_first_row_sinks_and_tops_in_full():
+    """Levels 1-3 branch, 4-8 are frozen, 9-12 branch, 13-21 are frozen and
+    22-28 branch.  Over rows 1..20 the first row (whose next level
+    branches), the sink 8 (the last frozen level before a branching one)
+    and the top 20 are read in full; 2, 3 and 9..12 are dropped, and the
+    other frozen-next rows are shortened.  A top inside a frozen stretch is
+    read in full too; from row 4 on the first row is shortened, and up to
+    row 24 the sink 21 is read in full and 22..23 are dropped."""
+    s = BranchingSchedule([(3, 2), (5, 1), (4, 2), (9, 1), (7, 2), (12, 1)])
+    grid = [Fraction(1, 2), Fraction(3, 5)]
+    for lo, his, full in ((1, [20, 20], [1, 8, 20]), (1, [16, 20], [1, 8, 16, 20]),
+                          (4, [17, 24], [8, 17, 21, 24])):
+        wrapper, seen = _kernel_calls()
+        with patch.object(spectra, "_fan_kernel", wrapper):
+            _assert_fan_maxima_match_oracle(s, grid, lo, his)
+        assert [rows for _, rows in seen] == [full], (lo, his)
+
+
+def test_row_rule_reads_one_row_on_the_two_phase_benchmark_shape():
+    """The main-theorem call of the two-phase CLI benchmark (theta 1/2, 3/5,
+    7/10 over m 16384..18432, one frozen stretch) reads one row of 2,049
+    in full, its top; the check still finds no deviation."""
+    s = two_phase_schedule(TwoPhaseParams(Fraction(2, 5), Fraction(4, 5), 4, 3))
+    grid = [Fraction(1, 2), Fraction(3, 5), Fraction(7, 10)]
+    wrapper, seen = _kernel_calls()
+    with patch.object(spectra, "_fan_kernel", wrapper):
+        report = spectra.verify_main_theorem(s, grid, (16384, 18432))
+    assert [rows for _, rows in seen] == [[18432]]
+    assert report.passed and report.worst == 0.0
+
+
+def test_brute_side_never_calls_the_region_solver(monkeypatch):
+    """With `region_max` raising wherever the upper side could reach it, the
+    brute side of a schedule and of a composite with the origin still
+    equals the every-window oracle, while the upper side fails."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("region_max called")
+
+    monkeypatch.setattr(windows, "region_max", refuse)
+    monkeypatch.setattr(schedule, "region_max", refuse)
+    s = BranchingSchedule([(3, 2), (5, 1), (4, 2), (9, 1), (7, 2), (12, 1)])
+    cs = CompositeSet([(2, s), (9, BranchingSchedule([(6, 2), (6, 1)]))], include_origin=True)
+    grid = [Fraction(1, 3), Fraction(1, 2), Fraction(4, 5)]
+    for rep in (s, cs):
+        his = [RationalScale(th).max_coarse(rep.depth) for th in grid]
+        _assert_fan_maxima_match_oracle(rep, grid, 1, his)
+        with pytest.raises(AssertionError, match="region_max called"):
+            estimate_upper(rep, grid, (1, his[-1]))
 
 
 def _assert_upper_witnesses(rep, grid, lo, his):
