@@ -36,10 +36,11 @@ class DyadicTree:
     `DyadicTree(depth, leaves)` sorts and deduplicates the leaves and
     raises ValueError for a negative depth or a leaf outside
     [0, 2**depth); every tree it builds is valid.  `level(m)` is cached
-    per level.
+    per level.  `_solved` holds the windows the estimators have solved on
+    the tree; only the dispatch of `spectra` reads or writes it.
     """
 
-    __slots__ = ("depth", "leaves", "gaps", "_level", "_runs", "_nbrs")
+    __slots__ = ("depth", "leaves", "gaps", "_level", "_runs", "_nbrs", "_solved")
 
     def __init__(self, depth: int, leaves: Iterable[int]):
         depth = int(depth)
@@ -57,6 +58,7 @@ class DyadicTree:
         self._level: dict[int, tuple[int, ...]] = {}
         self._runs: RunTable | None = None
         self._nbrs: NeighborTable | None = None
+        self._solved: dict = {}
 
     def _derive(self, m: int) -> tuple[int, ...]:
         s = self.depth - m

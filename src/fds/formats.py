@@ -67,6 +67,8 @@ _LINE_BREAK = re.compile(f"[{_BREAKS}]")
 # finds them, the third only by where it starts
 _COMPONENT = re.compile(r"\s*(\S+)\s+(\S+)\s+")
 _POW10 = 10 ** np.arange(20, dtype=np.uint64)
+# how every written schedule text starts, up to its depth's digits
+_SCHEDULE_HEAD = "fds-schedule 1\ndepth "
 
 
 def write_tree(t: DyadicTree) -> str:
@@ -334,24 +336,54 @@ def _parse_runs(
         body = text[start:stop]
         part = body[prefix.match(body).end() :].split(sep, 1)[0]
         raise FormatError(f"bad {what} {part!r}")
+    return _schedule(runs)
+
+
+def _schedule(runs: np.ndarray) -> BranchingSchedule:
     try:
         return BranchingSchedule(runs)
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
 
 
+def _canonical_schedule(text: str) -> tuple[int, np.ndarray] | None:
+    """(depth, runs) of a schedule text in the form `write_schedule` writes,
+    read without splitting it into lines, else None: the header line
+    exactly, a "depth <digits>" line, then run lines whose bytes, less one
+    final line break, pass `_run_numbers`."""
+    if not text.startswith(_SCHEDULE_HEAD):
+        return None
+    start = len(_SCHEDULE_HEAD)
+    brk = text.find("\n", start)
+    digits = text[start:brk]
+    if brk < 0 or not (digits.isascii() and digits.isdigit()):
+        return None
+    stop = len(text) - text.endswith("\n")
+    runs = _run_numbers(memoryview(text.encode("ascii", "replace"))[brk + 1 : stop], " ", "\n")
+    return None if runs is None else (int(digits), runs)
+
+
 def parse_schedule(text: str) -> BranchingSchedule:
-    lines = _lines(text)
-    if not lines or lines[0] != "fds-schedule 1":
-        raise FormatError("not an fds-schedule file")
-    depth = _count_line(lines[1] if len(lines) > 1 else "", "depth")
-    body = "\n".join(lines[2:])
-    # unlike an inline run list, a schedule file may hold no run line
-    sched = (
-        _parse_runs(body, " ", "\n", _RUN_LINES_PREFIX, "run line")
-        if body
-        else BranchingSchedule(np.empty((0, 2), dtype=np.int64))
-    )
+    """The schedule of an fds-schedule text.  A text in the written form
+    goes straight to `_run_numbers` (`_canonical_schedule`); any other,
+    with blank lines, trailing blanks or other line breaks, is read line
+    by line, with the same result and every error text."""
+    canonical = _canonical_schedule(text)
+    if canonical is not None:
+        depth, runs = canonical
+        sched = _schedule(runs)
+    else:
+        lines = _lines(text)
+        if not lines or lines[0] != "fds-schedule 1":
+            raise FormatError("not an fds-schedule file")
+        depth = _count_line(lines[1] if len(lines) > 1 else "", "depth")
+        body = "\n".join(lines[2:])
+        # unlike an inline run list, a schedule file may hold no run line
+        sched = (
+            _parse_runs(body, " ", "\n", _RUN_LINES_PREFIX, "run line")
+            if body
+            else BranchingSchedule(np.empty((0, 2), dtype=np.int64))
+        )
     if sched.depth != depth:
         raise FormatError(f"run lengths sum to {sched.depth}, declared {depth}")
     return sched

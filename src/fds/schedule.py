@@ -35,11 +35,13 @@ class BranchingSchedule:
 
     The runs are two read-only int64 arrays, `lengths` and `counts`, with
     equal neighbours merged, so the counts alternate between 1 and 2.  The
-    prefix counts are the only cache: estimators, `region_max` included,
-    read them directly.
+    prefix counts are the only cache of the set itself: estimators,
+    `region_max` included, read them directly.  `_solved` holds the windows
+    the estimators have solved on it; only the dispatch of `spectra` reads
+    or writes it.
     """
 
-    __slots__ = ("lengths", "counts", "depth", "_snp")
+    __slots__ = ("lengths", "counts", "depth", "_snp", "_solved")
 
     def __init__(self, runs):
         """`runs`: (length, count) pairs, an (n, 2) array-like."""
@@ -75,6 +77,7 @@ class BranchingSchedule:
         self.counts.flags.writeable = False
         self.depth = int(lengths.sum())
         self._snp: np.ndarray | None = None
+        self._solved: dict = {}
 
     @property
     def runs(self) -> tuple[tuple[int, int], ...]:
@@ -155,10 +158,11 @@ class CompositeSet:
     stay frozen at 2**S_i(depth_i) down to the union's depth.  The
     extended prefix counts per component and the origin node's log counts
     per shift bucket are cached; estimators, `region_max` included, read
-    them directly.
+    them directly.  `_solved` holds the windows the estimators have solved
+    on the union; only the dispatch of `spectra` reads or writes it.
     """
 
-    __slots__ = ("components", "include_origin", "_ext", "_origin_logs")
+    __slots__ = ("components", "include_origin", "_ext", "_origin_logs", "_solved")
 
     def __init__(
         self,
@@ -175,6 +179,7 @@ class CompositeSet:
         self.include_origin = bool(include_origin)
         self._ext: dict[int, np.ndarray] = {}
         self._origin_logs: dict[int, np.ndarray] = {}
+        self._solved: dict = {}
 
     @property
     def depth(self) -> int:

@@ -13,17 +13,35 @@ then clamped to [m_lo, min(m_hi, max m with ceil(m/theta) <= depth)] and
 an empty clamp is a domain error.
 
 Schedules and composites are read by the kernels of `schedule` on their
-prefix counts.  The dispatch of each estimator call (`_spectra`,
-`_uppers`) lends those kernels one `Workspace`, so no theta and no solve
-round allocates a depth-sized array.  Every verifier reaches its estimates
-through the public estimators, so it checks the functions the CLI calls.
+prefix counts.  The dispatch of each estimator call (`_dispatch`) lends
+those kernels one `Workspace` when it solves something, so no theta and
+no solve round allocates a depth-sized array.  Every
+verifier reaches its estimates through the public estimators, so it
+checks the functions the CLI calls.
+
+Each set keeps the windows already solved on it in one slot, `_solved`,
+that only this dispatch reads or writes, so the estimates a session
+repeats on one object, and those its verifiers repeat, solve each (mode,
+theta, coarse level) once.  The key is the mode (spectrum or upper), the
+scale's p, q and root order n, the clamped top and the neighbor mode; it
+maps each solved start lo to (value, m, m', node), a tree's witness node
+included.  A query whose start is stored is served whole.  Otherwise,
+when a stored start s lies above lo (every start of a key is at most its
+top), the smallest such s is taken and only lo..s - 1 is solved: the
+windows of a coarse level do not depend on the range, so the maximum over
+lo..top is the larger of the two results, and the lower range wins a tie
+because every kernel breaks ties toward the smallest m.  Otherwise
+lo..top is solved.  Every answer is stored under lo, up to SOLVED_CAP
+results per set; past the cap answers are returned but not kept.  The
+brute side of the main theorem (`_ratio_fan_maxima`) never reads the
+store, and the box estimate, one division per level, is not kept.
 
 Trees are read through tables cached on the tree: the all-levels run
 table, or with neighbor mode on (a node counted with its present
 same-level neighbors) the neighbor count table, built once per tree, so
 neither mode loops over the nodes of a level per window.  Only the
-witness node of an estimate is counted from the gaps, once per distinct
-window.
+witness node of a solved window is counted from the gaps, once per
+distinct window of a call.
 
 The two sides of the main theorem read the windows in two different
 orders:
@@ -163,6 +181,8 @@ UPPER_BLOCK = 1 << 16
 # entries one block of the brute side holds: piece-pair differences of the
 # dominance test, a chunk's fine levels per theta, a block's candidate cells
 FAN_PAIR_BLOCK = 1 << 16
+# results one set's store of solved windows keeps, over all its keys
+SOLVED_CAP = 1 << 12
 
 
 @dataclass
@@ -308,7 +328,8 @@ def _tree_spectrum(tree, scale, lo, hi, neighbors) -> tuple[float, int, int]:
 def _tree_uppers(tree, scales, lo, his, neighbors) -> list[tuple[float, int, int]]:
     """Per scale of an ascending theta grid, (value, m, m') over every
     window (m, m') with lo <= m <= his[k] and m' >= ceil(m / theta): ties to
-    the smallest m, then the smallest m'.
+    the smallest m, then the smallest m'.  The tops his[k] need not rise
+    with theta.
 
     Fine levels go in blocks of at most UPPER_BLOCK table entries.  At each
     fine level the coarse levels live at theta are a prefix of lo, ...,
@@ -316,12 +337,12 @@ def _tree_uppers(tree, scales, lo, his, neighbors) -> list[tuple[float, int, int
     serve every theta: each row's prefix maximum at its live count."""
     depth = tree.depth
     runs = _tree_table(tree, neighbors)
-    ms = np.arange(lo, his[-1] + 1)
+    ms = np.arange(lo, max(his) + 1)
     # coarse level m is live at theta from its fine level on
     fines = [scale.fine_array(ms[: hi - lo + 1]) for scale, hi in zip(scales, his)]
     step = max(1, UPPER_BLOCK // ms.size)
     best = [None] * len(scales)
-    for a in range(int(fines[-1][0]), depth + 1, step):
+    for a in range(min(int(f[0]) for f in fines), depth + 1, step):
         mps = np.arange(a, min(a + step, depth + 1))
         live = np.stack([np.searchsorted(f, mps, side="right") for f in fines])
         n = int(live.max())
@@ -349,36 +370,64 @@ def _tree_uppers(tree, scales, lo, his, neighbors) -> list[tuple[float, int, int
 
 
 # ----------------------------------------------------------------------
-# dispatch: a schedule or composite gets one workspace per call, made here,
-# after `_resolve` has checked the depth budget; trees read tables instead
+# dispatch: every answer goes through the set's store of solved windows; a
+# schedule or composite gets one workspace per call that solves something,
+# made in `_solve`, after `_resolve` has checked the depth budget; trees
+# read tables instead
 
 
-def _spectra(rep, scales, lo, his, neighbors) -> list[tuple]:
-    """Per scale, (value, m, m', node) at its fixed ratio rule over the
-    coarse levels lo..his[k]; a tree's come without the node, which
-    `_estimate` adds."""
+def _solve(rep, mode, scales, lo, tops, neighbors) -> list[tuple]:
+    """Per scale, (value, m, m', node) from the mode's kernels over the
+    coarse levels lo..tops[k]; a tree's witness node is counted once per
+    distinct window."""
     if isinstance(rep, DyadicTree):
-        return [_tree_spectrum(rep, sc, lo, hi, neighbors) for sc, hi in zip(scales, his)]
+        if mode == UPPER:
+            found = _tree_uppers(rep, scales, lo, tops, neighbors)
+        else:
+            found = [_tree_spectrum(rep, sc, lo, hi, neighbors) for sc, hi in zip(scales, tops)]
+        node = {w: _tree_witness_node(rep, *w, neighbors) for w in {(m, mp) for _, m, mp in found}}
+        return [(v, m, mp, node[m, mp]) for v, m, mp in found]
     work = Workspace(rep.depth)
-    return [composite_spectrum(rep, sc, lo, hi, work) for sc, hi in zip(scales, his)]
+    kernel = composite_upper if mode == UPPER else composite_spectrum
+    return [kernel(rep, sc, lo, hi, work) for sc, hi in zip(scales, tops)]
 
 
-def _uppers(rep, scales, lo, his, neighbors) -> list[tuple]:
-    if isinstance(rep, DyadicTree):
-        return _tree_uppers(rep, scales, lo, his, neighbors)
-    work = Workspace(rep.depth)
-    return [composite_upper(rep, sc, lo, hi, work) for sc, hi in zip(scales, his)]
+def _dispatch(rep, mode, scales, lo, his, neighbors) -> list[tuple]:
+    """Per scale, (value, m, m', node) at the mode's rule (SPECTRUM: the
+    fixed ratio; UPPER: every fine level from the scale's on, for an
+    ascending grid) over the coarse levels lo..his[k], by the store rule
+    of the module docstring: one `_solve` for every scale the set's store
+    cannot serve whole."""
+    store = rep._solved
+    keys = [(mode, sc.p, sc.q, sc.n, hi, neighbors) for sc, hi in zip(scales, his)]
+    found = [None] * len(keys)
+    todo = []  # (index, top of the solve, the stored result above it or None)
+    for k, key in enumerate(keys):
+        starts = store.get(key, {})
+        found[k] = starts.get(lo)
+        if found[k] is None:
+            s = min((s for s in starts if s > lo), default=None)
+            todo.append((k, his[k], None) if s is None else (k, s - 1, starts[s]))
+    if todo:
+        tops = [top for _, top, _ in todo]
+        solved = _solve(rep, mode, [scales[k] for k, _, _ in todo], lo, tops, neighbors)
+        room = SOLVED_CAP - sum(map(len, store.values()))
+        for (k, _, above), got in zip(todo, solved):
+            # on a tie the lower range's own witness, which has the smaller m
+            if above is not None and above[0] > got[0]:
+                got = above
+            found[k] = got
+            if room > 0:
+                store.setdefault(keys[k], {})[lo] = got
+                room -= 1
+    return found
 
 
-def _estimate(mode: str, solve, rep, theta_grid, m_range, neighbors) -> SpectrumEstimate:
-    """Per theta, the window maximum `solve` finds over the clamped coarse
-    range, as (value, m, m', node)."""
+def _estimate(mode: str, rep, theta_grid, m_range, neighbors) -> SpectrumEstimate:
+    """Per theta, the window maximum at the mode's rule over the clamped
+    coarse range, as (value, m, m', node)."""
     _, grid, lo, hi, his = _resolve(rep, theta_grid, m_range, neighbors)
-    found = solve(rep, [RationalScale(th) for th in grid], lo, his, neighbors)
-    if isinstance(rep, DyadicTree):  # one witness node per distinct window
-        windows = {(m, mp) for _, m, mp in found}
-        node = {w: _tree_witness_node(rep, *w, neighbors) for w in windows}
-        found = [(v, m, mp, node[m, mp]) for v, m, mp in found]
+    found = _dispatch(rep, mode, [RationalScale(th) for th in grid], lo, his, neighbors)
     values = [v for v, *_ in found]
     wits = [tuple(w) for _, *w in found]
     return SpectrumEstimate(mode, grid, values, (lo, hi), wits)
@@ -391,7 +440,7 @@ def estimate_spectrum(
     neighbors: bool = False,
 ) -> SpectrumEstimate:
     """Window exponent at the exact ratio rule m' = ceil(m / theta), per theta."""
-    return _estimate(SPECTRUM, _spectra, rep, theta_grid, m_range, neighbors)
+    return _estimate(SPECTRUM, rep, theta_grid, m_range, neighbors)
 
 
 def estimate_upper(
@@ -401,7 +450,7 @@ def estimate_upper(
     neighbors: bool = False,
 ) -> SpectrumEstimate:
     """Window exponent maximized over every fine level m' >= ceil(m / theta)."""
-    return _estimate(UPPER, _uppers, rep, theta_grid, m_range, neighbors)
+    return _estimate(UPPER, rep, theta_grid, m_range, neighbors)
 
 
 def estimate_box(rep, m_range: tuple[int, int] | None = None) -> BoxEstimate:
@@ -435,7 +484,7 @@ def estimate_quasi_assouad(
         raise ValueError("need at least one epsilon")
     if any(not 0 < e < 1 for e in eps):
         raise ValueError("epsilons must lie strictly in (0, 1)")
-    est = _estimate(UPPER, _uppers, rep, [1 - e for e in eps], m_range, neighbors)
+    est = _estimate(UPPER, rep, [1 - e for e in eps], m_range, neighbors)
     order = {th: i for i, th in enumerate(est.thetas)}
     values = [est.values[order[1 - e]] for e in eps]
     wits = [est.witnesses[order[1 - e]] for e in eps]
@@ -832,7 +881,7 @@ def verify_nthroot(
     cases = [(th, base, n) for th, base in zip(spec.thetas, spec.values) for n in orders]
     scales = [RootScale(th, n) for th, _, n in cases]
     his = [_clamp(rep.depth, sc, lo, hi) for sc in scales]
-    roots = _spectra(rep, scales, lo, his, neighbors)
+    roots = _dispatch(rep, SPECTRUM, scales, lo, his, neighbors)
     return _report("nthroot", tol, (
         (base - other, tol,
          f"theta={float(th):g} n={n}: spectrum {base!r} > root-spectrum {other!r} + tol")

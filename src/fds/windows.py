@@ -61,9 +61,9 @@ int64 levels could wrap; the scalar `fine` has no such limit.
 The schedule kernels (`region_max`, the scales' `fine_array` and the
 kernels of `schedule`) write every depth- or region-sized array into the
 rows of a `Workspace`.  The estimators' dispatch creates one per estimator
-call and lends it to every kernel that call runs, so no round and no theta
-allocates one, and a call's speed does not depend on the allocator state
-that earlier work in the process left.
+call that solves something and lends it to every kernel that call runs,
+so no round and no theta allocates one, and a call's speed does not
+depend on the allocator state that earlier work in the process left.
 
 All scale arithmetic is exact; floating point only enters in bounded
 fine-level seeds and when a finished exponent is reported.  T is taken
@@ -133,7 +133,9 @@ class Workspace:
     """Scratch rows of depth + 1 entries for the schedule kernels of one
     estimator call.
 
-    The estimator's dispatch creates it in its own frame and lends it to
+    The estimator's dispatch creates one per estimator call that solves
+    something (a call the set's store of solved windows serves whole makes
+    none), in its own frame, and lends it to
     every kernel it runs for the call's thetas or scales; nothing keeps it
     afterwards.  `levels` holds 0, ..., depth and is filled once.  `ints`
     (int64) and `floats` (float64) are rows a kernel may overwrite, so a

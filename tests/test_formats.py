@@ -345,3 +345,21 @@ def test_dump_rejects_other_objects(tmp_path):
     with pytest.raises(TypeError, match="^cannot serialize object$"):
         dump(object(), str(path))
     assert not path.exists()
+
+
+def test_written_schedules_load_without_the_line_split(tmp_path, monkeypatch):
+    """A file `write_schedule` wrote, on its own or named by a composite,
+    loads without `_lines`; a lenient one still takes it."""
+    import fds.formats as formats
+
+    s = BranchingSchedule([(3, 1), (5, 2), (2, 1), (7, 2)])
+    calls = []
+    lines = formats._lines
+    monkeypatch.setattr(formats, "_lines", lambda text: calls.append(text) or lines(text))
+    dump(s, str(tmp_path / "s.fds"))
+    (tmp_path / "c.fds").write_text("fds-composite 1\norigin 1\ncomponent 2 s.fds\n")
+    assert load(str(tmp_path / "s.fds")) == s
+    assert load(str(tmp_path / "c.fds")) == CompositeSet([(2, s)])
+    assert calls == []
+    lenient = write_schedule(s).replace("\n", "\r\n")
+    assert parse_schedule(lenient) == s and calls == [lenient]

@@ -35,7 +35,13 @@ from fds.constructions import (
 from fds import formats, schedule, spectra, windows
 from fds.errors import FormatError
 from fds.formats import dump, load
-from fds.spectra import _ratio_fan_maxima, estimate_box, estimate_spectrum, estimate_upper
+from fds.spectra import (
+    _ratio_fan_maxima,
+    estimate_box,
+    estimate_quasi_assouad,
+    estimate_spectrum,
+    estimate_upper,
+)
 from fds.windows import RationalScale, RootScale, RunTable, Workspace, region_max
 
 from conftest import (
@@ -343,6 +349,7 @@ def _assert_tree_estimators_match_oracles(t, neighbors):
 
     assert rows(estimate_spectrum) == want(oracle_tree_spectrum)
     assert rows(estimate_upper) == want(oracle_tree_upper)
+    t = DyadicTree(t.depth, t.leaves)  # an empty store, so the kernel runs again
     with patch.object(spectra, "UPPER_BLOCK", 1):
         assert rows(estimate_upper) == want(oracle_tree_upper)
 
@@ -992,7 +999,7 @@ def two_phase_params(draw):
 
 
 @st.composite
-def run_schedules(draw, min_size=0):
+def long_run_schedules(draw, min_size=0):
     """Schedules from arbitrary runs, long ones included; neighbours with
     equal counts are merged by the constructor."""
     runs = draw(st.lists(st.tuples(st.integers(1, 10**17), st.sampled_from((1, 2))),
@@ -1028,7 +1035,7 @@ def test_two_phase_dump_matches_oracle_writer(p):
 
 
 @settings(max_examples=60, deadline=None)
-@given(run_schedules())
+@given(long_run_schedules())
 def test_schedule_round_trip_matches_oracles(s):
     text = oracle_write_schedule(s)
     assert _round_trip(s, text) == s
@@ -1037,7 +1044,7 @@ def test_schedule_round_trip_matches_oracles(s):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.lists(run_schedules(min_size=1), min_size=0, max_size=4),
+@given(st.lists(long_run_schedules(min_size=1), min_size=0, max_size=4),
        st.lists(st.integers(1, 2**40), min_size=4, max_size=4, unique=True),
        st.booleans())
 def test_composite_round_trip_matches_oracles(scheds, shifts, origin):
@@ -1181,3 +1188,126 @@ def test_schedule_arrays_match_per_level_oracle(runs):
     assert [s.prefix(m) for m in range(s.depth + 1)] == S
     assert s.lengths.dtype == s.counts.dtype == np.int64
     assert not s.lengths.flags.writeable and not s.counts.flags.writeable
+
+
+@st.composite
+def lenient_schedule_texts(draw):
+    """(schedule, text): the text `write_schedule` writes, or a variant
+    with blank lines, trailing blanks, CR LF or another line break that
+    str.splitlines cuts at, a missing final line break, or leading zeros."""
+    runs = draw(st.lists(st.tuples(st.integers(1, 40), st.sampled_from((1, 2))), max_size=8))
+    s = BranchingSchedule(np.array(runs, dtype=np.int64).reshape(-1, 2))
+    lines = ["fds-schedule 1", f"depth {s.depth}", *(f"{n} {c}" for n, c in s.runs)]
+    if draw(st.booleans()):
+        k = draw(st.integers(1, len(lines) - 1))
+        lines[k] = lines[k].replace(" ", " " + "0" * draw(st.integers(1, 2)), 1)
+    lines = [ln + draw(st.sampled_from(("", "", " ", "\t", "  "))) for ln in lines]
+    breaks = st.sampled_from(("\n", "\n", "\n", "\r\n", "\r", "\n\n", "\n \n", "\x1c", " "))
+    text = "".join(ln + draw(breaks) for ln in lines)
+    return s, text[: len(text) - draw(st.sampled_from((0, 0, 1)))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(lenient_schedule_texts())
+def test_lenient_schedule_texts_parse_as_the_written_one(case):
+    """The written text, read without the line split, and each lenient
+    variant, read line by line, give equal schedules."""
+    s, text = case
+    assert formats.parse_schedule(formats.write_schedule(s)) == s
+    assert formats.parse_schedule(text) == s
+
+
+# ----------------------------------------------------------------------
+# the store of solved windows: a ladder of starts on one object gives what
+# fresh objects give
+
+
+def _fresh(rep):
+    """An equal set with an empty store of solved windows."""
+    if isinstance(rep, DyadicTree):
+        return DyadicTree(rep.depth, rep.leaves)
+    if isinstance(rep, BranchingSchedule):
+        return BranchingSchedule(np.stack([rep.lengths, rep.counts], axis=1))
+    return CompositeSet(rep.components, rep.include_origin)
+
+
+def _stored_answers(rep, grid, lo, hi, neighbors):
+    """Values and witnesses of every estimator the store serves, at one
+    coarse range: the spectrum, the upper spectrum, the quasi-Assouad
+    ladder and the root spectra of `verify_nthroot`."""
+    out = []
+    for fn in (estimate_spectrum, estimate_upper):
+        est = fn(rep, grid, (lo, hi), neighbors)
+        out.append((est.values, est.witnesses))
+    qa = estimate_quasi_assouad(rep, [1 - th for th in grid], (lo, hi), neighbors)
+    out.append((qa.values, qa.witnesses))
+    scales = [RootScale(th, n) for th in grid for n in (2, 3)]
+    his = [min(hi, sc.max_coarse(rep.depth)) for sc in scales]
+    out.append(spectra._dispatch(rep, spectra.SPECTRUM, scales, lo, his, neighbors))
+    return out
+
+
+def _assert_store_ladder(rep, data, neighbors=False):
+    """A descending ladder of coarse starts to one top, then one of them
+    again, on one object: every answer bit-equal to a fresh object's."""
+    grid = _fan_case(data, rep.depth)[0]
+    top = RationalScale(grid[0]).max_coarse(rep.depth)
+    starts = sorted(set(data.draw(st.lists(st.integers(1, top), min_size=1, max_size=4))),
+                    reverse=True)
+    starts.append(data.draw(st.sampled_from(starts)))
+    hi = data.draw(st.integers(starts[0], rep.depth))
+    for lo in starts:
+        got = _stored_answers(rep, grid, lo, hi, neighbors)
+        assert got == _stored_answers(_fresh(rep), grid, lo, hi, neighbors), (grid, lo, hi)
+    assert rep._solved
+
+
+@settings(max_examples=40, deadline=None)
+@given(run_schedules(max_runs=12, max_length=8), st.data())
+def test_store_ladder_on_schedules(s, data):
+    assume(s.depth >= 2)
+    _assert_store_ladder(s, data)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(run_schedules(max_runs=6, max_length=6), min_size=1, max_size=3),
+       st.booleans(), st.data())
+def test_store_ladder_on_composites(pool, origin, data):
+    """One to three components, with or without the origin; starts reach
+    below the shifts, into the origin buckets."""
+    gaps = data.draw(st.lists(st.integers(1, 3), min_size=len(pool), max_size=len(pool)))
+    cs = CompositeSet(zip(np.cumsum(gaps).tolist(), pool), include_origin=origin)
+    assume(cs.depth >= 2)
+    _assert_store_ladder(cs, data)
+
+
+@settings(max_examples=30, deadline=None)
+@given(trees(max_depth=8), st.booleans(), st.data())
+def test_store_ladder_on_trees(t, neighbors, data):
+    _assert_store_ladder(t, data, neighbors)
+
+
+@settings(max_examples=60, deadline=None)
+@given(trees(max_depth=8), st.booleans(), st.sampled_from((1, 7, spectra.UPPER_BLOCK)),
+       st.data())
+def test_tree_uppers_take_tops_in_any_order(t, neighbors, block, data):
+    """Per-theta tops that need not rise with theta, as the store's partial
+    solves pass them, against the every-window oracle, with blocks down to
+    one fine level."""
+    grid, lo, _ = _fan_case(data, t.depth)
+    his = [data.draw(st.integers(lo, RationalScale(th).max_coarse(t.depth))) for th in grid]
+    with patch.object(spectra, "UPPER_BLOCK", block):
+        got = spectra._tree_uppers(t, [RationalScale(th) for th in grid], lo, his, neighbors)
+    assert got == [oracle_tree_upper(t, th, lo, h, neighbors)[:3] for th, h in zip(grid, his)]
+
+
+def test_tree_uppers_read_a_lower_theta_past_the_top_thetas_top():
+    """A path to level 6, full below: only windows from level 6 on reach
+    1.0, so a theta whose top passes the largest theta's top must read
+    those coarse levels."""
+    t = DyadicTree(12, range(64))
+    grid = [Fraction(1, 2), Fraction(3, 4)]
+    his = [6, 3]
+    got = spectra._tree_uppers(t, [RationalScale(th) for th in grid], 1, his, False)
+    assert got == [oracle_tree_upper(t, th, 1, h)[:3] for th, h in zip(grid, his)]
+    assert got[0][:2] == (1.0, 6)

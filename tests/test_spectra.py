@@ -95,14 +95,18 @@ def _upper_rows(t, grid, neighbors=False):
 
 def test_tree_upper_block_boundaries(monkeypatch):
     """One fine level per block gives the default block's values and
-    witnesses, ties included."""
-    geo = geometric_sequence_tree(64)
-    full = full_binary_tree(8)
+    witnesses, ties included (on new trees, whose stores are empty)."""
     eighths = [F(k, 8) for k in range(1, 8)]
-    cases = [(geo, GRID, False), (geo, GRID, True), (full, eighths, False)]
-    default = [_upper_rows(*case) for case in cases]
+
+    def cases():
+        return [(geometric_sequence_tree(64), GRID, False),
+                (geometric_sequence_tree(64), GRID, True),
+                (full_binary_tree(8), eighths, False)]
+
+    default = [_upper_rows(*case) for case in cases()]
     monkeypatch.setattr(spectra, "UPPER_BLOCK", 1)
-    assert [_upper_rows(*case) for case in cases] == default
+    assert [_upper_rows(*case) for case in cases()] == default
+    full = full_binary_tree(8)
     # every window of the full tree ties at 1.0: the first coarse level
     # and its first admitted fine level win
     lo = estimate_upper(full, eighths).m_range[0]
@@ -112,10 +116,9 @@ def test_tree_upper_block_boundaries(monkeypatch):
 
 
 def test_tree_upper_grid_in_one_call():
-    t = geometric_sequence_tree(512)
-    both = estimate_upper(t, GRID)
+    both = estimate_upper(geometric_sequence_tree(512), GRID)
     for k, th in enumerate(GRID):
-        one = estimate_upper(t, [th], both.m_range)
+        one = estimate_upper(geometric_sequence_tree(512), [th], both.m_range)
         assert (one.values, one.witnesses) == ([both.values[k]], [both.witnesses[k]])
 
 
@@ -527,3 +530,115 @@ def test_nthroot_needs_a_root_order_before_any_estimate(twophase_48, monkeypatch
     for rep in (twophase_48, object()):
         with pytest.raises(ValueError, match="^need at least one root order$"):
             verify_nthroot(rep, GRID, n_values=[])
+
+
+# ----------------------------------------------------------------------
+# the store of solved windows (module docstring of `spectra`)
+
+
+def _small_union():
+    target = target_from_poly([F(2, 5), F(2, 5), F(-1, 5)], 4)
+    return concave_union(target, m0=4, blocks=2, shifts=[2, 4, 8, 16])
+
+
+def _stored_count(rep) -> int:
+    return sum(map(len, rep._solved.values()))
+
+
+def _spy(monkeypatch, names):
+    """Wrap spectra's kernels `names`; returns the list of (name, lo, top)
+    per call, top being the list of tops for `_tree_uppers`."""
+    calls = []
+    for name in names:
+        kernel = getattr(spectra, name)
+
+        def wrapper(rep, scale, lo, hi, *rest, kernel=kernel, name=name):
+            calls.append((name, lo, hi))
+            return kernel(rep, scale, lo, hi, *rest)
+
+        monkeypatch.setattr(spectra, name, wrapper)
+    return calls
+
+
+def test_repeated_verifiers_on_one_union_solve_nothing(monkeypatch):
+    """A second verify_chain and verify_bound on the same union are served
+    by its store: neither composite kernel runs, and the reports are the
+    first ones."""
+    cs = _small_union()
+    grid = [F(k, 10) for k in range(3, 10)]
+    first = [verify_chain(cs, grid, None, 0.05), verify_bound(cs, grid, None, 0.05)]
+    calls = _spy(monkeypatch, ["composite_spectrum", "composite_upper"])
+    assert [verify_chain(cs, grid, None, 0.05), verify_bound(cs, grid, None, 0.05)] == first
+    assert calls == []
+
+
+@pytest.mark.parametrize("make, estimate, kernel", [
+    (_small_union, estimate_spectrum, "composite_spectrum"),
+    (_small_union, estimate_upper, "composite_upper"),
+    (lambda: geometric_sequence_tree(64), estimate_spectrum, "_tree_spectrum"),
+    (lambda: geometric_sequence_tree(64), estimate_upper, "_tree_uppers"),
+])
+def test_a_lower_start_solves_only_the_levels_below_the_stored_one(make, estimate, kernel,
+                                                                    monkeypatch):
+    """After a query from coarse level s, one from lo < s to the same top
+    runs the kernel over lo..s - 1 alone, and answers as a fresh set does;
+    the same query again runs nothing."""
+    rep, theta = make(), F(1, 2)
+    hi = RationalScale(theta).max_coarse(rep.depth)
+    lo, s = 3, hi // 2
+    estimate(rep, [theta], (s, hi))
+    calls = _spy(monkeypatch, [kernel])
+    got = estimate(rep, [theta], (lo, hi))
+    top = [s - 1] if kernel == "_tree_uppers" else s - 1
+    assert calls == [(kernel, lo, top)]
+    calls.clear()
+    again = estimate(rep, [theta], (lo, hi))
+    assert calls == []
+    assert (got.values, got.witnesses) == (again.values, again.witnesses)
+    fresh = estimate(make(), [theta], (lo, hi))
+    assert (got.values, got.witnesses) == (fresh.values, fresh.witnesses)
+
+
+def test_store_keys_stay_apart():
+    """One set's store keeps a root scale apart from the ratio rule at the
+    same theta and top, the upper spectrum apart from the spectrum, and
+    neighbor mode on apart from off: each answer is a fresh set's, and
+    differs from the other one of its pair."""
+    theta = F(1, 2)
+
+    def spectrum(rep, scale):
+        return spectra._dispatch(rep, spectra.SPECTRUM, [scale], 4, [64], False)
+
+    def estimate(fn, neighbors=False):
+        def values_and_witnesses(rep):
+            est = fn(rep, [theta], (2, 6), neighbors)
+            return est.values, est.witnesses
+        return values_and_witnesses
+
+    pairs = [
+        (lambda rep: spectrum(rep, RationalScale(theta)),
+         lambda rep: spectrum(rep, RootScale(theta, 2)), _small_union),
+        (estimate(estimate_spectrum), estimate(estimate_upper),
+         lambda: two_phase_schedule(TwoPhaseParams(F(2, 5), F(4, 5), 4, 2))),
+        (estimate(estimate_upper), estimate(estimate_upper, True), lambda: full_binary_tree(12)),
+    ]
+    for first, second, make in pairs:
+        rep = make()
+        a, b = first(rep), second(rep)
+        assert a != b
+        assert (a, b) == (first(make()), second(make()))
+        assert len(rep._solved) == 2 and _stored_count(rep) == 2
+
+
+def test_store_stops_at_its_cap(monkeypatch):
+    """Past SOLVED_CAP results a set stores nothing more, and its answers
+    are still a fresh set's."""
+    monkeypatch.setattr(spectra, "SOLVED_CAP", 5)
+    cs = _small_union()
+    grid = [F(1, 3), F(1, 2), F(3, 4)]
+    for lo in (40, 20, 9, 3, 20):
+        for fn in (estimate_spectrum, estimate_upper):
+            got = fn(cs, grid, (lo, 80))
+            assert _stored_count(cs) <= 5
+            assert got == fn(_small_union(), grid, (lo, 80))
+    assert _stored_count(cs) == 5
