@@ -20,7 +20,41 @@ from .windows import NeighborTable, RunTable, leaf_gaps
 __all__ = ["DyadicTree"]
 
 
-class DyadicTree:
+class SetValue:
+    """Base of the set classes: a set is a value.
+
+    No field can be assigned once `__init__` has assigned `_memo` (last),
+    nor deleted, so a set never changes after it is built.  Every value
+    derived from it, the windows `spectra` has solved on it included, is
+    one entry of `_memo`, built on first use by `_cached`.  Equality and
+    hashing compare the tuple each class's `_key()` returns.
+    """
+
+    __slots__ = ("_memo",)
+
+    def __setattr__(self, name, value):
+        if hasattr(self, "_memo"):
+            raise AttributeError(f"{type(self).__name__} is read-only; build a new set")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is read-only; build a new set")
+
+    def _cached(self, key, build, *args):
+        """The memo entry `key`, set to build(*args) on first use."""
+        value = self._memo.get(key)
+        if value is None:
+            value = self._memo[key] = build(*args)
+        return value
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+class DyadicTree(SetValue):
     """The dyadic intervals meeting a compact set, stored as the deepest level.
 
     A valid tree is prefix closed (a present node's parent is present) and
@@ -35,12 +69,12 @@ class DyadicTree:
 
     `DyadicTree(depth, leaves)` sorts and deduplicates the leaves and
     raises ValueError for a negative depth or a leaf outside
-    [0, 2**depth); every tree it builds is valid.  `level(m)` is cached
-    per level.  `_solved` holds the windows the estimators have solved on
-    the tree; only the dispatch of `spectra` reads or writes it.
+    [0, 2**depth); every tree it builds is valid.  The fields are
+    read-only: build a new tree to change one.  Each level, the run table
+    and the neighbor table are built once, as entries of the tree's memo.
     """
 
-    __slots__ = ("depth", "leaves", "gaps", "_level", "_runs", "_nbrs", "_solved")
+    __slots__ = ("depth", "leaves", "gaps")
 
     def __init__(self, depth: int, leaves: Iterable[int]):
         depth = int(depth)
@@ -55,10 +89,7 @@ class DyadicTree:
         self.leaves = tuple(xs)
         self.gaps = leaf_gaps(self.leaves)
         self.gaps.flags.writeable = False
-        self._level: dict[int, tuple[int, ...]] = {}
-        self._runs: RunTable | None = None
-        self._nbrs: NeighborTable | None = None
-        self._solved: dict = {}
+        self._memo = {}
 
     def _derive(self, m: int) -> tuple[int, ...]:
         s = self.depth - m
@@ -73,10 +104,7 @@ class DyadicTree:
         deduplicated."""
         if not 0 <= m <= self.depth:
             raise ValueError(f"level {m} outside [0, {self.depth}]")
-        xs = self._level.get(m)
-        if xs is None:
-            xs = self._level[m] = self._derive(m)
-        return xs
+        return self._cached(("level", m), self._derive, m)
 
     def level_sizes(self, ms) -> np.ndarray:
         """Node counts of the levels ms: 1 plus the gaps wider than depth - m
@@ -89,15 +117,11 @@ class DyadicTree:
 
     def run_table(self) -> RunTable:
         """The all-levels run table of the leaf gaps, built once."""
-        if self._runs is None:
-            self._runs = RunTable(self.gaps, len(self.leaves))
-        return self._runs
+        return self._cached("runs", RunTable, self.gaps, len(self.leaves))
 
     def neighbor_table(self) -> NeighborTable:
         """The all-windows neighborhood count table, built once."""
-        if self._nbrs is None:
-            self._nbrs = NeighborTable(self.leaves, self.gaps, self.depth)
-        return self._nbrs
+        return self._cached("nbrs", NeighborTable, self.leaves, self.gaps, self.depth)
 
     def node_count(self) -> int:
         if not self.leaves:
@@ -107,15 +131,8 @@ class DyadicTree:
     def is_empty(self) -> bool:
         return not self.leaves
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, DyadicTree)
-            and self.depth == other.depth
-            and self.leaves == other.leaves
-        )
-
-    def __hash__(self):
-        return hash((self.depth, self.leaves))
+    def _key(self) -> tuple:
+        return self.depth, self.leaves
 
     def __repr__(self) -> str:
         return f"DyadicTree(depth={self.depth}, nodes={self.node_count()})"

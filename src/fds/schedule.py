@@ -15,7 +15,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .dyadic import DyadicTree
+from .dyadic import DyadicTree, SetValue
 from .errors import BudgetError
 from .windows import Workspace, region_max
 
@@ -30,18 +30,17 @@ __all__ = [
 MAX_MATERIALIZE_NODES = 1 << 22
 
 
-class BranchingSchedule:
+class BranchingSchedule(SetValue):
     """Run-length encoded child counts c_j in {1, 2} for levels 1..depth.
 
     The runs are two read-only int64 arrays, `lengths` and `counts`, with
     equal neighbours merged, so the counts alternate between 1 and 2.  The
-    prefix counts are the only cache of the set itself: estimators,
-    `region_max` included, read them directly.  `_solved` holds the windows
-    the estimators have solved on it; only the dispatch of `spectra` reads
-    or writes it.
+    fields are read-only: build a new schedule to change one.  The prefix
+    counts are built once, as an entry of the schedule's memo, and
+    estimators, `region_max` included, read them directly.
     """
 
-    __slots__ = ("lengths", "counts", "depth", "_snp", "_solved")
+    __slots__ = ("lengths", "counts", "depth")
 
     def __init__(self, runs):
         """`runs`: (length, count) pairs, an (n, 2) array-like."""
@@ -76,8 +75,7 @@ class BranchingSchedule:
         self.lengths.flags.writeable = False
         self.counts.flags.writeable = False
         self.depth = int(lengths.sum())
-        self._snp: np.ndarray | None = None
-        self._solved: dict = {}
+        self._memo = {}
 
     @property
     def runs(self) -> tuple[tuple[int, int], ...]:
@@ -91,26 +89,21 @@ class BranchingSchedule:
         return int(self.prefix_array()[m])
 
     def prefix_array(self) -> np.ndarray:
-        """S[0..depth] as read-only int64, cached."""
-        if self._snp is None:
-            snp = np.zeros(self.depth + 1, dtype=np.int64)
-            np.cumsum(np.repeat(self.counts == 2, self.lengths), dtype=np.int64, out=snp[1:])
-            snp.flags.writeable = False
-            self._snp = snp
-        return self._snp
+        """S[0..depth] as read-only int64, built once."""
+        return self._cached("prefix", _prefix_array, self)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BranchingSchedule)
-            and np.array_equal(self.lengths, other.lengths)
-            and np.array_equal(self.counts, other.counts)
-        )
-
-    def __hash__(self):
-        return hash((self.lengths.tobytes(), self.counts.tobytes()))
+    def _key(self) -> tuple:
+        return self.lengths.tobytes(), self.counts.tobytes()
 
     def __repr__(self) -> str:
         return f"BranchingSchedule(depth={self.depth}, runs={len(self.lengths)})"
+
+
+def _prefix_array(s: BranchingSchedule) -> np.ndarray:
+    snp = np.zeros(s.depth + 1, dtype=np.int64)
+    np.cumsum(np.repeat(s.counts == 2, s.lengths), dtype=np.int64, out=snp[1:])
+    snp.flags.writeable = False
+    return snp
 
 
 def materialize(s: BranchingSchedule) -> DyadicTree:
@@ -148,21 +141,22 @@ def materialize(s: BranchingSchedule) -> DyadicTree:
     return DyadicTree(s.depth, leaves)
 
 
-class CompositeSet:
+class CompositeSet(SetValue):
     """Shifted-scaled schedules 2**-e_i * F_i + 2**-e_i, plus the origin.
 
     Shifts are strictly increasing positive integers, so the components
     occupy pairwise disjoint intervals [2**-e_i, 2**-e_i+1).  Below its own
     depth a component continues along left endpoints: every surviving
     interval keeps only its left child, so the component's level counts
-    stay frozen at 2**S_i(depth_i) down to the union's depth.  The
-    extended prefix counts per component and the origin node's log counts
-    per shift bucket are cached; estimators, `region_max` included, read
-    them directly.  `_solved` holds the windows the estimators have solved
-    on the union; only the dispatch of `spectra` reads or writes it.
+    stay frozen at 2**S_i(depth_i) down to the union's depth.  The fields,
+    `depth` and the tuple `shifts` among them, are computed once and
+    read-only: build a new union to change one.  The extended prefix
+    counts per component and the origin node's log counts per shift
+    bucket are built once, as entries of the union's memo; estimators,
+    `region_max` included, read them directly.
     """
 
-    __slots__ = ("components", "include_origin", "_ext", "_origin_logs", "_solved")
+    __slots__ = ("components", "include_origin", "depth", "shifts")
 
     def __init__(
         self,
@@ -170,56 +164,42 @@ class CompositeSet:
         include_origin: bool = True,
     ):
         comps = tuple((int(e), s) for e, s in components)
-        shifts = [e for e, _ in comps]
+        for i, (_, s) in enumerate(comps):
+            if not isinstance(s, BranchingSchedule):
+                raise TypeError(f"component {i} is a {type(s).__name__}, not a BranchingSchedule")
+        shifts = tuple(e for e, _ in comps)
         if any(e < 1 for e in shifts):
             raise ValueError("shifts must be >= 1 so components stay inside [0, 1]")
         if any(b <= a for a, b in zip(shifts, shifts[1:])):
             raise ValueError("shifts must be strictly increasing")
         self.components = comps
         self.include_origin = bool(include_origin)
-        self._ext: dict[int, np.ndarray] = {}
-        self._origin_logs: dict[int, np.ndarray] = {}
-        self._solved: dict = {}
-
-    @property
-    def depth(self) -> int:
-        return max((e + s.depth for e, s in self.components), default=0)
-
-    @property
-    def shifts(self) -> list[int]:
-        return [e for e, _ in self.components]
+        self.depth = max((e + s.depth for e, s in comps), default=0)
+        self.shifts = shifts
+        self._memo = {}
 
     def extended_prefix(self, i: int) -> np.ndarray:
         """Component i's prefix counts on local levels 0..depth-e_i, frozen
         beyond its own depth (left-endpoint continuation)."""
-        arr = self._ext.get(i)
-        if arr is None:
-            e, s = self.components[i]
-            span = self.depth - e
-            S = s.prefix_array()
-            if span > s.depth:
-                tail = np.full(span - s.depth, S[-1], dtype=np.int64)
-                arr = np.concatenate([S, tail])
-            else:
-                arr = S[: span + 1]
-            self._ext[i] = arr
-        return arr
+        return self._cached(("ext", i), _extended_prefix, self, i)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, CompositeSet)
-            and self.components == other.components
-            and self.include_origin == other.include_origin
-        )
-
-    def __hash__(self):
-        return hash((self.components, self.include_origin))
+    def _key(self) -> tuple:
+        return self.components, self.include_origin
 
     def __repr__(self) -> str:
         return (
             f"CompositeSet(components={len(self.components)}, depth={self.depth}, "
             f"origin={self.include_origin})"
         )
+
+
+def _extended_prefix(cs: CompositeSet, i: int) -> np.ndarray:
+    e, s = cs.components[i]
+    span = cs.depth - e
+    S = s.prefix_array()
+    if span > s.depth:
+        return np.concatenate([S, np.full(span - s.depth, S[-1], dtype=np.int64)])
+    return S[: span + 1]
 
 
 def origin_log_counts(cs: CompositeSet, bucket: int) -> np.ndarray:
@@ -233,11 +213,13 @@ def origin_log_counts(cs: CompositeSet, bucket: int) -> np.ndarray:
     shift and 2**S_i(m' - e_i) below it.  Computed in floats via
     max-normalized exponentials, one term at a time in a fixed order
     (components by shift, then the chain), over the levels where the term
-    is present; exact powers of two keep this deterministic.
+    is present; exact powers of two keep this deterministic.  Built once
+    per bucket, as an entry of the union's memo.
     """
-    logs = cs._origin_logs.get(bucket)
-    if logs is not None:
-        return logs
+    return cs._cached(("origin", bucket), _origin_log_counts, cs, bucket)
+
+
+def _origin_log_counts(cs: CompositeSet, bucket: int) -> np.ndarray:
     D = cs.depth
     shifts = cs.shifts
     deepest = shifts[-1] if shifts else -1
@@ -263,7 +245,6 @@ def origin_log_counts(cs: CompositeSet, bucket: int) -> np.ndarray:
     logs += top
     logs[dead] = -np.inf
     logs.flags.writeable = False  # cached and shared with every caller
-    cs._origin_logs[bucket] = logs
     return logs
 
 

@@ -19,22 +19,23 @@ no solve round allocates a depth-sized array.  Every
 verifier reaches its estimates through the public estimators, so it
 checks the functions the CLI calls.
 
-Each set keeps the windows already solved on it in one slot, `_solved`,
-that only this dispatch reads or writes, so the estimates a session
-repeats on one object, and those its verifiers repeat, solve each (mode,
-theta, coarse level) once.  The key is the mode (spectrum or upper), the
-scale's p, q and root order n, the clamped top and the neighbor mode; it
-maps each solved start lo to (value, m, m', node), a tree's witness node
-included.  A query whose start is stored is served whole.  Otherwise,
-when a stored start s lies above lo (every start of a key is at most its
-top), the smallest such s is taken and only lo..s - 1 is solved: the
-windows of a coarse level do not depend on the range, so the maximum over
-lo..top is the larger of the two results, and the lower range wins a tie
-because every kernel breaks ties toward the smallest m.  Otherwise
-lo..top is solved.  Every answer is stored under lo, up to SOLVED_CAP
-results per set; past the cap answers are returned but not kept.  The
-brute side of the main theorem (`_ratio_fan_maxima`) never reads the
-store, and the box estimate, one division per level, is not kept.
+Each set keeps the windows already solved on it in one memo entry,
+"solved", that only this dispatch reads or writes, so the estimates a
+session repeats on one object, and those its verifiers repeat, solve each
+(mode, theta, coarse level) once.  The key is the mode (spectrum or
+upper), the scale's p, q and root order n, the clamped top and the
+neighbor mode; it maps each solved start lo to (value, m, m', node), a
+tree's witness node included.  A query whose start is stored is served
+whole.  Otherwise, when a stored start s lies above lo (every start of a
+key is at most its top), the smallest such s is taken and only lo..s - 1
+is solved: the windows of a coarse level do not depend on the range, so
+the maximum over lo..top is the larger of the two results, and the lower
+range wins a tie because every kernel breaks ties toward the smallest
+m.  Otherwise lo..top is solved.  Every answer is stored under lo, up to
+SOLVED_CAP results per set; past the cap answers are returned but not
+kept.  The brute side of the main theorem (`_ratio_fan_maxima`) never
+reads the store, and the box estimate, one division per level, is not
+kept.
 
 Trees are read through tables cached on the tree: the all-levels run
 table, or with neighbor mode on (a node counted with its present
@@ -398,7 +399,7 @@ def _dispatch(rep, mode, scales, lo, his, neighbors) -> list[tuple]:
     ascending grid) over the coarse levels lo..his[k], by the store rule
     of the module docstring: one `_solve` for every scale the set's store
     cannot serve whole."""
-    store = rep._solved
+    store = rep._cached("solved", dict)
     keys = [(mode, sc.p, sc.q, sc.n, hi, neighbors) for sc, hi in zip(scales, his)]
     found = [None] * len(keys)
     todo = []  # (index, top of the solve, the stored result above it or None)

@@ -114,6 +114,18 @@ def max_alpha(tree: DyadicTree, m: int, mp: int, neighbors: bool = False) -> tup
     return log2(best) / (mp - m), best_k
 
 
+def assert_read_only(rep, fields) -> None:
+    """Assigning or deleting each of `fields` and `_memo` raises
+    AttributeError and leaves the set as it was."""
+    before = {name: getattr(rep, name) for name in (*fields, "_memo")}
+    for name, value in before.items():
+        with pytest.raises(AttributeError):
+            setattr(rep, name, value)
+        with pytest.raises(AttributeError):
+            delattr(rep, name)
+        assert getattr(rep, name) is value
+
+
 def embed(tree: DyadicTree, e: int) -> DyadicTree:
     """Scale by 2**-e and translate by 2**-e: level m index k maps to level
     m + e index 2**m + k, so the image sits in [2**-e, 2**-(e-1)) and the

@@ -10,6 +10,7 @@ from fds.formats import parse_tree
 from fds.constructions import full_binary_tree, geometric_sequence_tree, left_path_tree
 
 from conftest import (
+    assert_read_only,
     embed,
     levels,
     local_count,
@@ -54,6 +55,14 @@ def test_interval_geometry():
         DyadicTree(3, [-1, 2])
     assert DyadicTree(3, [5, 1, 5]).leaves == (1, 5)
     assert DyadicTree(3, [7]).level(0) == (0,)
+
+
+def test_tree_fields_are_read_only():
+    t = full_binary_tree(4)
+    t.level(2)
+    t.run_table()
+    assert_read_only(t, ["depth", "leaves", "gaps"])
+    assert t == full_binary_tree(4) and t.level(2) == (0, 1, 2, 3)
 
 
 def test_validate_full_tree_clean():

@@ -1259,7 +1259,7 @@ def _assert_store_ladder(rep, data, neighbors=False):
     for lo in starts:
         got = _stored_answers(rep, grid, lo, hi, neighbors)
         assert got == _stored_answers(_fresh(rep), grid, lo, hi, neighbors), (grid, lo, hi)
-    assert rep._solved
+    assert rep._memo["solved"]
 
 
 @settings(max_examples=40, deadline=None)

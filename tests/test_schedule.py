@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from fds import schedule
+from fds.dyadic import DyadicTree, SetValue
 from fds.errors import BudgetError
 from fds.schedule import (
     MAX_MATERIALIZE_NODES,
@@ -18,11 +19,18 @@ from fds.schedule import (
     materialize,
     origin_log_counts,
 )
-from fds.constructions import TwoPhaseParams, concave_union, target_from_poly, two_phase_schedule
+from fds.constructions import (
+    TwoPhaseParams,
+    concave_union,
+    full_binary_tree,
+    target_from_poly,
+    two_phase_schedule,
+)
 from fds.spectra import estimate_spectrum, estimate_upper
 from fds.windows import RationalScale, RootScale, Workspace, region_max
 
 from conftest import (
+    assert_read_only,
     local_count,
     materialize_composite,
     oracle_schedule_spectrum,
@@ -283,6 +291,94 @@ def test_composite_hashable():
     assert cs == same and hash(cs) == hash(same)
     assert cs != no_origin
     assert len({cs, same, no_origin}) == 2
+
+
+def test_composite_rejects_a_component_that_is_not_a_schedule():
+    s = BranchingSchedule([(4, 1)])
+    for bad in (DyadicTree(4, [0, 3]), (1, 2)):
+        with pytest.raises(TypeError, match=f"component 1 is a {type(bad).__name__}"):
+            CompositeSet([(1, s), (2, bad)])
+
+
+# ----------------------------------------------------------------------
+# sets are values: read-only fields, one memo per set
+
+
+def test_schedule_fields_are_read_only():
+    s = BranchingSchedule([(2, 1), (3, 2)])
+    s.prefix_array()
+    assert_read_only(s, ["lengths", "counts", "depth"])
+    assert s.runs == ((2, 1), (3, 2)) and s.prefix(5) == 3
+
+
+def test_composite_fields_are_read_only():
+    s = BranchingSchedule([(4, 2)])
+    cs = CompositeSet([(1, s), (3, s)])
+    assert cs.depth == 7 and cs.shifts == (1, 3)
+    origin_log_counts(cs, 1)
+    assert_read_only(cs, ["components", "include_origin", "depth", "shifts"])
+
+
+def test_reassigning_a_field_cannot_leave_a_stale_answer():
+    """Each assignment that used to leave a set answering for its old
+    fields raises, and the set answers as a new equal set does."""
+    half = [Fraction(1, 2)]
+    s = BranchingSchedule([(12, 1)])
+    cs = CompositeSet([(4, s), (8, s)])
+    assert estimate_spectrum(cs, half, (4, 7)).values == [0.25]
+    with pytest.raises(AttributeError):
+        cs.include_origin = False
+    no_origin = CompositeSet([(4, s), (8, s)], include_origin=False)
+    assert estimate_spectrum(no_origin, half, (4, 7)).values == [0.0]
+    assert estimate_spectrum(cs, half, (4, 7)).values == [0.25]
+
+    t = full_binary_tree(6)
+    assert estimate_upper(t, half).values == [1.0]
+    with pytest.raises(AttributeError):
+        t.leaves = (0,)
+    assert estimate_upper(DyadicTree(6, [0]), half).values == [0.0]
+    assert estimate_upper(t, half).values == [1.0]
+
+    two = BranchingSchedule([(3, 1), (5, 2)])
+    before, key = estimate_upper(two, half), hash(two)
+    with pytest.raises(AttributeError):
+        two.counts = np.array([1, 1], dtype=np.int64)
+    assert estimate_upper(two, half) == before and hash(two) == key
+
+
+def test_set_classes_hold_one_memo_slot():
+    """Each set class's own slots are its public fields, and the one cache
+    slot is the base's memo."""
+    assert SetValue.__slots__ == ("_memo",)
+    assert DyadicTree.__slots__ == ("depth", "leaves", "gaps")
+    assert BranchingSchedule.__slots__ == ("lengths", "counts", "depth")
+    assert CompositeSet.__slots__ == ("components", "include_origin", "depth", "shifts")
+    for cls in (DyadicTree, BranchingSchedule, CompositeSet):
+        assert cls.__mro__ == (cls, SetValue, object)
+
+
+def test_equal_sets_stay_equal_as_their_memos_fill():
+    """Sets built different ways are equal and hash equal, before and after
+    one of them fills its memo, and their repr is the fields'."""
+    a = BranchingSchedule([(1, 2), (2, 1)])
+    cases = [
+        (BranchingSchedule([(2, 1), (1, 1), (3, 2)]), BranchingSchedule([(3, 1), (3, 2)]),
+         lambda s: s.prefix_array(), "BranchingSchedule(depth=6, runs=2)"),
+        (DyadicTree(5, [9, 3, 9, 0]), DyadicTree(5, [0, 3, 9]),
+         lambda t: (t.level(2), t.run_table(), t.neighbor_table()),
+         "DyadicTree(depth=5, nodes=12)"),
+        (CompositeSet([(1, a), (3, a)]),
+         CompositeSet([(1, BranchingSchedule([(1, 2), (1, 1), (1, 1)])), (3, a)]),
+         lambda cs: estimate_upper(cs, [Fraction(1, 2)]),
+         "CompositeSet(components=2, depth=6, origin=True)"),
+    ]
+    for x, y, fill, text in cases:
+        assert x == y and hash(x) == hash(y)
+        fill(x)
+        assert x._memo and not y._memo
+        assert x == y and hash(x) == hash(y) and {x, y} == {y}
+        assert repr(x) == repr(y) == text
+    assert cases[0][0] != cases[1][0] and cases[1][0] != cases[2][0]
 
 
 A_RUNS = [(1, 2), (2, 1), (3, 2), (2, 1)]

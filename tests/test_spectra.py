@@ -542,7 +542,7 @@ def _small_union():
 
 
 def _stored_count(rep) -> int:
-    return sum(map(len, rep._solved.values()))
+    return sum(map(len, rep._memo["solved"].values()))
 
 
 def _spy(monkeypatch, names):
@@ -627,7 +627,7 @@ def test_store_keys_stay_apart():
         a, b = first(rep), second(rep)
         assert a != b
         assert (a, b) == (first(make()), second(make()))
-        assert len(rep._solved) == 2 and _stored_count(rep) == 2
+        assert len(rep._memo["solved"]) == 2 and _stored_count(rep) == 2
 
 
 def test_store_stops_at_its_cap(monkeypatch):
