@@ -197,9 +197,11 @@ def _extended_prefix(cs: CompositeSet, i: int) -> np.ndarray:
     e, s = cs.components[i]
     span = cs.depth - e
     S = s.prefix_array()
-    if span > s.depth:
-        return np.concatenate([S, np.full(span - s.depth, S[-1], dtype=np.int64)])
-    return S[: span + 1]
+    if span <= s.depth:
+        return S[: span + 1]  # a view of the read-only prefix array
+    ext = np.concatenate([S, np.full(span - s.depth, S[-1], dtype=np.int64)])
+    ext.flags.writeable = False  # cached and shared with every caller
+    return ext
 
 
 def origin_log_counts(cs: CompositeSet, bucket: int) -> np.ndarray:
@@ -313,11 +315,13 @@ def composite_spectrum(
     give the best level, and the lowest piece whose numerator equals the
     maximum there is the witness.  Each origin bucket is one gather,
     divide and argmax over its levels.  The fine levels live in
-    work.ints[3], the numerators' maximum in ints[2], a piece's indices
-    and numerators in ints[0:2] (the widths in ints[0] after the last
-    piece), and the exponents in floats[0], of the caller's `Workspace`
-    of the set's depth.  [lo, hi] must be clamped: every fine level at
-    most the depth, else ValueError.
+    work.ints[3], the numerators' maximum in ints[2], a piece's numerators
+    in ints[1] and its fine levels in local levels, fines - e, in ints[0]
+    (the widths after the last piece), and the exponents in floats[0], of
+    the caller's `Workspace` of the set's depth.  A piece at shift 0 (a
+    schedule's one piece) gathers at the fine levels in place, with no
+    shifted copy.  [lo, hi] must be clamped: every fine level at most the
+    depth, else ValueError.
     """
     best = None  # (value, -m, -m', -part)
     fines = scale.fine_array(work.levels[lo : hi + 1], work)
@@ -334,7 +338,8 @@ def composite_spectrum(
             break
         n, rows = hi + 1 - a, top[a - a0 : hi + 1 - a0]
         out = num[:n] if part else rows
-        np.take(S, np.subtract(fines[a - lo :], e, out=at[:n]), out=out, mode="clip")
+        cols = np.subtract(fines[a - lo :], e, out=at[:n]) if e else fines[a - lo :]
+        np.take(S, cols, out=out, mode="clip")
         out -= S[a - e : hi + 1 - e]
         if part:
             np.maximum(rows, out, out=rows)

@@ -25,24 +25,38 @@ Management Science 13(7), 1967).  Let v = p/q be the slope of an
 admissible window and T(i) = q * S[i] - p * i.  Since q > 0 and j > m, a
 window (m, j) has a slope strictly above v iff T(j) > T(m).  One suffix
 maximum of T over [lo[0], depth] therefore gives every m its best gain
-max_{j >= lo[m - a]} T(j) - T(m) at once.  Starting from the best boundary
-window (m, lo[m - a]), each round moves v to a window of the largest gain
-(its first m, and the first j >= lo reaching the suffix maximum), whose
-slope is strictly larger; there are finitely many windows, so the moves
-stop: after at most one on the concave union's regions, after a few on
-lattice staircases of strictly convex curves.  When no gain is positive,
-v is the maximum and the windows reaching it are exactly those with
-T(j) = T(m), so the first m with gain 0 and its first j >= lo[m - a]
-with T(j) = T(m) are the lexicographic witness: best value, then
-smallest m, then smallest j.  Every exponent is the same int/int
-division, and distinct fractions with denominators below 2**26 never
-round to one float, so float ties are exact ties.  A caller that already
-holds a value p/q from another region (a composite's earlier pieces) may
-pass it as an exact floor: the rounds then start from the better of the
-floor and the best boundary window.  From the floor, a largest gain
-below 0 means every window of the region lies strictly below it, and the
-solve returns None after that one round; a largest gain of exactly 0
-returns the region's own first window of value p/q by the rule above.
+max_{j >= lo[m - a]} T(j) - T(m) at once.  A round reads T only on the
+rows a..b and on the fine levels lo[0]..depth, so it fills T there
+alone, skipping the levels between when lo[0] > b + 1 (narrow ranges at
+small theta), in three passes: q * S, p * i and their difference.  The
+suffix maximum is one running maximum: the tail maximum
+max(T[lo[-1]:]) is parked in T[lo[-1]] while a reversed
+`maximum.accumulate` runs over lo[0]..lo[-1], and T[lo[-1]] is restored
+after it.  The rounds start from the best of the boundary windows
+(m, lo[m - a]) and one window of the top row, (b, j) at the first
+j >= lo[-1] with S[j] = S[depth], found by a binary search of the
+non-decreasing S: the last column (b, depth) when the last level
+branches, or the end of the last branching run before a frozen tail,
+which beats it.  That window wins on convex stretches: on the two-phase
+set it saves the second round that the boundary windows alone need at
+most thetas up to 1/2.  Each round moves v to a window of the largest gain (its
+first m, and the first j >= lo reaching the suffix maximum), whose slope
+is strictly larger; there are finitely many windows, so the moves stop:
+after at most one on the concave union's regions and the two-phase set,
+after a few on lattice staircases of strictly convex curves.  When no
+gain is positive, v is the maximum and the windows reaching it are
+exactly those with T(j) = T(m), so the first m with gain 0 and its first
+j >= lo[m - a] with T(j) = T(m) are the lexicographic witness: best
+value, then smallest m, then smallest j.  Every exponent is the same
+int/int division, and distinct fractions with denominators below 2**26
+never round to one float, so float ties are exact ties.  A caller that
+already holds a value p/q from another region (a composite's earlier
+pieces) may pass it as an exact floor: the rounds then start from the
+best of the floor and the two windows above.  From the floor, a largest
+gain below 0 means every window of the region lies strictly below it,
+and the solve returns None after that one round; a largest gain of
+exactly 0 returns the region's own first window of value p/q by the rule
+above.
 The hull sweep `suffix_slope_max` and `runlen_table` are the tests'
 references, not API.
 
@@ -67,8 +81,10 @@ depend on the allocator state that earlier work in the process left.
 
 All scale arithmetic is exact; floating point only enters in bounded
 fine-level seeds and when a finished exponent is reported.  T is taken
-on S - S[a] and on levels counted from a, so its products stay below
-2**62 while depth and the span of S are both below 2**31.
+on S itself, which every caller passes as prefix counts from 0, and on
+the levels themselves: `region_max` requires depth and every value of S
+in [0, 2**31), so p, q, q * S[i] and p * i all stay below 2**62 and T and
+its gains inside int64.
 """
 
 from __future__ import annotations
@@ -95,7 +111,7 @@ __all__ = [
 ]
 
 
-# region_max keeps q * (S[i] - S[a]) and p * (i - a) inside int64
+# region_max keeps q * S[i] and p * i inside int64
 MAX_HULL_SPAN = 1 << 31
 # a budget on root orders; the scalar `fine` and `max_coarse` hold m**n exactly
 MAX_ROOT_ORDER = 16
@@ -140,12 +156,13 @@ class Workspace:
     afterwards.  `levels` holds 0, ..., depth and is filled once.  `ints`
     (int64) and `floats` (float64) are rows a kernel may overwrite, so a
     kernel that calls another keeps its own arrays in rows the callee
-    leaves alone: `region_max` writes ints[0:3] and floats[0], `fine_array`
-    of either scale puts its result in ints[3] and, off its int64
-    ceil-division, keeps its float seeds in floats[0] and its exact test
-    in ints[0:2], and its callers keep the fine levels in ints[3].  The
-    rows are one block, allocated once per call; rows a call never writes
-    are never touched, so they cost address space, not memory.
+    leaves alone: `region_max` writes ints[0:3] and floats[0], each only
+    at the levels its docstring names, `fine_array` of either scale puts
+    its result in ints[3] and, off its int64 ceil-division, keeps its
+    float seeds in floats[0] and its exact test in ints[0:2], and its
+    callers keep the fine levels in ints[3].  The rows are one block,
+    allocated once per call; rows a call never writes are never touched,
+    so they cost address space, not memory.
     """
 
     __slots__ = ("levels", "ints", "floats")
@@ -325,21 +342,25 @@ def region_max(
 ) -> tuple[float, int, int] | None:
     """(value, m, j*) maximizing (S[j] - S[m]) / (j - m) over the region
     m = a, ..., a + len(lo) - 1 and j in [lo[m - a], depth], for lo
-    non-decreasing with m < lo[m - a] <= depth = len(S) - 1; ties go to
-    the smallest m, then the smallest j.  Solved by the parametric rounds
-    of the module docstring on T(i) = q * (S[i] - S[a]) - p * (i - a) for
-    i = a..depth (the docstring's T less a constant).
+    non-decreasing with m < lo[m - a] <= depth = len(S) - 1, and every
+    value of S in [0, 2**31) (BudgetError otherwise); ties go to the
+    smallest m, then the smallest j.  Solved by the parametric rounds of
+    the module docstring on T(i) = q * S[i] - p * i.
 
     `floor`, an exact fraction (p, q) with 0 <= p < 2**31 and
     0 < q < 2**31, is a value the caller already holds: the rounds start
-    from it when it beats the best boundary window, and the result is None
-    when every window of the region is strictly below it.
+    from it when it beats the boundary windows and the top row's window
+    of the module docstring, and the result is None when every window of
+    the region is strictly below it.
 
     Every array lives in the rows of `work`, a `Workspace` of at least
-    depth + 1 levels (one is made when none is lent): T in ints[0], the
-    level term and then the suffix maximum in ints[1], the gains in
-    ints[2], all indexed by level, and the boundary slopes in floats[0].
-    So no round allocates, and lo may be a view of work.ints[3]."""
+    depth + 1 levels (one is made when none is lent), indexed by level
+    and written only on the rows m = a..b (b = a + r - 1) and the fine
+    levels lo[0]..depth: T in ints[0], the level term p * i and then the
+    suffix maximum in ints[1], the gains in ints[2][:r]; the boundary
+    windows' numerators, widths and slopes take ints[2][:r], ints[1][:r]
+    and floats[0][:r] before the first round.  So no round allocates,
+    nothing else of `work` is read, and lo may be a view of work.ints[3]."""
     S = np.asarray(S, dtype=np.int64)
     lo = np.asarray(lo, dtype=np.int64)
     depth, r = len(S) - 1, lo.size
@@ -352,36 +373,43 @@ def region_max(
         raise ValueError(
             f"bad region: need 0 <= m < lo <= {depth} with lo non-decreasing"
         )
-    if depth >= MAX_HULL_SPAN or int(S.max()) - int(S.min()) >= MAX_HULL_SPAN:
+    if depth >= MAX_HULL_SPAN or int(S.min()) < 0 or int(S.max()) >= MAX_HULL_SPAN:
         raise BudgetError(
             f"a region over {depth} levels exceeds the int64 product budget "
-            f"(depth and the span of S must stay below 2**31)"
+            f"(depth and the values of S must lie in [0, 2**31))"
         )
     if floor is not None:
         fp, fq = map(int, floor)
         if not (0 <= fp < MAX_HULL_SPAN and 0 < fq < MAX_HULL_SPAN):
             raise ValueError(f"floor {floor} needs 0 <= p and 0 < q, both below 2**31")
     T, top, gain = work.ints[0], work.ints[1], work.ints[2]
-    # start from the best boundary window (m, lo[m - a])
+    # start from the best boundary window (m, lo[m - a]) ...
     num, den = gain[:r], top[:r]
     np.take(S, lo, out=num, mode="clip")  # lo is checked; clip needs no copy
     num -= S[a : a + r]
     np.subtract(lo, m, out=den)
     k = int(np.argmax(np.divide(num, den, out=work.floats[0][:r])))
     p, q = int(num[k]), int(den[k])
-    if floor is not None and fp * q > p * fq:  # the floor beats every boundary window
+    # ... or the top row's first column from which S stays at S[depth]
+    # (any column it finds is admissible), or the floor, the largest
+    f, g, b = int(lo[0]), int(lo[-1]), a + r - 1
+    j = max(g, int(np.searchsorted(S, S[depth])))
+    cp, cq = int(S[j] - S[b]), j - b
+    if cp * q > p * cq:
+        p, q = cp, cq
+    if floor is not None and fp * q > p * fq:
         p, q = fp, fq
-    f, g = int(lo[0]), int(lo[-1])
-    levels = work.levels[: depth + 1 - a]  # i - a for i = a..depth
     while True:
-        np.subtract(S[a:], S[a], out=T[a : depth + 1])  # |S - S[a]| and i - a stay below 2**31
-        T[a : depth + 1] *= q
-        T[a : depth + 1] -= np.multiply(levels, p, out=top[a : depth + 1])
-        # the suffix maximum of T at lo[0]..lo[-1]: one plain maximum from
-        # lo[-1] on, then a running maximum down to lo[0]
-        top[g] = T[g : depth + 1].max()
-        np.maximum.accumulate(T[f:g][::-1], out=top[f:g][::-1])
-        np.maximum(top[f:g], top[g], out=top[f:g])
+        # T on the rows a..b and the fine levels f..depth, nothing between
+        for x, y in ((a, min(b + 1, f)), (f, depth + 1)):
+            np.multiply(S[x:y], q, out=T[x:y])
+            T[x:y] -= np.multiply(work.levels[x:y], p, out=top[x:y])
+        # the suffix maximum of T at f..g: the tail maximum parked in T[g],
+        # then one running maximum down to f
+        tg = T[g]
+        T[g] = T[g : depth + 1].max()
+        np.maximum.accumulate(T[f : g + 1][::-1], out=top[f : g + 1][::-1])
+        T[g] = tg
         np.take(top, lo, out=gain[:r], mode="clip")
         gain[:r] -= T[a : a + r]
         k = int(np.argmax(gain[:r]))  # the first m of the largest gain

@@ -7,7 +7,9 @@ so estimator tests compare two genuinely different routes.
 maximization per theta on the reference sweep `suffix_slope_max`, so the
 estimators' parametric region solve is checked against a hull sweep.
 `oracle_fan_max` sends one `suffix_slope_max` query per coarse level and
-takes the argmax, the batch that one `region_max` call replaces.
+takes the argmax, the batch that one `region_max` call replaces;
+`assert_region_floors` checks one region's solve against it, with floors
+above, at and below its maximum.
 `oracle_composite_spectrum` and `oracle_composite_upper` evaluate a
 schedule or composite one piece at a time, dividing every row of every
 piece and solving each piece's region with no floor, the references of
@@ -372,6 +374,23 @@ def oracle_fan_max(S, m, lo) -> tuple[float, int, int]:
     alpha = [n / d for n, d, _ in answers]
     k = alpha.index(max(alpha))
     return alpha[k], queries[k][0], answers[k][2]
+
+
+def assert_region_floors(S, a, lo, k: int = 2) -> tuple[float, int, int]:
+    """region_max of the region (a, lo) equals `oracle_fan_max`; a floor
+    strictly above its maximum p/q gives None, and a floor equal to it, in
+    lowest terms or scaled by k, or below it gives the same tuple.  Returns
+    that tuple."""
+    want = region_max(S, a, lo)
+    assert want == oracle_fan_max(S, range(a, a + len(lo)), lo), (a, list(lo))
+    _, m, j = want
+    p, q = int(S[j] - S[m]), j - m
+    for above in ((p * k + 1, q * k), (p + 1, q)):
+        assert region_max(S, a, lo, floor=above) is None, (above, want)
+    below = [(0, 1), (p * k - 1, q * k)] if p else [(0, 1)]
+    for floor in [(p, q), (p * k, q * k), *below]:
+        assert region_max(S, a, lo, floor=floor) == want, (floor, want)
+    return want
 
 
 def ratio_fan_max(rep, theta: Fraction, lo: int, hi: int, neighbors: bool = False) -> float:

@@ -47,6 +47,7 @@ from fds.windows import RationalScale, RootScale, RunTable, Workspace, region_ma
 from conftest import (
     RUN_LINES,
     RUNS_TOKEN,
+    assert_region_floors,
     embed,
     levels,
     local_count,
@@ -673,6 +674,38 @@ def test_row_rule_matches_oracle_run_composites(pool, origin, block, data):
                       include_origin=origin)
     with patch.object(spectra, "FAN_PAIR_BLOCK", block):
         _assert_fan_maxima_match_oracle(cs, *_fan_case(data, cs.depth))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(run_schedules(max_runs=8, max_length=12), min_size=1, max_size=3),
+       st.data())
+def test_region_max_matches_oracle_on_run_composite_pieces(pool, data):
+    """Every piece region of a composite of long-run schedules, as
+    `composite_upper` cuts it: region_max against the per-level oracle,
+    with floors above, at and below its own maximum, and with the best
+    fraction of the pieces before as its floor."""
+    n = data.draw(st.integers(min_value=1, max_value=4))
+    gaps = data.draw(st.lists(st.integers(min_value=1, max_value=4), min_size=n, max_size=n))
+    cs = CompositeSet([(e, data.draw(st.sampled_from(pool))) for e in np.cumsum(gaps).tolist()])
+    q = data.draw(st.integers(min_value=2, max_value=12))
+    scale = RationalScale(Fraction(data.draw(st.integers(min_value=1, max_value=q - 1)), q))
+    top = scale.max_coarse(cs.depth)
+    assume(top >= 1)
+    lo = data.draw(st.integers(min_value=1, max_value=top))
+    hi = data.draw(st.integers(min_value=lo, max_value=top))
+    fines = scale.fine_array(np.arange(lo, hi + 1, dtype=np.int64))
+    floor = None
+    for _, e, S in pieces(cs):
+        a = max(lo, e)
+        if a > hi:
+            break
+        region = (S, a - e, fines[a - lo :] - e)
+        _, m, j = assert_region_floors(*region)
+        value = Fraction(int(S[j] - S[m]), j - m)
+        if floor is not None:
+            got = region_max(*region, floor=(floor.numerator, floor.denominator))
+            assert got == (None if value < floor else region_max(*region))
+        floor = value if floor is None else max(floor, value)
 
 
 def test_row_rule_reads_first_row_sinks_and_tops_in_full():

@@ -319,6 +319,18 @@ def test_composite_fields_are_read_only():
     assert_read_only(cs, ["components", "include_origin", "depth", "shifts"])
 
 
+def test_extended_prefix_is_read_only():
+    """A component shallower than the union is extended past its depth in
+    a new array, the memo entry every later caller reads: it is read-only
+    like the slice of a component that reaches the union's depth."""
+    s = BranchingSchedule([(4, 2)])
+    cs = CompositeSet([(1, s), (3, s)])
+    for i in (0, 1):
+        with pytest.raises(ValueError):
+            cs.extended_prefix(i)[-1] = 99
+    assert cs.extended_prefix(0)[-1] == 4 and cs.extended_prefix(0).size == 7
+
+
 def test_reassigning_a_field_cannot_leave_a_stale_answer():
     """Each assignment that used to leave a set answering for its old
     fields raises, and the set answers as a new equal set does."""

@@ -16,7 +16,7 @@ from fds.constructions import (
     concave_union,
     two_phase_schedule,
 )
-from fds import spectra
+from fds import schedule, spectra
 from fds.dyadic import DyadicTree
 from fds.schedule import BranchingSchedule
 from fds.spectra import (
@@ -75,6 +75,44 @@ def test_upper_dominates_spectrum_everywhere(twophase_48):
 def test_upper_two_phase_near_t(twophase_48):
     up = estimate_upper(twophase_48, [F(9, 10)], (16384, 65536))
     assert abs(up.values[0] - 0.8) <= 0.05
+
+
+@pytest.mark.parametrize("s, rounds", [("0.395", 19), ("0.394", 22)])
+def test_upper_two_phase_grid_rounds(s, rounds, monkeypatch):
+    """The CLI benchmark's upper estimate: t = 0.8 at depth 65536, 19
+    thetas 0.05..0.95 over m 1024..65536.  For each theta <= 1/2 the
+    maximum is reached in the top row b, at its boundary window or at
+    its first column from which S stays at S[depth] (the depth for
+    s = 0.395, whose last level branches, and 65535 for s = 0.394, whose
+    last level is frozen, unless the boundary lies past it), so those
+    solves start at the maximum and take one round.
+    The rounds in all, counted as the takes less the solves (one take per
+    solve for its boundary windows, one per round for the gains), are 19
+    and 22, against 25 and 26 from the boundary windows alone."""
+    rep = two_phase_schedule(TwoPhaseParams(F(s), F("0.8"), 4, 3))
+    grid = [F(k, 20) for k in range(1, 20)]
+    takes, solves = [], []
+    take, solve = np.take, schedule.region_max
+
+    def counted_take(*args, **kw):
+        takes.append(1)
+        return take(*args, **kw)
+
+    def counted_solve(*args, **kw):
+        solves.append(1)
+        return solve(*args, **kw)
+
+    monkeypatch.setattr(np, "take", counted_take)
+    monkeypatch.setattr(schedule, "region_max", counted_solve)
+    up = estimate_upper(rep, grid, (1024, 65536))
+    assert len(solves) == 19 and len(takes) - len(solves) == rounds
+    S = rep.prefix_array()
+    last = int(np.flatnonzero(S == S[-1])[0])
+    for th, value in zip(grid, up.values):
+        if th <= F(1, 2):
+            b = RationalScale(th).max_coarse(65536)
+            f = RationalScale(th).fine(b)
+            assert value == max((S[j] - S[b]) / (j - b) for j in (f, max(f, last))), th
 
 
 def test_tree_estimators_match_oracle():

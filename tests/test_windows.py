@@ -26,7 +26,7 @@ from fds.windows import (
     suffix_slope_max,
 )
 
-from conftest import oracle_fan_max, staircase_regions, traced_peak
+from conftest import assert_region_floors, oracle_fan_max, staircase_regions, traced_peak
 
 
 def test_ceil_div():
@@ -369,16 +369,80 @@ def test_region_max_floor_on_curve_staircases(case, k):
     equal to it, in lowest terms or not, or below it gives the tuple of the
     solve without one, checked against one suffix_slope_max query per
     coarse level."""
-    S, a, lo = case
-    want = region_max(S, a, lo)
-    assert want == oracle_fan_max(S, range(a, a + lo.size), lo)
-    _, m, j = want
-    p, q = int(S[j] - S[m]), j - m
-    for above in ((p * k + 1, q * k), (p + 1, q)):
-        assert region_max(S, a, lo, floor=above) is None, (above, want)
-    below = [(0, 1), (p * k - 1, q * k)] if p else [(0, 1)]
-    for floor in [(p, q), (p * k, q * k), *below]:
-        assert region_max(S, a, lo, floor=floor) == want, (floor, want)
+    assert_region_floors(*case, k)
+
+
+def _spoiled(depth):
+    """A workspace whose int rows hold values no solve writes, alternating
+    far above and far below every T, so a read of a level the solve did
+    not fill changes its answer."""
+    work = Workspace(depth)
+    work.ints[:3] = np.where(work.levels % 2, 1 << 62, -(1 << 62))
+    return work
+
+
+def test_region_max_split_span_regions():
+    """Narrow regions at small theta, whose first fine level lies past the
+    level after their last coarse one: T is filled on the rows and on the
+    fine levels only, and the levels between them are never read.  Solved
+    on a spoiled workspace and with floors, against the per-level oracle."""
+    rng = random.Random(29)
+    seen = 0
+    for trial in range(400):
+        depth = rng.randint(12, 90)
+        S = _random_prefix(rng, depth)
+        scale = RationalScale(Fraction(rng.randint(1, 3), rng.randint(10, 13)))
+        top = scale.max_coarse(depth)
+        a = rng.randint(1, top)
+        lo = scale.fine_array(np.arange(a, rng.randint(a, min(top, a + 5)) + 1, dtype=np.int64))
+        if lo[0] <= a + lo.size:
+            continue
+        seen += 1
+        want = assert_region_floors(S, a, lo)
+        assert region_max(S, a, lo, _spoiled(depth)) == want, (S, a, lo.tolist())
+    assert seen > 250, seen
+
+
+def test_region_max_top_row_start_wins_in_one_round():
+    """Where the region's witness is the top row's start window (b, j),
+    b = a + r - 1 and j the first level >= lo[-1] with S[j] = S[depth], as
+    on convex staircases (j = depth) and on those with a frozen tail
+    (j < depth), the solve starts there and stops after the one round
+    that confirms it: one take for the boundary windows, one for the
+    round's gains.  Floors and a spoiled workspace as elsewhere."""
+    take = np.take
+    takes = []
+
+    def counted(arr, idx, *args, **kw):
+        takes.append(1)
+        return take(arr, idx, *args, **kw)
+
+    rng = random.Random(31)
+    seen = {True: 0, False: 0}  # by whether j is the depth
+    for trial in range(400):
+        n = rng.randint(8, 300)
+        v = rng.randint(1, 64)
+        u = rng.randint(1, v)
+        w = rng.randint(0, v - u)
+        i = np.arange(n + 1, dtype=np.int64)
+        S = (u * i * i + 2 * n * w * i) // (2 * n * v)  # convex, slopes in [0, 1]
+        S = np.minimum(S, S[n - rng.choice((0, 0, rng.randint(1, 6)))])  # a frozen tail
+        scale = RationalScale(Fraction(rng.randint(1, 11), 12))
+        top = scale.max_coarse(n)
+        if top < 1:
+            continue
+        a = rng.randint(1, top)
+        lo = scale.fine_array(np.arange(a, rng.randint(a, top) + 1, dtype=np.int64))
+        want = assert_region_floors(S, a, lo)
+        j = max(int(lo[-1]), int(np.flatnonzero(S == S[n])[0]))
+        if want[1:] != (a + lo.size - 1, j):
+            continue
+        seen[j == n] += 1
+        takes.clear()
+        with patch.object(np, "take", counted):
+            assert region_max(S, a, lo, _spoiled(n)) == want
+        assert len(takes) == 2, (n, u, v, w, a, lo.tolist())
+    assert min(seen.values()) > 30, seen
 
 
 def test_region_max_floor_exits():
@@ -400,7 +464,11 @@ def test_region_max_floor_exits():
 
     depth = 1 << 12
     levels = np.arange(depth + 1, dtype=np.int64)
-    S = levels * levels // (4 * depth)  # convex: two rounds without a floor
+    # convex up to half the depth, frozen beyond but for the last level:
+    # the best window ends at the bend, which no boundary window and no
+    # column of the top row's start rule reaches, so the solve takes two
+    # rounds without a floor
+    S = np.minimum(levels, depth // 2) ** 2 // (4 * depth) + (levels == depth)
     lo = RationalScale(Fraction(1, 2)).fine_array(np.arange(1, 256, dtype=np.int64))
     want = region_max(S, 1, lo)
     with patch.object(np, "take", counted):
