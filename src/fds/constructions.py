@@ -128,7 +128,7 @@ def rational_enumeration(count: int) -> list[Fraction]:
         raise ValueError(f"need count >= 1, got {count}")
     out: list[Fraction] = []
     queue: list[tuple[int, int]] = [(1, 1)]
-    while len(out) < count:
+    while True:
         nxt: list[tuple[int, int]] = []
         for a, b in queue:
             if a < b:
@@ -138,7 +138,6 @@ def rational_enumeration(count: int) -> list[Fraction]:
             nxt.append((a, a + b))
             nxt.append((a + b, b))
         queue = nxt
-    return out
 
 
 @dataclass(frozen=True)

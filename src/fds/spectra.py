@@ -108,9 +108,9 @@ orders:
   At a window (m, j) every piece and the origin share the width, so the
   max of their quotients is the quotient of their largest numerator, and
   a composite's maximum is the max of its pieces' and buckets' maxima.
-  A piece that a kept piece dominates pointwise over a whole row (an
-  exact integer test, `_kept_pieces`) is left out of that row, which
-  cannot change it.
+  A piece that a kept piece dominates pointwise over a whole row (exact
+  integer tests, the greedy visit in leader rounds of `_kept_pieces`) is
+  left out of that row, which cannot change it.
 
 Both sides divide the same integer counts (or table entries) by the same
 widths, so they meet the same floats, and a maximum is exact whatever
@@ -179,8 +179,8 @@ SPECTRUM = "assouad-spectrum"
 UPPER = "upper-spectrum"
 # table entries one block of the tree upper kernel gathers at once
 UPPER_BLOCK = 1 << 16
-# entries one block of the brute side holds: piece-pair differences of the
-# dominance test, a chunk's fine levels per theta, a block's candidate cells
+# entries one block of the brute side holds: a chunk's fine levels per
+# theta, a block's candidate cells
 FAN_PAIR_BLOCK = 1 << 16
 # results one set's store of solved windows keeps, over all its keys
 SOLVED_CAP = 1 << 12
@@ -513,78 +513,48 @@ def estimate_quasi_assouad(
 
 
 def _kept_pieces(parts, depth: int, lo: int, starts: np.ndarray) -> np.ndarray | None:
-    """(rows, pieces) bool: whether piece q's row at coarse level lo + i,
+    """(rows, pieces) bool: whether piece q's row at coarse level m = lo + i,
     over the fine levels starts[i], ..., depth, is read by the brute side;
-    None for fewer than two pieces, where nothing can be dropped.  A piece
-    left out at a row is dominated there pointwise by a kept one, so the
-    row's largest numerator at every fine level, and every float made from
-    it, is unchanged.
+    None for fewer than two pieces.  A piece left out of a row is dominated
+    there pointwise by a kept one, so the row's largest numerator at every
+    fine level, and every float made from it, is unchanged.
 
-    With G_q[j] = S_q[j - e_q] and c_q = S_q(m - e_q), a present piece p
-    dominates q on [f, depth] iff D_pq(f) = max_{j >= f}(G_q[j] - G_p[j])
-    <= c_q - c_p, all in integers.  Per row q is dropped iff a present p
-    before it dominates it, p before q meaning a larger widest-window
-    numerator S(depth - e) - c (ties to the lower index).  Dominance is
-    transitive, so this is the greedy visit in that order that drops q iff
-    a piece already kept dominates it: a kept piece stands for every piece
-    it drops and two equal rows cannot drop each other.  Only the pairs
-    p < q are subtracted: D_pq is the suffix maximum of G_q - G_p and D_qp
-    minus its suffix minimum, read at the row starts and built in blocks of
-    fine levels from the top down."""
-    P = len(parts)
+    This is the greedy visit: per row the present pieces go by their
+    widest-window numerator S(depth - e) - S(m - e), largest first, ties to
+    the lower index, and q is kept unless a piece already kept dominates
+    it.  With G_q[j] = S_q[j - e_q] and c_q = S_q(m - e_q), l dominates q
+    from f on iff max_{j >= f}(G_q[j] - G_l[j]) <= c_q - c_l, in integers.
+    It runs in leader rounds, at most P: each row keeps its first open
+    piece l and closes every open q that l dominates, read off one suffix
+    maximum per (l, q) from the first such row's start."""
+    P, n = len(parts), starts.size
     if P < 2:
         return None
-    ms = np.arange(lo, lo + starts.size, dtype=np.int64)
-    present = ms[:, None] >= np.array([e for e, _ in parts], dtype=np.int64)
-    kept = np.zeros_like(present)
-    tops = np.array([S[-1] for _, S in parts])
-    pi, qi = np.triu_indices(P, 1)
-    lower = np.arange(P)[:, None] < np.arange(P)  # [p, q]: p < q
-    step = max(1, FAN_PAIR_BLOCK // pi.size)
-    # running max and min of G_q - G_p (p < q) above the current block
-    most = np.full(pi.size, np.iinfo(np.int64).min)
-    least = np.full(pi.size, np.iinfo(np.int64).max)
-    f0, f1 = int(starts[0]), int(starts[-1])
-
-    def levels(a, b):
-        # [q, j - a] = G_q[j]; a piece reads its first level below its
-        # shift, where no row that uses it starts
-        return np.stack([
-            S[a - e : b - e] if a >= e else S[np.maximum(np.arange(a - e, b - e), 0)]
-            for e, S in parts
-        ])
-
-    def diffs(a, b):
-        G = levels(a, b)
-        return G[qi] - G[pi]  # [pair, j - a] = G_q[j] - G_p[j] for p < q
-
-    # fine levels above the last row start: one plain maximum and minimum
-    for a in range(f1 + 1, depth + 1, step):
-        d = diffs(a, min(a + step, depth + 1))
-        np.maximum(most, d.max(axis=1), out=most)
-        np.minimum(least, d.min(axis=1), out=least)
-    for b in range(f1 + 1, f0, -step):
-        a = max(f0, b - step)
-        d = diffs(a, b)[:, ::-1]
-        top = np.maximum.accumulate(d, axis=1)[:, ::-1]
-        bot = np.minimum.accumulate(d, axis=1)[:, ::-1]
-        np.maximum(top, most[:, None], out=top)
-        np.minimum(bot, least[:, None], out=bot)
-        most, least = top[:, 0].copy(), bot[:, 0].copy()
-        i0, i1 = np.searchsorted(starts, [a, b])
-        # the diagonal D_qq = 0 is never used: q does not come before q
-        at = starts[i0:i1] - a
-        dom = np.zeros((P, P, at.size), dtype=np.int64)
-        dom[pi, qi] = top[:, at]
-        dom[qi, pi] = -bot[:, at]
-        dom = dom.transpose(2, 0, 1)  # [i, p, q]
-        c = levels(lo + i0, lo + i1).T  # [i, q] = c_q at m = lo + i0 + i
-        wide = tops - c  # [i, q]: q's widest-window numerator
-        wp, wq = wide[:, :, None], wide[:, None, :]
-        before = (wp > wq) | ((wp == wq) & lower)  # [i, p, q]: p comes before q
-        pb = present[i0:i1]
-        hit = pb[:, :, None] & before & (dom <= c[:, None, :] - c[:, :, None])
-        kept[i0:i1] = pb & ~hit.any(axis=1)
+    # [i, q]: q's widest-window numerator at m = lo + i while q is open
+    # there, else -1; prefix counts are at most the depth, so int32 holds it
+    wide = np.empty((n, P), dtype=np.int32)
+    for q, (e, S) in enumerate(parts):
+        k = min(max(e - lo, 0), n)  # the rows below the shift lack q
+        wide[:k, q] = -1
+        wide[k:, q] = S[-1] - S[lo + k - e : lo + n - e]
+    kept = np.zeros((n, P), dtype=bool)
+    live = np.flatnonzero(wide.max(axis=1) >= 0)
+    while live.size:
+        lead = wide[live].argmax(axis=1)  # the first open piece in the order
+        kept[live, lead] = True
+        wide[live, lead] = -1
+        for l in np.flatnonzero(np.bincount(lead)):
+            el, Sl = parts[l]
+            rl = live[lead == l]
+            for q in np.flatnonzero((wide[rl] >= 0).any(axis=0)):
+                eq, Sq = parts[q]
+                r = rl[wide[rl, q] >= 0]
+                f = int(starts[r[0]])
+                d = Sq[f - eq : depth + 1 - eq] - Sl[f - el : depth + 1 - el]
+                np.maximum.accumulate(d[::-1], out=d[::-1])
+                m = lo + r
+                wide[r[d[starts[r] - f] <= Sq[m - eq] - Sl[m - el]], q] = -1
+        live = live[wide[live].max(axis=1) >= 0]
     return kept
 
 
@@ -718,12 +688,12 @@ def _ratio_fan_maxima(rep, depth, grid, lo, his, neighbors) -> list[float]:
     tree's rows and an origin bucket's go whole to `_fan_kernel`; a tree's
     columns come from its table's gap values in either neighbor mode.
     Pieces a kept piece dominates from the widest fan's start on are left
-    out of a row (`_kept_pieces`); that start is at or below every live
-    theta's, so they are dominated from every fan start too.  Each piece
-    then reads its kept rows by the row rule (`_piece_maxima`): only its
-    tops and sinks in full, its other rows shortened toward the next kept
-    row or dropped toward the one before.  Nothing here reads the region
-    solver of the upper side."""
+    out of a row by the greedy visit in leader rounds (`_kept_pieces`);
+    that start is at or below every live theta's, so they are dominated
+    from every fan start too.  Each piece then reads its kept rows by the
+    row rule (`_piece_maxima`): only its tops and sinks in full, its other
+    rows shortened toward the next kept row or dropped toward the one
+    before.  Nothing here reads the region solver of the upper side."""
     marr = np.arange(lo, his[-1] + 1, dtype=np.int64)
     scales = [RationalScale(th) for th in reversed(grid)]
     tops = np.array(his[::-1], dtype=np.int64)
@@ -787,11 +757,11 @@ def verify_main_theorem(
     composite piece, the levels depth + 1 - u of a tree's gap values u in
     either neighbor mode, and every level of an origin bucket.  Composite
     pieces that a kept piece dominates pointwise on a row are left out of
-    it (an integer test on prefix counts that leaves every row maximum bit
-    for bit unchanged).  On a piece, a row the next one dominates is
-    shortened to the columns before the next row's fan start, and a row
-    the one before dominates is dropped, so only the clamped tops and the
-    sinks are read in full.
+    it by the greedy visit in leader rounds (integer tests on prefix
+    counts that leave every row maximum bit for bit unchanged).  On a
+    piece, a row the next one dominates is shortened to the columns before
+    the next row's fan start, and a row the one before dominates is
+    dropped, so only the clamped tops and the sinks are read in full.
 
     The brute side never calls the region solver, which still solves over
     every level on the upper side, so the two stay independent.

@@ -43,8 +43,10 @@ most thetas up to 1/2.  Each round moves v to a window of the largest gain (its
 first m, and the first j >= lo reaching the suffix maximum), whose slope
 is strictly larger; there are finitely many windows, so the moves stop:
 after at most one on the concave union's regions and the two-phase set,
-after a few on lattice staircases of strictly convex curves.  When no
-gain is positive, v is the maximum and the windows reaching it are
+after a few on lattice staircases of strictly convex curves.  So a solve
+takes at most one round more than the region has windows; past that cap
+it raises RuntimeError, and a broken invariant fails instead of looping.
+When no gain is positive, v is the maximum and the windows reaching it are
 exactly those with T(j) = T(m), so the first m with gain 0 and its first
 j >= lo[m - a] with T(j) = T(m) are the lexicographic witness: best
 value, then smallest m, then smallest j.  Every exponent is the same
@@ -399,7 +401,8 @@ def region_max(
         p, q = cp, cq
     if floor is not None and fp * q > p * fq:
         p, q = fp, fq
-    while True:
+    # each round but the last moves to a strictly larger window value
+    for _ in range(r * (depth + 1) - int(lo.sum()) + 1):
         # T on the rows a..b and the fine levels f..depth, nothing between
         for x, y in ((a, min(b + 1, f)), (f, depth + 1)):
             np.multiply(S[x:y], q, out=T[x:y])
@@ -421,6 +424,7 @@ def region_max(
         p, q = int(S[j] - S[mk]), j - mk
         if gain[k] == 0:
             return p / q, mk, j
+    raise RuntimeError(f"region at {a} found no maximum within its window count")
 
 
 def leaf_gaps(xs: Sequence[int]) -> np.ndarray:

@@ -350,7 +350,7 @@ def test_plot_rejects_non_finite_cells(tmp_path, capsys, row):
 
 def test_config_file_merging(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("s = 0.4\nt = 0.8\nm0 = 4\nblocks = 2  # small\n")
+    cfg.write_text("# two-phase defaults\ns = 0.4\n\nt = 0.8\nm0 = 4\nblocks = 2  # small\n")
     out = tmp_path / "set.fds"
     code, text, _ = run(
         ["construct", "two-phase", "--config", str(cfg), "-o", str(out)], capsys

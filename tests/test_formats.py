@@ -338,6 +338,7 @@ def test_parsers_name_the_malformed_part(parse, text, message):
 def test_v1_tree_without_level_lines_is_empty():
     tree = parse_tree("fds-tree 1\ndepth 3\n")
     assert tree == DyadicTree(3, []) and tree.is_empty()
+    assert tree.level_sizes([0, 3]).tolist() == [0, 0] and tree.node_count() == 0
 
 
 def test_dump_rejects_other_objects(tmp_path):

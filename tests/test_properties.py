@@ -26,10 +26,12 @@ from fds.schedule import (
 )
 from fds.constructions import (
     TwoPhaseParams,
+    concave_union,
     full_binary_tree,
     geometric_sequence_tree,
     left_path_tree,
     rational_enumeration,
+    target_from_poly,
     two_phase_schedule,
 )
 from fds import formats, schedule, spectra, windows
@@ -588,7 +590,7 @@ def test_fan_maxima_match_oracle_many_components(pool, data):
     """Three to five components drawn from a pool of at most three
     schedules, so equal rows and chains of dominance through a kept piece
     are common; with or without the origin, the coarse range starting
-    below the last shift, and dominance blocks down to one fine level."""
+    below the last shift, and fan-kernel blocks down to one row."""
     n = data.draw(st.integers(min_value=3, max_value=5))
     gaps = data.draw(st.lists(st.integers(min_value=1, max_value=3), min_size=n, max_size=n))
     shifts = np.cumsum(gaps).tolist()
@@ -609,11 +611,10 @@ def _kept_rows(cs, lo, starts):
 @settings(max_examples=80, deadline=None)
 @given(st.lists(schedules(max_depth=8), min_size=1, max_size=3), st.data())
 def test_kept_pieces_match_greedy_oracle(pool, data):
-    """The one-rule mask (q dropped iff a present piece before it dominates
-    it) equals the greedy visit over whole rows, for two to six components
-    from a pool of at most three schedules, so equal rows and chains of
-    dominance are common; the rows start at the fine levels of the widest
-    theta, and dominance blocks go down to one fine level."""
+    """The leader rounds give the greedy visit over whole rows, for two to
+    six components from a pool of at most three schedules, so equal rows
+    and chains of dominance are common; the rows start at the fine levels
+    of the widest theta."""
     n = data.draw(st.integers(min_value=2, max_value=6))
     gaps = data.draw(st.lists(st.integers(min_value=1, max_value=3), min_size=n, max_size=n))
     shifts = np.cumsum(gaps).tolist()
@@ -623,10 +624,34 @@ def test_kept_pieces_match_greedy_oracle(pool, data):
     scale = RationalScale(grid[-1])
     starts = [scale.fine(m) for m in range(lo, his[-1] + 1)]
     parts = [(e, S) for _, e, S in pieces(cs)]
-    block = data.draw(st.sampled_from((1, 7, spectra.FAN_PAIR_BLOCK)))
-    with patch.object(spectra, "FAN_PAIR_BLOCK", block):
-        kept = _kept_rows(cs, lo, starts)
+    kept = _kept_rows(cs, lo, starts)
     assert kept.tolist() == oracle_kept_pieces(parts, cs.depth, lo, starts)
+
+
+def _union(count, **kw):
+    return concave_union(target_from_poly([Fraction(2, 5), Fraction(2, 5), Fraction(-1, 5)],
+                                          count), blocks=2, **kw)
+
+
+def test_kept_pieces_match_greedy_oracle_on_unions():
+    """Past six pieces: the 8-component union over every row of a 7-theta
+    default-range call, and a 16-component union with linear shifts over
+    20-row windows, one of them crossing its last shift."""
+    grid = [Fraction(k, 10) for k in range(3, 10)]
+    cs = _union(8)
+    depth, grid, lo, _, his = spectra._resolve(cs, grid, None, False)
+    scale = RationalScale(grid[-1])
+    starts = [scale.fine(m) for m in range(lo, his[-1] + 1)]
+    parts = [(e, S) for _, e, S in pieces(cs)]
+    assert len(parts) == 8 and len(starts) > 300
+    assert _kept_rows(cs, lo, starts).tolist() == oracle_kept_pieces(parts, depth, lo, starts)
+    cs = _union(16, shift_linear=64)
+    parts = [(e, S) for _, e, S in pieces(cs)]
+    assert len(parts) == 16 and parts[-1][0] == 1024
+    for lo in (320, 700, 1014):
+        starts = [scale.fine(m) for m in range(lo, lo + 20)]
+        assert (_kept_rows(cs, lo, starts).tolist()
+                == oracle_kept_pieces(parts, cs.depth, lo, starts))
 
 
 def test_fan_rows_equal_flat_components_keep_the_lowest():
