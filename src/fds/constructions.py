@@ -19,7 +19,12 @@ import numpy as np
 
 from .dyadic import DyadicTree
 from .errors import BudgetError
-from .schedule import MAX_MATERIALIZE_NODES, BranchingSchedule, CompositeSet
+from .schedule import (
+    MAX_MATERIALIZE_NODES,
+    MAX_SCHEDULE_DEPTH,
+    BranchingSchedule,
+    CompositeSet,
+)
 
 __all__ = [
     "TwoPhaseParams",
@@ -36,7 +41,6 @@ __all__ = [
     "target_from_poly",
 ]
 
-MAX_SCHEDULE_DEPTH = 1 << 21
 # polynomial targets are checked for admissibility at k / TARGET_GRID
 TARGET_GRID = 256
 

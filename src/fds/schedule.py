@@ -28,6 +28,8 @@ __all__ = [
 ]
 
 MAX_MATERIALIZE_NODES = 1 << 22
+# deepest level a prefix array (and so any estimator) may reach
+MAX_SCHEDULE_DEPTH = 1 << 21
 
 
 class BranchingSchedule(SetValue):
@@ -83,14 +85,17 @@ class BranchingSchedule(SetValue):
         return tuple(zip(self.lengths.tolist(), self.counts.tolist()))
 
     def prefix(self, m: int) -> int:
-        """Number of branching levels among 1..m (the log2 of the level count)."""
+        """Number of branching levels among 1..m (the log2 of the level count).
+        Reads the prefix array, so a depth past MAX_SCHEDULE_DEPTH raises
+        BudgetError."""
         if not 0 <= m <= self.depth:
             raise ValueError(f"level {m} outside [0, {self.depth}]")
         return int(self.prefix_array()[m])
 
     def prefix_array(self) -> np.ndarray:
-        """S[0..depth] as read-only int64, built once."""
-        return self._cached("prefix", _prefix_array, self)
+        """S[0..depth] as read-only int64, built once; BudgetError past
+        MAX_SCHEDULE_DEPTH."""
+        return self._cached("prefix", _prefix_array, self, self.depth + 1)
 
     def _key(self) -> tuple:
         return self.lengths.tobytes(), self.counts.tobytes()
@@ -99,10 +104,26 @@ class BranchingSchedule(SetValue):
         return f"BranchingSchedule(depth={self.depth}, runs={len(self.lengths)})"
 
 
-def _prefix_array(s: BranchingSchedule) -> np.ndarray:
-    snp = np.zeros(s.depth + 1, dtype=np.int64)
-    np.cumsum(np.repeat(s.counts == 2, s.lengths), dtype=np.int64, out=snp[1:])
-    snp.flags.writeable = False
+def check_depth(depth: int) -> int:
+    """`depth`, or BudgetError if it exceeds MAX_SCHEDULE_DEPTH: every
+    per-level array is checked before it is allocated."""
+    if depth > MAX_SCHEDULE_DEPTH:
+        raise BudgetError(f"depth {depth} exceeds the depth budget {MAX_SCHEDULE_DEPTH}")
+    return depth
+
+
+def _prefix_array(s: BranchingSchedule, size: int) -> np.ndarray:
+    """S on levels 0..size-1 (size > depth), frozen at S[depth] past the
+    depth, as one read-only int64 array."""
+    check_depth(size - 1)
+    snp = np.zeros(size, dtype=np.int64)
+    # the branching flags, summed in place: a cumsum that casts its input
+    # would take an int64 copy of the whole level range
+    S = snp[1 : s.depth + 1]
+    S[...] = np.repeat(s.counts == 2, s.lengths)
+    np.cumsum(S, out=S)
+    snp[s.depth + 1 :] = snp[s.depth]
+    snp.flags.writeable = False  # cached and shared with every caller
     return snp
 
 
@@ -153,7 +174,12 @@ class CompositeSet(SetValue):
     read-only: build a new union to change one.  The extended prefix
     counts per component and the origin node's log counts per shift
     bucket are built once, as entries of the union's memo; estimators,
-    `region_max` included, read them directly.
+    `region_max` included, read them directly.  Each count array is built
+    once in its final form: a component shallower than the union has only
+    its extended prefix, never its own prefix array as well, so a union of
+    P components at depth D holds at most P * (D + 1) int64 counts plus
+    one float row per origin bucket read, and an origin row skips every
+    term that is an exact zero (see `origin_log_counts`).
     """
 
     __slots__ = ("components", "include_origin", "depth", "shifts")
@@ -194,14 +220,14 @@ class CompositeSet(SetValue):
 
 
 def _extended_prefix(cs: CompositeSet, i: int) -> np.ndarray:
+    """The deepest component (span = its depth) reads its own prefix array;
+    a shallower one is built straight from its runs at the union's length,
+    one read-only array, with no prefix array of its own."""
     e, s = cs.components[i]
     span = cs.depth - e
-    S = s.prefix_array()
-    if span <= s.depth:
-        return S[: span + 1]  # a view of the read-only prefix array
-    ext = np.concatenate([S, np.full(span - s.depth, S[-1], dtype=np.int64)])
-    ext.flags.writeable = False  # cached and shared with every caller
-    return ext
+    if span == s.depth:
+        return s.prefix_array()
+    return _prefix_array(s, span + 1)
 
 
 def origin_log_counts(cs: CompositeSet, bucket: int) -> np.ndarray:
@@ -215,14 +241,19 @@ def origin_log_counts(cs: CompositeSet, bucket: int) -> np.ndarray:
     shift and 2**S_i(m' - e_i) below it.  Computed in floats via
     max-normalized exponentials, one term at a time in a fixed order
     (components by shift, then the chain), over the levels where the term
-    is present; exact powers of two keep this deterministic.  Built once
-    per bucket, as an entry of the union's memo.
+    is present; exact powers of two keep this deterministic.  A term is
+    exponentiated and added only where its gap d to the level's maximum is
+    at least -1075: every gap is an integer, and for d <= -1076 the power
+    2**d is below half the least subnormal 2**-1074, so it rounds to +0.0
+    and adding it would leave the partial sum as it is.  The row therefore
+    equals the full-row sum bit for bit.  Built once per bucket, as an
+    entry of the union's memo.
     """
     return cs._cached(("origin", bucket), _origin_log_counts, cs, bucket)
 
 
 def _origin_log_counts(cs: CompositeSet, bucket: int) -> np.ndarray:
-    D = cs.depth
+    D = check_depth(cs.depth)
     shifts = cs.shifts
     deepest = shifts[-1] if shifts else -1
     # the chain is present (log 0) on [0, stop)
@@ -237,17 +268,24 @@ def _origin_log_counts(cs: CompositeSet, bucket: int) -> np.ndarray:
     top[dead] = 0.0
     total = np.zeros(D + 1)
     term = np.empty(D + 1)
+    live = np.empty(D + 1, dtype=bool)
     for e, ex in terms:
-        np.exp2(np.subtract(ex, top[e:], out=term[e:]), out=term[e:])
-        total[e:] += term[e:]
-    np.exp2(np.negative(top[:stop], out=term[:stop]), out=term[:stop])
-    total[:stop] += term[:stop]
+        _add_exp2(total[e:], np.subtract(ex, top[e:], out=term[e:]), live[e:])
+    _add_exp2(total[:stop], np.negative(top[:stop], out=term[:stop]), live[:stop])
     with np.errstate(divide="ignore"):
         logs = np.log2(total, out=total)
     logs += top
     logs[dead] = -np.inf
     logs.flags.writeable = False  # cached and shared with every caller
     return logs
+
+
+def _add_exp2(total: np.ndarray, d: np.ndarray, live: np.ndarray) -> None:
+    """total += 2**d (d overwritten) where 2**d is not an exact zero, the
+    integer gaps d >= -1075; `live` is scratch of d's length."""
+    np.greater_equal(d, -1075.0, out=live)
+    np.exp2(d, out=d, where=live)
+    np.add(total, d, out=total, where=live)
 
 
 def pieces(rep: BranchingSchedule | CompositeSet) -> list[tuple[int, int, np.ndarray]]:

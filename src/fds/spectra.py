@@ -144,12 +144,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .constructions import MAX_SCHEDULE_DEPTH
 from .dyadic import DyadicTree
-from .errors import BudgetError
 from .schedule import (
     BranchingSchedule,
     CompositeSet,
+    check_depth,
     composite_spectrum,
     composite_upper,
     origin_log_counts,
@@ -230,10 +229,7 @@ def _depth(rep, neighbors: bool = False) -> int:
         raise ValueError(
             f"neighbor mode applies to trees only, not to {type(rep).__name__}"
         )
-    if rep.depth > MAX_SCHEDULE_DEPTH:
-        raise BudgetError(
-            f"depth {rep.depth} exceeds the depth budget {MAX_SCHEDULE_DEPTH}"
-        )
+    check_depth(rep.depth)
     if isinstance(rep, DyadicTree) and rep.is_empty():
         raise ValueError("cannot estimate dimensions of an empty tree")
     return rep.depth

@@ -15,6 +15,10 @@ schedule or composite one piece at a time, dividing every row of every
 piece and solving each piece's region with no floor, the references of
 the kernels that share each coarse level's width across the pieces and
 carry the best value from piece to piece.
+`oracle_extended_prefix` extends a component's own prefix array by
+concatenation, and `oracle_origin_log_counts` sums every term of an
+origin row over every level, exact zeros included: the references of the
+composite's one-pass count arrays.
 `ratio_fan_max` enumerates the main theorem's ratio fan one theta at a
 time, the oracle of the all-theta brute side in `verify_main_theorem`.
 `oracle_run_table` builds a `RunTable`'s arrays one distinct gap value at
@@ -257,6 +261,42 @@ def _origin_logs(rep, lo: int, hi: int):
         return
     for m in range(lo, min(hi, rep.shifts[-1] - 1) + 1):
         yield m, origin_log_counts(rep, bisect_left(rep.shifts, m + 1))
+
+
+def oracle_extended_prefix(cs: CompositeSet, i: int) -> np.ndarray:
+    """Component i's own prefix array, sliced to the union's depth or
+    concatenated with copies of its last count."""
+    e, s = cs.components[i]
+    span = cs.depth - e
+    S = s.prefix_array()
+    if span <= s.depth:
+        return S[: span + 1]
+    return np.concatenate([S, np.full(span - s.depth, S[-1], dtype=np.int64)])
+
+
+def oracle_origin_log_counts(cs: CompositeSet, bucket: int, gaps: list | None = None) -> np.ndarray:
+    """`origin_log_counts` as a full-row sum: every term is exponentiated
+    and added on every level where it is present, exact zeros included.
+    Each term's gaps to the level maximum are appended to `gaps` if given."""
+    D = cs.depth
+    stop = D + 1 if cs.include_origin else max(cs.shifts[-1] if cs.shifts else -1, 0)
+    terms = [(e, oracle_extended_prefix(cs, i)[: D + 1 - e])
+             for i, (e, _) in enumerate(cs.components) if i >= bucket]
+    top = np.full(D + 1, -np.inf)
+    for e, ex in terms:
+        np.maximum(top[e:], ex, out=top[e:])
+    np.maximum(top[:stop], 0.0, out=top[:stop])
+    dead = np.isinf(top)
+    top[dead] = 0.0
+    total = np.zeros(D + 1)
+    for lo, d in [(e, ex - top[e:]) for e, ex in terms] + [(0, -top[:stop])]:
+        if gaps is not None:
+            gaps.append(d)
+        total[lo : lo + len(d)] += np.exp2(d)
+    with np.errstate(divide="ignore"):
+        logs = np.log2(total) + top
+    logs[dead] = -np.inf
+    return logs
 
 
 def reference_upper(rep, theta: Fraction, lo: int, hi: int) -> tuple[float, int, int]:

@@ -8,8 +8,8 @@ import pytest
 from fds.cli import MAX_GRID_POINTS, main, parse_m_range, parse_theta_grid
 from fds import formats
 from fds.dyadic import DyadicTree
-from fds.errors import FormatError
-from fds.schedule import BranchingSchedule
+from fds.errors import BudgetError, FormatError
+from fds.schedule import MAX_SCHEDULE_DEPTH, BranchingSchedule, CompositeSet, origin_log_counts
 from fds.svg import render_plot
 
 from test_formats import COMPOSITE_TEXT, LINE_BREAK_VARIANTS, SCHEDULE_TEXT, UNRECOGNIZED
@@ -586,6 +586,29 @@ def test_depth_budget_before_allocation(tmp_path, capsys, text):
         code, _, err = run([*command, "-i", str(path), "--theta-grid", "0.5:0.5:0.1",
                             *to], capsys)
         assert code == 2 and "depth budget" in err
+
+
+def test_count_arrays_check_the_depth_budget_before_allocation():
+    """Every count array of a set deeper than the depth budget raises
+    BudgetError naming the budget before it is allocated (depth 2**40
+    would take 8 TiB): a schedule's prefix and prefix array, the extended
+    prefix of a deep component and of a shallow one in a deep union, and
+    the origin row of a union whose one shallow component lies at shift
+    2**40.  That component's own counts stay within the budget."""
+    deep = BranchingSchedule([(1 << 40, 2)])
+    shallow = BranchingSchedule([(4, 2)])
+    union = CompositeSet([(1, shallow), (2, deep)])
+    far = CompositeSet([(1 << 40, shallow)])
+    for call in (
+        lambda: deep.prefix(5),
+        deep.prefix_array,
+        lambda: union.extended_prefix(0),
+        lambda: union.extended_prefix(1),
+        lambda: origin_log_counts(far, 0),
+    ):
+        with pytest.raises(BudgetError, match=f"exceeds the depth budget {MAX_SCHEDULE_DEPTH}"):
+            call()
+    assert far.extended_prefix(0).tolist() == [0, 1, 2, 3, 4]
 
 
 @pytest.mark.parametrize("token", ["1_0x1", "+3x2", " 1x2", "3x2,", "1x2,,1x1"])

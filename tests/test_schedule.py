@@ -26,13 +26,15 @@ from fds.constructions import (
     target_from_poly,
     two_phase_schedule,
 )
-from fds.spectra import estimate_spectrum, estimate_upper
+from fds.spectra import estimate_spectrum, estimate_upper, verify_main_theorem
 from fds.windows import RationalScale, RootScale, Workspace, region_max
 
 from conftest import (
     assert_read_only,
     local_count,
     materialize_composite,
+    oracle_extended_prefix,
+    oracle_origin_log_counts,
     oracle_schedule_spectrum,
     oracle_schedule_upper,
     random_schedule,
@@ -322,13 +324,16 @@ def test_composite_fields_are_read_only():
 def test_extended_prefix_is_read_only():
     """A component shallower than the union is extended past its depth in
     a new array, the memo entry every later caller reads: it is read-only
-    like the slice of a component that reaches the union's depth."""
+    like the prefix array that the deepest component reads, here one
+    schedule at two shifts."""
     s = BranchingSchedule([(4, 2)])
     cs = CompositeSet([(1, s), (3, s)])
     for i in (0, 1):
         with pytest.raises(ValueError):
             cs.extended_prefix(i)[-1] = 99
+        assert np.array_equal(cs.extended_prefix(i), oracle_extended_prefix(cs, i))
     assert cs.extended_prefix(0)[-1] == 4 and cs.extended_prefix(0).size == 7
+    assert np.shares_memory(cs.extended_prefix(1), s.prefix_array())
 
 
 def test_reassigning_a_field_cannot_leave_a_stale_answer():
@@ -511,3 +516,81 @@ def test_composite_upper_carries_the_best_fraction_as_floor():
         calls.clear()
         assert composite_upper(full, half, 1, 3, Workspace(full.depth)) == (1.0, 1, 2, 0)
         assert calls == [(None, (1.0, 1, 2))]
+
+
+# ----------------------------------------------------------------------
+# one count array per component, origin rows without exact zeros
+
+
+def _union(blocks):
+    target = target_from_poly([Fraction(2, 5), Fraction(2, 5), Fraction(-1, 5)], 8)
+    return concave_union(target, blocks=blocks)
+
+
+def _mixed_run_composite(rng):
+    """Up to 12 components of 0 to 5 runs of 3, 50 or 2,000 levels."""
+    comps, e = [], 0
+    for _ in range(rng.randint(1, 12)):
+        e += rng.randint(1, 600)
+        runs = [(rng.choice((3, 50, 2000)), rng.choice((1, 2))) for _ in range(rng.randint(0, 5))]
+        comps.append((e, BranchingSchedule(runs)))
+    return CompositeSet(comps, include_origin=rng.random() < 0.75)
+
+
+def test_origin_rows_equal_the_full_row_sum():
+    """Every bucket's origin row, -inf included, equals the sum of every
+    term over every level: on random composites whose term gaps reach both
+    below -1075 (exact zeros, skipped) and into [-1074, -1023] (subnormal
+    powers, kept), and on the eight buckets of the blocks=2 union."""
+    rng = random.Random(34)
+    below = subnormal = 0
+    for cs in [_mixed_run_composite(rng) for _ in range(120)] + [_union(2)]:
+        for b in range(len(cs.components) + 1):
+            gaps = []
+            want = oracle_origin_log_counts(cs, b, gaps)
+            assert np.array_equal(origin_log_counts(cs, b), want), (cs, b)
+            for d in gaps:
+                below += int(np.count_nonzero(d < -1075))
+                subnormal += int(np.count_nonzero((d >= -1074) & (d <= -1023)))
+    assert below and subnormal
+
+
+def test_union_keeps_one_count_array_per_component():
+    """Spectrum, upper and main-theorem calls on the blocks=2 union leave no
+    prefix array on a component shallower than the union: its extended
+    prefix is its only count array."""
+    cs = _union(2)
+    grid = [Fraction(1, 2), Fraction(7, 10)]
+    estimate_spectrum(cs, grid)
+    estimate_upper(cs, grid)
+    verify_main_theorem(cs, grid)
+    shallow = [s for e, s in cs.components if e + s.depth < cs.depth]
+    assert len(shallow) == len(cs.components) - 1
+    assert not any("prefix" in s._memo for s in shallow)
+
+
+@pytest.mark.parametrize("cs", [
+    _union(2),
+    CompositeSet([(1, BranchingSchedule([])), (3, BranchingSchedule([(2, 2), (3, 1)]))]),
+    CompositeSet([(1, BranchingSchedule([]))]),
+], ids=["union", "zero-run", "zero-run-alone"])
+def test_extended_prefix_equals_the_concatenation(cs):
+    """Each extended prefix is read-only int64 and equals the component's
+    own prefix array extended by concatenation."""
+    for i in range(len(cs.components)):
+        got = cs.extended_prefix(i)
+        assert got.dtype == np.int64 and not got.flags.writeable
+        assert np.array_equal(got, oracle_extended_prefix(cs, i)), i
+
+
+def test_extended_prefixes_peak_at_their_own_size():
+    """Building every extended prefix of a freshly built union peaks at the
+    arrays it keeps, sum(span_i + 1) int64 counts, plus one component's
+    scratch: a byte per level for its branching flags and 9 bytes per run
+    (`np.repeat` copies the read-only run lengths), within a 64 KB margin:
+    never a second copy of a component's counts (526 KB each)."""
+    cs = _union(3)
+    keep = 8 * sum(cs.depth - e + 1 for e, _ in cs.components)
+    scratch = cs.depth + 9 * max(len(s.lengths) for _, s in cs.components)
+    peak = traced_peak(lambda: [cs.extended_prefix(i) for i in range(len(cs.components))])
+    assert peak < keep + scratch + 65536, (peak, keep, scratch)
