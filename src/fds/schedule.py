@@ -406,8 +406,12 @@ def composite_upper(
     with fine levels from scale.fine(m), solved exactly by `region_max`
     on the piece's prefix counts in local levels.  The best exact fraction
     of the pieces before is the solve's floor, so a piece that cannot
-    reach it returns None after one round, and one that only ties it
-    returns its own first window of that value.  The fine levels live in
+    reach it returns None, and one that only ties it returns its own first
+    window of that value.  A piece whose block bounds put it strictly
+    below the floor costs O(depth / FLOOR_BLOCK), with no round; one the
+    bounds cannot settle returns None after one O(depth) round.  Which
+    pieces are settled so changes no value and no witness, and the piece
+    order stays the shifts'.  The fine levels live in
     work.ints[3], outside region_max's rows, shifted in place to each
     piece's local levels (pieces ascend in shift), then back.
 

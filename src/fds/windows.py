@@ -43,8 +43,13 @@ most thetas up to 1/2.  Each round moves v to a window of the largest gain (its
 first m, and the first j >= lo reaching the suffix maximum), whose slope
 is strictly larger; there are finitely many windows, so the moves stop:
 after at most one on the concave union's regions and the two-phase set,
-after a few on lattice staircases of strictly convex curves.  So a solve
-takes at most one round more than the region has windows; past that cap
+after a few on lattice staircases of strictly convex curves.  A move's
+window is also strictly narrower than the one before: with F(v) the
+largest gain at v and v < v' the values of two moves' windows x and x',
+F(v) = (v' - v) * width(x) >= F(v') + (v' - v) * width(x'), so
+width(x') < width(x) whenever F(v') > 0, that is, whenever x' moves
+again.  Widths lie between min(lo[m - a] - m) and depth - a, so a solve
+takes at most (depth - a) - min(lo[m - a] - m) + 2 rounds; past that cap
 it raises RuntimeError, and a broken invariant fails instead of looping.
 When no gain is positive, v is the maximum and the windows reaching it are
 exactly those with T(j) = T(m), so the first m with gain 0 and its first
@@ -59,6 +64,19 @@ gain below 0 means every window of the region lies strictly below it,
 and the solve returns None after that one round; a largest gain of
 exactly 0 returns the region's own first window of value p/q by the rule
 above.
+Before that round a floor gets a certificate that costs O(depth / B)
+for B = FLOOR_BLOCK levels, against O(depth) for a round.  Cut the rows
+a..b and the fine levels lo[0]..depth into blocks of B levels (on
+multiples of B, clipped to the region).  S is non-decreasing, so on a
+column block J, T <= q * S[end_J] - p * start_J, and on a row block I,
+T >= q * S[start_I] - p * end_I.  One reversed running maximum over the
+column blocks bounds T on every suffix of them, and row block I reads
+the suffix from the block of lo at its first row, where its rows' fine
+levels start.  When every row block's bound lies strictly below its
+lower T, every window lies strictly below the floor and the solve
+returns None without a round.  The certificate is exact but not
+complete: a tie, or a bound too loose to decide, takes the rounds, so
+every value and witness is the one of the rounds alone.
 The hull sweep `suffix_slope_max` and `runlen_table` are the tests'
 references, not API.
 
@@ -120,6 +138,8 @@ MAX_ROOT_ORDER = 16
 # prefix counts (threshold rows x alive gaps) one chunk of the RunTable
 # build holds at once
 RUN_BLOCK = 1 << 14
+# levels per block of region_max's floor certificate
+FLOOR_BLOCK = 64
 
 
 def ceil_div(a: int, b: int) -> int:
@@ -346,14 +366,18 @@ def region_max(
     m = a, ..., a + len(lo) - 1 and j in [lo[m - a], depth], for lo
     non-decreasing with m < lo[m - a] <= depth = len(S) - 1, and every
     value of S in [0, 2**31) (BudgetError otherwise); ties go to the
-    smallest m, then the smallest j.  Solved by the parametric rounds of
-    the module docstring on T(i) = q * S[i] - p * i.
+    smallest m, then the smallest j.  S must be non-decreasing (prefix
+    counts are): the top row's window and the floor certificate read it
+    so, and neither checks it.  Solved by the parametric rounds of the
+    module docstring on T(i) = q * S[i] - p * i, at most
+    (depth - a) - min(lo[m - a] - m) + 2 of them.
 
     `floor`, an exact fraction (p, q) with 0 <= p < 2**31 and
-    0 < q < 2**31, is a value the caller already holds: the rounds start
-    from it when it beats the boundary windows and the top row's window
-    of the module docstring, and the result is None when every window of
-    the region is strictly below it.
+    0 < q < 2**31, is a value the caller already holds: the result is
+    None when every window of the region is strictly below it, settled
+    without a round when the block certificate of the module docstring
+    proves it; otherwise the rounds start from the floor when it beats
+    the boundary windows and the top row's window.
 
     Every array lives in the rows of `work`, a `Workspace` of at least
     depth + 1 levels (one is made when none is lent), indexed by level
@@ -362,7 +386,9 @@ def region_max(
     suffix maximum in ints[1], the gains in ints[2][:r]; the boundary
     windows' numerators, widths and slopes take ints[2][:r], ints[1][:r]
     and floats[0][:r] before the first round.  So no round allocates,
-    nothing else of `work` is read, and lo may be a view of work.ints[3]."""
+    nothing else of `work` is read, and lo may be a view of work.ints[3];
+    the floor certificate allocates its block bounds, about
+    (depth - lo[0] + r) / FLOOR_BLOCK entries."""
     S = np.asarray(S, dtype=np.int64)
     lo = np.asarray(lo, dtype=np.int64)
     depth, r = len(S) - 1, lo.size
@@ -384,6 +410,8 @@ def region_max(
         fp, fq = map(int, floor)
         if not (0 <= fp < MAX_HULL_SPAN and 0 < fq < MAX_HULL_SPAN):
             raise ValueError(f"floor {floor} needs 0 <= p and 0 < q, both below 2**31")
+        if _below_floor(S, a, lo, fp, fq):
+            return None
     T, top, gain = work.ints[0], work.ints[1], work.ints[2]
     # start from the best boundary window (m, lo[m - a]) ...
     num, den = gain[:r], top[:r]
@@ -392,6 +420,8 @@ def region_max(
     np.subtract(lo, m, out=den)
     k = int(np.argmax(np.divide(num, den, out=work.floats[0][:r])))
     p, q = int(num[k]), int(den[k])
+    # one round per window width from depth - a down to the narrowest, + 1
+    rounds = depth - a - int(den.min()) + 2
     # ... or the top row's first column from which S stays at S[depth]
     # (any column it finds is admissible), or the floor, the largest
     f, g, b = int(lo[0]), int(lo[-1]), a + r - 1
@@ -401,8 +431,9 @@ def region_max(
         p, q = cp, cq
     if floor is not None and fp * q > p * fq:
         p, q = fp, fq
-    # each round but the last moves to a strictly larger window value
-    for _ in range(r * (depth + 1) - int(lo.sum()) + 1):
+    # each round but the last moves to a strictly larger window value and
+    # a strictly narrower window than the round before
+    for _ in range(rounds):
         # T on the rows a..b and the fine levels f..depth, nothing between
         for x, y in ((a, min(b + 1, f)), (f, depth + 1)):
             np.multiply(S[x:y], q, out=T[x:y])
@@ -424,7 +455,29 @@ def region_max(
         p, q = int(S[j] - S[mk]), j - mk
         if gain[k] == 0:
             return p / q, mk, j
-    raise RuntimeError(f"region at {a} found no maximum within its window count")
+    raise RuntimeError(f"region at {a} found no maximum within {rounds} rounds")
+
+
+def _below_floor(S: np.ndarray, a: int, lo: np.ndarray, p: int, q: int) -> bool:
+    """True when block bounds on T(i) = q * S[i] - p * i put every window
+    of the region (a, lo) strictly below p/q, by the module docstring's
+    certificate; False proves nothing.  S non-decreasing, 0 <= p, 0 < q."""
+    depth, b, f = len(S) - 1, a + lo.size - 1, int(lo[0])
+    # column blocks of f..depth: T <= q * S[end] - p * start, then the
+    # bound of every suffix of blocks
+    c0 = f // FLOOR_BLOCK
+    start = np.arange(c0 * FLOOR_BLOCK, depth + 1, FLOOR_BLOCK)
+    end = np.minimum(start + (FLOOR_BLOCK - 1), depth)
+    start[0] = f
+    up = S[end] * q - start * p
+    np.maximum.accumulate(up[::-1], out=up[::-1])
+    # row blocks of a..b: T >= q * S[start] - p * end, each against the
+    # suffix bound from the block of lo at its first row
+    start = np.arange(a // FLOOR_BLOCK * FLOOR_BLOCK, b + 1, FLOOR_BLOCK)
+    end = np.minimum(start + (FLOOR_BLOCK - 1), b)
+    start[0] = a
+    low = S[start] * q - end * p
+    return bool((up[lo[start - a] // FLOOR_BLOCK - c0] < low).all())
 
 
 def leaf_gaps(xs: Sequence[int]) -> np.ndarray:

@@ -9,7 +9,8 @@ estimators' parametric region solve is checked against a hull sweep.
 `oracle_fan_max` sends one `suffix_slope_max` query per coarse level and
 takes the argmax, the batch that one `region_max` call replaces;
 `assert_region_floors` checks one region's solve against it, with floors
-above, at and below its maximum.
+above, at and below its maximum, and `assert_floor_certificate` checks
+that the solve's block certificate settles only floors strictly above it.
 `oracle_composite_spectrum` and `oracle_composite_upper` evaluate a
 schedule or composite one piece at a time, dividing every row of every
 piece and solving each piece's region with no floor, the references of
@@ -62,7 +63,7 @@ from fds.schedule import (
     pieces,
 )
 from fds.constructions import TARGET_GRID, TwoPhaseParams, poly_eval, two_phase_schedule
-from fds.windows import RationalScale, ceil_div, region_max, suffix_slope_max
+from fds.windows import RationalScale, _below_floor, ceil_div, region_max, suffix_slope_max
 
 
 # ----------------------------------------------------------------------
@@ -382,12 +383,13 @@ def oracle_composite_upper(rep, scale, lo: int, hi: int) -> tuple[float, int, in
 
 
 @st.composite
-def staircase_regions(draw):
+def staircase_regions(draw, min_depth=8, max_depth=400):
     """(S, a, lo): the lattice staircase floor(g) of a strictly convex or
-    concave curve g with slopes in [0, 1], so S has many upper-hull
-    vertices and the parametric solve its most rounds, and a ratio-rule
-    region in a piece's local levels: lo[m - a] = ceil((m + e) / theta) - e."""
-    n = draw(st.integers(min_value=8, max_value=400))
+    concave curve g with slopes in [0, 1] over min_depth..max_depth
+    levels, so S has many upper-hull vertices and the parametric solve its
+    most rounds, and a ratio-rule region in a piece's local levels:
+    lo[m - a] = ceil((m + e) / theta) - e."""
+    n = draw(st.integers(min_value=min_depth, max_value=max_depth))
     v = draw(st.integers(min_value=1, max_value=64))
     u = draw(st.integers(min_value=1, max_value=v))  # curvature u / v
     w = draw(st.integers(min_value=0, max_value=v - u))  # linear slope w / v
@@ -431,6 +433,27 @@ def assert_region_floors(S, a, lo, k: int = 2) -> tuple[float, int, int]:
     for floor in [(p, q), (p * k, q * k), *below]:
         assert region_max(S, a, lo, floor=floor) == want, (floor, want)
     return want
+
+
+def assert_floor_certificate(S, a, lo, floors=()) -> Fraction:
+    """`region_max`'s block certificate, `windows._below_floor`, against
+    `oracle_fan_max`: it never certifies the region's maximum p/q itself,
+    in lowest terms or scaled, nor a floor below it; each of `floors` and
+    of p/q * (1 + 2**-k), k = 0..10, that it certifies lies strictly above
+    p/q; and `assert_region_floors` holds.  Returns p/q."""
+    S, lo = np.asarray(S, dtype=np.int64), np.asarray(lo, dtype=np.int64)
+    _, m, j = oracle_fan_max(S, range(a, a + lo.size), lo)
+    p, q = int(S[j] - S[m]), j - m
+    top = Fraction(p, q)
+    for k in (1, 2, 7):
+        assert not _below_floor(S, a, lo, p * k, q * k), (k, top)
+    below = [top * (1 - Fraction(1, 1 << k)) for k in range(11)]
+    above = [top * (1 + Fraction(1, 1 << k)) + Fraction(1, q << k) for k in range(11)]
+    for floor in [*below, *above, *map(Fraction, floors)]:
+        if _below_floor(S, a, lo, floor.numerator, floor.denominator):
+            assert top < floor, (floor, top)
+    assert_region_floors(S, a, lo)
+    return top
 
 
 def ratio_fan_max(rep, theta: Fraction, lo: int, hi: int, neighbors: bool = False) -> float:

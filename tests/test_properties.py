@@ -49,6 +49,7 @@ from fds.windows import RationalScale, RootScale, RunTable, Workspace, region_ma
 from conftest import (
     RUN_LINES,
     RUNS_TOKEN,
+    assert_floor_certificate,
     assert_region_floors,
     embed,
     levels,
@@ -489,12 +490,12 @@ def test_fan_maxima_match_oracle_schedules(s, data):
 
 
 @st.composite
-def run_schedules(draw, max_runs=30, max_length=24):
-    """Schedules of 1 to max_runs alternating runs of up to max_length
-    levels, so the concave corners (the last level of a branching run) are
-    sparse among the levels."""
+def run_schedules(draw, max_runs=30, max_length=24, min_runs=1):
+    """Schedules of min_runs to max_runs alternating runs of up to
+    max_length levels, so the concave corners (the last level of a
+    branching run) are sparse among the levels."""
     lengths = draw(st.lists(st.integers(min_value=1, max_value=max_length),
-                            min_size=1, max_size=max_runs))
+                            min_size=min_runs, max_size=max_runs))
     c = draw(st.sampled_from((1, 2)))
     return BranchingSchedule([(n, 1 + (c + i) % 2) for i, n in enumerate(lengths)])
 
@@ -733,6 +734,46 @@ def test_region_max_matches_oracle_on_run_composite_pieces(pool, data):
         floor = value if floor is None else max(floor, value)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.lists(run_schedules(max_runs=40, max_length=40, min_runs=16), min_size=1, max_size=3),
+       st.data())
+def test_floor_certificate_is_sound_on_run_composite_pieces(pool, data):
+    """Every piece region of a composite of long-run schedules several
+    certificate blocks deep, as `composite_upper` cuts it: the block
+    certificate settles no floor at or below the oracle maximum, and
+    every floor it settles, the best fraction of the pieces before and
+    drawn ones included, lies strictly above it."""
+    n = data.draw(st.integers(min_value=1, max_value=4))
+    gaps = data.draw(st.lists(st.integers(min_value=1, max_value=40), min_size=n, max_size=n))
+    cs = CompositeSet([(e, data.draw(st.sampled_from(pool))) for e in np.cumsum(gaps).tolist()])
+    q = data.draw(st.integers(min_value=2, max_value=12))
+    scale = RationalScale(Fraction(data.draw(st.integers(min_value=1, max_value=q - 1)), q))
+    top = scale.max_coarse(cs.depth)
+    assume(top >= 1)
+    lo = data.draw(st.integers(min_value=1, max_value=top))
+    fines = scale.fine_array(np.arange(lo, top + 1, dtype=np.int64))
+    drawn = data.draw(st.lists(st.fractions(0, 1, max_denominator=1 << 20), max_size=4))
+    floor = None
+    for _, e, S in pieces(cs):
+        a = max(lo, e)
+        if a > top:
+            break
+        region = (S, a - e, fines[a - lo :] - e)
+        value = assert_floor_certificate(*region, drawn + ([floor] if floor is not None else []))
+        floor = value if floor is None else max(floor, value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(staircase_regions(min_depth=256, max_depth=1500),
+       st.lists(st.fractions(0, 1, max_denominator=1 << 20), max_size=4))
+def test_floor_certificate_is_sound_on_deep_staircases(case, drawn):
+    """Curve staircases of 256 to 1500 levels, 4 to 24 certificate
+    blocks: the block certificate settles only floors strictly above the
+    oracle maximum, never the maximum itself, and region_max keeps its
+    floor rule."""
+    assert_floor_certificate(*case, drawn)
+
+
 def test_row_rule_reads_first_row_sinks_and_tops_in_full():
     """Levels 1-3 branch, 4-8 are frozen, 9-12 branch, 13-21 are frozen and
     22-28 branch.  Over rows 1..20 the first row (whose next level
@@ -937,9 +978,21 @@ def test_composite_upper_origin_bucket_edges():
 @settings(max_examples=150, deadline=None)
 @given(staircase_regions())
 def test_region_max_on_curve_staircases(case):
-    """region_max against one suffix_slope_max query per coarse level."""
+    """region_max against one suffix_slope_max query per coarse level,
+    within its round cap (depth - a) - min(lo[m - a] - m) + 2: counted as
+    the takes less one, one for the boundary windows and one per round."""
     S, a, lo = case
-    assert region_max(S, a, lo) == oracle_fan_max(S, range(a, a + lo.size), lo)
+    take, takes = np.take, []
+
+    def counted(*args, **kw):
+        takes.append(1)
+        return take(*args, **kw)
+
+    with patch.object(np, "take", counted):
+        got = region_max(S, a, lo)
+    assert got == oracle_fan_max(S, range(a, a + lo.size), lo)
+    cap = (len(S) - 1 - a) - int((lo - np.arange(a, a + lo.size)).min()) + 2
+    assert 1 <= len(takes) - 1 <= cap, (len(takes), cap)
 
 
 @st.composite

@@ -527,6 +527,35 @@ def _union(blocks):
     return concave_union(target, blocks=blocks)
 
 
+def test_union_upper_runs_rounds_only_where_a_piece_can_win():
+    """The blocks=3 union's upper at theta 1/2 and 7/10 over (D/4, D) cuts
+    16 piece regions, 14 of them with a floor.  Rounds run on the two
+    first pieces, which have none, and on the one piece that raises its
+    floor; the block certificate settles the other 13 with no take.
+    Values and witnesses are pinned from the solve by rounds alone."""
+    cs = _union(3)
+    D = cs.depth
+    takes, regions = [], []
+    take = np.take
+
+    def counted(*args, **kw):
+        takes.append(1)
+        return take(*args, **kw)
+
+    def spy(S, a, lo, work=None, floor=None):
+        takes.clear()
+        found = region_max(S, a, lo, work, floor)
+        regions.append((floor is None or found is not None, len(takes) > 0))
+        return found
+
+    with patch.object(np, "take", counted), patch.object(schedule, "region_max", spy):
+        est = estimate_upper(cs, [Fraction(1, 2), Fraction(7, 10)], (D // 4, D))
+    assert len(regions) == 16 and [can for can, _ in regions].count(False) == 13
+    assert all(can == rounds for can, rounds in regions), regions
+    assert est.values == [0.5478348439073515, 0.5778298121441116]
+    assert est.witnesses == [(32769, 65538, 1 << 32767), (43803, 62594, 1 << 43795)]
+
+
 def _mixed_run_composite(rng):
     """Up to 12 components of 0 to 5 runs of 3, 50 or 2,000 levels."""
     comps, e = [], 0

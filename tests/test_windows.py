@@ -446,9 +446,14 @@ def test_region_max_top_row_start_wins_in_one_round():
 
 
 def test_region_max_floor_exits():
-    """From a floor above every window the solve stops after its first
-    round; a floor tying the maximum returns the region's first window of
-    that value, the smallest m and then the smallest j."""
+    """From a floor above every window the solve stops after at most its
+    first round; a floor tying the maximum returns the region's first
+    window of that value, the smallest m and then the smallest j.  Where
+    a region's rows and fine levels lie blocks apart, a floor half again
+    above its maximum is settled by the block certificate alone, with no
+    take and no write to a spoiled workspace, while a floor just above
+    the maximum still takes its one round; rows whose fine levels share
+    their block (the region from 1) are never settled so."""
     S = [0, 0, 1, 1, 2, 2, 3]
     assert region_max(S, 0, [1], floor=(1, 2)) == (0.5, 0, 2)
     assert region_max(S, 0, [1], floor=(2, 3)) is None
@@ -479,6 +484,17 @@ def test_region_max_floor_exits():
         assert region_max(S, 1, lo, floor=(p * 2 + 1, q * 2)) is None
     # one take for the boundary windows' numerators, one per round's gains
     assert free > len(rounds) == 2
+    for a, settled in ((1, False), (256, True), (512, True)):
+        lo = RationalScale(Fraction(1, 2)).fine_array(np.arange(a, 2 * a + 255, dtype=np.int64))
+        _, m, j = region_max(S, a, lo)
+        p, q = int(S[j] - S[m]), j - m
+        for floor, skip in (((3 * p, 2 * q), settled), ((2 * p + 1, 2 * q), False)):
+            work = _spoiled(depth)
+            rounds.clear()
+            with patch.object(np, "take", counted):
+                assert region_max(S, a, lo, work, floor) is None
+            assert len(rounds) == (0 if skip else 2), (a, floor)
+            assert np.array_equal(work.ints[:3], _spoiled(depth).ints[:3]) == skip
 
 
 def test_suffix_slope_max_vs_brute():
