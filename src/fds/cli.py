@@ -56,6 +56,8 @@ def parse_theta_grid(spec: str) -> list[Fraction]:
     start, stop, step = (_parse_fraction(p) for p in parts)
     if step <= 0:
         raise ValueError("theta grid step must be positive")
+    if start > stop:
+        raise ValueError(f"theta grid start {parts[0]} exceeds its stop {parts[1]}")
     if not (0 < start <= stop < 1):
         raise ValueError("theta grid must lie strictly inside (0, 1)")
     count = (stop - start) // step + 1
@@ -161,8 +163,8 @@ _OPTIONS = {
 # options that name files: flags only, never config keys or library arguments
 _FILES = ("input", "output")
 # pairs of options one command cannot take together: explicit samples
-# replace the polynomial target and its sample count
-_CONFLICTS = (("samples", "target"), ("samples", "components"))
+# replace the target and its sample count, explicit shifts the linear rule
+_CONFLICTS = (("samples", "target"), ("samples", "components"), ("shifts", "shift-linear"))
 
 # The one table of which options apply: subcommand -> variant -> the options
 # it reads.  A variant is a construct generator, an estimate mode or a verify

@@ -245,9 +245,11 @@ def concave_union(
     transition sits at (q_i, f_i) and the finite supremum of the component
     spectra touches the target at every sampled q_i.  Default shifts are
     e_i = 2**i; `shift_linear=c` switches to e_i = c * i for small-depth
-    experiments; explicit `shifts` override both.
+    experiments; explicit `shifts` replace both (ValueError with both).
     """
     n = len(target.samples)
+    if shifts is not None and shift_linear is not None:
+        raise ValueError("explicit shifts and a linear shift factor cannot both be given")
     if shifts is None:
         if shift_linear is not None:
             if shift_linear < 1:

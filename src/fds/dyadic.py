@@ -70,8 +70,8 @@ class DyadicTree(SetValue):
     `DyadicTree(depth, leaves)` sorts and deduplicates the leaves and
     raises ValueError for a negative depth or a leaf outside
     [0, 2**depth); every tree it builds is valid.  The fields are
-    read-only: build a new tree to change one.  Each level, the run table
-    and the neighbor table are built once, as entries of the tree's memo.
+    read-only: build a new tree to change one.  The run table and the
+    neighbor table are built once, as entries of the tree's memo.
     """
 
     __slots__ = ("depth", "leaves", "gaps")
@@ -91,20 +91,17 @@ class DyadicTree(SetValue):
         self.gaps.flags.writeable = False
         self._memo = {}
 
-    def _derive(self, m: int) -> tuple[int, ...]:
+    def level(self, m: int) -> tuple[int, ...]:
+        """Sorted indices of level m: the leaves shifted right by depth - m,
+        deduplicated, derived on each call and not kept."""
+        if not 0 <= m <= self.depth:
+            raise ValueError(f"level {m} outside [0, {self.depth}]")
         s = self.depth - m
         xs = self.leaves
         if not xs:
             return ()
         keep = np.flatnonzero(self.gaps > s) + 1
         return (xs[0] >> s, *(xs[i] >> s for i in keep.tolist()))
-
-    def level(self, m: int) -> tuple[int, ...]:
-        """Sorted indices of level m: the leaves shifted right by depth - m,
-        deduplicated."""
-        if not 0 <= m <= self.depth:
-            raise ValueError(f"level {m} outside [0, {self.depth}]")
-        return self._cached(("level", m), self._derive, m)
 
     def level_sizes(self, ms) -> np.ndarray:
         """Node counts of the levels ms: 1 plus the gaps wider than depth - m

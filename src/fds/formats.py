@@ -23,7 +23,9 @@ digits only: no sign, underscore, surrounding space or non-ASCII digit.
 Run numbers are also below 2**63.
 
 `load` picks the format by the first line, cut at the first line break
-`str.splitlines` knows and stripped of surrounding whitespace.  Run bodies
+`str.splitlines` knows and stripped of surrounding whitespace, read from
+the file's first 4096 characters; a component file must be an
+fds-schedule.  A file of another kind is not read further.  Run bodies
 are written and read whole in numpy: `_run_bytes` lays out the bytes of
 every run at once, and `_run_numbers` checks the grammar on the non-digit
 bytes and gathers the digits.  The tests' oracles write and parse one run
@@ -420,8 +422,8 @@ def parse_composite(text: str, base_dir: str = ".") -> CompositeSet:
         else:
             sub = text[spec:stop]
             sub = sub if os.path.isabs(sub) else os.path.join(base_dir, sub)
-            with open(sub, encoding="ascii") as fh:
-                sched = parse_schedule(fh.read())
+            _, body = _read(sub, ("fds-schedule 1",), f"component file {sub!r} has header")
+            sched = parse_schedule(body)
         comps.append((shift, sched))
     try:
         return CompositeSet(comps, include_origin=origin)
@@ -429,17 +431,24 @@ def parse_composite(text: str, base_dir: str = ".") -> CompositeSet:
         raise FormatError(str(exc)) from exc
 
 
+def _read(path: str, heads: tuple[str, ...], error: str) -> tuple[str, str]:
+    """(header, text) of the file at path, its header read from the first
+    4096 characters: one not in heads raises FormatError(f"{error} {head!r}")
+    before the rest of the file is read."""
+    with open(path, encoding="ascii") as fh:
+        text = fh.read(4096)
+        head = _LINE_BREAK.split(text, 1)[0].strip()
+        if head not in heads:
+            raise FormatError(f"{error} {head!r}")
+        return head, text + fh.read()
+
+
 def load(path: str) -> SetLike:
     """Read any fds set file, dispatching on its header line."""
-    with open(path, encoding="ascii") as fh:
-        text = fh.read()
-    # the first line as str.splitlines cuts it
-    brk = _LINE_BREAK.search(text)
-    head = text[: brk.start() if brk else len(text)].strip()
-    if head in ("fds-tree 1", "fds-tree 2"):
-        return parse_tree(text)
+    head, text = _read(path, ("fds-tree 1", "fds-tree 2", "fds-schedule 1", "fds-composite 1"),
+                       "unrecognized set file header")
     if head == "fds-schedule 1":
         return parse_schedule(text)
     if head == "fds-composite 1":
         return parse_composite(text, os.path.dirname(os.path.abspath(path)))
-    raise FormatError(f"unrecognized set file header {head!r}")
+    return parse_tree(text)

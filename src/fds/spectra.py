@@ -72,11 +72,12 @@ orders:
   | composite origin bucket    | its own                 | every level                |
   | tree, either neighbor mode | every row               | depth + 1 - u per gap u    |
 
-  A schedule is the one piece at shift 0, and a composite piece's rows
-  are those `_kept_pieces` keeps for it.  Apart from each theta's clamped
-  top, a piece's row is dropped where its own level branches and the row
-  before is kept, else shortened where its next level is frozen and the
-  next row is kept, else read in full as a sink.  On a schedule the sinks
+  A schedule is the one piece at shift 0, and a piece's rows are those
+  `_kept_pieces` keeps for it (a lone piece: every row where it is
+  present).  The row rule: apart from each theta's clamped top, a piece's
+  row is dropped where its own level branches and the row before is kept,
+  else shortened where its next level is frozen and the next row is kept,
+  else read in full as a sink.  On a schedule the sinks
   are the rows whose own level is frozen (or that are the first) and
   whose next level branches.  A shortened row reads its fan start and
   its corners below the next row's fan start.
@@ -508,12 +509,12 @@ def estimate_quasi_assouad(
 # ratio into the running maximum of every theta still live at m.
 
 
-def _kept_pieces(parts, depth: int, lo: int, starts: np.ndarray) -> np.ndarray | None:
+def _kept_pieces(parts, depth: int, lo: int, starts: np.ndarray) -> np.ndarray:
     """(rows, pieces) bool: whether piece q's row at coarse level m = lo + i,
-    over the fine levels starts[i], ..., depth, is read by the brute side;
-    None for fewer than two pieces.  A piece left out of a row is dominated
-    there pointwise by a kept one, so the row's largest numerator at every
-    fine level, and every float made from it, is unchanged.
+    over the fine levels starts[i], ..., depth, is read by the brute side.
+    A piece left out of a row is dominated there pointwise by a kept one,
+    so the row's largest numerator at every fine level, and every float
+    made from it, is unchanged.
 
     This is the greedy visit: per row the present pieces go by their
     widest-window numerator S(depth - e) - S(m - e), largest first, ties to
@@ -522,10 +523,9 @@ def _kept_pieces(parts, depth: int, lo: int, starts: np.ndarray) -> np.ndarray |
     from f on iff max_{j >= f}(G_q[j] - G_l[j]) <= c_q - c_l, in integers.
     It runs in leader rounds, at most P: each row keeps its first open
     piece l and closes every open q that l dominates, read off one suffix
-    maximum per (l, q) from the first such row's start."""
+    maximum per (l, q) from the first such row's start.  A lone piece is
+    kept on every row where it is present, after one round."""
     P, n = len(parts), starts.size
-    if P < 2:
-        return None
     # [i, q]: q's widest-window numerator at m = lo + i while q is open
     # there, else -1; prefix counts are at most the depth, so int32 holds it
     wide = np.empty((n, P), dtype=np.int32)
@@ -563,25 +563,26 @@ def _fan_kernel(cols: np.ndarray, rows: np.ndarray, fill, scales, tops) -> np.nd
     suffix cols[c0:] of the columns or an (n, thetas) array of fan starts.
 
     Rows go in blocks of about FAN_PAIR_BLOCK cells, each filled with the
-    exponents at the columns from its first row's widest fan start on,
-    plus a -inf column that the first column of a theta not live at the
-    row points to when its fine level passes the depth.  A block ends
-    before the row that reaches its first column, so every width is
-    positive.  One flat maximum.reduceat gives each fan's column maximum;
-    with the fan-start values, a reversed running maximum along theta
-    makes each a suffix maximum from its own start."""
+    exponents at the columns from its first row's widest fan start on.  A
+    theta not live at a row (fine level past the depth) starts at the
+    depth column, which every live fan holds, and the mask of tops drops
+    it.  A block ends before the row that reaches its first column, so
+    every width is positive.  One flat maximum.reduceat gives each fan's
+    column maximum; with the fan-start values, a reversed running maximum
+    along theta makes each a suffix maximum from its own start."""
     k = len(scales)
-    ends = np.append(cols, cols[-1] + 1).astype(np.float64)
-    size = max(FAN_PAIR_BLOCK, ends.size)
+    # the widths subtract in float64: from int64 columns numpy casts through
+    # a buffer, 2.5 times slower on one wide origin row
+    fcols = cols.astype(np.float64)
+    size = max(FAN_PAIR_BLOCK, cols.size)
     vals, widths = np.empty(size), np.empty(size)
     best = np.full(k, -np.inf)
     step = max(1, FAN_PAIR_BLOCK // k)
     for a in range(0, rows.size, step):
         ms = rows[a : a + step]
         fines = np.stack([scale.fine_array(ms) for scale in scales], axis=1)
-        at = np.searchsorted(cols, fines)  # each fan's first column
-        # a fan start past the depth belongs to a theta not live at the row
         starts = np.minimum(fines, cols[-1])
+        at = np.searchsorted(cols, starts)  # each fan's first column
         fan = np.empty(starts.shape)
         fill(a, ms.size, starts, fan)
         fan /= starts - ms[:, None]
@@ -592,13 +593,12 @@ def _fan_kernel(cols: np.ndarray, rows: np.ndarray, fill, scales, tops) -> np.nd
         i = 0
         while i < ms.size:
             c0 = firsts[i]
-            c = ends.size - c0
+            c = cols.size - c0
             n = min(max(1, size // c), below[i] - i)
             block = vals[: n * c].reshape(n, c)
             width = widths[: n * c].reshape(n, c)
-            fill(a + i, n, cols[c0:], block[:, :-1])
-            block[:, -1] = -np.inf
-            np.subtract(ends[c0:], ms[i : i + n, None], out=width)
+            fill(a + i, n, cols[c0:], block)
+            np.subtract(fcols[c0:], ms[i : i + n, None], out=width)
             np.divide(block, width, out=block)
             # per row: its start, whose segment is dropped, then each fan's
             # first column
@@ -618,16 +618,10 @@ def _fan_kernel(cols: np.ndarray, rows: np.ndarray, fill, scales, tops) -> np.nd
 def _piece_maxima(S: np.ndarray, e: int, rows: np.ndarray, scales, tops) -> np.ndarray:
     """Per scale (widest fan first), the max exponent of a piece with prefix
     counts S at shift e over its kept rows (ascending, in the union's
-    levels), by the row rule of the module docstring.
-
-    A row at a clamped top tops[t] is read in full.  Any other row is
-    dropped if its own level branches and the row before is kept, else
-    shortened if its next level is frozen and the next row is kept, else
-    read in full.  Full rows go through `_fan_kernel` at the concave
-    corners (the last level of each branching run, and the depth).  Per
-    scale, the shortened rows live there, which are those below its top,
-    read their fan start and the corners before the next row's fan start,
-    all in one pass."""
+    levels), by the row rule of the module docstring.  Full rows go
+    through `_fan_kernel` at the concave corners (the last level of each
+    branching run, and the depth); per scale, the shortened rows live
+    there, those below its top, are read in one pass."""
     rise = np.diff(S).astype(bool)  # [j - 1]: local level j branches
     # a row below the largest top ends below the depth, so its next level
     # exists
@@ -687,9 +681,8 @@ def _ratio_fan_maxima(rep, depth, grid, lo, his, neighbors) -> list[float]:
     out of a row by the greedy visit in leader rounds (`_kept_pieces`);
     that start is at or below every live theta's, so they are dominated
     from every fan start too.  Each piece then reads its kept rows by the
-    row rule (`_piece_maxima`): only its tops and sinks in full, its other
-    rows shortened toward the next kept row or dropped toward the one
-    before.  Nothing here reads the region solver of the upper side."""
+    module docstring's row rule (`_piece_maxima`).  Nothing here reads the
+    region solver of the upper side."""
     marr = np.arange(lo, his[-1] + 1, dtype=np.int64)
     scales = [RationalScale(th) for th in reversed(grid)]
     tops = np.array(his[::-1], dtype=np.int64)
@@ -708,7 +701,7 @@ def _ratio_fan_maxima(rep, depth, grid, lo, his, neighbors) -> list[float]:
         parts = [(e, S) for _, e, S in pieces(rep)]
         kept = _kept_pieces(parts, depth, lo, scales[0].fine_array(marr))
         for q, (e, S) in enumerate(parts):
-            rows = marr[marr >= e] if kept is None else marr[kept[:, q]]
+            rows = marr[kept[:, q]]
             if rows.size:
                 np.maximum(best, _piece_maxima(S, e, rows, scales, tops), out=best)
         for start, stop, logs in origin_buckets(rep, lo, his[-1]):
@@ -747,17 +740,9 @@ def verify_main_theorem(
     deviation must be exactly zero.  The upper side is `estimate_upper`
     itself, on the resolved grid and range.  The brute side makes one pass
     over the widest fan, reduced by ratio for all thetas at once
-    (`_ratio_fan_maxima`).  It reads a row at the fan starts and at the
-    candidate columns of the module docstring's table, after which no
-    exponent of the row can rise: the concave corners of a schedule or
-    composite piece, the levels depth + 1 - u of a tree's gap values u in
-    either neighbor mode, and every level of an origin bucket.  Composite
-    pieces that a kept piece dominates pointwise on a row are left out of
-    it by the greedy visit in leader rounds (integer tests on prefix
-    counts that leave every row maximum bit for bit unchanged).  On a
-    piece, a row the next one dominates is shortened to the columns before
-    the next row's fan start, and a row the one before dominates is
-    dropped, so only the clamped tops and the sinks are read in full.
+    (`_ratio_fan_maxima`).  It reads the rows, pieces and candidate
+    columns of the module docstring's brute side, which leave every row
+    maximum bit for bit unchanged.
 
     The brute side never calls the region solver, which still solves over
     every level on the upper side, so the two stay independent.

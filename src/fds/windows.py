@@ -147,7 +147,9 @@ def ceil_div(a: int, b: int) -> int:
 
 
 def iroot(x: int, n: int) -> int:
-    """floor(x ** (1/n)) for non-negative integer x via Newton iteration."""
+    """floor(x ** (1/n)) for non-negative integer x via Newton iteration:
+    from z = 2**ceil(bits(x) / n) >= r, the floor root, each step lands in
+    [r, z) while z > r (by AM-GM), and at z = r the loop stops."""
     if x < 0:
         raise ValueError("negative radicand")
     if n < 1:
@@ -162,8 +164,6 @@ def iroot(x: int, n: int) -> int:
         if y >= z:
             break
         z = y
-    while z**n > x:
-        z -= 1
     return z
 
 
@@ -367,10 +367,11 @@ def region_max(
     non-decreasing with m < lo[m - a] <= depth = len(S) - 1, and every
     value of S in [0, 2**31) (BudgetError otherwise); ties go to the
     smallest m, then the smallest j.  S must be non-decreasing (prefix
-    counts are): the top row's window and the floor certificate read it
-    so, and neither checks it.  Solved by the parametric rounds of the
-    module docstring on T(i) = q * S[i] - p * i, at most
-    (depth - a) - min(lo[m - a] - m) + 2 of them.
+    counts are): the budget check (on S[0] and S[depth]), the top row's
+    window and the floor certificate read it so, and none checks it.
+    Solved by the parametric rounds of the module docstring on
+    T(i) = q * S[i] - p * i, at most (depth - a) - min(lo[m - a] - m) + 2
+    of them.
 
     `floor`, an exact fraction (p, q) with 0 <= p < 2**31 and
     0 < q < 2**31, is a value the caller already holds: the result is
@@ -401,7 +402,7 @@ def region_max(
         raise ValueError(
             f"bad region: need 0 <= m < lo <= {depth} with lo non-decreasing"
         )
-    if depth >= MAX_HULL_SPAN or int(S.min()) < 0 or int(S.max()) >= MAX_HULL_SPAN:
+    if depth >= MAX_HULL_SPAN or int(S[0]) < 0 or int(S[depth]) >= MAX_HULL_SPAN:
         raise BudgetError(
             f"a region over {depth} levels exceeds the int64 product budget "
             f"(depth and the values of S must lie in [0, 2**31))"

@@ -38,6 +38,9 @@ def test_parse_theta_grid():
     assert len(parse_theta_grid("1/20000:1/2:1/20000")) == MAX_GRID_POINTS
     with pytest.raises(ValueError, match="10001 points"):
         parse_theta_grid("1/20000:10001/20000:1/20000")
+    # a start past the stop is named as such, not as a range outside (0, 1)
+    with pytest.raises(ValueError, match="^theta grid start 0.9 exceeds its stop 0.1$"):
+        parse_theta_grid("0.9:0.1:0.1")
     assert parse_m_range("16:64") == (16, 64)
     for spec in (" 1_0:+3_2", "16:-64", "1:\u0664"):
         with pytest.raises(ValueError, match="--m-range needs ASCII digits"):
@@ -1015,6 +1018,28 @@ def test_samples_conflicts_exit_2(tmp_path, capsys, flags, names):
     assert code == 2 and text == "" and not out.exists()
     assert all(name in err for name in names), err
     assert run(argv, capsys)[0] == 0
+
+
+@pytest.mark.parametrize("cfg_text, flags, names", [
+    ("", ["--shifts", "2,4,8", "--shift-linear", "5"], ("--shifts", "--shift-linear")),
+    ("shifts = 2,4,8\n", ["--shift-linear", "5"], ("config key 'shifts'", "--shift-linear")),
+    ("shift-linear = 5\n", ["--shifts", "2,4,8"], ("--shifts", "config key 'shift-linear'")),
+])
+def test_shift_conflicts_exit_2(tmp_path, capsys, cfg_text, flags, names):
+    """Explicit shifts replace the linear shift rule, so --shifts and
+    --shift-linear, as flags or config keys, exit 2 naming both instead of
+    dropping --shift-linear; each alone builds the union."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(cfg_text)
+    out = tmp_path / "cu.fds"
+    argv = ["construct", "concave-union", "--target", "0.4,0.4,-0.2", "--components", "3",
+            "--config", str(cfg), "-o", str(out)]
+    code, text, err = run([*argv, *flags], capsys)
+    assert code == 2 and text == "" and not out.exists()
+    assert all(name in err for name in names), err
+    for k in range(0, len(flags), 2):
+        cfg.write_text("")
+        assert run([*argv, *flags[k : k + 2]], capsys)[0] == 0
 
 
 @pytest.mark.parametrize("abbrev", [

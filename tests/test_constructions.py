@@ -321,6 +321,8 @@ TARGET = ConcaveTarget(F(2, 5), ((F(1, 2), F(11, 20)), (F(1, 4), F(39, 80))))
     (lambda: ConcaveTarget(F(1, 2), ((F(1, 2), F(0)),)), "sample value 0 outside (0, 1]"),
     (lambda: concave_union(TARGET, shift_linear=0), "linear shift factor must be >= 1"),
     (lambda: concave_union(TARGET, shifts=[2]), "need 2 shifts, got 1"),
+    (lambda: concave_union(TARGET, shifts=[2, 4], shift_linear=5),
+     "explicit shifts and a linear shift factor cannot both be given"),
     (lambda: concave_union(_Target()), "component parameters (s=1/2, t=1/2) are inadmissible"),
     (lambda: full_binary_tree(-1), "negative depth"),
     (lambda: left_path_tree(-1), "negative depth"),

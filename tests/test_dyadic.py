@@ -70,6 +70,15 @@ def test_validate_full_tree_clean():
     assert parse_tree(v1_text(levels(t))) == t
 
 
+def test_v1_parse_leaves_the_memo_empty():
+    """The fds-tree 1 reader derives every level once to check it; the
+    tree keeps none of them, before or after another `level` call."""
+    t = full_binary_tree(6)
+    parsed = parse_tree(v1_text(levels(t)))
+    assert parsed == t and parsed._memo == {}
+    assert parsed.level(3) == tuple(range(8)) and parsed._memo == {}
+
+
 def test_validate_missing_parent():
     lv = [[0], [0], [0, 3]]  # (2,3) present, (1,1) absent
     with pytest.raises(FormatError, match=r"\(2, 3\)"):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from fds.cli import main
 from fds.constructions import full_binary_tree, geometric_sequence_tree, left_path_tree
 from fds.dyadic import DyadicTree
 from fds.errors import FormatError
@@ -17,7 +18,7 @@ from fds.formats import (
 )
 from fds.schedule import BranchingSchedule, CompositeSet
 
-from conftest import levels, v1_text
+from conftest import levels, traced_peak, v1_text
 
 
 def test_tree_round_trip(tmp_path):
@@ -162,6 +163,39 @@ def test_load_rejects_unknown_header(tmp_path):
     p.write_text("not a set file\n")
     with pytest.raises(FormatError, match="unrecognized"):
         load(str(p))
+
+
+@pytest.mark.parametrize("junk", [
+    b"junk\n" + b"0123456789abcdef\n" * (1 << 19),
+    b"fds-schedule" + b"\x00" * (8 << 20),  # one 8 MB line
+])
+def test_other_files_are_rejected_on_a_bounded_read(junk, tmp_path, capsys):
+    """An 8 MB file of another kind raises FormatError from its first line,
+    before the rest is read, whether loaded itself or named by a composite
+    (a component file must be an fds-schedule file, so a tree is rejected
+    too): tracemalloc peaks below 1 MB, and `fds estimate` exits 2."""
+    (tmp_path / "junk.bin").write_bytes(junk)
+    dump(full_binary_tree(3), str(tmp_path / "tree.fds"))
+    head = junk[:4096].split(b"\n")[0].decode("ascii").strip()
+    cases = [("junk.bin", f"unrecognized set file header {head!r}")]
+    for name, got in (("junk.bin", head), ("tree.fds", "fds-tree 2")):
+        comp = tmp_path / f"c-{name}"
+        comp.write_text(f"fds-composite 1\norigin 1\ncomponent 2 {name}\n")
+        cases.append((comp.name, f"component file {str(tmp_path / name)!r} has header {got!r}"))
+    for name, message in cases:
+        path = str(tmp_path / name)
+        errors = []
+
+        def attempt():
+            try:
+                load(path)
+            except FormatError as exc:
+                errors.append(str(exc))
+
+        assert traced_peak(attempt) < 1 << 20
+        assert errors == [message]
+        assert main(["estimate", "-i", path, "-o", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_writers_are_deterministic():

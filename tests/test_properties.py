@@ -655,6 +655,20 @@ def test_kept_pieces_match_greedy_oracle_on_unions():
                 == oracle_kept_pieces(parts, cs.depth, lo, starts))
 
 
+def test_kept_pieces_keep_a_lone_piece_where_it_is_present():
+    """One piece, a schedule's or a one-component union's, is kept on
+    exactly the rows at or past its shift, with rows below the shift, rows
+    from it on, and a flat piece whose widest numerators are all 0."""
+    two_phase = two_phase_schedule(TwoPhaseParams(Fraction(2, 5), Fraction(4, 5), 3, 2))
+    for sched in (two_phase, BranchingSchedule([(16, 1)])):
+        for rep in (sched, CompositeSet([(5, sched)]), CompositeSet([(5, sched)], False)):
+            e = 0 if rep is sched else 5
+            for lo in (1, 5, 7):
+                starts = [RationalScale(Fraction(9, 10)).fine(m) for m in range(lo, lo + 5)]
+                kept = _kept_rows(rep, lo, starts)
+                assert kept.tolist() == [[m >= e] for m in range(lo, lo + 5)]
+
+
 def test_fan_rows_equal_flat_components_keep_the_lowest():
     """Identical all-flat components tie exactly on every row: the lowest
     present piece is kept and every other one is dropped against it, with

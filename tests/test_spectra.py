@@ -225,6 +225,27 @@ def test_quasi_assouad_full_and_path():
     assert "eps=0.02" in qa.trend
 
 
+@pytest.mark.parametrize("values, kind", [
+    ([0.5, 0.5, 0.75], "non-decreasing"),
+    ([0.75, 0.5, 0.5], "non-increasing"),
+    ([0.5, 0.75, 0.625], "mixed"),
+])
+def test_quasi_assouad_trend_kinds(monkeypatch, values, kind):
+    """The trend line names the shape of the values as eps shrinks.  The
+    upper estimate is patched: a set's own upper spectrum never falls as
+    theta = 1 - eps rises, so only patched values reach the other kinds."""
+
+    def fake(mode, rep, thetas, m_range, neighbors):
+        grid = sorted(thetas)
+        return spectra.SpectrumEstimate(mode, grid, values, (1, 2), [(1, 2, 0)] * len(grid))
+
+    monkeypatch.setattr(spectra, "_estimate", fake)
+    qa = estimate_quasi_assouad(None, [F(1, 20), F(1, 10), F(1, 50)])
+    assert qa.values == [values[1], values[0], values[2]] and qa.headline == values[2]
+    assert qa.trend == (f"{kind} as eps shrinks: eps=0.1->{values[0]!r}, "
+                        f"eps=0.05->{values[1]!r}, eps=0.02->{values[2]!r}")
+
+
 def test_quasi_assouad_two_phase(twophase_48):
     qa = estimate_quasi_assouad(twophase_48, [F(1, 10), F(1, 20), F(1, 50)], (16384, 65536))
     assert abs(qa.headline - 0.8) <= 0.05

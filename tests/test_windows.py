@@ -46,6 +46,20 @@ def test_iroot():
             assert r**n <= x < (r + 1) ** n
 
 
+def test_iroot_is_the_floor_root_of_large_radicands():
+    """Newton's iterates from 2**ceil(bits / n) end at the floor root with
+    no correction step: random radicands up to 2**600, and the perfect
+    powers z**n with their neighbours, for every root order 1..16."""
+    rng = random.Random(36)
+    for n in range(1, MAX_ROOT_ORDER + 1):
+        xs = [rng.getrandbits(rng.randint(1, 600)) for _ in range(200)]
+        for z in (2, 3, 7, 2**20 - 1, 2**20, 3**40, rng.getrandbits(90) | 1):
+            xs += [z**n - 1, z**n, z**n + 1]
+        for x in xs:
+            r = iroot(x, n)
+            assert r**n <= x < (r + 1) ** n, (x, n)
+
+
 def test_rational_scale_exactness():
     sc = RationalScale(Fraction(1, 10))
     assert sc.fine(512) == 5120
@@ -308,8 +322,10 @@ def test_region_max_rejects_bad_input():
         region_max([0], 0, [1])
     top = (1 << 31) - 1
     assert region_max(np.array([0, top], dtype=np.int64), 0, [1]) == (float(top), 0, 1)
-    with pytest.raises(BudgetError):
-        region_max(np.array([0, 1 << 31], dtype=np.int64), 0, [1])
+    # the budget reads S[0] and S[depth], which bound a non-decreasing S
+    for S_bad in ([0, 1 << 31], [0, 5, (1 << 31) - 1, 1 << 31], [-1, 0, 4, 9]):
+        with pytest.raises(BudgetError):
+            region_max(np.array(S_bad, dtype=np.int64), 0, [1])
     # a floor is a fraction p/q with 0 <= p, 0 < q, both below 2**31
     for floor in ((1, 0), (-1, 2), (1 << 31, 1), (1, 1 << 31)):
         with pytest.raises(ValueError, match="floor"):
