@@ -25,7 +25,8 @@ Run numbers are also below 2**63.
 `load` picks the format by the first line, cut at the first line break
 `str.splitlines` knows and stripped of surrounding whitespace, read from
 the file's first 4096 characters; a component file must be an
-fds-schedule.  A file of another kind is not read further.  Run bodies
+fds-schedule.  A file of another kind is not read further, and its error
+quotes at most 64 characters of its header's repr.  Run bodies
 are written and read whole in numpy: `_run_bytes` lays out the bytes of
 every run at once, and `_run_numbers` checks the grammar on the non-digit
 bytes and gathers the digits.  The tests' oracles write and parse one run
@@ -177,12 +178,17 @@ def _decimal(tok: str, what: str) -> int:
     return int(tok)
 
 
-def _count_line(line: str, key: str) -> int:
-    """The non-negative integer of a "<key> <n>" line."""
+def _field(line: str, key: str) -> str:
+    """The value token of a "<key> <value>" line of exactly two tokens."""
     toks = line.split()
     if len(toks) != 2 or toks[0] != key:
         raise FormatError(f"missing {key} line")
-    return _decimal(toks[1], f"{key} line")
+    return toks[1]
+
+
+def _count_line(line: str, key: str) -> int:
+    """The non-negative integer of a "<key> <n>" line."""
+    return _decimal(_field(line, key), f"{key} line")
 
 
 def parse_tree(text: str) -> DyadicTree:
@@ -321,20 +327,20 @@ def _run_numbers(body, inner: str, sep: str) -> np.ndarray | None:
     return values.reshape(2, n).T
 
 
-def _parse_runs(
-    text: str, inner: str, sep: str, prefix, what: str, span=None, data=None
-) -> BranchingSchedule:
+def _parse_runs(text: str, inner: str, sep: str, span=None, data=None) -> BranchingSchedule:
     """The schedule of the run body text[start:stop] for span (start, stop),
     all of text by default, checked and parsed in numpy by `_run_numbers`
     on the same span of data, the text's bytes with one "?" for each
     character outside ASCII (made here when not given).  A grammar error
-    names the first part, split at `sep`, after the longest well-formed
-    prefix."""
+    names the first run line (`sep` a line break) or run token after the
+    longest well-formed prefix."""
     start, stop = span or (0, len(text))
     if data is None:
         data = text.encode("ascii", "replace")
     runs = _run_numbers(memoryview(data)[start:stop], inner, sep)
     if runs is None:
+        prefix = _RUN_LINES_PREFIX if sep == "\n" else _RUNS_PREFIX
+        what = "run line" if sep == "\n" else "run token"
         body = text[start:stop]
         part = body[prefix.match(body).end() :].split(sep, 1)[0]
         raise FormatError(f"bad {what} {part!r}")
@@ -382,7 +388,7 @@ def parse_schedule(text: str) -> BranchingSchedule:
         body = "\n".join(lines[2:])
         # unlike an inline run list, a schedule file may hold no run line
         sched = (
-            _parse_runs(body, " ", "\n", _RUN_LINES_PREFIX, "run line")
+            _parse_runs(body, " ", "\n")
             if body
             else BranchingSchedule(np.empty((0, 2), dtype=np.int64))
         )
@@ -399,9 +405,7 @@ def parse_composite(text: str, base_dir: str = ".") -> CompositeSet:
     lines = [text[a:b] for a, b in spans[:2]]
     if not lines or lines[0] != "fds-composite 1":
         raise FormatError("not an fds-composite file")
-    if len(lines) < 2 or not lines[1].startswith("origin "):
-        raise FormatError("missing origin line")
-    token = lines[1].split()[1]
+    token = _field(lines[1] if len(lines) > 1 else "", "origin")
     if token not in ("0", "1"):
         raise FormatError(f"origin flag must be 0 or 1, got {token!r}")
     origin = token == "1"
@@ -418,7 +422,7 @@ def parse_composite(text: str, base_dir: str = ".") -> CompositeSet:
         spec = toks.end()
         if text.startswith("runs:", spec, stop):
             span = (spec + len("runs:"), stop)
-            sched = _parse_runs(text, "x", ",", _RUNS_PREFIX, "run token", span, data)
+            sched = _parse_runs(text, "x", ",", span, data)
         else:
             sub = text[spec:stop]
             sub = sub if os.path.isabs(sub) else os.path.join(base_dir, sub)
@@ -433,13 +437,17 @@ def parse_composite(text: str, base_dir: str = ".") -> CompositeSet:
 
 def _read(path: str, heads: tuple[str, ...], error: str) -> tuple[str, str]:
     """(header, text) of the file at path, its header read from the first
-    4096 characters: one not in heads raises FormatError(f"{error} {head!r}")
-    before the rest of the file is read."""
+    4096 characters: one not in heads raises FormatError(f"{error} {quote}")
+    before the rest of the file is read, quote being repr(head), cut after
+    64 characters and marked "..." when longer."""
     with open(path, encoding="ascii") as fh:
         text = fh.read(4096)
         head = _LINE_BREAK.split(text, 1)[0].strip()
         if head not in heads:
-            raise FormatError(f"{error} {head!r}")
+            quote = repr(head)
+            if len(quote) > 64:
+                quote = quote[:64] + "..."
+            raise FormatError(f"{error} {quote}")
         return head, text + fh.read()
 
 

@@ -16,8 +16,9 @@ Schedules and composites are read by the kernels of `schedule` on their
 prefix counts.  The dispatch of each estimator call (`_dispatch`) lends
 those kernels one `Workspace` when it solves something, so no theta and
 no solve round allocates a depth-sized array.  Every
-verifier reaches its estimates through the public estimators, so it
-checks the functions the CLI calls.
+verifier but `verify_nthroot` reaches its estimates through the public
+estimators, so it checks the functions the CLI calls; `verify_nthroot`
+calls `_dispatch` itself, since no public estimator takes a root order.
 
 Each set keeps the windows already solved on it in one memo entry,
 "solved", that only this dispatch reads or writes, so the estimates a

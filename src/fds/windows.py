@@ -77,8 +77,10 @@ lower T, every window lies strictly below the floor and the solve
 returns None without a round.  The certificate is exact but not
 complete: a tie, or a bound too loose to decide, takes the rounds, so
 every value and witness is the one of the rounds alone.
-The hull sweep `suffix_slope_max` and `runlen_table` are the tests'
-references, not API.
+`region_max` is the one exact best-slope solver; the tests' conftest holds
+its oracle, the convex-hull sweep `hull_slope_max`.  `suffix_slope_max`
+(one-row `region_max` calls) and `runlen_table` (a `RunTable` row) stay
+only as names the benchmark's tracer wraps, until ROADMAP item 3.
 
 The fine level of m at theta = p/q and root order n (n = 1 for
 `RationalScale`) is the smallest z with z**n * p >= m**n * q.  When p and
@@ -110,7 +112,7 @@ its gains inside int64.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, log2
+from math import log2
 from typing import Sequence
 
 import numpy as np
@@ -149,15 +151,14 @@ def ceil_div(a: int, b: int) -> int:
 def iroot(x: int, n: int) -> int:
     """floor(x ** (1/n)) for non-negative integer x via Newton iteration:
     from z = 2**ceil(bits(x) / n) >= r, the floor root, each step lands in
-    [r, z) while z > r (by AM-GM), and at z = r the loop stops."""
+    [r, z) while z > r (by AM-GM), and at z = r the loop stops.  x = 0
+    returns at once: its steps would reach z = 0 and divide by it."""
     if x < 0:
         raise ValueError("negative radicand")
     if n < 1:
         raise ValueError("root order must be >= 1")
-    if x == 0 or n == 1:
-        return x
-    if n == 2:
-        return isqrt(x)
+    if x == 0:
+        return 0
     z = 1 << ceil_div(x.bit_length(), n)
     while True:
         y = ((n - 1) * z + x // z ** (n - 1)) // n
@@ -294,65 +295,14 @@ class RationalScale(RootScale):
         return f"RationalScale({self.p}/{self.q})"
 
 
-def suffix_slope_max(
-    S: Sequence[int], queries: Sequence[tuple[int, int]]
-) -> list[tuple[int, int, int]]:
-    """Maximize (S[j] - S[m]) / (j - m) over j in [lo, len(S)-1] per query.
-
-    S is a non-decreasing integer sequence of prefix counts.  Each query is
-    a pair (m, lo) with m < lo <= len(S)-1.  Returns, aligned with the
-    queries, the exact maximizing fraction as (numerator, denominator, j*);
-    value ties resolve to the smallest j.
-
-    Queries are processed offline by descending lo while every point
-    (j, S[j]) is folded right-to-left into an upper convex hull; the best
-    slope from (m, S[m]) to the admissible suffix is then found by binary
-    search along the hull.  Everything is exact Python-integer arithmetic,
-    with no depth limit.
-
-    This is the reference path behind the tests' upper-spectrum oracle; the
-    estimators use `region_max`, which solves a whole region of coarse
-    levels at once without a hull.
-    """
-    depth = len(S) - 1
-    order = sorted(range(len(queries)), key=lambda i: queries[i][1], reverse=True)
-    hx: list[int] = []
-    hy: list[int] = []
-    out: list[tuple[int, int, int]] = [(0, 1, 0)] * len(queries)
-    nxt = depth
-    for qi in order:
-        m, lo = queries[qi]
-        if not m < lo <= depth:
-            raise ValueError(f"bad query (m={m}, lo={lo}) for depth {depth}")
-        while nxt >= lo:
-            x = nxt
-            y = S[nxt]
-            # pop the current leftmost B while it sits on/below the chord
-            # from the new point to the vertex right of B
-            while len(hx) > 1 and (hx[-2] - x) * (hy[-1] - y) - (hy[-2] - y) * (
-                hx[-1] - x
-            ) <= 0:
-                hx.pop()
-                hy.pop()
-            hx.append(x)
-            hy.append(y)
-            nxt -= 1
-        sm = S[m]
-        n = len(hx)
-        # hull is stored right-to-left; search left-to-right rank k for the
-        # first vertex whose successor stops improving the chord slope
-        lo_k, hi_k = 0, n - 1
-        while lo_k < hi_k:
-            mid = (lo_k + hi_k) >> 1
-            ia = n - 1 - mid
-            ib = ia - 1
-            if (hy[ib] - sm) * (hx[ia] - m) > (hy[ia] - sm) * (hx[ib] - m):
-                lo_k = mid + 1
-            else:
-                hi_k = mid
-        i = n - 1 - lo_k
-        out[qi] = (hy[i] - sm, hx[i] - m, hx[i])
-    return out
+def suffix_slope_max(S, queries) -> list[tuple[int, int, int]]:
+    """Per query (m, lo), (S[j] - S[m], j - m, j) for the best slope from m
+    over j in [lo, depth], ties to the smallest j: one one-row `region_max`
+    each, so S must meet its contract, non-decreasing in [0, 2**31).  Kept
+    only because the benchmark's tracer wraps the name (`unwrapped == []`,
+    `missing == []` in the tracer tests); ROADMAP item 3 deletes it."""
+    best = [region_max(S, m, [lo]) for m, lo in queries]
+    return [(S[j] - S[m], j - m, j) for _, m, j in best]
 
 
 def region_max(

@@ -3,10 +3,13 @@
 The oracles recompute counts and window maxima by direct enumeration,
 avoiding the library's range-count tables, region solver and numpy paths,
 so estimator tests compare two genuinely different routes.
-`reference_upper` is the exception: it replays the upper-spectrum
-maximization per theta on the reference sweep `suffix_slope_max`, so the
-estimators' parametric region solve is checked against a hull sweep.
-`oracle_fan_max` sends one `suffix_slope_max` query per coarse level and
+`hull_slope_max` is the exception: the offline convex-hull sweep for the
+best slope from (m, S[m]) to any point of a suffix of S, in exact Python
+integers, is the independent oracle of the library's one exact best-slope
+solver, `windows.region_max`.  `reference_upper` replays the upper-spectrum
+maximization per theta on it, so the estimators' parametric region solve
+is checked against a hull sweep.
+`oracle_fan_max` sends one `hull_slope_max` query per coarse level and
 takes the argmax, the batch that one `region_max` call replaces;
 `assert_region_floors` checks one region's solve against it, with floors
 above, at and below its maximum, and `assert_floor_certificate` checks
@@ -49,6 +52,7 @@ import tracemalloc
 from bisect import bisect_left
 from fractions import Fraction
 from math import log2
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -63,7 +67,7 @@ from fds.schedule import (
     pieces,
 )
 from fds.constructions import TARGET_GRID, TwoPhaseParams, poly_eval, two_phase_schedule
-from fds.windows import RationalScale, _below_floor, ceil_div, region_max, suffix_slope_max
+from fds.windows import RationalScale, _below_floor, ceil_div, region_max
 
 
 # ----------------------------------------------------------------------
@@ -300,10 +304,70 @@ def oracle_origin_log_counts(cs: CompositeSet, bucket: int, gaps: list | None = 
     return logs
 
 
+def hull_slope_max(
+    S: Sequence[int], queries: Sequence[tuple[int, int]]
+) -> list[tuple[int, int, int]]:
+    """Maximize (S[j] - S[m]) / (j - m) over j in [lo, len(S)-1] per query.
+
+    S is a non-decreasing integer sequence of prefix counts.  Each query is
+    a pair (m, lo) with m < lo <= len(S)-1.  Returns, aligned with the
+    queries, the exact maximizing fraction as (numerator, denominator, j*);
+    value ties resolve to the smallest j.
+
+    Queries are processed offline by descending lo while every point
+    (j, S[j]) is folded right-to-left into an upper convex hull; the best
+    slope from (m, S[m]) to the admissible suffix is then found by binary
+    search along the hull.  Everything is exact Python-integer arithmetic,
+    with no depth limit.
+
+    The independent oracle of `region_max`, which solves a whole region of
+    coarse levels at once by parametric rounds, without a hull.
+    """
+    depth = len(S) - 1
+    order = sorted(range(len(queries)), key=lambda i: queries[i][1], reverse=True)
+    hx: list[int] = []
+    hy: list[int] = []
+    out: list[tuple[int, int, int]] = [(0, 1, 0)] * len(queries)
+    nxt = depth
+    for qi in order:
+        m, lo = queries[qi]
+        if not m < lo <= depth:
+            raise ValueError(f"bad query (m={m}, lo={lo}) for depth {depth}")
+        while nxt >= lo:
+            x = nxt
+            y = S[nxt]
+            # pop the current leftmost B while it sits on/below the chord
+            # from the new point to the vertex right of B
+            while len(hx) > 1 and (hx[-2] - x) * (hy[-1] - y) - (hy[-2] - y) * (
+                hx[-1] - x
+            ) <= 0:
+                hx.pop()
+                hy.pop()
+            hx.append(x)
+            hy.append(y)
+            nxt -= 1
+        sm = S[m]
+        n = len(hx)
+        # hull is stored right-to-left; search left-to-right rank k for the
+        # first vertex whose successor stops improving the chord slope
+        lo_k, hi_k = 0, n - 1
+        while lo_k < hi_k:
+            mid = (lo_k + hi_k) >> 1
+            ia = n - 1 - mid
+            ib = ia - 1
+            if (hy[ib] - sm) * (hx[ia] - m) > (hy[ia] - sm) * (hx[ib] - m):
+                lo_k = mid + 1
+            else:
+                hi_k = mid
+        i = n - 1 - lo_k
+        out[qi] = (hy[i] - sm, hx[i] - m, hx[i])
+    return out
+
+
 def reference_upper(rep, theta: Fraction, lo: int, hi: int) -> tuple[float, int, int]:
     """(value, m, m') of the upper spectrum at one theta over the clamped
     coarse range [lo, hi], for a schedule or a composite: one
-    suffix_slope_max sweep per schedule or component, ties to the smallest
+    hull_slope_max sweep per schedule or component, ties to the smallest
     m, then the smallest m', then the origin node, then the lowest
     component."""
     scale = RationalScale(theta)
@@ -315,7 +379,7 @@ def reference_upper(rep, theta: Fraction, lo: int, hi: int) -> tuple[float, int,
         if max(lo, e) > hi:
             continue
         queries = [(m - e, scale.fine(m) - e) for m in range(max(lo, e), hi + 1)]
-        for (lm, _), (n, d, j) in zip(queries, suffix_slope_max(S.tolist(), queries)):
+        for (lm, _), (n, d, j) in zip(queries, hull_slope_max(S.tolist(), queries)):
             cand = (n / d, -(lm + e), -(j + e), -i)
             if best is None or cand > best:
                 best = cand
@@ -409,10 +473,10 @@ def staircase_regions(draw, min_depth=8, max_depth=400):
 
 def oracle_fan_max(S, m, lo) -> tuple[float, int, int]:
     """(value, m, j*) of the best of one query per coarse level:
-    `suffix_slope_max` on every (m, lo) pair, then the first argmax, so
+    `hull_slope_max` on every (m, lo) pair, then the first argmax, so
     ties go to the first query (the smallest m when m is ascending)."""
     queries = [(int(x), int(y)) for x, y in zip(m, lo)]
-    answers = suffix_slope_max([int(x) for x in S], queries)
+    answers = hull_slope_max([int(x) for x in S], queries)
     alpha = [n / d for n, d, _ in answers]
     k = alpha.index(max(alpha))
     return alpha[k], queries[k][0], answers[k][2]

@@ -173,15 +173,16 @@ def test_other_files_are_rejected_on_a_bounded_read(junk, tmp_path, capsys):
     """An 8 MB file of another kind raises FormatError from its first line,
     before the rest is read, whether loaded itself or named by a composite
     (a component file must be an fds-schedule file, so a tree is rejected
-    too): tracemalloc peaks below 1 MB, and `fds estimate` exits 2."""
+    too): tracemalloc peaks below 1 MB, and `fds estimate` exits 2.  The
+    one long header line is quoted by the first 64 characters of its repr."""
     (tmp_path / "junk.bin").write_bytes(junk)
     dump(full_binary_tree(3), str(tmp_path / "tree.fds"))
-    head = junk[:4096].split(b"\n")[0].decode("ascii").strip()
-    cases = [("junk.bin", f"unrecognized set file header {head!r}")]
-    for name, got in (("junk.bin", head), ("tree.fds", "fds-tree 2")):
+    quote = "'junk'" if junk.startswith(b"junk\n") else "'fds-schedule" + r"\x00" * 12 + r"\x0..."
+    cases = [("junk.bin", f"unrecognized set file header {quote}")]
+    for name, got in (("junk.bin", quote), ("tree.fds", "'fds-tree 2'")):
         comp = tmp_path / f"c-{name}"
         comp.write_text(f"fds-composite 1\norigin 1\ncomponent 2 {name}\n")
-        cases.append((comp.name, f"component file {str(tmp_path / name)!r} has header {got!r}"))
+        cases.append((comp.name, f"component file {str(tmp_path / name)!r} has header {got}"))
     for name, message in cases:
         path = str(tmp_path / name)
         errors = []
@@ -196,6 +197,21 @@ def test_other_files_are_rejected_on_a_bounded_read(junk, tmp_path, capsys):
         assert errors == [message]
         assert main(["estimate", "-i", path, "-o", str(tmp_path / "x.csv")]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_rejected_header_quote_is_bounded(tmp_path):
+    """8 KB of NULs, loaded or named by a composite, is quoted by the first
+    64 characters of its header's repr, marked cut, not by 16 KB of it."""
+    (tmp_path / "nul.bin").write_bytes(b"\x00" * (8 << 10))
+    (tmp_path / "c.fds").write_text("fds-composite 1\norigin 1\ncomponent 2 nul.bin\n")
+    quote = "'" + r"\x00" * 15 + r"\x0..."
+    cases = [("nul.bin", "unrecognized set file header"),
+             ("c.fds", f"component file {str(tmp_path / 'nul.bin')!r} has header")]
+    for name, error in cases:
+        with pytest.raises(FormatError) as exc:
+            load(str(tmp_path / name))
+        assert str(exc.value) == f"{error} {quote}"
+        assert len(str(exc.value).replace(str(tmp_path), "")) < 200
 
 
 def test_writers_are_deterministic():
@@ -360,6 +376,9 @@ def test_largest_int64_run_length_parses():
     (parse_composite, "fds-schedule 1\ndepth 0\n", "not an fds-composite file"),
     (parse_composite, "fds-composite 1\n", "missing origin line"),
     (parse_composite, "fds-composite 1\nshift 1\n", "missing origin line"),
+    (parse_composite, "fds-composite 1\norigin 1 junk\n", "missing origin line"),
+    (parse_composite, "fds-composite 1\norigin\n", "missing origin line"),
+    (parse_composite, "fds-composite 1\norigin x\n", "origin flag must be 0 or 1, got 'x'"),
     (parse_composite, "fds-composite 1\norigin 1\ncomponent 2\n",
      "bad component line 'component 2'"),
 ])

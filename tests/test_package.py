@@ -32,18 +32,40 @@ def _reads(node) -> Counter:
                    if isinstance(n, (ast.Name, ast.Attribute)))
 
 
-def test_private_definitions_are_used():
-    """Every private module-level function or class in the package is read
-    by a Name or Attribute node outside its own definition, so a path
-    nothing calls any more does not stay behind."""
-    trees = [ast.parse(p.read_text()) for p in sorted(Path(fds.__file__).parent.glob("*.py"))]
-    reads = sum(map(_reads, trees), Counter())
-    unused = [
-        node.name
-        for tree in trees
+def _unread_definitions():
+    """(module, name) of every module-level function or class in the
+    package that no Name or Attribute node reads outside its own
+    definition."""
+    files = sorted(Path(fds.__file__).parent.glob("*.py"))
+    trees = {f"fds.{p.stem}": ast.parse(p.read_text()) for p in files}
+    reads = sum(map(_reads, trees.values()), Counter())
+    return [
+        (mod, node.name)
+        for mod, tree in trees.items()
         for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and node.name.startswith("_") and not node.name.startswith("__")
         and reads[node.name] == _reads(node)[node.name]
     ]
+
+
+def test_private_definitions_are_used():
+    """Every private module-level function or class in the package is read
+    outside its own definition, so a path nothing calls any more does not
+    stay behind."""
+    unused = [name for _, name in _unread_definitions()
+              if name.startswith("_") and not name.startswith("__")]
     assert unused == []
+
+
+def test_public_definitions_are_used_or_exported():
+    """Every public module-level function or class in the package is read
+    outside its own definition or listed in its module's __all__."""
+    unused = [
+        name
+        for mod, name in _unread_definitions()
+        if not name.startswith("_")
+        and name not in getattr(importlib.import_module(mod), "__all__", ())
+    ]
+    # only the benchmark's tracer reads these two; ROADMAP item 3 points it
+    # at the kernels that run and deletes both
+    assert sorted(unused) == ["runlen_table", "suffix_slope_max"]

@@ -840,7 +840,7 @@ def test_brute_side_never_calls_the_region_solver(monkeypatch):
 
 def _assert_upper_witnesses(rep, grid, lo, his):
     """estimate_upper over the whole grid in one call gives, per theta, the
-    (value, m, m') of the per-theta suffix_slope_max replay; max(his) as
+    (value, m, m') of the per-theta hull_slope_max replay; max(his) as
     the range top clamps every theta to its own his entry again."""
     est = estimate_upper(rep, grid, (lo, max(his)))
     assert est.thetas == grid
@@ -992,7 +992,7 @@ def test_composite_upper_origin_bucket_edges():
 @settings(max_examples=150, deadline=None)
 @given(staircase_regions())
 def test_region_max_on_curve_staircases(case):
-    """region_max against one suffix_slope_max query per coarse level,
+    """region_max against one hull_slope_max query per coarse level,
     within its round cap (depth - a) - min(lo[m - a] - m) + 2: counted as
     the takes less one, one for the boundary windows and one per round."""
     S, a, lo = case
@@ -1255,7 +1255,7 @@ def test_run_body_parser_matches_grammar_oracle(case):
         assert formats._run_numbers(data, inner, sep) is None
         part = body[prefix.match(body).end() :].split(sep, 1)[0]
         with pytest.raises(FormatError) as exc:
-            formats._parse_runs(body, inner, sep, prefix, what)
+            formats._parse_runs(body, inner, sep)
         assert str(exc.value) == f"bad {what} {part!r}"
         return
     runs = oracle_parse_runs(body, inner, sep)

@@ -26,7 +26,13 @@ from fds.windows import (
     suffix_slope_max,
 )
 
-from conftest import assert_region_floors, oracle_fan_max, staircase_regions, traced_peak
+from conftest import (
+    assert_region_floors,
+    hull_slope_max,
+    oracle_fan_max,
+    staircase_regions,
+    traced_peak,
+)
 
 
 def test_ceil_div():
@@ -208,7 +214,7 @@ def test_reference_paths_reject_bad_arguments():
     with pytest.raises(ValueError, match="^root order must be >= 1$"):
         iroot(4, 0)
     with pytest.raises(ValueError, match=r"^bad query \(m=1, lo=1\) for depth 2$"):
-        suffix_slope_max([0, 1, 2], [(1, 1)])
+        hull_slope_max([0, 1, 2], [(1, 1)])
 
 
 def _brute_suffix_best(S, m, lo):
@@ -265,7 +271,7 @@ def test_region_max_vs_reference_and_brute():
                 queries.append((rng.randint(0, c - 2), c))
                 queries.append((rng.randint(0, c - 2), c - 1))
         got = [region_max(S, m, [lo]) for m, lo in queries]
-        want = [(n / d, m, j) for (m, _), (n, d, j) in zip(queries, suffix_slope_max(S, queries))]
+        want = [(n / d, m, j) for (m, _), (n, d, j) in zip(queries, hull_slope_max(S, queries))]
         assert got == want
         assert want == [
             (n / d, m, j) for (m, lo) in queries for n, d, j in [_brute_suffix_best(S, m, lo)]
@@ -383,7 +389,7 @@ def test_region_max_vs_fan_max_oracle():
 def test_region_max_floor_on_curve_staircases(case, k):
     """A floor strictly above the region's maximum p/q gives None; a floor
     equal to it, in lowest terms or not, or below it gives the tuple of the
-    solve without one, checked against one suffix_slope_max query per
+    solve without one, checked against one hull_slope_max query per
     coarse level."""
     assert_region_floors(*case, k)
 
@@ -513,7 +519,9 @@ def test_region_max_floor_exits():
             assert np.array_equal(work.ints[:3], _spoiled(depth).ints[:3]) == skip
 
 
-def test_suffix_slope_max_vs_brute():
+@pytest.mark.parametrize("solve", [hull_slope_max, suffix_slope_max], ids=["hull", "shim"])
+def test_suffix_slope_max_vs_brute(solve):
+    # the tests' hull-sweep oracle and the library's one-row region_max shim
     rng = random.Random(7)
     for trial in range(30):
         depth = rng.randint(3, 60)
@@ -525,7 +533,7 @@ def test_suffix_slope_max_vs_brute():
             m = rng.randint(0, depth - 1)
             lo = rng.randint(m + 1, depth)
             queries.append((m, lo))
-        got = suffix_slope_max(S, queries)
+        got = solve(S, queries)
         for (m, lo), (num, den, j) in zip(queries, got):
             best = max(Fraction(S[x] - S[m], x - m) for x in range(lo, depth + 1))
             assert Fraction(num, den) == best
