@@ -17,7 +17,7 @@ import numpy as np
 
 from .dyadic import DyadicTree, SetValue
 from .errors import BudgetError
-from .windows import Workspace, region_max
+from .windows import FLOOR_BLOCK, Workspace, region_max
 
 __all__ = [
     "BranchingSchedule",
@@ -30,6 +30,9 @@ __all__ = [
 MAX_MATERIALIZE_NODES = 1 << 22
 # deepest level a prefix array (and so any estimator) may reach
 MAX_SCHEDULE_DEPTH = 1 << 21
+# coarse levels from which a union's fixed-ratio spectrum reads only the
+# blocks that can win (see composite_spectrum)
+SKIP_LEVELS = 6000
 
 
 class BranchingSchedule(SetValue):
@@ -347,33 +350,82 @@ def composite_spectrum(
 
     Every piece present at a coarse level m has the same width m' - m
     there, so the largest quotient at m is its largest numerator
-    S_i[m' - e_i] - S_i[m - e_i] over that width.  The pieces fold their
-    numerators into one running maximum per coarse level (a schedule's
-    one piece writes them straight in), then one divide and one argmax
-    give the best level, and the lowest piece whose numerator equals the
-    maximum there is the witness.  Each origin bucket is one gather,
-    divide and argmax over its levels.  The fine levels live in
+    S_i[m' - e_i] - S_i[m - e_i] over that width.  The fold reads every
+    level: the pieces fold their numerators into one running maximum per
+    coarse level (a schedule's one piece writes them straight in), then
+    one divide and one argmax give the best level, and the lowest piece
+    whose numerator equals the maximum there is the witness.
+
+    When two or more pieces are present and the range spans at least
+    SKIP_LEVELS coarse levels, the pieces read only the blocks that can
+    win.  Block k holds the levels m_k = lo + k * B to
+    min(m_k + B - 1, hi), B = FLOOR_BLOCK, and the samples are m_0, m_1,
+    ... and hi.  A piece gathers Sf[k] = S[fine(m_k) - e] and
+    Sm[k] = S[m_k - e] at the samples, and its block k has the bound
+    (Sf[k + 1] - Sm[k]) / w_k, w_k = fine(m_k) - m_k.  No window of the
+    block lies above it, since S is non-decreasing, fine levels ascend,
+    and the width fine(m) - m never decreases in m, at root orders too
+    (fine(m + 1) >= fine(m) + 1 as the ratio exceeds 1); correctly
+    rounded division is monotone, so the floats keep the order.  The
+    floor L is the best exact sample window (Sf[k] - Sm[k]) / w_k of a
+    piece present at m_k.  A block is skipped only when its key lies
+    strictly below the floor's: its bound is below L, or equal to L with
+    its first level after the first sample level reaching L.  A tie is
+    read.  So every skipped window loses to a sample window, which lies
+    in a kept block; the kept blocks are read exactly, with fine levels
+    computed for their levels alone, and the pieces' best windows combine
+    by the key (value, -m, -m', -part): the fold's value and witness.
+    The fold runs instead below SKIP_LEVELS, where the sample pass costs
+    more than it saves, on one piece, and wherever the samples or the
+    kept cells would not fit in one row of the workspace, as when
+    near-tied pieces keep most of their blocks.
+
+    Each origin bucket is one gather, divide and argmax over its levels,
+    at the fine levels of its own span.  The fold keeps the fine levels in
     work.ints[3], the numerators' maximum in ints[2], a piece's numerators
     in ints[1] and its fine levels in local levels, fines - e, in ints[0]
     (the widths after the last piece), and the exponents in floats[0], of
-    the caller's `Workspace` of the set's depth.  A piece at shift 0 (a
+    the caller's `Workspace` of the set's depth; a piece at shift 0 (a
     schedule's one piece) gathers at the fine levels in place, with no
-    shifted copy.  [lo, hi] must be clamped: every fine level at most the
-    depth, else ValueError.
+    shifted copy.  The block path's rows are named in `_kept_blocks` and
+    `_read_blocks`.  [lo, hi] must be clamped: every fine level at most
+    the depth, else ValueError.
     """
+    parts = [p for p in pieces(rep) if p[1] <= hi]  # pieces ascend in shift
     best = None  # (value, -m, -m', -part)
-    fines = scale.fine_array(work.levels[lo : hi + 1], work)
-    if fines[-1] > rep.depth:  # fines ascend
+    if len(parts) > 1 and hi + 1 - lo >= SKIP_LEVELS:
+        best = _read_blocks(parts, scale, lo, hi, rep.depth, work)
+    if best is None:
+        fines = _fine_levels(scale, work.levels[lo : hi + 1], rep.depth, work)
+        best = _fold_levels(parts, fines, lo, hi, work)
+    for start, stop, logs in origin_buckets(rep, lo, hi):
+        span = scale.fine_array(work.levels[start : stop + 1], work)
+        best = _origin_best(best, logs, work.levels[start : stop + 1], span, work)
+    return _witness(rep, best)
+
+
+def _fine_levels(scale, marr: np.ndarray, depth: int, work: Workspace) -> np.ndarray:
+    """scale.fine_array(marr) in work.ints[3], for marr ending at its
+    largest level; ValueError when that level's fine level lies past the
+    depth (fines ascend)."""
+    fines = scale.fine_array(marr, work)
+    if fines[-1] > depth:
         raise ValueError(
-            f"coarse level {hi} has fine level {int(fines[-1])} past depth {rep.depth}"
+            f"coarse level {int(marr[-1])} has fine level {int(fines[-1])} past depth {depth}"
         )
-    parts = pieces(rep)
+    return fines
+
+
+def _fold_levels(parts, fines: np.ndarray, lo: int, hi: int, work: Workspace):
+    """The best (value, -m, -m', -part) key of the pieces' windows at the
+    fine levels `fines` of lo..hi, by one running maximum of their
+    numerators per coarse level; None when no piece is present."""
+    if not parts:
+        return None
     at, num, top = work.ints[0], work.ints[1], work.ints[2]
-    a0 = max(lo, parts[0][1])  # the first piece's first level; pieces ascend in shift
+    a0 = max(lo, parts[0][1])  # the first piece's first level
     for part, e, S in parts:
         a = max(lo, e)
-        if a > hi:
-            break
         n, rows = hi + 1 - a, top[a - a0 : hi + 1 - a0]
         out = num[:n] if part else rows
         cols = np.subtract(fines[a - lo :], e, out=at[:n]) if e else fines[a - lo :]
@@ -381,19 +433,108 @@ def composite_spectrum(
         out -= S[a - e : hi + 1 - e]
         if part:
             np.maximum(rows, out, out=rows)
-    widths = np.subtract(fines, work.levels[lo : hi + 1], out=at[: hi + 1 - lo])
-    if a0 <= hi:
-        n = hi + 1 - a0
-        alpha = np.divide(top[:n], widths[a0 - lo :], out=work.floats[0][:n])
+    n = hi + 1 - a0
+    widths = np.subtract(fines[a0 - lo :], work.levels[a0 : hi + 1], out=at[:n])
+    alpha = np.divide(top[:n], widths, out=work.floats[0][:n])
+    k = int(np.argmax(alpha))
+    m, mp = a0 + k, int(fines[a0 - lo + k])
+    # the lowest piece present at m whose numerator is the maximum
+    part = next(i for i, e, S in parts if e <= m and S[mp - e] - S[m - e] == top[k])
+    return float(alpha[k]), -m, -mp, -part
+
+
+def _block_bounds(Sf: np.ndarray, Sm: np.ndarray, w: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """(Sf[:, k + 1] - Sm[:, k]) / w[k] per piece row and block k, in `out`;
+    Sf is overwritten."""
+    num = np.subtract(Sf[:, 1:], Sm[:, :-1], out=Sf[:, 1:])
+    return np.divide(num, w[:-1], out=out)
+
+
+def _kept_blocks(parts, scale, lo: int, hi: int, depth: int, work: Workspace):
+    """The (pieces, blocks) bool mask of the blocks `composite_spectrum`
+    reads, by its key rule, or None when the samples' gathers would not
+    fit in one row of `work`.  The samples and then their widths live in
+    work.ints[2], followed there by a piece's shifted sample levels, their
+    fine levels in ints[3], Sf and Sm in ints[0] and ints[1], and the
+    sample windows and then the bounds in floats[0]; two or more pieces
+    are present, so the samples and their shift fit in ints[2]."""
+    B = FLOOR_BLOCK
+    n = (hi - lo) // B + 1  # blocks
+    size = len(parts) * (n + 1)
+    if size > depth + 1:
+        return None
+    samples = work.ints[2][: n + 1]
+    samples[:n] = work.levels[lo : hi + 1 : B]
+    samples[n] = hi
+    fs = _fine_levels(scale, samples, depth, work)
+    Sf, Sm = (work.ints[i][:size].reshape(-1, n + 1) for i in (0, 1))
+    at = work.ints[2][n + 1 : 2 * (n + 1)]
+    for r, (_, e, S) in enumerate(parts):  # a level below e clips to S[0]
+        S.take(np.subtract(fs, e, out=at), out=Sf[r], mode="clip")
+        S.take(np.subtract(samples, e, out=at), out=Sm[r], mode="clip")
+    w = np.subtract(fs, samples, out=samples)
+    windows = np.subtract(Sf, Sm, out=work.floats[0][:size].reshape(-1, n + 1))
+    windows /= w
+    for r, (_, e, _) in enumerate(parts):
+        if e > lo:  # the samples before the piece
+            windows[r, : -((lo - e) // B)] = -np.inf
+    tops = windows.max(axis=0)
+    first = int(np.argmax(tops))  # the first sample reaching the floor
+    floor = tops[first]
+    bounds = _block_bounds(Sf, Sm, w, work.floats[0][: size - len(parts)].reshape(-1, n))
+    for r, (_, e, _) in enumerate(parts):
+        if e > lo:  # the blocks before the piece's
+            bounds[r, : (e - lo) // B] = -np.inf
+    kept = bounds > floor
+    kept[:, : first + 1] |= bounds[:, : first + 1] == floor
+    return kept
+
+
+def _read_blocks(parts, scale, lo: int, hi: int, depth: int, work: Workspace):
+    """The best (value, -m, -m', -part) key of the pieces' windows, read on
+    the blocks `_kept_blocks` keeps, or None when the samples or the kept
+    cells would not fit in one row of `work`.  The cells' coarse levels
+    live in work.ints[2], their fine levels in ints[3]; per piece the
+    numerators take ints[0:2] and the widths, then the exponents,
+    floats[0]."""
+    kept = _kept_blocks(parts, scale, lo, hi, depth, work)
+    if kept is None:
+        return None
+    rows, blocks = np.nonzero(kept)  # by piece, then by block
+    shifts = np.array([e for _, e, _ in parts])
+    starts = lo + blocks * FLOOR_BLOCK
+    ends = np.minimum(starts + (FLOOR_BLOCK - 1), hi)
+    np.maximum(starts, shifts[rows], out=starts)
+    lengths = ends - starts + 1
+    offsets = np.cumsum(lengths)
+    size = int(offsets[-1])
+    if size > depth + 1:
+        return None
+    # one level per cell: steps of 1 within a block, a jump at each start
+    cells = work.ints[2][:size]
+    cells.fill(1)
+    offsets -= lengths
+    cells[offsets] = starts
+    cells[offsets[1:]] -= ends[:-1]
+    np.cumsum(cells, out=cells)
+    fines = scale.fine_array(cells, work)
+    cuts = np.append(offsets, size)[np.searchsorted(rows, np.arange(len(parts) + 1))]
+    best = None
+    for (part, e, S), s, t in zip(parts, cuts, cuts[1:]):
+        if s == t:
+            continue
+        ms, mps = cells[s:t], fines[s:t]
+        alpha = np.subtract(mps, ms, out=work.floats[0][: t - s])
+        ms -= e
+        mps -= e
+        num = S.take(mps, out=work.ints[0][: t - s], mode="clip")
+        num -= S.take(ms, out=work.ints[1][: t - s], mode="clip")
+        np.divide(num, alpha, out=alpha)
         k = int(np.argmax(alpha))
-        m, mp = a0 + k, int(fines[a0 - lo + k])
-        # the lowest piece present at m whose numerator is the maximum
-        part = next(i for i, e, S in parts if e <= m and S[mp - e] - S[m - e] == top[k])
-        best = (float(alpha[k]), -m, -mp, -part)
-    for start, stop, logs in origin_buckets(rep, lo, hi):
-        span = fines[start - lo : stop + 1 - lo]
-        best = _origin_best(best, logs, work.levels[start : stop + 1], span, work)
-    return _witness(rep, best)
+        cand = (float(alpha[k]), -(int(ms[k]) + e), -(int(mps[k]) + e), -part)
+        if best is None or cand > best:
+            best = cand
+    return best
 
 
 def composite_upper(

@@ -57,9 +57,18 @@ orders:
   level, with the best exact value of the pieces before as its floor.
   Each origin bucket is one pass: at a fine level only the bucket's last
   row live there can win.  The fixed-ratio spectrum reads one window per
-  coarse level m, and every piece present there has its width m' - m, so
-  it keeps one running maximum of the pieces' integer numerators per
-  level and divides once.
+  coarse level m, and every piece present there has its width m' - m.
+  With two or more pieces present on a range of at least
+  `schedule.SKIP_LEVELS` levels, it reads every piece at the samples
+  lo, lo + B, ..., hi (B = `windows.FLOOR_BLOCK`) first.  The best sample
+  window is a floor L, and a piece's block of B levels from sample m_k is
+  bounded by (S[fine(m_k') - e] - S[m_k - e]) / (fine(m_k) - m_k), m_k'
+  the next sample.  A
+  block whose bound lies below L, or equals L with its first level after
+  the first sample reaching L, cannot hold the witness and is skipped;
+  the kept blocks are read exactly.  Elsewhere (a schedule, a short
+  range, kept cells past one workspace row) it keeps one running maximum
+  of the pieces' integer numerators per level and divides once.
 - The brute side goes by coarse level, for all thetas at once: every
   window (m, m') is the exact-ratio window of theta' = m / m', so a
   theta's value at row m is the maximum from its own fine level on, read
@@ -476,9 +485,11 @@ def estimate_quasi_assouad(
     """Upper-spectrum values at theta = 1 - eps for a shrinking eps ladder.
 
     The headline is the value at the smallest eps; the trend line reports
-    the observed sequence without asserting monotonicity in eps.
+    the observed sequence without asserting monotonicity in eps.  A
+    repeated eps counts once, at its first occurrence, as a repeated
+    theta does in a grid.
     """
-    eps = [Fraction(e) for e in epsilons]
+    eps = list(dict.fromkeys(Fraction(e) for e in epsilons))
     if not eps:
         raise ValueError("need at least one epsilon")
     if any(not 0 < e < 1 for e in eps):
@@ -823,9 +834,10 @@ def verify_nthroot(
     neighbors: bool = False,
 ) -> VerificationReport:
     """spectrum(theta) <= spectrum(theta ** (1/n)) + tol for each n; at
-    least one n, each in 1..MAX_ROOT_ORDER, checked before any estimate."""
+    least one n, each in 1..MAX_ROOT_ORDER, checked before any estimate.
+    A repeated n counts once, at its first occurrence."""
     tol = _tolerance(tol)
-    orders = [root_order(int(n)) for n in n_values]
+    orders = list(dict.fromkeys(root_order(int(n)) for n in n_values))
     if not orders:
         raise ValueError("need at least one root order")
     spec = estimate_spectrum(rep, theta_grid, m_range, neighbors)

@@ -19,6 +19,8 @@ schedule or composite one piece at a time, dividing every row of every
 piece and solving each piece's region with no floor, the references of
 the kernels that share each coarse level's width across the pieces and
 carry the best value from piece to piece.
+`assert_skipped_blocks_lose` divides out every window of the blocks the
+fixed-ratio kernel's block path skips, the check of its key rule.
 `oracle_extended_prefix` extends a component's own prefix array by
 concatenation, and `oracle_origin_log_counts` sums every term of an
 origin row over every level, exact zeros included: the references of the
@@ -59,15 +61,17 @@ import pytest
 from hypothesis import assume, strategies as st
 
 from fds.dyadic import DyadicTree
+from fds import schedule
 from fds.schedule import (
     BranchingSchedule,
     CompositeSet,
+    _kept_blocks,
     materialize,
     origin_log_counts,
     pieces,
 )
 from fds.constructions import TARGET_GRID, TwoPhaseParams, poly_eval, two_phase_schedule
-from fds.windows import RationalScale, _below_floor, ceil_div, region_max
+from fds.windows import RationalScale, Workspace, _below_floor, ceil_div, region_max
 
 
 # ----------------------------------------------------------------------
@@ -418,6 +422,37 @@ def oracle_composite_spectrum(rep, scale, lo: int, hi: int) -> tuple[float, int,
             best = cand
     value, m, mp, part = best[0], -best[1], -best[2], -best[3]
     return value, m, mp, _composite_node(rep, m, part)
+
+
+def assert_skipped_blocks_lose(rep, scale, lo: int, hi: int, found) -> bool:
+    """Every window of every block that `schedule._kept_blocks` skips on
+    [lo, hi] has a key strictly below that of `found`, the kernel's
+    (value, m, m', node): each piece's windows are divided out in full
+    and compared key by key, (value, -m, -m', -part) with the origin node
+    keyed 1.  Returns False where the kernel folds every level: fewer
+    than two pieces present, a range below `schedule.SKIP_LEVELS`, or
+    samples that do not fit a workspace row."""
+    parts = [p for p in pieces(rep) if p[1] <= hi]
+    if len(parts) < 2 or hi + 1 - lo < schedule.SKIP_LEVELS:
+        return False
+    kept = _kept_blocks(parts, scale, lo, hi, rep.depth, Workspace(rep.depth))
+    if kept is None:
+        return False
+    value, m, mp, node = found
+    # a component's node is 2**(m - e); node 0 is the origin's
+    part = -1 if node == 0 else rep.shifts.index(m - node.bit_length() + 1)
+    best = (value, -m, -mp, 1 if part < 0 else -part)
+    B = schedule.FLOOR_BLOCK
+    levels = np.arange(lo, hi + 1)
+    fines = scale.fine_array(levels)
+    for r, (i, e, S) in enumerate(parts):
+        live = (levels >= e) & ~np.repeat(kept[r], B)[: levels.size]
+        ms, mps = levels[live], fines[live]
+        alpha = (S[mps - e] - S[ms - e]) / (mps - ms)
+        near = alpha >= value  # the others lose on their value alone
+        for v, a, b in zip(alpha[near].tolist(), ms[near].tolist(), mps[near].tolist()):
+            assert (v, -a, -b, -i) < best, (i, a, b, v, found[:3])
+    return True
 
 
 def oracle_composite_upper(rep, scale, lo: int, hi: int) -> tuple[float, int, int, int]:

@@ -466,6 +466,24 @@ def test_estimate_qa_mode(tmp_path, capsys):
     assert len(rows) == 4
 
 
+def test_repeated_epsilons_and_n_values_count_once(tmp_path, capsys):
+    """`--epsilons 0.1,0.1` writes one CSV row and one trend entry, the
+    output of `--epsilons 0.1`; `--n-values 2,2` checks n = 2 once."""
+    tree = tmp_path / "full.fds"
+    run(["construct", "full", "--depth", "12", "-o", str(tree)], capsys)
+    outputs = []
+    for eps in ("0.1,0.1", "0.1"):
+        csv = tmp_path / "qa.csv"
+        code, text, _ = run(["estimate", "--mode", "qa", "-i", str(tree), "--epsilons", eps,
+                             "--m-range", "1:12", "-o", str(csv)], capsys)
+        assert code == 0 and text.count("eps=0.1->") == 1
+        outputs.append((text, csv.read_text()))
+    assert outputs[0] == outputs[1] and len(outputs[0][1].splitlines()) == 2
+    reports = [run(["verify", "--check", "nthroot", "-i", str(tree), "--n-values", n], capsys)
+               for n in ("2,2", "2")]
+    assert reports[0] == reports[1] and reports[0][0] == 0
+
+
 def _library_csv(path, mode, grid="0.1:0.9:0.1"):
     """The library's CSV for one estimate mode, with its default range."""
     from fds import spectra

@@ -51,6 +51,7 @@ from conftest import (
     RUNS_TOKEN,
     assert_floor_certificate,
     assert_region_floors,
+    assert_skipped_blocks_lose,
     embed,
     levels,
     local_count,
@@ -777,6 +778,32 @@ def test_floor_certificate_is_sound_on_run_composite_pieces(pool, data):
         floor = value if floor is None else max(floor, value)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.lists(run_schedules(max_runs=40, max_length=40, min_runs=16), min_size=1, max_size=3),
+       st.data())
+def test_composite_spectrum_block_path_on_run_composites(pool, data):
+    """Composites of long-run schedules, several blocks of FLOOR_BLOCK
+    levels deep, with or without the origin, with the block path taken
+    from one level on, at the ratio rule and root orders 2 and 16: the
+    fixed-ratio kernel equals its per-piece oracle, witnesses included,
+    and every window of a skipped block loses to the result."""
+    n = data.draw(st.integers(min_value=2, max_value=4))
+    gaps = data.draw(st.lists(st.integers(min_value=1, max_value=40), min_size=n, max_size=n))
+    cs = CompositeSet([(e, data.draw(st.sampled_from(pool))) for e in np.cumsum(gaps).tolist()],
+                      include_origin=data.draw(st.booleans()))
+    q = data.draw(st.integers(min_value=2, max_value=12))
+    theta = Fraction(data.draw(st.integers(min_value=1, max_value=q - 1)), q)
+    scale = _scale(data.draw(st.sampled_from((1, 2, 16))), theta)
+    top = scale.max_coarse(cs.depth)
+    assume(top >= 1)
+    lo = data.draw(st.integers(min_value=1, max_value=top))
+    hi = data.draw(st.integers(min_value=lo, max_value=top))
+    with patch.object(schedule, "SKIP_LEVELS", 0):
+        found = composite_spectrum(cs, scale, lo, hi, Workspace(cs.depth))
+        assert found == oracle_composite_spectrum(cs, scale, lo, hi)
+        assert_skipped_blocks_lose(cs, scale, lo, hi, found)
+
+
 @settings(max_examples=60, deadline=None)
 @given(staircase_regions(min_depth=256, max_depth=1500),
        st.lists(st.fractions(0, 1, max_denominator=1 << 20), max_size=4))
@@ -900,14 +927,12 @@ def _assert_kernels_match_oracles(rep, scale, lo, hi):
         assert kernel(rep, scale, lo, hi, work) == oracle(rep, scale, lo, hi), kernel.__name__
 
 
-@settings(max_examples=120, deadline=None)
-@given(st.lists(schedules(max_depth=10), min_size=1, max_size=3), st.data())
-def test_composite_kernels_match_per_piece_oracles(pool, data):
-    """One to five components from a pool of at most three schedules, so
-    equal schedules at different shifts (ties across parts) are common,
-    with or without the origin, at the ratio rule and root orders 2 and
-    16; the coarse range starts anywhere up to the last shift, often below
-    the first."""
+def _composite_case(pool, data):
+    """(composite, scale, lo, hi): one to five components from a pool of
+    at most three schedules, so equal schedules at different shifts (ties
+    across parts) are common, with or without the origin, at the ratio
+    rule and root orders 2 and 16; the coarse range starts anywhere up to
+    the last shift, often below the first."""
     n = data.draw(st.integers(min_value=1, max_value=5))
     gaps = data.draw(st.lists(st.integers(min_value=1, max_value=3), min_size=n, max_size=n))
     shifts = np.cumsum(gaps).tolist()
@@ -921,7 +946,39 @@ def test_composite_kernels_match_per_piece_oracles(pool, data):
     lo = data.draw(st.one_of(st.integers(1, shifts[0]), st.integers(1, shifts[-1])))
     lo = min(lo, top)
     hi = data.draw(st.integers(min_value=lo, max_value=top))
-    _assert_kernels_match_oracles(cs, scale, lo, hi)
+    return cs, scale, lo, hi
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.lists(schedules(max_depth=10), min_size=1, max_size=3), st.data())
+def test_composite_kernels_match_per_piece_oracles(pool, data):
+    """Both kernels against their per-piece oracles on `_composite_case`."""
+    _assert_kernels_match_oracles(*_composite_case(pool, data))
+
+
+def _never_skip(Sf, Sm, w, out):
+    """A block bound that keeps every block where its piece is present."""
+    out.fill(np.inf)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(schedules(max_depth=10), min_size=1, max_size=3), st.data())
+def test_composite_spectrum_block_path_matches_oracles(pool, data):
+    """The body above with the fixed-ratio kernel's block path taken from
+    one level on and blocks of 2 to 4 levels, so small composites span
+    many blocks: both kernels still match their oracles, every skipped
+    window loses to the result, and a bound that skips nothing returns
+    the same bytes."""
+    case = _composite_case(pool, data)
+    block = data.draw(st.integers(min_value=2, max_value=4))
+    with patch.object(schedule, "SKIP_LEVELS", 0), patch.object(schedule, "FLOOR_BLOCK", block):
+        _assert_kernels_match_oracles(*case)
+        found = composite_spectrum(*case, Workspace(case[0].depth))
+        assert_skipped_blocks_lose(*case, found)
+        with patch.object(schedule, "_block_bounds", _never_skip):
+            again = composite_spectrum(*case, Workspace(case[0].depth))
+    assert again[0].hex() == found[0].hex() and again[1:] == found[1:]
 
 
 def test_composite_kernels_explicit_ties():

@@ -31,8 +31,10 @@ from fds.windows import RationalScale, RootScale, Workspace, region_max
 
 from conftest import (
     assert_read_only,
+    assert_skipped_blocks_lose,
     local_count,
     materialize_composite,
+    oracle_composite_spectrum,
     oracle_extended_prefix,
     oracle_origin_log_counts,
     oracle_schedule_spectrum,
@@ -445,17 +447,21 @@ def test_composite_spectrum_rejects_unclamped_range(composite):
                 composite_spectrum(rep, scale, 1, top, work)
 
 
-@pytest.mark.parametrize("composite", [False, True])
+@pytest.mark.parametrize("composite", [False, True, "union"])
 def test_schedule_kernels_allocate_no_depth_sized_array(composite):
     """With its caller's workspace, one composite_spectrum call (the ratio
     scale, and root scales of orders 2 and 16, whose m**16 passes int64)
     and one composite_upper call over every coarse level that has a
     window (nearly the whole depth at theta = 0.99) peak below one
     int64 array of that region's size, itself below depth + 1 entries, on
-    the depth-2**16 two-phase schedule and on a two-component union of it,
-    whose origin node's rows enter the range."""
+    the depth-2**16 two-phase schedule, on a two-component union of it,
+    whose origin node's rows enter the range, and on the blocks=3
+    concave union of 8 components.  On both unions composite_spectrum
+    reads only the blocks that can win at the ratio scale and at order 2;
+    at order 16 the pieces keep more cells than one workspace row holds,
+    and it folds."""
     s = two_phase_schedule(TwoPhaseParams(Fraction(2, 5), Fraction(4, 5), 4, 3))
-    rep = CompositeSet([(2, s), (4, s)]) if composite else s
+    rep = _union(3) if composite == "union" else CompositeSet([(2, s), (4, s)]) if composite else s
     depth = rep.depth
     work = Workspace(depth)
     theta = Fraction(99, 100)
@@ -465,13 +471,23 @@ def test_schedule_kernels_allocate_no_depth_sized_array(composite):
         (composite_spectrum, RootScale(theta, 16)),
         (composite_upper, RationalScale(theta)),
     ]
+    read = []
+    blocks = schedule._read_blocks
+
+    def spy(*args):
+        found = blocks(*args)
+        read.append(found is not None)
+        return found
+
     for kernel, scale in calls:
         hi = scale.max_coarse(depth)
         first = kernel(rep, scale, 1, hi, work)  # fills the set's own caches
         found = []
-        peak = traced_peak(lambda: found.append(kernel(rep, scale, 1, hi, work)))
+        with patch.object(schedule, "_read_blocks", spy):
+            peak = traced_peak(lambda: found.append(kernel(rep, scale, 1, hi, work)))
         assert peak < 8 * hi < 8 * (depth + 1), (kernel.__name__, scale, peak)
         assert found == [first]
+    assert read == ([True, True, False] if composite else [])
 
 
 def test_composite_upper_origin_rows_read_the_fine_array():
@@ -554,6 +570,81 @@ def test_union_upper_runs_rounds_only_where_a_piece_can_win():
     assert all(can == rounds for can, rounds in regions), regions
     assert est.values == [0.5478348439073515, 0.5778298121441116]
     assert est.witnesses == [(32769, 65538, 1 << 32767), (43803, 62594, 1 << 43795)]
+
+
+def _ladder(D):
+    """union-sweep's coarse ranges: (D/4, D), then each rung's new levels."""
+    return [(D // 4, D), (D // 8, D // 4 - 1), (D // 16, D // 8 - 1), (D // 512, D // 16 - 1)]
+
+
+def _ladder_scales(thetas):
+    for theta in thetas:
+        yield RationalScale(theta)
+        yield RootScale(theta, 2)
+        yield RootScale(theta, 16)
+
+
+def _spy_read_blocks(read):
+    blocks = schedule._read_blocks
+
+    def spy(*args):
+        found = blocks(*args)
+        read.append(found is not None)
+        return found
+
+    return patch.object(schedule, "_read_blocks", spy)
+
+
+def test_union_spectrum_block_path_matches_the_oracle_on_the_ladder():
+    """The blocks=3 union's fixed-ratio spectrum on union-sweep's ladder,
+    the partial rungs included, with the block path taken from one level
+    on, over a 19-theta grid at the ratio rule and root orders 2 and 16:
+    value, m, m' and node equal the per-piece oracle's, and every window
+    of a skipped block loses to the result.  Most calls read blocks; the
+    others keep more cells than one workspace row holds, and fold."""
+    cs = _union(3)
+    D = cs.depth
+    work = Workspace(D)
+    read = []
+    with patch.object(schedule, "SKIP_LEVELS", 0), _spy_read_blocks(read):
+        for scale in _ladder_scales(Fraction(k, 20) for k in range(1, 20)):
+            for lo, hi in _ladder(D):
+                hi = min(hi, scale.max_coarse(D))
+                if hi < lo:
+                    continue
+                found = composite_spectrum(cs, scale, lo, hi, work)
+                assert found == oracle_composite_spectrum(cs, scale, lo, hi), (scale, lo, hi)
+                # a path that read blocks had its samples and their mask
+                assert assert_skipped_blocks_lose(cs, scale, lo, hi, found) or not read[-1]
+    assert sum(read) > 0.8 * len(read), (sum(read), len(read))
+
+
+def test_union_spectrum_block_bound_changes_no_byte():
+    """With a bound that skips nothing, the block path reads every cell of
+    the blocks=3 union's two lowest rungs (8 pieces of about D/16 levels,
+    within one workspace row) and returns the bytes of the skipping path
+    and of the fold."""
+    cs = _union(3)
+    D = cs.depth
+    work = Workspace(D)
+
+    def never_skip(Sf, Sm, w, out):
+        out.fill(np.inf)
+        return out
+
+    read = []
+    for scale in _ladder_scales(Fraction(k, 10) for k in range(3, 10)):
+        for lo, hi in _ladder(D)[2:]:
+            hi = min(hi, scale.max_coarse(D))
+            runs = []
+            with patch.object(schedule, "SKIP_LEVELS", 0), _spy_read_blocks(read):
+                runs.append(composite_spectrum(cs, scale, lo, hi, work))
+                with patch.object(schedule, "_block_bounds", never_skip):
+                    runs.append(composite_spectrum(cs, scale, lo, hi, work))
+            with patch.object(schedule, "SKIP_LEVELS", D + 2):
+                runs.append(composite_spectrum(cs, scale, lo, hi, work))
+            assert len({(v.hex(), *w) for v, *w in runs}) == 1, (scale, lo, hi, runs)
+    assert all(read) and len(read) == 2 * 2 * 3 * 7
 
 
 def _mixed_run_composite(rng):

@@ -246,6 +246,27 @@ def test_quasi_assouad_trend_kinds(monkeypatch, values, kind):
                         f"eps=0.05->{values[1]!r}, eps=0.02->{values[2]!r}")
 
 
+def test_repeated_epsilons_and_orders_count_once(twophase_48, monkeypatch):
+    """A repeated eps counts once, at its first occurrence, as a repeated
+    theta does in a grid: the same estimate, CSV rows and trend line as
+    without the repeat.  A repeated root order is checked once: the root
+    spectra are solved for two orders per theta, not three."""
+    m_range = (16384, 20000)
+    once = estimate_quasi_assouad(twophase_48, [F(1, 20), F(1, 10)], m_range)
+    twice = estimate_quasi_assouad(twophase_48, [F(1, 20), "0.1", F(1, 10), "1/20"], m_range)
+    assert twice == once and twice.epsilons == [F(1, 20), F(1, 10)]
+    assert estimate_to_csv(twice) == estimate_to_csv(once)
+    assert twice.trend.count("eps=0.1->") == 1
+    sizes = []
+    dispatch = spectra._dispatch
+    monkeypatch.setattr(spectra, "_dispatch",
+                        lambda rep, mode, scales, *a: sizes.append(len(scales)) or dispatch(rep, mode, scales, *a))
+    grid = [F(1, 2), F(7, 10)]
+    reports = [verify_nthroot(twophase_48, grid, n, m_range, 0.05) for n in ((2, 2, 3), (2, 3))]
+    assert reports[0] == reports[1]
+    assert sizes == [2, 4, 2, 4]
+
+
 def test_quasi_assouad_two_phase(twophase_48):
     qa = estimate_quasi_assouad(twophase_48, [F(1, 10), F(1, 20), F(1, 50)], (16384, 65536))
     assert abs(qa.headline - 0.8) <= 0.05
