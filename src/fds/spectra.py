@@ -52,7 +52,11 @@ orders:
   table entries for the whole grid at once: window (m, m') is admitted at
   theta iff m <= max_coarse(m'), so at each fine level the coarse levels
   live at theta are a prefix of the range, and one running maximum over
-  them gives every theta its row maxima.  On a schedule or composite
+  them gives every theta its row maxima.  When the fine levels span more
+  than one block, each is first bounded by its largest count and its
+  narrowest live width, and only the levels where some theta's bound
+  reaches its floor, the fixed-ratio maximum over the same range, are
+  read (`_tree_uppers`).  On a schedule or composite
   each piece's windows are one region, solved by `region_max` over every
   level, with the best exact value of the pieces before as its floor.
   Each origin bucket is one pass: at a fine level only the bucket's last
@@ -74,13 +78,17 @@ orders:
   theta's value at row m is the maximum from its own fine level on, read
   as a suffix maximum from the fine levels of the thetas live at m.  One
   kernel, `_fan_kernel`, reads the rows it is given in full: at those fan
-  starts and at the candidate columns after them.
+  starts and at the candidate columns after them.  A tree's rows come
+  with caps, each row's largest log count (at the leaves), and a row
+  whose cap over each live theta's fan-start width lies below that
+  theta's floor (its best so far and the fan starts of the row's block,
+  the brute side's own reads) is read at its fan starts only.
 
-  | input                      | rows in full            | columns                    |
-  |----------------------------|-------------------------|----------------------------|
-  | schedule, composite piece  | tops and sinks          | concave corners, depth     |
-  | composite origin bucket    | its own                 | every level                |
-  | tree, either neighbor mode | every row               | depth + 1 - u per gap u    |
+  | input                      | rows in full                     | columns                    |
+  |----------------------------|----------------------------------|----------------------------|
+  | schedule, composite piece  | tops and sinks                   | concave corners, depth     |
+  | composite origin bucket    | its own                          | every level                |
+  | tree, either neighbor mode | rows whose cap reaches the floor | depth + 1 - u per gap u    |
 
   A schedule is the one piece at shift 0, and a piece's rows are those
   `_kept_pieces` keeps for it (a lone piece: every row where it is
@@ -333,6 +341,42 @@ def _tree_spectrum(tree, scale, lo, hi, neighbors) -> tuple[float, int, int]:
     return float(vals[k]), int(marr[k]), int(mps[k])
 
 
+def _log_caps(tree, neighbors, s, t) -> np.ndarray:
+    """At least the log2 count of every window whose count is at most the
+    table's at (s, t): the running maximum of its lut there, so a bound on
+    the count bounds the float even were math.log2 not monotone.  The lut
+    is -inf at every count the table does not hold, so the maximum runs
+    over the held counts alone, once per tree and mode."""
+    runs = _tree_table(tree, neighbors)
+
+    def build():
+        held = np.flatnonzero(runs.lut > -np.inf)
+        return held, np.maximum.accumulate(runs.lut[held])
+
+    held, top = tree._cached(("caps", neighbors), build)
+    return top[np.searchsorted(held, runs.counts(s, t), side="right") - 1]
+
+
+def _upper_levels(tree, scales, lo, his, fines, levels, neighbors) -> np.ndarray:
+    """Whether each of the ascending fine levels can hold a witness of
+    `_tree_uppers`, by its bound: fines[k] are scale k's fine levels of lo,
+    ..., his[k]."""
+    depth = tree.depth
+    caps = _log_caps(tree, neighbors, depth - levels, depth - lo)
+    keep = np.zeros(levels.size, dtype=bool)
+    for scale, hi, f in zip(scales, his, fines):
+        floor, m, mp = _tree_spectrum(tree, scale, lo, hi, neighbors)
+        live = np.searchsorted(f, levels, side="right")
+        # lo + live - 1 is the largest live coarse level; a level with none
+        # (live == 0) still divides by a positive width
+        bound = caps / (levels - lo - live + 1)
+        # a window that only ties the floor wins by a smaller m, or the same
+        # m and a smaller m'; below a floor window at m = lo none can
+        reach = bound >= floor if m > lo else (bound > floor) | (levels == mp)
+        keep |= reach & (live > 0)
+    return keep
+
+
 def _tree_uppers(tree, scales, lo, his, neighbors) -> list[tuple[float, int, int]]:
     """Per scale of an ascending theta grid, (value, m, m') over every
     window (m, m') with lo <= m <= his[k] and m' >= ceil(m / theta): ties to
@@ -342,16 +386,37 @@ def _tree_uppers(tree, scales, lo, his, neighbors) -> list[tuple[float, int, int
     Fine levels go in blocks of at most UPPER_BLOCK table entries.  At each
     fine level the coarse levels live at theta are a prefix of lo, ...,
     his[k], so one gather and one running maximum over the coarse levels
-    serve every theta: each row's prefix maximum at its live count."""
+    serve every theta: each row's prefix maximum at its live count.
+
+    When the levels span more than one block, only the levels that can hold
+    a witness are read.  A tree count, with or without the neighbors, does
+    not decrease as m' rises (each node has a child) or as m falls (a
+    node's cell holds its children's, and a child's neighbor cells lie in
+    its parent or in the parent's neighbor cells).  So every window live at
+    fine level j has a count of at most the table's at (j, lo), and a width
+    of at least j - M, M the largest coarse level live at j.  Their quotient
+    bounds every live window's float (`_log_caps`; correctly rounded
+    division is monotone).  A theta's floor is its fixed-ratio maximum over
+    lo..his[k], an attained window the theta admits, with its witness
+    (ties to the smallest m).  A level where no theta's bound reaches its
+    floor holds only windows strictly below every answer and is skipped.
+    So is a level whose bound only ties the floor of a witness at m = lo,
+    other than that witness's own: a window there can at best tie it, with
+    m >= lo and a larger m', and ties go to the smaller key.  The kept
+    levels are read exactly, so values and witnesses are those of the
+    full scan."""
     depth = tree.depth
     runs = _tree_table(tree, neighbors)
     ms = np.arange(lo, max(his) + 1)
     # coarse level m is live at theta from its fine level on
     fines = [scale.fine_array(ms[: hi - lo + 1]) for scale, hi in zip(scales, his)]
     step = max(1, UPPER_BLOCK // ms.size)
+    levels = np.arange(min(int(f[0]) for f in fines), depth + 1)
+    if levels.size > step:
+        levels = levels[_upper_levels(tree, scales, lo, his, fines, levels, neighbors)]
     best = [None] * len(scales)
-    for a in range(min(int(f[0]) for f in fines), depth + 1, step):
-        mps = np.arange(a, min(a + step, depth + 1))
+    for a in range(0, levels.size, step):
+        mps = levels[a : a + step]
         live = np.stack([np.searchsorted(f, mps, side="right") for f in fines])
         n = int(live.max())
         vals = runs.logs(depth - mps[:, None], depth - ms[None, :n])
@@ -566,7 +631,8 @@ def _kept_pieces(parts, depth: int, lo: int, starts: np.ndarray) -> np.ndarray:
     return kept
 
 
-def _fan_kernel(cols: np.ndarray, rows: np.ndarray, fill, scales, tops) -> np.ndarray:
+def _fan_kernel(cols: np.ndarray, rows: np.ndarray, fill, scales, tops,
+                caps=None) -> np.ndarray:
     """Per scale (widest fan first), the max exponent over the windows
     (m, j) with m in rows at or below the scale's clamped top tops[t] and j
     at the scale's fine level of m or at an ascending candidate column
@@ -581,7 +647,17 @@ def _fan_kernel(cols: np.ndarray, rows: np.ndarray, fill, scales, tops) -> np.nd
     it.  A block ends before the row that reaches its first column, so
     every width is positive.  One flat maximum.reduceat gives each fan's
     column maximum; with the fan-start values, a reversed running maximum
-    along theta makes each a suffix maximum from its own start."""
+    along theta makes each a suffix maximum from its own start.
+
+    caps, when given, maps a block's coarse levels to a cap per row, a
+    float at least as large as any of the row's numerators.  A row's
+    windows at a theta are then at most cap / (fan start - m), and each
+    theta's floor is the larger of its best so far and its fan-start
+    values in the block, windows it admits.  A row whose bound lies
+    strictly below the floor at every theta live there is not read past
+    its fan starts.  The test reads k + 1 cells per row (its cap and its
+    fan starts), so a block takes it, and computes its caps, only when its
+    rows read more columns than that."""
     k = len(scales)
     # the widths subtract in float64: from int64 columns numpy casts through
     # a buffer, 2.5 times slower on one wide origin row
@@ -599,32 +675,49 @@ def _fan_kernel(cols: np.ndarray, rows: np.ndarray, fill, scales, tops) -> np.nd
         fill(a, ms.size, starts, fan)
         fan /= starts - ms[:, None]
         seg = np.empty_like(fan)
+        # the spans [i, r1) of rows read past their fan starts
+        spans = [(0, ms.size)]
+        live = ms[:, None] <= tops
+        if caps is not None and (cols.size - at[:, 0]).sum() > ms.size * (k + 1):
+            read = _rows_read(caps(ms), ms, starts, fan, live, best)
+            if not read.all():
+                seg[~read] = -np.inf
+                edges = np.flatnonzero(np.diff(read, prepend=False, append=False))
+                spans = edges.reshape(-1, 2).tolist()
         # per row, the widest fan's first column and the rows below it
         firsts = at[:, 0].tolist()
         below = np.searchsorted(ms, cols[at[:, 0]]).tolist()
-        i = 0
-        while i < ms.size:
-            c0 = firsts[i]
-            c = cols.size - c0
-            n = min(max(1, size // c), below[i] - i)
-            block = vals[: n * c].reshape(n, c)
-            width = widths[: n * c].reshape(n, c)
-            fill(a + i, n, cols[c0:], block)
-            np.subtract(fcols[c0:], ms[i : i + n, None], out=width)
-            np.divide(block, width, out=block)
-            # per row: its start, whose segment is dropped, then each fan's
-            # first column
-            idx = np.empty((n, k + 1), dtype=np.intp)
-            idx[:, 0] = np.arange(0, n * c, c)
-            np.subtract(at[i : i + n], c0 - idx[:, :1], out=idx[:, 1:])
-            maxima = np.maximum.reduceat(block.ravel(), idx.ravel())
-            seg[i : i + n] = maxima.reshape(n, k + 1)[:, 1:]
-            i += n
+        for i, r1 in spans:
+            while i < r1:
+                c0 = firsts[i]
+                c = cols.size - c0
+                n = min(max(1, size // c), below[i] - i, r1 - i)
+                block = vals[: n * c].reshape(n, c)
+                width = widths[: n * c].reshape(n, c)
+                fill(a + i, n, cols[c0:], block)
+                np.subtract(fcols[c0:], ms[i : i + n, None], out=width)
+                np.divide(block, width, out=block)
+                # per row: its start, whose segment is dropped, then each
+                # fan's first column
+                idx = np.empty((n, k + 1), dtype=np.intp)
+                idx[:, 0] = np.arange(0, n * c, c)
+                np.subtract(at[i : i + n], c0 - idx[:, :1], out=idx[:, 1:])
+                maxima = np.maximum.reduceat(block.ravel(), idx.ravel())
+                seg[i : i + n] = maxima.reshape(n, k + 1)[:, 1:]
+                i += n
         np.maximum(seg, fan, out=seg)
         seg = np.maximum.accumulate(seg[:, ::-1], axis=1)[:, ::-1]
-        seg[ms[:, None] > tops] = -np.inf
+        seg[~live] = -np.inf
         np.maximum(best, seg.max(axis=0), out=best)
     return best
+
+
+def _rows_read(caps, ms, starts, fan, live, best) -> np.ndarray:
+    """Whether each row of a `_fan_kernel` block can raise a theta live
+    there, by its cap: fan holds the block's fan-start values and best
+    each theta's maximum so far."""
+    floor = np.maximum(best, np.where(live, fan, -np.inf).max(axis=0))
+    return (caps[:, None] / (starts - ms[:, None]) >= floor).any(axis=1, where=live)
 
 
 def _piece_maxima(S: np.ndarray, e: int, rows: np.ndarray, scales, tops) -> np.ndarray:
@@ -688,7 +781,8 @@ def _ratio_fan_maxima(rep, depth, grid, lo, his, neighbors) -> list[float]:
     rows and columns of the module docstring's table, once per piece and
     origin bucket of a composite, and takes the max of their maxima.  A
     tree's rows and an origin bucket's go whole to `_fan_kernel`; a tree's
-    columns come from its table's gap values in either neighbor mode.
+    columns come from its table's gap values in either neighbor mode, and
+    its rows carry their caps (`_log_caps` at the leaves).
     Pieces a kept piece dominates from the widest fan's start on are left
     out of a row by the greedy visit in leader rounds (`_kept_pieces`);
     that start is at or below every live theta's, so they are dominated
@@ -707,7 +801,8 @@ def _ratio_fan_maxima(rep, depth, grid, lo, his, neighbors) -> list[float]:
 
         # a count changes only where a gap value u leaves the fine nodes' cut
         cols = np.append(depth + 1 - runs.u[runs.u > 1][::-1], depth)
-        fans = [(cols, marr, fill)]
+        # a row's largest count is at the leaves
+        fans = [(cols, marr, fill, lambda ms: _log_caps(rep, neighbors, 0, depth - ms))]
     else:
         fans = []
         parts = [(e, S) for _, e, S in pieces(rep)]
@@ -718,9 +813,9 @@ def _ratio_fan_maxima(rep, depth, grid, lo, his, neighbors) -> list[float]:
                 np.maximum(best, _piece_maxima(S, e, rows, scales, tops), out=best)
         for start, stop, logs in origin_buckets(rep, lo, his[-1]):
             fans.append((np.arange(1, depth + 1), marr[start - lo : stop + 1 - lo],
-                         lambda i, n, js, out, logs=logs: np.copyto(out, logs[js])))
-    for cols, rows, fill in fans:
-        np.maximum(best, _fan_kernel(cols, rows, fill, scales, tops), out=best)
+                         lambda i, n, js, out, logs=logs: np.copyto(out, logs[js]), None))
+    for cols, rows, fill, caps in fans:
+        np.maximum(best, _fan_kernel(cols, rows, fill, scales, tops, caps), out=best)
     return best[::-1].tolist()
 
 

@@ -499,8 +499,8 @@ class RunTable:
     distinct gap values <= x): s selects block rank(s), and s + d the
     entry rank(s + d) - 1 when that is at least rank(s); otherwise no gap
     > s is <= s + d and the answer is table entry 0, the count below a
-    single node (1, or 0 for a tree without leaves).  `logs(s, s + d)`
-    reads the count there and its log2 from `lut`.
+    single node (1, or 0 for a tree without leaves).  `counts(s, s + d)`
+    reads the count there and `logs(s, s + d)` its log2 from `lut`.
 
     The build takes the threshold ranks in chunks b0, ..., b0 + B - 1 with
     B = max(1, RUN_BLOCK // n), for the n gaps >= u[b0], and works in their
@@ -575,7 +575,11 @@ class RunTable:
     def logs(self, s, t):
         """log2 of the count for fine level s below coarse level t > s, both
         counted up from the leaves (elementwise, broadcast)."""
-        return self.lut[self.table[self._pos(s, t)]]
+        return self.lut[self.counts(s, t)]
+
+    def counts(self, s, t):
+        """The count itself, as `logs` reads it."""
+        return self.table[self._pos(s, t)]
 
     def _pos(self, s, t):
         """Table positions for s and t, through the ranks of both."""
@@ -612,7 +616,7 @@ class NeighborTable:
     at once.
 
     `table[t, s]` holds the best count (int32, 0 where t <= s), read as
-    `RunTable`'s through `logs(s, t)`.  `adjacent` (int32, per gap) and the
+    `RunTable`'s through `counts(s, t)` and `logs(s, t)`.  `adjacent` (int32, per gap) and the
     distinct gap values `u` serve the estimators' witness and column rules.
     """
 
@@ -640,7 +644,11 @@ class NeighborTable:
 
     def logs(self, s, t):
         """As `RunTable.logs`: levels index the table directly."""
-        return self.lut[self.table[t, s]]
+        return self.lut[self.counts(s, t)]
+
+    def counts(self, s, t):
+        """As `RunTable.counts`."""
+        return self.table[t, s]
 
 
 def runlen_table(xs: Sequence[int]) -> np.ndarray:

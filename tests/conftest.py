@@ -20,7 +20,10 @@ piece and solving each piece's region with no floor, the references of
 the kernels that share each coarse level's width across the pieces and
 carry the best value from piece to piece.
 `assert_skipped_blocks_lose` divides out every window of the blocks the
-fixed-ratio kernel's block path skips, the check of its key rule.
+fixed-ratio kernel's block path skips, the check of its key rule;
+`assert_skipped_levels_lose` and `assert_skipped_rows_lose` count every
+window of the fine levels and rows the tree kernels skip by their count
+bounds with `max_alpha`, the check of those skips.
 `oracle_extended_prefix` extends a component's own prefix array by
 concatenation, and `oracle_origin_log_counts` sums every term of an
 origin row over every level, exact zeros included: the references of the
@@ -40,6 +43,9 @@ whole run body, the reference of the grammar check `formats` reads off
 the body's non-digit bytes.
 `oracle_target_admissible` checks a polynomial target on its grid in
 Fractions, the reference of the integer check in `target_from_poly`.
+
+`DEEP_PAIR` is the 37-byte tree file with leaves 0 and 1 at depth
+100,000, and `deep_pair_upper` its upper spectrum in closed form.
 
 The per-node references (`local_count`, `max_alpha`) count one node or
 window by bisecting a level; `embed`, `merge` and `materialize_composite`
@@ -90,17 +96,19 @@ def v1_text(levels) -> str:
     return "\n".join(lines) + "\n"
 
 
-def local_count(tree: DyadicTree, m: int, k: int, mp: int, neighbors: bool = False) -> int:
+def local_count(tree: DyadicTree, m: int, k: int, mp: int, neighbors: bool = False,
+                tree_levels: Sequence[tuple[int, ...]] | None = None) -> int:
     """Level-mp nodes below the present level-m node k, the localized cover
     surrogate.
 
     With neighbors, nodes below k's present same-level neighbors count as
     well; the two modes bracket the count of a metric ball centered in the
-    node within constant factors.
+    node within constant factors.  tree_levels, when given, is the tree's
+    `levels`, read in place of deriving each level again.
     """
     if not m < mp <= tree.depth:
         raise ValueError(f"fine level {mp} outside ({m}, {tree.depth}]")
-    nodes = tree.level(m)
+    nodes = tree.level(m) if tree_levels is None else tree_levels[m]
     i = bisect_left(nodes, k)
     if i == len(nodes) or nodes[i] != k:
         raise ValueError(f"node ({m}, {k}) not present")
@@ -109,21 +117,24 @@ def local_count(tree: DyadicTree, m: int, k: int, mp: int, neighbors: bool = Fal
         lo, hi = max(0, k - 1), min(1 << m, k + 2)
     # descendants of consecutive same-level nodes occupy one contiguous
     # index range; absent neighbors contribute nothing by prefix closure
-    fine = tree.level(mp)
+    fine = tree.level(mp) if tree_levels is None else tree_levels[mp]
     shift = mp - m
     return bisect_left(fine, hi << shift) - bisect_left(fine, lo << shift)
 
 
-def max_alpha(tree: DyadicTree, m: int, mp: int, neighbors: bool = False) -> tuple[float, int]:
+def max_alpha(tree: DyadicTree, m: int, mp: int, neighbors: bool = False,
+              tree_levels: Sequence[tuple[int, ...]] | None = None) -> tuple[float, int]:
     """(log2(max local_count) / (mp - m), witness node) over the present
-    level-m nodes; ties to the smallest node."""
+    level-m nodes; ties to the smallest node.  tree_levels as in
+    `local_count`."""
     if not 0 <= m < mp <= tree.depth:
         raise ValueError(f"need 0 <= m < mp <= {tree.depth}, got ({m}, {mp})")
-    if not tree.level(m):
+    nodes = tree.level(m) if tree_levels is None else tree_levels[m]
+    if not nodes:
         raise ValueError(f"no nodes at level {m}")
     best, best_k = 0, None
-    for k in tree.level(m):
-        c = local_count(tree, m, k, mp, neighbors)
+    for k in nodes:
+        c = local_count(tree, m, k, mp, neighbors, tree_levels)
         if c > best:
             best, best_k = c, k
     return log2(best) / (mp - m), best_k
@@ -226,6 +237,50 @@ def oracle_tree_upper(
             if best is None or v > best[0]:
                 best = (v, m, mp, k)
     return best
+
+
+# leaves 0 and 1 at depth 100,000: the 37-byte file of the closed-form tests
+DEEP_PAIR = "fds-tree 2\ndepth 100000\nleaves 2\n0\n1\n"
+
+
+def deep_pair_upper(theta: Fraction) -> tuple[float, int, int]:
+    """The pair's upper spectrum at theta over the default range: a window
+    counts two nodes only at the leaves, so (m, D) with the largest
+    admitted m wins, 1 / (D - floor(theta D)) at (floor(theta D), D)."""
+    d = 100000
+    m = d * theta.numerator // theta.denominator
+    return 1 / (d - m), m, d
+
+
+def assert_skipped_levels_lose(tree: DyadicTree, grid, lo: int, his, neighbors: bool,
+                               skipped) -> None:
+    """Every window (m, j) at a fine level j in `skipped` that a theta of
+    the grid admits there (lo <= m <= its top, j >= ceil(m / theta)) loses
+    to that theta's floor, its fixed-ratio maximum over lo..top with ties
+    to the smallest m, both by `max_alpha`: it is strictly below the
+    floor, or ties it with a larger (m, j) than the floor's window.  The
+    check of the tree upper kernel's level skip."""
+    lv = levels(tree)
+    for th, hi in zip(grid, his):
+        scale = RationalScale(th)
+        floor = max((max_alpha(tree, m, scale.fine(m), neighbors, lv)[0], -m, -scale.fine(m))
+                    for m in range(lo, hi + 1))
+        for j in skipped:
+            for m in range(lo, hi + 1):
+                if scale.fine(m) <= j:
+                    assert (max_alpha(tree, m, j, neighbors, lv)[0], -m, -j) < floor, (th, m, j)
+
+
+def assert_skipped_rows_lose(tree: DyadicTree, neighbors: bool, ms, starts, live, floor) -> None:
+    """Every window (m, j), j from the fan start starts[i, t] on, of a
+    skipped row ms[i] at a theta t live there (live[i, t]) is strictly
+    below that theta's floor[t], by `max_alpha`: the check of the brute
+    side's row skip."""
+    lv = levels(tree)
+    for m, row, on in zip(ms.tolist(), starts.tolist(), live.tolist()):
+        for t in np.flatnonzero(on).tolist():
+            for j in range(row[t], tree.depth + 1):
+                assert max_alpha(tree, m, j, neighbors, lv)[0] < floor[t], (m, j, t)
 
 
 def oracle_tree_box(tree: DyadicTree, lo: int, hi: int) -> float:

@@ -37,7 +37,7 @@ from fds.spectra import (
     verify_nthroot,
 )
 
-from conftest import local_count
+from conftest import levels, local_count
 
 F = Fraction
 GRID_19 = [F(k, 20) for k in range(1, 20)]
@@ -202,12 +202,13 @@ def test_c3_oracle_equivalence():
             [(1, 2 if rng.random() < bias else 1) for _ in range(depth)]
         )
         tree = materialize(sched)
+        lv = levels(tree)
         for m in range(depth):
             for mp in range(m + 1, depth + 1):
                 windows += 1
                 want = 1 << (sched.prefix(mp) - sched.prefix(m))
-                for k in tree.level(m):
-                    if local_count(tree, m, k, mp) != want:
+                for k in lv[m]:
+                    if local_count(tree, m, k, mp, tree_levels=lv) != want:
                         mismatches += 1
     elapsed = time.time() - t0
     check(

@@ -13,6 +13,7 @@ from fds.schedule import MAX_SCHEDULE_DEPTH, BranchingSchedule, CompositeSet, or
 from fds.svg import render_plot
 
 from test_formats import COMPOSITE_TEXT, LINE_BREAK_VARIANTS, SCHEDULE_TEXT, UNRECOGNIZED
+from conftest import DEEP_PAIR, deep_pair_upper
 
 
 def run(argv, capsys):
@@ -153,6 +154,25 @@ def test_estimate_upper_path_zero(tmp_path, capsys):
     )
     assert code == 0
     assert all(r.split(",")[1] == "0.0" for r in csv.read_text().strip().split("\n")[1:])
+
+
+def test_estimate_upper_deep_pair_closed_form(tmp_path, capsys):
+    """`estimate --mode upper` on the 37-byte depth-100,000 file writes
+    1 / (D - floor(theta D)) at (floor(theta D), D), at theta = 1/2 and on
+    the grid k/10."""
+    path = tmp_path / "pair.fds"
+    path.write_text(DEEP_PAIR)
+    from fractions import Fraction
+
+    tenths = [Fraction(k, 10) for k in range(1, 10)]
+    for spec, grid in (("0.5:0.5:0.1", [Fraction(1, 2)]), ("0.1:0.9:0.1", tenths)):
+        csv = tmp_path / "upper.csv"
+        code, _, _ = run(["estimate", "--mode", "upper", "-i", str(path),
+                          "--theta-grid", spec, "-o", str(csv)], capsys)
+        assert code == 0
+        want = [f"{float(th)!r},{v!r},{m},{mp}"
+                for th in grid for v, m, mp in [deep_pair_upper(th)]]
+        assert csv.read_text().splitlines()[1:] == want
 
 
 def test_construct_concave_union(tmp_path, capsys):

@@ -52,6 +52,8 @@ from conftest import (
     assert_floor_certificate,
     assert_region_floors,
     assert_skipped_blocks_lose,
+    assert_skipped_levels_lose,
+    assert_skipped_rows_lose,
     embed,
     levels,
     local_count,
@@ -91,10 +93,17 @@ def schedules(draw, max_depth=14):
 
 
 @st.composite
-def trees(draw, max_depth=9):
+def trees(draw, max_depth=9, max_branching=None):
     """Random valid tree: materialize a schedule, then randomly prune
-    right children while keeping one child per node."""
-    s = draw(schedules(max_depth))
+    right children while keeping one child per node.  With max_branching
+    the schedule branches at no more levels than that, so deep trees stay
+    small."""
+    if max_branching is None:
+        s = draw(schedules(max_depth))
+    else:
+        depth = draw(st.integers(min_value=2, max_value=max_depth))
+        at = draw(st.sets(st.integers(min_value=0, max_value=depth - 1), max_size=max_branching))
+        s = BranchingSchedule([(1, 2 if j in at else 1) for j in range(depth)])
     seed = draw(st.integers(min_value=0, max_value=2**16))
     rng = random.Random(seed)
     t = materialize(s)
@@ -482,6 +491,114 @@ def test_fan_maxima_trees_read_their_candidate_columns():
                 _assert_fan_maxima_match_oracle(t, g, 1, his, neighbors)
             assert len(seen) == 1 and len(seen[0][0]) <= k + 1, (t, neighbors)
     assert [np.unique(t.gaps).size for t, _, _ in cases[:2]] == [1, 3]
+
+
+def _assert_tree_skips_lose(t, grid, lo, his, neighbors) -> tuple[int, int]:
+    """Both tree kernels of one call, the upper (`_tree_uppers`) and the
+    brute side: every fine level and row their count bounds skip holds only
+    windows that lose to that theta's floor (the conftest oracles), every
+    brute-side floor is attained, and with each bound patched to never
+    skip the values and witnesses are the same.  Returns the numbers of
+    fine levels and rows skipped."""
+    upper_levels, rows_read = spectra._upper_levels, spectra._rows_read
+    level_calls, row_calls = [], []
+
+    def levels_spy(*args):
+        keep = upper_levels(*args)
+        level_calls.append(args[5][~keep])
+        return keep
+
+    def rows_spy(caps, ms, starts, fan, live, best):
+        floor = np.maximum(best, np.where(live, fan, -np.inf).max(axis=0))
+        read = rows_read(caps, ms, starts, fan, live, best)
+        row_calls.append((ms[~read], starts[~read], live[~read], floor))
+        return read
+
+    def both():
+        fresh = DyadicTree(t.depth, t.leaves)  # an empty store
+        scales = [RationalScale(th) for th in grid]
+        return (spectra._tree_uppers(fresh, scales, lo, his, neighbors),
+                _ratio_fan_maxima(fresh, fresh.depth, grid, lo, his, neighbors))
+
+    with patch.object(spectra, "_upper_levels", levels_spy), \
+            patch.object(spectra, "_rows_read", rows_spy):
+        got = both()
+    never = {"_upper_levels": lambda *a: np.ones(a[5].size, dtype=bool),
+             "_rows_read": lambda *a: np.ones(a[1].size, dtype=bool)}
+    for name, fake in never.items():
+        with patch.object(spectra, name, fake):
+            assert both() == got, name
+    for skipped in level_calls:
+        assert_skipped_levels_lose(t, grid, lo, his, neighbors, skipped.tolist())
+    fan = got[1][::-1]  # the kernel's order, widest fan first
+    for ms, starts, live, floor in row_calls:
+        assert all(f <= v for f, v in zip(floor.tolist(), fan) if f > -np.inf)
+        assert_skipped_rows_lose(t, neighbors, ms, starts, live, floor)
+    return (sum(s.size for s in level_calls), sum(c[0].size for c in row_calls))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(trees(max_depth=8), trees(max_depth=32, max_branching=8),
+                 st.builds(geometric_sequence_tree, st.integers(min_value=8, max_value=48))),
+       st.booleans(), st.sampled_from((1, spectra.UPPER_BLOCK)), st.sampled_from(BLOCKS),
+       st.data())
+def test_tree_skips_hold_only_losing_windows(t, neighbors, upper_block, fan_block, data):
+    """The skips of both tree kernels by their count bounds, with one fine
+    level per upper block or the default, and brute-side blocks down to one
+    row; deep trees that branch at few levels, and geometric trees, make
+    the brute side's rows long enough to take its row test."""
+    case = _fan_case(data, t.depth)
+    with patch.object(spectra, "UPPER_BLOCK", upper_block), \
+            patch.object(spectra, "FAN_PAIR_BLOCK", fan_block):
+        _assert_tree_skips_lose(t, *case, neighbors)
+
+
+def test_tree_skips_skip_on_geometric_trees():
+    """On a geometric tree both kernels do skip, in both neighbor modes,
+    over the default range, at the default brute-side block and an upper
+    block small enough for the level bounds to be taken, and the skipped
+    windows all lose."""
+    t = geometric_sequence_tree(40)
+    grid = [Fraction(3, 10), Fraction(1, 2), Fraction(7, 10)]
+    lo, hi = spectra._norm_range(t.depth, None, grid)
+    his = [spectra._clamp(t.depth, RationalScale(th), lo, hi) for th in grid]
+    for neighbors in (False, True):
+        with patch.object(spectra, "UPPER_BLOCK", 64):
+            skipped = _assert_tree_skips_lose(t, grid, lo, his, neighbors)
+        assert min(skipped) > 0, (neighbors, skipped)
+
+
+def test_row_floor_takes_only_live_fan_starts():
+    """A theta's brute-side floor takes the fan starts of the rows where it
+    is live only: past its top a row starts at the depth column, a window
+    the theta does not admit.  Row 0 (live at both thetas) reaches the
+    narrow theta's floor 0.05 with its bound 2 / 20 = 0.1, so it is read,
+    though row 1's value at the narrow theta's clamped start is 5.0."""
+    read = spectra._rows_read(
+        caps=np.array([2.0, 8.0]), ms=np.array([10, 20]),
+        starts=np.array([[15, 30], [25, 40]]), fan=np.array([[0.1, 0.05], [1.0, 5.0]]),
+        live=np.array([[True, True], [True, False]]), best=np.full(2, -np.inf))
+    assert read.tolist() == [True, True]
+
+
+@settings(max_examples=60, deadline=None)
+@given(trees())
+def test_tree_counts_are_monotone_in_both_levels(t):
+    """The fact both tree skips rest on: in either table a window's count
+    does not decrease as its fine level m' rises or as its coarse level m
+    falls, over every window 0 <= m < m' <= depth."""
+    d = t.depth
+    m, mp = np.triu_indices(d + 1, 1)
+    for table in (t.run_table(), t.neighbor_table()):
+        c = np.zeros((d + 1, d + 1), dtype=np.int64)  # [m, m'], 0 off the windows
+        c[m, mp] = table.counts(d - mp, d - m)
+        assert (c[m, mp] >= 1).all()
+        finer = np.diff(c, axis=1)  # [m, x]: window (m, x + 1) less (m, x)
+        coarser = np.diff(c, axis=0)  # [y, m']: window (y + 1, m') less (y, m')
+        rows, cols = np.indices(finer.shape)
+        assert (finer[rows < cols] >= 0).all()
+        rows, cols = np.indices(coarser.shape)
+        assert (coarser[rows + 1 < cols] <= 0).all()
 
 
 @settings(max_examples=60, deadline=None)

@@ -16,7 +16,7 @@ from fds.constructions import (
     concave_union,
     two_phase_schedule,
 )
-from fds import schedule, spectra
+from fds import formats, schedule, spectra
 from fds.dyadic import DyadicTree
 from fds.schedule import BranchingSchedule
 from fds.spectra import (
@@ -34,6 +34,8 @@ from fds.spectra import (
 from fds.windows import RationalScale, RootScale
 
 from conftest import (
+    DEEP_PAIR,
+    deep_pair_upper,
     max_alpha,
     oracle_tree_spectrum,
     oracle_tree_upper,
@@ -190,6 +192,23 @@ def test_tree_counts_read_one_log2_rule():
             assert est(t, [F(1, 12)], (1, 1), neighbors=neighbors).values == [want]
         assert spectra._ratio_fan_maxima(t, 12, [F(1, 12)], 1, [1], neighbors) == [want]
     assert estimate_box(DyadicTree(11, range(1621)), (11, 11)).value == want
+
+
+def test_deep_pair_upper_closed_form(tmp_path):
+    """The library's upper estimate on the 37-byte depth-100,000 file, at
+    theta = 1/2 and then on the grid k/10, in well under a second per call:
+    the fine levels below the leaves never reach their floors.  The grid
+    call solves theta = 1/2 only below the stored start, where every
+    window ties at 0, so only the floor's own level is read.  Neighbor
+    mode is left out: its table is quadratic in depth, 37 GiB here."""
+    path = tmp_path / "pair.fds"
+    path.write_text(DEEP_PAIR)
+    assert path.stat().st_size == 37
+    tree = formats.load(str(path))
+    for grid in ([F(1, 2)], GRID):
+        est = estimate_upper(tree, grid)
+        assert [(v, m, mp) for v, (m, mp, _) in zip(est.values, est.witnesses)] == [
+            deep_pair_upper(th) for th in grid]
 
 
 def test_estimate_box_examples(twophase_48):
