@@ -550,7 +550,8 @@ def composite_upper(
     reach it returns None, and one that only ties it returns its own first
     window of that value.  A piece whose block bounds put it strictly
     below the floor costs O(depth / FLOOR_BLOCK), with no round; one the
-    bounds cannot settle returns None after one O(depth) round.  Which
+    bounds cannot settle returns None after one round over the blocks
+    they keep, and every round reads only such blocks.  Which
     pieces are settled so changes no value and no witness, and the piece
     order stays the shifts'.  The fine levels live in
     work.ints[3], outside region_max's rows, shifted in place to each

@@ -57,8 +57,10 @@ orders:
   narrowest live width, and only the levels where some theta's bound
   reaches its floor, the fixed-ratio maximum over the same range, are
   read (`_tree_uppers`).  On a schedule or composite
-  each piece's windows are one region, solved by `region_max` over every
-  level, with the best exact value of the pieces before as its floor.
+  each piece's windows are one region, solved exactly by `region_max`,
+  with the best exact value of the pieces before as its floor; each of
+  its rounds reads only the blocks of `windows.FLOOR_BLOCK` levels whose
+  bounds can reach the round's value.
   Each origin bucket is one pass: at a fine level only the bucket's last
   row live there can win.  The fixed-ratio spectrum reads one window per
   coarse level m, and every piece present there has its width m' - m.

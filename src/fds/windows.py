@@ -23,29 +23,54 @@ levels m = a..b, each with fine levels j >= lo[m - a], lo non-decreasing.
 programs (W. Dinkelbach, "On nonlinear fractional programming",
 Management Science 13(7), 1967).  Let v = p/q be the slope of an
 admissible window and T(i) = q * S[i] - p * i.  Since q > 0 and j > m, a
-window (m, j) has a slope strictly above v iff T(j) > T(m).  One suffix
-maximum of T over [lo[0], depth] therefore gives every m its best gain
-max_{j >= lo[m - a]} T(j) - T(m) at once.  A round reads T only on the
-rows a..b and on the fine levels lo[0]..depth, so it fills T there
-alone, skipping the levels between when lo[0] > b + 1 (narrow ranges at
-small theta), in three passes: q * S, p * i and their difference.  The
-suffix maximum is one running maximum: the tail maximum
-max(T[lo[-1]:]) is parked in T[lo[-1]] while a reversed
-`maximum.accumulate` runs over lo[0]..lo[-1], and T[lo[-1]] is restored
-after it.  The rounds start from the best of the boundary windows
-(m, lo[m - a]) and one window of the top row, (b, j) at the first
+window (m, j) has a slope strictly above v iff T(j) > T(m), and v itself
+iff T(j) = T(m).  The suffix maximum of T over the fine levels therefore
+gives every m its best gain max_{j >= lo[m - a]} T(j) - T(m) at once.
+Each round reads only the levels that can reach v, chosen by a bound
+pass that costs O(depth / B) for B = FLOOR_BLOCK levels.  Cut the rows
+a..b and the fine levels lo[0]..depth into blocks of B levels (on
+multiples of B, clipped to the region).  S is non-decreasing, so on a
+column block J, T <= up_J = q * S[end_J] - p * start_J, and on a row
+block I, T >= low_I = q * S[start_I] - p * end_I.  One reversed running
+maximum of up bounds T on every suffix of column blocks.  A row block is
+kept when the suffix bound from the block of lo at its first row, where
+its rows' fine levels start, is at least its low: a dropped row block
+has every gain below 0.  A column block is kept when its up is at least
+the least low of the kept row blocks whose rows can read it (those whose
+lo block is not after it): a dropped column block lies strictly below
+T(m) for every kept row m that can read it.  Ties are kept, so every
+window of value at least v lies in kept blocks.  The round then reads
+one row span, from the first to the last kept row block, and one column
+span, likewise, and fills T there alone in three passes: q * S, p * i
+and their difference.  The suffix maximum is one running maximum over
+the column span up to g, the last row's lo (clipped to the span): the
+span's tail maximum max(T[g:]) is parked in T[g] while a reversed
+`maximum.accumulate` runs down to the span's start, and T[g] is restored
+after it.  A row whose lo lies left of the column span reads the span's
+maximum, and one right of it a sentinel below every T.  So every row
+with a gain of 0 or more reads its exact gain, and every other row a
+gain below 0: the largest gain, its first m and the first j >= lo
+reaching it (which lies in the span) are those of a round over every
+level.
+The rounds start from v0, the top row's window (b, j) at the first
 j >= lo[-1] with S[j] = S[depth], found by a binary search of the
 non-decreasing S: the last column (b, depth) when the last level
 branches, or the end of the last branching run before a frozen tail,
-which beats it.  That window wins on convex stretches: on the two-phase
-set it saves the second round that the boundary windows alone need at
-most thetas up to 1/2.  Each round moves v to a window of the largest gain (its
-first m, and the first j >= lo reaching the suffix maximum), whose slope
-is strictly larger; there are finitely many windows, so the moves stop:
-after at most one on the concave union's regions and the two-phase set,
-after a few on lattice staircases of strictly convex curves.  A move's
-window is also strictly narrower than the one before: with F(v) the
-largest gain at v and v < v' the values of two moves' windows x and x',
+which beats it.  The bound pass at v0 keeps the row blocks whose
+boundary windows (m, lo[m - a]) can reach it, and the best of those
+boundary windows replaces v0 when larger.  The top row's window wins on
+convex stretches: on the two-phase set it saves the second round that
+the boundary windows alone need at most thetas up to 1/2, and at each
+such theta its one round reads under 0.5% of the levels that a round
+over every level reads.  Each
+round moves v to a window of the largest gain (its first m, and the
+first j >= lo reaching the suffix maximum), whose slope is strictly
+larger, and takes a new bound pass there; there are finitely many
+windows, so the moves stop: after at most one on the concave union's
+regions and the two-phase set, after a few on lattice staircases of
+strictly convex curves.  A move's window is also strictly narrower than
+the one before: with F(v) the largest gain at v and v < v' the values
+of two moves' windows x and x',
 F(v) = (v' - v) * width(x) >= F(v') + (v' - v) * width(x'), so
 width(x') < width(x) whenever F(v') > 0, that is, whenever x' moves
 again.  Widths lie between min(lo[m - a] - m) and depth - a, so a solve
@@ -58,25 +83,14 @@ value, then smallest m, then smallest j.  Every exponent is the same
 int/int division, and distinct fractions with denominators below 2**26
 never round to one float, so float ties are exact ties.  A caller that
 already holds a value p/q from another region (a composite's earlier
-pieces) may pass it as an exact floor: the rounds then start from the
-best of the floor and the two windows above.  From the floor, a largest
-gain below 0 means every window of the region lies strictly below it,
-and the solve returns None after that one round; a largest gain of
-exactly 0 returns the region's own first window of value p/q by the rule
-above.
-Before that round a floor gets a certificate that costs O(depth / B)
-for B = FLOOR_BLOCK levels, against O(depth) for a round.  Cut the rows
-a..b and the fine levels lo[0]..depth into blocks of B levels (on
-multiples of B, clipped to the region).  S is non-decreasing, so on a
-column block J, T <= q * S[end_J] - p * start_J, and on a row block I,
-T >= q * S[start_I] - p * end_I.  One reversed running maximum over the
-column blocks bounds T on every suffix of them, and row block I reads
-the suffix from the block of lo at its first row, where its rows' fine
-levels start.  When every row block's bound lies strictly below its
-lower T, every window lies strictly below the floor and the solve
-returns None without a round.  The certificate is exact but not
-complete: a tie, or a bound too loose to decide, takes the rounds, so
-every value and witness is the one of the rounds alone.
+pieces) may pass it as an exact floor: v0 is then the floor when it is
+larger.  A bound pass at v0 that keeps no row block puts every window of
+the region strictly below the floor, and the solve returns None with no
+take, in O(depth / B).  Otherwise a largest gain below 0 returns None
+after the first round, and a largest gain of exactly 0 returns the
+region's own first window of value p/q by the rule above.  The bounds
+are exact but not complete: a tie, or a bound too loose to decide, is
+read, so every value and witness is the one of rounds over every level.
 `region_max` is the one exact best-slope solver; the tests' conftest holds
 its oracle, the convex-hull sweep `hull_slope_max`.  `suffix_slope_max`
 (one-row `region_max` calls) and `runlen_table` (a `RunTable` row) stay
@@ -318,37 +332,43 @@ def region_max(
     value of S in [0, 2**31) (BudgetError otherwise); ties go to the
     smallest m, then the smallest j.  S must be non-decreasing (prefix
     counts are): the budget check (on S[0] and S[depth]), the top row's
-    window and the floor certificate read it so, and none checks it.
+    window and the block bounds read it so, and none checks it.
     Solved by the parametric rounds of the module docstring on
     T(i) = q * S[i] - p * i, at most (depth - a) - min(lo[m - a] - m) + 2
-    of them.
+    of them, each on the two spans its bound pass keeps.
 
     `floor`, an exact fraction (p, q) with 0 <= p < 2**31 and
     0 < q < 2**31, is a value the caller already holds: the result is
     None when every window of the region is strictly below it, settled
-    without a round when the block certificate of the module docstring
-    proves it; otherwise the rounds start from the floor when it beats
-    the boundary windows and the top row's window.
+    with no take and no write to `work`'s int rows when the bound pass
+    at the start keeps no row block; otherwise the rounds start from the
+    floor when it beats the top row's window and the kept boundary
+    windows.
 
-    Every array lives in the rows of `work`, a `Workspace` of at least
-    depth + 1 levels (one is made when none is lent), indexed by level
-    and written only on the rows m = a..b (b = a + r - 1) and the fine
-    levels lo[0]..depth: T in ints[0], the level term p * i and then the
-    suffix maximum in ints[1], the gains in ints[2][:r]; the boundary
-    windows' numerators, widths and slopes take ints[2][:r], ints[1][:r]
-    and floats[0][:r] before the first round.  So no round allocates,
-    nothing else of `work` is read, and lo may be a view of work.ints[3];
-    the floor certificate allocates its block bounds, about
-    (depth - lo[0] + r) / FLOOR_BLOCK entries."""
+    Every array of rows or levels lives in the rows of `work`, a
+    `Workspace` of at least depth + 1 levels (one is made when none is
+    lent).  The widths lo - m take floats[0][:r] (r = len(lo)), as int64.
+    On the kept row span the boundary windows' numerators, widths and
+    slopes take ints[2], ints[1] and floats[0], by row.  A round writes T
+    in ints[0], the level term p * i and then the suffix maximum in
+    ints[1], by level on its row and column spans, and its gains in
+    ints[2], by row on its row span.  So no round allocates beyond its
+    block bounds, about (depth - lo[0] + r) / FLOOR_BLOCK entries,
+    nothing else of `work` is read, and lo may be a view of
+    work.ints[3]."""
     S = np.asarray(S, dtype=np.int64)
     lo = np.asarray(lo, dtype=np.int64)
     depth, r = len(S) - 1, lo.size
     if work is None:
         work = Workspace(depth)
-    m = work.levels[a : a + r]
-    # m = a + r - 1 < lo[-1] <= depth bounds the levels the region reads
-    if (not r or a < 0 or a + r > depth or lo[-1] > depth
-            or (lo <= m).any() or (lo[1:] < lo[:-1]).any()):
+    # m = a + r - 1 < lo[-1] <= depth bounds the levels the region reads;
+    # the narrowest width lo - m is then positive and caps the rounds
+    narrowest = 0
+    if r and a >= 0 and a + r <= depth and lo[-1] <= depth and not (lo[1:] < lo[:-1]).any():
+        # the widths as int64 in the float row: a float64 result casts slowly
+        width = np.subtract(lo, work.levels[a : a + r], out=work.floats[0][:r].view(np.int64))
+        narrowest = int(width.min())
+    if narrowest <= 0:
         raise ValueError(
             f"bad region: need 0 <= m < lo <= {depth} with lo non-decreasing"
         )
@@ -361,74 +381,125 @@ def region_max(
         fp, fq = map(int, floor)
         if not (0 <= fp < MAX_HULL_SPAN and 0 < fq < MAX_HULL_SPAN):
             raise ValueError(f"floor {floor} needs 0 <= p and 0 < q, both below 2**31")
-        if _below_floor(S, a, lo, fp, fq):
-            return None
-    T, top, gain = work.ints[0], work.ints[1], work.ints[2]
-    # start from the best boundary window (m, lo[m - a]) ...
-    num, den = gain[:r], top[:r]
-    np.take(S, lo, out=num, mode="clip")  # lo is checked; clip needs no copy
-    num -= S[a : a + r]
-    np.subtract(lo, m, out=den)
-    k = int(np.argmax(np.divide(num, den, out=work.floats[0][:r])))
-    p, q = int(num[k]), int(den[k])
     # one round per window width from depth - a down to the narrowest, + 1
-    rounds = depth - a - int(den.min()) + 2
-    # ... or the top row's first column from which S stays at S[depth]
-    # (any column it finds is admissible), or the floor, the largest
-    f, g, b = int(lo[0]), int(lo[-1]), a + r - 1
-    j = max(g, int(np.searchsorted(S, S[depth])))
-    cp, cq = int(S[j] - S[b]), j - b
-    if cp * q > p * cq:
-        p, q = cp, cq
+    rounds = depth - a - narrowest + 2
+    # start from the top row's first column from which S stays at S[depth]
+    # (any column it finds is admissible), or the floor when larger, ...
+    b = a + r - 1
+    j = max(int(lo[-1]), int(np.searchsorted(S, S[depth])))
+    p, q = int(S[j] - S[b]), j - b
     if floor is not None and fp * q > p * fq:
         p, q = fp, fq
+    blocks = _Blocks(S, a, lo)
+    spans = blocks.spans(p, q)
+    if spans is None:  # only from a floor: every window lies below it
+        return None
+    # ... or the best boundary window (m, lo[m - a]) of the kept row span
+    # when larger; a dropped row block's windows all lie below the start
+    (m0, m1), _ = spans
+    rows = slice(m0 - a, m1 - a + 1)
+    num = np.take(S, lo[rows], out=work.ints[2][rows], mode="clip")  # lo is checked
+    num -= S[m0 : m1 + 1]
+    den = np.subtract(lo[rows], work.levels[m0 : m1 + 1], out=work.ints[1][rows])
+    k = int(np.argmax(np.divide(num, den, out=work.floats[0][rows])))
+    cp, cq = int(num[k]), int(den[k])
+    if cp * q > p * cq:
+        p, q = cp, cq
+        spans = blocks.spans(p, q)
+    T, top, gain = work.ints[0], work.ints[1], work.ints[2]
     # each round but the last moves to a strictly larger window value and
     # a strictly narrower window than the round before
     for _ in range(rounds):
-        # T on the rows a..b and the fine levels f..depth, nothing between
-        for x, y in ((a, min(b + 1, f)), (f, depth + 1)):
+        (m0, m1), (c0, c1) = spans
+        # T on the row span and the column span, nothing between
+        for x, y in ((m0, min(m1 + 1, c0)), (c0, c1 + 1)):
             np.multiply(S[x:y], q, out=T[x:y])
             T[x:y] -= np.multiply(work.levels[x:y], p, out=top[x:y])
-        # the suffix maximum of T at f..g: the tail maximum parked in T[g],
-        # then one running maximum down to f
+        # the suffix maximum of T at c0..g, g the last row's lo clipped to
+        # the span: the tail maximum parked in T[g], then one running
+        # maximum down to c0
+        i0, i1 = m0 - a, m1 - a
+        g = max(c0, min(int(lo[i1]), c1))
         tg = T[g]
-        T[g] = T[g : depth + 1].max()
-        np.maximum.accumulate(T[f : g + 1][::-1], out=top[f : g + 1][::-1])
+        T[g] = T[g : c1 + 1].max()
+        np.maximum.accumulate(T[c0 : g + 1][::-1], out=top[c0 : g + 1][::-1])
         T[g] = tg
-        np.take(top, lo, out=gain[:r], mode="clip")
-        gain[:r] -= T[a : a + r]
-        k = int(np.argmax(gain[:r]))  # the first m of the largest gain
+        # gains on the rows: those whose lo lies left of the column span
+        # read its maximum, those right of it a sentinel below every T
+        x, y = (i0 + int(i) for i in np.searchsorted(lo[i0 : i1 + 1], (c0, c1 + 1)))
+        np.subtract(top[c0], T[a + i0 : a + x], out=gain[i0:x])
+        np.take(top, lo[x:y], out=gain[x:y], mode="clip")
+        gain[x:y] -= T[a + x : a + y]
+        np.subtract(-(1 << 62), T[a + y : m1 + 1], out=gain[y : i1 + 1])
+        k = i0 + int(np.argmax(gain[i0 : i1 + 1]))  # the first m of the largest gain
         if gain[k] < 0:  # only from a floor: every window lies below it
             return None
         mk = a + k
-        # the first j >= lo reaching the suffix maximum
-        j = int(lo[k]) + int(np.argmax(T[lo[k] : depth + 1]))
+        # the first j >= lo reaching the suffix maximum, inside the span
+        x = max(int(lo[k]), c0)
+        j = x + int(np.argmax(T[x : c1 + 1]))
         p, q = int(S[j] - S[mk]), j - mk
         if gain[k] == 0:
             return p / q, mk, j
+        spans = blocks.spans(p, q)
     raise RuntimeError(f"region at {a} found no maximum within {rounds} rounds")
 
 
-def _below_floor(S: np.ndarray, a: int, lo: np.ndarray, p: int, q: int) -> bool:
-    """True when block bounds on T(i) = q * S[i] - p * i put every window
-    of the region (a, lo) strictly below p/q, by the module docstring's
-    certificate; False proves nothing.  S non-decreasing, 0 <= p, 0 < q."""
-    depth, b, f = len(S) - 1, a + lo.size - 1, int(lo[0])
-    # column blocks of f..depth: T <= q * S[end] - p * start, then the
-    # bound of every suffix of blocks
-    c0 = f // FLOOR_BLOCK
-    start = np.arange(c0 * FLOOR_BLOCK, depth + 1, FLOOR_BLOCK)
-    end = np.minimum(start + (FLOOR_BLOCK - 1), depth)
-    start[0] = f
-    up = S[end] * q - start * p
-    np.maximum.accumulate(up[::-1], out=up[::-1])
-    # row blocks of a..b: T >= q * S[start] - p * end, each against the
-    # suffix bound from the block of lo at its first row
-    start = np.arange(a // FLOOR_BLOCK * FLOOR_BLOCK, b + 1, FLOOR_BLOCK)
-    end = np.minimum(start + (FLOOR_BLOCK - 1), b)
-    start[0] = a
-    low = S[start] * q - end * p
-    return bool((up[lo[start - a] // FLOOR_BLOCK - c0] < low).all())
+class _Blocks:
+    """The block grid of one region (S, a, lo): its rows a..b
+    (b = a + len(lo) - 1) and its fine levels lo[0]..depth, each cut into
+    blocks of FLOOR_BLOCK levels on its multiples, clipped to the region.
+    `kept` is the module docstring's bound pass over them; S must be
+    non-decreasing."""
+
+    __slots__ = ("row_first", "row_last", "col_first", "col_last", "S_first", "S_last",
+                 "lo_block")
+
+    def __init__(self, S: np.ndarray, a: int, lo: np.ndarray):
+        B = FLOOR_BLOCK
+        depth, b, f = len(S) - 1, a + lo.size - 1, int(lo[0])
+        first = np.arange(f // B * B, depth + 1, B)
+        last = np.minimum(first + (B - 1), depth)
+        first[0] = f
+        self.col_first, self.col_last, self.S_last = first, last, S[last]
+        first = np.arange(a // B * B, b + 1, B)
+        last = np.minimum(first + (B - 1), b)
+        first[0] = a
+        self.row_first, self.row_last, self.S_first = first, last, S[first]
+        # the column block of lo at each row block's first row, where the
+        # fine levels of its rows start
+        self.lo_block = lo[first - a] // B - f // B
+
+    def kept(self, p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+        """The row blocks and the column blocks the bound pass at
+        v = p/q keeps, as two boolean masks; every window of a dropped
+        block lies strictly below v.  0 <= p, 0 < q, both below 2**31."""
+        up = self.S_last * q - self.col_first * p  # T <= up on a column block
+        reach = np.maximum.accumulate(up[::-1])[::-1]  # ... and on each suffix
+        low = self.S_first * q - self.row_last * p  # T >= low on a row block
+        rows = reach[self.lo_block] >= low
+        if not rows.any():  # a settled floor needs no column blocks
+            return rows, np.zeros(up.size, dtype=bool)
+        # the row blocks that can read column block J are the first
+        # readers[J] (lo_block ascends); J lies below every kept one when
+        # its bound is below their least low, and 2**62 exceeds every T
+        least = np.empty(low.size + 1, dtype=np.int64)
+        least[0] = 1 << 62
+        np.minimum.accumulate(np.where(rows, low, 1 << 62), out=least[1:])
+        readers = np.bincount(self.lo_block, minlength=up.size).cumsum()
+        return rows, up >= least[readers]
+
+    def spans(self, p: int, q: int):
+        """((m0, m1), (c0, c1)): the levels from the first to the last row
+        block and column block `kept` keeps at p/q, or None when it keeps
+        no row block."""
+        rows, cols = self.kept(p, q)
+        i = np.flatnonzero(rows)
+        if not i.size:
+            return None
+        j = np.flatnonzero(cols)
+        return ((int(self.row_first[i[0]]), int(self.row_last[i[-1]])),
+                (int(self.col_first[j[0]]), int(self.col_last[j[-1]])))
 
 
 def leaf_gaps(xs: Sequence[int]) -> np.ndarray:

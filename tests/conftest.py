@@ -13,7 +13,10 @@ is checked against a hull sweep.
 takes the argmax, the batch that one `region_max` call replaces;
 `assert_region_floors` checks one region's solve against it, with floors
 above, at and below its maximum, and `assert_floor_certificate` checks
-that the solve's block certificate settles only floors strictly above it.
+that the solve's bound pass drops every row block only at floors
+strictly above it.  `assert_dropped_blocks_lose` checks every bound pass
+of one solve against every window of its region: each window of a
+dropped block lies strictly below the pass's value.
 `oracle_composite_spectrum` and `oracle_composite_upper` evaluate a
 schedule or composite one piece at a time, dividing every row of every
 piece and solving each piece's region with no floor, the references of
@@ -61,13 +64,14 @@ from bisect import bisect_left
 from fractions import Fraction
 from math import log2
 from typing import Sequence
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import assume, strategies as st
 
 from fds.dyadic import DyadicTree
-from fds import schedule
+from fds import schedule, windows
 from fds.schedule import (
     BranchingSchedule,
     CompositeSet,
@@ -77,7 +81,7 @@ from fds.schedule import (
     pieces,
 )
 from fds.constructions import TARGET_GRID, TwoPhaseParams, poly_eval, two_phase_schedule
-from fds.windows import RationalScale, Workspace, _below_floor, ceil_div, region_max
+from fds.windows import RationalScale, Workspace, _Blocks, ceil_div, region_max
 
 
 # ----------------------------------------------------------------------
@@ -590,24 +594,66 @@ def assert_region_floors(S, a, lo, k: int = 2) -> tuple[float, int, int]:
 
 
 def assert_floor_certificate(S, a, lo, floors=()) -> Fraction:
-    """`region_max`'s block certificate, `windows._below_floor`, against
-    `oracle_fan_max`: it never certifies the region's maximum p/q itself,
-    in lowest terms or scaled, nor a floor below it; each of `floors` and
-    of p/q * (1 + 2**-k), k = 0..10, that it certifies lies strictly above
-    p/q; and `assert_region_floors` holds.  Returns p/q."""
+    """`region_max`'s bound pass, `windows._Blocks.kept`, against
+    `oracle_fan_max`: at the region's maximum p/q, in lowest terms or
+    scaled, it keeps a row block; each of `floors`, of p/q * (1 - 2**-k)
+    and of p/q * (1 + 2**-k) + 2**-k / q, k = 0..10, at which it keeps
+    none lies strictly above p/q; and `assert_region_floors` holds.
+    Returns p/q."""
     S, lo = np.asarray(S, dtype=np.int64), np.asarray(lo, dtype=np.int64)
     _, m, j = oracle_fan_max(S, range(a, a + lo.size), lo)
     p, q = int(S[j] - S[m]), j - m
     top = Fraction(p, q)
+    blocks = _Blocks(S, a, lo)
     for k in (1, 2, 7):
-        assert not _below_floor(S, a, lo, p * k, q * k), (k, top)
+        assert blocks.kept(p * k, q * k)[0].any(), (k, top)
     below = [top * (1 - Fraction(1, 1 << k)) for k in range(11)]
     above = [top * (1 + Fraction(1, 1 << k)) + Fraction(1, q << k) for k in range(11)]
     for floor in [*below, *above, *map(Fraction, floors)]:
-        if _below_floor(S, a, lo, floor.numerator, floor.denominator):
+        if not blocks.kept(floor.numerator, floor.denominator)[0].any():
             assert top < floor, (floor, top)
     assert_region_floors(S, a, lo)
     return top
+
+
+def assert_dropped_blocks_lose(S, a, lo, floor=None):
+    """Every bound pass of one `region_max` solve, `windows._Blocks.kept`
+    at the start's and each round's value v = p/q: every window of a
+    dropped row block, and every window whose fine level lies in a dropped
+    column block, lies strictly below v, checked over every window of the
+    region.  The first pass runs at v0, the top row's window (b, j) at the
+    first j >= lo[-1] with S[j] = S[depth], or the floor when larger, and
+    the boundary windows (m, lo[m - a]) of the row blocks it drops lie
+    strictly below v0.  Returns the solve's result."""
+    S, lo = np.asarray(S, dtype=np.int64), np.asarray(lo, dtype=np.int64)
+    kept, passes = windows._Blocks.kept, []
+
+    def spy(blocks, p, q):
+        found = kept(blocks, p, q)
+        passes.append((blocks, p, q, *found))
+        return found
+
+    with patch.object(windows._Blocks, "kept", spy):
+        got = region_max(S, a, lo, floor=floor)
+    depth, b = len(S) - 1, a + lo.size - 1
+    level, m = np.arange(depth + 1), np.arange(a, b + 1)
+    j = max(int(lo[-1]), int(np.flatnonzero(S == S[depth])[0]))
+    v0 = max(Fraction(int(S[j] - S[b]), j - b), Fraction(*(floor or (0, 1))))
+    assert Fraction(*passes[0][1:3]) == v0, (passes[0][1:3], v0)
+    admissible = level >= lo[:, None]
+    for blocks, p, q, rows, cols in passes:
+        T = q * S - p * level
+        gain = T - T[m][:, None]  # sign of a window's slope less v
+        row_dropped = np.repeat(~rows, blocks.row_last - blocks.row_first + 1)
+        col_dropped = np.zeros(depth + 1, dtype=bool)
+        col_dropped[lo[0] :] = np.repeat(~cols, blocks.col_last - blocks.col_first + 1)
+        dropped = admissible & (row_dropped[:, None] | col_dropped)
+        assert (gain[dropped] < 0).all(), (p, q)
+    blocks, p, q, rows, _ = passes[0]
+    row_dropped = np.repeat(~rows, blocks.row_last - blocks.row_first + 1)
+    num, width = (S[lo] - S[m])[row_dropped], (lo - m)[row_dropped]
+    assert (num * q < p * width).all(), (p, q)
+    return got
 
 
 def ratio_fan_max(rep, theta: Fraction, lo: int, hi: int, neighbors: bool = False) -> float:

@@ -49,6 +49,7 @@ from fds.windows import RationalScale, RootScale, RunTable, Workspace, region_ma
 from conftest import (
     RUN_LINES,
     RUNS_TOKEN,
+    assert_dropped_blocks_lose,
     assert_floor_certificate,
     assert_region_floors,
     assert_skipped_blocks_lose,
@@ -893,6 +894,84 @@ def test_floor_certificate_is_sound_on_run_composite_pieces(pool, data):
         region = (S, a - e, fines[a - lo :] - e)
         value = assert_floor_certificate(*region, drawn + ([floor] if floor is not None else []))
         floor = value if floor is None else max(floor, value)
+
+
+def _run_piece_regions(pool, data):
+    """Every piece region (S, a, lo) of a drawn composite of `pool`'s
+    schedules at a drawn ratio theta and range, as `composite_upper` cuts
+    it."""
+    n = data.draw(st.integers(min_value=1, max_value=3))
+    gaps = data.draw(st.lists(st.integers(min_value=1, max_value=40), min_size=n, max_size=n))
+    cs = CompositeSet([(e, data.draw(st.sampled_from(pool))) for e in np.cumsum(gaps).tolist()])
+    q = data.draw(st.integers(min_value=2, max_value=12))
+    scale = RationalScale(Fraction(data.draw(st.integers(min_value=1, max_value=q - 1)), q))
+    top = scale.max_coarse(cs.depth)
+    assume(top >= 1)
+    lo = data.draw(st.integers(min_value=1, max_value=top))
+    hi = data.draw(st.integers(min_value=lo, max_value=top))
+    fines = scale.fine_array(np.arange(lo, hi + 1, dtype=np.int64))
+    regions = []
+    for _, e, S in pieces(cs):
+        a = max(lo, e)
+        if a > hi:
+            break
+        regions.append((S, a - e, fines[a - lo :] - e))
+    return regions
+
+
+def _keep_every_block(blocks, p, q):
+    return np.ones(blocks.row_first.size, dtype=bool), np.ones(blocks.col_first.size, dtype=bool)
+
+
+def _assert_bound_pass_exact(S, a, lo):
+    """At blocks of 1, 2, 3, 4 and FLOOR_BLOCK levels, with no floor and
+    with floors above, at and below the region's maximum: region_max
+    equals the per-level oracle, values and witnesses; every bound pass
+    drops only windows strictly below its value (and, at the start,
+    boundary windows below v0); and with the bound pass keeping every
+    block the results and the takes, one for the boundary windows and one
+    per round, are the same, but where the pass alone settles a floor
+    above the maximum with no take."""
+    take, takes = np.take, []
+
+    def counted(*args, **kw):
+        takes.append(1)
+        return take(*args, **kw)
+
+    def solve(floor):
+        takes.clear()
+        with patch.object(np, "take", counted):
+            return region_max(S, a, lo, floor=floor), len(takes)
+
+    for block in (1, 2, 3, 4, windows.FLOOR_BLOCK):
+        with patch.object(windows, "FLOOR_BLOCK", block):
+            _, m, j = assert_region_floors(S, a, lo)
+            p, q = int(S[j] - S[m]), j - m
+            for floor in (None, (2 * p + 1, 2 * q), (p, q), (max(2 * p - 1, 0), 2 * q)):
+                got, rounds = solve(floor)
+                assert assert_dropped_blocks_lose(S, a, lo, floor) == got
+                with patch.object(windows._Blocks, "kept", _keep_every_block):
+                    every, every_rounds = solve(floor)
+                assert every == got, (block, floor)
+                assert rounds == every_rounds or (got is None and rounds == 0), (block, floor)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(run_schedules(max_runs=24, max_length=24, min_runs=4), min_size=1, max_size=3),
+       st.data())
+def test_bound_pass_is_exact_on_run_composite_pieces(pool, data):
+    """`_assert_bound_pass_exact` on every piece region of a composite of
+    run schedules, as `composite_upper` cuts it."""
+    for region in _run_piece_regions(pool, data):
+        _assert_bound_pass_exact(*region)
+
+
+@settings(max_examples=60, deadline=None)
+@given(staircase_regions(min_depth=8, max_depth=300))
+def test_bound_pass_is_exact_on_curve_staircases(case):
+    """`_assert_bound_pass_exact` on curve staircases, whose solves take
+    the most rounds."""
+    _assert_bound_pass_exact(*case)
 
 
 @settings(max_examples=40, deadline=None)
